@@ -31,7 +31,7 @@ QUERIES = [
 
 @pytest.fixture(scope="module")
 def closure_engine():
-    return Engine()
+    return Engine(codegen="closure")
 
 
 @pytest.fixture(scope="module")

@@ -515,7 +515,8 @@ def e14_batching() -> None:
 
     xml = generate_xmark(scale=0.8 if not QUICK else 0.2, seed=2004)
     doc = parse_document(xml)  # pre-parsed: time the query, not the parser
-    item_engine, batch_engine = Engine(), Engine(batch_size=256)
+    item_engine = Engine(codegen="closure")
+    batch_engine = Engine(batch_size=256)
 
     queries = [
         ("descendant scan + count", "count(/site/regions//item)"),
@@ -547,7 +548,7 @@ def e15_codegen() -> None:
 
     xml = generate_xmark(scale=0.8 if not QUICK else 0.2, seed=2004)
     doc = parse_document(xml)  # pre-parsed: time the query, not the parser
-    closure_engine = Engine()
+    closure_engine = Engine(codegen="closure")
     batch_engine = Engine(batch_size=256)
     source_engine = Engine(codegen="source")
 
@@ -566,6 +567,14 @@ def e15_codegen() -> None:
         source = source_engine.compile(query)
         assert closure.execute(context_item=doc).serialize() == \
             source.execute(context_item=doc).serialize()
+        # CPython 3.11 specializes a code object only after its eighth
+        # entry: the closure interpreter's code is shared by every query
+        # and long warm, a generated function is new — warm all three
+        # alike before the best-of-three (EXPERIMENTS.md E15 has the
+        # cold numbers)
+        for plan in (closure, batched, source):
+            for _ in range(5):
+                plan.execute(context_item=doc).items()
         ct = timed(lambda: closure.execute(context_item=doc).items())
         bt = timed(lambda: batched.execute(context_item=doc).items())
         st = timed(lambda: source.execute(context_item=doc).items())

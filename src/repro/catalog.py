@@ -58,6 +58,9 @@ _STORE_KINDS = {"tree": TreeStore, "tokens": TokenStore, "text": TextStore}
 #: durable counter instead, so generations stay unique across processes.
 _GENERATION = itertools.count(1)
 
+#: identities of in-memory catalogs (never reused, unlike ``id()``)
+_CATALOG_IDS = itertools.count(1)
+
 
 class StoredDocument:
     """A named, stored (and optionally indexed) document.
@@ -262,6 +265,11 @@ class DocumentCatalog:
             self.path = self._storage.path
             for name, entry in self._storage.entries().items():
                 self._docs[name] = PersistedDocument(name, entry, self)
+        #: which catalog this is, for :meth:`fingerprint`: the
+        #: collection id persisted in a disk catalog's manifest, a
+        #: process-wide serial for an in-memory one
+        self._identity = ("memory", next(_CATALOG_IDS)) if path is None \
+            else ("disk", self._storage.collection_id)
 
     def add(self, name: str, source: Any, *, store: str = "tree",
             index: bool = True,
@@ -479,9 +487,15 @@ class DocumentCatalog:
         return self._by_node.get(id(node))
 
     def fingerprint(self) -> tuple:
-        """Hashable identity of every binding, for the compile cache."""
-        return tuple(self._docs[name].fingerprint()
-                     for name in sorted(self._docs))
+        """Hashable identity of this catalog and every binding in it,
+        for the compile and result caches.  The catalog's own identity
+        leads: document generations are numbered per catalog (per
+        collection directory on disk), so two catalogs holding
+        same-named documents at equal generations would otherwise share
+        a key — and one tenant's cached plan would answer from the
+        other tenant's document."""
+        return (self._identity,) + tuple(self._docs[name].fingerprint()
+                                         for name in sorted(self._docs))
 
     def __repr__(self) -> str:
         where = f", path={str(self.path)!r}" if self.path else ""

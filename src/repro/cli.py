@@ -70,12 +70,13 @@ def build_parser() -> argparse.ArgumentParser:
                              "N items (256 is a good default; 0 = fully "
                              "lazy item-at-a-time mode)")
     parser.add_argument("--codegen", choices=("closure", "source"),
-                        default="closure",
-                        help="execution backend: 'closure' interprets the "
-                             "compiled operator tree; 'source' emits one "
-                             "specialized Python function per query with "
-                             "whole-FLWOR fusion (with --explain, also "
-                             "prints the generated source)")
+                        default=None,
+                        help="execution backend: 'source' (the default) "
+                             "emits one specialized Python function per "
+                             "query with whole-FLWOR fusion (with "
+                             "--explain, also prints the generated "
+                             "source); 'closure' interprets the compiled "
+                             "operator tree (implied by --batch-size > 0)")
     parser.add_argument("--twig-strategy",
                         choices=("auto", "holistic", "binary", "navigation",
                                  "mixed"),

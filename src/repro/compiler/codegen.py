@@ -582,11 +582,8 @@ class CodeGenerator:
                 for bound in rows:
                     keys = []
                     for key_plan, _desc, _el in key_plans:
-                        values = list(atomize(key_plan(bound)))
-                        if len(values) > 1:
-                            raise TypeError_(
-                                "order-by key must be a single atomic value")
-                        keys.append(values[0] if values else None)
+                        keys.append(_order_key_value(
+                            list(atomize(key_plan(bound)))))
                     decorated.append((keys, bound))
                 decorated.sort(key=_OrderKey.factory(key_plans))
                 rows = [bound for _keys, bound in decorated]
@@ -647,19 +644,8 @@ class CodeGenerator:
         optional = expr.optional
 
         def plan(dctx):
-            values = list(atomize(operand_plan(dctx)))
-            if not values:
-                yield boolean(optional)
-                return
-            if len(values) > 1:
-                yield boolean(False)
-                return
-            value = values[0]
-            try:
-                cast_value(value.value, value.type, target)
-                yield boolean(True)
-            except (CastError, TypeError_):
-                yield boolean(False)
+            yield boolean(_castable(list(atomize(operand_plan(dctx))),
+                                    target, optional))
         return plan
 
     def _c_ParamConvert(self, expr: ast.ParamConvert) -> Plan:
@@ -918,28 +904,15 @@ class CodeGenerator:
         return self.compile(expr.operand)
 
     def _c_AccessPath(self, expr: ast.AccessPath) -> Plan:
-        from repro.joins.access import (
-            element_chain_postings,
-            value_lookup_elements,
-        )
-
         fallback_plan = self.compile(expr.fallback)
         predicate_plan = self.compile(expr.predicate) \
             if expr.predicate is not None else None
         catalog = self.catalog
-        var, steps, pred, chosen = expr.var, expr.steps, expr.pred, expr.chosen
+        var, chosen = expr.var, expr.chosen
 
         def plan(dctx):
-            stored = None
-            doc = None
-            if catalog is not None:
-                value = dctx.variable(var)
-                items = list(value) if isinstance(
-                    value, (list, tuple, BufferedSequence)) else [value]
-                if len(items) == 1:
-                    doc = items[0]
-                    stored = catalog.stored_for(doc)
-            if stored is None or not stored.indexed:
+            stored, doc = _indexed_binding(catalog, dctx, var)
+            if stored is None:
                 # the runtime binding is not the indexed document this
                 # plan was costed for — degrade to navigation
                 dctx.count("access_path.fallback_navigation")
@@ -947,14 +920,7 @@ class CodeGenerator:
                 return
             dctx.count(f"access_path.{chosen}")
             token = dctx._shared.cancellation
-            eindex = stored.element_index
-            if chosen == "value_index":
-                candidates = value_lookup_elements(
-                    eindex, stored.value_index, doc, steps,
-                    pred[0], pred[1], pred[2])
-            else:
-                candidates = [p.node for p in
-                              element_chain_postings(eindex, steps)]
+            candidates = _access_path_candidates(stored, doc, expr)
             if predicate_plan is not None:
                 # re-verify every index candidate with the original
                 # predicate: normalized value keys over-approximate
@@ -977,51 +943,23 @@ class CodeGenerator:
         return plan
 
     def _c_TwigJoin(self, expr: ast.TwigJoin) -> Plan:
-        from repro.joins.patterns import TwigPattern, evaluate_pattern
-
         fallback_plan = self.compile(expr.fallback)
         catalog = self.catalog
-        var, spec, chosen = expr.var, expr.spec, expr.chosen
-        holistic_branches = expr.holistic_branches
+        var = expr.var
 
         def plan(dctx):
-            stored = None
-            doc = None
-            if catalog is not None:
-                value = dctx.variable(var)
-                items = list(value) if isinstance(
-                    value, (list, tuple, BufferedSequence)) else [value]
-                if len(items) == 1:
-                    doc = items[0]
-                    stored = catalog.stored_for(doc)
-            if stored is None or not stored.indexed:
+            stored, _doc = _indexed_binding(catalog, dctx, var)
+            if stored is None:
                 # the runtime binding is not the indexed document this
                 # plan was costed for — degrade to navigation
                 dctx.count("twig.fallback_navigation")
                 yield from fallback_plan(dctx)
                 return
-            dctx.count(f"twig.{chosen}")
             token = dctx._shared.cancellation
-            pattern = TwigPattern.from_spec(spec)
-            counters: dict[str, int] = {}
-            postings = evaluate_pattern(
-                stored.element_index, pattern, algorithm=chosen,
-                cancellation=token, counters=counters,
-                holistic_branches=holistic_branches)
-            dctx.count("twig.elements_scanned",
-                       counters.get("elements_scanned", 0))
-            for key, value in counters.items():
-                if key.startswith("edge."):
-                    # actual-vs-estimated surface: twig.edge.<p>><c>.
-                    # actual_pairs lines up with the compile-time
-                    # twig.edge.<p>><c>.est_pairs annotation
-                    dctx.count("twig." + key.replace(".pairs",
-                                                     ".actual_pairs"), value)
-            dctx.count("twig.actual_rows", len(postings))
-            for posting in postings:
+            for node in _twig_nodes(stored, expr, dctx):
                 if token is not None:
                     token.check()
-                yield posting.node
+                yield node
         return plan
 
     # -- constructors -----------------------------------------------------------
@@ -1675,6 +1613,86 @@ def _compile_step_fn(axis: str, test):
 
 
 # -- helpers ---------------------------------------------------------------------
+
+
+def _indexed_value(catalog, value):
+    """``(stored, doc)`` when ``value`` (a variable binding) is exactly
+    the pinned, indexed catalog tree an AccessPath/TwigJoin was costed
+    for; else ``(None, None)`` and the operator degrades to navigation."""
+    items = list(value) if isinstance(
+        value, (list, tuple, BufferedSequence)) else [value]
+    if len(items) != 1:
+        return None, None
+    stored = catalog.stored_for(items[0])
+    if stored is None or not stored.indexed:
+        return None, None
+    return stored, items[0]
+
+
+def _indexed_binding(catalog, dctx, var: QName):
+    """:func:`_indexed_value` of ``$var`` (never indexed without a
+    catalog)."""
+    if catalog is None:
+        return None, None
+    return _indexed_value(catalog, dctx.variable(var))
+
+
+def _access_path_candidates(stored, doc, expr: ast.AccessPath) -> list:
+    """The index-side candidates of an AccessPath, in document order
+    (before residual predicate re-verification)."""
+    from repro.joins.access import (
+        element_chain_postings,
+        value_lookup_elements,
+    )
+
+    if expr.chosen == "value_index":
+        kind, name, probe = expr.pred
+        return value_lookup_elements(stored.element_index, stored.value_index,
+                                     doc, expr.steps, kind, name, probe)
+    return [p.node for p in
+            element_chain_postings(stored.element_index, expr.steps)]
+
+
+def _twig_nodes(stored, expr: ast.TwigJoin, dctx) -> list:
+    """Evaluate a TwigJoin over the stored document's element index,
+    recording the ``twig.*`` counters; output nodes in document order."""
+    from repro.joins.patterns import TwigPattern, evaluate_pattern
+
+    dctx.count(f"twig.{expr.chosen}")
+    counters: dict[str, int] = {}
+    postings = evaluate_pattern(
+        stored.element_index, TwigPattern.from_spec(expr.spec),
+        algorithm=expr.chosen, cancellation=dctx._shared.cancellation,
+        counters=counters, holistic_branches=expr.holistic_branches)
+    dctx.count("twig.elements_scanned", counters.get("elements_scanned", 0))
+    for key, value in counters.items():
+        if key.startswith("edge."):
+            # actual-vs-estimated surface: twig.edge.<p>><c>.actual_pairs
+            # lines up with the compile-time twig.edge.<p>><c>.est_pairs
+            dctx.count("twig." + key.replace(".pairs", ".actual_pairs"),
+                       value)
+    dctx.count("twig.actual_rows", len(postings))
+    return [posting.node for posting in postings]
+
+
+def _castable(values: list, target, optional: bool) -> bool:
+    """``castable as`` over an atomized operand."""
+    if not values:
+        return optional
+    if len(values) > 1:
+        return False
+    try:
+        cast_value(values[0].value, values[0].type, target)
+        return True
+    except (CastError, TypeError_):
+        return False
+
+
+def _order_key_value(values: list):
+    """The single atomized order-by key of one tuple, or None (empty)."""
+    if len(values) > 1:
+        raise TypeError_("order-by key must be a single atomic value")
+    return values[0] if values else None
 
 
 def _opt_integer(seq, what: str) -> int | None:

@@ -31,8 +31,9 @@ Contracts with the closure backend, in both directions:
   ``codegen=source``) so EXPLAIN ANALYZE item counts match the closure
   backend's root operator; fused operators appear as ``codegen=fused``
   nodes, closure seams as ``codegen=closure``.  The generated text is
-  registered with :mod:`linecache`, so tracebacks out of generated
-  loops show real source lines.
+  registered with :mod:`linecache` for as long as the compiled plan is
+  alive, so tracebacks out of generated loops show real source lines
+  and an evicted plan frees its text.
 
 Early exit (EBV, ``fn:exists``, general comparisons, positional
 filters) uses the :class:`_Early` control exception *with a per-site
@@ -46,24 +47,42 @@ from __future__ import annotations
 
 import itertools
 import linecache
-from contextlib import contextmanager
+import weakref
+from contextlib import ExitStack, contextmanager
 from typing import Any, Callable, Iterator
 
 from repro.compiler.analysis import uses_last
 from repro.compiler.codegen import (
     CodeGenerator,
     Plan,
+    _OrderKey,
+    _access_path_candidates,
     _all_nodes,
+    _castable,
     _compile_step_fn,
+    _computed_name,
+    _function_convert,
+    _indexed_value,
     _opt_integer,
     _opt_single_node,
+    _order_key_value,
+    _twig_nodes,
 )
 from repro.compiler.context import StaticContext
+from repro.compiler.sequencetype import resolve_sequence_type
 from repro.errors import DynamicError, TypeError_
 from repro.qname import FN_NS, QName, XDT_NS, XS_NS
 from repro.runtime import functions as fnlib
 from repro.runtime.arithmetic import arithmetic, negate, unary_plus
 from repro.runtime.batching import ensure_replayable
+from repro.runtime.constructors import (
+    construct_attribute_from_parts,
+    construct_comment,
+    construct_document,
+    construct_element,
+    construct_pi,
+    construct_text,
+)
 from repro.runtime.compare import (
     _GENERAL_TO_VALUE,
     _general_pair,
@@ -194,6 +213,20 @@ _BASE_ENV = {
     "_all_nodes": _all_nodes,
     "_opt_integer": _opt_integer,
     "_opt_single_node": _opt_single_node,
+    "_indexed_value": _indexed_value,
+    "_access_path_candidates": _access_path_candidates,
+    "_twig_nodes": _twig_nodes,
+    "_computed_name": _computed_name,
+    "_construct_element": construct_element,
+    "_construct_attribute": construct_attribute_from_parts,
+    "_construct_text": construct_text,
+    "_construct_comment": construct_comment,
+    "_construct_pi": construct_pi,
+    "_construct_document": construct_document,
+    "_function_convert": _function_convert,
+    "_order_key_value": _order_key_value,
+    "_OrderKey": _OrderKey,
+    "_castable": _castable,
 }
 
 #: fn: builtins whose EBV equals their (boolean-singleton) value — used
@@ -242,6 +275,10 @@ def _yields_only_nodes(expr) -> bool:
         return _yields_only_nodes(expr.right)
     if isinstance(expr, ast.Filter):
         return _yields_only_nodes(expr.base)
+    if isinstance(expr, (ast.AccessPath, ast.TwigJoin)):
+        # the index side yields elements; the navigation side is the
+        # path the operator replaced
+        return _yields_only_nodes(expr.fallback)
     return False
 
 
@@ -277,15 +314,24 @@ def _static_boolean(expr) -> bool:
 # expressions to temps before calling ``sink.item`` (``_as_local``), so
 # a sink may duplicate or discard the code string freely; and a sink's
 # ``item`` may be invoked at several sites (e.g. both branches of an
-# if), so everything it emits must be self-contained.
+# if), so everything it emits must be self-contained.  Only sinks
+# marked ``inline`` (a line or two per site) are actually invoked at
+# several sites: for the others — whole loop bodies — a multi-site
+# producer funnels its items through one site (``_one_site``), or
+# nested ``for $x in (a, b)`` clauses would double the emitted text
+# per level.
 
 
 class _YieldSink:
+    inline = True
+
     def item(self, em: "SourcePlanCompiler", code: str) -> None:
         em.w(f"yield {code}")
 
 
 class _CollectSink:
+    inline = True
+
     def __init__(self, target: str):
         self.target = target
 
@@ -294,6 +340,8 @@ class _CollectSink:
 
 
 class _AtomizeSink:
+    inline = True
+
     def __init__(self, target: str):
         self.target = target
 
@@ -302,6 +350,8 @@ class _AtomizeSink:
 
 
 class _CountSink:
+    inline = True
+
     def __init__(self, counter: str):
         self.counter = counter
 
@@ -333,6 +383,8 @@ class _DistinctCountSink:
 
 
 class _ExistsSink:
+    inline = True
+
     def __init__(self, flag: str, token: int):
         self.flag = flag
         self.token = token
@@ -446,32 +498,34 @@ class _QuantSink:
 
 
 class _ForSink:
-    """ForExpr body: cancellation poll, bind, emit body into the outer
-    sink — the whole-FLWOR fusion workhorse (a normalized FLWOR is a
-    chain of ForExpr/LetExpr/IfExpr nodes, so the nested sinks flatten
-    it into one loop nest)."""
+    """One ``for`` binding: cancellation poll, bind, emit the body —
+    the whole-FLWOR fusion workhorse (a normalized FLWOR is a chain of
+    ForExpr/LetExpr/IfExpr nodes, so the nested sinks flatten it into
+    one loop nest).  ``body`` emits whatever runs per bound item: a
+    ForExpr's body into the outer sink, or an ordered FLWOR's next
+    clause."""
 
-    def __init__(self, expr: ast.ForExpr, out, pos_counter, parent):
-        self.expr = expr
-        self.out = out
+    def __init__(self, var, pos_var, pos_counter, parent, body):
+        self.var = var
+        self.pos_var = pos_var
         self.pos_counter = pos_counter
         self.parent = parent
+        self.body = body
 
     def item(self, em, code):
         item = em._as_local(code)
-        with em.block("if _tok is not None:"):
-            em.w("_tok.check()")
+        em.poll()
         with em.under(self.parent):
             if self.pos_counter is None:
-                with em.bound(self.expr.var, item, "item"):
-                    em.emit(self.expr.body, self.out)
+                with em.bound(self.var, item, "item"):
+                    self.body()
             else:
                 em.w(f"{self.pos_counter} += 1")
                 pv = em.fresh("pv")
                 em.w(f"{pv} = _integer({self.pos_counter})")
-                with em.bound(self.expr.var, item, "item"), \
-                        em.bound(self.expr.pos_var, pv, "item"):
-                    em.emit(self.expr.body, self.out)
+                with em.bound(self.var, item, "item"), \
+                        em.bound(self.pos_var, pv, "item"):
+                    self.body()
 
 
 class _FilterSink:
@@ -486,8 +540,7 @@ class _FilterSink:
 
     def item(self, em, code):
         item = em._as_local(code)
-        with em.block("if _tok is not None:"):
-            em.w("_tok.check()")
+        em.poll()
         em.w(f"{self.pos_counter} += 1")
         with em.under(self.parent):
             em._emit_predicate_keep(self.expr.predicate, item,
@@ -533,8 +586,7 @@ class _PathSink:
             with em.block(f"if not isinstance({item}, _Node):"):
                 em.w('raise _TypeError_("path step applied to a non-node", '
                      'code="XPTY0019")')
-        with em.block("if _tok is not None:"):
-            em.w("_tok.check()")
+        em.poll()
         if self.pos_counter is not None:
             em.w(f"{self.pos_counter} += 1")
         with em.under(self.parent):
@@ -576,9 +628,13 @@ class SourcePlanCompiler:
         self._counter = 0
         self._early_counter = 0
         self._const_ids: dict[tuple[str, int], str] = {}
+        #: focus-size locals holding a ``BufferedSequence.length`` bound
+        #: method instead of an int (bases buffered for fn:last())
+        self._lazy_sizes: set[str] = set()
         #: the emitted module text (set by compile_root)
         self.generated_source: str | None = None
         self.filename: str | None = None
+        self.entry_point = None
 
     @property
     def plan_tree(self):
@@ -639,6 +695,11 @@ class SourcePlanCompiler:
             self._const_ids[key] = name
             self.env[name] = value
         return name
+
+    def poll(self) -> None:
+        """A cancellation poll (free when no token is attached)."""
+        with self.block("if _tok is not None:"):
+            self.w("_tok.check()")
 
     def _as_local(self, code: str) -> str:
         """Pin a produced expression to a temp (producers call this so
@@ -733,17 +794,10 @@ class SourcePlanCompiler:
             # with an executor attached the closure compiler may form
             # parallel groups for these — keep that path
             return self.cgen.executor is None
-        if kind == "Filter":
-            return not uses_last(expr.predicate)
-        if kind == "PathExpr":
-            right = expr.right
-            if isinstance(right, ast.Step):
-                return True
-            if isinstance(right, ast.Filter) and isinstance(right.base, ast.Step):
-                # fused step+filter: candidates are per-parent, so
-                # position()/last() in the predicate stay local
-                return True
-            return not uses_last(right)
+        if kind == "FLWOR":
+            # group by stays on the closure interpreter, as do the
+            # parallel for-clause prefetches an executor enables
+            return not expr.group and self.cgen.executor is None
         if kind == "FunctionCall":
             if self.cgen.executor is not None:
                 return False  # eager builtins may parallelize their args
@@ -752,11 +806,9 @@ class SourcePlanCompiler:
                 return isinstance(atype, T.AtomicType) and len(expr.args) == 1
             builtin = fnlib.lookup(expr.name, len(expr.args))
             if builtin is None:
-                return False  # user functions keep the closure convention
-            if builtin.lazy:
-                return len(expr.args) == 1 and \
-                    expr.name.local in ("count", "exists", "empty",
-                                        "not", "boolean")
+                # calls normalization could not inline (recursion) keep
+                # the closure calling convention
+                return False
             return True
         return True
 
@@ -926,6 +978,14 @@ class SourcePlanCompiler:
                 self.w(f"{result} = _ebv_atom({first})")
         return result
 
+    def _emit_collected(self, expr, sink_cls=_CollectSink) -> str:
+        """Drain ``expr`` into a fresh list local (items, or atomized
+        values with ``_AtomizeSink``); returns the local."""
+        items = self.fresh("l")
+        self.w(f"{items} = []")
+        self.emit(expr, sink_cls(items))
+        return items
+
     def _emit_exists(self, expr) -> str:
         flag = self.fresh("b")
         self.w(f"{flag} = False")
@@ -944,9 +1004,7 @@ class SourcePlanCompiler:
         circuits to False without touching left), left lazy with
         early exit — exactly :func:`general_compare`."""
         value_op = _GENERAL_TO_VALUE[expr.op]
-        right_list = self.fresh("r")
-        self.w(f"{right_list} = []")
-        self.emit(expr.right, _AtomizeSink(right_list))
+        right_list = self._emit_collected(expr.right, _AtomizeSink)
         result = self.fresh("b")
         self.w(f"{result} = False")
         with self.block(f"if {right_list}:"):
@@ -961,14 +1019,10 @@ class SourcePlanCompiler:
         The left operand drains and validates before the right is
         evaluated, matching closure argument order."""
         fn = "_node_compare" if expr.family == "node" else "_order_compare"
-        la = self.fresh("l")
-        self.w(f"{la} = []")
-        self.emit(expr.left, _CollectSink(la))
+        la = self._emit_collected(expr.left)
         na = self.fresh("nd")
         self.w(f"{na} = _opt_single_node({la})")
-        lb = self.fresh("l")
-        self.w(f"{lb} = []")
-        self.emit(expr.right, _CollectSink(lb))
+        lb = self._emit_collected(expr.right)
         nb = self.fresh("nd")
         self.w(f"{nb} = _opt_single_node({lb})")
         result = self.fresh("cmp")
@@ -986,9 +1040,7 @@ class SourcePlanCompiler:
     def _emit_int_opt(self, expr, what: str) -> str:
         """Optional integer operand; drains fully before validating,
         like ``_opt_integer`` (always a local, never a literal)."""
-        lst = self.fresh("q")
-        self.w(f"{lst} = []")
-        self.emit(expr, _AtomizeSink(lst))
+        lst = self._emit_collected(expr, _AtomizeSink)
         out = self.fresh("n")
         self.w(f"{out} = _opt_integer({lst}, {what!r})")
         return out
@@ -1041,7 +1093,21 @@ class SourcePlanCompiler:
     def _e_ContextItem(self, expr, sink) -> None:
         sink.item(self, self._context_item())
 
+    def _one_site(self, expr, sink) -> bool:
+        """Called by emitters that would invoke ``sink.item`` at several
+        sites: for a sink that is not ``inline``, produce ``expr``
+        through a sub-region generator instead — one loop, one site —
+        and return True."""
+        if getattr(sink, "inline", False):
+            return False
+        t = self.fresh("t")
+        with self.block(f"for {t} in {self._subregion(expr)}:"):
+            sink.item(self, t)
+        return True
+
     def _e_SequenceExpr(self, expr: ast.SequenceExpr, sink) -> None:
+        if len(expr.items) > 1 and self._one_site(expr, sink):
+            return
         for item in expr.items:
             self.emit(item, sink)
 
@@ -1058,20 +1124,31 @@ class SourcePlanCompiler:
     # -- binding forms ---------------------------------------------------------
 
     def _e_LetExpr(self, expr: ast.LetExpr, sink) -> None:
-        # lazy binding: the value is a sub-region generator behind a
-        # BufferedSequence — pulled at most once, or never if unused
-        call = self._subregion(expr.value)
-        binding = self.fresh("let")
-        self.w(f"{binding} = _BufferedSequence({call}, cancellation=_tok)")
-        with self.bound(expr.var, binding, "seq"):
-            self.emit(expr.body, sink)
+        self._emit_let(expr.var, expr.value,
+                       lambda: self.emit(expr.body, sink))
 
-    def _e_ForExpr(self, expr: ast.ForExpr, sink) -> None:
+    def _emit_for(self, var, pos_var, seq, body) -> None:
+        """``for $var [at $pos_var] in seq``: ``body()`` emits the code
+        that runs per bound item."""
         pos_counter = None
-        if expr.pos_var is not None:
+        if pos_var is not None:
             pos_counter = self.fresh("p")
             self.w(f"{pos_counter} = 0")
-        self.emit(expr.seq, _ForSink(expr, sink, pos_counter, self._here()))
+        self.emit(seq, _ForSink(var, pos_var, pos_counter, self._here(),
+                                body))
+
+    def _emit_let(self, var, value, body) -> None:
+        # lazy binding: the value is a sub-region generator behind a
+        # BufferedSequence — pulled at most once, or never if unused
+        call = self._subregion(value)
+        binding = self.fresh("let")
+        self.w(f"{binding} = _BufferedSequence({call}, cancellation=_tok)")
+        with self.bound(var, binding, "seq"):
+            body()
+
+    def _e_ForExpr(self, expr: ast.ForExpr, sink) -> None:
+        self._emit_for(expr.var, expr.pos_var, expr.seq,
+                       lambda: self.emit(expr.body, sink))
 
     def _e_Quantified(self, expr: ast.Quantified, sink) -> None:
         flag = self._emit_quantified_flag(expr)
@@ -1080,6 +1157,10 @@ class SourcePlanCompiler:
         sink.item(self, t)
 
     def _e_IfExpr(self, expr: ast.IfExpr, sink) -> None:
+        if not isinstance(expr.then, ast.EmptySequence) \
+                and not isinstance(expr.orelse, ast.EmptySequence) \
+                and self._one_site(expr, sink):
+            return
         cond = self._emit_ebv(expr.cond)
         with self.block(f"if {cond}:"):
             self.emit(expr.then, sink)
@@ -1150,13 +1231,9 @@ class SourcePlanCompiler:
 
     def _e_SetOp(self, expr: ast.SetOp, sink) -> None:
         # left is drained and node-validated before right evaluates
-        la = self.fresh("l")
-        self.w(f"{la} = []")
-        self.emit(expr.left, _CollectSink(la))
+        la = self._emit_collected(expr.left)
         self.w(f"{la} = _all_nodes({la}, {expr.op!r})")
-        lb = self.fresh("l")
-        self.w(f"{lb} = []")
-        self.emit(expr.right, _CollectSink(lb))
+        lb = self._emit_collected(expr.right)
         self.w(f"{lb} = _all_nodes({lb}, {expr.op!r})")
         t = self.fresh("t")
         with self.block(f"for {t} in _set_result({expr.op!r}, {la}, {lb}):"):
@@ -1180,6 +1257,23 @@ class SourcePlanCompiler:
                    f'non-node item", code="XPTY0020")')
         self._emit_step_walk(expr, ci, sink)
 
+    @contextmanager
+    def _sized_loop(self, base):
+        """``for pos, item in enumerate(<base, buffered>, 1):`` for a
+        consumer that reads fn:last(): like the closure operators, the
+        base sits behind a BufferedSequence whose ``length`` resolves —
+        and drains the base — only when last() is actually called.
+        Yields the ``(item, pos, size)`` locals inside the loop body."""
+        call = self._subregion(base)
+        seq = self.fresh("bs")
+        self.w(f"{seq} = _BufferedSequence({call}, cancellation=_tok)")
+        size = self.fresh("sz")
+        self.w(f"{size} = {seq}.length")
+        self._lazy_sizes.add(size)
+        pos, item = self.fresh("i"), self.fresh("t")
+        with self.block(f"for {pos}, {item} in enumerate({seq}, 1):"):
+            yield item, pos, size
+
     def _e_PathExpr(self, expr: ast.PathExpr, sink) -> None:
         right = expr.right
         if isinstance(right, ast.Step) or \
@@ -1189,6 +1283,15 @@ class SourcePlanCompiler:
             # walk only needs the context node, and a fused filter's
             # predicate gets its own per-candidate focus
             pos_counter = None
+        elif uses_last(right):
+            with self._sized_loop(expr.left) as (item, pos, size):
+                self.poll()
+                with self.block(f"if not isinstance({item}, _Node):"):
+                    self.w('raise _TypeError_("path step applied to a '
+                           'non-node", code="XPTY0019")')
+                with self.focused(item, pos, size):
+                    self.emit(right, sink)
+            return
         else:
             pos_counter = self.fresh("i")
             self.w(f"{pos_counter} = 0")
@@ -1242,7 +1345,8 @@ class SourcePlanCompiler:
                     self._emit_predicate_keep(predicate, cand, cpos, size,
                                               cand, sink)
             return
-        # generic right side (eligibility proved it never reads last())
+        # generic right side (it never reads last(): _e_PathExpr took
+        # the sized loop otherwise)
         with self.focused(item, pos, "0"):
             self.emit(right, sink)
 
@@ -1259,10 +1363,8 @@ class SourcePlanCompiler:
             with self.block(f"if {holds}:"):
                 sink.item(self, keep)
             return
-        result = self.fresh("pr")
-        self.w(f"{result} = []")
         with self.focused(item, pos, size):
-            self.emit(predicate, _CollectSink(result))
+            result = self._emit_collected(predicate)
         with self.block(f"if _filter_keep({result}, {pos}):"):
             sink.item(self, keep)
 
@@ -1277,6 +1379,12 @@ class SourcePlanCompiler:
             self.w(f"{counter} = 0")
             with self.early() as token:
                 self.emit(expr.base, _NthSink(counter, index, sink, token))
+            return
+        if uses_last(predicate):
+            with self._sized_loop(expr.base) as (item, pos, size):
+                self.poll()
+                self._emit_predicate_keep(predicate, item, pos, size,
+                                          item, sink)
             return
         pos_counter = self.fresh("i")
         self.w(f"{pos_counter} = 0")
@@ -1306,15 +1414,282 @@ class SourcePlanCompiler:
                 self.w("dctx.count('ddo_sorts')")
             self.w(f"{sink.counter} += {nodes} + {atoms}")
             return
-        items = self.fresh("l")
-        self.w(f"{items} = []")
-        self.emit(expr.operand, _CollectSink(items))
+        items = self._emit_collected(expr.operand)
         t = self.fresh("t")
         with self.block(f"for {t} in _ddo_list({items}, dctx):"):
             sink.item(self, t)
 
     def _e_OrderedExpr(self, expr: ast.OrderedExpr, sink) -> None:
         self.emit(expr.operand, sink)
+
+    # -- index-backed operators ---------------------------------------------------
+
+    def _var_value(self, name: QName) -> str:
+        """Code for the *value* bound to ``$name`` (what
+        ``dctx.variable`` returns under the closure backend)."""
+        binding = self.scope.get(name)
+        if binding is None:
+            return f"dctx.variable({self.const(name, 'qn')})"
+        local, kind = binding
+        return f"({local},)" if kind == "item" else local
+
+    def _emit_indexed(self, expr, prefix: str, sink, index_side) -> None:
+        """The shared frame of AccessPath and TwigJoin: run
+        ``index_side(stored, doc)`` (returns the local holding its node
+        list) when ``$var`` is the pinned indexed tree the plan was
+        costed for, else count ``<prefix>.fallback_navigation`` and run
+        the embedded navigation expression."""
+        fallback = self._subregion(expr.fallback)
+        stored, doc = self.fresh("sd"), self.fresh("d")
+        self.w(f"{stored}, {doc} = _indexed_value("
+               f"{self.const(self.cgen.catalog, 'cat')}, "
+               f"{self._var_value(expr.var)})")
+        nodes = self.fresh("l")
+        with self.block(f"if {stored} is None:"):
+            self.w(f"dctx.count({prefix + '.fallback_navigation'!r})")
+            self.w(f"{nodes} = {fallback}")
+        with self.block("else:"):
+            self.w(f"{nodes} = {index_side(stored, doc)}")
+        n = self.fresh("n")
+        with self.block(f"for {n} in {nodes}:"):
+            self.poll()
+            sink.item(self, n)
+
+    def _e_AccessPath(self, expr: ast.AccessPath, sink) -> None:
+        def index_side(stored: str, doc: str) -> str:
+            self.w(f"dctx.count({'access_path.' + expr.chosen!r})")
+            nodes = self.fresh("l")
+            self.w(f"{nodes} = _access_path_candidates({stored}, {doc}, "
+                   f"{self.const(expr, 'x')})")
+            if expr.predicate is not None:
+                # re-verify every index candidate with the original
+                # predicate (see _c_AccessPath)
+                size, verified = self.fresh("cs"), self.fresh("l")
+                self.w(f"{size} = len({nodes})")
+                self.w(f"{verified} = []")
+                pos, cand = self.fresh("cp"), self.fresh("cc")
+                with self.block(f"for {pos}, {cand} in "
+                                f"enumerate({nodes}, 1):"):
+                    self.poll()
+                    with self.focused(cand, pos, size):
+                        holds = self._emit_ebv(expr.predicate)
+                    with self.block(f"if {holds}:"):
+                        self.w(f"{verified}.append({cand})")
+                nodes = verified
+            self.w(f"dctx.count('access_path.actual_rows', len({nodes}))")
+            return nodes
+
+        self._emit_indexed(expr, "access_path", sink, index_side)
+
+    def _e_TwigJoin(self, expr: ast.TwigJoin, sink) -> None:
+        self._emit_indexed(
+            expr, "twig", sink,
+            lambda stored, _doc:
+                f"_twig_nodes({stored}, {self.const(expr, 'x')}, dctx)")
+
+    # -- FLWOR with order by -------------------------------------------------------
+
+    def _e_FLWOR(self, expr: ast.FLWOR, sink) -> None:
+        """Mirrors ``_c_FLWOR`` pass for pass: materialize every binding
+        tuple (where applied), then compute every tuple's order keys,
+        sort, and run the return body — fused into the outer sink — per
+        sorted tuple.  A tuple is the Python tuple of the clause
+        variables' locals."""
+        bound_vars: list[tuple[QName, str]] = []  # (variable, kind)
+        for cl in expr.clauses:
+            if isinstance(cl, ast.ForClause):
+                bound_vars.append((cl.var, "item"))
+                if cl.pos_var is not None:
+                    bound_vars.append((cl.pos_var, "item"))
+            else:
+                bound_vars.append((cl.var, "seq"))
+        rows = self.fresh("rows")
+        self.w(f"{rows} = []")
+
+        def tuple_of(names) -> str:
+            return "(" + "".join(f"{name}, " for name in names) + ")"
+
+        def clause(depth: int) -> None:
+            if depth == len(expr.clauses):
+                row = tuple_of(self.scope[var][0] for var, _ in bound_vars)
+                if expr.where is None:
+                    self.w(f"{rows}.append({row})")
+                else:
+                    holds = self._emit_ebv(expr.where)
+                    with self.block(f"if {holds}:"):
+                        self.w(f"{rows}.append({row})")
+                return
+            # (a clause body may be emitted at several production sites
+            # of its source, like any sink)
+            cl = expr.clauses[depth]
+            if isinstance(cl, ast.ForClause):
+                self._emit_for(cl.var, cl.pos_var, cl.expr,
+                               lambda: clause(depth + 1))
+            else:
+                self._emit_let(cl.var, cl.expr, lambda: clause(depth + 1))
+
+        clause(0)
+
+        locals_ = [self.fresh("fv") for _ in bound_vars]
+
+        @contextmanager
+        def rebound():
+            """The tuple's variables back in scope, for keys and return."""
+            with ExitStack() as stack:
+                for (var, kind), local in zip(bound_vars, locals_):
+                    stack.enter_context(self.bound(var, local, kind))
+                yield
+
+        row = self.fresh("row")
+        if expr.order:
+            decorated = self.fresh("rows")
+            self.w(f"{decorated} = []")
+            with self.block(f"for {row} in {rows}:"):
+                self.w(f"{tuple_of(locals_)} = {row}")
+                keys = []
+                with rebound():
+                    for spec in expr.order:
+                        values = self._emit_collected(spec.expr,
+                                                      _AtomizeSink)
+                        key = self.fresh("k")
+                        self.w(f"{key} = _order_key_value({values})")
+                        keys.append(key)
+                self.w(f"{decorated}.append(({tuple_of(keys)}, {row}))")
+            specs = [(None, spec.descending, spec.empty_least)
+                     for spec in expr.order]
+            self.w(f"{decorated}.sort(key=_OrderKey.factory("
+                   f"{self.const(specs, 'os')}))")
+            loop = f"for _, {row} in {decorated}:"
+        else:
+            loop = f"for {row} in {rows}:"
+        with self.block(loop):
+            self.w(f"{tuple_of(locals_)} = {row}")
+            with rebound():
+                self.emit(expr.ret, sink)
+
+    # -- type operators ------------------------------------------------------------
+
+    def _seq_type(self, seq_type) -> str:
+        return self.const(resolve_sequence_type(seq_type, self.ctx), "ty")
+
+    def _e_InstanceOf(self, expr: ast.InstanceOf, sink) -> None:
+        seq_type = self._seq_type(expr.seq_type)
+        items = self._emit_collected(expr.operand)
+        t = self.fresh("t")
+        self.w(f"{t} = _boolean({seq_type}.matches({items}))")
+        sink.item(self, t)
+
+    def _e_TreatExpr(self, expr: ast.TreatExpr, sink) -> None:
+        resolved = resolve_sequence_type(expr.seq_type, self.ctx)
+        seq_type = self.const(resolved, "ty")
+        items = self._emit_collected(expr.operand)
+        with self.block(f"if not {seq_type}.matches({items}):"):
+            message = f"treat as {resolved}: value does not conform"
+            self.w(f"raise _TypeError_({message!r}, code='XPDY0050')")
+        t = self.fresh("t")
+        with self.block(f"for {t} in {items}:"):
+            sink.item(self, t)
+
+    def _e_CastExpr(self, expr: ast.CastExpr, sink) -> None:
+        atype = self.cgen._resolve_atomic(expr.type_name)
+        target = self.const(atype, "ty")
+        values = self._emit_collected(expr.operand, _AtomizeSink)
+        with self.block(f"if not {values}:"):
+            if expr.optional:
+                self.w("pass")
+            else:
+                message = f"cast as {atype}: empty operand"
+                self.w(f"raise _TypeError_({message!r}, code='XPTY0004')")
+        with self.block("else:"):
+            with self.block(f"if len({values}) > 1:"):
+                self.w("raise _TypeError_('cast requires a single value', "
+                       "code='XPTY0004')")
+            v0, t = self.fresh("v"), self.fresh("t")
+            self.w(f"{v0} = {values}[0]")
+            self.w(f"{t} = _AtomicValue(_cast_value({v0}.value, {v0}.type, "
+                   f"{target}), {target})")
+            sink.item(self, t)
+
+    def _e_CastableExpr(self, expr: ast.CastableExpr, sink) -> None:
+        target = self.const(self.cgen._resolve_atomic(expr.type_name), "ty")
+        values = self._emit_collected(expr.operand, _AtomizeSink)
+        t = self.fresh("t")
+        self.w(f"{t} = _boolean(_castable({values}, {target}, "
+               f"{expr.optional!r}))")
+        sink.item(self, t)
+
+    def _e_ParamConvert(self, expr: ast.ParamConvert, sink) -> None:
+        # the function conversion rules of an inlined user function:
+        # lazy over its operand, like the closure operator
+        call = self._subregion(expr.operand)
+        t = self.fresh("t")
+        with self.block(f"for {t} in _function_convert({call}, "
+                        f"{self._seq_type(expr.seq_type)}, {expr.role!r}):"):
+            sink.item(self, t)
+
+    # -- constructors ----------------------------------------------------------------
+
+    def _ctor_name(self, expr) -> str:
+        if expr.name_expr is None:
+            return self.const(expr.name, "qn")
+        items = self._emit_collected(expr.name_expr)
+        name = self.fresh("qn")
+        self.w(f"{name} = _computed_name({items}, "
+               f"{self.const(self.ctx.namespaces, 'ns')})")
+        return name
+
+    def _e_ElementCtor(self, expr: ast.ElementCtor, sink) -> None:
+        self.w("dctx.count('elements_constructed')")
+        name = self._ctor_name(expr)
+        attrs, content = self.fresh("l"), self.fresh("l")
+        for target, parts in ((attrs, expr.attributes),
+                              (content, expr.content)):
+            self.w(f"{target} = []")
+            for part in parts:
+                self.emit(part, _CollectSink(target))
+        t = self.fresh("t")
+        self.w(f"{t} = _construct_element({name}, {attrs}, {content}, "
+               f"{self.const(expr.ns_decls, 'nd')})")
+        sink.item(self, t)
+
+    def _e_AttributeCtor(self, expr: ast.AttributeCtor, sink) -> None:
+        name = self._ctor_name(expr)
+        parts = [self._emit_collected(part) for part in expr.value_parts]
+        t = self.fresh("t")
+        self.w(f"{t} = _construct_attribute({name}, [{', '.join(parts)}])")
+        sink.item(self, t)
+
+    def _e_TextCtor(self, expr: ast.TextCtor, sink) -> None:
+        t = self.fresh("t")
+        self.w(f"{t} = _construct_text({self._emit_collected(expr.content)})")
+        with self.block(f"if {t} is not None:"):
+            sink.item(self, t)
+
+    def _e_CommentCtor(self, expr: ast.CommentCtor, sink) -> None:
+        t = self.fresh("t")
+        self.w(f"{t} = _construct_comment("
+               f"{self._emit_collected(expr.content)})")
+        sink.item(self, t)
+
+    def _e_PICtor(self, expr: ast.PICtor, sink) -> None:
+        if expr.target_expr is not None:
+            value = self._emit_atom_opt(expr.target_expr)
+            with self.block(f"if {value} is None:"):
+                self.w("raise _DynamicError('computed PI target is empty', "
+                       "code='XPTY0004')")
+            target = f"str({value}.value)"
+        else:
+            target = repr(expr.target)
+        t = self.fresh("t")
+        self.w(f"{t} = _construct_pi({target}, "
+               f"{self._emit_collected(expr.content)})")
+        sink.item(self, t)
+
+    def _e_DocumentCtor(self, expr: ast.DocumentCtor, sink) -> None:
+        t = self.fresh("t")
+        self.w(f"{t} = _construct_document("
+               f"{self._emit_collected(expr.content)})")
+        sink.item(self, t)
 
     # -- axis-step loops --------------------------------------------------------
 
@@ -1325,8 +1700,7 @@ class SourcePlanCompiler:
         child/descendant name tests, ``descendant-or-self::node()``,
         attribute name tests, ``child::text()``) are inlined as flat
         loops; anything else calls a generic kernel constant.  Guard
-        conditions and traversal order mirror ``_compile_step_fn``
-        line for line.
+        conditions and traversal order mirror ``_compile_step_fn``.
         """
         axis, test = step.axis, step.test
         kind, name = test.kind, test.name
@@ -1349,12 +1723,17 @@ class SourcePlanCompiler:
                                     f"{name_cond(c)}:"):
                         sink.item(self, c)
                 return
-            if axis == "descendant-or-self":
-                with self.block(f"if isinstance({node}, _Elem) and "
-                                f"{name_cond(node)}:"):
-                    sink.item(self, node)
+            # the walk every descendant aggregate is bound by: reversed
+            # slices instead of reversed() iterators, and an only child
+            # (XMark's leaf elements hold one text node) is pushed —
+            # or, not being an element, dropped — without a slice
             stack = self.fresh("st")
-            self.w(f"{stack} = list(reversed({node}.children))")
+            if axis == "descendant-or-self":
+                # an element context node is the walk's first candidate
+                self.w(f"{stack} = [{node}] if isinstance({node}, _Elem) "
+                       f"else {node}.children[::-1]")
+            else:
+                self.w(f"{stack} = {node}.children[::-1]")
             n = self.fresh("n")
             with self.block(f"while {stack}:"):
                 self.w(f"{n} = {stack}.pop()")
@@ -1364,7 +1743,13 @@ class SourcePlanCompiler:
                     ch = self.fresh("ch")
                     self.w(f"{ch} = {n}._children")
                     with self.block(f"if {ch}:"):
-                        self.w(f"{stack}.extend(reversed({ch}))")
+                        with self.block(f"if len({ch}) == 1:"):
+                            only = self.fresh("n")
+                            self.w(f"{only} = {ch}[0]")
+                            with self.block(f"if isinstance({only}, _Elem):"):
+                                self.w(f"{stack}.append({only})")
+                        with self.block("else:"):
+                            self.w(f"{stack}.extend({ch}[::-1])")
             return
 
         if plain and kind == "node" and name is None:
@@ -1377,9 +1762,8 @@ class SourcePlanCompiler:
                 sink.item(self, node)
                 return
             if axis == "descendant-or-self":
-                sink.item(self, node)
                 stack = self.fresh("st")
-                self.w(f"{stack} = list(reversed({node}.children))")
+                self.w(f"{stack} = [{node}]")
                 n = self.fresh("n")
                 with self.block(f"while {stack}:"):
                     self.w(f"{n} = {stack}.pop()")
@@ -1387,7 +1771,7 @@ class SourcePlanCompiler:
                     ch = self.fresh("ch")
                     self.w(f"{ch} = {n}.children")
                     with self.block(f"if {ch}:"):
-                        self.w(f"{stack}.extend(reversed({ch}))")
+                        self.w(f"{stack}.extend({ch}[::-1])")
                 return
 
         if plain and axis == "attribute" and kind in ("node", "attribute") \
@@ -1420,9 +1804,7 @@ class SourcePlanCompiler:
             # constructor function: a cast (eligibility checked the type)
             atype = self.ctx.lookup_type(name)
             target = self.const(atype, "ty")
-            values = self.fresh("q")
-            self.w(f"{values} = []")
-            self.emit(expr.args[0], _AtomizeSink(values))
+            values = self._emit_collected(expr.args[0], _AtomizeSink)
             with self.block(f"if {values}:"):
                 with self.block(f"if len({values}) > 1:"):
                     self.w('raise _TypeError_("constructor function '
@@ -1438,8 +1820,9 @@ class SourcePlanCompiler:
         builtin = fnlib.lookup(name, arity)
         assert builtin is not None  # _eligible guarantees this
 
-        if builtin.lazy:
-            # the fused aggregate tails: count/exists/empty/not/boolean
+        if builtin.lazy and name.local in ("count", "exists", "empty",
+                                           "not", "boolean"):
+            # the fused aggregate tails
             local = name.local
             arg = expr.args[0]
             t = self.fresh("t")
@@ -1469,18 +1852,21 @@ class SourcePlanCompiler:
                 sink.item(self, t)
                 return
             if name.local == "last" and self.focus[2] != "0":
+                size = self.focus[2]
+                if size in self._lazy_sizes:
+                    size += "()"  # drains the buffered base on demand
                 t = self.fresh("t")
-                self.w(f"{t} = _integer({self.focus[2]})")
+                self.w(f"{t} = _integer({size})")
                 sink.item(self, t)
                 return
 
-        # eager builtin: arguments materialize in order, then one call
-        arg_lists = []
-        for arg in expr.args:
-            lst = self.fresh("q")
-            self.w(f"{lst} = []")
-            self.emit(arg, _CollectSink(lst))
-            arg_lists.append(lst)
+        if builtin.lazy:
+            # lazy builtins (distinct-values, subsequence, data, ...)
+            # pull their arguments: each is a sub-region generator
+            arg_lists = [self._subregion(arg) for arg in expr.args]
+        else:
+            # eager builtin: arguments materialize in order, then one call
+            arg_lists = [self._emit_collected(arg) for arg in expr.args]
         impl = self.const(builtin.impl, "f")
         if builtin.context_sensitive and self.focus is not None:
             dctx_expr = self.fresh("fd")
@@ -1520,7 +1906,12 @@ class SourcePlanCompiler:
         finally:
             if root_node is not None:
                 self.cgen._node_stack.pop()
-        fn = self._finish()
+        try:
+            fn = self._finish()
+        except SyntaxError as exc:
+            if "too many statically nested blocks" not in str(exc):
+                raise
+            return self._closure_root(expr)
         if root_node is None:
             return fn
         op_id = root_node.id
@@ -1533,6 +1924,25 @@ class SourcePlanCompiler:
 
         return plan
 
+    def _closure_root(self, expr) -> Plan:
+        """Fallback, not failure, for the whole query: CPython compiles
+        at most 20 statically nested loop/try blocks, and a query nested
+        deeper than that (two dozen nested ``for`` clauses or
+        predicates) fuses into more.  It runs on the closure
+        interpreter instead, counted as one seam at the root."""
+        self.cgen = CodeGenerator(self.ctx, instrument=self.instrument,
+                                  executor=self.cgen.executor,
+                                  catalog=self.cgen.catalog, batch_size=0)
+        closure_plan = self.cgen.compile(expr)
+        if self.cgen.plan_tree is not None:
+            self.cgen.plan_tree.info["codegen"] = "closure"
+        self.generated_source = None
+
+        def plan(dctx):
+            dctx.count("codegen.fallback_closure")
+            return closure_plan(dctx)
+        return plan
+
     def _finish(self) -> Callable[[DynamicContext], Iterator[Any]]:
         lines: list[str] = []
         for rec in self._functions:
@@ -1541,13 +1951,23 @@ class SourcePlanCompiler:
         source = "\n".join(lines)
         self.generated_source = source
         self.filename = f"<repro-pysource-{next(_source_seq)}>"
-        # linecache registration keeps tracebacks and profilers readable
-        linecache.cache[self.filename] = (
-            len(source), None, source.splitlines(keepends=True), self.filename)
         code = compile(source, self.filename, "exec")
         namespace = dict(self.env)
         exec(code, namespace)
-        return namespace["_q0"]
+        # the entry point is only ever called through the returned plan:
+        # out of the namespace, it is no part of the module's
+        # function/globals cycle and dies with the plan by refcount
+        fn = namespace.pop("_q0")
+        # linecache registration keeps tracebacks and profilers readable
+        # — for as long as the plan lives: eviction from a compile cache
+        # must free the text (a never-repeated ad-hoc stream would
+        # otherwise grow linecache.cache by one module per query)
+        linecache.cache[self.filename] = (
+            len(source), None, source.splitlines(keepends=True), self.filename)
+        weakref.finalize(fn, linecache.cache.pop, self.filename, None)
+        #: keeps the registration alive while this compiler object does
+        self.entry_point = fn
+        return fn
 
 
 def compile_source_plan(expr, static_ctx: StaticContext | None = None) -> Plan:

@@ -16,6 +16,7 @@ from typing import Any, Iterable, Iterator, Optional
 from repro.compiler.codegen import CodeGenerator
 from repro.compiler.context import StaticContext
 from repro.compiler.normalize import normalize_module
+from repro.compiler.pysource import SourcePlanCompiler
 from repro.errors import QueryCancelled
 from repro.options import UNSET, ExecutionOptions
 from repro.qname import QName
@@ -454,8 +455,6 @@ class Engine:
 
         generated_source = None
         if self.codegen == "source":
-            from repro.compiler.pysource import SourcePlanCompiler
-
             generator = SourcePlanCompiler(static_ctx,
                                            executor=self.executor,
                                            catalog=self.catalog)

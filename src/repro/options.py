@@ -8,7 +8,7 @@ module-level ``repro.compile/execute/explain`` helpers, and the CLI
 flag surface.  :class:`ExecutionOptions` is the single source of
 truth::
 
-    opts = repro.ExecutionOptions(codegen="source", jobs=4)
+    opts = repro.ExecutionOptions(codegen="closure", jobs=4)
     engine = repro.Engine(options=opts)
     svc = QueryService(options=opts.replace(max_workers=8))
 
@@ -49,8 +49,13 @@ class ExecutionOptions:
     - ``static_typing`` — infer result types / reject impossible queries;
     - ``batch_size`` — block-at-a-time execution (0 = fully lazy
       item-at-a-time; 256 is the usual opt-in);
-    - ``codegen`` — ``"closure"`` interprets the operator tree,
-      ``"source"`` emits one specialized Python function per query;
+    - ``codegen`` — ``"source"`` (the default since 1.8) emits one
+      specialized Python function per query, ``"closure"`` interprets
+      the operator tree — the differential oracle, the target of the
+      source backend's fallback seams, and the only backend with a
+      block-at-a-time family: ``None`` (unspecified) resolves at
+      construction to ``"closure"`` when ``batch_size > 0`` and to
+      ``"source"`` otherwise;
     - ``twig_strategy`` — physical plan for decomposed twig patterns
       (``None`` resolves to ``$REPRO_TEST_TWIG`` or ``"auto"`` at
       construction);
@@ -97,7 +102,7 @@ class ExecutionOptions:
     optimize: bool = True
     static_typing: bool = True
     batch_size: int = 0
-    codegen: str = "closure"
+    codegen: Optional[str] = None
     twig_strategy: Optional[str] = None
     jobs: Optional[int] = 1
     # -- caching -----------------------------------------------------------
@@ -114,6 +119,10 @@ class ExecutionOptions:
     shards: Optional[int] = None
 
     def __post_init__(self) -> None:
+        if self.codegen is None:
+            object.__setattr__(
+                self, "codegen",
+                "closure" if self.batch_size > 0 else "source")
         if self.codegen not in CODEGEN_BACKENDS:
             raise ValueError(f"codegen must be one of {CODEGEN_BACKENDS}, "
                              f"got {self.codegen!r}")
@@ -181,7 +190,14 @@ class ExecutionOptions:
                 self.codegen, self.twig_strategy)
 
     def replace(self, **changes: Any) -> "ExecutionOptions":
-        """A copy with ``changes`` applied (re-validated)."""
+        """A copy with ``changes`` applied (re-validated).
+
+        Naming a positive ``batch_size`` without naming a ``codegen``
+        selects the backend that has a batched family, exactly as the
+        constructor does.
+        """
+        if changes.get("batch_size") and "codegen" not in changes:
+            changes["codegen"] = None
         return dataclasses.replace(self, **changes)
 
     # -- serialization (the server's tenant-config wire format) -----------
@@ -234,5 +250,5 @@ class ExecutionOptions:
             f"(see the README 1.5 migration table)",
             DeprecationWarning, stacklevel=3)
         if defaults is not None:
-            return dataclasses.replace(defaults, **passed)
+            return defaults.replace(**passed)
         return cls(**passed)

@@ -367,9 +367,11 @@ class XQueryServer:
                     request.form)
                 hit = self.core.result_cache.get(key)
                 if hit is not None:
+                    self.metrics.count("cache_hits")
                     return {"status": 200, "payload": hit, "cached": True}
             reply = None
-            if self.router is not None:
+            if self.router is not None \
+                    and self.router.might_scatter(query_text, request.form):
                 # scatter-gather for eligible collection queries; None
                 # always means "use the normal single-worker path"
                 reply = await loop.run_in_executor(

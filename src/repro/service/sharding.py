@@ -196,6 +196,17 @@ class ShardRouter:
             return self.pool.workers
         return configured
 
+    def might_scatter(self, query_text: str, form: str = "json") -> bool:
+        """The free pre-check: False means ``try_execute`` returns None
+        without looking further.  A text that never spells
+        ``collection`` cannot read the default collection, so there is
+        nothing to scatter and no reason to compile in the parent what
+        the child compiles again — the common case, and for a
+        never-repeated ad-hoc text that compile was most of the request.
+        """
+        return (self.enabled and form in ("json", "xml")
+                and "collection" in query_text)
+
     # -- the scatter path ---------------------------------------------------
 
     def try_execute(self, tenant_name: str, query_text: str,
@@ -205,7 +216,7 @@ class ShardRouter:
                     timeout: Optional[float] = None,
                     hard_timeout: Optional[float] = None) -> Optional[dict]:
         started = time.perf_counter()
-        if not self.enabled or form not in ("json", "xml"):
+        if not self.might_scatter(query_text, form):
             return None
         tenant = self.core.tenants.peek(tenant_name)
         if tenant is None:

@@ -54,7 +54,9 @@ The manifest also carries two durable counters: ``next_generation``
 (document ingest generations survive restarts, so compile-cache and
 server result-cache fingerprints can never collide with a previous
 process's) and ``result_epoch`` (the server result cache's per-tenant
-invalidation epoch — see :mod:`repro.server.cache`).
+invalidation epoch — see :mod:`repro.server.cache`) — and a
+``collection_id`` minted when the collection is created: generations
+are numbered per collection, so a cache key needs both.
 """
 
 from __future__ import annotations
@@ -454,7 +456,8 @@ class ManifestEntry:
 
 def _fresh_manifest() -> dict:
     return {"format": MANIFEST_FORMAT, "next_generation": 1,
-            "result_epoch": 0, "documents": {}}
+            "result_epoch": 0, "documents": {},
+            "collection_id": os.urandom(16).hex()}
 
 
 class CatalogStorage:
@@ -499,6 +502,10 @@ class CatalogStorage:
             raise StorageError(
                 f"unsupported catalog format {fmt!r} in {mpath} "
                 f"(this build reads format {MANIFEST_FORMAT})")
+        # collections committed before ids existed: the directory stands
+        # in (every process opening it derives the same), and the next
+        # commit persists it
+        manifest.setdefault("collection_id", f"path:{self.path.resolve()}")
         self._rollback(manifest)
         return manifest
 
@@ -587,6 +594,13 @@ class CatalogStorage:
             return {"shards": int(stored["shards"]),
                     "assignment": {str(k): int(v)
                                    for k, v in stored["assignment"].items()}}
+
+    @property
+    def collection_id(self) -> str:
+        """This collection's identity, minted once and persisted in the
+        manifest.  Generations are numbered per collection, so they
+        identify a document's content only together with this id."""
+        return self._manifest["collection_id"]
 
     @property
     def next_generation(self) -> int:

@@ -20,6 +20,7 @@ import pytest
 
 from repro.engine import Engine
 from repro.errors import QueryCancelled
+from repro.options import ExecutionOptions
 from repro.observability import Profiler
 from repro.runtime.batching import chunk_list, flatten, iter_batches, rechunk
 from repro.runtime.cancellation import CancellationToken
@@ -28,6 +29,18 @@ from repro.workloads.synthetic import random_tree
 from repro.xmlio.serializer import escape_attribute, escape_text
 
 BATCH_SIZES = (1, 2, 7, 256)
+
+
+def item_engine() -> Engine:
+    """The item-at-a-time closure interpreter — this file's reference
+    (named explicitly: the shipped default backend is ``source``)."""
+    return Engine(options=ExecutionOptions(codegen="closure"))
+
+
+def batch_engine(size: int) -> Engine:
+    return Engine(options=ExecutionOptions(codegen="closure",
+                                           batch_size=size))
+
 
 #: query shapes spanning the batched core (paths, fused filters,
 #: aggregates, FLWOR) and the item-fallback seams (constructors,
@@ -94,9 +107,9 @@ def outcome(engine: Engine, query: str, xml_text: str):
 
 
 def assert_equivalent(query: str, xml_text: str):
-    reference = outcome(Engine(), query, xml_text)
+    reference = outcome(item_engine(), query, xml_text)
     for size in BATCH_SIZES:
-        batched = outcome(Engine(batch_size=size), query, xml_text)
+        batched = outcome(batch_engine(size), query, xml_text)
         assert batched == reference, (
             f"batch_size={size} diverged for {query!r}:\n"
             f"  item : {reference}\n  batch: {batched}")
@@ -114,17 +127,17 @@ class TestDifferential:
 
     @pytest.mark.parametrize("query", ERROR_QUERIES)
     def test_error_codes_identical(self, query, bib_xml):
-        reference = outcome(Engine(), query, bib_xml)
+        reference = outcome(item_engine(), query, bib_xml)
         assert reference[0] == "err"
         for size in BATCH_SIZES:
-            assert outcome(Engine(batch_size=size), query, bib_xml) \
+            assert outcome(batch_engine(size), query, bib_xml) \
                 == reference
 
     def test_forg0001_is_raised_mid_batch(self, bib_xml):
         """The cast error fires on the third item: with batch_size=2 the
         failing item is mid-stream — same code either way."""
         result = outcome(
-            Engine(batch_size=2),
+            batch_engine(2),
             "for $i in ('1', '2', 'x', '4') return xs:integer($i)", bib_xml)
         assert result[0] == "err"
         assert result[2] == "FORG0001"
@@ -142,7 +155,7 @@ class TestDifferential:
 
     def test_results_lazy_at_block_granularity(self):
         """Early-exit consumers do at most one block of extra work."""
-        engine = Engine(batch_size=4)
+        engine = batch_engine(4)
         result = engine.compile(
             "(for $i in 1 to 1000000000 return $i)[3]").execute()
         assert result.values() == [3]
@@ -155,7 +168,7 @@ class TestDifferential:
 
 class TestExplainSurface:
     def test_rows_per_call_in_analyze(self, xmark_small):
-        engine = Engine(batch_size=256)
+        engine = batch_engine(256)
         explained = engine.explain("count(/site/regions//item)",
                                    context_item=xmark_small, analyze=True)
         text = str(explained)
@@ -165,7 +178,7 @@ class TestExplainSurface:
 
     def test_fallback_counter_visible(self, xmark_small):
         # order by has no batch implementation: the seam is counted
-        engine = Engine(batch_size=256)
+        engine = batch_engine(256)
         query = ("for $i in /site//item order by string($i/name) "
                  "return $i/name")
         explained = engine.explain(query, context_item=xmark_small,
@@ -175,14 +188,14 @@ class TestExplainSurface:
         assert "batch=item" in str(explained)
 
     def test_pure_batch_plan_has_no_fallbacks(self, xmark_small):
-        engine = Engine(batch_size=256)
+        engine = batch_engine(256)
         explained = engine.explain("count(/site/regions//item)",
                                    context_item=xmark_small, analyze=True)
         assert "batch.fallback_item" not in explained.to_dict().get(
             "engine_stats", {})
 
     def test_rows_per_call_in_json_dump(self, xmark_small):
-        engine = Engine(batch_size=256)
+        engine = batch_engine(256)
         explained = engine.explain("//item/name", context_item=xmark_small,
                                    analyze=True)
         plan = explained.to_dict()["plan"]
@@ -195,7 +208,7 @@ class TestExplainSurface:
         assert any_rpc(plan)
 
     def test_item_mode_unchanged(self, xmark_small):
-        engine = Engine()
+        engine = item_engine()
         explained = engine.explain("count(//item)", context_item=xmark_small,
                                    analyze=True)
         assert "batch.rows_per_call" not in str(explained)
@@ -210,13 +223,13 @@ class TestBatchCancellation:
     def test_pre_cancelled_token_stops_batched_query(self, xmark_small):
         token = CancellationToken()
         token.cancel()
-        engine = Engine(batch_size=256)
+        engine = batch_engine(256)
         with pytest.raises(QueryCancelled):
             engine.compile("count(//item)").execute(
                 context_item=xmark_small, cancellation=token).items()
 
     def test_deadline_interrupts_batched_loop(self):
-        engine = Engine(batch_size=256)
+        engine = batch_engine(256)
         compiled = engine.compile(
             "count(for $i in 1 to 100000000 return $i * 2)")
         t0 = time.perf_counter()
@@ -357,8 +370,8 @@ def test_batched_scan_beats_item_mode():
 
     doc = parse_document(generate_xmark(scale=0.3, seed=7))
     query = "/site/regions//item[@id]/name"
-    item = Engine().compile(query)
-    batch = Engine(batch_size=256).compile(query)
+    item = item_engine().compile(query)
+    batch = batch_engine(256).compile(query)
     t_item = _best_of(lambda: item.execute(context_item=doc).items())
     t_batch = _best_of(lambda: batch.execute(context_item=doc).items())
     assert t_batch * 1.5 <= t_item, (
@@ -381,7 +394,7 @@ def test_batched_profiler_overhead_small():
     from repro.xdm.build import parse_document
 
     doc = parse_document(generate_xmark(scale=0.3, seed=7))
-    compiled = Engine(batch_size=256).compile("count(//description)")
+    compiled = batch_engine(256).compile("count(//description)")
     profiler = Profiler()
 
     def once(p=None) -> float:

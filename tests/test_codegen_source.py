@@ -34,6 +34,7 @@ from tests.test_batching import (
     BIB_QUERIES,
     ERROR_QUERIES,
     XMARK_QUERIES,
+    batch_engine,
     outcome,
 )
 from tests.test_property_differential import QUERY, _outcome
@@ -124,12 +125,18 @@ def source_engine(**kwargs) -> Engine:
     return Engine(codegen="source", **kwargs)
 
 
+def closure_engine(**kwargs) -> Engine:
+    """The differential oracle, named explicitly: ``Engine()`` is the
+    source backend since the 1.8 default flip."""
+    return Engine(codegen="closure", **kwargs)
+
+
 def assert_source_equivalent(query: str, xml_text: str):
     """The source backend must match the closure backend at every
     batch size — results, order, and error codes alike."""
     generated = outcome(source_engine(), query, xml_text)
     for size in BATCH_SIZES:
-        reference = outcome(Engine(batch_size=size), query, xml_text)
+        reference = outcome(batch_engine(size), query, xml_text)
         assert generated == reference, (
             f"source backend diverged from batch_size={size} "
             f"for {query!r}:\n  closure: {reference}\n  source : {generated}")
@@ -157,7 +164,7 @@ class TestDifferential:
 
     @pytest.mark.parametrize("query", ERROR_QUERIES)
     def test_error_codes_identical(self, query, bib_xml):
-        reference = outcome(Engine(), query, bib_xml)
+        reference = outcome(closure_engine(), query, bib_xml)
         assert reference[0] == "err"
         assert outcome(source_engine(), query, bib_xml) == reference
 
@@ -174,7 +181,7 @@ class TestDifferential:
 
     @pytest.mark.parametrize("query", W3C_XMP_QUERIES)
     def test_w3c_xmp_suite(self, query):
-        reference = outcome_docs(Engine(), query)
+        reference = outcome_docs(closure_engine(), query)
         generated = outcome_docs(source_engine(), query)
         assert generated == reference
         assert reference[0] == "ok"  # the conformance corpus must pass
@@ -195,7 +202,7 @@ class TestDifferential:
     ])
     def test_profiler_item_counts_match(self, query, bib_xml):
         counts = {}
-        for tag, engine in (("closure", Engine()),
+        for tag, engine in (("closure", closure_engine()),
                             ("source", source_engine())):
             profiler = Profiler()
             compiled = engine.compile(query)
@@ -205,8 +212,221 @@ class TestDifferential:
         assert counts["source"] == counts["closure"]
 
 
+#: one entry per expression kind the 1.8 emitter added (DESIGN.md seam
+#: table), error paths included: each must leave the closure seam AND
+#: stay byte-identical to the closure interpreter
+NEW_KIND_QUERIES = [
+    # -- node constructors and the enclosed-expression content rules
+    '<r a="{//book[1]/@year}" b="x{1 + 1}y">{//book/title}</r>',
+    '<r>{//book[1]/@year}{1, 2}<s/>text{//book[1]/price/text()}</r>',
+    '<r>{//book/@year}</r>',                       # XQDY0025 duplicate
+    '<r>{1, //book[1]/@year}</r>',                 # XQTY0024 late attribute
+    'element {concat("x", "y")} {attribute {"k"} {1, 2}, text {"t"}, '
+    'comment {"c"}, processing-instruction p {"d"}}',
+    'element {(1, 2)} {()}',                       # XPTY0004 name
+    'element {"nope:x"} {()}',                     # XQDY0074 prefix
+    'document {<a>{//book[1]/title}</a>}',
+    'document {//book[1]/@year}',                  # attribute in document
+    'count((text {()}, text {"a"}, text {("a", "b")}))',
+    'comment {"a--b"}',                            # XQDY0072
+    'processing-instruction {()} {"x"}',           # empty computed target
+    'processing-instruction {"xml"} {"x"}',        # XQDY0064
+    'for $b in //book return <b n="{count($b/author)}">'
+    '{if ($b/@year > 1990) then $b/title else ()}</b>',
+    # -- FLWOR with order by
+    'for $b in //book order by xs:decimal($b/price) descending '
+    'return $b/title',
+    'for $b in //book order by $b/editor empty greatest, '
+    'string($b/title) return string($b/title)',
+    'for $b in //book order by $b/editor empty least, '
+    'string($b/title) descending return string($b/title)',
+    'for $b in //book stable order by string($b/@year) '
+    'return string($b/title)',
+    'for $b at $i in //book order by $i descending return ($i, $b/title)',
+    'for $b in //book let $n := count($b/author) where $n > 0 '
+    'order by $n descending, string($b/title) return <b n="{$n}"/>',
+    'for $x in (3, 1, 2), $y in ("b", "a") order by $y, $x '
+    'return concat($y, $x)',
+    'for $b in //book order by $b/author/last return $b/title',  # 2 keys
+    'for $i in ("1", "2", "x", "4") order by xs:integer($i) return $i',
+    'for $i in ("1", "x") where xs:integer($i) > 0 order by $i return $i',
+    '//book/(for $a in author order by string($a/last) descending '
+    'return (position(), string($a/last)))',
+    'count(for $b in //book order by string($b/title) return $b/author)',
+    # -- inlined user functions: the function conversion rules
+    'declare function local:f($v as xs:double) as xs:double { $v * 2 }; '
+    'for $b in //book return local:f(xs:double($b/price))',
+    'declare function local:f($v as xs:decimal) as xs:decimal { $v }; '
+    'local:f(//book[1]/price)',                    # untyped -> decimal
+    'declare function local:f($v as xs:integer) as xs:integer { $v }; '
+    'local:f("x")',                                # XPTY0004
+    'declare function local:f($v as xs:integer) as xs:integer { $v }; '
+    'local:f((1, 2))',                             # too many items
+    'declare function local:f($v as element()*) as xs:string+ '
+    '{ for $e in $v return string($e) }; local:f(//book/title)',
+    'declare function local:f($v as element()*) as xs:string+ '
+    '{ for $e in $v return string($e) }; local:f(//nothing)',  # empty ret
+    'declare function local:fact($n as xs:integer) as xs:integer '
+    '{ if ($n le 1) then 1 else $n * local:fact($n - 1) }; local:fact(10)',
+    # -- fn:last() over a buffered base
+    '(//book)[last()]/title',
+    '(//book/author)[position() = last()]',
+    '(1, 2, 3)[last() - 1]',
+    '(for $b in //book return $b/title)[last()]',
+    '//book/(author, last())',
+    '//book/(position() * last())',
+    '(1, 2, xs:integer("x"))[last()]',             # FORG0001 on the drain
+    # -- type operators
+    '//book/price instance of element()+',
+    '(//book/@year)[1] cast as xs:integer',
+    '"x" castable as xs:integer, "7" castable as xs:integer, '
+    '() castable as xs:integer?, (1, 2) castable as xs:integer',
+    '() cast as xs:integer?',
+    '() cast as xs:integer',                       # XPTY0004
+    '(1, 2) cast as xs:integer',                   # XPTY0004
+    '"x" cast as xs:integer',                      # FORG0001
+    '(//book treat as element()+)/title',
+    '(1 treat as xs:string)',                      # XPDY0050
+    # -- lazy builtins pull sub-region arguments
+    'distinct-values(//book/@year)',
+    'subsequence(//book, 2, 1)/title',
+    'remove(//book/title, 1)',
+    'insert-before((1, 2), 1, 0)',
+    'data(//book/@year)',
+    'subsequence((1, 2, xs:integer("x")), 1, 2)',  # FORG0001 mid-pull
+]
+
+
+class TestNewlyEmittedKinds:
+    @pytest.mark.parametrize("query", NEW_KIND_QUERIES)
+    def test_equivalent_and_seamless(self, query, bib_xml):
+        assert_source_equivalent(query, bib_xml)
+        seams = 0
+        try:
+            result = source_engine().compile(query).execute(
+                context_item=bib_xml)
+            result.items()
+            seams = result.stats.get("codegen.fallback_closure", 0)
+        except Exception:  # noqa: BLE001 - outcome compared above
+            return
+        # recursion keeps the closure calling convention: one seam at
+        # the outermost call, none per recursive step
+        assert seams == (1 if "local:fact" in query else 0), query
+
+
+def test_last_keeps_the_base_lazy(bib_xml):
+    """A predicate that *mentions* last() drains its base only when
+    last() is actually called — like the closure Filter's lazily sized
+    BufferedSequence (item mode; blocks drain eagerly by design)."""
+    query = ("((1, 2, error())"
+             "[if (position() lt 3) then true() else last() gt 0])[1]")
+    assert outcome(source_engine(), query, bib_xml) \
+        == outcome(closure_engine(), query, bib_xml) == ("ok", "1")
+
+
+class TestDeepNesting:
+    """CPython compiles at most 20 statically nested loop/try blocks:
+    the emitter continues in a fresh function before it gets there —
+    no query, however nested, may surface a SyntaxError."""
+
+    DEEP = [
+        # 25 nested for clauses (the where keeps them from folding)
+        " ".join(f"for $v{i} in (1 to 1)" for i in range(25))
+        + " where $v0 + $v24 = 2 return ($v3, $v24)",
+        # 24 nested predicates
+        "count(//bib" + "".join("[book" for _ in range(24))
+        + "]" * 24 + ")",
+        # 15 nested quantifiers, each a try + a loop
+        "some $a in (1, 2) satisfies " * 15 + "$a = 2",
+        # a path under constructors under an ordered FLWOR under a path
+        "//book/(for $a in author order by string($a/last) return "
+        "<a>{for $x in $a/* return <x>{for $y in $x/text() "
+        "return <y>{for $c in (1 to 2) return "
+        "<c>{some $q in //book/price satisfies $q > $c * 20}</c>}</y>}"
+        "</x>}</a>)",
+    ]
+
+    @pytest.mark.parametrize("query", DEEP)
+    def test_deeply_nested_queries_compile(self, query, bib_xml):
+        generated = outcome(source_engine(), query, bib_xml)
+        assert generated == outcome(closure_engine(), query, bib_xml)
+        assert generated[0] == "ok"
+
+
+def _catalog_outcome(engine, text, declared, bindings):
+    try:
+        result = engine.compile(text, variables=declared).execute(
+            variables=bindings)
+        image = ("ok", result.serialize())
+        stats = {k: v for k, v in result.stats.items()
+                 if k.startswith(("access_path.", "twig."))}
+        return image, stats, result.stats.get("codegen.fallback_closure", 0)
+    except Exception as exc:  # noqa: BLE001 - compared structurally
+        return ("err", type(exc).__name__, getattr(exc, "code", None)), \
+            None, None
+
+
+class TestIndexedOperators:
+    """AccessPath and TwigJoin, emitted: same output, same
+    ``access_path.*`` / ``twig.*`` counters, same navigation fallback on
+    a foreign binding as the closure operators."""
+
+    QUERIES = [
+        ("$auction/site/people/person[@id = $a]/name/text()", {"a": "person3"}),
+        ("count($auction/site/open_auctions/open_auction/bidder"
+         "[xs:double(increase) >= $x])", {"x": 6.0}),
+        ("count($auction//open_auction[bidder/increase][itemref]"
+         "/seller[@person = $a])", {"a": "person1"}),
+        ("for $p in $auction/site/people/person "
+         "where xs:double($p/profile/@income) >= $x "
+         "order by xs:double($p/profile/@income) "
+         "return $p/name/text()", {"x": 50000.0}),
+        ("$auction//item[location = $a]/name", {"a": "United States"}),
+        ("count($auction//person[profile][address/city])", {}),
+        ("$auction/site/people/person[xs:integer(@id) = 1]", {}),  # FORG0001
+    ]
+
+    @pytest.fixture(scope="class")
+    def engines(self, xmark_small):
+        import repro
+
+        cat = repro.catalog()
+        cat.add("auction", xmark_small)
+        return {backend: Engine(catalog=cat, codegen=backend)
+                for backend in ("closure", "source")}
+
+    @pytest.mark.parametrize("text,bindings", QUERIES)
+    def test_pinned_tree_uses_the_index(self, engines, text, bindings):
+        declared = tuple(bindings)
+        reference = _catalog_outcome(engines["closure"], text, declared,
+                                     bindings)
+        generated = _catalog_outcome(engines["source"], text, declared,
+                                     bindings)
+        assert generated[:2] == reference[:2]
+        if generated[0][0] == "ok":
+            assert generated[2] == 0
+            assert not any(key.endswith("fallback_navigation")
+                           for key in generated[1])
+
+    @pytest.mark.parametrize("text,bindings", QUERIES)
+    def test_foreign_binding_degrades_to_navigation(self, engines, text,
+                                                    bindings, xmark_small):
+        foreign = dict(bindings, auction=parse_document(xmark_small))
+        declared = tuple(bindings)
+        reference = _catalog_outcome(engines["closure"], text, declared,
+                                     foreign)
+        generated = _catalog_outcome(engines["source"], text, declared,
+                                     foreign)
+        assert generated[:2] == reference[:2]
+        if generated[0][0] == "ok":
+            assert generated[2] == 0
+            # every index operator in the plan took its navigation side
+            assert all(key.endswith("fallback_navigation")
+                       for key in generated[1])
+
+
 #: module-level engines so hypothesis examples share the compile caches
-_closure_prop = Engine(static_typing=False)
+_closure_prop = Engine(static_typing=False, codegen="closure")
 _source_prop = Engine(static_typing=False, codegen="source")
 
 
@@ -221,7 +441,7 @@ class TestCompileCache:
         never replay the other backend's plan (same shape as the PR 4
         catalog-fingerprint regression)."""
         shared = LRUCache(16)
-        closure = Engine(compile_cache=shared)
+        closure = closure_engine(compile_cache=shared)
         source = Engine(compile_cache=shared, codegen="source")
         query = "count(//book)"
         a = closure.compile(query)
@@ -239,7 +459,7 @@ class TestCompileCache:
         second = engine.compile("//book/title")
         assert first is second
         assert first.execute(context_item=bib_xml).serialize() \
-            == Engine().compile("//book/title") \
+            == closure_engine().compile("//book/title") \
                        .execute(context_item=bib_xml).serialize()
 
     def test_codegen_argument_validated(self):
@@ -254,11 +474,16 @@ class TestCompileCache:
 # ---------------------------------------------------------------------------
 
 
+#: a kind deliberately left on the closure interpreter (DESIGN.md seam
+#: table) — the canonical way to force a seam in these tests
+SEAM = "typeswitch ({}) case {} return true() default return false()"
+
+
 class TestFallbackSeam:
     def test_fallback_counter_counts_seams(self, bib_xml):
         engine = source_engine()
         result = engine.compile(
-            "(1 instance of xs:integer, count(//book))").execute(
+            f"({SEAM.format('//book[1]', 'element()')}, count(//book))").execute(
             context_item=bib_xml)
         assert result.values() == [True, 3]
         assert result.stats["codegen.fallback_closure"] == 1
@@ -275,7 +500,8 @@ class TestFallbackSeam:
         pulled once and replayed — the BufferedSequence contract."""
         engine = source_engine()
         query = ("let $t := //book/title "
-                 "return (count($t), $t instance of element()+, count($t))")
+                 f"return (count($t), {SEAM.format('$t', 'element()+')}, "
+                 "count($t))")
         result = engine.compile(query).execute(context_item=bib_xml)
         assert result.values() == [3, True, 3]
         assert result.stats["codegen.fallback_closure"] >= 1
@@ -288,8 +514,8 @@ class TestFallbackSeam:
         backends agree (the mid-block propagation contract)."""
         query = ("let $v := for $i in ('1', '2', 'x', '4') "
                  "         return xs:integer($i) "
-                 "return ($v instance of xs:integer+, count($v))")
-        reference = outcome(Engine(), query, bib_xml)
+                 f"return ({SEAM.format('$v', 'xs:integer+')}, count($v))")
+        reference = outcome(closure_engine(), query, bib_xml)
         generated = outcome(source_engine(), query, bib_xml)
         assert generated == reference
         assert generated[0] == "err"
@@ -297,8 +523,12 @@ class TestFallbackSeam:
 
     def test_seam_sees_generated_focus(self, bib_xml):
         # a fallback under a path step must inherit the per-item focus
-        query = "//book/(string(title), 1 instance of xs:integer)"
+        query = ("//book/(string(title), typeswitch (.) "
+                 "case element() return string(@year) default return ())")
         assert_source_equivalent(query, bib_xml)
+        result = source_engine().compile(query).execute(context_item=bib_xml)
+        result.items()
+        assert result.stats["codegen.fallback_closure"] == 3
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +540,7 @@ class TestObservability:
     def test_plan_tree_tagged(self, bib_xml):
         engine = source_engine()
         compiled = engine.compile(
-            "(1 instance of xs:integer, count(//book))")
+            f"({SEAM.format('//book[1]', 'element()')}, count(//book))")
         tags = {node.info.get("codegen")
                 for node in compiled.plan_tree.walk()
                 if "codegen" in node.info}
@@ -324,7 +554,7 @@ class TestObservability:
         compile(compiled.generated_source, "<check>", "exec")  # parses
 
     def test_closure_backend_has_no_generated_source(self):
-        assert Engine().compile("1 + 1").generated_source is None
+        assert closure_engine().compile("1 + 1").generated_source is None
 
     def test_generated_source_registered_with_linecache(self):
         from repro.compiler.pysource import SourcePlanCompiler
@@ -337,6 +567,31 @@ class TestObservability:
         assert compiler.filename in linecache.cache
         cached = "".join(linecache.cache[compiler.filename][2])
         assert "def _q0" in cached
+
+    def test_evicted_plans_free_their_linecache_entries(self):
+        """A never-repeated ad-hoc stream must not grow linecache: the
+        registration lives exactly as long as the compiled plan."""
+        import gc
+
+        def registered():
+            return sum(1 for name in linecache.cache
+                       if name.startswith("<repro-pysource-"))
+
+        gc.collect()
+        before = registered()
+        engine = source_engine(compile_cache_size=64)
+        for i in range(500):
+            engine.compile(f"for $i in 1 to {i} return <a n='{{$i}}'/>")
+        gc.collect()
+        assert registered() - before <= 64 + 4
+        # a live plan keeps its text: tracebacks stay readable
+        live = engine.compile("1 + 1")
+        assert any("".join(entry[2]) == live.generated_source
+                   for name, entry in linecache.cache.items()
+                   if name.startswith("<repro-pysource-"))
+        del engine, live
+        gc.collect()
+        assert registered() - before <= 4
 
     def test_explain_analyze_runs_on_source_backend(self, bib_xml):
         engine = source_engine()
@@ -376,7 +631,7 @@ def test_source_scan_beats_closure_batched():
 
     doc = parse_document(generate_xmark(scale=0.3, seed=7))
     query = "/site/regions//item[@id]/name"
-    batched = Engine(batch_size=256).compile(query)
+    batched = batch_engine(256).compile(query)
     source = source_engine().compile(query)
     t_batch = _best_of(lambda: batched.execute(context_item=doc).items())
     t_source = _best_of(lambda: source.execute(context_item=doc).items())

@@ -14,7 +14,7 @@ import time
 
 import pytest
 
-from repro import Engine
+from repro import Engine, ExecutionOptions
 from repro.observability import ExplainResult, OperatorStats, PlanNode, Profiler
 
 
@@ -70,10 +70,10 @@ class TestExplain:
         assert "Step" in text
         assert "calls=" not in text  # no metrics without analyze
 
-    def test_analyze_counts_path_steps(self, engine, bib_xml):
-        if engine.codegen == "source":
-            pytest.skip("fused regions report counters at the region root; "
-                        "per-step operators exist only on the closure backend")
+    def test_analyze_counts_path_steps(self, bib_xml):
+        # fused regions report counters at the region root; per-step
+        # operators exist only on the closure backend
+        engine = Engine(options=ExecutionOptions(codegen="closure"))
         explained = engine.explain("/bib/book/title", context_item=bib_xml,
                                    analyze=True)
         assert explained.analyzed

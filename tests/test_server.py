@@ -373,6 +373,33 @@ class TestPreforkedMode:
         finally:
             client.close()
 
+    def test_parent_side_hits_count_in_metrics(self, prefork):
+        """A hit in the parent's cross-child result cache returns before
+        any child is asked; it must still count as a cache hit."""
+        client = Client(prefork.port)
+        try:
+            _setup_tenant(client, "t_forkhits")
+            req = {"query": "count($books//book)"}
+            status, body, _ = client.request(
+                "POST", "/tenants/t_forkhits/execute", req)
+            assert status == 200 and body["cached"] is False
+
+            def counters():
+                return client.request("GET", "/metrics")[1][
+                    "server"]["counters"]
+
+            before = counters()
+            for _ in range(200):
+                status, body, _ = client.request(
+                    "POST", "/tenants/t_forkhits/execute", req)
+                assert status == 200 and body["cached"] is True
+            after = counters()
+            assert after["cache_hits"] - before.get("cache_hits", 0) == 200
+            assert after.get("cache_misses", 0) \
+                == before.get("cache_misses", 0)
+        finally:
+            client.close()
+
     def test_errors_cross_the_pipe(self, prefork):
         client = Client(prefork.port)
         try:
@@ -417,6 +444,63 @@ class TestPersistentServer:
                 {"query": "$books//book[price = '55']/title"})
             assert status == 200
             assert body["items"] == [{"node": "<title>T1</title>"}]
+        finally:
+            client.close()
+            handle.close()
+
+    @pytest.mark.parametrize("processes", [
+        0, pytest.param(2, marks=pytest.mark.skipif(
+            not hasattr(os, "fork"), reason="pre-forked mode needs os.fork"))])
+    def test_same_named_documents_stay_per_tenant(self, tmp_path, processes):
+        """Disk catalogs number generations per collection directory,
+        so two tenants that ingested ``doc0``-``doc3`` in the same
+        order hold them at equal generations: (name, kind, indexed,
+        generation) alone made both tenants share one compile-cache
+        key, and the second tenant's registered query was answered from
+        the first tenant's document.  The collection id in the catalog
+        fingerprint keeps them apart, before and after a restart."""
+        sizes = {"north": 2, "south": 5}
+        query = ("(count($doc0//x), count($doc1//x), count($doc2//x), "
+                 "count($doc3//x))")
+
+        def check(client):
+            for tenant, n in sizes.items():
+                expected = [n + j for j in range(4)]
+                status, body, _ = client.request(
+                    "PUT", f"/tenants/{tenant}/queries/sizes",
+                    {"query": query, "variables": []})
+                assert status == 200, body
+                status, body, _ = client.request(
+                    "POST", f"/tenants/{tenant}/queries/sizes",
+                    {"cache": False})
+                assert status == 200 and body["items"] == expected, tenant
+                status, body, _ = client.request(
+                    "POST", f"/tenants/{tenant}/execute",
+                    {"query": query, "cache": False})
+                assert status == 200 and body["items"] == expected, tenant
+
+        handle = start_in_thread(self._config(tmp_path, processes=processes))
+        client = Client(handle.port)
+        try:
+            for tenant, n in sizes.items():
+                for j in range(4):
+                    status, body, _ = client.request(
+                        "PUT", f"/tenants/{tenant}/documents/doc{j}",
+                        "<r>" + "<x/>" * (n + j) + "</r>")
+                    assert status == 200, body
+            check(client)
+        finally:
+            client.close()
+            handle.close()
+        handle = start_in_thread(self._config(tmp_path, processes=processes))
+        client = Client(handle.port)
+        try:
+            check(client)
+            north = handle.server.core.tenants.get("north").catalog
+            south = handle.server.core.tenants.get("south").catalog
+            assert [d.generation for d in north] \
+                == [d.generation for d in south]  # the colliding part
+            assert north.fingerprint() != south.fingerprint()
         finally:
             client.close()
             handle.close()

@@ -28,6 +28,12 @@ def slow_doc(n: int = 40) -> str:
 #: a query that is O(n^2) over slow_doc — the runaway workload
 RUNAWAY = "count(for $a in $d//x, $b in $d//y return ($a, $b))"
 
+#: slow_doc size at which RUNAWAY outlives every budget below by ~10x on
+#: the default (compile-to-source) backend: 16M bound pairs, about 2 s.
+#: At n=300 it finishes in 14 ms there (266 ms on the closure
+#: interpreter) — well inside a 0.1 s deadline
+RUNAWAY_N = 4000
+
 
 class TestCancellationToken:
     def test_explicit_cancel_raises(self):
@@ -68,7 +74,7 @@ class TestDeadlines:
         compiled = repro.compile(RUNAWAY, variables=("d",))
         t0 = time.monotonic()
         with pytest.raises(QueryTimeout) as info:
-            compiled.execute(variables={"d": repro.xml(slow_doc(300))},
+            compiled.execute(variables={"d": repro.xml(slow_doc(RUNAWAY_N))},
                              deadline=budget).items()
         elapsed = time.monotonic() - t0
         # cooperative checks fire within one loop iteration: allow 2x
@@ -79,7 +85,7 @@ class TestDeadlines:
     def test_timeout_carries_partial_stats(self):
         compiled = repro.compile(RUNAWAY, variables=("d",))
         with pytest.raises(QueryTimeout) as info:
-            compiled.execute(variables={"d": repro.xml(slow_doc(300))},
+            compiled.execute(variables={"d": repro.xml(slow_doc(RUNAWAY_N))},
                              deadline=0.1).items()
         assert isinstance(info.value.stats, dict)
 
@@ -121,7 +127,7 @@ class TestQueryService:
     def test_deadline_enforced_and_pool_quiescent(self):
         with QueryService(max_workers=2) as svc:
             with pytest.raises(QueryTimeout) as info:
-                svc.execute(RUNAWAY, variables={"d": repro.xml(slow_doc(300))},
+                svc.execute(RUNAWAY, variables={"d": repro.xml(slow_doc(RUNAWAY_N))},
                             timeout=0.15)
             assert info.value.stats is not None
             stats = svc.stats()
@@ -134,7 +140,7 @@ class TestQueryService:
     def test_default_timeout_applies(self):
         with QueryService(max_workers=1, default_timeout=0.15) as svc:
             with pytest.raises(QueryTimeout):
-                svc.execute(RUNAWAY, variables={"d": repro.xml(slow_doc(300))})
+                svc.execute(RUNAWAY, variables={"d": repro.xml(slow_doc(RUNAWAY_N))})
 
     def test_overload_rejection(self):
         blocker = threading.Event()
@@ -161,7 +167,7 @@ class TestQueryService:
         token = CancellationToken()
         with QueryService(max_workers=1) as svc:
             future = svc.submit(RUNAWAY,
-                                variables={"d": repro.xml(slow_doc(300))},
+                                variables={"d": repro.xml(slow_doc(RUNAWAY_N))},
                                 cancellation=token)
             token.cancel("test")
             with pytest.raises(QueryCancelled):

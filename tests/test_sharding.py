@@ -201,6 +201,46 @@ class TestScatterBehavior:
         assert headers["X-Repro-Cache"] == "hit"
         assert first["items"] == second["items"]
 
+    def test_parent_compiles_only_collection_texts(self, tmp_path):
+        """An ad-hoc text that never spells ``collection`` goes straight
+        to a child: the parent used to compile every uncached text just
+        to learn it reads no collection (and the child compiled it
+        again).  Collection texts still take the scatter path."""
+        handle = _start(tmp_path, shards=None, tag="lex")
+        try:
+            client = Client(handle.port)
+            _load(client)
+            engine = handle.server.core.tenants.get("t").engine
+            compiled: list[str] = []
+            real = engine.compile
+            engine.compile = lambda text, **kw: (compiled.append(text),
+                                                 real(text, **kw))[1]
+            router = handle.server.router
+            before = router.stats()
+            for i in range(5):
+                status, body, _ = client.request(
+                    "POST", "/tenants/t/execute",
+                    {"query": f"count($d00//n) + {i}"})
+                assert status == 200 and body["items"] == [2 + i]
+            assert compiled == []
+            assert router.stats() == before
+            assert router.might_scatter("count($d00//n)") is False
+            status, body, _ = client.request(
+                "POST", "/tenants/t/execute",
+                {"query": "count(collection()//n) + 0"})  # ineligible root
+            assert status == 200 and body["items"] == [12]
+            status, body, _ = client.request(
+                "POST", "/tenants/t/execute",
+                {"query": "count(collection()//n)"})
+            assert status == 200 and body["items"] == [12]
+            assert len(compiled) == 2
+            after = router.stats()
+            assert after["fallback_single"] == before["fallback_single"] + 1
+            assert after["scattered"] == before["scattered"] + 1
+            client.close()
+        finally:
+            handle.close()
+
     def test_single_document_does_not_scatter(self, tmp_path):
         handle = _start(tmp_path, shards=None, tag="one")
         try:

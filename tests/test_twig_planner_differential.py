@@ -39,9 +39,11 @@ from .conftest import BIB_XML
 #: forced plans, and all forced plans must agree with plain navigation
 STRATEGIES = ("auto", "holistic", "binary", "navigation", "mixed")
 
-#: honor the CI codegen matrix: the source-backend leg reruns this
-#: whole file compiling twigs through the compile-to-source path
-_CODEGEN = os.environ.get("REPRO_TEST_CODEGEN", "closure")
+#: honor the CI codegen matrix: the closure leg reruns this whole file
+#: compiling twigs through the closure interpreter instead of the
+#: shipped default backend
+_CODEGEN = os.environ.get("REPRO_TEST_CODEGEN",
+                          repro.ExecutionOptions().codegen)
 
 
 def _skew_xml(n: int = 800, seed: int = 3) -> str:
