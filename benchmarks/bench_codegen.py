@@ -1,13 +1,13 @@
 """E15 — compile-to-source codegen vs closure interpretation.
 
-Claim (paper §"Compilation into an executable", revisited): even after
-block-at-a-time batching (E14), the closure interpreter pays a Python
-frame per operator per item/block, and fusion is limited to adjacent
-step/filter pairs.  Emitting one specialized Python function per query
-— whole FLWOR bodies, path chains, predicate filters, and aggregate
-tails collapsed into flat loops — removes those frames entirely.
-Target: ≥2x over PR 5's batched mode on XMark scan/aggregate shapes
-with byte-identical results.
+Claim (paper §"Compilation into an executable", revisited): the
+closure interpreter pays a Python frame per operator per item.
+Emitting one specialized Python function per query — whole FLWOR
+bodies, path chains, predicate filters, and aggregate tails collapsed
+into flat loops — removes those frames entirely.  Target: ≥2x over the
+closure interpreter on XMark scan/aggregate shapes with byte-identical
+results.  (The block-at-a-time family this was also measured against
+through 1.8 is retired: EXPERIMENTS.md E14 has its final numbers.)
 
 The document is parsed ONCE per session (``xmark_s08_doc``); timing
 ``execute(context_item=xml_text)`` would measure the parser.
@@ -16,9 +16,9 @@ The document is parsed ONCE per session (``xmark_s08_doc``); timing
 import pytest
 
 from repro.engine import Engine
+from repro.options import ExecutionOptions
 
-#: the E14 XMark scan/aggregate shapes, re-measured across all three
-#: execution backends
+#: the XMark scan/aggregate shapes, measured on both execution backends
 QUERIES = [
     ("descendant scan + count", "count(/site/regions//item)"),
     ("scan + filter + step", "/site/regions//item[@id]/name"),
@@ -31,17 +31,12 @@ QUERIES = [
 
 @pytest.fixture(scope="module")
 def closure_engine():
-    return Engine(codegen="closure")
-
-
-@pytest.fixture(scope="module")
-def batch_engine():
-    return Engine(batch_size=256)
+    return Engine(options=ExecutionOptions(codegen="closure"))
 
 
 @pytest.fixture(scope="module")
 def source_engine():
-    return Engine(codegen="source")
+    return Engine(options=ExecutionOptions(codegen="source"))
 
 
 @pytest.mark.parametrize("label,query", QUERIES, ids=[q[0] for q in QUERIES])
@@ -49,16 +44,6 @@ def test_closure_mode(benchmark, closure_engine, xmark_s08_doc, label, query):
     compiled = closure_engine.compile(query)
     benchmark.group = f"E15 {label}"
     benchmark.name = "closure"
-    result = benchmark(
-        lambda: compiled.execute(context_item=xmark_s08_doc).items())
-    assert result is not None
-
-
-@pytest.mark.parametrize("label,query", QUERIES, ids=[q[0] for q in QUERIES])
-def test_batched_mode(benchmark, batch_engine, xmark_s08_doc, label, query):
-    compiled = batch_engine.compile(query)
-    benchmark.group = f"E15 {label}"
-    benchmark.name = "closure-batched (256)"
     result = benchmark(
         lambda: compiled.execute(context_item=xmark_s08_doc).items())
     assert result is not None
@@ -74,14 +59,11 @@ def test_source_mode(benchmark, source_engine, xmark_s08_doc, label, query):
     assert result is not None
 
 
-def test_backends_agree(closure_engine, batch_engine, source_engine,
-                        xmark_s08_doc):
+def test_backends_agree(closure_engine, source_engine, xmark_s08_doc):
     """Source plans must serialize byte-identically to closure plans."""
     for _, query in QUERIES:
         closure = closure_engine.compile(query) \
             .execute(context_item=xmark_s08_doc).serialize()
-        batched = batch_engine.compile(query) \
-            .execute(context_item=xmark_s08_doc).serialize()
         source = source_engine.compile(query) \
             .execute(context_item=xmark_s08_doc).serialize()
-        assert source == closure == batched, query
+        assert source == closure, query

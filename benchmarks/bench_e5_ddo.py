@@ -14,7 +14,7 @@ where the sort is genuinely required.
 
 import pytest
 
-from repro import Engine
+from repro import Engine, ExecutionOptions
 from repro.workloads.synthetic import nested_sections
 
 _xml = nested_sections(depth=7, fanout=2)
@@ -27,8 +27,8 @@ PATHS = [
     ("double-descendant //a//b", "//section//title"),
 ]
 
-_opt = Engine(optimize=True)
-_raw = Engine(optimize=False)
+_opt = Engine(options=ExecutionOptions(optimize=True))
+_raw = Engine(options=ExecutionOptions(optimize=False))
 _compiled = {(name, label): engine.compile(f"count({path})")
              for name, engine in (("optimized", _opt), ("unoptimized", _raw))
              for label, path in PATHS}

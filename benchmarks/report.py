@@ -507,50 +507,16 @@ def e13_access_paths() -> None:
           ["query", "chosen path", "planned", "navigation", "win"], rows)
 
 
-def e14_batching() -> None:
-    """Block-at-a-time batched execution vs the item iterator model."""
-    from repro import Engine
-    from repro.workloads import generate_xmark
-    from repro.xdm.build import parse_document
-
-    xml = generate_xmark(scale=0.8 if not QUICK else 0.2, seed=2004)
-    doc = parse_document(xml)  # pre-parsed: time the query, not the parser
-    item_engine = Engine(codegen="closure")
-    batch_engine = Engine(batch_size=256)
-
-    queries = [
-        ("descendant scan + count", "count(/site/regions//item)"),
-        ("scan + filter + step", "/site/regions//item[@id]/name"),
-        ("descendant aggregate", "count(//description)"),
-        ("child-chain scan", "count(//item/name)"),
-        ("for-where-return",
-         "for $i in /site/regions//item where $i/location return $i/name"),
-    ]
-    rows = []
-    for label, query in queries:
-        item = item_engine.compile(query)
-        batched = batch_engine.compile(query)
-        assert item.execute(context_item=doc).serialize() == \
-            batched.execute(context_item=doc).serialize()
-        it = timed(lambda: item.execute(context_item=doc).items())
-        bt = timed(lambda: batched.execute(context_item=doc).items())
-        rows.append([label, fmt(it), fmt(bt), f"{it / bt:5.2f}x"])
-    table(f"E14 block-at-a-time execution over XMark ({len(xml) // 1024} KB, "
-          "pre-parsed)",
-          ["query", "item-at-a-time", "batched (256)", "win"], rows)
-
-
 def e15_codegen() -> None:
-    """Compile-to-source codegen vs closure interpretation (batched too)."""
-    from repro import Engine
+    """Compile-to-source codegen vs closure interpretation."""
+    from repro import Engine, ExecutionOptions
     from repro.workloads import generate_xmark
     from repro.xdm.build import parse_document
 
     xml = generate_xmark(scale=0.8 if not QUICK else 0.2, seed=2004)
     doc = parse_document(xml)  # pre-parsed: time the query, not the parser
-    closure_engine = Engine(codegen="closure")
-    batch_engine = Engine(batch_size=256)
-    source_engine = Engine(codegen="source")
+    closure_engine = Engine(options=ExecutionOptions(codegen="closure"))
+    source_engine = Engine(options=ExecutionOptions(codegen="source"))
 
     queries = [
         ("descendant scan + count", "count(/site/regions//item)"),
@@ -563,27 +529,23 @@ def e15_codegen() -> None:
     rows = []
     for label, query in queries:
         closure = closure_engine.compile(query)
-        batched = batch_engine.compile(query)
         source = source_engine.compile(query)
         assert closure.execute(context_item=doc).serialize() == \
             source.execute(context_item=doc).serialize()
         # CPython 3.11 specializes a code object only after its eighth
         # entry: the closure interpreter's code is shared by every query
-        # and long warm, a generated function is new — warm all three
-        # alike before the best-of-three (EXPERIMENTS.md E15 has the
-        # cold numbers)
-        for plan in (closure, batched, source):
+        # and long warm, a generated function is new — warm both alike
+        # before the best-of-three (EXPERIMENTS.md E15 has the cold
+        # numbers)
+        for plan in (closure, source):
             for _ in range(5):
                 plan.execute(context_item=doc).items()
         ct = timed(lambda: closure.execute(context_item=doc).items())
-        bt = timed(lambda: batched.execute(context_item=doc).items())
         st = timed(lambda: source.execute(context_item=doc).items())
-        rows.append([label, fmt(ct), fmt(bt), fmt(st),
-                     f"{ct / st:5.2f}x", f"{bt / st:5.2f}x"])
+        rows.append([label, fmt(ct), fmt(st), f"{ct / st:5.2f}x"])
     table(f"E15 compile-to-source codegen over XMark ({len(xml) // 1024} KB, "
           "pre-parsed)",
-          ["query", "closure", "batched (256)", "source",
-           "vs closure", "vs batched"], rows)
+          ["query", "closure", "source", "vs closure"], rows)
 
 
 def e18_persist() -> None:
@@ -699,7 +661,7 @@ def e19_sharding() -> None:
 
 EXPERIMENTS = [e0_parse, e1_streaming, e2_lazy, e3_pooling, e4_nodeids, e5_ddo,
                e6_joins, e7_rewrites, e8_storage, e9_broker, e10_xslt,
-               e11_observability, e13_access_paths, e14_batching, e15_codegen,
+               e11_observability, e13_access_paths, e15_codegen,
                e18_persist, e19_sharding]
 
 

@@ -65,18 +65,15 @@ def build_parser() -> argparse.ArgumentParser:
                         help="evaluate analysis-proven-independent "
                              "subexpression groups on N parallel workers "
                              "(default 1: sequential plans)")
-    parser.add_argument("--batch-size", type=int, default=0, metavar="N",
-                        help="execute block-at-a-time with chunks of about "
-                             "N items (256 is a good default; 0 = fully "
-                             "lazy item-at-a-time mode)")
     parser.add_argument("--codegen", choices=("closure", "source"),
-                        default=None,
+                        default="source",
                         help="execution backend: 'source' (the default) "
                              "emits one specialized Python function per "
                              "query with whole-FLWOR fusion (with "
                              "--explain, also prints the generated "
                              "source); 'closure' interprets the compiled "
-                             "operator tree (implied by --batch-size > 0)")
+                             "operator tree item-at-a-time (the "
+                             "differential oracle)")
     parser.add_argument("--twig-strategy",
                         choices=("auto", "holistic", "binary", "navigation",
                                  "mixed"),
@@ -123,8 +120,6 @@ def build_serve_parser() -> argparse.ArgumentParser:
                              "(default 1: sequential plans)")
     parser.add_argument("--codegen", choices=("closure", "source"),
                         default=None, help="execution backend")
-    parser.add_argument("--batch-size", type=int, default=None, metavar="N",
-                        help="block-at-a-time execution with ~N-item chunks")
     parser.add_argument("--timeout", type=float, default=None, metavar="SECS",
                         help="default per-request deadline")
     parser.add_argument("--result-cache", type=int, default=None, metavar="N",
@@ -164,7 +159,7 @@ def serve_main(argv: list[str]) -> int:
         changes["result_cache_size"] = args.result_cache
     option_changes: dict = {}
     for flag, name in (("max_workers", "max_workers"), ("jobs", "jobs"),
-                       ("codegen", "codegen"), ("batch_size", "batch_size"),
+                       ("codegen", "codegen"),
                        ("timeout", "default_timeout"),
                        ("data_dir", "data_dir"), ("shards", "shards")):
         value = getattr(args, flag)
@@ -268,10 +263,6 @@ def main(argv: list[str] | None = None) -> int:
 
     variables = dict(_parse_var(v) for v in args.var)
 
-    if args.codegen == "source" and args.batch_size > 0:
-        parser.error("--codegen source emits its own fused loops; "
-                     "it cannot be combined with --batch-size > 0")
-
     executor = None
     if args.jobs > 1:
         from repro.service import default_executor
@@ -280,7 +271,6 @@ def main(argv: list[str] | None = None) -> int:
 
     options = ExecutionOptions(optimize=not args.no_optimize,
                                static_typing=not args.no_static_typing,
-                               batch_size=args.batch_size,
                                codegen=args.codegen,
                                twig_strategy=args.twig_strategy)
     engine = Engine(options=options,

@@ -249,7 +249,7 @@ def _node_properties(expr: ast.Expr, static_ctx) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Focus-size usage (the batched/source-codegen eligibility walk)
+# Focus-size usage (the source-codegen eligibility walk)
 # ---------------------------------------------------------------------------
 
 
@@ -259,9 +259,8 @@ def uses_last(expr: ast.Expr) -> bool:
     Walks ``_fields`` children plus the clause/case expressions the
     generic traversal skips; unknown (user) function calls count as
     using last() because their bodies inherit the caller's focus.
-    Both execution backends that replace the lazily-sized
-    ``BufferedSequence`` focus with a plain counter — the block-at-a-
-    time operators and the compile-to-source emitter — gate their
+    The compile-to-source emitter replaces the lazily-sized
+    ``BufferedSequence`` focus with a plain counter and gates that
     fusion on this walk.
     """
     stack = [expr]

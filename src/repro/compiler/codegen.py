@@ -66,7 +66,7 @@ class CodeGenerator:
     """
 
     def __init__(self, static_ctx: StaticContext, instrument: bool = True,
-                 executor=None, catalog=None, batch_size: int = 0):
+                 executor=None, catalog=None):
         self.ctx = static_ctx
         #: document catalog (``repro.catalog``): AccessPath operators
         #: resolve their posting lists through it at runtime
@@ -83,10 +83,6 @@ class CodeGenerator:
         #: analysis-proven-independent sibling groups compile to a
         #: ``ParallelSeq`` operator that fans members out through it
         self.executor = executor
-        #: block-at-a-time execution: >0 compiles the relational core to
-        #: batch operators exchanging lists of about this many items
-        #: (``compile_root``); 0 keeps the item-at-a-time pipeline
-        self.batch_size = batch_size
 
     # -- dispatch ---------------------------------------------------------------
 
@@ -120,162 +116,6 @@ class CodeGenerator:
             return profiler.run_operator(_op, _plan, dctx)
 
         return hooked
-
-    # -- batch (block-at-a-time) dispatch ----------------------------------------
-
-    def compile_root(self, expr: ast.Expr) -> Plan:
-        """Compile ``expr`` honoring :attr:`batch_size`.
-
-        The engine's entry point: with ``batch_size > 0`` the tree is
-        compiled block-at-a-time and the root batch plan is flattened
-        back to the item protocol, so results, CompiledQuery, and the
-        service layer are oblivious to the execution mode underneath.
-        """
-        if self.batch_size <= 0:
-            return self.compile(expr)
-        bplan = self.compile_batch(expr)
-
-        def plan(dctx):
-            for batch in bplan(dctx):
-                yield from batch
-        return plan
-
-    def compile_batch(self, expr: ast.Expr) -> Plan:
-        """Compile to a *batch plan*: ``bplan(dctx) -> Iterator[list]``.
-
-        Operators exchange list-backed chunks of about
-        :attr:`batch_size` items (a target, not an invariant).  Kinds
-        without a ``_b_`` method — or whose instance fails the
-        :meth:`_batch_eligible` check — compile item-at-a-time and are
-        re-chunked by :meth:`_adapt_item`; the seam is counted as
-        ``batch.fallback_item`` and tagged ``batch=item`` in the plan
-        tree, so EXPLAIN ANALYZE shows exactly where a plan leaves the
-        batched core.
-        """
-        method = getattr(self, f"_b_{type(expr).__name__}", None)
-        if method is None or not self._batch_eligible(expr):
-            return self._adapt_item(expr)
-        if not self.instrument:
-            return method(expr)
-
-        from repro.observability.explain import PlanNode
-
-        node = PlanNode.for_expr(self._op_counter, expr)
-        node.info["batch"] = "batch"
-        self._op_counter += 1
-        if self._node_stack:
-            self._node_stack[-1].children.append(node)
-        elif self.plan_tree is None:
-            self.plan_tree = node
-        self._node_stack.append(node)
-        try:
-            bplan = method(expr)
-        finally:
-            self._node_stack.pop()
-
-        op_id = node.id
-
-        def hooked(dctx, _bplan=bplan, _op=op_id):
-            profiler = dctx._shared.profiler
-            if profiler is None:
-                return _bplan(dctx)
-            return profiler.run_batch_operator(_op, _bplan, dctx)
-
-        return hooked
-
-    def _batch_eligible(self, expr: ast.Expr) -> bool:
-        """Can this *instance* run batch-at-a-time with identical semantics?
-
-        Conservative by design: anything that needs the absolute focus
-        size (fn:last over a not-yet-drained base) or that would bypass
-        the parallel-group machinery falls back to item mode.
-        """
-        kind = type(expr).__name__
-        if kind == "SequenceExpr":
-            # with an executor attached, the item compiler may form a
-            # ParallelSeq group — keep that path
-            return self.executor is None
-        if kind == "Filter":
-            # running absolute positions work per-block, but last()
-            # needs the drained base size the way BufferedSequence
-            # provides it lazily in item mode
-            return not self._uses_last(expr.predicate)
-        if kind == "PathExpr":
-            right = expr.right
-            if isinstance(right, ast.Step):
-                return True
-            if isinstance(right, ast.Filter) and isinstance(right.base, ast.Step):
-                # fused step+filter: candidate lists are per-parent, so
-                # position()/last() inside the predicate stay local
-                return True
-            return not self._uses_last(right)
-        if kind == "FunctionCall":
-            if self.executor is not None:
-                return False  # eager builtins may parallelize their args
-            if expr.name.uri in (XS_NS, XDT_NS):
-                return False  # constructor functions: item path handles casts
-            builtin = fnlib.lookup(expr.name, len(expr.args))
-            if builtin is None:
-                return False  # user functions keep the item calling convention
-            if builtin.lazy:
-                return len(expr.args) == 1 and \
-                    expr.name.local in ("count", "exists", "empty")
-            return True
-        return True
-
-    def _uses_last(self, expr: ast.Expr) -> bool:
-        """Does the subtree (conservatively) observe the focus size?
-
-        Shared with the compile-to-source backend: the walk lives in
-        :func:`repro.compiler.analysis.uses_last`.
-        """
-        from repro.compiler.analysis import uses_last
-
-        return uses_last(expr)
-
-    def _adapt_item(self, expr: ast.Expr) -> Plan:
-        """The universal fallback: item-compile ``expr``, re-chunk its output."""
-        plan = self.compile(expr)
-        if self.instrument:
-            node = self._node_stack[-1].children[-1] if self._node_stack \
-                else self.plan_tree
-            if node is not None:
-                node.info.setdefault("batch", "item")
-        size = self.batch_size
-
-        def bplan(dctx):
-            dctx.count("batch.fallback_item")
-            buf: list[Any] = []
-            append = buf.append
-            for item in plan(dctx):
-                append(item)
-                if len(buf) >= size:
-                    yield buf
-                    buf = []
-                    append = buf.append
-            if buf:
-                yield buf
-        return bplan
-
-    def _fused_node(self, expr: ast.Expr, parent=None):
-        """Register a PlanNode for an operator fused into its parent's loop.
-
-        Fused operators never execute as separate closures, so they get
-        no hook; the node exists so EXPLAIN still shows the full shape,
-        tagged ``batch=fused``.
-        """
-        if not self.instrument:
-            return None
-        from repro.observability.explain import PlanNode
-
-        node = PlanNode.for_expr(self._op_counter, expr)
-        self._op_counter += 1
-        node.info["batch"] = "fused"
-        target = parent if parent is not None else \
-            (self._node_stack[-1] if self._node_stack else None)
-        if target is not None:
-            target.children.append(node)
-        return node
 
     # -- primaries ---------------------------------------------------------------
 
@@ -1139,384 +979,6 @@ class CodeGenerator:
 
         raise UndefinedNameError(f"unknown function {name}#{arity}", code="XPST0017")
 
-    # -- batch operators ----------------------------------------------------------
-    #
-    # ``_b_<Node>`` methods mirror their ``_c_`` twins at block
-    # granularity: each returns ``bplan(dctx) -> Iterator[list]``.
-    # Cancellation tokens and profiler hooks are observed once per
-    # block; the inner loops are plain Python over lists.
-
-    def _b_Literal(self, expr: ast.Literal) -> Plan:
-        value = expr.value
-
-        def bplan(dctx):
-            yield [value]
-        return bplan
-
-    def _b_EmptySequence(self, expr) -> Plan:
-        def bplan(dctx):
-            return iter(())
-        return bplan
-
-    def _b_ContextItem(self, expr) -> Plan:
-        def bplan(dctx):
-            yield [dctx.context_item()]
-        return bplan
-
-    def _b_RootExpr(self, expr) -> Plan:
-        def bplan(dctx):
-            item = dctx.context_item()
-            if not isinstance(item, Node):
-                raise TypeError_("'/' requires a node context item", code="XPDY0050")
-            yield [item.root()]
-        return bplan
-
-    def _b_VarRef(self, expr: ast.VarRef) -> Plan:
-        name = expr.name
-        size = self.batch_size
-
-        def bplan(dctx):
-            value = dctx.variable(name)
-            if isinstance(value, BufferedSequence):
-                yield from value.iter_batches(size)
-            elif isinstance(value, (list, tuple)):
-                for start in range(0, len(value), size):
-                    yield list(value[start:start + size])
-            else:
-                yield [value]
-        return bplan
-
-    def _b_SequenceExpr(self, expr: ast.SequenceExpr) -> Plan:
-        bplans = [self.compile_batch(item) for item in expr.items]
-
-        def bplan(dctx):
-            for sub in bplans:
-                yield from sub(dctx)
-        return bplan
-
-    def _b_RangeExpr(self, expr: ast.RangeExpr) -> Plan:
-        low_plan = self.compile(expr.low)
-        high_plan = self.compile(expr.high)
-        size = self.batch_size
-
-        def bplan(dctx):
-            low = _opt_integer(low_plan(dctx), "range start")
-            high = _opt_integer(high_plan(dctx), "range end")
-            if low is None or high is None:
-                return
-            for start in range(low, high + 1, size):
-                yield [integer(i)
-                       for i in range(start, min(start + size - 1, high) + 1)]
-        return bplan
-
-    def _b_LetExpr(self, expr: ast.LetExpr) -> Plan:
-        value_plan = self.compile(expr.value)
-        body_bplan = self.compile_batch(expr.body)
-        var = expr.var
-
-        def bplan(dctx):
-            binding = BufferedSequence(value_plan(dctx),
-                                       cancellation=dctx._shared.cancellation)
-            yield from body_bplan(dctx.bind(var, binding))
-        return bplan
-
-    def _b_IfExpr(self, expr: ast.IfExpr) -> Plan:
-        cond_plan = self.compile(expr.cond)
-        then_bplan = self.compile_batch(expr.then)
-        else_bplan = self.compile_batch(expr.orelse)
-
-        def bplan(dctx):
-            if effective_boolean_value(cond_plan(dctx)):
-                yield from then_bplan(dctx)
-            else:
-                yield from else_bplan(dctx)
-        return bplan
-
-    def _b_ForExpr(self, expr: ast.ForExpr) -> Plan:
-        seq_bplan = self.compile_batch(expr.seq)
-        var, pos_var = expr.var, expr.pos_var
-        size = self.batch_size
-
-        if pos_var is None and isinstance(expr.body, ast.VarRef) \
-                and expr.body.name == var:
-            # identity map (``for $i in X return $i``): the binding is
-            # unobservable — pass the source blocks straight through
-            self._fused_node(expr.body)
-            return seq_bplan
-
-        body_plan = self.compile(expr.body)
-
-        if pos_var is None:
-            def bplan(dctx):
-                token = dctx._shared.cancellation
-                out: list[Any] = []
-                for batch in seq_bplan(dctx):
-                    if token is not None:
-                        token.check()
-                    for item in batch:
-                        out.extend(body_plan(dctx.bind(var, (item,))))
-                        if len(out) >= size:
-                            yield out
-                            out = []
-                if out:
-                    yield out
-        else:
-            def bplan(dctx):
-                token = dctx._shared.cancellation
-                out: list[Any] = []
-                i = 0
-                for batch in seq_bplan(dctx):
-                    if token is not None:
-                        token.check()
-                    for item in batch:
-                        i += 1
-                        child = dctx.bind_many({var: (item,),
-                                                pos_var: (integer(i),)})
-                        out.extend(body_plan(child))
-                        if len(out) >= size:
-                            yield out
-                            out = []
-                if out:
-                    yield out
-        return bplan
-
-    def _b_DDO(self, expr: ast.DDO) -> Plan:
-        operand_bplan = self.compile_batch(expr.operand)
-        size = self.batch_size
-
-        def bplan(dctx):
-            items: list[Any] = []
-            for batch in operand_bplan(dctx):
-                items.extend(batch)
-            if not items:
-                return
-            any_nodes = False
-            all_nodes = True
-            for item in items:
-                if isinstance(item, Node):
-                    any_nodes = True
-                else:
-                    all_nodes = False
-            if all_nodes:
-                dctx.count("ddo_sorts")
-                ordered = list(in_document_order(items))
-                for start in range(0, len(ordered), size):
-                    yield ordered[start:start + size]
-                return
-            if any_nodes:
-                raise TypeError_("path result mixes nodes and atomic values",
-                                 code="XPTY0018")
-            for start in range(0, len(items), size):
-                yield items[start:start + size]
-        return bplan
-
-    def _b_PathExpr(self, expr: ast.PathExpr) -> Plan:
-        left_bplan = self.compile_batch(expr.left)
-        right = expr.right
-        size = self.batch_size
-
-        if isinstance(right, ast.Step):
-            # fusion case 1: map a specialized step function over each
-            # block — no per-item operator invocation at all
-            step_fn = _compile_step_fn(right.axis, right.test)
-            self._fused_node(right)
-
-            def bplan(dctx):
-                token = dctx._shared.cancellation
-                out: list[Any] = []
-                for batch in left_bplan(dctx):
-                    if token is not None:
-                        token.check()
-                    for item in batch:
-                        if not isinstance(item, Node):
-                            raise TypeError_("path step applied to a non-node",
-                                             code="XPTY0019")
-                        out.extend(step_fn(item))
-                        if len(out) >= size:
-                            yield out
-                            out = []
-                if out:
-                    yield out
-            return bplan
-
-        if isinstance(right, ast.Filter) and isinstance(right.base, ast.Step):
-            # fusion case 2: step + predicate collapse into one loop.
-            # Candidates are a per-parent list, so position()/last()
-            # inside the predicate see exactly the item-mode focus.
-            step = right.base
-            step_fn = _compile_step_fn(step.axis, step.test)
-            filter_node = self._fused_node(right)
-            self._fused_node(step, parent=filter_node)
-            predicate = right.predicate
-            static_index = None
-            predicate_plan = None
-            if isinstance(predicate, ast.Literal) and \
-                    predicate.value.type.derives_from(T.XS_INTEGER):
-                static_index = int(predicate.value.value)
-            else:
-                if filter_node is not None:
-                    self._node_stack.append(filter_node)
-                try:
-                    predicate_plan = self.compile(predicate)
-                finally:
-                    if filter_node is not None:
-                        self._node_stack.pop()
-
-            def bplan(dctx):
-                token = dctx._shared.cancellation
-                out: list[Any] = []
-                for batch in left_bplan(dctx):
-                    if token is not None:
-                        token.check()
-                    for item in batch:
-                        if not isinstance(item, Node):
-                            raise TypeError_("path step applied to a non-node",
-                                             code="XPTY0019")
-                        candidates = step_fn(item)
-                        if static_index is not None:
-                            if 1 <= static_index <= len(candidates):
-                                out.append(candidates[static_index - 1])
-                        else:
-                            csize = len(candidates)
-                            for i, candidate in enumerate(candidates, start=1):
-                                focus = dctx.with_focus(candidate, i, csize)
-                                result = list(predicate_plan(focus))
-                                if result and all(
-                                        isinstance(v, AtomicValue)
-                                        and T.is_numeric(v.type)
-                                        for v in result):
-                                    if any(float(v.value) == i for v in result):
-                                        out.append(candidate)
-                                elif effective_boolean_value(iter(result)):
-                                    out.append(candidate)
-                    if len(out) >= size:
-                        yield out
-                        out = []
-                if out:
-                    yield out
-            return bplan
-
-        # generic right side: per-item focus map, still per-block polls.
-        # Eligibility guaranteed the right side never reads last(), so
-        # the focus size is never observed.
-        right_plan = self.compile(right)
-
-        def bplan(dctx):
-            token = dctx._shared.cancellation
-            out: list[Any] = []
-            position = 0
-            for batch in left_bplan(dctx):
-                if token is not None:
-                    token.check()
-                for item in batch:
-                    position += 1
-                    if not isinstance(item, Node):
-                        raise TypeError_("path step applied to a non-node",
-                                         code="XPTY0019")
-                    out.extend(right_plan(dctx.with_focus(item, position, 0)))
-                    if len(out) >= size:
-                        yield out
-                        out = []
-            if out:
-                yield out
-        return bplan
-
-    def _b_Filter(self, expr: ast.Filter) -> Plan:
-        base_bplan = self.compile_batch(expr.base)
-        predicate = expr.predicate
-        size = self.batch_size
-
-        if isinstance(predicate, ast.Literal) and \
-                predicate.value.type.derives_from(T.XS_INTEGER):
-            index = int(predicate.value.value)
-
-            def bplan(dctx):
-                if index < 1:
-                    return
-                seen = 0
-                for batch in base_bplan(dctx):
-                    if seen + len(batch) >= index:
-                        yield [batch[index - 1 - seen]]
-                        return  # lazy: stop pulling the base
-                    seen += len(batch)
-            return bplan
-
-        predicate_plan = self.compile(predicate)
-
-        def bplan(dctx):
-            token = dctx._shared.cancellation
-            out: list[Any] = []
-            i = 0
-            for batch in base_bplan(dctx):
-                if token is not None:
-                    token.check()
-                for item in batch:
-                    i += 1
-                    focus = dctx.with_focus(item, i, 0)
-                    result = list(predicate_plan(focus))
-                    if result and all(isinstance(v, AtomicValue)
-                                      and T.is_numeric(v.type)
-                                      for v in result):
-                        if any(float(v.value) == i for v in result):
-                            out.append(item)
-                    elif effective_boolean_value(iter(result)):
-                        out.append(item)
-                if len(out) >= size:
-                    yield out
-                    out = []
-            if out:
-                yield out
-        return bplan
-
-    def _b_FunctionCall(self, expr: ast.FunctionCall) -> Plan:
-        builtin = fnlib.lookup(expr.name, len(expr.args))
-        assert builtin is not None  # _batch_eligible guarantees this
-        size = self.batch_size
-
-        if builtin.lazy:
-            # count/exists/empty fuse into block-granularity aggregates
-            arg_bplan = self.compile_batch(expr.args[0])
-            local = expr.name.local
-            if local == "count":
-                def bplan(dctx):
-                    total = 0
-                    for batch in arg_bplan(dctx):
-                        total += len(batch)
-                    yield [integer(total)]
-            elif local == "exists":
-                def bplan(dctx):
-                    for batch in arg_bplan(dctx):
-                        if batch:
-                            yield [boolean(True)]
-                            return
-                    yield [boolean(False)]
-            else:  # empty
-                def bplan(dctx):
-                    for batch in arg_bplan(dctx):
-                        if batch:
-                            yield [boolean(False)]
-                            return
-                    yield [boolean(True)]
-            return bplan
-
-        # eager builtins (sum, avg, min, max, string-join, ...) take
-        # materialized argument lists either way: drain the batched
-        # arguments, call the same implementation, re-chunk the output
-        arg_bplans = [self.compile_batch(a) for a in expr.args]
-        impl = builtin.impl
-
-        def bplan(dctx):
-            args = []
-            for sub in arg_bplans:
-                items: list[Any] = []
-                for batch in sub(dctx):
-                    items.extend(batch)
-                args.append(items)
-            out = list(impl(dctx, *args))
-            for start in range(0, len(out), size):
-                yield out[start:start + size]
-        return bplan
-
 
 # -- fast axis steps (fusion kernels) ---------------------------------------------
 
@@ -1524,14 +986,15 @@ class CodeGenerator:
 def _compile_step_fn(axis: str, test):
     """A specialized ``node -> [matches]`` function for one axis step.
 
-    The fused path loops call this once per context node.  For the hot
-    axis/test shapes (child/descendant/attribute with a name test, the
+    The source backend (``pysource._emit_step_walk``) binds this as the
+    kernel of an axis step it does not inline.  For the hot axis/test
+    shapes (child/descendant/attribute with a name test, the
     ``descendant-or-self::node()`` that ``//`` normalizes to) it is a
     direct list-building walk — no generator frames and no per-candidate
-    :func:`node_test_matches` call, which is where most of the batched
-    scan speedup comes from.  Anything else degrades to the generic
-    :func:`step_iterator`.  Traversal order matches the axis iterators
-    exactly (document order for forward axes).
+    :func:`node_test_matches` call — and the emitter's inlined walks
+    mirror these shapes guard for guard.  Anything else degrades to
+    the generic :func:`step_iterator`.  Traversal order matches the
+    axis iterators exactly (document order for forward axes).
     """
     from repro.xdm.nodes import ElementNode, TextNode
 

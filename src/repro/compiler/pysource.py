@@ -22,9 +22,9 @@ Contracts with the closure backend, in both directions:
   parallel groups, user functions, ...) compile through the shared
   :class:`~repro.compiler.codegen.CodeGenerator` and run as ordinary
   closure plans behind :func:`_fallback_iter`, which transfers the
-  generated code's variable bindings (as replayable sequences — the
-  same :class:`BufferedSequence` contract the batched backend's
-  ``_adapt_item`` keeps) and focus into a child dynamic context.  Each
+  generated code's variable bindings (as replayable
+  :class:`BufferedSequence` values) and focus into a child dynamic
+  context.  Each
   crossing counts ``codegen.fallback_closure``.
 - **Observability.**  The root region is registered as a hooked
   :class:`~repro.observability.explain.PlanNode` (tagged
@@ -74,7 +74,6 @@ from repro.errors import DynamicError, TypeError_
 from repro.qname import FN_NS, QName, XDT_NS, XS_NS
 from repro.runtime import functions as fnlib
 from repro.runtime.arithmetic import arithmetic, negate, unary_plus
-from repro.runtime.batching import ensure_replayable
 from repro.runtime.constructors import (
     construct_attribute_from_parts,
     construct_comment,
@@ -92,7 +91,7 @@ from repro.runtime.compare import (
 )
 from repro.runtime.dynamic import DynamicContext
 from repro.runtime.ebv import _atomic_ebv, effective_boolean_value
-from repro.runtime.iterators import BufferedSequence
+from repro.runtime.iterators import BufferedSequence, ensure_replayable
 from repro.xdm.atomize import atomize_item
 from repro.xdm.items import AtomicValue, boolean, integer
 from repro.xdm.nodes import ElementNode, Node, TextNode
@@ -123,7 +122,7 @@ def _fallback_iter(plan, dctx, bindings, focus):
 
     ``bindings`` are the generated code's in-scope variables as
     ``(name, value)`` pairs; values cross the boundary replayable
-    (:func:`repro.runtime.batching.ensure_replayable`) so a LET binding
+    (:func:`repro.runtime.iterators.ensure_replayable`) so a LET binding
     shared between generated loops and the closure plan is pulled at
     most once, exactly as within either backend alone.
     """
@@ -615,8 +614,7 @@ class SourcePlanCompiler:
         self.ctx = static_ctx
         self.instrument = instrument
         self.cgen = CodeGenerator(static_ctx, instrument=instrument,
-                                  executor=executor, catalog=catalog,
-                                  batch_size=0)
+                                  executor=executor, catalog=catalog)
         self.env: dict[str, Any] = dict(_BASE_ENV)
         #: in-scope variables: QName -> (local name, "item" | "seq")
         self.scope: dict[QName, tuple[str, str]] = {}
@@ -785,9 +783,8 @@ class SourcePlanCompiler:
     def _eligible(self, expr) -> bool:
         """Can this instance be emitted with identical semantics?
 
-        Mirrors ``CodeGenerator._batch_eligible`` plus the source
-        backend's own constraints; anything else crosses to the closure
-        interpreter via :meth:`_emit_fallback`.
+        Anything else crosses to the closure interpreter via
+        :meth:`_emit_fallback`.
         """
         kind = type(expr).__name__
         if kind in ("SequenceExpr", "Arithmetic"):
@@ -1932,7 +1929,7 @@ class SourcePlanCompiler:
         interpreter instead, counted as one seam at the root."""
         self.cgen = CodeGenerator(self.ctx, instrument=self.instrument,
                                   executor=self.cgen.executor,
-                                  catalog=self.cgen.catalog, batch_size=0)
+                                  catalog=self.cgen.catalog)
         closure_plan = self.cgen.compile(expr)
         if self.cgen.plan_tree is not None:
             self.cgen.plan_tree.info["codegen"] = "closure"

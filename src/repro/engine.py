@@ -151,7 +151,7 @@ class CompiledQuery:
         #: at execute unless overridden (name → StoredDocument)
         self.catalog_bindings = catalog_bindings
         #: the Python text the compile-to-source backend emitted for
-        #: this query (None under the closure/batched backends)
+        #: this query (None under the closure backend)
         self.generated_source = generated_source
         #: the *default collection* this query reads (it contains a
         #: no-argument ``fn:collection()`` call and the engine has a
@@ -304,11 +304,11 @@ class Engine:
     Execution knobs live on one frozen :class:`repro.ExecutionOptions`
     object — ``Engine(options=ExecutionOptions(codegen="source"))``.
     The pre-1.5 keyword arguments (``optimize=``, ``static_typing=``,
-    ``compile_cache_size=``, ``batch_size=``, ``codegen=``,
-    ``twig_strategy=``) still work behind a ``DeprecationWarning`` and
-    map onto the same options object.  Object wiring (``base_context``,
-    ``executor``, ``catalog``, a shared ``compile_cache``) stays
-    first-class: those carry identity, not configuration.
+    ``compile_cache_size=``, ``codegen=``, ``twig_strategy=``) still
+    work behind a ``DeprecationWarning`` and map onto the same options
+    object.  Object wiring (``base_context``, ``executor``, ``catalog``,
+    a shared ``compile_cache``) stays first-class: those carry identity,
+    not configuration.
     """
 
     def __init__(self, optimize=UNSET,
@@ -318,14 +318,13 @@ class Engine:
                  compile_cache=_DEFAULT_CACHE,
                  executor=None,
                  catalog=None,
-                 batch_size=UNSET,
                  codegen=UNSET,
                  twig_strategy=UNSET,
                  options: Optional[ExecutionOptions] = None):
         options = ExecutionOptions.from_legacy(
             "Engine", options,
             optimize=optimize, static_typing=static_typing,
-            compile_cache_size=compile_cache_size, batch_size=batch_size,
+            compile_cache_size=compile_cache_size,
             codegen=codegen, twig_strategy=twig_strategy)
         #: the frozen :class:`repro.ExecutionOptions` this engine runs
         #: under; the knob attributes below are read-only mirrors
@@ -336,18 +335,12 @@ class Engine:
         #: "holistic" | "binary" | "navigation" | "mixed" for
         #: override/debug and the differential test matrix
         self.twig_strategy = options.twig_strategy
-        #: execution backend: "closure" interprets a tree of generator
-        #: closures (optionally block-at-a-time via ``batch_size``);
-        #: "source" emits specialized Python source per query
-        #: (:mod:`repro.compiler.pysource`) and falls back to closures
-        #: for unsupported operators
+        #: execution backend: "source" emits specialized Python source
+        #: per query (:mod:`repro.compiler.pysource`) and falls back to
+        #: closures for unsupported operators; "closure" interprets a
+        #: tree of generator closures item-at-a-time (the differential
+        #: oracle)
         self.codegen = options.codegen
-        #: block-at-a-time execution: >0 compiles the relational core
-        #: (paths, filters, FLWOR loops, aggregates) to operators that
-        #: exchange list-backed chunks of about this many items —
-        #: typically 256 (``repro.runtime.batching.DEFAULT_BATCH_SIZE``).
-        #: 0 (the default) keeps the fully lazy item-at-a-time pipeline.
-        self.batch_size = options.batch_size
         #: document catalog (:func:`repro.catalog`): its documents bind
         #: automatically by name, and the access-path planner may
         #: compile eligible steps onto its indexes
@@ -406,9 +399,9 @@ class Engine:
             # catalog fingerprint keys store/index identity so a plan
             # compiled against an index is never reused for a
             # different (e.g. unindexed) binding of the same name;
-            # every value knob (backend, batch size, twig strategy, …)
-            # keys through the one options fingerprint, so each surface
-            # that compiles queries keys its cache identically
+            # every value knob (backend, twig strategy, …) keys through
+            # the one options fingerprint, so each surface that compiles
+            # queries keys its cache identically
             cache_key = (query_text, tuple(sorted(extra, key=str)),
                          self.options.fingerprint(), base_fp,
                          id(self.executor) if self.executor is not None
@@ -462,9 +455,8 @@ class Engine:
             generated_source = generator.generated_source
         else:
             generator = CodeGenerator(static_ctx, executor=self.executor,
-                                      catalog=self.catalog,
-                                      batch_size=self.batch_size)
-            plan = generator.compile_root(optimized)
+                                      catalog=self.catalog)
+            plan = generator.compile(optimized)
         catalog_bindings = None
         catalog_collection = None
         if self.catalog is not None:

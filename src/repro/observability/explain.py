@@ -23,14 +23,6 @@ from repro.observability.profiler import Profiler
 _DETAIL_LIMIT = 96
 
 
-def _rows_per_call(stats) -> Optional[float]:
-    """Mean rows per block for operators that ran batch-at-a-time."""
-    batches = stats.counters.get("batches", 0)
-    if not batches:
-        return None
-    return round(stats.items / batches, 1)
-
-
 @dataclass
 class PlanNode:
     """One operator in the compiled plan tree."""
@@ -106,13 +98,9 @@ class ExplainResult:
                 stats = self.profiler.operators.get(node.id)
                 if stats is not None:
                     metrics = (f"  (calls={stats.calls} items={stats.items} "
-                               f"time={stats.seconds * 1000:.3f}ms")
-                    rpc = _rows_per_call(stats)
-                    if rpc is not None:
-                        metrics += f" batch.rows_per_call={rpc}"
-                    metrics += ")"
-                elif "batch" in node.info and node.info["batch"] == "fused":
-                    metrics = "  (fused into parent)"
+                               f"time={stats.seconds * 1000:.3f}ms)")
+                elif node.info.get("codegen") == "fused":
+                    metrics = "  (fused into generated code)"
                 else:
                     metrics = "  (never executed)"
             lines.append("  " * depth + node.detail + note + metrics)
@@ -150,9 +138,6 @@ class ExplainResult:
                 stats = profiler.operators.get(node.id)
                 if stats is not None:
                     out.update(stats.to_dict())
-                    rpc = _rows_per_call(stats)
-                    if rpc is not None:
-                        out["batch.rows_per_call"] = rpc
                 else:
                     out.update({"calls": 0, "items": 0, "time_ms": 0.0})
             if node.children:

@@ -100,34 +100,6 @@ class Profiler:
             yield item
             t0 = clock()
 
-    def run_batch_operator(self, op_id: OpId, bplan, dctx) -> Iterator[Any]:
-        """Drive a *batch* plan ``bplan(dctx)`` (yields lists of items).
-
-        The block-at-a-time mirror of :meth:`run_operator`: one clock
-        stop and one stats update per *block*, so profiling a batched
-        plan costs two orders of magnitude fewer hook crossings than
-        the same plan item-at-a-time.  ``items`` counts rows (not
-        blocks); the ``batches`` counter counts blocks — their ratio
-        is the ``batch.rows_per_call`` EXPLAIN ANALYZE surfaces.
-        """
-        stats = self.operator(op_id)
-        stats.calls += 1
-        counters = stats.counters
-        clock = perf_counter
-        iterator = bplan(dctx)
-        t0 = clock()
-        while True:
-            try:
-                batch = next(iterator)
-            except StopIteration:
-                stats.seconds += clock() - t0
-                return
-            stats.seconds += clock() - t0
-            stats.items += len(batch)
-            counters["batches"] = counters.get("batches", 0) + 1
-            yield batch
-            t0 = clock()
-
     def record(self, op_id: OpId, items: int = 0, seconds: float = 0.0,
                **counters: int) -> None:
         """One-shot record for library operators that ran to completion."""

@@ -1,6 +1,6 @@
 """`ExecutionOptions`: every execution knob, in one frozen object.
 
-Before 1.5 the execution knobs (``batch_size``, ``codegen``,
+Before 1.5 the execution knobs (``codegen``,
 ``twig_strategy``, ``jobs``, ``default_timeout``, the compile-cache
 size, the service pool bounds) were duplicated — with drifting
 defaults — across ``Engine.__init__``, ``QueryService.__init__``, the
@@ -19,7 +19,7 @@ options-dependent part of the compiled-query cache key in one place
 via :meth:`fingerprint` — so every surface that compiles queries keys
 its cache identically by construction.
 
-The legacy keyword arguments (``Engine(batch_size=...)``,
+The legacy keyword arguments (``Engine(codegen=...)``,
 ``QueryService(jobs=...)``) still work behind a ``DeprecationWarning``
 — see the README 1.5 migration table.
 """
@@ -47,15 +47,11 @@ class ExecutionOptions:
 
     - ``optimize`` — run the rewrite engine and the cost-based planner;
     - ``static_typing`` — infer result types / reject impossible queries;
-    - ``batch_size`` — block-at-a-time execution (0 = fully lazy
-      item-at-a-time; 256 is the usual opt-in);
     - ``codegen`` — ``"source"`` (the default since 1.8) emits one
       specialized Python function per query, ``"closure"`` interprets
-      the operator tree — the differential oracle, the target of the
-      source backend's fallback seams, and the only backend with a
-      block-at-a-time family: ``None`` (unspecified) resolves at
-      construction to ``"closure"`` when ``batch_size > 0`` and to
-      ``"source"`` otherwise;
+      the operator tree item-at-a-time — the differential oracle and
+      the target of the source backend's fallback seams, not a tuning
+      choice;
     - ``twig_strategy`` — physical plan for decomposed twig patterns
       (``None`` resolves to ``$REPRO_TEST_TWIG`` or ``"auto"`` at
       construction);
@@ -101,8 +97,7 @@ class ExecutionOptions:
     # -- engine: plan-shaping ---------------------------------------------
     optimize: bool = True
     static_typing: bool = True
-    batch_size: int = 0
-    codegen: Optional[str] = None
+    codegen: str = "source"
     twig_strategy: Optional[str] = None
     jobs: Optional[int] = 1
     # -- caching -----------------------------------------------------------
@@ -119,18 +114,9 @@ class ExecutionOptions:
     shards: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if self.codegen is None:
-            object.__setattr__(
-                self, "codegen",
-                "closure" if self.batch_size > 0 else "source")
         if self.codegen not in CODEGEN_BACKENDS:
             raise ValueError(f"codegen must be one of {CODEGEN_BACKENDS}, "
                              f"got {self.codegen!r}")
-        if self.batch_size < 0:
-            raise ValueError("batch_size must be >= 0")
-        if self.codegen == "source" and self.batch_size:
-            raise ValueError("codegen='source' emits its own fused loops; "
-                             "it cannot be combined with batch_size > 0")
         if self.twig_strategy is None:
             # the CI matrix forces strategies via REPRO_TEST_TWIG so
             # every physical twig plan stays green on every leg
@@ -186,18 +172,11 @@ class ExecutionOptions:
         Service-level knobs — including ``data_dir`` — stay out: where
         a catalog lives does not change what a query compiles to.
         """
-        return ("opts", self.optimize, self.static_typing, self.batch_size,
-                self.codegen, self.twig_strategy)
+        return ("opts", self.optimize, self.static_typing, self.codegen,
+                self.twig_strategy)
 
     def replace(self, **changes: Any) -> "ExecutionOptions":
-        """A copy with ``changes`` applied (re-validated).
-
-        Naming a positive ``batch_size`` without naming a ``codegen``
-        selects the backend that has a batched family, exactly as the
-        constructor does.
-        """
-        if changes.get("batch_size") and "codegen" not in changes:
-            changes["codegen"] = None
+        """A copy with ``changes`` applied (re-validated)."""
         return dataclasses.replace(self, **changes)
 
     # -- serialization (the server's tenant-config wire format) -----------

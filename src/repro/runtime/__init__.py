@@ -9,16 +9,7 @@ consume on demand, so ``(//a)[1]`` stops after the first hit and
 ``some $x in endlessOnes() satisfies $x eq 1`` terminates.
 """
 
-from repro.runtime.batching import (
-    DEFAULT_BATCH_SIZE,
-    Batch,
-    chunk_list,
-    flatten,
-    iter_batches,
-)
 from repro.runtime.dynamic import DynamicContext
 from repro.runtime.iterators import BufferedSequence, materialize
 
-__all__ = ["DynamicContext", "BufferedSequence", "materialize",
-           "Batch", "DEFAULT_BATCH_SIZE", "chunk_list", "flatten",
-           "iter_batches"]
+__all__ = ["DynamicContext", "BufferedSequence", "materialize"]

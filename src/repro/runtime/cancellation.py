@@ -13,12 +13,12 @@ nothing else.  With a token attached, ``check()`` is one attribute
 load, one flag test, and (when a deadline is set) one monotonic clock
 read — cheap enough to run per item.
 
-Block-at-a-time loops (batched plans, the join scan loops) go one
-step further: they poll once per :data:`POLL_INTERVAL` items instead
-of once per item, so a token *without* a deadline costs a no-op
-reference-and-mask check on the hot path and the method call fires
-per block.  Deadline semantics stay bounded: a blown deadline is
-observed within one block of work.
+Block-at-a-time loops (the join scan loops) go one step further:
+they poll once per :data:`POLL_INTERVAL` items instead of once per
+item, so a token *without* a deadline costs a no-op reference-and-mask
+check on the hot path and the method call fires per block.  Deadline
+semantics stay bounded: a blown deadline is observed within one block
+of work.
 
 Tokens are shared freely across threads: ``cancel()`` publishes a
 plain attribute write (atomic under the GIL) that every loop observes

@@ -64,42 +64,6 @@ class BufferedSequence:
                 # loop re-checks the cache before yielding
                 continue
 
-    def iter_batches(self, size: int = 256) -> Iterator[list]:
-        """Batch-aware replay: yield the sequence as list-backed chunks.
-
-        Replays the already-materialized cache in slices, then pulls
-        the producer in blocks of ``size`` (appending to the shared
-        cache, so item-granularity consumers interleave freely).  The
-        cancellation token is polled once per *block*, not per item —
-        the block-at-a-time cost model of ``repro.runtime.batching``.
-        """
-        index = 0
-        token = self._cancellation
-        while True:
-            cached = len(self._cache)
-            if index < cached:
-                yield self._cache[index:min(cached, index + size)]
-                index = min(cached, index + size)
-            elif self._done:
-                return
-            else:
-                assert self._source is not None
-                if token is not None:
-                    token.check()
-                source = self._source
-                cache = self._cache
-                pulled = 0
-                try:
-                    while pulled < size:
-                        cache.append(next(source))
-                        pulled += 1
-                except StopIteration:
-                    self._done = True
-                    self._source = None
-                # loop re-reads the cache: another consumer may have
-                # advanced it meanwhile, and the fresh block is served
-                # from the same slice path
-
     def get(self, index: int) -> Any:
         """Item at ``index`` (0-based), pulling only as far as needed.
 
@@ -146,6 +110,20 @@ class BufferedSequence:
     def is_fully_materialized(self) -> bool:
         """True once the underlying producer has been drained."""
         return self._done
+
+
+def ensure_replayable(value: Any, cancellation=None) -> Any:
+    """Make a sequence value safe to hand to multiple consumers.
+
+    Lists, tuples, and :class:`BufferedSequence` values replay as-is; a
+    one-shot iterator is wrapped in a ``BufferedSequence`` so whichever
+    side of an execution-backend seam pulls first, the other side sees
+    the same items again.  Used by the compile-to-source backend when
+    transferring variable bindings into a closure-interpreter fallback.
+    """
+    if isinstance(value, (list, tuple, BufferedSequence)):
+        return value
+    return BufferedSequence(iter(value), cancellation=cancellation)
 
 
 class PullIterator:

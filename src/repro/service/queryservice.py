@@ -144,7 +144,7 @@ class QueryService:
                  jobs=UNSET,
                  default_timeout=UNSET,
                  retries=UNSET, retry_base_delay=UNSET,
-                 batch_size=UNSET, codegen=UNSET):
+                 codegen=UNSET):
         if options is not None and not isinstance(options, ExecutionOptions):
             raise TypeError(
                 f"options must be a repro.ExecutionOptions, got "
@@ -156,18 +156,12 @@ class QueryService:
             "QueryService", options, ExecutionOptions(jobs=None),
             max_workers=max_workers, max_queue=max_queue, jobs=jobs,
             default_timeout=default_timeout, retries=retries,
-            retry_base_delay=retry_base_delay, batch_size=batch_size,
-            codegen=codegen)
+            retry_base_delay=retry_base_delay, codegen=codegen)
         #: the frozen :class:`repro.ExecutionOptions` this service runs
         #: under; the attributes below are read-only mirrors
         self.options = options
         if engine is None:
-            # batch_size > 0 compiles block-at-a-time plans; deadline
-            # tokens are then polled once per block, so a timed-out
-            # request is interrupted within one chunk of work.
-            # codegen="source" compiles to specialized Python instead
-            # (polls once per bound item) and excludes batch_size > 0.
-            # The engine resolves options.jobs to a group executor.
+            # the engine resolves options.jobs to a group executor
             engine = Engine(options=options)
         self.engine = engine
         self.max_workers = options.max_workers

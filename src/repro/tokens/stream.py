@@ -36,17 +36,6 @@ class TokenStream:
     def __iter__(self) -> Iterator[Token]:
         return iter(self.tokens)
 
-    def iter_batches(self, size: int = 256) -> Iterator[list[Token]]:
-        """The token array in list-backed blocks of up to ``size``.
-
-        The block-at-a-time counterpart of ``__iter__`` for scan
-        consumers: each yielded list is a fresh slice, so callers may
-        keep or mutate it without aliasing the stream.
-        """
-        tokens = self.tokens
-        for start in range(0, len(tokens), size):
-            yield tokens[start:start + size]
-
     def __getitem__(self, index):
         return self.tokens[index]
 

@@ -105,6 +105,23 @@ class TestCli:
         with pytest.raises(SystemExit):
             main(["1", "--var", "novalue"])
 
+    @pytest.mark.parametrize("argv", [["--batch-size", "8", "1"],
+                                      ["serve", "--batch-size", "8"]])
+    def test_removed_batch_size_flag_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        assert "--batch-size" in capsys.readouterr().err
+
+    def test_serve_config_with_removed_knob_is_a_config_error(
+            self, tmp_path, capsys):
+        config = tmp_path / "server.json"
+        config.write_text('{"options": {"batch_size": 8}}')
+        code, _, err = run_cli(["serve", "--config", str(config)], capsys)
+        assert code == 1
+        assert err.startswith("config error:") and "batch_size" in err
+        assert "Traceback" not in err
+
     def test_xml_decl_flag(self, capsys):
         code, out, _ = run_cli(["--xml-decl", "<a/>"], capsys)
         assert out.startswith("<?xml")

@@ -1,17 +1,16 @@
 """Compile-to-source backend: differential equivalence + unit tests.
 
-The contract under test: ``Engine(codegen="source")`` may only change
-*how* a query executes — byte-identical serialized results, identical
-order, identical error codes, and identical root-operator profiler
-item counts versus the closure interpreter at every batch size
-(0/1/7/256).  The corpus is the union of the batching suite's
-bib/XMark/seeded-random queries, the W3C XMP use cases, and the
-property suite's random query generator.
+The contract under test: ``codegen="source"`` may only change *how* a
+query executes — byte-identical serialized results, identical order,
+identical error codes, and identical root-operator profiler item
+counts versus the closure interpreter (the differential oracle).  The
+corpus is bib/XMark/seeded-random queries, the W3C XMP use cases, and
+the property suite's random query generator.
 
 A marker-gated perf smoke (``-m perfsmoke``) additionally asserts the
-source backend beats closure-batched mode on the E15 scan shape and
-that emitting + ``compile()``-ing the generated source stays under
-50 ms per query.
+source backend beats the closure oracle on the E15 scan shape and that
+emitting + ``compile()``-ing the generated source stays under 50 ms
+per query.
 """
 
 from __future__ import annotations
@@ -27,21 +26,64 @@ from repro import parse_document
 from repro.engine import Engine
 from repro.errors import QueryCancelled
 from repro.observability import Profiler
+from repro.options import ExecutionOptions
 from repro.runtime.memo import LRUCache
 from repro.workloads.synthetic import random_tree
 
-from tests.test_batching import (
-    BIB_QUERIES,
-    ERROR_QUERIES,
-    XMARK_QUERIES,
-    batch_engine,
-    outcome,
-)
 from tests.test_property_differential import QUERY, _outcome
 from tests.test_w3c_use_cases import BIB, REVIEWS
 
-#: closure-side batch sizes the source backend is compared against
-BATCH_SIZES = (0, 1, 7, 256)
+#: query shapes spanning paths, fused filters, aggregates and FLWOR,
+#: plus constructors, order by, quantifiers and user functions
+BIB_QUERIES = [
+    "count(//book)",
+    "//book/title",
+    "/bib/book[2]/author",
+    "//book[price > 20]/title",
+    "//book[@year = '1998']/title",
+    "//author[last()]",
+    "//book[position() = 2]",
+    "(//title)[2]",
+    "sum(//book/price)",
+    "avg(//book/price)",
+    "string-join(//title/text(), '|')",
+    "for $b in //book where $b/price < 40 return $b/title",
+    "for $b at $i in //book return <hit n='{$i}'>{$b/title/text()}</hit>",
+    "let $p := //price return count($p[. > 20])",
+    "for $i in 1 to 500 return $i * 2",
+    "sum(1 to 1000)",
+    "distinct-values(//book/@year)",
+    "some $b in //book satisfies $b/price > 50",
+    "//book[author/last = 'Suciu']/title",
+    "empty(//nonexistent)",
+    "exists(//book)",
+    "reverse(//title)",
+    "for $b in //book order by xs:decimal($b/price) return $b/title",
+    "declare function local:f($x) { $x/title };\n"
+    "for $b in //book return local:f($b)",
+    "//book/author/first/text()",
+    "(1 + 2, (3, 4), 'x')",
+]
+
+#: queries that raise, including mid-sequence (the FORG0001 cast hits
+#: the third item)
+ERROR_QUERIES = [
+    "for $i in ('1', '2', 'x', '4') return xs:integer($i)",
+    "sum(//title)",
+    "//book/(1 div 0)",
+]
+
+#: the XMark scan/aggregate shapes
+XMARK_QUERIES = [
+    "count(/site/regions//item)",
+    "/site/regions//item/name",
+    "//item[@id]/name",
+    "for $i in /site//item return $i/location",
+    "count(//description)",
+    "sum(for $p in //initial return xs:decimal($p))",
+    "//item[2]",
+    "/site/people/person[address/country = 'United States']/name",
+]
 
 #: the twelve W3C XMP use-case queries (same text as the conformance
 #: suite in test_w3c_use_cases.py), run against doc('bib.xml') and
@@ -121,25 +163,37 @@ W3C_XMP_QUERIES = [
 ]
 
 
-def source_engine(**kwargs) -> Engine:
-    return Engine(codegen="source", **kwargs)
+SOURCE = ExecutionOptions(codegen="source")
+#: the differential oracle, named explicitly: the shipped default is
+#: the source backend since 1.8
+CLOSURE = ExecutionOptions(codegen="closure")
 
 
-def closure_engine(**kwargs) -> Engine:
-    """The differential oracle, named explicitly: ``Engine()`` is the
-    source backend since the 1.8 default flip."""
-    return Engine(codegen="closure", **kwargs)
+def source_engine(options: ExecutionOptions = SOURCE, **wiring) -> Engine:
+    return Engine(options=options, **wiring)
+
+
+def closure_engine(options: ExecutionOptions = CLOSURE, **wiring) -> Engine:
+    return Engine(options=options, **wiring)
+
+
+def outcome(engine: Engine, query: str, xml_text: str):
+    """Full-drain result image: serialized text, or (error type, code)."""
+    try:
+        result = engine.compile(query).execute(context_item=xml_text)
+        return ("ok", result.serialize())
+    except Exception as exc:  # noqa: BLE001 - compared structurally below
+        return ("err", type(exc).__name__, getattr(exc, "code", None))
 
 
 def assert_source_equivalent(query: str, xml_text: str):
-    """The source backend must match the closure backend at every
-    batch size — results, order, and error codes alike."""
+    """The source backend must match the closure oracle — results,
+    order, and error codes alike."""
     generated = outcome(source_engine(), query, xml_text)
-    for size in BATCH_SIZES:
-        reference = outcome(batch_engine(size), query, xml_text)
-        assert generated == reference, (
-            f"source backend diverged from batch_size={size} "
-            f"for {query!r}:\n  closure: {reference}\n  source : {generated}")
+    reference = outcome(closure_engine(), query, xml_text)
+    assert generated == reference, (
+        f"source backend diverged for {query!r}:\n"
+        f"  closure: {reference}\n  source : {generated}")
 
 
 def outcome_docs(engine: Engine, query: str):
@@ -317,7 +371,7 @@ class TestNewlyEmittedKinds:
 def test_last_keeps_the_base_lazy(bib_xml):
     """A predicate that *mentions* last() drains its base only when
     last() is actually called — like the closure Filter's lazily sized
-    BufferedSequence (item mode; blocks drain eagerly by design)."""
+    BufferedSequence."""
     query = ("((1, 2, error())"
              "[if (position() lt 3) then true() else last() gt 0])[1]")
     assert outcome(source_engine(), query, bib_xml) \
@@ -392,8 +446,8 @@ class TestIndexedOperators:
 
         cat = repro.catalog()
         cat.add("auction", xmark_small)
-        return {backend: Engine(catalog=cat, codegen=backend)
-                for backend in ("closure", "source")}
+        return {"closure": closure_engine(catalog=cat),
+                "source": source_engine(catalog=cat)}
 
     @pytest.mark.parametrize("text,bindings", QUERIES)
     def test_pinned_tree_uses_the_index(self, engines, text, bindings):
@@ -426,8 +480,8 @@ class TestIndexedOperators:
 
 
 #: module-level engines so hypothesis examples share the compile caches
-_closure_prop = Engine(static_typing=False, codegen="closure")
-_source_prop = Engine(static_typing=False, codegen="source")
+_closure_prop = closure_engine(CLOSURE.replace(static_typing=False))
+_source_prop = source_engine(SOURCE.replace(static_typing=False))
 
 
 # ---------------------------------------------------------------------------
@@ -437,12 +491,12 @@ _source_prop = Engine(static_typing=False, codegen="source")
 
 class TestCompileCache:
     def test_backend_keys_the_compile_cache(self, bib_xml):
-        """Switching ``codegen=`` on engines sharing one cache must
+        """Switching ``codegen`` on engines sharing one cache must
         never replay the other backend's plan (same shape as the PR 4
         catalog-fingerprint regression)."""
         shared = LRUCache(16)
         closure = closure_engine(compile_cache=shared)
-        source = Engine(compile_cache=shared, codegen="source")
+        source = source_engine(compile_cache=shared)
         query = "count(//book)"
         a = closure.compile(query)
         b = source.compile(query)
@@ -464,9 +518,7 @@ class TestCompileCache:
 
     def test_codegen_argument_validated(self):
         with pytest.raises(ValueError):
-            Engine(codegen="jit")
-        with pytest.raises(ValueError):
-            Engine(codegen="source", batch_size=256)
+            ExecutionOptions(codegen="jit")
 
 
 # ---------------------------------------------------------------------------
@@ -511,7 +563,7 @@ class TestFallbackSeam:
     def test_forg0001_propagates_across_seam(self, bib_xml):
         """A cast error raised while the *closure* side drains a
         binding produced by generated code keeps its code — and both
-        backends agree (the mid-block propagation contract)."""
+        backends agree."""
         query = ("let $v := for $i in ('1', '2', 'x', '4') "
                  "         return xs:integer($i) "
                  f"return ({SEAM.format('$v', 'xs:integer+')}, count($v))")
@@ -579,7 +631,7 @@ class TestObservability:
 
         gc.collect()
         before = registered()
-        engine = source_engine(compile_cache_size=64)
+        engine = source_engine(SOURCE.replace(compile_cache_size=64))
         for i in range(500):
             engine.compile(f"for $i in 1 to {i} return <a n='{{$i}}'/>")
         gc.collect()
@@ -595,9 +647,14 @@ class TestObservability:
 
     def test_explain_analyze_runs_on_source_backend(self, bib_xml):
         engine = source_engine()
-        explained = engine.explain("count(//book)", context_item=bib_xml,
-                                   analyze=True)
-        assert "codegen=source" in str(explained)
+        text = str(engine.explain(
+            "for $b in //book where $b/price > 20 return $b/title",
+            context_item=bib_xml, analyze=True))
+        assert "codegen=source" in text
+        # operators the emitter fused never run as separate closures:
+        # they are labelled as such, not reported as dead plan branches
+        assert "codegen=fused}  (fused into generated code)" in text
+        assert "(never executed)" not in text
 
     def test_deadline_interrupts_generated_loop(self):
         engine = source_engine()
@@ -624,20 +681,20 @@ def _best_of(fn, repeat=3) -> float:
 
 
 @pytest.mark.perfsmoke
-def test_source_scan_beats_closure_batched():
-    """Perf smoke: the E15 scan shape must run ≥1.5x faster under the
-    source backend than under closure-batched mode."""
+def test_source_scan_beats_closure():
+    """Perf smoke: the E15 scan shape must run ≥2x faster under the
+    source backend than on the closure oracle."""
     from repro.workloads import generate_xmark
 
     doc = parse_document(generate_xmark(scale=0.3, seed=7))
     query = "/site/regions//item[@id]/name"
-    batched = batch_engine(256).compile(query)
+    closure = closure_engine().compile(query)
     source = source_engine().compile(query)
-    t_batch = _best_of(lambda: batched.execute(context_item=doc).items())
+    t_closure = _best_of(lambda: closure.execute(context_item=doc).items())
     t_source = _best_of(lambda: source.execute(context_item=doc).items())
-    assert t_source * 1.5 <= t_batch, (
-        f"source scan not >=1.5x over batched: {t_source * 1000:.1f} ms "
-        f"vs batched {t_batch * 1000:.1f} ms")
+    assert t_source * 2 <= t_closure, (
+        f"source scan not >=2x over closure: {t_source * 1000:.1f} ms "
+        f"vs closure {t_closure * 1000:.1f} ms")
 
 
 @pytest.mark.perfsmoke
@@ -652,7 +709,6 @@ def test_generated_source_compiles_under_50ms():
     ]
     for query in queries:
         best = _best_of(
-            lambda: Engine(codegen="source", compile_cache=None)
-            .compile(query))
+            lambda: source_engine(compile_cache=None).compile(query))
         assert best < 0.050, (
             f"source compile too slow for {query!r}: {best * 1000:.1f} ms")

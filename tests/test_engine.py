@@ -3,7 +3,7 @@
 import pytest
 
 import repro
-from repro import Engine, execute_query, parse_document
+from repro import Engine, ExecutionOptions, execute_query, parse_document
 from repro.workloads import EBXML_QUERY, generate_ebxml
 
 
@@ -54,8 +54,8 @@ class TestEngineAPI:
         assert "RootExpr" in text
 
     def test_optimizer_can_be_disabled(self, bib_xml):
-        fast = Engine(optimize=True).compile("1 + 1")
-        slow = Engine(optimize=False).compile("1 + 1")
+        fast = Engine(options=ExecutionOptions(optimize=True)).compile("1 + 1")
+        slow = Engine(options=ExecutionOptions(optimize=False)).compile("1 + 1")
         from repro.xquery import ast
 
         assert isinstance(fast.optimized, ast.Literal)
@@ -158,8 +158,10 @@ class TestEbxmlTransformation:
 
     def test_optimized_equals_unoptimized(self):
         doc = generate_ebxml(n_partners=4, seed=11)
-        fast = Engine(optimize=True).compile(EBXML_QUERY, variables=("input",))
-        slow = Engine(optimize=False).compile(EBXML_QUERY, variables=("input",))
+        fast = Engine(options=ExecutionOptions(optimize=True)).compile(
+            EBXML_QUERY, variables=("input",))
+        slow = Engine(options=ExecutionOptions(optimize=False)).compile(
+            EBXML_QUERY, variables=("input",))
         assert fast.execute(variables={"input": repro.xml(doc)}).serialize() == \
             slow.execute(variables={"input": repro.xml(doc)}).serialize()
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import Engine, parse_document
+from repro import Engine, ExecutionOptions, parse_document
 from repro.runtime.memo import LRUCache, ResultCache
 
 
@@ -61,7 +61,7 @@ class TestCompileCache:
         assert a is not b
 
     def test_disabled_cache(self):
-        engine = Engine(compile_cache_size=0)
+        engine = Engine(options=ExecutionOptions(compile_cache_size=0))
         assert engine.compile("1") is not engine.compile("1")
 
     def test_schemas_bypass_cache(self):
@@ -102,7 +102,8 @@ class TestCompileCache:
     def test_engine_flags_part_of_key(self):
         shared = LRUCache(16)
         plain = Engine(compile_cache=shared)
-        unopt = Engine(optimize=False, compile_cache=shared)
+        unopt = Engine(options=ExecutionOptions(optimize=False),
+                       compile_cache=shared)
         assert plain.compile("1 + 1") is not unopt.compile("1 + 1")
 
     def test_static_context_fingerprint_invalidates(self):

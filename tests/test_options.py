@@ -22,7 +22,6 @@ class TestConstructionAndValidation:
         opts = ExecutionOptions()
         assert opts.optimize is True
         assert opts.static_typing is True
-        assert opts.batch_size == 0
         assert opts.codegen == "source"
         assert opts.jobs == 1
         assert opts.max_workers == 4
@@ -40,29 +39,12 @@ class TestConstructionAndValidation:
         with pytest.raises(ValueError, match="twig_strategy"):
             ExecutionOptions(twig_strategy="quantum")
 
-    def test_source_codegen_excludes_batching(self):
-        with pytest.raises(ValueError):
-            ExecutionOptions(codegen="source", batch_size=256)
-
-    def test_batch_size_implies_closure_when_codegen_unspecified(self):
-        # the closure interpreter is the only backend with a batched
-        # family: an unspecified backend resolves to it, on every
-        # construction path
-        assert ExecutionOptions(batch_size=256).codegen == "closure"
-        assert ExecutionOptions().replace(batch_size=256).codegen \
-            == "closure"
-        assert ExecutionOptions.from_dict({"batch_size": 8}).codegen \
-            == "closure"
-        with pytest.warns(DeprecationWarning):
-            assert Engine(batch_size=256).codegen == "closure"
-        with pytest.warns(DeprecationWarning):
-            svc = QueryService(batch_size=256, jobs=1)
-        with svc:
-            assert svc.options.codegen == "closure"
-        # an explicit backend is never overridden
-        assert ExecutionOptions(codegen="closure").codegen == "closure"
-        assert ExecutionOptions(codegen="closure") \
-            .replace(batch_size=0).codegen == "closure"
+    def test_removed_batch_size_knob_rejected(self):
+        # 1.9 deleted the batched executor and its knob, shims included
+        for build in (ExecutionOptions, ExecutionOptions().replace,
+                      Engine, QueryService):
+            with pytest.raises(TypeError, match="batch_size"):
+                build(batch_size=8)
 
     def test_replace(self):
         base = ExecutionOptions()
@@ -73,35 +55,31 @@ class TestConstructionAndValidation:
 
 class TestSerialization:
     def test_round_trip(self):
-        opts = ExecutionOptions(optimize=False, batch_size=64, jobs=2,
+        opts = ExecutionOptions(optimize=False, codegen="closure", jobs=2,
                                 max_workers=8, default_timeout=1.5)
         assert ExecutionOptions.from_dict(opts.to_dict()) == opts
-        # the resolved backend is what serializes (never None)
-        assert opts.to_dict()["codegen"] == "closure"
-        assert ExecutionOptions().to_dict()["codegen"] == "source"
         assert ExecutionOptions.from_dict(ExecutionOptions().to_dict()) \
             == ExecutionOptions()
 
     def test_from_dict_rejects_unknown_keys(self):
         with pytest.raises((TypeError, ValueError)):
             ExecutionOptions.from_dict({"optimizer": True})
+        with pytest.raises(ValueError, match="batch_size"):
+            ExecutionOptions.from_dict({"batch_size": 8})
 
     def test_fingerprint_covers_compile_knobs(self):
         a = ExecutionOptions()
         assert a.fingerprint() == ExecutionOptions().fingerprint()
         for change in ({"optimize": False}, {"static_typing": False},
-                       {"batch_size": 32}, {"codegen": "closure"},
+                       {"codegen": "closure"},
                        {"twig_strategy": "binary"}):
             assert a.replace(**change).fingerprint() != a.fingerprint()
 
-    def test_fingerprint_keys_the_resolved_backend(self):
-        # unspecified and explicit spellings of one backend share plans;
+    def test_fingerprint_keys_the_backend(self):
+        # default and explicit spellings of one backend share plans;
         # the two backends never do
         assert ExecutionOptions().fingerprint() \
             == ExecutionOptions(codegen="source").fingerprint()
-        assert ExecutionOptions(batch_size=8).fingerprint() \
-            == ExecutionOptions(batch_size=8,
-                                codegen="closure").fingerprint()
         assert ExecutionOptions().fingerprint() \
             != ExecutionOptions(codegen="closure").fingerprint()
 

@@ -10,7 +10,7 @@ Covers the 1.6 durability guarantees end to end:
   SIGKILL loop) must reopen to a consistent previous state;
 - the property differential: a reopened disk catalog is byte-identical
   to an in-memory one — results *and* error codes — across both
-  codegen backends, batch sizes, and every twig strategy;
+  codegen backends and every twig strategy;
 - a fresh process (and by extension every pre-forked child) serves
   results without re-parsing any XML (the parser is booby-trapped).
 """
@@ -426,9 +426,7 @@ _DIFF_QUERIES = [
     "xs:integer($books//missing)",  # FORG0001-family dynamic error
 ]
 
-_OPTION_GRID = [ExecutionOptions(codegen="closure", batch_size=b,
-                                 twig_strategy=t)
-                for b in (0, 1, 256)
+_OPTION_GRID = [ExecutionOptions(codegen="closure", twig_strategy=t)
                 for t in ("auto", "holistic")] + \
                [ExecutionOptions(codegen="source", twig_strategy=t)
                 for t in ("auto", "binary", "navigation", "mixed")]
@@ -454,8 +452,7 @@ class TestDiskMemoryDifferential:
         return mem, disk
 
     @pytest.mark.parametrize("options", _OPTION_GRID,
-                             ids=lambda o: f"{o.codegen}-b{o.batch_size}"
-                                           f"-{o.twig_strategy}")
+                             ids=lambda o: f"{o.codegen}-{o.twig_strategy}")
     def test_byte_identical_results_and_errors(self, catalogs, options):
         mem, disk = catalogs
         for query in _DIFF_QUERIES:

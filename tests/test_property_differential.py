@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import Engine, execute_query, parse_document
+from repro import Engine, ExecutionOptions, execute_query, parse_document
 from repro.errors import XQueryError
 from repro.workloads.synthetic import random_tree
 
@@ -64,8 +64,8 @@ def _exprs(depth: int):
 
 QUERY = _exprs(2)
 
-_fast = Engine(static_typing=False)
-_slow = Engine(optimize=False, static_typing=False)
+_fast = Engine(options=ExecutionOptions(static_typing=False))
+_slow = Engine(options=ExecutionOptions(optimize=False, static_typing=False))
 
 
 def _outcome(engine: Engine, query: str, doc) -> tuple:

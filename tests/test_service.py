@@ -7,7 +7,7 @@ import time
 import pytest
 
 import repro
-from repro import CancellationToken, Engine
+from repro import CancellationToken, Engine, ExecutionOptions
 from repro.errors import QueryCancelled, QueryTimeout, ServiceOverloaded
 from repro.service import (
     ForkGroupExecutor,
@@ -33,6 +33,12 @@ RUNAWAY = "count(for $a in $d//x, $b in $d//y return ($a, $b))"
 #: At n=300 it finishes in 14 ms there (266 ms on the closure
 #: interpreter) — well inside a 0.1 s deadline
 RUNAWAY_N = 4000
+
+
+def service(**knobs) -> QueryService:
+    """A service at the platform's intra-query width (``jobs=None``),
+    what ``QueryService()`` builds when given no options."""
+    return QueryService(options=ExecutionOptions(jobs=None, **knobs))
 
 
 class TestCancellationToken:
@@ -120,12 +126,12 @@ class TestDeadlines:
 
 class TestQueryService:
     def test_basic_execution(self):
-        with QueryService(max_workers=2) as svc:
+        with service(max_workers=2) as svc:
             assert svc.execute("1 + 2").values() == [3]
             assert svc.stats()["completed"] == 1
 
     def test_deadline_enforced_and_pool_quiescent(self):
-        with QueryService(max_workers=2) as svc:
+        with service(max_workers=2) as svc:
             with pytest.raises(QueryTimeout) as info:
                 svc.execute(RUNAWAY, variables={"d": repro.xml(slow_doc(RUNAWAY_N))},
                             timeout=0.15)
@@ -138,7 +144,7 @@ class TestQueryService:
                     if t.name.startswith("repro-svc") and t.is_alive()]
 
     def test_default_timeout_applies(self):
-        with QueryService(max_workers=1, default_timeout=0.15) as svc:
+        with service(max_workers=1, default_timeout=0.15) as svc:
             with pytest.raises(QueryTimeout):
                 svc.execute(RUNAWAY, variables={"d": repro.xml(slow_doc(RUNAWAY_N))})
 
@@ -150,7 +156,7 @@ class TestQueryService:
             blocker.wait(5.0)
             return documents.get(uri)
 
-        with QueryService(max_workers=1, max_queue=1) as svc:
+        with service(max_workers=1, max_queue=1) as svc:
             futures = [svc.submit("doc('u')", document_loader=slow_loader)
                        for _ in range(2)]  # 1 running + 1 queued
             with pytest.raises(ServiceOverloaded) as info:
@@ -165,7 +171,7 @@ class TestQueryService:
 
     def test_caller_cancellation(self):
         token = CancellationToken()
-        with QueryService(max_workers=1) as svc:
+        with service(max_workers=1) as svc:
             future = svc.submit(RUNAWAY,
                                 variables={"d": repro.xml(slow_doc(RUNAWAY_N))},
                                 cancellation=token)
@@ -220,7 +226,8 @@ class TestExecutors:
 
     def test_member_error_surfaces(self):
         with ThreadGroupExecutor(max_workers=4) as executor:
-            engine = Engine(executor=executor, static_typing=False)
+            engine = Engine(executor=executor,
+                            options=ExecutionOptions(static_typing=False))
             with pytest.raises(Exception):
                 engine.compile("(1 + 2, 'x' + 1, 3 + 4)").execute().items()
 
@@ -283,7 +290,7 @@ class TestRetryingLoader:
                 raise OSError("transient")
             return "<a><b/></a>"
 
-        with QueryService(max_workers=1, retry_base_delay=0.001) as svc:
+        with service(max_workers=1, retry_base_delay=0.001) as svc:
             result = svc.execute("count(doc('u')//b)", document_loader=flaky)
             assert result.values() == [1]
             assert result.stats["service.loader_retries"] == 1
@@ -334,7 +341,7 @@ class TestRetryingLoader:
             calls["n"] += 1
             return None  # not found → FODC0002, not transient
 
-        with QueryService(max_workers=1) as svc:
+        with service(max_workers=1) as svc:
             with pytest.raises(Exception):
                 svc.execute("doc('missing')", document_loader=loader)
             assert calls["n"] == 1

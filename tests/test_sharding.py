@@ -5,7 +5,7 @@ The differential suite runs every query against two real servers —
 one scattering across 4 pre-forked workers, one pinned to the
 single-worker path (``shards=0``) — and requires identical items,
 serializations, and error codes.  The matrix covers both codegen
-backends, batch sizes 0/1/256, and disk/memory stores pairwise.
+backends on disk and memory stores.
 """
 
 import json
@@ -83,24 +83,20 @@ CASES = [
                                     "return string($x)"}),
 ]
 
-#: pairwise coverage of backend x batch x store (the source backend
-#: rejects batch_size > 0 — it emits its own fused loops — so batching
-#: legs run on closure only)
+#: backend x store
 MATRIX = [
-    ("closure", 0, "disk"),
-    ("source", 0, "memory"),
-    ("source", 0, "disk"),
-    ("closure", 1, "memory"),
-    ("closure", 256, "disk"),
-    ("closure", 256, "memory"),
+    ("closure", "disk"),
+    ("closure", "memory"),
+    ("source", "disk"),
+    ("source", "memory"),
 ]
 
 
-def _start(tmp_path, *, shards, codegen="closure", batch_size=0,
+def _start(tmp_path, *, shards, codegen="closure",
            store="disk", processes=4, tag=""):
     data_dir = str(tmp_path / f"srv-{tag}-{shards}") \
         if store == "disk" else None
-    options = ExecutionOptions(codegen=codegen, batch_size=batch_size,
+    options = ExecutionOptions(codegen=codegen,
                                data_dir=data_dir, shards=shards)
     return start_in_thread(ServerConfig(port=0, processes=processes,
                                         options=options))
@@ -124,16 +120,14 @@ def _comparable(status, body):
 
 
 class TestDifferential:
-    @pytest.mark.parametrize("codegen,batch_size,store",
-                             MATRIX, ids=[f"{c}-b{b}-{s}"
-                                          for c, b, s in MATRIX])
-    def test_sharded_matches_single(self, tmp_path, codegen, batch_size,
-                                    store):
-        tag = f"{codegen}-{batch_size}-{store}"
+    @pytest.mark.parametrize("codegen,store", MATRIX,
+                             ids=[f"{c}-{s}" for c, s in MATRIX])
+    def test_sharded_matches_single(self, tmp_path, codegen, store):
+        tag = f"{codegen}-{store}"
         sharded = _start(tmp_path, shards=None, codegen=codegen,
-                         batch_size=batch_size, store=store, tag=tag)
+                         store=store, tag=tag)
         single = _start(tmp_path, shards=0, codegen=codegen,
-                        batch_size=batch_size, store=store, tag=tag)
+                        store=store, tag=tag)
         try:
             cs, c0 = Client(sharded.port), Client(single.port)
             _load(cs)

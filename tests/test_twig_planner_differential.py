@@ -26,6 +26,7 @@ from repro.compiler.planner import choose_twig_strategy
 from repro.engine import Engine
 from repro.joins import TwigNode, TwigPattern, evaluate_pattern
 from repro.joins.patterns import ALGORITHM_ALIASES
+from repro.options import CODEGEN_BACKENDS
 from repro.storage import ElementIndex
 from repro.storage.stats import collect_stats
 from repro.workloads.synthetic import random_tree
@@ -56,7 +57,8 @@ def _skew_xml(n: int = 800, seed: int = 3) -> str:
 def _engines(xml_text: str) -> dict[str, Engine]:
     cat = repro.catalog()
     cat.add("doc", xml_text)
-    return {s: Engine(catalog=cat, twig_strategy=s, codegen=_CODEGEN)
+    return {s: Engine(catalog=cat, options=repro.ExecutionOptions(
+                twig_strategy=s, codegen=_CODEGEN))
             for s in STRATEGIES}
 
 
@@ -70,7 +72,7 @@ def _outcome(make):
 
 def _baseline(xml_text: str):
     """Catalog-less navigation runner: the semantics oracle."""
-    nav = Engine(codegen=_CODEGEN)
+    nav = Engine(options=repro.ExecutionOptions(codegen=_CODEGEN))
     doc = repro.xml(xml_text)
 
     def run(query: str):
@@ -134,7 +136,8 @@ class TestPlannerChoices:
         cat = repro.catalog()
         cat.add("doc", BIB_XML)
         with pytest.raises(ValueError, match="twig_strategy"):
-            Engine(catalog=cat, twig_strategy="bogus")
+            Engine(catalog=cat, options=repro.ExecutionOptions(
+                twig_strategy="bogus"))
 
     def test_explain_analyze_reports_actuals(self, engines):
         engine = engines["auto"]
@@ -163,11 +166,12 @@ class TestPlannerChoices:
             .execute().serialize()
 
     def test_env_default_strategy_matches_baseline(self):
-        # Engine(twig_strategy=None) reads REPRO_TEST_TWIG — the CI
-        # matrix leg; whatever the session default, results must match
+        # an unset twig_strategy reads REPRO_TEST_TWIG — the CI matrix
+        # leg; whatever the session default, results must match
         cat = repro.catalog()
         cat.add("doc", BIB_XML)
-        engine = Engine(catalog=cat, codegen=_CODEGEN)
+        engine = Engine(catalog=cat,
+                        options=repro.ExecutionOptions(codegen=_CODEGEN))
         assert engine.twig_strategy in STRATEGIES
         run = _baseline(BIB_XML)
         for query in ("$doc//book[author]/title",
@@ -348,11 +352,6 @@ def _random_pattern(rng: random.Random, tags: tuple[str, ...]):
     return TwigPattern(nodes[chain[0]]), "".join(parts)
 
 
-#: (codegen, batch_size) combos rotated across generated patterns; the
-#: source backend emits its own fused loops so it only runs unbatched
-PROPERTY_COMBOS = (("closure", 0), ("closure", 1), ("closure", 256),
-                   ("source", 0))
-
 PROPERTY_ALGORITHMS = ("twigstack", "binary", "navigation", "mixed")
 
 
@@ -415,20 +414,20 @@ class TestPropertyTwigs:
                 assert not reference, (i, query)
 
             # 3. engine level: the planner must decompose the surface
-            # form, and one rotating (strategy, codegen, batch) combo
-            # must serialize byte-identically to plain navigation
-            codegen, batch = PROPERTY_COMBOS[i % len(PROPERTY_COMBOS)]
+            # form, and one rotating (strategy, codegen) combo must
+            # serialize byte-identically to plain navigation
+            codegen = CODEGEN_BACKENDS[i % len(CODEGEN_BACKENDS)]
             strategy = STRATEGIES[i % len(STRATEGIES)]
             engine = Engine(catalog=corpus["catalog"],
-                            twig_strategy=strategy,
-                            codegen=codegen, batch_size=batch)
+                            options=repro.ExecutionOptions(
+                                twig_strategy=strategy, codegen=codegen))
             node = twig_node_of(engine, query)
             assert node is not None, (i, query)
             if reference:
                 assert node.est_rows > 0, (i, query)
             got = _outcome(lambda: engine.compile(query).execute())
             assert got == corpus["baseline"](query), \
-                (i, query, strategy, codegen, batch)
+                (i, query, strategy, codegen)
         # the generator must exercise the interesting half of the space
         assert non_empty >= self.N_PATTERNS // 4
 

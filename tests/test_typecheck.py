@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import Engine, execute_query
+from repro import Engine, ExecutionOptions, execute_query
 from repro.compiler.normalize import normalize_module
 from repro.compiler.sequencetype import resolve_sequence_type
 from repro.compiler.typecheck import TypeChecker, infer_type
@@ -170,12 +170,12 @@ class TestEngineIntegration:
         assert str(compiled.static_type) == "xs:integer"
 
     def test_static_typing_can_be_disabled(self):
-        engine = Engine(static_typing=False)
+        engine = Engine(options=ExecutionOptions(static_typing=False))
         compiled = engine.compile("1 + 1")
         assert compiled.static_type is None
 
     def test_disabled_typing_defers_error_to_runtime(self):
-        engine = Engine(static_typing=False)
+        engine = Engine(options=ExecutionOptions(static_typing=False))
         compiled = engine.compile("fn:true() + 1")  # compiles fine
         from repro.errors import TypeError_
 

@@ -3,7 +3,7 @@ and agrees between the optimized and unoptimized engines."""
 
 import pytest
 
-from repro import Engine, parse_document
+from repro import Engine, ExecutionOptions, parse_document
 from repro.workloads.xmark_queries import QUERIES, run_suite
 
 
@@ -14,12 +14,12 @@ def doc(xmark_small):
 
 @pytest.fixture(scope="module")
 def fast_engine():
-    return Engine(optimize=True)
+    return Engine(options=ExecutionOptions(optimize=True))
 
 
 @pytest.fixture(scope="module")
 def slow_engine():
-    return Engine(optimize=False)
+    return Engine(options=ExecutionOptions(optimize=False))
 
 
 @pytest.mark.parametrize("key", list(QUERIES))

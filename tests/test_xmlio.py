@@ -1,5 +1,7 @@
 """The from-scratch XML parser and serializer."""
 
+import random
+
 import pytest
 
 from repro.errors import ParseError
@@ -188,3 +190,43 @@ class TestSerializer:
     def test_xml_decl_flag(self):
         out = serialize_events(parse_events("<a/>"), xml_decl=True)
         assert out.startswith("<?xml")
+
+
+def _reference_escape_text(value: str) -> str:
+    return value.replace("&", "&amp;").replace("<", "&lt;") \
+        .replace(">", "&gt;")
+
+
+def _reference_escape_attribute(value: str) -> str:
+    out = value.replace("&", "&amp;").replace("<", "&lt;")
+    return out.replace('"', "&quot;").replace("\n", "&#10;") \
+        .replace("\t", "&#9;")
+
+
+class TestSerializerFastPath:
+    def test_escape_differential_random(self):
+        rng = random.Random(5)
+        alphabet = 'ab<>&"\'\n\t é☃'
+        for _ in range(500):
+            s = "".join(rng.choice(alphabet)
+                        for _ in range(rng.randrange(0, 40)))
+            assert escape_text(s) == _reference_escape_text(s)
+            assert escape_attribute(s) == _reference_escape_attribute(s)
+
+    def test_flat_serializer_matches_chunks(self, xmark_small):
+        from repro.xdm.build import node_events, parse_document
+        from repro.xmlio.serializer import serialize_chunks
+
+        doc = parse_document(xmark_small)
+        flat = serialize_events(node_events(doc))
+        chunked = "".join(serialize_chunks(node_events(doc)))
+        assert flat == chunked
+
+    def test_flat_serializer_xml_decl(self, bib_doc):
+        from repro.xdm.build import node_events
+        from repro.xmlio.serializer import serialize_chunks
+
+        flat = serialize_events(node_events(bib_doc), xml_decl=True)
+        chunked = "".join(serialize_chunks(node_events(bib_doc),
+                                           xml_decl=True))
+        assert flat == chunked
