@@ -28,9 +28,9 @@ _compiled = _engine.compile(QUERY)
 
 @pytest.fixture(scope="module")
 def stores(xmark_s02):
-    return {"text": TextStore(xmark_s02),
-            "tree": TreeStore(xmark_s02),
-            "tokens": TokenStore(xmark_s02)}
+    return {"text": TextStore(xml_text=xmark_s02),
+            "tree": TreeStore(xml_text=xmark_s02),
+            "tokens": TokenStore(xml_text=xmark_s02)}
 
 
 @pytest.mark.parametrize("kind", ["text", "tree", "tokens"])

@@ -17,11 +17,10 @@ This benchmark reproduces that shape over XMark data:
    budget) and admission control (``ServiceOverloaded`` once the pool
    and queue are full).
 
-CPU-bound members speed up too, but only with real cores: the fork
-executor (the platform default) evaluates members on separate cores,
-copy-on-write-sharing the parsed documents.  On a single-core box the
-latency-overlap number is the honest one, so that is what this
-benchmark reports.
+CPU-bound members do not speed up: group members are threads under one
+GIL (the fork-per-group executor that was meant to change that measured
+4.4-7x slower than the sequential plan and was retired in 2.0, see
+EXPERIMENTS.md E12), so latency overlap is what this benchmark reports.
 
 Run:  PYTHONPATH=src python benchmarks/bench_service.py [--jobs 4]
 """
@@ -33,7 +32,7 @@ import sys
 import time
 
 import repro
-from repro import Engine
+from repro import Engine, ExecutionOptions
 from repro.errors import QueryTimeout, ServiceOverloaded
 from repro.service import QueryService, ThreadGroupExecutor
 from repro.workloads import generate_xmark
@@ -84,8 +83,7 @@ def bench_parallel_groups(jobs: int) -> float:
     t_seq = min(t_seq, t_seq2)
     print(f"jobs=1 (sequential plan):  {t_seq * 1000:8.1f} ms")
 
-    # threads overlap the fn:doc latency deterministically on any
-    # machine; the fork executor adds multi-core CPU speedup on top
+    # threads overlap the fn:doc latency deterministically on any machine
     executor = ThreadGroupExecutor(max_workers=jobs)
     parallel = Engine(executor=executor)
     t_par, stats = run_once(parallel, documents)
@@ -122,7 +120,8 @@ def demo_service(jobs: int) -> None:
     big = generate_xmark(scale=1.0, seed=7)
     runaway = ("count(for $a in $d//item, $b in $d//keyword "
                "return ($a, $b))")
-    with QueryService(max_workers=2, max_queue=2, jobs=jobs) as svc:
+    with QueryService(options=ExecutionOptions(
+            max_workers=2, max_queue=2, jobs=jobs)) as svc:
         budget = 0.25
         t0 = time.perf_counter()
         try:

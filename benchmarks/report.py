@@ -156,7 +156,7 @@ def e4_nodeids() -> None:
 
 
 def e5_ddo() -> None:
-    from repro import Engine
+    from repro import Engine, ExecutionOptions
     from repro.workloads.synthetic import nested_sections
     from repro.xdm.build import parse_document
 
@@ -167,7 +167,8 @@ def e5_ddo() -> None:
         ("//a/b  ", "//section/title"),
         ("//a//b ", "//section//title"),
     ]
-    fast_e, slow_e = Engine(optimize=True), Engine(optimize=False)
+    fast_e = Engine()
+    slow_e = Engine(options=ExecutionOptions(optimize=False))
     rows = []
     for label, path in paths:
         fast = fast_e.compile(f"count({path})")

@@ -22,7 +22,8 @@ def main() -> None:
     xml = generate_xmark(scale=0.4, seed=21)
     print(f"document: {len(xml):,} bytes of XML text\n")
 
-    stores = [TextStore(xml), TreeStore(xml), TokenStore(xml)]
+    stores = [TextStore(xml_text=xml), TreeStore(xml_text=xml),
+              TokenStore(xml_text=xml)]
     engine = Engine()
     compiled = engine.compile(QUERY)
 

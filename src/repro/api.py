@@ -10,12 +10,12 @@ Engine`, so repeated queries share its compiled-query cache::
     print(repro.explain("//book[@year < 1980]", analyze=True,
                         context_item=xml_text))
 
-The default engine is created lazily with the default flags
-(optimizer and static typing on, no executor, closure codegen).  For
-different flags — compile-to-source codegen
-(``Engine(codegen="source")``), parallel-group execution, optimizer
-off, a shared base context — construct an
-:class:`~repro.engine.Engine` directly, or use
+The default engine is created lazily with the default
+:class:`~repro.options.ExecutionOptions` (optimizer and static typing
+on, no executor, source codegen).  For different options — the closure
+oracle (``ExecutionOptions(codegen="closure")``), parallel-group
+execution, optimizer off — call :func:`configure`; for a shared base
+context construct an :class:`~repro.engine.Engine` directly, or use
 :class:`repro.service.QueryService` for concurrent execution with
 deadlines and admission control.
 """

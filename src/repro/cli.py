@@ -263,20 +263,14 @@ def main(argv: list[str] | None = None) -> int:
 
     variables = dict(_parse_var(v) for v in args.var)
 
-    executor = None
-    if args.jobs > 1:
-        from repro.service import default_executor
-
-        executor = default_executor(args.jobs)
-
     options = ExecutionOptions(optimize=not args.no_optimize,
                                static_typing=not args.no_static_typing,
                                codegen=args.codegen,
-                               twig_strategy=args.twig_strategy)
+                               twig_strategy=args.twig_strategy,
+                               jobs=args.jobs)
     engine = Engine(options=options,
                     compile_cache=None if args.no_compile_cache
-                    else _COMPILE_CACHE,
-                    executor=executor)
+                    else _COMPILE_CACHE)
     try:
         compiled = engine.compile(query_text, variables=tuple(variables))
     except Exception as exc:

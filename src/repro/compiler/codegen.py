@@ -163,11 +163,10 @@ class CodeGenerator:
         """A ParallelSeq operator over ordered sequence members.
 
         Eligible members fan out through the executor; ineligible ones
-        (and members the executor declines) evaluate inline at their
-        position, so the merged output order is exactly the sequential
-        order.  Stats: ``parallel.groups_run`` on a successful fan-out,
-        ``parallel.fallback_sequential`` when the executor declines the
-        group, ``parallel.member_fallback`` per declined member.
+        evaluate inline at their position, so the merged output order
+        is exactly the sequential order.  Stats: ``parallel.groups_run``
+        on a successful fan-out, ``parallel.fallback_sequential`` when
+        the executor declines the group.
         """
         executor = self.executor
         fan_out = [i for i, ok in enumerate(eligible) if ok]
@@ -186,13 +185,10 @@ class CodeGenerator:
             for i, sub in enumerate(member_plans):
                 if token is not None:
                     token.check()
-                items = produced.get(i)
-                if items is None:
-                    if i in produced:
-                        dctx.count("parallel.member_fallback")
-                    yield from sub(dctx)
+                if i in produced:
+                    yield from produced[i]
                 else:
-                    yield from items
+                    yield from sub(dctx)
         return plan
 
     def _c_SequenceExpr(self, expr: ast.SequenceExpr) -> Plan:
@@ -408,12 +404,7 @@ class CodeGenerator:
                     dctx.count("parallel.fallback_sequential")
                 else:
                     dctx.count("parallel.groups_run")
-                    prefetched = {}
-                    for depth, items in zip(par_indices, results):
-                        if items is None:
-                            dctx.count("parallel.member_fallback")
-                        else:
-                            prefetched[depth] = items
+                    prefetched = dict(zip(par_indices, results))
             rows = list(tuples(dctx, 0, prefetched))
             if group_specs:
                 rows = regroup(rows)
@@ -598,12 +589,6 @@ class CodeGenerator:
                 else:
                     dctx.count("parallel.groups_run")
                     left_items, right_items = results
-                    if left_items is None:
-                        dctx.count("parallel.member_fallback")
-                        left_items = left_plan(dctx)
-                    if right_items is None:
-                        dctx.count("parallel.member_fallback")
-                        right_items = right_plan(dctx)
                     a = _opt_atomic_value(iter(left_items))
                     b = _opt_atomic_value(iter(right_items))
                 result = arithmetic(op, a, b)
@@ -926,14 +911,9 @@ class CodeGenerator:
                         else:
                             dctx.count("parallel.groups_run")
                             produced = dict(zip(fan_out, results))
-                            args = []
-                            for i, sub in enumerate(arg_plans):
-                                items = produced.get(i)
-                                if items is None:
-                                    if i in produced:
-                                        dctx.count("parallel.member_fallback")
-                                    items = list(sub(dctx))
-                                args.append(items)
+                            args = [produced[i] if i in produced
+                                    else list(sub(dctx))
+                                    for i, sub in enumerate(arg_plans)]
                         yield from impl(dctx, *args)
                     return plan
 

@@ -1,7 +1,7 @@
 """Compile-to-source: emit specialized Python per query.
 
-The second execution backend (``Engine(codegen="source")``).  Where the
-closure backend builds a tree of generator closures — one Python frame
+The default execution backend (``ExecutionOptions(codegen="source")``).
+Where the closure backend builds a tree of generator closures — one Python frame
 per operator per item — this module walks the *same* post-planner core
 tree and writes one flat Python generator function per fused region:
 whole FLWOR bodies (the ``for``/``let``/``if`` chains normalization

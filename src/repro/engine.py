@@ -10,7 +10,6 @@ one item of the result does one item's worth of work (E1/E2).
 
 from __future__ import annotations
 
-import warnings
 from typing import Any, Iterable, Iterator, Optional
 
 from repro.compiler.codegen import CodeGenerator
@@ -18,15 +17,15 @@ from repro.compiler.context import StaticContext
 from repro.compiler.normalize import normalize_module
 from repro.compiler.pysource import SourcePlanCompiler
 from repro.errors import QueryCancelled
-from repro.options import UNSET, ExecutionOptions
+from repro.options import ExecutionOptions
 from repro.qname import QName
 from repro.runtime.cancellation import CancellationToken
 from repro.runtime.dynamic import DynamicContext
 from repro.runtime.iterators import BufferedSequence
-from repro.xdm.build import node_events, parse_document
+from repro.xdm import wire
+from repro.xdm.build import parse_document
 from repro.xdm.items import AtomicValue
 from repro.xdm.nodes import DocumentNode, Node
-from repro.xmlio.serializer import serialize_events
 from repro.xquery import ast
 from repro.xquery.parser import parse_query
 
@@ -100,18 +99,7 @@ class Result:
         rules, simplified).  ``indent`` pretty-prints element-only
         content.
         """
-        parts: list[str] = []
-        prev_atomic = False
-        for item in self._seq:
-            if isinstance(item, Node):
-                parts.append(serialize_events(node_events(item), indent=indent))
-                prev_atomic = False
-            else:
-                if prev_atomic:
-                    parts.append(" ")
-                parts.append(item.lexical)
-                prev_atomic = True
-        text = "".join(parts)
+        text = wire.xml_text(wire.entry(item, indent) for item in self._seq)
         if xml_decl:
             decl = '<?xml version="1.0" encoding="UTF-8"?>'
             text = decl + ("\n" if indent else "") + text
@@ -162,12 +150,7 @@ class CompiledQuery:
         #: shard planning off this attribute.
         self.catalog_collection = catalog_collection
 
-    #: legacy positional parameter order of :meth:`execute` (pre-1.1),
-    #: kept so old positional calls keep working behind a warning
-    _EXECUTE_POSITIONAL = ("context_item", "variables", "documents",
-                           "collections", "document_loader", "profiler")
-
-    def execute(self, *args,
+    def execute(self, *,
                 context_item: Any = None,
                 variables: Optional[dict[str, Any]] = None,
                 documents: Optional[dict[str, Any]] = None,
@@ -195,17 +178,7 @@ class CompiledQuery:
           raises :class:`repro.errors.QueryTimeout` once exceeded;
         - ``cancellation``: a :class:`repro.runtime.cancellation.
           CancellationToken` to share (``deadline`` tightens it).
-
-        Positional arguments still map to the pre-1.1 order
-        (``context_item, variables, documents, collections,
-        document_loader, profiler``) behind a ``DeprecationWarning``.
         """
-        if args:
-            (context_item, variables, documents, collections,
-             document_loader, profiler) = _legacy_positional(
-                "CompiledQuery.execute", self._EXECUTE_POSITIONAL, args,
-                (context_item, variables, documents, collections,
-                 document_loader, profiler))
         dctx = DynamicContext(self.static_context)
         if profiler is not None:
             dctx.profiler = profiler
@@ -302,30 +275,19 @@ class Engine:
     """Compiles queries; holds cross-query configuration (schemas, ...).
 
     Execution knobs live on one frozen :class:`repro.ExecutionOptions`
-    object — ``Engine(options=ExecutionOptions(codegen="source"))``.
-    The pre-1.5 keyword arguments (``optimize=``, ``static_typing=``,
-    ``compile_cache_size=``, ``codegen=``, ``twig_strategy=``) still
-    work behind a ``DeprecationWarning`` and map onto the same options
-    object.  Object wiring (``base_context``, ``executor``, ``catalog``,
-    a shared ``compile_cache``) stays first-class: those carry identity,
-    not configuration.
+    object — ``Engine(options=ExecutionOptions(codegen="closure"))``.
+    The other parameters are object wiring (``base_context``,
+    ``executor``, ``catalog``, a shared ``compile_cache``): those carry
+    identity, not configuration.
     """
 
-    def __init__(self, optimize=UNSET,
-                 static_typing=UNSET,
-                 base_context: StaticContext | None = None,
-                 compile_cache_size=UNSET,
+    def __init__(self, base_context: StaticContext | None = None,
                  compile_cache=_DEFAULT_CACHE,
                  executor=None,
                  catalog=None,
-                 codegen=UNSET,
-                 twig_strategy=UNSET,
                  options: Optional[ExecutionOptions] = None):
-        options = ExecutionOptions.from_legacy(
-            "Engine", options,
-            optimize=optimize, static_typing=static_typing,
-            compile_cache_size=compile_cache_size,
-            codegen=codegen, twig_strategy=twig_strategy)
+        if options is None:
+            options = ExecutionOptions()
         #: the frozen :class:`repro.ExecutionOptions` this engine runs
         #: under; the knob attributes below are read-only mirrors
         self.options = options
@@ -349,13 +311,12 @@ class Engine:
         #: result type and reject statically-impossible queries
         self.static_typing = options.static_typing
         self.base_context = base_context
-        if executor is None and options.jobs != 1:
+        if executor is None and options.jobs > 1:
             # options.jobs is declarative parallelism: N > 1 builds an
-            # N-worker group executor, None the platform default, 0/1
-            # none at all (``repro.service.executors.default_executor``)
-            from repro.service.executors import default_executor
+            # N-thread group executor, 0/1 none at all
+            from repro.service.executors import ThreadGroupExecutor
 
-            executor = default_executor(options.jobs)
+            executor = ThreadGroupExecutor(options.jobs)
         #: group executor (``repro.service.executors``): when set, the
         #: code generator fans analysis-proven-independent subexpression
         #: groups out through it (``ParallelSeq`` operators)
@@ -480,11 +441,7 @@ class Engine:
             self.compile_cache.put(cache_key, compiled)
         return compiled
 
-    #: legacy positional parameter order of :meth:`explain` (pre-1.1)
-    _EXPLAIN_POSITIONAL = ("context_item", "variables", "analyze",
-                           "documents", "collections", "document_loader")
-
-    def explain(self, query_text: str, *args,
+    def explain(self, query_text: str, *,
                 context_item: Any = None,
                 variables: Optional[dict[str, Any]] = None,
                 documents: Optional[dict[str, Any]] = None,
@@ -506,12 +463,6 @@ class Engine:
         """
         from repro.observability import ExplainResult, Profiler
 
-        if args:
-            (context_item, variables, analyze, documents, collections,
-             document_loader) = _legacy_positional(
-                "Engine.explain", self._EXPLAIN_POSITIONAL, args,
-                (context_item, variables, analyze, documents, collections,
-                 document_loader))
         compiled = self.compile(query_text, variables=tuple(variables or ()))
         if not analyze:
             return ExplainResult(compiled, query_text=query_text)
@@ -542,25 +493,6 @@ def _reads_default_collection(expr: ast.Expr) -> bool:
                 and e.name.uri in ("", FN_NS):
             return True
     return False
-
-
-def _legacy_positional(where: str, names: tuple[str, ...], args: tuple,
-                       current: tuple) -> tuple:
-    """Map pre-1.1 positional arguments onto the keyword-only params."""
-    if len(args) > len(names):
-        raise TypeError(f"{where} takes at most {len(names)} "
-                        f"positional arguments ({len(args)} given)")
-    warnings.warn(
-        f"positional arguments to {where} are deprecated; "
-        f"use keywords ({', '.join(names[:len(args)])}=...)",
-        DeprecationWarning, stacklevel=3)
-    out = list(current)
-    for i, value in enumerate(args):
-        if out[i] is not None and not (out[i] is False):
-            raise TypeError(f"{where} got multiple values for "
-                            f"argument {names[i]!r}")
-        out[i] = value
-    return tuple(out)
 
 
 def _annotate_cancellation(source, dctx):

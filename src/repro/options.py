@@ -1,12 +1,11 @@
 """`ExecutionOptions`: every execution knob, in one frozen object.
 
-Before 1.5 the execution knobs (``codegen``,
+``Engine``, ``QueryService``, the module-level
+``repro.compile/execute/explain`` helpers, the CLI flags and the
+server's tenant configuration all take their knobs (``codegen``,
 ``twig_strategy``, ``jobs``, ``default_timeout``, the compile-cache
-size, the service pool bounds) were duplicated — with drifting
-defaults — across ``Engine.__init__``, ``QueryService.__init__``, the
-module-level ``repro.compile/execute/explain`` helpers, and the CLI
-flag surface.  :class:`ExecutionOptions` is the single source of
-truth::
+size, the service pool bounds) from this one object — it is the only
+way to pass them::
 
     opts = repro.ExecutionOptions(codegen="closure", jobs=4)
     engine = repro.Engine(options=opts)
@@ -18,10 +17,6 @@ configuration is exactly this serialization), and derives the
 options-dependent part of the compiled-query cache key in one place
 via :meth:`fingerprint` — so every surface that compiles queries keys
 its cache identically by construction.
-
-The legacy keyword arguments (``Engine(codegen=...)``,
-``QueryService(jobs=...)``) still work behind a ``DeprecationWarning``
-— see the README 1.5 migration table.
 """
 
 from __future__ import annotations
@@ -33,9 +28,6 @@ from typing import Any, Optional
 
 #: execution backends the engine knows how to drive
 CODEGEN_BACKENDS = ("closure", "source")
-
-#: sentinel for "this keyword was not passed" in the legacy shims
-UNSET = object()
 
 
 @dataclass(frozen=True)
@@ -56,9 +48,9 @@ class ExecutionOptions:
       (``None`` resolves to ``$REPRO_TEST_TWIG`` or ``"auto"`` at
       construction);
     - ``jobs`` — parallel-group workers for analysis-proven-independent
-      subexpressions: ``1`` compiles sequential plans, ``N > 1`` builds
-      an N-worker group executor, ``None`` means the platform default
-      (CPU count — the historical :class:`QueryService` behaviour).
+      subexpressions: ``1`` (or ``0``) compiles sequential plans,
+      ``N > 1`` builds an N-thread group executor
+      (:class:`~repro.service.executors.ThreadGroupExecutor`).
 
     Caching:
 
@@ -99,7 +91,7 @@ class ExecutionOptions:
     static_typing: bool = True
     codegen: str = "source"
     twig_strategy: Optional[str] = None
-    jobs: Optional[int] = 1
+    jobs: int = 1
     # -- caching -----------------------------------------------------------
     compile_cache_size: int = 64
     # -- service -----------------------------------------------------------
@@ -129,8 +121,10 @@ class ExecutionOptions:
             raise ValueError(
                 f"twig_strategy must be one of "
                 f"{sorted(ALGORITHM_ALIASES)}, got {self.twig_strategy!r}")
-        if self.jobs is not None and self.jobs < 0:
-            raise ValueError("jobs must be None (platform default) or >= 0")
+        if not isinstance(self.jobs, int) or isinstance(self.jobs, bool) \
+                or self.jobs < 0:
+            raise ValueError(f"jobs must be an integer >= 0 (1 compiles "
+                             f"sequential plans), got {self.jobs!r}")
         if self.compile_cache_size < 0:
             raise ValueError("compile_cache_size must be >= 0")
         if self.max_workers < 1:
@@ -195,39 +189,3 @@ class ExecutionOptions:
             raise ValueError(f"unknown ExecutionOptions keys: "
                              f"{sorted(unknown)} (known: {sorted(known)})")
         return cls(**data)
-
-    @classmethod
-    def from_legacy(cls, where: str, base: Optional["ExecutionOptions"],
-                    defaults: Optional["ExecutionOptions"] = None,
-                    **legacy: Any) -> "ExecutionOptions":
-        """The deprecation shim behind the pre-1.5 keyword arguments.
-
-        ``legacy`` maps knob name → value-or-:data:`UNSET`; any knob
-        actually passed emits one ``DeprecationWarning`` naming the
-        replacement, then overrides ``defaults`` (a caller's historical
-        baseline — :class:`~repro.service.QueryService` keeps its
-        pre-1.5 ``jobs=None`` platform default this way).  Passing both
-        ``options=`` and legacy keywords is an error, not a merge.
-        """
-        import warnings
-
-        passed = {name: value for name, value in legacy.items()
-                  if value is not UNSET}
-        if not passed:
-            if base is not None:
-                return base
-            return defaults if defaults is not None else cls()
-        if base is not None:
-            raise TypeError(
-                f"{where}: pass execution knobs either via "
-                f"options=ExecutionOptions(...) or as legacy keywords, "
-                f"not both ({', '.join(sorted(passed))} given)")
-        names = ", ".join(sorted(passed))
-        warnings.warn(
-            f"{where}({names}=...) keyword arguments are deprecated; "
-            f"pass repro.ExecutionOptions({names}=...) as options= "
-            f"(see the README 1.5 migration table)",
-            DeprecationWarning, stacklevel=3)
-        if defaults is not None:
-            return defaults.replace(**passed)
-        return cls(**passed)

@@ -49,8 +49,9 @@ from repro.server.tenants import (
     FORMS,
     cacheable,
     convert_variables,
+    error_reply,
+    ms_since,
     result_payload,
-    status_for,
 )
 from repro.service import ForkWorkerPool, QueryService
 from repro.service.sharding import ShardRouter
@@ -130,16 +131,9 @@ class XQueryServer:
                 try:
                     status, payload, content_type, extra = \
                         await self._route(method, path, query, headers, body)
-                except ApiError as exc:
-                    status, payload, content_type, extra = (
-                        exc.status, {"error": {"code": exc.code,
-                                               "message": exc.message}},
-                        "application/json", {})
-                except XQueryError as exc:
-                    status = status_for(exc)
-                    payload = {"error": {"code": exc.code,
-                                         "message": exc.message or str(exc)}}
-                    content_type, extra = "application/json", {}
+                except (ApiError, XQueryError) as exc:
+                    status, payload, content_type, extra = \
+                        _error_response(error_reply(exc), {})
                 except Exception as exc:  # noqa: BLE001 - last resort
                     status = 500
                     payload = {"error": {"code": "internal",
@@ -326,11 +320,8 @@ class XQueryServer:
                 None, lambda: self.core.explain_inline(
                     tenant, text, variables=variables, analyze=analyze,
                     timeout=timeout))
-        status = reply["status"]
-        if status != 200:
-            return status, {"error": {"code": reply["error"],
-                                      "message": reply["message"]}}, \
-                "application/json", {}
+        if reply["status"] != 200:
+            return _error_response(reply, {})
         payload = reply["payload"]
         if analyze and self.router is not None:
             # EXPLAIN ANALYZE reports how the scatter path would run
@@ -390,8 +381,7 @@ class XQueryServer:
                              request.timeout, request.use_cache),
                             hard_timeout=_hard_timeout(request.timeout)))
                 except XQueryError as exc:
-                    reply = {"status": status_for(exc), "error": exc.code,
-                             "message": exc.message or str(exc)}
+                    reply = error_reply(exc)
             if key is not None and isinstance(reply, dict) \
                     and reply.get("status") == 200 and reply.get("cacheable"):
                 self.core.result_cache.put(key, reply["payload"])
@@ -422,7 +412,7 @@ class XQueryServer:
                 hit = core.result_cache.get(key)
                 if hit is not None:
                     return {"status": 200, "payload": hit, "cached": True,
-                            "elapsed_ms": _ms_since(started)}
+                            "elapsed_ms": ms_since(started)}
             if declared is None:
                 declared = tuple(request.variables or ())
             bindings = convert_variables(request.variables)
@@ -437,15 +427,9 @@ class XQueryServer:
                 if cacheable(compiled):
                     core.result_cache.put(key, payload)
             return {"status": 200, "payload": payload, "cached": False,
-                    "elapsed_ms": _ms_since(started)}
-        except ApiError as exc:
-            return {"status": exc.status, "error": exc.code,
-                    "message": exc.message,
-                    "elapsed_ms": _ms_since(started)}
-        except XQueryError as exc:
-            return {"status": status_for(exc), "error": exc.code,
-                    "message": exc.message or str(exc),
-                    "elapsed_ms": _ms_since(started)}
+                    "elapsed_ms": ms_since(started)}
+        except (ApiError, XQueryError) as exc:
+            return error_reply(exc, started)
 
     # -- metrics -----------------------------------------------------------
 
@@ -498,9 +482,7 @@ def _execute_response(reply: dict, form: str):
     if "elapsed_ms" in reply:
         extra["X-Repro-Elapsed-Ms"] = str(reply["elapsed_ms"])
     if status != 200:
-        return status, {"error": {"code": reply["error"],
-                                  "message": reply["message"]}}, \
-            "application/json", extra
+        return _error_response(reply, extra)
     payload = reply["payload"]
     if form == "xml":
         return 200, payload["body"], "application/xml", extra
@@ -508,6 +490,13 @@ def _execute_response(reply: dict, form: str):
     out["cached"] = bool(reply.get("cached"))
     out.pop("form", None)
     return 200, out, "application/json", extra
+
+
+def _error_response(reply: dict, extra: dict):
+    """An error reply dict as (status, payload, content_type, headers)."""
+    return reply["status"], {"error": {"code": reply["error"],
+                                       "message": reply["message"]}}, \
+        "application/json", extra
 
 
 def _json_body(body: bytes) -> dict:
@@ -572,10 +561,6 @@ def _sum_cache_stats(per_child: list[dict]) -> dict:
                 else:
                     out[cache][field] = out[cache].get(field, 0) + value
     return out
-
-
-def _ms_since(started: float) -> float:
-    return round((time.perf_counter() - started) * 1000, 3)
 
 
 def _version() -> str:

@@ -31,8 +31,7 @@ from repro.errors import XQueryError
 from repro.options import ExecutionOptions
 from repro.runtime.memo import LRUCache
 from repro.server.cache import ServerResultCache, cacheable
-from repro.xdm.items import AtomicValue
-from repro.xdm.nodes import Node
+from repro.xdm import wire
 
 #: response forms an execute request may ask for
 FORMS = ("json", "xml")
@@ -188,30 +187,10 @@ def result_payload(result: Result, form: str) -> dict:
 
     ``json`` form: nodes as markup strings, atomics as JSON scalars.
     ``xml`` form: the standard space-separated serialization, one text.
+    Both are :mod:`repro.xdm.wire`'s encoding, in one pass.
     """
-    if form == "xml":
-        return {"form": "xml", "body": result.serialize(),
-                "stats": dict(result.stats)}
-    items: list[Any] = []
-    for item in result:
-        if isinstance(item, Node):
-            items.append({"node": _serialize_node(item)})
-        elif isinstance(item, AtomicValue):
-            value = item.value
-            if not isinstance(value, (bool, int, float, str, type(None))):
-                value = item.lexical
-            items.append(value)
-        else:
-            items.append(str(item))
-    return {"form": "json", "items": items, "count": len(items),
+    return {**wire.payload(map(wire.entry, result), form),
             "stats": dict(result.stats)}
-
-
-def _serialize_node(node: Node) -> str:
-    from repro.xdm.build import node_events
-    from repro.xmlio.serializer import serialize_events
-
-    return serialize_events(node_events(node))
 
 
 class AppCore:
@@ -345,7 +324,7 @@ class AppCore:
                 if hit is not None:
                     return {"status": 200, "payload": hit, "cached": True,
                             "cacheable": True,
-                            "elapsed_ms": _ms_since(started)}
+                            "elapsed_ms": ms_since(started)}
             if declared is None:
                 declared = tuple(variables or ())
             compiled = tenant.engine.compile(query_text, variables=declared)
@@ -360,14 +339,9 @@ class AppCore:
             # server's cross-child layer) memoize this reply too
             return {"status": 200, "payload": payload, "cached": False,
                     "cacheable": reusable,
-                    "elapsed_ms": _ms_since(started)}
-        except ApiError as exc:
-            return {"status": exc.status, "error": exc.code,
-                    "message": exc.message, "elapsed_ms": _ms_since(started)}
-        except XQueryError as exc:
-            return {"status": status_for(exc), "error": exc.code,
-                    "message": exc.message or str(exc),
-                    "elapsed_ms": _ms_since(started)}
+                    "elapsed_ms": ms_since(started)}
+        except (ApiError, XQueryError) as exc:
+            return error_reply(exc, started)
 
     def execute_shard(self, tenant_name: str, query_text: str,
                       variables: Optional[dict] = None,
@@ -391,7 +365,6 @@ class AppCore:
         needs an entry that isn't there.
         """
         from repro.runtime.cancellation import CancellationToken
-        from repro.service.sharding import transport_items
         from repro.xdm.order import COLLECTION_RANK_BASE, pin_tree_rank
 
         started = time.perf_counter()
@@ -432,21 +405,17 @@ class AppCore:
                         collections={"": [document]},
                         cancellation=token)
                     result.items()  # drain under the shared deadline
-                    docs.append((name, "ok", transport_items(result),
+                    docs.append((name, "ok", wire.encode(result),
                                  dict(result.stats)))
                 except XQueryError as exc:
-                    docs.append((name, "error", status_for(exc), exc.code,
-                                 exc.message or str(exc)))
+                    failed = error_reply(exc)
+                    docs.append((name, "error", failed["status"],
+                                 failed["error"], failed["message"]))
                     break
             return {"status": 200, "docs": docs,
-                    "elapsed_ms": _ms_since(started)}
-        except ApiError as exc:
-            return {"status": exc.status, "error": exc.code,
-                    "message": exc.message, "elapsed_ms": _ms_since(started)}
-        except XQueryError as exc:
-            return {"status": status_for(exc), "error": exc.code,
-                    "message": exc.message or str(exc),
-                    "elapsed_ms": _ms_since(started)}
+                    "elapsed_ms": ms_since(started)}
+        except (ApiError, XQueryError) as exc:
+            return error_reply(exc, started)
 
     def explain_inline(self, tenant_name: str, query_text: str,
                        variables: Optional[dict] = None,
@@ -461,14 +430,9 @@ class AppCore:
                 query_text, variables=bindings or None,
                 analyze=analyze, deadline=timeout)
             return {"status": 200, "payload": explained.to_dict(),
-                    "cached": False, "elapsed_ms": _ms_since(started)}
-        except ApiError as exc:
-            return {"status": exc.status, "error": exc.code,
-                    "message": exc.message, "elapsed_ms": _ms_since(started)}
-        except XQueryError as exc:
-            return {"status": status_for(exc), "error": exc.code,
-                    "message": exc.message or str(exc),
-                    "elapsed_ms": _ms_since(started)}
+                    "cached": False, "elapsed_ms": ms_since(started)}
+        except (ApiError, XQueryError) as exc:
+            return error_reply(exc, started)
 
     def cache_stats(self) -> dict:
         """Result- and compile-cache counters (this process's view)."""
@@ -529,12 +493,8 @@ class AppCore:
                                            analyze=analyze, timeout=timeout)
             if kind == "cache_stats":
                 return {"status": 200, "payload": self.cache_stats()}
-        except ApiError as exc:
-            return {"status": exc.status, "error": exc.code,
-                    "message": exc.message}
-        except XQueryError as exc:
-            return {"status": status_for(exc), "error": exc.code,
-                    "message": exc.message or str(exc)}
+        except (ApiError, XQueryError) as exc:
+            return error_reply(exc)
         return {"status": 400, "error": "bad_request",
                 "message": f"unknown command {kind!r}"}
 
@@ -574,5 +534,19 @@ def status_for(exc: XQueryError) -> int:
     return 422
 
 
-def _ms_since(started: float) -> float:
+def error_reply(exc: Exception, started: Optional[float] = None) -> dict:
+    """The one mapping from a request failure (:class:`ApiError` or any
+    :class:`~repro.errors.XQueryError`) onto an error reply dict."""
+    if isinstance(exc, ApiError):
+        status, message = exc.status, exc.message
+    else:
+        status, message = status_for(exc), exc.message or str(exc)
+    reply = {"status": status, "error": exc.code, "message": message}
+    if started is not None:
+        reply["elapsed_ms"] = ms_since(started)
+    return reply
+
+
+def ms_since(started: float) -> float:
+    """Milliseconds elapsed since a ``time.perf_counter()`` reading."""
     return round((time.perf_counter() - started) * 1000, 3)

@@ -9,16 +9,11 @@
   pool children (eligible queries run one shard per worker and merge
   in document order);
 - :mod:`repro.service.executors` — the group executors behind the
-  compiler's ``ParallelSeq`` operator (threads for overlap, fork for
-  multi-core speedup).
+  compiler's ``ParallelSeq`` operator (threads: blocking members
+  overlap).
 """
 
-from repro.service.executors import (
-    ForkGroupExecutor,
-    SequentialExecutor,
-    ThreadGroupExecutor,
-    default_executor,
-)
+from repro.service.executors import SequentialExecutor, ThreadGroupExecutor
 from repro.service.queryservice import QueryService, RetryingDocumentLoader
 from repro.service.sharding import ShardRouter, UncombinableShardResult
 from repro.service.workers import ForkWorkerPool, WorkerCrashed
@@ -28,10 +23,8 @@ __all__ = [
     "RetryingDocumentLoader",
     "SequentialExecutor",
     "ThreadGroupExecutor",
-    "ForkGroupExecutor",
     "ForkWorkerPool",
     "WorkerCrashed",
     "ShardRouter",
     "UncombinableShardResult",
-    "default_executor",
 ]

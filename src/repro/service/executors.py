@@ -5,47 +5,37 @@ subexpressions are independent; the code generator then emits a
 ``ParallelSeq`` operator that hands the member subplans to one of the
 executors here.  The contract is one duck-typed method::
 
-    run_group(plans, dctx) -> list[list[item] | None] | None
+    run_group(plans, dctx) -> list[list[item]] | None
 
-- returning ``None`` declines the whole group (saturated pool, nested
-  fan-out, platform without fork): the caller evaluates every member
-  inline, sequentially, and counts ``parallel.fallback_sequential``;
-- a ``None`` *entry* declines one member (result not transportable
-  across a process boundary): the caller evaluates just that member
-  inline — results are always exact, parallelism is only a fast path.
+Returning ``None`` declines the whole group (saturated pool, nested
+fan-out): the caller evaluates every member inline, sequentially, and
+counts ``parallel.fallback_sequential`` — results are always exact,
+parallelism is only a fast path.
 
-Two families, because CPython's GIL splits the problem:
+One family, threads: members share the heap, so any member result
+(including nodes) comes back intact, and what overlaps is *waiting* —
+blocking members such as ``fn:doc`` through a slow document loader
+(E12: 2.50x on four 50 ms loads).  Pure-Python CPU work does not speed
+up under the GIL; multi-core execution is the pre-forked
+:class:`~repro.service.workers.ForkWorkerPool`'s job, one process per
+request or shard, not one fork per group (the fork-per-group executor
+measured 4.4-7x slower than the sequential plan and was retired in
+2.0 — see EXPERIMENTS.md E12).
 
-- :class:`ThreadGroupExecutor` — a bounded thread pool.  Threads share
-  the heap, so any member result (including nodes) comes back intact,
-  and blocking members (``fn:doc`` through a slow document loader)
-  overlap.  Pure-Python CPU work does *not* speed up under the GIL.
-- :class:`ForkGroupExecutor` — ``os.fork()`` fan-out.  Children
-  inherit the parsed document tree copy-on-write (no serialization of
-  inputs at all) and evaluate members on separate cores; results come
-  back over a pipe, which restricts transport to atomic values — the
-  shape aggregation queries produce.  This is the executor that turns
-  the paper's dataflow-parallelism slide into wall-clock speedup.
-
-Deadlock freedom (thread pool): a group is admitted only when *every*
-member can occupy a worker immediately (permit accounting), and a
-worker thread never fans out again (thread-local reentrancy guard) —
-so no task ever waits in the queue behind a blocked parent.
+Deadlock freedom: a group is admitted only when *every* member can
+occupy a worker immediately (permit accounting), and a worker thread
+never fans out again (thread-local reentrancy guard) — so no task ever
+waits in the queue behind a blocked parent.
 """
 
 from __future__ import annotations
 
-import os
-import pickle
-import struct
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Callable, Iterator, Optional
 
 Plan = Callable[..., Iterator[Any]]
-GroupResult = Optional[list[Optional[list[Any]]]]
-
-_FORK_AVAILABLE = hasattr(os, "fork")
+GroupResult = Optional[list[list[Any]]]
 
 
 class SequentialExecutor:
@@ -121,176 +111,3 @@ class ThreadGroupExecutor:
 
     def __exit__(self, *exc) -> None:
         self.shutdown()
-
-
-class ForkGroupExecutor:
-    """Fan group members out to forked child processes.
-
-    Children are forked per group (so they see the documents already
-    parsed by the parent, copy-on-write) and stream their member's
-    result back over a pipe.  Only atomic values survive the pipe —
-    a member producing nodes, an unpicklable value, or any exception
-    reports a marker instead, and the parent re-evaluates that member
-    inline (pure members are deterministic, so the rerun is faithful,
-    and an erroring rerun raises with the real traceback).
-
-    Deadlines propagate: the forked child inherits the parent's
-    :class:`~repro.runtime.cancellation.CancellationToken` snapshot,
-    and its absolute monotonic deadline is valid in the child, so a
-    runaway member times itself out.  Explicit ``cancel()`` after the
-    fork only interrupts the parent (documented limitation).
-    """
-
-    def __init__(self, jobs: Optional[int] = None):
-        self.jobs = max(1, jobs if jobs is not None else (os.cpu_count() or 2))
-        #: set in forked children so nested groups never fork again
-        self._in_child = False
-
-    @property
-    def available(self) -> bool:
-        return _FORK_AVAILABLE
-
-    def run_group(self, plans: list[Plan], dctx) -> GroupResult:
-        if not _FORK_AVAILABLE or self._in_child or len(plans) < 2:
-            return None
-        token = getattr(dctx._shared, "cancellation", None)
-        results: list[Optional[list[Any]]] = [None] * len(plans)
-        next_member = 0
-        while next_member < len(results):
-            if token is not None:
-                token.check()
-            wave = range(next_member,
-                         min(next_member + self.jobs, len(results)))
-            children = [(i, *self._fork_member(plans[i], dctx)) for i in wave]
-            for i, pid, read_fd in children:
-                payload = self._read_all(read_fd)
-                os.waitpid(pid, 0)
-                results[i] = self._decode(payload)
-            next_member = wave.stop
-        return results
-
-    # -- child side --------------------------------------------------------
-
-    def _fork_member(self, plan: Plan, dctx) -> tuple[int, int]:
-        read_fd, write_fd = os.pipe()
-        pid = os.fork()
-        if pid:  # parent
-            os.close(write_fd)
-            return pid, read_fd
-        # child: evaluate, encode, write, hard-exit (no atexit/buffers)
-        os.close(read_fd)
-        self._in_child = True
-        try:
-            payload = _encode_items(list(plan(dctx)))
-        except BaseException:  # noqa: BLE001 - parent reruns for the traceback
-            payload = pickle.dumps(("raised",))
-        try:
-            os.write(write_fd, struct.pack("<Q", len(payload)))
-            offset = 0
-            while offset < len(payload):
-                offset += os.write(write_fd, payload[offset:offset + 1 << 20])
-        except BaseException:
-            os._exit(1)
-        finally:
-            os._exit(0)
-        return 0, 0  # pragma: no cover - unreachable
-
-    # -- parent side -------------------------------------------------------
-
-    @staticmethod
-    def _read_all(read_fd: int) -> bytes:
-        try:
-            header = b""
-            while len(header) < 8:
-                chunk = os.read(read_fd, 8 - len(header))
-                if not chunk:
-                    return b""
-                header += chunk
-            (length,) = struct.unpack("<Q", header)
-            parts: list[bytes] = []
-            remaining = length
-            while remaining:
-                chunk = os.read(read_fd, min(remaining, 1 << 20))
-                if not chunk:
-                    return b""
-                parts.append(chunk)
-                remaining -= len(chunk)
-            return b"".join(parts)
-        finally:
-            os.close(read_fd)
-
-    @staticmethod
-    def _decode(payload: bytes) -> Optional[list[Any]]:
-        """Rebuild a member's items, or None to request an inline rerun."""
-        if not payload:
-            return None  # child died before writing: rerun inline
-        try:
-            message = pickle.loads(payload)
-        except Exception:
-            return None
-        if not isinstance(message, tuple) or not message:
-            return None
-        if message[0] != "items":
-            return None  # ("fallback",) / ("raised",): rerun inline
-        from repro.xdm.items import AtomicValue
-        from repro.xsd.types import builtin_types
-
-        types = builtin_types()
-        items: list[Any] = []
-        for value, name_pair in message[1]:
-            atype = types.get(_qname(name_pair))
-            if atype is None:
-                return None  # schema-derived type: rerun inline
-            items.append(AtomicValue(value, atype))
-        return items
-
-    def shutdown(self) -> None:
-        pass
-
-    def __enter__(self) -> "ForkGroupExecutor":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.shutdown()
-
-
-def _encode_items(items: list[Any]) -> bytes:
-    """Pickle a member result for the pipe, or a fallback marker.
-
-    Atomic values travel as ``(python value, (type uri, type local))``
-    pairs; nodes (or values pickle rejects) turn the whole member into
-    ``("fallback",)`` — parents re-evaluate those inline.
-    """
-    from repro.xdm.items import AtomicValue
-
-    encoded: list[tuple[Any, tuple[str, str]]] = []
-    for item in items:
-        if not isinstance(item, AtomicValue):
-            return pickle.dumps(("fallback",))
-        encoded.append((item.value, (item.type.name.uri, item.type.name.local)))
-    try:
-        return pickle.dumps(("items", encoded))
-    except Exception:
-        return pickle.dumps(("fallback",))
-
-
-def _qname(name_pair: tuple[str, str]):
-    from repro.qname import QName
-
-    return QName(name_pair[0], name_pair[1])
-
-
-def default_executor(jobs: Optional[int] = None):
-    """The best executor this platform offers for ``jobs`` workers.
-
-    Fork-capable platforms get :class:`ForkGroupExecutor` (real
-    multi-core speedup); elsewhere :class:`ThreadGroupExecutor` keeps
-    the same semantics with overlap limited to blocking members.
-    ``jobs=0``/``1`` means "don't parallelize": returns None so the
-    engine compiles plain sequential plans.
-    """
-    if jobs is not None and jobs <= 1:
-        return None
-    if _FORK_AVAILABLE:
-        return ForkGroupExecutor(jobs=jobs)
-    return ThreadGroupExecutor(max_workers=jobs or 4)

@@ -26,11 +26,11 @@ Semantics:
 - **retry** — a ``document_loader`` wrapped by the service retries
   transient failures (OSError family) with exponential backoff,
   counting ``service.loader_retries`` into the result stats;
-- **graceful degradation** — the service's engine compiles
-  ``ParallelSeq`` plans against a group executor; when the pool is
-  saturated the executor declines groups and members evaluate inline,
-  sequentially (``parallel.fallback_sequential`` in the stats) — load
-  makes queries sequential, never wrong.
+- **graceful degradation** — with ``jobs > 1`` the service's engine
+  compiles ``ParallelSeq`` plans against a thread group executor; when
+  that pool is saturated the executor declines groups and members
+  evaluate inline, sequentially (``parallel.fallback_sequential`` in
+  the stats) — load makes queries sequential, never wrong.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from typing import Any, Optional
 
 from repro.engine import Engine, Result
 from repro.errors import QueryCancelled, ServiceOverloaded
-from repro.options import UNSET, ExecutionOptions
+from repro.options import ExecutionOptions
 from repro.runtime.cancellation import CancellationToken
 
 #: exception families the retrying loader treats as transient
@@ -117,16 +117,14 @@ class QueryService:
 
         QueryService(options=ExecutionOptions(max_workers=8, jobs=2))
 
-    where the two pool-sizing knobs are deliberately distinct (they
-    overlapped confusingly pre-1.5):
+    where the two pool-sizing knobs are deliberately distinct:
 
     - ``options.max_workers`` / ``options.max_queue`` — the admission
       bound *across* queries: at most ``max_workers`` queries execute
       while ``max_queue`` wait;
     - ``options.jobs`` — parallelism *within* one query: the group
-      executor workers that independent subexpression groups fan out
-      to (``None`` = platform default, the historical behaviour of a
-      service built without explicit options);
+      executor threads that independent subexpression groups fan out
+      to (default ``1``: sequential plans, no executor);
     - ``options.default_timeout`` — deadline (seconds) for requests
       that don't pass their own;
     - ``options.retries`` / ``options.retry_base_delay`` — the
@@ -134,34 +132,20 @@ class QueryService:
       ``document_loader``.
 
     ``engine`` overrides the service-built engine (e.g. one carrying a
-    catalog); the pre-1.5 keyword arguments (``max_workers=``,
-    ``jobs=``, …) still work behind a ``DeprecationWarning``.
+    catalog).
     """
 
     def __init__(self, engine: Optional[Engine] = None,
-                 options: Optional[ExecutionOptions] = None,
-                 max_workers=UNSET, max_queue=UNSET,
-                 jobs=UNSET,
-                 default_timeout=UNSET,
-                 retries=UNSET, retry_base_delay=UNSET,
-                 codegen=UNSET):
-        if options is not None and not isinstance(options, ExecutionOptions):
-            raise TypeError(
-                f"options must be a repro.ExecutionOptions, got "
-                f"{type(options).__name__} (the pre-1.5 positional "
-                f"max_workers= must now be passed by keyword)")
-        # the historical default: a service without explicit options
-        # parallelizes within queries at the platform's width
-        options = ExecutionOptions.from_legacy(
-            "QueryService", options, ExecutionOptions(jobs=None),
-            max_workers=max_workers, max_queue=max_queue, jobs=jobs,
-            default_timeout=default_timeout, retries=retries,
-            retry_base_delay=retry_base_delay, codegen=codegen)
+                 options: Optional[ExecutionOptions] = None):
+        if options is None:
+            options = ExecutionOptions()
+        elif not isinstance(options, ExecutionOptions):
+            raise TypeError(f"options must be a repro.ExecutionOptions, "
+                            f"got {type(options).__name__}")
         #: the frozen :class:`repro.ExecutionOptions` this service runs
         #: under; the attributes below are read-only mirrors
         self.options = options
         if engine is None:
-            # the engine resolves options.jobs to a group executor
             engine = Engine(options=options)
         self.engine = engine
         self.max_workers = options.max_workers

@@ -45,9 +45,9 @@ Merge invariants (what makes the output byte-identical):
 
 Atomic values never cross the pipe as pickles — the engine compares
 ``AtomicValue.type`` by identity (``is``), which a pickle round-trip
-breaks.  Items travel as plain tuples (:func:`transport_items`) and
-atomics are rebuilt against this process's type singletons
-(:func:`rebuild_atomic`).
+breaks.  Items travel as :mod:`repro.xdm.wire` transport tuples and
+aggregate partials are rebuilt against this process's type singletons
+(:func:`repro.xdm.wire.decode_atomic`).
 """
 
 from __future__ import annotations
@@ -55,94 +55,18 @@ from __future__ import annotations
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from decimal import Decimal
 from typing import Any, Optional
 
 from repro.errors import QueryTimeout, XQueryError
 from repro.runtime.arithmetic import arithmetic
 from repro.service.workers import ForkWorkerPool, WorkerCrashed
+from repro.xdm import wire
 from repro.xdm.items import AtomicValue, boolean, integer
-from repro.xdm.nodes import Node
-from repro.xsd import types as T
 
 
 class UncombinableShardResult(Exception):
     """Per-shard partials the merge cannot fold (unexpected shape or
     type) — the router falls back to single-worker execution."""
-
-
-# -- the item transport -----------------------------------------------------
-#
-# Per item: ("n", markup)                           node, serialized
-#           ("a", json_value, lexical, type_local)  atomic; json_value is
-#               the plain Python value when it is JSON-representable
-#               (bool/int/float/str), else None (use the lexical form)
-#           ("s", text)                             non-XDM stragglers
-
-
-def transport_items(result) -> list[tuple]:
-    """Encode a drained result sequence for the pipe."""
-    out: list[tuple] = []
-    for item in result:
-        if isinstance(item, Node):
-            out.append(("n", _serialize_node(item)))
-        elif isinstance(item, AtomicValue):
-            value = item.value
-            if not isinstance(value, (bool, int, float, str)):
-                value = None
-            out.append(("a", value, item.lexical, item.type.name.local))
-        else:
-            out.append(("s", str(item)))
-    return out
-
-
-def _serialize_node(node: Node) -> str:
-    from repro.xdm.build import node_events
-    from repro.xmlio.serializer import serialize_events
-
-    return serialize_events(node_events(node))
-
-
-def rebuild_atomic(entry: tuple) -> AtomicValue:
-    """Rebuild a typed atomic from its transport tuple.
-
-    Only the types an aggregate partial can carry (the numeric tower
-    and boolean) are rebuilt — anything else is
-    :class:`UncombinableShardResult`, which the router turns into a
-    single-worker fallback rather than a wrong answer.
-    """
-    if not (isinstance(entry, tuple) and entry and entry[0] == "a"):
-        raise UncombinableShardResult(f"expected an atomic, got {entry!r}")
-    _, json_value, lexical, local = entry
-    try:
-        type_ = T.xs_type(local)
-    except KeyError:
-        raise UncombinableShardResult(f"unknown type {local!r}") from None
-    if type_ is T.XS_BOOLEAN:
-        return boolean(json_value if isinstance(json_value, bool)
-                       else lexical == "true")
-    if type_.derives_from(T.XS_INTEGER):
-        return AtomicValue(int(lexical), type_)
-    if type_.derives_from(T.XS_DECIMAL):
-        return AtomicValue(Decimal(lexical), type_)
-    if type_ in (T.XS_FLOAT, T.XS_DOUBLE) or \
-            type_.derives_from(T.XS_FLOAT) or type_.derives_from(T.XS_DOUBLE):
-        if isinstance(json_value, (int, float)) \
-                and not isinstance(json_value, bool):
-            return AtomicValue(float(json_value), type_)
-        return AtomicValue(float(lexical.replace("INF", "inf")), type_)
-    raise UncombinableShardResult(f"cannot combine partials of type {local}")
-
-
-def _json_item(entry: tuple) -> Any:
-    """One transport entry → its ``form=json`` payload item (the exact
-    shape ``result_payload`` produces)."""
-    kind = entry[0]
-    if kind == "n":
-        return {"node": entry[1]}
-    if kind == "a":
-        return entry[1] if entry[1] is not None else entry[2]
-    return entry[1]
 
 
 def _merge_stats(total: dict, part: dict) -> None:
@@ -218,6 +142,10 @@ class ShardRouter:
         started = time.perf_counter()
         if not self.might_scatter(query_text, form):
             return None
+        # lazy: repro.server imports this module
+        from repro.server.cache import cacheable
+        from repro.server.tenants import error_reply, ms_since
+
         tenant = self.core.tenants.peek(tenant_name)
         if tenant is None:
             return None
@@ -271,14 +199,10 @@ class ShardRouter:
             return None
         for exc in failures:
             if isinstance(exc, QueryTimeout):
-                from repro.server.tenants import status_for
-
                 with self._lock:
                     self._counters["scattered"] += 1
                     self._counters["merged_errors"] += 1
-                return {"status": status_for(exc), "error": exc.code,
-                        "message": exc.message or str(exc),
-                        "elapsed_ms": _ms_since(started)}
+                return error_reply(exc, started)
         if failures:
             with self._lock:
                 self._counters["worker_crash_fallbacks"] += \
@@ -287,7 +211,7 @@ class ShardRouter:
 
         merge_started = time.perf_counter()
         merged = self._merge(kind, doc_names, shard_docs, results, form)
-        merge_ms = _ms_since(merge_started)
+        merge_ms = ms_since(merge_started)
         with self._lock:
             self._merge_ms_total += merge_ms
         if merged is None:
@@ -307,16 +231,14 @@ class ShardRouter:
             with self._lock:
                 self._counters["scattered"] += 1
                 self._counters["merged_errors"] += 1
-            payload_or_error["elapsed_ms"] = _ms_since(started)
+            payload_or_error["elapsed_ms"] = ms_since(started)
             payload_or_error["shard"] = shard_info
             return payload_or_error
-        from repro.server.cache import cacheable
-
         with self._lock:
             self._counters["scattered"] += 1
         return {"status": 200, "payload": payload_or_error,
                 "cached": False, "cacheable": cacheable(compiled),
-                "elapsed_ms": _ms_since(started), "shard": shard_info}
+                "elapsed_ms": ms_since(started), "shard": shard_info}
 
     # -- the merge operator -------------------------------------------------
 
@@ -338,7 +260,7 @@ class ShardRouter:
                 per_doc[entry[0]] = tuple(entry)
         rows_per_shard: dict[int, int] = {sid: 0 for sid in shard_docs}
 
-        def error_reply(entry: tuple):
+        def doc_error(entry: tuple):
             return ({"status": entry[2], "error": entry[3],
                      "message": entry[4]}, rows_per_shard)
 
@@ -352,7 +274,7 @@ class ShardRouter:
                     if entry is None:
                         return None
                     if entry[1] == "error":
-                        return error_reply(entry)
+                        return doc_error(entry)
                     rows_per_shard[owner[name]] += len(entry[2])
                     partial = self._one_atomic(entry)
                     if not isinstance(partial.value, bool):
@@ -371,7 +293,7 @@ class ShardRouter:
                 if entry is None:
                     return None
                 if entry[1] == "error":
-                    return error_reply(entry)
+                    return doc_error(entry)
                 rows_per_shard[owner[name]] += len(entry[2])
                 ordered.append(entry)
 
@@ -409,33 +331,20 @@ class ShardRouter:
         if len(items) != 1:
             raise UncombinableShardResult(
                 f"aggregate partial with {len(items)} items")
-        return rebuild_atomic(items[0])
+        try:
+            return wire.decode_atomic(items[0])
+        except ValueError as exc:
+            raise UncombinableShardResult(str(exc)) from None
 
     @staticmethod
     def _scan_payload(ordered: list[tuple], form: str) -> dict:
         stats: dict = {}
         for entry in ordered:
             _merge_stats(stats, entry[3] if len(entry) > 3 else {})
-        if form == "xml":
-            parts: list[str] = []
-            prev_atomic = False
-            for entry in ordered:
-                for item in entry[2]:
-                    if item[0] == "n":
-                        parts.append(item[1])
-                        prev_atomic = False
-                    else:
-                        # the adjacent-atomic space rule applies across
-                        # document boundaries too, exactly like
-                        # Result.serialize over the whole sequence
-                        if prev_atomic:
-                            parts.append(" ")
-                        parts.append(item[2] if item[0] == "a" else item[1])
-                        prev_atomic = True
-            return {"form": "xml", "body": "".join(parts), "stats": stats}
-        items = [_json_item(item) for entry in ordered for item in entry[2]]
-        return {"form": "json", "items": items, "count": len(items),
-                "stats": stats}
+        # one sequence across document boundaries, so the adjacent-atomic
+        # space rule applies there too, exactly like Result.serialize
+        entries = (item for entry in ordered for item in entry[2])
+        return {**wire.payload(entries, form), "stats": stats}
 
     @staticmethod
     def _aggregate_payload(total: AtomicValue, per_doc: dict,
@@ -444,13 +353,7 @@ class ShardRouter:
         for entry in per_doc.values():
             if entry[1] == "ok":
                 _merge_stats(stats, entry[3] if len(entry) > 3 else {})
-        if form == "xml":
-            return {"form": "xml", "body": total.lexical, "stats": stats}
-        value = total.value
-        if not isinstance(value, (bool, int, float, str)):
-            value = total.lexical
-        return {"form": "json", "items": [value], "count": 1,
-                "stats": stats}
+        return {**wire.payload(wire.encode([total]), form), "stats": stats}
 
     # -- introspection / shutdown ------------------------------------------
 
@@ -465,6 +368,3 @@ class ShardRouter:
     def shutdown(self) -> None:
         self._threads.shutdown(wait=False)
 
-
-def _ms_since(started: float) -> float:
-    return round((time.perf_counter() - started) * 1000, 3)

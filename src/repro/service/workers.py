@@ -1,10 +1,6 @@
 """A persistent pre-forked worker pool: multi-core serving that
-survives across requests.
+survives across requests — the repo's one fork transport.
 
-:class:`~repro.service.executors.ForkGroupExecutor` forks per *group*:
-every parallel plan pays a fork, and nothing learned by a child (warm
-compile caches, parsed documents) outlives one query.
-:class:`ForkWorkerPool` graduates that design for a long-lived server:
 ``workers`` children are forked **once**, each runs a framed
 request/reply loop over a pipe pair, and each keeps its own warm state
 (per-tenant engines, compile caches, pinned index trees) across

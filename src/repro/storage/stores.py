@@ -10,15 +10,13 @@ engine; what differs is what lives between queries:
 - :class:`TokenStore` keeps the pooled binary token form — compact,
   streams without parsing, rebuilds trees only on demand.
 
-Constructors are keyword-only as of 1.2 (``TreeStore(xml_text=...)``);
-positional calls still work behind a :class:`DeprecationWarning`.
-Every store exposes a common :meth:`BaseStore.stats` with per-document
+Constructors are keyword-only (``TreeStore(xml_text=...)``).  Every
+store exposes a common :meth:`BaseStore.stats` with per-document
 statistics for the access-path planner.
 """
 
 from __future__ import annotations
 
-import warnings
 from typing import Iterator, Optional
 
 from repro.storage.indexes import ElementIndex, ValueIndex
@@ -29,41 +27,6 @@ from repro.tokens.token import Token
 from repro.xdm.build import parse_document
 from repro.xdm.nodes import DocumentNode
 from repro.xmlio.parser import parse_events
-
-
-#: the keyword defaults every store constructor shares — the single
-#: source the legacy shim uses to tell "explicitly passed" from default
-_INIT_DEFAULTS = {"xml_text": None, "base_uri": "", "pooled": True}
-
-
-def _init_kwargs(cls_name: str, args: tuple, names: tuple[str, ...],
-                 **values) -> dict:
-    """The consolidated 1.2 constructor shim, one call per store.
-
-    Maps legacy positional arguments onto the keyword surface (warning
-    once per call site), merges them with keywords actually passed, and
-    returns the final keyword values.  With no positional arguments it
-    is a pass-through.
-    """
-    if not args:
-        return values
-    if len(args) > len(names):
-        raise TypeError(
-            f"{cls_name}() takes at most {len(names)} positional arguments "
-            f"({len(args)} given)")
-    warnings.warn(
-        f"positional arguments to {cls_name}() are deprecated since 1.2; "
-        f"use keywords, e.g. {cls_name}(xml_text=...)",
-        DeprecationWarning, stacklevel=3)
-    out = {name: value for name, value in values.items()
-           if value != _INIT_DEFAULTS[name]}
-    for name, value in zip(names, args):
-        if name in out:
-            raise TypeError(f"{cls_name}() got multiple values for argument {name!r}")
-        out[name] = value
-    for name in names:
-        out.setdefault(name, _INIT_DEFAULTS[name])
-    return out
 
 
 class BaseStore:
@@ -101,13 +64,9 @@ class TextStore(BaseStore):
 
     kind = "text"
 
-    def __init__(self, *args, xml_text: Optional[str] = None, base_uri: str = ""):
-        kw = _init_kwargs("TextStore", args, ("xml_text", "base_uri"),
-                          xml_text=xml_text, base_uri=base_uri)
-        if kw["xml_text"] is None:
-            raise TypeError("TextStore() missing required argument: 'xml_text'")
-        self.text = kw["xml_text"]
-        self.base_uri = kw["base_uri"]
+    def __init__(self, *, xml_text: str, base_uri: str = ""):
+        self.text = xml_text
+        self.base_uri = base_uri
 
     def document(self) -> DocumentNode:
         return parse_document(self.text, self.base_uri)
@@ -121,12 +80,8 @@ class TreeStore(BaseStore):
 
     kind = "tree"
 
-    def __init__(self, *args, xml_text: Optional[str] = None, base_uri: str = ""):
-        kw = _init_kwargs("TreeStore", args, ("xml_text", "base_uri"),
-                          xml_text=xml_text, base_uri=base_uri)
-        if kw["xml_text"] is None:
-            raise TypeError("TreeStore() missing required argument: 'xml_text'")
-        self._doc = parse_document(kw["xml_text"], kw["base_uri"])
+    def __init__(self, *, xml_text: str, base_uri: str = ""):
+        self._doc = parse_document(xml_text, base_uri)
         self._element_index: Optional[ElementIndex] = None
         self._value_index: Optional[ValueIndex] = None
 
@@ -164,16 +119,11 @@ class TokenStore(BaseStore):
 
     kind = "tokens"
 
-    def __init__(self, *args, xml_text: Optional[str] = None, base_uri: str = "",
+    def __init__(self, *, xml_text: str, base_uri: str = "",
                  pooled: bool = True):
-        kw = _init_kwargs("TokenStore", args, ("xml_text", "base_uri", "pooled"),
-                          xml_text=xml_text, base_uri=base_uri, pooled=pooled)
-        if kw["xml_text"] is None:
-            raise TypeError("TokenStore() missing required argument: 'xml_text'")
-        events = parse_events(kw["xml_text"], kw["base_uri"])
-        self.blob = write_binary(tokens_from_events(events),
-                                 pooled=kw["pooled"])
-        self.base_uri = kw["base_uri"]
+        events = parse_events(xml_text, base_uri)
+        self.blob = write_binary(tokens_from_events(events), pooled=pooled)
+        self.base_uri = base_uri
 
     def tokens(self) -> Iterator[Token]:
         """Stream the stored tokens (lazy decode)."""

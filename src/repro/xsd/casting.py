@@ -394,6 +394,8 @@ def castable(value: Any, source: T.AtomicType, target: T.AtomicType) -> bool:
 
 def canonical_lexical(value: Any, source: T.AtomicType) -> str:
     """Canonical string form of a typed value (used by ``fn:string``)."""
+    if type(value) is str:
+        return value  # string-valued types are their own lexical form
     prim = source.primitive
     if prim is T.XS_BOOLEAN:
         return "true" if value else "false"

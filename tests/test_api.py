@@ -74,11 +74,14 @@ class TestXmlWrapper:
 
 
 class TestKeywordOnlySignatures:
-    def test_execute_positional_warns_but_works(self):
+    def test_execute_rejects_positionals(self):
+        # 2.0 removed the pre-1.1 positional shim
         compiled = repro.compile("$x + 1", variables=("x",))
-        with pytest.warns(DeprecationWarning):
-            result = compiled.execute(None, {"x": 41})
-        assert result.values() == [42]
+        with pytest.raises(TypeError, match="positional"):
+            compiled.execute("<a/>")
+        with pytest.raises(TypeError, match="positional"):
+            compiled.execute(None, {"x": 41})
+        assert compiled.execute(variables={"x": 41}).values() == [42]
 
     def test_execute_keywords_do_not_warn(self):
         compiled = repro.compile("1")
@@ -86,17 +89,13 @@ class TestKeywordOnlySignatures:
             warnings.simplefilter("error")
             assert compiled.execute(context_item="<a/>").values() == [1]
 
-    def test_explain_positional_warns_but_works(self):
+    def test_explain_rejects_positionals(self):
         engine = Engine()
-        with pytest.warns(DeprecationWarning):
-            explained = engine.explain("count(//b)", "<a><b/></a>", None, True)
+        with pytest.raises(TypeError, match="positional"):
+            engine.explain("count(//b)", "<a><b/></a>", None, True)
+        explained = engine.explain("count(//b)", context_item="<a><b/></a>",
+                                   analyze=True)
         assert explained.to_dict()["engine_stats"] is not None
-
-    def test_execute_rejects_too_many_positionals(self):
-        compiled = repro.compile("1")
-        with pytest.raises(TypeError), warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            compiled.execute(None, None, None, None, None, None, None)
 
 
 class TestCompileCacheKey:

@@ -113,14 +113,32 @@ class TestCli:
         assert info.value.code == 2
         assert "--batch-size" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("options,named", [
+        ('{"batch_size": 8}', "batch_size"),
+        # 2.0: jobs is an int; null meant "platform default" (the
+        # retired fork-per-group executor)
+        ('{"jobs": null}', "jobs")])
     def test_serve_config_with_removed_knob_is_a_config_error(
-            self, tmp_path, capsys):
+            self, tmp_path, capsys, options, named):
         config = tmp_path / "server.json"
-        config.write_text('{"options": {"batch_size": 8}}')
+        config.write_text('{"options": %s}' % options)
         code, _, err = run_cli(["serve", "--config", str(config)], capsys)
         assert code == 1
-        assert err.startswith("config error:") and "batch_size" in err
+        assert err.startswith("config error:") and named in err
         assert "Traceback" not in err
+
+    def test_jobs_flag_runs_parallel_groups(self, capsys):
+        import json
+
+        query = "(sum(1 to 500), sum(1 to 600), sum(1 to 700))"
+        code, out, err = run_cli(["--jobs", "4", "--profile", query], capsys)
+        assert code == 0 and out.strip() == "125250 180300 245350"
+        stats = json.loads(err)["engine_stats"]
+        assert stats["parallel.groups_run"] >= 1
+        code, out, err = run_cli(["--profile", query], capsys)
+        assert code == 0 and out.strip() == "125250 180300 245350"
+        assert "parallel.groups_run" not in json.loads(err).get(
+            "engine_stats", {})
 
     def test_xml_decl_flag(self, capsys):
         code, out, _ = run_cli(["--xml-decl", "<a/>"], capsys)

@@ -1,9 +1,9 @@
-"""ExecutionOptions: the one frozen configuration object (1.5).
+"""ExecutionOptions: the one frozen configuration object.
 
 Covers the satellite guarantees: round-trips through every surface
 (Engine, QueryService, repro.configure, serialization), the compile
-cache keyed by the options fingerprint, and the legacy keyword shims
-warning but behaving identically.
+cache keyed by the options fingerprint, and the removed 1.x keyword
+surface rejected by Python's own ``TypeError``.
 """
 
 import dataclasses
@@ -12,7 +12,6 @@ import pytest
 
 import repro
 from repro import Engine, ExecutionOptions
-from repro.options import UNSET
 from repro.runtime.memo import LRUCache
 from repro.service import QueryService
 
@@ -45,6 +44,29 @@ class TestConstructionAndValidation:
                       Engine, QueryService):
             with pytest.raises(TypeError, match="batch_size"):
                 build(batch_size=8)
+
+    def test_removed_1x_keyword_shims_rejected(self):
+        # 2.0 removed the deprecation layer: knobs travel in options=
+        for build, knob in ((Engine, {"codegen": "closure"}),
+                            (Engine, {"optimize": False}),
+                            (QueryService, {"max_workers": 2}),
+                            (QueryService, {"jobs": 4})):
+            with pytest.raises(TypeError, match=next(iter(knob))):
+                build(**knob)
+            with pytest.raises(TypeError, match=next(iter(knob))):
+                build(options=ExecutionOptions(), **knob)
+        assert not hasattr(ExecutionOptions, "from_legacy")
+
+    def test_jobs_is_an_int(self):
+        # None ("platform default") only ever selected the retired
+        # fork-per-group executor
+        fields = {f.name: f.type for f in dataclasses.fields(ExecutionOptions)}
+        assert len(fields) == 13 and fields["jobs"] == "int"
+        for bad in (None, -1, 2.0, True, "4"):
+            with pytest.raises(ValueError, match="jobs"):
+                ExecutionOptions(jobs=bad)
+        with pytest.raises(ValueError, match="jobs"):
+            ExecutionOptions.from_dict({"jobs": None})
 
     def test_replace(self):
         base = ExecutionOptions()
@@ -113,20 +135,6 @@ class TestEngineIntegration:
         assert engine.optimize is False
         assert engine.options.optimize is False
 
-    def test_engine_options_and_legacy_kwargs_conflict(self):
-        with pytest.raises(TypeError):
-            Engine(options=ExecutionOptions(), optimize=False)
-
-    def test_legacy_kwargs_warn_but_work(self):
-        with pytest.warns(DeprecationWarning, match="migration"):
-            engine = Engine(optimize=False)
-        assert engine.optimize is False
-
-    def test_options_path_is_silent(self, recwarn):
-        Engine(options=ExecutionOptions(codegen="source"))
-        assert not [w for w in recwarn.list
-                    if issubclass(w.category, DeprecationWarning)]
-
     def test_options_key_the_shared_compile_cache(self):
         shared = LRUCache(16)
         fast = Engine(options=ExecutionOptions(), compile_cache=shared)
@@ -139,9 +147,12 @@ class TestEngineIntegration:
         assert slow.compile("1 + 1") is b
 
     def test_jobs_builds_executor(self):
+        from repro.service import ThreadGroupExecutor
+
         engine = Engine(options=ExecutionOptions(jobs=2))
         try:
-            assert engine.executor is not None
+            assert isinstance(engine.executor, ThreadGroupExecutor)
+            assert engine.executor.max_workers == 2
         finally:
             engine.executor.shutdown()
 
@@ -160,19 +171,22 @@ class TestServiceIntegration:
             assert svc.engine.options is opts
             assert svc.execute("1 + 1").values() == [2]
 
-    def test_service_legacy_kwargs_warn(self):
-        with pytest.warns(DeprecationWarning):
-            svc = QueryService(max_workers=2)
-        with svc:
-            assert svc.max_workers == 2
+    def test_bare_service_runs_the_default_options(self):
+        # pre-2.0 a bare QueryService() silently built jobs=None: a
+        # fork-per-group executor that put every group on the closure
+        # oracle
+        with QueryService() as svc:
+            assert svc.options == ExecutionOptions()
+            assert svc.engine.executor is None
+            assert svc.engine.codegen == "source"
 
     def test_service_rejects_positional_options(self):
         with pytest.raises(TypeError):
             QueryService(None, 4)
 
     def test_jobs_and_max_workers_are_distinct(self):
-        # pre-1.5 these two knobs overlapped; now max_workers bounds
-        # admission across queries while jobs parallelizes within one
+        # max_workers bounds admission across queries while jobs
+        # parallelizes within one
         opts = ExecutionOptions(max_workers=3, jobs=1)
         with QueryService(options=opts) as svc:
             assert svc.max_workers == 3
@@ -193,13 +207,3 @@ class TestConfigure:
         with pytest.raises(TypeError):
             repro.configure({"optimize": False})
 
-
-class TestUnsetSentinel:
-    def test_from_legacy_nothing_passed_returns_defaults(self):
-        opts = ExecutionOptions.from_legacy("T", None, optimize=UNSET)
-        assert opts == ExecutionOptions()
-
-    def test_from_legacy_defaults_apply(self):
-        base = ExecutionOptions(jobs=None)
-        opts = ExecutionOptions.from_legacy("T", None, base, optimize=UNSET)
-        assert opts.jobs is None

@@ -41,11 +41,17 @@ class Client:
         raw = resp.read()
         headers = dict(resp.getheaders())
         if headers.get("Content-Type", "").startswith("application/json"):
-            return resp.status, json.loads(raw), headers
+            # strict: a bare Infinity/NaN token is not JSON (RFC 8259)
+            return resp.status, json.loads(raw, parse_constant=_reject), \
+                headers
         return resp.status, raw.decode(), headers
 
     def close(self):
         self.conn.close()
+
+
+def _reject(token):
+    raise AssertionError(f"non-JSON constant {token!r} in a reply body")
 
 
 @pytest.fixture(scope="module")
@@ -281,6 +287,52 @@ class TestErrorMapping:
     def test_no_route_404(self, client):
         status, _, _ = client.request("GET", "/nope")
         assert status == 404
+
+
+_PREFORK = pytest.mark.skipif(not hasattr(os, "fork"),
+                              reason="pre-forked mode needs os.fork")
+
+
+@pytest.mark.parametrize("processes,shards", [
+    (0, 0), pytest.param(2, 0, marks=_PREFORK),
+    pytest.param(2, 2, marks=_PREFORK)],
+    ids=["inprocess", "prefork", "shards2"])
+def test_non_finite_floats_reply_in_strict_json(processes, shards):
+    """A 200 must carry a JSON body: INF/-INF/NaN travel as their
+    lexical forms on the single-worker and the scatter path alike
+    (``Client`` parses strictly, so a bare ``Infinity`` fails here)."""
+    handle = start_in_thread(ServerConfig(
+        port=0, processes=processes,
+        options=ExecutionOptions(shards=shards)))
+    client = Client(handle.port)
+    try:
+        for name, value in (("d0", "INF"), ("d1", "NaN"), ("d2", "1.5")):
+            status, body, _ = client.request(
+                "PUT", f"/tenants/t/documents/{name}", f"<r><n>{value}</n></r>")
+            assert status == 200, body
+        for query, items in (
+                ("(xs:double('INF'), xs:float('-INF'), 1e0 div 0, "
+                 "xs:double('NaN'), 0.5e0)",
+                 ["INF", "-INF", "INF", "NaN", 0.5]),
+                ("for $n in collection()//n return xs:double($n)",
+                 ["INF", "NaN", 1.5]),
+                ("sum(for $n in collection()//n[. != 'NaN'] "
+                 "return xs:double($n))", ["INF"])):
+            status, body, _ = client.request(
+                "POST", "/tenants/t/execute", {"query": query})
+            assert status == 200, body
+            assert body["items"] == items
+            status, text, _ = client.request(
+                "POST", "/tenants/t/execute", {"query": query, "form": "xml"})
+            assert status == 200
+            assert text == " ".join(
+                i if isinstance(i, str) else str(i) for i in items)
+        if shards:
+            status, metrics, _ = client.request("GET", "/metrics")
+            assert metrics["sharding"]["scattered"] >= 4
+    finally:
+        client.close()
+        handle.close()
 
 
 class TestOverload:

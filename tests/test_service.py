@@ -10,7 +10,6 @@ import repro
 from repro import CancellationToken, Engine, ExecutionOptions
 from repro.errors import QueryCancelled, QueryTimeout, ServiceOverloaded
 from repro.service import (
-    ForkGroupExecutor,
     QueryService,
     RetryingDocumentLoader,
     SequentialExecutor,
@@ -36,9 +35,7 @@ RUNAWAY_N = 4000
 
 
 def service(**knobs) -> QueryService:
-    """A service at the platform's intra-query width (``jobs=None``),
-    what ``QueryService()`` builds when given no options."""
-    return QueryService(options=ExecutionOptions(jobs=None, **knobs))
+    return QueryService(options=ExecutionOptions(**knobs))
 
 
 class TestCancellationToken:
@@ -205,24 +202,26 @@ class TestExecutors:
             assert result.values() == self.EXPECTED
             assert result.stats["parallel.fallback_sequential"] >= 1
 
-    def test_fork_executor_matches_sequential(self):
-        executor = ForkGroupExecutor(jobs=2)
-        if not executor.available:
-            pytest.skip("platform without os.fork")
-        result = Engine(executor=executor).compile(self.QUERY).execute()
-        assert result.values() == self.EXPECTED
-        assert result.stats["parallel.groups_run"] >= 1
+    def test_thread_executor_returns_nodes_intact(self):
+        with ThreadGroupExecutor(max_workers=4) as executor:
+            result = Engine(executor=executor).compile(
+                "($d//b, $d//b)", variables=("d",)).execute(
+                variables={"d": repro.xml("<a><b/></a>")})
+            # threads share the heap: node members need no transport
+            assert result.serialize() == "<b/><b/>"
+            assert result.stats["parallel.groups_run"] >= 1
 
-    def test_fork_executor_node_results_fall_back_inline(self):
-        executor = ForkGroupExecutor(jobs=2)
-        if not executor.available:
-            pytest.skip("platform without os.fork")
-        engine = Engine(executor=executor)
-        result = engine.compile("($d//b, $d//b)", variables=("d",)).execute(
-            variables={"d": repro.xml("<a><b/></a>")})
-        # nodes cannot cross the pipe: both members rerun inline, exact
-        assert len(result.items()) == 2
-        assert result.stats.get("parallel.member_fallback", 0) >= 1
+    def test_fork_per_group_executor_is_gone(self):
+        # 2.0: ForkWorkerPool is the one fork transport
+        import repro.service
+
+        for name in ("ForkGroupExecutor", "default_executor"):
+            assert not hasattr(repro.service, name)
+            assert not hasattr(repro.service.executors, name)
+        with pytest.raises(ImportError):
+            from repro.service import ForkGroupExecutor  # noqa: F401
+        with pytest.raises(ImportError):
+            from repro.service import default_executor  # noqa: F401
 
     def test_member_error_surfaces(self):
         with ThreadGroupExecutor(max_workers=4) as executor:

@@ -10,23 +10,26 @@ backends on disk and memory stores.
 
 import json
 import http.client
+import math
+import pickle
 import threading
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro import ExecutionOptions
+from repro import Engine, ExecutionOptions, parse_document
 from repro.catalog import DocumentCatalog
 from repro.compiler.analysis import collection_shard_plan
 from repro.server import ServerConfig, start_in_thread
 from repro.server.cache import ServerResultCache
-from repro.service.sharding import (
-    UncombinableShardResult,
-    rebuild_atomic,
-    transport_items,
-)
+from repro.server.tenants import result_payload
 from repro.service.workers import ForkWorkerPool
+from repro.xdm import wire
+from repro.xdm.items import AtomicValue
 from repro.xsd import types as T
+from repro.xsd.casting import parse_lexical
 
 
 class Client:
@@ -42,7 +45,9 @@ class Client:
         raw = resp.read()
         headers = dict(resp.getheaders())
         if headers.get("Content-Type", "").startswith("application/json"):
-            return resp.status, json.loads(raw), headers
+            # strict: a bare Infinity/NaN token is not JSON (RFC 8259)
+            return resp.status, json.loads(raw, parse_constant=_reject), \
+                headers
         return resp.status, raw.decode(), headers
 
     def close(self):
@@ -71,6 +76,13 @@ CASES = [
     ("sum_float", {"query": "sum(collection()//f)"}),
     ("exists_true", {"query": "exists(collection()//n[. > 40])"}),
     ("exists_false", {"query": "exists(collection()//n[. > 4000])"}),
+    ("scan_non_finite", {"query": "for $n in collection()//n return "
+                                  "(1e0 div 0, xs:float('-INF'), "
+                                  "xs:double('NaN'))"}),
+    ("scan_non_finite_xml", {"query": "for $n in collection()//n "
+                                      "return -1e0 div 0", "form": "xml"}),
+    ("sum_non_finite", {"query": "sum(for $n in collection()//n "
+                                 "return 1e0 div 0)"}),
     ("error_sum_strings", {"query": "sum(collection()//s)"}),
     ("error_mid_collection",
      {"query": "collection()//n[xs:integer(../bad) ge 0]"}),
@@ -295,36 +307,124 @@ class TestShardMap:
         assert others.count(1 - big_shard) >= 3
 
 
-class TestTransport:
-    def test_rebuild_preserves_type_identity(self, run):
-        result = run("(1, 1.5, 2.5e0, true(), xs:long(7))")
-        entries = transport_items(result)
-        rebuilt = [rebuild_atomic(e) for e in entries]
-        originals = list(result)
-        for orig, back in zip(originals, rebuilt):
-            # the engine compares types with `is`: transported atomics
-            # must rebuild against this process's singletons
-            assert back.type is orig.type
-            assert back.value == orig.value
-            assert back.lexical == orig.lexical
+def _same_float(a, b):
+    """Bit-for-bit float equality: NaN equals NaN, 0.0 differs from -0.0."""
+    if math.isnan(a) or math.isnan(b):
+        return math.isnan(a) and math.isnan(b)
+    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
 
-    def test_rebuild_rejects_nodes_and_unknowns(self, run):
-        result = run("<a/>")
-        entries = transport_items(result)
-        with pytest.raises(UncombinableShardResult):
-            rebuild_atomic(entries[0])
-        with pytest.raises(UncombinableShardResult):
-            rebuild_atomic(("a", None, "x", "no-such-type"))
-        with pytest.raises(UncombinableShardResult):
-            rebuild_atomic(("a", "x", "x", "string"))
 
-    def test_special_floats_round_trip(self, run):
-        result = run("(xs:double('INF'), xs:double('-INF'), "
-                     "xs:float(0.5))")
-        rebuilt = [rebuild_atomic(e) for e in transport_items(result)]
-        assert rebuilt[0].value == float("inf")
-        assert rebuilt[1].value == float("-inf")
-        assert rebuilt[2].type is T.XS_FLOAT
+_INTEGER_TYPES = sorted(
+    (t for t in T.builtin_types().values() if t.derives_from(T.XS_INTEGER)),
+    key=lambda t: t.name.local)
+
+#: every atomic an aggregate partial can carry: boolean + the numeric
+#: tower (integer values kept in 1..100, valid for every subtype)
+COMBINABLE = st.one_of(
+    st.builds(AtomicValue, st.booleans(), st.just(T.XS_BOOLEAN)),
+    st.builds(AtomicValue, st.integers(1, 100),
+              st.sampled_from(_INTEGER_TYPES)),
+    st.builds(AtomicValue,
+              st.decimals(allow_nan=False, allow_infinity=False, places=3,
+                          min_value=-10**6, max_value=10**6),
+              st.just(T.XS_DECIMAL)),
+    st.builds(AtomicValue, st.floats(width=32), st.just(T.XS_FLOAT)),
+    st.builds(AtomicValue, st.floats(), st.just(T.XS_DOUBLE)),
+    st.builds(AtomicValue,
+              st.sampled_from([0.0, -0.0, float("inf"), float("-inf"),
+                               float("nan")]),
+              st.sampled_from([T.XS_FLOAT, T.XS_DOUBLE])),
+)
+
+#: atomics that cross the wire but that no merge may rebuild
+OPAQUE = st.one_of(
+    st.builds(AtomicValue, st.text(max_size=8),
+              st.sampled_from([T.XS_STRING, T.XS_ANYURI, T.UNTYPED_ATOMIC])),
+    st.sampled_from([(T.XS_DATE, "2004-03-01"), (T.XS_QNAME, "xs:integer"),
+                     (T.XS_HEXBINARY, "0AFF"), (T.XS_DURATION, "P1D")])
+    .map(lambda pair: AtomicValue(parse_lexical(*pair), pair[0])),
+)
+
+
+def _tree_nodes(xml):
+    """Every standalone-serializable node of a parsed document."""
+    return list(parse_document(xml).descendants_or_self())
+
+
+_TEXT = st.sampled_from(["", "t", "x<&>y", " two words "])
+_ELEMENT = st.recursive(
+    st.builds("<e k=\"{}\">{}</e>".format,
+              st.sampled_from(["v", "a&amp;b"]),
+              _TEXT.map(lambda t: t.replace("&", "&amp;")
+                        .replace("<", "&lt;"))),
+    lambda children: st.builds(
+        "<p>{}<!--c-->{}</p>".format, children, children),
+    max_leaves=4)
+NODES = _ELEMENT.map(_tree_nodes).flatmap(st.sampled_from)
+
+ITEMS = st.lists(st.one_of(COMBINABLE, OPAQUE, NODES), max_size=6)
+
+#: identity query: binds the generated items, returns them as a Result
+_ECHO = Engine().compile("$x", variables=("x",))
+
+
+class TestWireCodec:
+    """`repro.xdm.wire`: the one encoding behind the shard pipe, the
+    JSON items, the XML body and Result.serialize."""
+
+    @given(item=COMBINABLE)
+    @settings(max_examples=200, deadline=None)
+    def test_combinable_atomics_round_trip_through_a_pickle(self, item):
+        (entry,) = pickle.loads(pickle.dumps(wire.encode([item])))
+        back = wire.decode_atomic(entry)
+        # the engine compares types with `is`: a transported atomic must
+        # rebuild against this process's singletons
+        assert back.type is item.type
+        assert back.lexical == item.lexical
+        if isinstance(item.value, float):
+            assert _same_float(back.value, item.value)
+        else:
+            assert type(back.value) is type(item.value)
+            assert back.value == item.value
+
+    @given(item=st.one_of(OPAQUE, NODES))
+    @settings(max_examples=60, deadline=None)
+    def test_everything_else_raises_value_error(self, item):
+        (entry,) = pickle.loads(pickle.dumps(wire.encode([item])))
+        with pytest.raises(ValueError):
+            wire.decode_atomic(entry)
+
+    def test_malformed_entries_raise_value_error(self):
+        for entry in (("a", None, "x", "no-such-type"), ("a", 1, "1"),
+                      ("s", "text"), None):
+            with pytest.raises(ValueError):
+                wire.decode_atomic(entry)
+
+    @given(items=ITEMS)
+    @settings(max_examples=150, deadline=None)
+    def test_json_and_xml_forms_match_the_single_process_path(self, items):
+        entries = pickle.loads(pickle.dumps(wire.encode(items)))
+        result = _ECHO.execute(variables={"x": items})
+        payload = result_payload(result, "json")
+        assert wire.json_items(entries) == payload["items"]
+        assert payload["count"] == len(items)
+        assert wire.xml_text(entries) == result.serialize()
+        assert result_payload(result, "xml")["body"] == result.serialize()
+        # strict JSON: no bare Infinity/NaN tokens (RFC 8259)
+        json.loads(json.dumps(payload["items"]), parse_constant=_reject)
+
+    def test_non_finite_floats_travel_as_lexicals(self):
+        items = [AtomicValue(float("inf"), T.XS_DOUBLE),
+                 AtomicValue(float("-inf"), T.XS_FLOAT),
+                 AtomicValue(float("nan"), T.XS_DOUBLE),
+                 AtomicValue(0.5, T.XS_FLOAT)]
+        assert wire.json_items(wire.encode(items)) == \
+            ["INF", "-INF", "NaN", 0.5]
+        assert wire.xml_text(wire.encode(items)) == "INF -INF NaN 0.5"
+
+
+def _reject(token):
+    raise AssertionError(f"non-JSON constant {token!r} in a reply body")
 
 
 class TestEligibility:

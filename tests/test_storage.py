@@ -181,7 +181,9 @@ class TestStores:
         assert not stats.has_namespaces
 
     @pytest.mark.parametrize("store_cls", [TextStore, TreeStore, TokenStore])
-    def test_positional_args_warn(self, store_cls):
-        with pytest.warns(DeprecationWarning, match="positional arguments"):
-            store = store_cls(self.XML)
-        assert store.document().document_element().name.local == "inventory"
+    def test_positional_and_missing_args_rejected(self, store_cls):
+        # 2.0 removed the 1.2 positional shim: keyword-only
+        with pytest.raises(TypeError, match="positional"):
+            store_cls(self.XML)
+        with pytest.raises(TypeError, match="xml_text"):
+            store_cls()
