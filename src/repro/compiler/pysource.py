@@ -49,9 +49,9 @@ import itertools
 import linecache
 import weakref
 from contextlib import ExitStack, contextmanager
-from typing import Any, Callable, Iterator
+from typing import Any, Callable, Iterator, NamedTuple
 
-from repro.compiler.analysis import uses_last
+from repro.compiler.analysis import free_vars, uses_last
 from repro.compiler.codegen import (
     CodeGenerator,
     Plan,
@@ -85,6 +85,7 @@ from repro.runtime.constructors import (
 from repro.runtime.compare import (
     _GENERAL_TO_VALUE,
     _general_pair,
+    compare_lane,
     node_compare,
     order_compare,
     value_compare,
@@ -189,6 +190,7 @@ _BASE_ENV = {
     "_atomize_item": atomize_item,
     "_ebv_atom": _atomic_ebv,
     "_general_pair": _general_pair,
+    "_compare_lane": compare_lane,
     "_value_compare": value_compare,
     "_node_compare": node_compare,
     "_order_compare": order_compare,
@@ -427,7 +429,7 @@ class _SingletonAtomSink:
     def item(self, em, code):
         code = em._as_local(code)
         t = em.fresh("t")
-        with em.block(f"for {t} in _atomize_item({code}):"):
+        with em.loop(f"for {t} in _atomize_item({code}):"):
             with em.block(f"if {self.var} is not None:"):
                 em.w('raise _TypeError_("expected at most one atomic '
                      'value", code="XPTY0004")')
@@ -435,20 +437,31 @@ class _SingletonAtomSink:
 
 
 class _GCLeftSink:
-    """General-comparison left loop: lazy, early-exit on first match."""
+    """General-comparison left loop: lazy, early-exit on first match.
 
-    def __init__(self, result: str, right_list: str, value_op: str, token: int):
+    ``lane`` is the per-activation comparator of a hoisted right
+    operand (:func:`repro.runtime.compare.compare_lane`); without one
+    every left value meets every item of ``right_list``."""
+
+    def __init__(self, result: str, value_op: str, token: int,
+                 right_list: str | None = None, lane: str | None = None):
         self.result = result
-        self.right_list = right_list
         self.value_op = value_op
         self.token = token
+        self.right_list = right_list
+        self.lane = lane
 
     def item(self, em, code):
         code = em._as_local(code)
         a = em.fresh("a")
-        with em.block(f"for {a} in _atomize_item({code}):"):
+        with em.loop(f"for {a} in _atomize_item({code}):"):
+            if self.lane is not None:
+                with em.block(f"if {self.lane}({a}):"):
+                    em.w(f"{self.result} = True")
+                    em.w(f"raise _Early({self.token})")
+                return
             b = em.fresh("b")
-            with em.block(f"for {b} in {self.right_list}:"):
+            with em.loop(f"for {b} in {self.right_list}:"):
                 with em.block(
                         f"if _general_pair({self.value_op!r}, {a}, {b}):"):
                     em.w(f"{self.result} = True")
@@ -598,6 +611,15 @@ class _PathSink:
 # ---------------------------------------------------------------------------
 
 
+class _Binding(NamedTuple):
+    """An in-scope variable of the code being emitted."""
+
+    local: str  #: the Python local holding it (may alias another binding's)
+    kind: str  #: "item" | "seq"
+    function: dict  #: the function record it was bound in
+    depth: int  #: loops of that function open when it was bound
+
+
 class SourcePlanCompiler:
     """Compiles a core expression tree to generated Python source.
 
@@ -616,8 +638,8 @@ class SourcePlanCompiler:
         self.cgen = CodeGenerator(static_ctx, instrument=instrument,
                                   executor=executor, catalog=catalog)
         self.env: dict[str, Any] = dict(_BASE_ENV)
-        #: in-scope variables: QName -> (local name, "item" | "seq")
-        self.scope: dict[QName, tuple[str, str]] = {}
+        #: in-scope variables
+        self.scope: dict[QName, _Binding] = {}
         #: local focus: None (ambient dctx focus) or a (item, position,
         #: size) triple of identifiers / integer literals
         self.focus: tuple[str, str, str] | None = None
@@ -629,6 +651,8 @@ class SourcePlanCompiler:
         #: focus-size locals holding a ``BufferedSequence.length`` bound
         #: method instead of an int (bases buffered for fn:last())
         self._lazy_sizes: set[str] = set()
+        #: set while a hoisted operand's own code is being emitted
+        self._hoisting = False
         #: the emitted module text (set by compile_root)
         self.generated_source: str | None = None
         self.filename: str | None = None
@@ -663,8 +687,24 @@ class SourcePlanCompiler:
             cur["indent"] -= 1
 
     @contextmanager
+    def loop(self, header: str):
+        """A ``for`` / ``while`` block.  While it is open, a
+        loop-invariant operand in its body may ask for a line to run
+        once per activation, just before ``header`` (see :meth:`_held`)."""
+        cur = self._cur
+        cur["loops"].append((len(cur["lines"]), cur["indent"]))
+        try:
+            with self.block(header):
+                yield
+        finally:
+            cur["loops"].pop()
+
+    @contextmanager
     def function(self, name: str, params: list[str]):
-        rec = {"lines": [f"def {name}({', '.join(params)}):"], "indent": 1}
+        #: ``loops``: (header line index, indent) of each open loop;
+        #: ``hoists``: header line index -> lines to run just before it
+        rec = {"lines": [f"def {name}({', '.join(params)}):"], "indent": 1,
+               "loops": [], "hoists": {}}
         self._functions.append(rec)
         prev, self._cur = self._cur, rec
         try:
@@ -708,13 +748,70 @@ class SourcePlanCompiler:
         self.w(f"{tmp} = {code}")
         return tmp
 
+    # -- loop-invariant operands --------------------------------------------
+
+    def _pure_scalar(self, expr) -> bool:
+        """Literals, variables and the arithmetic/casts over them: no
+        focus, no new nodes, no counter, no closure seam — evaluating
+        such an operand once instead of once per item is observable
+        only through how often it runs."""
+        if isinstance(expr, (ast.Literal, ast.EmptySequence, ast.VarRef)):
+            return True
+        if isinstance(expr, (ast.SequenceExpr, ast.Arithmetic, ast.UnaryExpr,
+                             ast.CastExpr)) or self._is_constructor_call(expr):
+            return self._eligible(expr) and \
+                all(self._pure_scalar(child) for child in expr.children())
+        return False
+
+    def _is_constructor_call(self, expr) -> bool:
+        return isinstance(expr, ast.FunctionCall) \
+            and expr.name.uri in (XS_NS, XDT_NS)
+
+    def _held(self, expr, prefix: str) -> str | None:
+        """A local that holds ``expr``'s value for a whole loop
+        activation, or None when ``expr`` is not a pure scalar or no
+        open loop of this function is one it is invariant to.
+
+        The local is initialised to ``_ABSENT`` just before the
+        outermost open loop that binds none of ``expr``'s free
+        variables; the caller fills it under :meth:`_first_use` — at
+        the first use inside the loop, which is where, and only if, the
+        unhoisted code would have evaluated ``expr`` first."""
+        cur = self._cur
+        loops = cur["loops"]
+        if not loops or self._hoisting or not self._pure_scalar(expr):
+            return None
+        depth = 0
+        for var in free_vars(expr):
+            binding = self.scope.get(var)
+            # bound in an enclosing function: a parameter of this one
+            if binding is not None and binding.function is cur:
+                depth = max(depth, binding.depth)
+        if depth >= len(loops):
+            return None
+        header, indent = loops[depth]
+        held = self.fresh(prefix)
+        cur["hoists"].setdefault(header, []).append(
+            "    " * indent + f"{held} = _ABSENT")
+        return held
+
+    @contextmanager
+    def _first_use(self, held: str):
+        with self.block(f"if {held} is _ABSENT:"):
+            self._hoisting = True  # its own operands ride along
+            try:
+                yield
+            finally:
+                self._hoisting = False
+
     # -- scope / focus -----------------------------------------------------
 
     @contextmanager
     def bound(self, var: QName, local: str, kind: str):
         had = var in self.scope
         old = self.scope.get(var)
-        self.scope[var] = (local, kind)
+        self.scope[var] = _Binding(local, kind, self._cur,
+                                   len(self._cur["loops"]))
         try:
             yield
         finally:
@@ -838,9 +935,9 @@ class SourcePlanCompiler:
             stack[-1].children[-1].info.setdefault("codegen", "closure")
         plan_const = self.const(plan, "c")
         pairs = []
-        for var, (local, kind) in self.scope.items():
+        for var, binding in self.scope.items():
             qn = self.const(var, "qn")
-            value = f"({local},)" if kind == "item" else local
+            value = self._bound_value(binding)
             pairs.append(f"({qn}, {value})")
         if not pairs:
             bindings = "()"
@@ -851,8 +948,8 @@ class SourcePlanCompiler:
         focus = "None" if self.focus is None else \
             f"({self.focus[0]}, {self.focus[1]}, {self.focus[2]})"
         t = self.fresh("t")
-        with self.block(f"for {t} in _fb({plan_const}, dctx, {bindings}, "
-                        f"{focus}):"):
+        with self.loop(f"for {t} in _fb({plan_const}, dctx, {bindings}, "
+                       f"{focus}):"):
             sink.item(self, t)
 
     # -- sub-regions ---------------------------------------------------------
@@ -864,9 +961,9 @@ class SourcePlanCompiler:
         focus stay valid inside."""
         name = self.fresh("r")
         captured: list[str] = []
-        for local, _kind in self.scope.values():
-            if local not in captured:
-                captured.append(local)
+        for binding in self.scope.values():
+            if binding.local not in captured:
+                captured.append(binding.local)
         if self.focus is not None:
             for part in self.focus:
                 if part.isidentifier() and part not in captured:
@@ -999,15 +1096,41 @@ class SourcePlanCompiler:
     def _emit_general(self, expr: ast.Comparison) -> str:
         """General comparison: right buffered first (empty right short-
         circuits to False without touching left), left lazy with
-        early exit — exactly :func:`general_compare`."""
+        early exit — exactly :func:`general_compare`.
+
+        A loop-invariant right operand is buffered once per loop
+        activation, into a comparator (``_compare_lane``) the loop body
+        calls per left value; a left operand that is a cast hands the
+        lane its uncast value, so ``xs:double(path) >= $x`` allocates
+        nothing per item."""
         value_op = _GENERAL_TO_VALUE[expr.op]
-        right_list = self._emit_collected(expr.right, _AtomizeSink)
+        left = expr.left
+        lane = self._held(expr.right, "ln")
+        casts = lane is not None and self._eligible(left) and (
+            isinstance(left, ast.CastExpr) or self._is_constructor_call(left))
+        if lane is None:
+            right_list = self._emit_collected(expr.right, _AtomizeSink)
+            guard = right_list
+        else:
+            with self._first_use(lane):
+                right_list = self._emit_collected(expr.right, _AtomizeSink)
+                target = self.const(self._cast_type(left), "ty") \
+                    if casts else None
+                self.w(f"{lane} = _compare_lane({value_op!r}, {target}, "
+                       f"{right_list})")
+            guard = f"{lane} is not None"
         result = self.fresh("b")
         self.w(f"{result} = False")
-        with self.block(f"if {right_list}:"):
-            with self.early() as token:
-                self.emit(expr.left,
-                          _GCLeftSink(result, right_list, value_op, token))
+        with self.block(f"if {guard}:"):
+            if casts:
+                # zero-or-one left value: nothing to exit early from
+                with self.pnode(left), self._cast_operand(left) as atom:
+                    with self.block(f"if {lane}({atom}):"):
+                        self.w(f"{result} = True")
+            else:
+                with self.early() as token:
+                    self.emit(left, _GCLeftSink(result, value_op, token,
+                                                right_list, lane))
         return result
 
     def _emit_node_compare(self, expr: ast.Comparison) -> str:
@@ -1028,7 +1151,17 @@ class SourcePlanCompiler:
 
     def _emit_atom_opt(self, expr) -> str:
         """Zero-or-one atomized value (streaming err:XPTY0004 on a
-        second value, like ``_opt_atomic_value``)."""
+        second value, like ``_opt_atomic_value``).  A literal is its
+        own value; a loop-invariant operand is evaluated at its first
+        use per loop activation."""
+        if isinstance(expr, ast.Literal):
+            self._pnode(expr)
+            return self.const(expr.value)
+        held = self._held(expr, "h")
+        if held is not None:
+            with self._first_use(held):
+                self.w(f"{held} = {self._emit_atom_opt(expr)}")
+            return held
         var = self.fresh("v")
         self.w(f"{var} = None")
         self.emit(expr, _SingletonAtomSink(var))
@@ -1069,12 +1202,11 @@ class SourcePlanCompiler:
     def _e_VarRef(self, expr: ast.VarRef, sink) -> None:
         binding = self.scope.get(expr.name)
         if binding is not None:
-            local, kind = binding
-            if kind == "item":
-                sink.item(self, local)
+            if binding.kind == "item":
+                sink.item(self, binding.local)
             else:
                 t = self.fresh("t")
-                with self.block(f"for {t} in {local}:"):
+                with self.loop(f"for {t} in {binding.local}:"):
                     sink.item(self, t)
             return
         qn = self.const(expr.name, "qn")
@@ -1084,7 +1216,7 @@ class SourcePlanCompiler:
                         f"_BufferedSequence)):"):
             self.w(f"{v} = ({v},)")
         t = self.fresh("t")
-        with self.block(f"for {t} in {v}:"):
+        with self.loop(f"for {t} in {v}:"):
             sink.item(self, t)
 
     def _e_ContextItem(self, expr, sink) -> None:
@@ -1098,7 +1230,7 @@ class SourcePlanCompiler:
         if getattr(sink, "inline", False):
             return False
         t = self.fresh("t")
-        with self.block(f"for {t} in {self._subregion(expr)}:"):
+        with self.loop(f"for {t} in {self._subregion(expr)}:"):
             sink.item(self, t)
         return True
 
@@ -1113,7 +1245,7 @@ class SourcePlanCompiler:
         high = self._emit_int_opt(expr.high, "range end")
         with self.block(f"if {low} is not None and {high} is not None:"):
             i = self.fresh("i")
-            with self.block(f"for {i} in range({low}, {high} + 1):"):
+            with self.loop(f"for {i} in range({low}, {high} + 1):"):
                 t = self.fresh("t")
                 self.w(f"{t} = _integer({i})")
                 sink.item(self, t)
@@ -1233,7 +1365,7 @@ class SourcePlanCompiler:
         lb = self._emit_collected(expr.right)
         self.w(f"{lb} = _all_nodes({lb}, {expr.op!r})")
         t = self.fresh("t")
-        with self.block(f"for {t} in _set_result({expr.op!r}, {la}, {lb}):"):
+        with self.loop(f"for {t} in _set_result({expr.op!r}, {la}, {lb}):"):
             sink.item(self, t)
 
     # -- paths ------------------------------------------------------------------
@@ -1268,7 +1400,7 @@ class SourcePlanCompiler:
         self.w(f"{size} = {seq}.length")
         self._lazy_sizes.add(size)
         pos, item = self.fresh("i"), self.fresh("t")
-        with self.block(f"for {pos}, {item} in enumerate({seq}, 1):"):
+        with self.loop(f"for {pos}, {item} in enumerate({seq}, 1):"):
             yield item, pos, size
 
     def _e_PathExpr(self, expr: ast.PathExpr, sink) -> None:
@@ -1337,8 +1469,8 @@ class SourcePlanCompiler:
                 self.w(f"{size} = len({candidates})")
                 cpos = self.fresh("cp")
                 cand = self.fresh("cc")
-                with self.block(f"for {cpos}, {cand} in "
-                                f"enumerate({candidates}, 1):"):
+                with self.loop(f"for {cpos}, {cand} in "
+                               f"enumerate({candidates}, 1):"):
                     self._emit_predicate_keep(predicate, cand, cpos, size,
                                               cand, sink)
             return
@@ -1413,7 +1545,7 @@ class SourcePlanCompiler:
             return
         items = self._emit_collected(expr.operand)
         t = self.fresh("t")
-        with self.block(f"for {t} in _ddo_list({items}, dctx):"):
+        with self.loop(f"for {t} in _ddo_list({items}, dctx):"):
             sink.item(self, t)
 
     def _e_OrderedExpr(self, expr: ast.OrderedExpr, sink) -> None:
@@ -1427,8 +1559,12 @@ class SourcePlanCompiler:
         binding = self.scope.get(name)
         if binding is None:
             return f"dctx.variable({self.const(name, 'qn')})"
-        local, kind = binding
-        return f"({local},)" if kind == "item" else local
+        return self._bound_value(binding)
+
+    @staticmethod
+    def _bound_value(binding: _Binding) -> str:
+        return f"({binding.local},)" if binding.kind == "item" \
+            else binding.local
 
     def _emit_indexed(self, expr, prefix: str, sink, index_side) -> None:
         """The shared frame of AccessPath and TwigJoin: run
@@ -1448,7 +1584,7 @@ class SourcePlanCompiler:
         with self.block("else:"):
             self.w(f"{nodes} = {index_side(stored, doc)}")
         n = self.fresh("n")
-        with self.block(f"for {n} in {nodes}:"):
+        with self.loop(f"for {n} in {nodes}:"):
             self.poll()
             sink.item(self, n)
 
@@ -1465,8 +1601,8 @@ class SourcePlanCompiler:
                 self.w(f"{size} = len({nodes})")
                 self.w(f"{verified} = []")
                 pos, cand = self.fresh("cp"), self.fresh("cc")
-                with self.block(f"for {pos}, {cand} in "
-                                f"enumerate({nodes}, 1):"):
+                with self.loop(f"for {pos}, {cand} in "
+                               f"enumerate({nodes}, 1):"):
                     self.poll()
                     with self.focused(cand, pos, size):
                         holds = self._emit_ebv(expr.predicate)
@@ -1508,7 +1644,7 @@ class SourcePlanCompiler:
 
         def clause(depth: int) -> None:
             if depth == len(expr.clauses):
-                row = tuple_of(self.scope[var][0] for var, _ in bound_vars)
+                row = tuple_of(self.scope[var].local for var, _ in bound_vars)
                 if expr.where is None:
                     self.w(f"{rows}.append({row})")
                 else:
@@ -1541,7 +1677,7 @@ class SourcePlanCompiler:
         if expr.order:
             decorated = self.fresh("rows")
             self.w(f"{decorated} = []")
-            with self.block(f"for {row} in {rows}:"):
+            with self.loop(f"for {row} in {rows}:"):
                 self.w(f"{tuple_of(locals_)} = {row}")
                 keys = []
                 with rebound():
@@ -1556,10 +1692,10 @@ class SourcePlanCompiler:
                      for spec in expr.order]
             self.w(f"{decorated}.sort(key=_OrderKey.factory("
                    f"{self.const(specs, 'os')}))")
-            loop = f"for _, {row} in {decorated}:"
+            header = f"for _, {row} in {decorated}:"
         else:
-            loop = f"for {row} in {rows}:"
-        with self.block(loop):
+            header = f"for {row} in {rows}:"
+        with self.loop(header):
             self.w(f"{tuple_of(locals_)} = {row}")
             with rebound():
                 self.emit(expr.ret, sink)
@@ -1584,25 +1720,43 @@ class SourcePlanCompiler:
             message = f"treat as {resolved}: value does not conform"
             self.w(f"raise _TypeError_({message!r}, code='XPDY0050')")
         t = self.fresh("t")
-        with self.block(f"for {t} in {items}:"):
+        with self.loop(f"for {t} in {items}:"):
             sink.item(self, t)
 
-    def _e_CastExpr(self, expr: ast.CastExpr, sink) -> None:
-        atype = self.cgen._resolve_atomic(expr.type_name)
-        target = self.const(atype, "ty")
-        values = self._emit_collected(expr.operand, _AtomizeSink)
-        with self.block(f"if not {values}:"):
-            if expr.optional:
-                self.w("pass")
-            else:
-                message = f"cast as {atype}: empty operand"
-                self.w(f"raise _TypeError_({message!r}, code='XPTY0004')")
-        with self.block("else:"):
+    def _cast_type(self, expr) -> T.AtomicType:
+        """The target type of a ``cast as`` / constructor call."""
+        if isinstance(expr, ast.CastExpr):
+            return self.cgen._resolve_atomic(expr.type_name)
+        return self.ctx.lookup_type(expr.name)
+
+    @contextmanager
+    def _cast_operand(self, expr):
+        """The operand of a ``cast as`` or constructor call, atomized
+        and checked down to one value: yields the code of that source
+        value inside the block that runs when there is one."""
+        if isinstance(expr, ast.CastExpr):
+            values = self._emit_collected(expr.operand, _AtomizeSink)
+            with self.block(f"if not {values}:"):
+                if not expr.optional:
+                    message = f"cast as {self._cast_type(expr)}: empty operand"
+                    self.w(f"raise _TypeError_({message!r}, code='XPTY0004')")
+            header = "else:"
+            many = "'cast requires a single value', code='XPTY0004'"
+        else:
+            values = self._emit_collected(expr.args[0], _AtomizeSink)
+            header = f"if {values}:"
+            many = '"constructor function requires one value"'
+        with self.block(header):
             with self.block(f"if len({values}) > 1:"):
-                self.w("raise _TypeError_('cast requires a single value', "
-                       "code='XPTY0004')")
+                self.w(f"raise _TypeError_({many})")
+            yield f"{values}[0]"
+
+    def _e_CastExpr(self, expr, sink) -> None:
+        """``cast as`` — and the constructor functions, which are casts."""
+        target = self.const(self._cast_type(expr), "ty")
+        with self._cast_operand(expr) as atom:
             v0, t = self.fresh("v"), self.fresh("t")
-            self.w(f"{v0} = {values}[0]")
+            self.w(f"{v0} = {atom}")
             self.w(f"{t} = _AtomicValue(_cast_value({v0}.value, {v0}.type, "
                    f"{target}), {target})")
             sink.item(self, t)
@@ -1620,8 +1774,8 @@ class SourcePlanCompiler:
         # lazy over its operand, like the closure operator
         call = self._subregion(expr.operand)
         t = self.fresh("t")
-        with self.block(f"for {t} in _function_convert({call}, "
-                        f"{self._seq_type(expr.seq_type)}, {expr.role!r}):"):
+        with self.loop(f"for {t} in _function_convert({call}, "
+                       f"{self._seq_type(expr.seq_type)}, {expr.role!r}):"):
             sink.item(self, t)
 
     # -- constructors ----------------------------------------------------------------
@@ -1715,7 +1869,7 @@ class SourcePlanCompiler:
                 and axis in ("child", "descendant", "descendant-or-self"):
             if axis == "child":
                 c = self.fresh("n")
-                with self.block(f"for {c} in {node}.children:"):
+                with self.loop(f"for {c} in {node}.children:"):
                     with self.block(f"if isinstance({c}, _Elem) and "
                                     f"{name_cond(c)}:"):
                         sink.item(self, c)
@@ -1732,7 +1886,7 @@ class SourcePlanCompiler:
             else:
                 self.w(f"{stack} = {node}.children[::-1]")
             n = self.fresh("n")
-            with self.block(f"while {stack}:"):
+            with self.loop(f"while {stack}:"):
                 self.w(f"{n} = {stack}.pop()")
                 with self.block(f"if isinstance({n}, _Elem):"):
                     with self.block(f"if {name_cond(n)}:"):
@@ -1752,7 +1906,7 @@ class SourcePlanCompiler:
         if plain and kind == "node" and name is None:
             if axis == "child":
                 c = self.fresh("n")
-                with self.block(f"for {c} in {node}.children:"):
+                with self.loop(f"for {c} in {node}.children:"):
                     sink.item(self, c)
                 return
             if axis == "self":
@@ -1762,7 +1916,7 @@ class SourcePlanCompiler:
                 stack = self.fresh("st")
                 self.w(f"{stack} = [{node}]")
                 n = self.fresh("n")
-                with self.block(f"while {stack}:"):
+                with self.loop(f"while {stack}:"):
                     self.w(f"{n} = {stack}.pop()")
                     sink.item(self, n)
                     ch = self.fresh("ch")
@@ -1774,21 +1928,21 @@ class SourcePlanCompiler:
         if plain and axis == "attribute" and kind in ("node", "attribute") \
                 and name is not None:
             a = self.fresh("n")
-            with self.block(f"for {a} in {node}.attributes:"):
+            with self.loop(f"for {a} in {node}.attributes:"):
                 with self.block(f"if {name_cond(a)}:"):
                     sink.item(self, a)
             return
 
         if plain and kind == "text" and axis == "child":
             c = self.fresh("n")
-            with self.block(f"for {c} in {node}.children:"):
+            with self.loop(f"for {c} in {node}.children:"):
                 with self.block(f"if isinstance({c}, _Text):"):
                     sink.item(self, c)
             return
 
         kernel = self.const(_compile_step_fn(axis, test), "s")
         t = self.fresh("t")
-        with self.block(f"for {t} in {kernel}({node}):"):
+        with self.loop(f"for {t} in {kernel}({node}):"):
             sink.item(self, t)
 
     # -- function calls ---------------------------------------------------------
@@ -1799,19 +1953,7 @@ class SourcePlanCompiler:
 
         if name.uri in (XS_NS, XDT_NS):
             # constructor function: a cast (eligibility checked the type)
-            atype = self.ctx.lookup_type(name)
-            target = self.const(atype, "ty")
-            values = self._emit_collected(expr.args[0], _AtomizeSink)
-            with self.block(f"if {values}:"):
-                with self.block(f"if len({values}) > 1:"):
-                    self.w('raise _TypeError_("constructor function '
-                           'requires one value")')
-                v0 = self.fresh("v")
-                self.w(f"{v0} = {values}[0]")
-                t = self.fresh("t")
-                self.w(f"{t} = _AtomicValue(_cast_value({v0}.value, "
-                       f"{v0}.type, {target}), {target})")
-                sink.item(self, t)
+            self._e_CastExpr(expr, sink)
             return
 
         builtin = fnlib.lookup(name, arity)
@@ -1873,7 +2015,7 @@ class SourcePlanCompiler:
             dctx_expr = "dctx"
         args = "".join(", " + lst for lst in arg_lists)
         t = self.fresh("t")
-        with self.block(f"for {t} in {impl}({dctx_expr}{args}):"):
+        with self.loop(f"for {t} in {impl}({dctx_expr}{args}):"):
             sink.item(self, t)
 
     # -- entry point ------------------------------------------------------------
@@ -1943,7 +2085,11 @@ class SourcePlanCompiler:
     def _finish(self) -> Callable[[DynamicContext], Iterator[Any]]:
         lines: list[str] = []
         for rec in self._functions:
-            lines.extend(rec["lines"])
+            hoists = rec["hoists"]
+            for index, line in enumerate(rec["lines"]):
+                if index in hoists:
+                    lines.extend(hoists[index])
+                lines.append(line)
             lines.append("")
         source = "\n".join(lines)
         self.generated_source = source

@@ -6,60 +6,85 @@ add existential quantification over both operands plus dynamic casts
 of untyped data — which is why they are not transitive, as the
 tutorial's ``(1,3) = (1,2)`` example shows; node comparisons (``is``)
 test identity; order comparisons (``<< >>``) test document order.
+
+Comparison lanes.  Almost every comparison a query evaluates is one of
+a handful of type pairs, so :func:`value_compare` and
+:func:`_general_pair` first look at ``(a.type, b.type)`` — two
+attribute reads on precomputed type facts — and take a *lane*: the
+numeric tower by rank, string-likes on ``.value``, untyped data against
+a string-like as is, untyped data against a numeric parsed straight to
+a float.  A lane allocates nothing and may assume only what the type
+facts state; every other pair falls through to the cascades
+(:func:`_value_cascade`, :func:`_general_cascade`), which stay the
+single definition of the rare pairs and are the lanes' oracle in
+``tests/test_runtime_units.py``.  :func:`compare_lane` binds an
+invariant right operand into one such lane per loop activation.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Any, Iterable
+import operator
+from decimal import Decimal
+from typing import Any, Callable, Iterable, Sequence
 
 from repro.errors import TypeError_
-from repro.qname import QName
 from repro.xdm.items import AtomicValue
 from repro.xdm.nodes import Node
 from repro.xdm.order import doc_order_key
 from repro.xsd import types as T
-from repro.xsd.casting import cast_value
+from repro.xsd.casting import cast_value, parse_double
 
-_NUMERIC_RANK = {"decimal": 0, "float": 1, "double": 2}
+_OPS: dict[str, Callable[[Any, Any], bool]] = {
+    "eq": operator.eq, "ne": operator.ne, "lt": operator.lt,
+    "le": operator.le, "gt": operator.gt, "ge": operator.ge,
+}
 
 
-def _numeric_rank(atype: T.AtomicType) -> int:
-    return _NUMERIC_RANK[atype.primitive.name.local]
+def _apply(op: str, va: Any, vb: Any) -> bool:
+    try:
+        return _OPS[op](va, vb)
+    except KeyError:
+        raise TypeError_(f"unknown value comparison {op!r}") from None
 
 
 def _promote_pair(a: AtomicValue, b: AtomicValue) -> tuple[Any, Any]:
     """Promote two numerics to their common type; returns raw values."""
-    ra, rb = _numeric_rank(a.type), _numeric_rank(b.type)
+    ra, rb = a.type.numeric_rank, b.type.numeric_rank
     if ra == rb:
-        va, vb = a.value, b.value
         # Decimal and int interoperate natively; float needs care
-        return va, vb
-    target = a.type if ra > rb else b.type
-    target_prim = target.primitive
+        return a.value, b.value
+    target_prim = (a.type if ra > rb else b.type).primitive
     va = cast_value(a.value, a.type, target_prim) if ra < rb else a.value
     vb = cast_value(b.value, b.type, target_prim) if rb < ra else b.value
     return va, vb
 
 
-def _apply(op: str, va: Any, vb: Any) -> bool:
-    if op == "eq":
-        return va == vb
-    if op == "ne":
-        return va != vb
-    if op == "lt":
-        return va < vb
-    if op == "le":
-        return va <= vb
-    if op == "gt":
-        return va > vb
-    if op == "ge":
-        return va >= vb
-    raise TypeError_(f"unknown value comparison {op!r}")
-
-
 def value_compare(op: str, a: AtomicValue, b: AtomicValue) -> bool:
     """``a op b`` for single atomic values; raises on incomparable types."""
+    ta, tb = a.type, b.type
+    ra, rb = ta.numeric_rank, tb.numeric_rank
+    if ra is not None and rb is not None:
+        # the numeric tower: same rank compares natively (int/Decimal
+        # exactly, floats with IEEE NaN semantics — false but for ne);
+        # a decimal-rank operand meets a float as a float
+        va, vb = a.value, b.value
+        try:
+            if ra != rb:
+                if ra == 0:
+                    va = float(va)
+                elif rb == 0:
+                    vb = float(vb)
+            return _OPS[op](va, vb)
+        except (OverflowError, KeyError):
+            pass  # an integer beyond the doubles, a bad op: the cascade's
+    elif ta.string_like and tb.string_like:
+        return _apply(op, a.value, b.value)
+    return _value_cascade(op, a, b)
+
+
+def _value_cascade(op: str, a: AtomicValue, b: AtomicValue) -> bool:
+    """Every type pair, by the book — the reference the lanes front."""
     ta, tb = a.type, b.type
 
     # untypedAtomic behaves as string in value comparisons
@@ -76,7 +101,6 @@ def value_compare(op: str, a: AtomicValue, b: AtomicValue) -> bool:
            isinstance(vb, float) and isinstance(va, (int,)):
             va, vb = float(va), float(vb)
         # Decimal vs float: compare as float
-        from decimal import Decimal
         if isinstance(va, Decimal) and isinstance(vb, float):
             va = float(va)
         if isinstance(vb, Decimal) and isinstance(va, float):
@@ -88,11 +112,8 @@ def value_compare(op: str, a: AtomicValue, b: AtomicValue) -> bool:
 
     pa, pb = ta.primitive, tb.primitive
 
-    if pa.derives_from(T.XS_STRING) and pb.derives_from(T.XS_STRING):
-        return _apply(op, str(a.value), str(b.value))
     # anyURI compares with string
-    if (pa is T.XS_ANYURI or pa.derives_from(T.XS_STRING)) and \
-       (pb is T.XS_ANYURI or pb.derives_from(T.XS_STRING)):
+    if pa.string_like and pb.string_like:
         return _apply(op, str(a.value), str(b.value))
 
     if pa is T.XS_BOOLEAN and pb is T.XS_BOOLEAN:
@@ -150,6 +171,27 @@ def general_compare(op: str, left: Iterable[AtomicValue],
 
 
 def _general_pair(value_op: str, a: AtomicValue, b: AtomicValue) -> bool:
+    """One pair of a general comparison (``value_op`` is ``eq`` .. ``ge``)."""
+    untyped_left = a.type is T.UNTYPED_ATOMIC
+    if not untyped_left and b.type is not T.UNTYPED_ATOMIC:
+        return value_compare(value_op, a, b)
+    untyped, other = (a, b) if untyped_left else (b, a)
+    if other.type.string_like:
+        return _apply(value_op, a.value, b.value)
+    rank = other.type.numeric_rank
+    if rank is not None:
+        parsed = parse_double(T.XS_DOUBLE, untyped.value)
+        try:
+            number = float(other.value) if rank == 0 else other.value
+            return _OPS[value_op](parsed, number) if untyped_left \
+                else _OPS[value_op](number, parsed)
+        except (OverflowError, KeyError):
+            pass  # the cascade's error to raise
+    return _general_cascade(value_op, a, b)
+
+
+def _general_cascade(value_op: str, a: AtomicValue, b: AtomicValue) -> bool:
+    """The coercion rules by the book — the reference the lanes front."""
     ta, tb = a.type, b.type
     if ta is T.UNTYPED_ATOMIC and tb is T.UNTYPED_ATOMIC:
         return _apply(value_op, str(a.value), str(b.value))
@@ -157,18 +199,88 @@ def _general_pair(value_op: str, a: AtomicValue, b: AtomicValue) -> bool:
         a = _coerce_untyped(a, tb)
     elif tb is T.UNTYPED_ATOMIC:
         b = _coerce_untyped(b, ta)
-    return value_compare(value_op, a, b)
+    return _value_cascade(value_op, a, b)
 
 
 def _coerce_untyped(untyped: AtomicValue, other_type: T.AtomicType) -> AtomicValue:
-    """Cast an untyped operand toward the other operand's type."""
-    if T.is_numeric(other_type):
+    """Cast an untyped operand to the type the other operand calls for:
+    ``xs:double`` against a numeric, ``xs:string`` against a string or
+    anyURI, otherwise the other operand's own type (not its primitive:
+    an ``xdt:dayTimeDuration`` is ordered, its primitive is not)."""
+    if other_type.numeric_rank is not None:
         target: T.AtomicType = T.XS_DOUBLE
-    elif other_type.derives_from(T.XS_STRING) or other_type is T.XS_ANYURI:
+    elif other_type.string_like:
         target = T.XS_STRING
     else:
-        target = other_type.primitive
+        target = other_type
     return AtomicValue(cast_value(untyped.value, T.UNTYPED_ATOMIC, target), target)
+
+
+def compare_lane(value_op: str, target: T.AtomicType | None,
+                 rhs: Sequence[AtomicValue]
+                 ) -> Callable[[AtomicValue], bool] | None:
+    """Bind the buffered right operand of a general comparison once.
+
+    Generated code calls this when a comparison's right operand is
+    invariant across a loop: once per loop activation, at the first
+    evaluation, not once per item.  Returns ``None`` for an empty
+    ``rhs`` (the comparison is false and the left operand is never
+    evaluated — :func:`general_compare`'s short circuit), else
+    ``lane(atom) -> bool``: does ``atom``, cast to ``target`` first
+    when one is given (the left operand was ``xs:T(..)`` / ``cast as``),
+    compare true against some ``rhs`` item?  Outcome, error and error
+    order are those of casting and then calling :func:`_general_pair`
+    per right item, which is what the last lane does.  The two lanes
+    above it decide a single right item on raw values: a string against
+    string-likes (no rule of its own: both :func:`_general_pair` and
+    :func:`value_compare` compare string-likes on ``.value``), and a
+    number against a float/double cast, which is the one that saves the
+    cast's ``AtomicValue``.  Every other shape — untyped data against a
+    number included — is :func:`_general_pair`'s to decide.
+    """
+    if not rhs:
+        return None
+    if len(rhs) == 1:
+        b = rhs[0]
+        apply = _OPS[value_op]
+        if target is None:
+            if b.type.string_like:
+                # a string or untyped data against a string: as is
+                vb = b.value
+
+                def lane(a):
+                    if a.type.string_like:
+                        return apply(a.value, vb)
+                    return _general_pair(value_op, a, b)
+                return lane
+        elif target.numeric_rank:
+            rank = b.type.numeric_rank
+            # the right side as the float a float-ranked left meets it as
+            fb = None if rank is None else \
+                _as_float(b.value) if rank == 0 else b.value
+            if fb is not None:
+                # a float/double cast against a number: one native compare
+                def lane(a):
+                    return apply(cast_value(a.value, a.type, target), fb)
+                return lane
+
+    def lane(a):
+        if target is not None:
+            a = AtomicValue(cast_value(a.value, a.type, target), target)
+        for b in rhs:
+            if _general_pair(value_op, a, b):
+                return True
+        return False
+    return lane
+
+
+def _as_float(value: Any) -> float | None:
+    """``float(value)``, or None for an integer beyond the doubles
+    (whose promotion error belongs to the comparison that meets it)."""
+    try:
+        return float(value)
+    except OverflowError:
+        return None
 
 
 def node_compare(op: str, a: Node | None, b: Node | None) -> bool | None:

@@ -112,8 +112,16 @@ def in_document_order(nodes: Iterable[Node], distinct: bool = True) -> list[Node
 
     This is the (expensive) operation path expressions imply; the
     compiler's job — experiment E5 — is to *not* call it when the
-    result is already sorted and distinct.
+    result is already sorted and distinct.  A list of fewer than two
+    nodes already is, whatever the compiler could prove: it is returned
+    as is (``$p/name/text()`` per person is this case every time).
+
+    "As is" means the caller's own list object, not a copy — every
+    longer or non-list input yields a fresh list.  A caller that goes
+    on to mutate its input or the result must copy first.
     """
+    if isinstance(nodes, list) and len(nodes) < 2:
+        return nodes
     seen: set[int] = set()
     out: list[Node] = []
     for node in nodes:

@@ -157,140 +157,197 @@ def _err(lexical: str, target: T.AtomicType) -> CastError:
     return CastError(f"cannot cast {lexical!r} to {target}")
 
 
-def parse_lexical(target: T.AtomicType, lexical: str) -> Any:
-    """Parse ``lexical`` into the Python value space of ``target``.
+# -- per-primitive lexical parsers -------------------------------------------
+#
+# One function per primitive, ``(target, lexical) -> value``; facets are
+# the caller's job (:func:`parse_lexical`).  ``target`` is the requested
+# type, which a parser consults only where a built-in derived type
+# narrows the lexical space (the string and integer towers, the xdt
+# durations).
 
-    Whitespace is collapsed per the whiteSpace facet conventions of the
-    primitive.  Facets of derived types are enforced.
-    """
-    prim = target.primitive
-    local = prim.name.local
-    tname = target.name.local
+#: the XML whitespace characters (``str.strip()`` alone would also eat
+#: Unicode spaces, which are not whitespace to XML Schema)
+_XML_WS = " \t\r\n"
 
-    if target is T.UNTYPED_ATOMIC:
+#: XSD 1.0 double/float: optional sign, digits with optional fraction,
+#: optional exponent — ASCII digits only.  Python's ``float()`` accepts
+#: far more (``1_0``, ``inf``, ``Infinity``, ``nan``), hence the check.
+_DOUBLE_RE = re.compile(r"[+-]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?\Z")
+_DOUBLE_SPECIALS = {"INF": math.inf, "-INF": -math.inf, "NaN": math.nan}
+
+
+def parse_double(target: T.AtomicType, lexical: str) -> float:
+    """The double/float lexical lane: one regex, one ``float()`` (also
+    how a general comparison reads untyped data against a number)."""
+    text = lexical.strip(_XML_WS)
+    if _DOUBLE_RE.match(text):
+        return float(text)
+    special = _DOUBLE_SPECIALS.get(text)
+    if special is None:
+        raise _err(lexical, target)
+    return special
+
+
+def _parse_string(target, lexical):
+    if target is T.XS_STRING:
         return lexical
+    # normalizedString and below collapse whitespace
+    if target.derives_from(T.XS_TOKEN):
+        return re.sub(r"[ \t\r\n]+", " ", lexical).strip()
+    return lexical.replace("\t", " ").replace("\r", " ").replace("\n", " ")
 
-    if prim is T.XS_STRING:
-        value: Any = lexical
-        if target is not T.XS_STRING:
-            # normalizedString and below collapse whitespace
-            value = re.sub(r"[ \t\r\n]+", " ", lexical).strip() \
-                if target.derives_from(T.XS_TOKEN) else \
-                lexical.replace("\t", " ").replace("\r", " ").replace("\n", " ")
-    elif prim is T.XS_BOOLEAN:
-        text = lexical.strip()
-        if text in ("true", "1"):
-            value = True
-        elif text in ("false", "0"):
-            value = False
-        else:
+
+def _parse_boolean(target, lexical):
+    text = lexical.strip()
+    if text in ("true", "1"):
+        return True
+    if text in ("false", "0"):
+        return False
+    raise _err(lexical, target)
+
+
+def _parse_decimal(target, lexical):
+    text = lexical.strip()
+    if target.is_integer:
+        if not _INTEGER_RE.match(text):
             raise _err(lexical, target)
-    elif prim is T.XS_DECIMAL:
-        text = lexical.strip()
-        if target.derives_from(T.XS_INTEGER):
-            if not _INTEGER_RE.match(text):
-                raise _err(lexical, target)
-            value = int(text)
-            low, high = _INTEGER_BOUNDS.get(tname, (None, None))
-            if (low is not None and value < low) or (high is not None and value > high):
-                raise _err(lexical, target)
-        else:
-            if not _DECIMAL_RE.match(text):
-                raise _err(lexical, target)
-            try:
-                value = Decimal(text)
-            except InvalidOperation:
-                raise _err(lexical, target) from None
-    elif prim in (T.XS_FLOAT, T.XS_DOUBLE):
-        text = lexical.strip()
-        if text == "INF":
-            value = math.inf
-        elif text == "-INF":
-            value = -math.inf
-        elif text == "NaN":
-            value = math.nan
-        else:
-            try:
-                value = float(text)
-            except ValueError:
-                raise _err(lexical, target) from None
-    elif prim is T.XS_DURATION:
-        m = _DURATION_RE.match(lexical.strip())
-        if not m or lexical.strip() in ("P", "-P"):
+        value = int(text)
+        low, high = _INTEGER_BOUNDS.get(target.name.local, (None, None))
+        if (low is not None and value < low) or (high is not None and value > high):
             raise _err(lexical, target)
-        sign = -1 if m.group(1) else 1
-        years, months, days, hours, minutes = (int(g or 0) for g in m.groups()[1:6])
-        seconds = float(m.group(7) or 0)
-        total_months = sign * (years * 12 + months)
-        total_seconds = sign * (days * 86400 + hours * 3600 + minutes * 60 + seconds)
-        if target is T.YEAR_MONTH_DURATION and total_seconds:
-            raise _err(lexical, target)
-        if target is T.DAY_TIME_DURATION and total_months:
-            raise _err(lexical, target)
-        value = Duration(total_months, total_seconds)
-    elif prim is T.XS_DATETIME:
-        m = _DATETIME_RE.match(lexical.strip())
-        if not m:
-            raise _err(lexical, target)
-        frac = m.group(7)
-        try:
-            value = datetime(int(m.group(1)), int(m.group(2)), int(m.group(3)),
-                             int(m.group(4)), int(m.group(5)), int(m.group(6)),
-                             int(float(frac) * 1e6) if frac else 0,
-                             tzinfo=_parse_tz(m.group(8)))
-        except ValueError:
-            raise _err(lexical, target) from None
-    elif prim is T.XS_DATE:
-        m = _DATE_RE.match(lexical.strip())
-        if not m:
-            raise _err(lexical, target)
-        try:
-            value = date(int(m.group(1)), int(m.group(2)), int(m.group(3)))
-        except ValueError:
-            raise _err(lexical, target) from None
-    elif prim is T.XS_TIME:
-        m = _TIME_RE.match(lexical.strip())
-        if not m:
-            raise _err(lexical, target)
-        frac = m.group(4)
-        try:
-            value = time(int(m.group(1)), int(m.group(2)), int(m.group(3)),
-                         int(float(frac) * 1e6) if frac else 0,
-                         tzinfo=_parse_tz(m.group(5)))
-        except ValueError:
-            raise _err(lexical, target) from None
-    elif local in ("gYear", "gYearMonth", "gMonthDay", "gDay", "gMonth"):
-        regex = {"gYear": _GYEAR_RE, "gYearMonth": _GYEARMONTH_RE,
-                 "gMonthDay": _GMONTHDAY_RE, "gDay": _GDAY_RE,
-                 "gMonth": _GMONTH_RE}[local]
+        return value
+    if not _DECIMAL_RE.match(text):
+        raise _err(lexical, target)
+    try:
+        return Decimal(text)
+    except InvalidOperation:
+        raise _err(lexical, target) from None
+
+
+def _parse_duration(target, lexical):
+    m = _DURATION_RE.match(lexical.strip())
+    if not m or lexical.strip() in ("P", "-P"):
+        raise _err(lexical, target)
+    sign = -1 if m.group(1) else 1
+    years, months, days, hours, minutes = (int(g or 0) for g in m.groups()[1:6])
+    seconds = float(m.group(7) or 0)
+    total_months = sign * (years * 12 + months)
+    total_seconds = sign * (days * 86400 + hours * 3600 + minutes * 60 + seconds)
+    if target is T.YEAR_MONTH_DURATION and total_seconds:
+        raise _err(lexical, target)
+    if target is T.DAY_TIME_DURATION and total_months:
+        raise _err(lexical, target)
+    return Duration(total_months, total_seconds)
+
+
+def _parse_datetime(target, lexical):
+    m = _DATETIME_RE.match(lexical.strip())
+    if not m:
+        raise _err(lexical, target)
+    frac = m.group(7)
+    try:
+        return datetime(int(m.group(1)), int(m.group(2)), int(m.group(3)),
+                        int(m.group(4)), int(m.group(5)), int(m.group(6)),
+                        int(float(frac) * 1e6) if frac else 0,
+                        tzinfo=_parse_tz(m.group(8)))
+    except ValueError:
+        raise _err(lexical, target) from None
+
+
+def _parse_date(target, lexical):
+    m = _DATE_RE.match(lexical.strip())
+    if not m:
+        raise _err(lexical, target)
+    try:
+        return date(int(m.group(1)), int(m.group(2)), int(m.group(3)))
+    except ValueError:
+        raise _err(lexical, target) from None
+
+
+def _parse_time(target, lexical):
+    m = _TIME_RE.match(lexical.strip())
+    if not m:
+        raise _err(lexical, target)
+    frac = m.group(4)
+    try:
+        return time(int(m.group(1)), int(m.group(2)), int(m.group(3)),
+                    int(float(frac) * 1e6) if frac else 0,
+                    tzinfo=_parse_tz(m.group(5)))
+    except ValueError:
+        raise _err(lexical, target) from None
+
+
+def _gregorian_parser(regex):
+    def parse(target, lexical):
         text = lexical.strip()
         if not regex.match(text):
             raise _err(lexical, target)
-        value = text
-    elif prim is T.XS_HEXBINARY:
-        text = lexical.strip()
-        try:
-            value = binascii.unhexlify(text)
-        except (binascii.Error, ValueError):
-            raise _err(lexical, target) from None
-    elif prim is T.XS_BASE64BINARY:
-        try:
-            value = base64.b64decode(lexical.strip(), validate=True)
-        except (binascii.Error, ValueError):
-            raise _err(lexical, target) from None
-    elif prim is T.XS_ANYURI:
-        value = lexical.strip()
-    elif prim is T.XS_QNAME or local == "NOTATION":
-        text = lexical.strip()
-        if ":" in text:
-            prefix, loc = text.split(":", 1)
-            value = QName("", loc, prefix)  # resolution needs in-scope NS; caller's job
-        else:
-            value = QName("", text)
-    else:
-        raise _err(lexical, target)
+        return text
+    return parse
 
-    check_facets(target, value)
+
+def _parse_hexbinary(target, lexical):
+    try:
+        return binascii.unhexlify(lexical.strip())
+    except (binascii.Error, ValueError):
+        raise _err(lexical, target) from None
+
+
+def _parse_base64binary(target, lexical):
+    try:
+        return base64.b64decode(lexical.strip(), validate=True)
+    except (binascii.Error, ValueError):
+        raise _err(lexical, target) from None
+
+
+def _parse_qname(target, lexical):
+    text = lexical.strip()
+    if ":" in text:
+        prefix, loc = text.split(":", 1)
+        return QName("", loc, prefix)  # resolution needs in-scope NS; caller's job
+    return QName("", text)
+
+
+#: primitive type -> its lexical parser; a type whose primitive is not
+#: here (the abstract roots) has no lexical space
+_LEXICAL_PARSERS = {
+    T.UNTYPED_ATOMIC: lambda target, lexical: lexical,
+    T.XS_STRING: _parse_string,
+    T.XS_BOOLEAN: _parse_boolean,
+    T.XS_DECIMAL: _parse_decimal,
+    T.XS_FLOAT: parse_double,
+    T.XS_DOUBLE: parse_double,
+    T.XS_DURATION: _parse_duration,
+    T.XS_DATETIME: _parse_datetime,
+    T.XS_DATE: _parse_date,
+    T.XS_TIME: _parse_time,
+    T.xs_type("gYear"): _gregorian_parser(_GYEAR_RE),
+    T.xs_type("gYearMonth"): _gregorian_parser(_GYEARMONTH_RE),
+    T.xs_type("gMonthDay"): _gregorian_parser(_GMONTHDAY_RE),
+    T.xs_type("gDay"): _gregorian_parser(_GDAY_RE),
+    T.xs_type("gMonth"): _gregorian_parser(_GMONTH_RE),
+    T.XS_HEXBINARY: _parse_hexbinary,
+    T.XS_BASE64BINARY: _parse_base64binary,
+    T.XS_ANYURI: lambda target, lexical: lexical.strip(),
+    T.XS_QNAME: _parse_qname,
+    T.xs_type("NOTATION"): _parse_qname,
+}
+
+
+def parse_lexical(target: T.AtomicType, lexical: str) -> Any:
+    """Parse ``lexical`` into the Python value space of ``target``.
+
+    Dispatches on ``target.primitive`` through :data:`_LEXICAL_PARSERS`
+    (one dict probe, no type-test cascade).  Whitespace is collapsed
+    per the whiteSpace facet conventions of the primitive.  Facets of
+    derived types are enforced; the facet-free built-ins skip the call.
+    """
+    parser = _LEXICAL_PARSERS.get(target.primitive)
+    if parser is None:
+        raise _err(lexical, target)
+    value = parser(target, lexical)
+    if target.facet_chain:
+        check_facets(target, value)
     return value
 
 
@@ -302,6 +359,11 @@ def cast_value(value: Any, source: T.AtomicType, target: T.AtomicType) -> Any:
     Raises :class:`CastError` when the combination is disallowed or the
     specific value does not fit.
     """
+    # The hot lane: text from a non-validated document to xs:double —
+    # every ``xs:double(path)`` and every untyped-vs-numeric comparison.
+    if target is T.XS_DOUBLE and source is T.UNTYPED_ATOMIC:
+        return parse_double(target, value)
+
     if target is T.ANY_ATOMIC or target is T.ANY_SIMPLE_TYPE:
         raise CastError(f"cannot cast to abstract type {target}")
 
@@ -324,7 +386,7 @@ def cast_value(value: Any, source: T.AtomicType, target: T.AtomicType) -> Any:
 
     if sprim is tprim:
         # e.g. integer → decimal, decimal → integer, long → byte
-        if target.derives_from(T.XS_INTEGER):
+        if target.is_integer:
             out = int(value)
             low, high = _INTEGER_BOUNDS.get(target.name.local, (None, None))
             if (low is not None and out < low) or (high is not None and out > high):
@@ -345,7 +407,7 @@ def cast_value(value: Any, source: T.AtomicType, target: T.AtomicType) -> Any:
     # Numeric ↔ numeric.
     if T.is_numeric(source) and T.is_numeric(target):
         try:
-            if target.derives_from(T.XS_INTEGER):
+            if target.is_integer:
                 if isinstance(value, float) and (math.isnan(value) or math.isinf(value)):
                     raise CastError(f"cannot cast {value} to {target}")
                 out = int(value)

@@ -148,10 +148,12 @@ class TotalDigits(Facet):
 def check_facets(atype, value: Any) -> None:
     """Check ``value`` against every facet on ``atype``'s derivation chain.
 
-    Raises :class:`CastError` on the first violated facet.
+    The chain is flattened once, when the type is built
+    (``AtomicType.facet_chain``), so for the facet-free built-ins this
+    is a loop over an empty tuple.  Raises :class:`CastError` on the
+    first violated facet.
     """
-    for ancestor in atype.ancestry():
-        for facet in ancestor.facets:
-            if not facet.check(value):
-                raise CastError(
-                    f"value {value!r} violates facet {facet.describe()} of type {atype}")
+    for facet in atype.facet_chain:
+        if not facet.check(value):
+            raise CastError(
+                f"value {value!r} violates facet {facet.describe()} of type {atype}")

@@ -18,21 +18,54 @@ from typing import Iterator, Optional
 from repro.qname import QName, XDT_NS, XS_NS, xdt, xs
 
 
+#: numeric promotion ranks (``decimal < float < double``), by primitive
+_NUMERIC_RANKS = {xs("decimal"): 0, xs("float"): 1, xs("double"): 2}
+#: a type deriving directly from one of these is its own primitive
+_ABSTRACT_ROOTS = (xdt("anyAtomicType"), xs("anySimpleType"))
+_STRING_LIKE = (xs("string"), xs("anyURI"), xdt("untypedAtomic"))
+_XS_INTEGER = xs("integer")
+
+
 class AtomicType:
     """An atomic (simple, non-list, non-union) schema type.
 
     ``base`` is the type this one derives from by restriction;
     ``facets`` (see :mod:`repro.xsd.facets`) constrain the value space
     of user-derived types.
+
+    The *type facts* every comparison and cast dispatches on are
+    computed once, here, from the base's facts — so the hot paths read
+    an attribute instead of walking the derivation chain:
+
+    - ``primitive`` — the primitive ancestor (self, for primitives);
+    - ``numeric_rank`` — ``None`` for non-numeric types, else the
+      promotion rank (0 decimal tower, 1 float, 2 double);
+    - ``string_like`` — compares by string value: the ``xs:string``
+      tower, ``xs:anyURI`` and ``xdt:untypedAtomic``;
+    - ``is_integer`` — derives from ``xs:integer``;
+    - ``facet_chain`` — the facets of the whole derivation chain,
+      most-derived first (empty for every built-in).
     """
 
-    __slots__ = ("name", "base", "facets", "_primitive")
+    __slots__ = ("name", "base", "facets", "primitive", "numeric_rank",
+                 "string_like", "is_integer", "facet_chain")
 
     def __init__(self, name: QName, base: Optional["AtomicType"], facets=None):
         self.name = name
         self.base = base
         self.facets = tuple(facets or ())
-        self._primitive: AtomicType | None = None
+        if base is None or base.name in _ABSTRACT_ROOTS:
+            self.primitive: AtomicType = self
+            self.numeric_rank: int | None = _NUMERIC_RANKS.get(name)
+            self.string_like: bool = name in _STRING_LIKE
+            self.is_integer = False
+            self.facet_chain: tuple = self.facets
+        else:
+            self.primitive = base.primitive
+            self.numeric_rank = base.numeric_rank
+            self.string_like = base.string_like
+            self.is_integer = base.is_integer or name == _XS_INTEGER
+            self.facet_chain = self.facets + base.facet_chain
 
     def __repr__(self) -> str:
         return f"AtomicType({self.name})"
@@ -48,16 +81,6 @@ class AtomicType:
                 return True
             t = t.base
         return False
-
-    @property
-    def primitive(self) -> "AtomicType":
-        """The primitive ancestor (self, for primitives)."""
-        if self._primitive is None:
-            t = self
-            while t.base is not None and t.base is not ANY_ATOMIC and t.base is not ANY_SIMPLE_TYPE:
-                t = t.base
-            self._primitive = t
-        return self._primitive
 
     def ancestry(self) -> Iterator["AtomicType"]:
         t: AtomicType | None = self
@@ -153,12 +176,13 @@ XS_QNAME = _BUILTINS[xs("QName")]
 XS_HEXBINARY = _BUILTINS[xs("hexBinary")]
 XS_BASE64BINARY = _BUILTINS[xs("base64Binary")]
 
-_NUMERIC_PRIMITIVES = (XS_DECIMAL, XS_FLOAT, XS_DOUBLE)
-
 
 def is_numeric(t: AtomicType) -> bool:
-    """True for the numeric types (decimal tower, float, double)."""
-    return any(t.derives_from(p) for p in _NUMERIC_PRIMITIVES)
+    """True for the numeric types (decimal tower, float, double).
+
+    One attribute read: the rank is a type fact fixed at construction.
+    """
+    return t.numeric_rank is not None
 
 
 def builtin_types() -> dict[QName, AtomicType]:

@@ -16,7 +16,9 @@ per query.
 from __future__ import annotations
 
 import linecache
+import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -479,6 +481,281 @@ class TestIndexedOperators:
                        for key in generated[1])
 
 
+# ---------------------------------------------------------------------------
+# Loop-invariant operands: bound once per activation, at first use
+# ---------------------------------------------------------------------------
+
+
+def _e_doc(*values: str) -> str:
+    return "<r>" + "".join(f'<e v="{v}" k="{v[:1]}"/>' for v in values) + "</r>"
+
+
+#: with matches / with none (the invariant must NOT be evaluated) /
+#: an invalid lexical in the 2nd node, after a match / ... before any
+HOIST_DOCS = {
+    "matches": _e_doc("10", "50000", "20", "70000"),
+    "none": "<r/>",
+    "invalid_late": _e_doc("70000", "x", "30"),
+    "invalid_early": _e_doc("x", "70000", "30"),
+}
+
+#: the invariant operand, as query text (``$x``/``$u`` are external)
+HOIST_INVARIANTS = [
+    "20",                      # a literal
+    "$x",
+    "$x div 2",
+    "$x + 48000",
+    "(15, 1000000)",           # a two-item sequence
+    "()",                      # empty: false, left never evaluated
+    "'a'",                     # a string against a numeric cast: XPTY0004
+    "xs:double('NaN')",
+    "$u",                      # an unbound external: XPDY0002
+    "$x div 0",                # FOAR0001 for the integer binding
+    "-$x",
+    "($x cast as xs:double)",
+]
+
+#: ``cast(path) op invariant`` in every consumer that can stop early
+HOIST_SHAPES = [
+    "//e[xs:double(@v) >= {inv}]/@v/string()",
+    "for $e in //e where xs:double($e/@v) >= {inv} return string($e/@v)",
+    "count(//e[xs:double(@v) < {inv}])",
+    "exists(/r/e[xs:double(@v) >= {inv}])",
+    "(/r/e[xs:double(@v) >= {inv}])[1]/@v/string()",
+    "some $e in //e satisfies xs:double($e/@v) > {inv}",
+    "every $e in //e satisfies xs:double($e/@v) > {inv}",
+    "//e[(@v cast as xs:double?) >= {inv}]/@v/string()",
+    "//e[@v = {inv}]/@v/string()",                 # no cast: untyped left
+    "//e[xs:double(@v) ge {inv}]/@v/string()",     # value comparison
+    "//e[{inv} le xs:double(@v)]/@v/string()",     # invariant on the left
+    "//e/(xs:double(@v) + {inv})",                 # arithmetic operand
+    "//e[xs:double(@v) < {inv} and xs:double(@v) >= {inv}]/@v/string()",
+]
+
+
+def _hoist_outcome(engine, query, xml_text, bindings):
+    text = ("declare variable $x external; declare variable $u external; "
+            + query)
+    try:
+        result = engine.compile(text).execute(context_item=xml_text,
+                                              variables=bindings)
+        image = ("ok", result.serialize())
+        stats = {k: v for k, v in result.stats.items()
+                 if not k.startswith("codegen.")}
+        return image, stats
+    except Exception as exc:  # noqa: BLE001 - compared structurally
+        return ("err", type(exc).__name__, getattr(exc, "code", None)), None
+
+
+class TestInvariantOperands:
+    """A hoisted operand may change how often it is evaluated — never
+    the result, the error code, *whether* an error is raised, or a
+    counter."""
+
+    @pytest.mark.parametrize("inv", HOIST_INVARIANTS)
+    @pytest.mark.parametrize("shape", HOIST_SHAPES)
+    def test_identical_to_the_reference(self, shape, inv):
+        query = shape.format(inv=inv)
+        source, closure = source_engine(), closure_engine()
+        for doc_name, xml_text in HOIST_DOCS.items():
+            for x in (40, 40.5):
+                generated = _hoist_outcome(source, query, xml_text, {"x": x})
+                reference = _hoist_outcome(closure, query, xml_text, {"x": x})
+                assert generated == reference, (query, doc_name, x)
+
+    def test_operand_is_not_evaluated_by_a_loop_that_never_runs(self):
+        engine = source_engine()
+        for inv in ("$u", "$x div 0", "xs:double('oops')"):
+            query = f"count(//e[xs:double(@v) >= {inv}])"
+            assert _hoist_outcome(engine, query, HOIST_DOCS["none"],
+                                  {"x": 1})[0] == ("ok", "0")
+            assert _hoist_outcome(engine, query, HOIST_DOCS["matches"],
+                                  {"x": 1})[0][0] == "err"
+
+    def test_cast_error_fires_iff_the_reference_reaches_it(self):
+        engine = source_engine()
+        # (/r/e streams: //e would sit behind a materializing DDO)
+        query = "exists(/r/e[xs:double(@v) >= $x])"
+        assert _hoist_outcome(engine, query, HOIST_DOCS["invalid_late"],
+                              {"x": 100.0})[0] == ("ok", "true")
+        assert _hoist_outcome(engine, query, HOIST_DOCS["invalid_early"],
+                              {"x": 100.0})[0] == ("err", "CastError",
+                                                   "FORG0001")
+        first = "(/r/e[xs:double(@v) >= $x])[1]/@v/string()"
+        assert _hoist_outcome(engine, first, HOIST_DOCS["invalid_late"],
+                              {"x": 100.0})[0] == ("ok", "70000")
+
+    def test_outer_loop_variable_is_rebound_per_outer_iteration(self):
+        xml_text = HOIST_DOCS["matches"]
+        cases = {
+            "for $c in (15, 60000, 100000) "
+            "return count(//e[xs:double(@v) >= $c])": "3 1 0",
+            # the e2e ``grouping`` template's correlated predicate
+            "for $c in distinct-values(//e/@k) order by $c "
+            "return concat($c, ':', count(//e[@k = $c][xs:double(@v) >= $x]))":
+                "1:0 2:0 5:1 7:1",
+            "for $c in (10, 20) return "
+            "(for $e in //e where xs:double($e/@v) = $c * 1 "
+            "return string($e/@v))": "10 20",
+        }
+        for query, expected in cases.items():
+            generated = _hoist_outcome(source_engine(), query, xml_text,
+                                       {"x": 30000.0})
+            assert generated == _hoist_outcome(closure_engine(), query,
+                                               xml_text, {"x": 30000.0})
+            assert generated[0] == ("ok", expected), query
+
+    def test_aliasing_a_local_does_not_move_its_first_binding(self):
+        """``for $b in $a`` binds ``$b`` to ``$a``'s own Python local;
+        doing so inside a sub-region function (a ``let`` read twice) or
+        a quantifier must leave ``$a`` bound by its loop, so a later
+        operand over ``$a`` is re-bound per ``$a``."""
+        xml_text = "<r><v>1</v><v>2</v><v>3</v></r>"
+        cases = {
+            # general comparison: the lane
+            "for $a in (1, 2, 3) "
+            "let $s := (for $b at $i in $a return $b + $i) "
+            "return ($s, $s, //v[. = $a]/string())": "2 2 1 3 3 2 4 4 3",
+            # value comparison and arithmetic: the held atom
+            "for $a in (1, 2, 3) "
+            "let $s := (for $b in $a return $b * 2) "
+            "return ($s, $s, //v[xs:integer(.) eq $a]/string())":
+                "2 2 1 4 4 2 6 6 3",
+            "for $a in (1, 2) "
+            "let $s := (for $b in $a return $b) "
+            "return ($s, $s, //v/(xs:integer(.) + $a))": "1 1 2 3 4 2 2 3 4 5",
+            # a quantifier re-binding the local, inline and in a let
+            "for $a in (1, 2, 3) "
+            "let $q := (some $b in $a satisfies $b > 1) "
+            "return ($q, $q, count(//v[xs:double(.) >= $a]))":
+                "false false 3 true true 2 true true 1",
+            "for $a in (1, 2, 3) "
+            "return (every $b in $a satisfies $b < 3, //v[. = $a]/string())":
+                "true 1 true 2 false 3",
+            # two levels down, then back out
+            "for $a in (1, 2, 3) "
+            "let $s := (for $b in $a let $t := (for $c in $b return $c) "
+            "return ($t, $t)) "
+            "return ($s, $s, //v[. = $a]/string())":
+                "1 1 1 1 1 2 2 2 2 2 3 3 3 3 3",
+        }
+        for query, expected in cases.items():
+            generated = _hoist_outcome(source_engine(), query, xml_text, {})
+            assert generated == _hoist_outcome(closure_engine(), query,
+                                               xml_text, {})
+            assert generated[0] == ("ok", expected), query
+
+    def test_node_creating_operand_is_never_hoisted(self):
+        """A constructor on the invariant side builds a new node per
+        evaluation under both backends (``elements_constructed``)."""
+        xml_text = HOIST_DOCS["matches"]
+        direct = "count(//e[xs:double(@v) >= <n>20</n>])"
+        via_let = ("for $i in (1, 2) let $n := <n>{$i * 20}</n> "
+                   "return count(//e[xs:double(@v) >= $n])")
+        for query in (direct, via_let):
+            generated = _hoist_outcome(source_engine(), query, xml_text, {})
+            assert generated == _hoist_outcome(closure_engine(), query,
+                                               xml_text, {})
+            assert generated[0][0] == "ok"
+        assert _hoist_outcome(source_engine(), direct, xml_text,
+                              {})[1]["elements_constructed"] == 4
+        source = source_engine().compile(direct).generated_source
+        assert "_compare_lane" not in source
+
+    def test_invariant_is_read_once_per_activation(self):
+        compiled = source_engine().compile(
+            "declare variable $x external; "
+            "count(//e[xs:double(@v) >= $x and xs:double(@v) < $x * 2])")
+        source = compiled.generated_source
+        assert source.count("_compare_lane(") == 2
+        assert "_general_pair" not in source
+        # both lanes start absent before the outermost loop ...
+        head = source[:source.index("while ")]
+        assert head.count("= _ABSENT") == 2
+        # ... and the variable is read where they are first needed
+        reads = []
+        from repro.runtime.dynamic import DynamicContext
+        real = DynamicContext.variable
+
+        def counting(self, name):
+            reads.append(name.local)
+            return real(self, name)
+
+        DynamicContext.variable = counting
+        try:
+            result = compiled.execute(context_item=HOIST_DOCS["matches"],
+                                      variables={"x": 15.0})
+            assert result.serialize() == "1"
+        finally:
+            DynamicContext.variable = real
+        assert reads.count("x") == 2
+
+
+# -- the e2e ledger's templates join the corpus ------------------------------
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]
+                       / "benchmarks" / "e2e"))
+import queries as e2e_queries  # noqa: E402 - the harness's flat module
+
+sys.path.pop(0)
+
+E2E_TEMPLATES = e2e_queries.templates(n_people=12)
+
+#: emitted lines per ad-hoc text of the ``adhoc_compile`` workload at
+#: the parent commit (2.0.0, literal ``50000.000000001`` for ``$x``,
+#: the ``xmark_small`` catalog): ~8 us of compile per line, so the
+#: comparison lanes must not buy execution speed with emitted text
+ADHOC_PARENT_LINES = {
+    "flwor_where": 107, "count_pred": 98, "quantifier": 111,
+    "constructor": 128, "order_by": 126, "user_function": 116,
+    "aggregates": 135, "grouping": 250, "conditional": 149,
+    "string_functions": 119, "absence": 118, "partition": 259,
+    "deep_text": 105,
+}
+
+
+class TestE2ETemplates:
+    @pytest.fixture(scope="class")
+    def engines(self, xmark_small):
+        import repro
+
+        cat = repro.catalog()
+        cat.add("auction", xmark_small)
+        return {"closure": closure_engine(catalog=cat),
+                "source": source_engine(catalog=cat)}
+
+    @pytest.mark.parametrize("name", sorted(E2E_TEMPLATES))
+    def test_registered_and_adhoc_forms(self, engines, name):
+        import random
+
+        template = E2E_TEMPLATES[name]
+        rng = random.Random(name)
+        text = e2e_queries.source_text(template, "$auction")
+        declared = tuple(template.params)
+        for _ in range(3):
+            bindings = template.sample(rng)
+            reference = _catalog_outcome(engines["closure"], text, declared,
+                                         bindings)
+            generated = _catalog_outcome(engines["source"], text, declared,
+                                         bindings)
+            assert generated[:2] == reference[:2]
+            assert generated[0][0] == "ok" and generated[2] == 0
+            literals = {k: repr(v) if isinstance(v, float) else f"'{v}'"
+                        for k, v in bindings.items()}
+            adhoc = e2e_queries.adhoc_text(template, "$auction", literals)
+            assert _catalog_outcome(engines["source"], adhoc, (), {})[0] \
+                == _catalog_outcome(engines["closure"], adhoc, (), {})[0] \
+                == reference[0]
+
+    @pytest.mark.parametrize("name", sorted(ADHOC_PARENT_LINES))
+    def test_adhoc_texts_emit_no_more_lines_than_the_parent(self, engines,
+                                                            name):
+        text = e2e_queries.adhoc_text(E2E_TEMPLATES[name], "$auction",
+                                      {"x": "50000.000000001"})
+        emitted = engines["source"].compile(text).generated_source
+        assert len(emitted.splitlines()) <= ADHOC_PARENT_LINES[name]
+
+
 #: module-level engines so hypothesis examples share the compile caches
 _closure_prop = closure_engine(CLOSURE.replace(static_typing=False))
 _source_prop = source_engine(SOURCE.replace(static_typing=False))
@@ -712,3 +989,76 @@ def test_generated_source_compiles_under_50ms():
             lambda: source_engine(compile_cache=None).compile(query))
         assert best < 0.050, (
             f"source compile too slow for {query!r}: {best * 1000:.1f} ms")
+
+
+@pytest.mark.perfsmoke
+@pytest.mark.parametrize("name", ["partition", "point_lookup"])
+def test_predicate_work_is_counted_not_timed(name):
+    """The comparison lanes' gate, in counts (they repeat exactly; times
+    do not): per evaluation of ``xs:double(@income) op $x`` /
+    ``@id = $a`` no ``derives_from`` walk and at most one
+    ``AtomicValue`` (the attribute's typed value), and ``$x`` is read
+    once per loop *activation* — the same few reads on a document five
+    times the size."""
+    import xml.etree.ElementTree as ET
+
+    import repro
+    from repro.runtime.dynamic import DynamicContext
+    from repro.workloads import generate_xmark
+    from repro.xdm.items import AtomicValue
+    from repro.xsd.types import AtomicType
+
+    template = e2e_queries.templates(n_people=250)[name]
+    text = e2e_queries.source_text(template, "$auction")
+    bindings = {"partition": {"x": 60000.0},
+                "point_lookup": {"a": "person7", "b": "person31"}}[name]
+    counted = {"derives_from": AtomicType.derives_from,
+               "alloc": AtomicValue.__init__,
+               "variable": DynamicContext.variable}
+
+    def run(scale):
+        xml_text = generate_xmark(scale=scale, seed=7)
+        cat = repro.catalog()
+        cat.add("auction", xml_text)
+        compiled = source_engine(catalog=cat).compile(
+            text, variables=tuple(template.params))
+        compiled.execute(variables=bindings).serialize()  # warm
+        counts = dict.fromkeys(counted, 0)
+
+        def shim(key):
+            real = counted[key]
+
+            def wrapper(*args):
+                counts[key] += 1
+                return real(*args)
+            return wrapper
+
+        AtomicType.derives_from = shim("derives_from")
+        AtomicValue.__init__ = shim("alloc")
+        DynamicContext.variable = shim("variable")
+        try:
+            compiled.execute(variables=bindings).serialize()
+        finally:
+            AtomicType.derives_from = counted["derives_from"]
+            AtomicValue.__init__ = counted["alloc"]
+            DynamicContext.variable = counted["variable"]
+        people = ET.fromstring(xml_text).findall("people/person")
+        if name == "partition":
+            # three scans; the second conjunct runs where the first held
+            evaluations = 3 * len(people) + sum(
+                1 for p in people
+                if float(p.find("profile").get("income")) < bindings["x"])
+        else:
+            evaluations = 2 * len(people)
+        sites = compiled.generated_source.count("dctx.variable(")
+        return counts, evaluations, sites
+
+    small, large = run(0.2), run(1.0)
+    for counts, evaluations, sites in (small, large):
+        assert counts["derives_from"] == 0
+        # + the handful of values made once per request: the bound
+        # variable, ``$x div 2``, the three counts
+        assert evaluations <= counts["alloc"] <= evaluations + 8
+        assert counts["variable"] <= sites
+    assert large[1] >= 4 * small[1]
+    assert large[0]["variable"] == small[0]["variable"]

@@ -59,6 +59,31 @@ class TestNumeric:
     def test_number_nan_on_garbage(self, values):
         assert math.isnan(values("number('abc')")[0])
 
+    @pytest.mark.parametrize("lexical", ["1_0", "inf", "Infinity", "nan"])
+    def test_python_float_lexicals_are_not_doubles(self, values, lexical):
+        """``float()`` takes these; xs:double must not (FORG0001 from
+        every cast site, NaN / false from the total functions)."""
+        assert math.isnan(values(f"number('{lexical}')")[0])
+        assert math.isnan(values(f"number(<a>{lexical}</a>)")[0])
+        assert values(f"'{lexical}' castable as xs:double") == [False]
+        assert values(f"<a>{lexical}</a> castable as xs:float") == [False]
+        for query in (f"xs:double('{lexical}')",
+                      f"'{lexical}' cast as xs:double",
+                      f"xs:float(<a>{lexical}</a>)",
+                      f"<a x='{lexical}'/>/@x = 10",
+                      f"10 >= <a>{lexical}</a>",
+                      f"sum((<a>{lexical}</a>, <a>2</a>))",
+                      f"max((<a>1</a>, <a>{lexical}</a>))",
+                      f"<a>{lexical}</a> + 1"):
+            with pytest.raises(DynamicError) as info:
+                values(query)
+            assert info.value.code == "FORG0001", query
+
+    def test_schema_double_lexicals_still_cast(self, values):
+        assert values("(xs:double(' 1e1 '), xs:double('-INF') lt 0, "
+                      "<a>.5</a> = 0.5, number('NaN') ne number('NaN'))") == \
+            [10.0, True, True, True]
+
     def test_number_on_untyped(self, values):
         assert values("number(<a>5</a>)") == [5.0]
 

@@ -2,7 +2,7 @@
 (compare / arithmetic / ebv / sequencetype), independent of the parser."""
 
 import math
-from datetime import date
+from datetime import date, datetime, time
 from decimal import Decimal
 
 import pytest
@@ -14,16 +14,25 @@ from repro.compiler.sequencetype import (
     occurrence_union,
     resolve_sequence_type,
 )
-from repro.errors import ArithmeticError_, TypeError_
+from repro.errors import ArithmeticError_, CastError, TypeError_
 from repro.qname import QName
 from repro.runtime.arithmetic import arithmetic, negate, unary_plus
-from repro.runtime.compare import general_compare, node_compare, value_compare
+from repro.runtime.compare import (
+    _general_cascade,
+    _general_pair,
+    _value_cascade,
+    compare_lane,
+    general_compare,
+    node_compare,
+    value_compare,
+)
 from repro.runtime.ebv import effective_boolean_value
 from repro.xdm.items import AtomicValue, boolean, decimal, double, integer, string, untyped_atomic
 from repro.xdm.nodes import ElementNode
 from repro.xquery.ast import SequenceTypeAST
 from repro.xsd import types as T
-from repro.xsd.casting import Duration
+from repro.xsd.casting import Duration, cast_value
+from repro.xsd.facets import MaxInclusive, MinInclusive
 
 
 class TestValueCompare:
@@ -107,6 +116,193 @@ class TestGeneralCompare:
         assert general_compare("<=", [integer(2)], [integer(2)])
         assert general_compare(">=", [integer(3)], [integer(2)])
         assert general_compare(">", [integer(3)], [integer(2)])
+
+    @pytest.mark.parametrize("lexical,smaller,typed,target", [
+        ("P1D", True, Duration(0, 2 * 86400), T.DAY_TIME_DURATION),
+        ("P3D", False, Duration(0, 2 * 86400), T.DAY_TIME_DURATION),
+        ("P1Y", True, Duration(24, 0), T.YEAR_MONTH_DURATION),
+        ("P2Y1M", False, Duration(24, 0), T.YEAR_MONTH_DURATION),
+        ("2004-01-01", True, date(2004, 2, 1), T.XS_DATE),
+        ("false", True, True, T.XS_BOOLEAN),
+    ])
+    def test_untyped_is_cast_to_the_other_operands_type(
+            self, lexical, smaller, typed, target):
+        """... not to its primitive: the xdt durations are ordered,
+        xs:duration is not (this raised XPTY0004 for ``<`` while ``=``
+        answered)."""
+        untyped, other = [untyped_atomic(lexical)], [AtomicValue(typed, target)]
+        assert general_compare("<", untyped, other) is smaller
+        assert general_compare(">", other, untyped) is smaller
+        assert general_compare(">=", untyped, other) is not smaller
+        assert general_compare("!=", untyped, other)
+
+    def test_untyped_against_a_subtype_keeps_its_lexical_space(self):
+        # P1Y2D is an xs:duration but no yearMonthDuration: FORG0001
+        other = [AtomicValue(Duration(24, 0), T.YEAR_MONTH_DURATION)]
+        with pytest.raises(CastError):
+            general_compare("=", [untyped_atomic("P1Y2D")], other)
+        # plain xs:duration still answers = and refuses <
+        plain = [AtomicValue(Duration(12, 0), T.XS_DURATION)]
+        assert general_compare("=", [untyped_atomic("P1Y")], plain)
+        with pytest.raises(TypeError_):
+            general_compare("<", [untyped_atomic("P1Y")], plain)
+
+    def test_untyped_against_any_anyuri_is_cast_to_string(self):
+        # "an instance of xs:string or xs:anyURI": derived types too
+        uri = T.TypeRegistry().derive(QName("ns", "Uri"), T.XS_ANYURI)
+        for uri_type in (T.XS_ANYURI, uri):
+            other = [AtomicValue(" x ", uri_type)]
+            assert general_compare("=", [untyped_atomic(" x ")], other)
+            assert not general_compare("=", [untyped_atomic("x")], other)
+
+
+# -- the comparison lanes against the cascades they front -------------------
+
+_SHOE = T.TypeRegistry().derive(
+    QName("ns", "ShoeSize"), T.XS_INTEGER, [MinInclusive(1), MaxInclusive(60)])
+
+_INTEGERS = st.one_of(
+    st.integers(-3, 3),
+    st.sampled_from([2 ** 53 - 1, 2 ** 53, 2 ** 53 + 1, -(2 ** 53) - 1,
+                     10 ** 400]))
+_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 2.0 ** 53,
+                     2.0 ** 53 + 2, 1.5, -1.5, 0.1]),
+    st.floats(allow_nan=True, allow_infinity=True, width=64))
+_TEXT = st.sampled_from(["", "a", "A", "b", "1", "10", "9", " 1 ", "http://x"])
+_DURATIONS = st.builds(Duration, st.integers(-2, 2),
+                       st.sampled_from([0.0, 1.0, -1.0, 86400.0]))
+
+#: the built-in lattice: 19 primitives, the string and integer towers,
+#: xdt:untypedAtomic, both xdt durations, one schema type with facets
+_VALUES = {name: strategy for names, strategy in [
+    (("string", "normalizedString", "token", "language", "NMTOKEN", "Name",
+      "NCName", "ID", "IDREF", "ENTITY", "anyURI"), _TEXT),
+    (("boolean",), st.booleans()),
+    (("decimal",), st.one_of(
+        _INTEGERS.filter(lambda i: abs(i) < 10 ** 30).map(Decimal),
+        st.sampled_from([Decimal("0.1"), Decimal("1.5"), Decimal("-0.0"),
+                         Decimal("9007199254740993")]))),
+    (("integer", "nonPositiveInteger", "negativeInteger", "long", "int",
+      "short", "byte", "nonNegativeInteger", "unsignedLong", "unsignedInt",
+      "unsignedShort", "unsignedByte", "positiveInteger"), _INTEGERS),
+    (("float", "double"), _FLOATS),
+    (("duration",), _DURATIONS),
+    (("yearMonthDuration",),
+     st.builds(Duration, st.integers(-2, 2), st.just(0.0))),
+    (("dayTimeDuration",),
+     st.builds(Duration, st.just(0), st.sampled_from([0.0, 1.0, 86400.0]))),
+    (("dateTime",), st.sampled_from([datetime(2004, 1, 1),
+                                     datetime(2004, 1, 1, 12)])),
+    (("time",), st.sampled_from([time(1, 0), time(12, 30)])),
+    (("date",), st.sampled_from([date(2004, 1, 1), date(2004, 6, 1)])),
+    (("gYearMonth", "gYear", "gMonthDay", "gDay", "gMonth"),
+     st.sampled_from(["2004", "2004-01", "--01-02", "---02", "--01"])),
+    (("hexBinary", "base64Binary"), st.binary(max_size=2)),
+    (("QName", "NOTATION"),
+     st.sampled_from([QName("", "a"), QName("u", "a"), QName("u", "b")])),
+    (("untypedAtomic",), st.sampled_from([
+        "1", "1.5", " 2 ", "-0", "1e400", "INF", "NaN", "9007199254740993",
+        "", "a", "A", "true", "2004-01-01", "12:30:00", "P1D", "P1Y", "P1Y2D",
+        "1_0", "inf", "DEAD", "--01"])),
+] for name in names}
+
+_LATTICE = [T.xs_type(name) for name in _VALUES] + [_SHOE]
+
+
+def _atoms_of(atype):
+    if atype is _SHOE:
+        return st.integers(1, 60).map(lambda v: AtomicValue(v, _SHOE))
+    return _VALUES[atype.name.local].map(lambda v: AtomicValue(v, atype))
+
+
+#: any type, with extra weight on the pairs the lanes decide
+_ATOMS = st.one_of(
+    st.sampled_from(_LATTICE).flatmap(_atoms_of),
+    st.sampled_from([T.UNTYPED_ATOMIC, T.XS_DOUBLE, T.XS_FLOAT, T.XS_INTEGER,
+                     T.XS_DECIMAL, T.XS_STRING]).flatmap(_atoms_of))
+_VALUE_OPS = ("eq", "ne", "lt", "le", "gt", "ge")
+
+
+def _outcome_of(fn, *args):
+    try:
+        return ("ok", fn(*args))
+    except Exception as exc:  # noqa: BLE001 - compared structurally
+        return ("err", type(exc), getattr(exc, "code", None), str(exc))
+
+
+class TestLanesAgainstCascades:
+    """The lanes are an optimisation of the cascades, never a second
+    opinion: same boolean, or same exception class, code and message."""
+
+    def test_lattice_is_the_whole_lattice(self):
+        builtin = {t for t in T.builtin_types().values()
+                   if t.derives_from(T.ANY_ATOMIC) and t is not T.ANY_ATOMIC}
+        assert set(_LATTICE) == builtin | {_SHOE}
+        assert sum(1 for t in builtin if t.primitive is t) == 19 + 1
+
+    @pytest.mark.parametrize("type_a", _LATTICE, ids=str)
+    @given(data=st.data())
+    @settings(max_examples=120, deadline=None)
+    def test_pairwise(self, type_a, data):
+        a = data.draw(_atoms_of(type_a))
+        b = data.draw(_ATOMS)
+        for op in _VALUE_OPS:
+            for x, y in ((a, b), (b, a)):
+                assert _outcome_of(value_compare, op, x, y) \
+                    == _outcome_of(_value_cascade, op, x, y), (op, x, y)
+                reference = _outcome_of(_general_cascade, op, x, y)
+                assert _outcome_of(_general_pair, op, x, y) == reference, \
+                    (op, x, y)
+                # ... and bound as an invariant right operand
+                assert _outcome_of(compare_lane(op, None, [y]), x) \
+                    == reference, (op, x, y)
+
+    def test_numeric_corners_exhaustively(self):
+        """NaN, ±0, ±INF, integers beyond 2^53 against doubles,
+        decimals against floats, untyped lexicals of each — every pair,
+        every operator, all three lane-fronted entry points."""
+        big = 2 ** 53
+        corners = [integer(v) for v in (0, big - 1, big, big + 1, -big - 1,
+                                        10 ** 400)]
+        corners += [double(v) for v in (0.0, -0.0, math.nan, math.inf,
+                                        -math.inf, float(big), float(big + 2),
+                                        0.1)]
+        corners += [AtomicValue(0.1, T.XS_FLOAT), AtomicValue(math.nan, T.XS_FLOAT),
+                    decimal("0.1"), decimal(big + 1), decimal("-0.0")]
+        corners += [untyped_atomic(v) for v in (
+            "0", "-0", "0.1", str(big + 1), "NaN", "INF", "-INF", "1e400",
+            "x")]
+        for a in corners:
+            for b in corners:
+                for op in _VALUE_OPS:
+                    assert _outcome_of(value_compare, op, a, b) \
+                        == _outcome_of(_value_cascade, op, a, b), (op, a, b)
+                    reference = _outcome_of(_general_cascade, op, a, b)
+                    assert _outcome_of(_general_pair, op, a, b) == reference, \
+                        (op, a, b)
+                    assert _outcome_of(compare_lane(op, None, [b]), a) \
+                        == reference, (op, a, b)
+
+    @given(a=_ATOMS, rhs=st.lists(_ATOMS, max_size=2),
+           target=st.sampled_from([None, T.XS_DOUBLE, T.XS_FLOAT,
+                                   T.XS_DECIMAL, T.XS_INTEGER, T.XS_STRING,
+                                   _SHOE]))
+    @settings(max_examples=1500, deadline=None)
+    def test_bound_lane(self, a, rhs, target):
+        """``compare_lane`` = cast, then the cascade per right item."""
+        def reference(op):
+            left = a if target is None else AtomicValue(
+                cast_value(a.value, a.type, target), target)
+            return any(_general_cascade(op, left, b) for b in rhs)
+
+        for op in _VALUE_OPS:
+            lane = compare_lane(op, target, rhs)
+            if not rhs:
+                assert lane is None
+                continue
+            assert _outcome_of(lane, a) == _outcome_of(reference, op), \
+                (op, target, a, rhs)
 
 
 class TestNodeCompare:

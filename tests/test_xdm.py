@@ -119,6 +119,36 @@ class TestDocumentOrder:
         result = in_document_order([author, title, author, el])
         assert result == [el, title, author]
 
+    def test_fewer_than_two_nodes_are_returned_as_is(self, book_doc,
+                                                     monkeypatch):
+        """0 or 1 node is already distinct and ordered: no set, no copy,
+        no ``doc_order_key`` root walk — the duplicate *pair* still
+        dedups, and DDO operators count ``ddo_sorts`` as before."""
+        from repro import Engine, ExecutionOptions
+        from repro.xdm import order
+
+        title, author = book_doc.document_element().children
+        keyed = []
+        real_key = order.doc_order_key
+        monkeypatch.setattr(order, "doc_order_key",
+                            lambda node: keyed.append(node) or real_key(node))
+        empty, one = [], [title]
+        assert in_document_order(empty) is empty
+        assert in_document_order(one) is one
+        assert keyed == []
+        assert in_document_order([title, title]) == [title]
+        assert in_document_order([author, title]) == [title, author]
+        assert keyed
+        sorts = set()
+        for codegen in ("source", "closure"):
+            result = Engine(options=ExecutionOptions(
+                codegen=codegen, optimize=False)).compile(
+                "(/*/*[1]/text(), /*/nothing/text())").execute(
+                context_item=book_doc)
+            result.items()
+            sorts.add(result.stats["ddo_sorts"])
+        assert len(sorts) == 1 and sorts.pop() >= 1
+
     def test_cross_tree_order_stable(self):
         a = parse_document("<a/>")
         b = parse_document("<b/>")

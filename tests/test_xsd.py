@@ -56,6 +56,31 @@ class TestHierarchy:
         assert T.is_numeric(T.XS_DOUBLE)
         assert not T.is_numeric(T.XS_STRING)
 
+    def test_type_facts_match_the_derivation_chain(self):
+        """The slots computed at construction say what walking the
+        chain says, for every built-in and for schema-derived types."""
+        registry = T.TypeRegistry()
+        shoe = registry.derive(QName("ns", "Shoe"), xs_type("short"),
+                               [MinInclusive(1)])
+        wide = registry.derive(QName("ns", "Wide"), shoe, [MaxInclusive(60)])
+        uri = registry.derive(QName("ns", "Uri"), T.XS_ANYURI)
+        for t in list(T.builtin_types().values()) + [shoe, wide, uri]:
+            chain = list(t.ancestry())
+            numeric = [p for p in (T.XS_DECIMAL, T.XS_FLOAT, T.XS_DOUBLE)
+                       if p in chain]
+            assert T.is_numeric(t) == bool(numeric), t
+            if numeric:
+                assert t.numeric_rank == \
+                    (T.XS_DECIMAL, T.XS_FLOAT, T.XS_DOUBLE).index(numeric[0])
+            assert t.is_integer == (T.XS_INTEGER in chain), t
+            assert t.string_like == (T.XS_STRING in chain
+                                     or T.XS_ANYURI in chain
+                                     or t is T.UNTYPED_ATOMIC), t
+            assert t.facet_chain == tuple(f for a in chain for f in a.facets)
+            assert t.primitive in chain and t.primitive.primitive is t.primitive
+        assert wide.facet_chain == (MaxInclusive(60), MinInclusive(1))
+        assert wide.primitive is T.XS_DECIMAL and wide.is_integer
+
 
 class TestLexicalParsing:
     @pytest.mark.parametrize("type_name,lexical,expected", [
@@ -94,6 +119,45 @@ class TestLexicalParsing:
     def test_invalid(self, type_name, lexical):
         with pytest.raises(CastError):
             parse_lexical(xs_type(type_name), lexical)
+
+    @pytest.mark.parametrize("lexical,expected", [
+        ("12", 12.0), ("-1.5", -1.5), ("+.5", 0.5), ("3.", 3.0),
+        ("1e3", 1000.0), ("1.5E-2", 0.015), (" \t1e3\r\n", 1000.0),
+        ("INF", math.inf), ("-INF", -math.inf), ("-0", -0.0),
+    ])
+    def test_double_lexical_space(self, lexical, expected):
+        for target in (T.XS_DOUBLE, T.XS_FLOAT):
+            value = parse_lexical(target, lexical)
+            assert value == expected
+            assert math.copysign(1, value) == math.copysign(1, expected)
+            assert cast_value(lexical, T.UNTYPED_ATOMIC, target) == expected
+
+    @pytest.mark.parametrize("lexical", [
+        # what Python's float() takes and XML Schema 1.0 does not
+        "1_0", "inf", "-inf", "Infinity", "nan", "NAN", "+INF", "infinity",
+        "1e", "e3", ".", "", " ", "1 0", "0x10", "1d3", "\u0661\u0662",
+        "1\u00a0",
+    ])
+    def test_double_rejects_python_float_lexicals(self, lexical):
+        for target in (T.XS_DOUBLE, T.XS_FLOAT):
+            with pytest.raises(CastError) as info:
+                parse_lexical(target, lexical)
+            assert info.value.code == "FORG0001"
+            for source in (T.UNTYPED_ATOMIC, T.XS_STRING):
+                assert not castable(lexical, source, target)
+                with pytest.raises(CastError):
+                    cast_value(lexical, source, target)
+
+    def test_every_primitive_has_a_parser_or_none(self):
+        # the table dispatch: abstract roots have no lexical space
+        for abstract in (T.ANY_ATOMIC, T.ANY_SIMPLE_TYPE, T.ANY_TYPE):
+            with pytest.raises(CastError):
+                parse_lexical(abstract, "x")
+        for name in ("gYear", "gYearMonth", "gMonthDay", "gDay", "gMonth"):
+            with pytest.raises(CastError):
+                parse_lexical(xs_type(name), "x")
+        assert parse_lexical(xs_type("NOTATION"), "p:n") == QName("", "n", "p")
+        assert parse_lexical(T.UNTYPED_ATOMIC, " as is ") == " as is "
 
     def test_datetime_with_timezone(self):
         value = parse_lexical(T.XS_DATETIME, "2004-09-14T12:30:00Z")
