@@ -667,3 +667,83 @@ def _free(expr: ast.Expr, bound: set[QName], out: set[QName]) -> None:
         return
     for child in expr.children():
         _free(child, bound, out)
+
+
+# ---------------------------------------------------------------------------
+# Pure operands (loop-invariant hoisting, join detection, index probes)
+# ---------------------------------------------------------------------------
+
+#: built-ins whose evaluation shows beyond its value: ``fn:trace``
+#: counts ``trace:<label>``, a semantic counter
+_COUNTING_BUILTINS = ("trace",)
+
+#: what a pure path may be made of: navigation, and the scalar logic
+#: its predicates compute with
+_PATH_KINDS = (ast.Literal, ast.EmptySequence, ast.VarRef, ast.ContextItem,
+               ast.RootExpr, ast.Step, ast.PathExpr, ast.DDO, ast.Filter,
+               ast.Comparison, ast.AndExpr, ast.OrExpr, ast.Arithmetic,
+               ast.UnaryExpr, ast.CastExpr, ast.CastableExpr, ast.InstanceOf,
+               ast.SequenceExpr, ast.RangeExpr, ast.IfExpr)
+
+
+def _anything(expr: ast.Expr) -> bool:
+    return True
+
+
+def is_constructor_call(expr: ast.Expr) -> bool:
+    """``xs:T(..)`` / ``xdt:T(..)``: a cast in function-call syntax."""
+    return isinstance(expr, ast.FunctionCall) \
+        and expr.name.uri in (_XS_NS, _XDT_NS)
+
+
+def _quiet_builtin(expr: ast.Expr, focus_ok: bool) -> bool:
+    builtin = fnlib.lookup(expr.name, len(expr.args))
+    return builtin is not None and not builtin.creates_nodes \
+        and (focus_ok or not builtin.context_sensitive) \
+        and not (expr.name.uri == _FN_NS
+                 and expr.name.local in _COUNTING_BUILTINS)
+
+
+def pure_scalar(expr: ast.Expr, eligible=_anything) -> bool:
+    """Is evaluating ``expr`` once instead of once per item observable
+    only through how often it runs?
+
+    True for literals, variables, and the arithmetic, casts, sequences
+    and built-in calls over them, where a built-in may also aggregate a
+    :func:`pure_path` (``avg($doc//price)``).  Such an operand reads no
+    focus, makes no node, bumps no *semantic* counter
+    (:mod:`repro.observability.counters`) — what it does count is
+    diary — and, through ``eligible`` (the source emitter's test),
+    crosses no closure seam.  The loop-invariant hoist, the hash lane's
+    probe and the value-index probe of an access path all ask this.
+    """
+    if isinstance(expr, (ast.Literal, ast.EmptySequence, ast.VarRef)):
+        return True
+    if isinstance(expr, (ast.SequenceExpr, ast.Arithmetic, ast.UnaryExpr,
+                         ast.CastExpr)) or is_constructor_call(expr):
+        return eligible(expr) and \
+            all(pure_scalar(child, eligible) for child in expr.children())
+    if isinstance(expr, ast.FunctionCall) and _quiet_builtin(expr, False):
+        return eligible(expr) and all(
+            pure_scalar(arg, eligible) or pure_path(arg, eligible)
+            for arg in expr.args)
+    return False
+
+
+def pure_path(expr: ast.Expr, eligible=_anything) -> bool:
+    """A focus-free navigation (``$doc//price``, ``$p/address/city``)
+    made only of paths, filters, the scalar logic of their predicates
+    and quiet built-ins: its value is the same wherever it runs with the
+    same variables, and its evaluation counts only in the diaries (no
+    access path, whose navigation fallback is a semantic counter)."""
+    if expr.annotations.get("uses_focus", True):
+        return False
+    for node in expr.walk():
+        if isinstance(node, ast.FunctionCall):
+            if not (is_constructor_call(node) or _quiet_builtin(node, True)):
+                return False
+        elif not isinstance(node, _PATH_KINDS):
+            return False
+        if not eligible(node):
+            return False
+    return True

@@ -732,8 +732,10 @@ class CodeGenerator:
         fallback_plan = self.compile(expr.fallback)
         predicate_plan = self.compile(expr.predicate) \
             if expr.predicate is not None else None
+        probe_plan = self.compile(expr.pred[2]) \
+            if expr.pred is not None else None
         catalog = self.catalog
-        var, chosen = expr.var, expr.chosen
+        var = expr.var
 
         def plan(dctx):
             stored, doc = _indexed_binding(catalog, dctx, var)
@@ -743,9 +745,9 @@ class CodeGenerator:
                 dctx.count("access_path.fallback_navigation")
                 yield from fallback_plan(dctx)
                 return
-            dctx.count(f"access_path.{chosen}")
             token = dctx._shared.cancellation
-            candidates = _access_path_candidates(stored, doc, expr)
+            candidates = _access_path_candidates(
+                stored, doc, expr, lambda: probe_plan(dctx), dctx)
             if predicate_plan is not None:
                 # re-verify every index candidate with the original
                 # predicate: normalized value keys over-approximate
@@ -1080,20 +1082,39 @@ def _indexed_binding(catalog, dctx, var: QName):
     return _indexed_value(catalog, dctx.variable(var))
 
 
-def _access_path_candidates(stored, doc, expr: ast.AccessPath) -> list:
+def _access_path_candidates(stored, doc, expr: ast.AccessPath, probe,
+                            dctx) -> list:
     """The index-side candidates of an AccessPath, in document order
-    (before residual predicate re-verification)."""
+    (before residual predicate re-verification), counting the path
+    taken as ``access_path.<path>``.
+
+    ``probe()`` evaluates the predicate's probe expression — in a
+    value-index plan only, once, and only when the chain has a
+    candidate: where navigation would first evaluate the predicate, so
+    an unbound or failing probe raises exactly when navigation does.
+    One string-like atom is looked up in the value index; any other
+    value takes the element-index scan, and the residual predicate
+    decides."""
     from repro.joins.access import (
+        chain_has_candidate,
         element_chain_postings,
+        probe_key,
         value_lookup_elements,
     )
 
+    eindex = stored.element_index
     if expr.chosen == "value_index":
-        kind, name, probe = expr.pred
-        return value_lookup_elements(stored.element_index, stored.value_index,
-                                     doc, expr.steps, kind, name, probe)
-    return [p.node for p in
-            element_chain_postings(stored.element_index, expr.steps)]
+        if not chain_has_candidate(eindex, expr.steps, doc):
+            dctx.count("access_path.value_index")
+            return []
+        key = probe_key(probe())
+        if key is not None:
+            dctx.count("access_path.value_index")
+            kind, name, _probe = expr.pred
+            return value_lookup_elements(eindex, stored.value_index, doc,
+                                         expr.steps, kind, name, key)
+    dctx.count("access_path.element_index")
+    return [p.node for p in element_chain_postings(eindex, expr.steps)]
 
 
 def _twig_nodes(stored, expr: ast.TwigJoin, dctx) -> list:

@@ -31,11 +31,29 @@ Eligibility (anything else keeps navigation untouched):
   pairs count as one descendant step), and the document itself has no
   namespaced nodes (posting lists key local names only);
 - at most one predicate, on the last step, of the form
-  ``name = literal`` / ``@name = literal`` (either operand order);
-- the value-index path additionally requires a *string* literal (a
-  numeric probe like ``price = 55`` must match ``"55.0"`` by numeric
-  promotion, which a string-keyed index cannot answer) and a predicate
-  name whose element occurrences are all text-only leaves.
+  ``name = probe`` / ``@name = probe`` (either operand order), where
+  the probe is a *pure scalar* (:func:`repro.compiler.analysis.
+  pure_scalar`: a literal, a variable, arithmetic and casts over them)
+  — its value may be known only at run time;
+- the value-index path additionally requires a predicate name whose
+  element occurrences are all text-only leaves, and a probe that may
+  be a string (a numeric literal like ``price = 55`` must match
+  ``"55.0"`` by numeric promotion, which a string-keyed index cannot
+  answer, so it never prices the value path).
+
+The chain root may also be a ``let`` variable bound, once, to a plain
+catalog chain: ``let $p := $doc/site/people return $p/person[@id = $a]``
+— the shape common-subexpression elimination leaves when two lookups
+share a prefix — plans as ``$doc/site/people/person[@id = $a]``.
+
+A value-index plan is priced with the index's average posting length
+(occurrences / distinct values of the predicate name), whatever the
+probe.  At run time the probe is evaluated at first use, and only when
+the chain has a candidate — exactly when navigation would first
+evaluate the predicate, so an unbound or failing probe raises where and
+only if navigation raises.  One string-like atom is looked up in the
+value index; anything else (a number, several values, the empty
+sequence) takes the element-index scan plus the residual predicate.
 
 Index results are re-verified: value probes run through whitespace-
 normalized keys (a superset of exact equality), so every candidate
@@ -81,14 +99,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
+from repro.compiler.analysis import pure_scalar
 from repro.joins.patterns import (
     ALGORITHM_ALIASES,
     TwigNode,
     TwigPattern,
     _root_to_output,
 )
+from repro.qname import QName
 from repro.xquery import ast
-from repro.xsd import types as T
 
 #: fixed per-candidate overhead of the upward chain verification
 _VERIFY_FACTOR = 2
@@ -124,26 +143,79 @@ def plan_access_paths(expr: ast.Expr, static_ctx, catalog,
         # key local names — never eligible
         return expr
 
-    def visit(node: ast.Expr) -> ast.Expr:
+    bound = _binding_counts(expr)
+
+    def visit(node: ast.Expr, lets: dict) -> ast.Expr:
         replaced = _try_rewrite_twig(node, catalog, twig_strategy)
         if replaced is None:
-            replaced = _try_rewrite(node, catalog)
+            replaced = _try_rewrite(node, catalog, lets)
         if replaced is not None:
             return replaced
-        return node.with_children(visit)
+        if isinstance(node, ast.LetExpr):
+            # a let-bound plain catalog chain stays visible to the
+            # chains that continue from its variable in the body
+            value = visit(node.value, lets)
+            chain = _catalog_chain(value, lets, bound) \
+                if bound.get(node.var) == 1 else None
+            body = visit(node.body, {**lets, node.var: chain}
+                         if chain is not None else lets)
+            rebuilt = {id(node.value): value, id(node.body): body}
+            return node.with_children(lambda child: rebuilt[id(child)])
+        return node.with_children(lambda child: visit(child, lets))
 
-    return visit(expr)
+    return visit(expr, {})
 
 
-def _try_rewrite(expr: ast.Expr, catalog) -> Optional[ast.AccessPath]:
-    decomposed = _decompose(expr)
+def _binding_counts(expr: ast.Expr) -> dict[QName, int]:
+    """How often each variable name is bound anywhere in ``expr``."""
+    counts: dict[QName, int] = {}
+
+    def bind(var) -> None:
+        if var is not None:
+            counts[var] = counts.get(var, 0) + 1
+
+    for node in expr.walk():
+        if isinstance(node, (ast.ForExpr, ast.LetExpr, ast.Quantified)):
+            bind(node.var)
+            bind(getattr(node, "pos_var", None))
+        elif isinstance(node, ast.FLWOR):
+            for clause in node.clauses:
+                bind(clause.var)
+                bind(getattr(clause, "pos_var", None))
+            for var, _key in node.group:
+                bind(var)
+        elif isinstance(node, ast.Typeswitch):
+            for case in list(node.cases) + [node.default]:
+                bind(case.var)
+    return counts
+
+
+def _catalog_chain(value: ast.Expr, lets: dict, bound: dict):
+    """``(catalog variable, steps)`` when a let's value is a plain,
+    predicate-free chain from a catalog variable that nothing in the
+    query rebinds; else None."""
+    if isinstance(value, ast.AccessPath):
+        var, steps, pred = value.var, value.steps, value.pred
+    else:
+        decomposed = _decompose(value, lets)
+        if decomposed is None:
+            return None
+        var, steps, pred = decomposed
+    if pred is not None or bound.get(var):
+        return None
+    return var, tuple(steps)
+
+
+def _try_rewrite(expr: ast.Expr, catalog,
+                 lets: dict) -> Optional[ast.AccessPath]:
+    decomposed = _decompose(expr, lets)
     if decomposed is None:
         return None
     var, steps, pred_parts = decomposed
 
-    if var.name.uri:
+    if var.uri:
         return None
-    stored = catalog.get(var.name.local)
+    stored = catalog.get(var.local)
     if stored is None or not stored.indexed:
         return None
     stats = stored.stats
@@ -152,17 +224,14 @@ def _try_rewrite(expr: ast.Expr, catalog) -> Optional[ast.AccessPath]:
 
     pred = None
     predicate_expr = None
-    probe = None
     pred_key = None
+    may_be_string = False
     if pred_parts is not None:
-        pred_kind, pred_name, literal, predicate_expr = pred_parts
+        pred_kind, pred_name, probe, predicate_expr = pred_parts
         pred_key = "@" + pred_name if pred_kind == "attribute" else pred_name
-        if literal.value.type.derives_from(T.XS_STRING):
-            probe = str(literal.value.value)
-        elif T.is_numeric(literal.value.type):
-            probe = None  # element-scan only; residual does the compare
-        else:
-            return None
+        # a literal's type is known now; anything else only at run time
+        may_be_string = not isinstance(probe, ast.Literal) \
+            or probe.value.type.string_like
         pred = (pred_kind, pred_name, probe)
 
     out_name = steps[-1][1]
@@ -179,8 +248,9 @@ def _try_rewrite(expr: ast.Expr, catalog) -> Optional[ast.AccessPath]:
             if stats.value_counts.get(pred_key) else est_rows
     candidates.append((float(max(1, elem_cost)), "element_index", est_rows))
 
-    # value-index point lookup: probe, then verify each owner's chain
-    if probe is not None and stats.is_leaf_only(pred_key) \
+    # value-index point lookup: probe, then verify each owner's chain;
+    # priced with the average posting length, whatever the probe
+    if may_be_string and stats.is_leaf_only(pred_key) \
             and stats.value_counts.get(pred_key):
         matches = stats.estimated_matches(pred_key)
         value_cost = max(1, matches) * (len(steps) + _VERIFY_FACTOR)
@@ -190,7 +260,7 @@ def _try_rewrite(expr: ast.Expr, catalog) -> Optional[ast.AccessPath]:
     if cost >= nav_cost * _MARGIN:
         return None
 
-    node = ast.AccessPath(var.name, tuple(steps), pred, chosen, rows,
+    node = ast.AccessPath(var, tuple(steps), pred, chosen, rows,
                           predicate_expr, expr, pos=expr.pos)
     node.annotations.update({
         "creates_nodes": False,
@@ -205,13 +275,15 @@ def _try_rewrite(expr: ast.Expr, catalog) -> Optional[ast.AccessPath]:
     return node
 
 
-def _decompose(expr: ast.Expr):
+def _decompose(expr: ast.Expr, lets: dict):
     """Match ``DDO(PathExpr(... VarRef ...))`` chains.
 
-    Returns ``(var, steps, pred_parts)`` where ``steps`` is the
-    root-to-output ``(edge, name)`` list and ``pred_parts`` is None or
-    ``(kind, name, literal, comparison)`` for a final-step equality
-    predicate; None when the shape is ineligible.
+    Returns ``(var, steps, pred_parts)`` where ``var`` is the root
+    variable's name, ``steps`` the root-to-output ``(edge, name)`` list
+    and ``pred_parts`` None or ``(kind, name, probe, comparison)`` for
+    a final-step equality predicate; None when the shape is ineligible.
+    A root in ``lets`` (a let-bound catalog chain) continues that
+    chain.
     """
     if not isinstance(expr, ast.DDO):
         return None
@@ -261,7 +333,10 @@ def _decompose(expr: ast.Expr):
             steps.append((right.axis, name))
     if pending_descendant or not steps:
         return None
-    return var, steps, pred_parts
+    prefix = lets.get(var.name)
+    if prefix is not None:
+        return prefix[0], list(prefix[1]) + steps, pred_parts
+    return var.name, steps, pred_parts
 
 
 def _is_dos_node(step: ast.Step) -> bool:
@@ -281,12 +356,14 @@ def _simple_element_name(step: ast.Step) -> Optional[str]:
 
 
 def _match_predicate(pred: ast.Expr):
-    """``name = literal`` / ``@name = literal`` (general comparison)."""
+    """``name = probe`` / ``@name = probe`` (general comparison) with a
+    pure-scalar probe: a chain binds no variable and the probe reads no
+    focus, so it is invariant to the path."""
     if not isinstance(pred, ast.Comparison) or pred.family != "general" \
             or pred.op != "=":
         return None
     for lhs, rhs in ((pred.left, pred.right), (pred.right, pred.left)):
-        if not isinstance(rhs, ast.Literal) or not isinstance(lhs, ast.Step):
+        if not isinstance(lhs, ast.Step) or not pure_scalar(rhs):
             continue
         test = lhs.test
         if test.type_name is not None or test.name is None \

@@ -16,7 +16,12 @@ Contracts with the closure backend, in both directions:
   ``_c_`` closure in :mod:`repro.compiler.codegen` exactly — evaluation
   order, laziness, error codes, and cancellation-poll placement
   included.  The differential suites (``tests/test_codegen_source.py``)
-  enforce this over the XMark/bib/seeded-random corpus.
+  enforce this over the XMark/bib/seeded-random corpus.  What may
+  differ is how *often* a pure operand or an invariant filter base is
+  evaluated — held once per loop activation (:meth:`SourcePlanCompiler.
+  _held`), or turned into a hash lane (:meth:`SourcePlanCompiler.
+  _join_plan`) — which only the diary counters
+  (:mod:`repro.observability.counters`) may show.
 - **Fallback, not failure.**  Subtrees this emitter does not fuse
   (order-by FLWOR, typeswitch, node constructors, access paths,
   parallel groups, user functions, ...) compile through the shared
@@ -51,7 +56,13 @@ import weakref
 from contextlib import ExitStack, contextmanager
 from typing import Any, Callable, Iterator, NamedTuple
 
-from repro.compiler.analysis import free_vars, uses_last
+from repro.compiler.analysis import (
+    free_vars,
+    is_constructor_call,
+    pure_path,
+    pure_scalar,
+    uses_last,
+)
 from repro.compiler.codegen import (
     CodeGenerator,
     Plan,
@@ -84,6 +95,7 @@ from repro.runtime.constructors import (
 )
 from repro.runtime.compare import (
     _GENERAL_TO_VALUE,
+    HashLane,
     _general_pair,
     compare_lane,
     node_compare,
@@ -191,6 +203,7 @@ _BASE_ENV = {
     "_ebv_atom": _atomic_ebv,
     "_general_pair": _general_pair,
     "_compare_lane": compare_lane,
+    "_HashLane": HashLane,
     "_value_compare": value_compare,
     "_node_compare": node_compare,
     "_order_compare": order_compare,
@@ -258,6 +271,24 @@ def _peel_ddo(expr):
     while isinstance(expr, ast.DDO):
         expr = expr.operand
     return expr
+
+
+def _key_steps(expr) -> tuple | None:
+    """The key ``K`` of a hash lane as its steps: ``.`` (no step) or a
+    relative path of child / attribute steps; None for anything else."""
+    if isinstance(expr, ast.ContextItem):
+        return ()
+    steps = []
+    expr = _peel_ddo(expr)
+    while isinstance(expr, ast.PathExpr) and isinstance(expr.right, ast.Step):
+        steps.append(expr.right)
+        expr = _peel_ddo(expr.left)
+    if not isinstance(expr, ast.Step):
+        return None
+    steps.append(expr)
+    if any(step.axis not in ("child", "attribute") for step in steps):
+        return None
+    return tuple(reversed(steps))
 
 
 def _yields_only_nodes(expr) -> bool:
@@ -603,7 +634,8 @@ class _PathSink:
             em.w(f"{self.pos_counter} += 1")
         with em.under(self.parent):
             em._emit_path_right(self.expr.right, item,
-                                self.pos_counter or "0", self.out)
+                                self.pos_counter or "0", self.out,
+                                em._invariant_depth(self.expr.left))
 
 
 # ---------------------------------------------------------------------------
@@ -643,6 +675,11 @@ class SourcePlanCompiler:
         #: local focus: None (ambient dctx focus) or a (item, position,
         #: size) triple of identifiers / integer literals
         self.focus: tuple[str, str, str] | None = None
+        #: how many of this function's open loops the focus item is
+        #: invariant to (None: unknown) — set for a path's right side
+        self._focus_depth: int | None = None
+        #: locals an axis walk or access path proved to hold a node
+        self._nodes: set[str] = set()
         self._functions: list[dict] = []
         self._cur: dict | None = None
         self._counter = 0
@@ -702,15 +739,20 @@ class SourcePlanCompiler:
     @contextmanager
     def function(self, name: str, params: list[str]):
         #: ``loops``: (header line index, indent) of each open loop;
-        #: ``hoists``: header line index -> lines to run just before it
+        #: ``hoists``: header line index -> lines to run just before it;
+        #: ``polled``: where the last poll ended (line count, indent)
         rec = {"lines": [f"def {name}({', '.join(params)}):"], "indent": 1,
-               "loops": [], "hoists": {}}
+               "loops": [], "hoists": {}, "polled": None}
         self._functions.append(rec)
         prev, self._cur = self._cur, rec
+        depth = self._focus_depth
+        # a captured focus is a parameter: invariant to every loop here
+        self._focus_depth = None if self.focus is None else 0
         try:
             yield
         finally:
             self._cur = prev
+            self._focus_depth = depth
 
     @contextmanager
     def early(self):
@@ -735,9 +777,14 @@ class SourcePlanCompiler:
         return name
 
     def poll(self) -> None:
-        """A cancellation poll (free when no token is attached)."""
+        """A cancellation poll (free when no token is attached) — unless
+        the last statement written at this level already was one."""
+        cur = self._cur
+        if cur["polled"] == (len(cur["lines"]), cur["indent"]):
+            return
         with self.block("if _tok is not None:"):
             self.w("_tok.check()")
+        cur["polled"] = (len(cur["lines"]), cur["indent"])
 
     def _as_local(self, code: str) -> str:
         """Pin a produced expression to a temp (producers call this so
@@ -750,49 +797,59 @@ class SourcePlanCompiler:
 
     # -- loop-invariant operands --------------------------------------------
 
-    def _pure_scalar(self, expr) -> bool:
-        """Literals, variables and the arithmetic/casts over them: no
-        focus, no new nodes, no counter, no closure seam — evaluating
-        such an operand once instead of once per item is observable
-        only through how often it runs."""
-        if isinstance(expr, (ast.Literal, ast.EmptySequence, ast.VarRef)):
-            return True
-        if isinstance(expr, (ast.SequenceExpr, ast.Arithmetic, ast.UnaryExpr,
-                             ast.CastExpr)) or self._is_constructor_call(expr):
-            return self._eligible(expr) and \
-                all(self._pure_scalar(child) for child in expr.children())
-        return False
+    def _holdable(self, expr) -> bool:
+        """May ``expr`` be evaluated once per loop activation instead
+        of once per use?  (A pure scalar or a pure path: see
+        :func:`repro.compiler.analysis.pure_scalar`.)"""
+        return pure_scalar(expr, self._eligible) \
+            or pure_path(expr, self._eligible)
 
-    def _is_constructor_call(self, expr) -> bool:
-        return isinstance(expr, ast.FunctionCall) \
-            and expr.name.uri in (XS_NS, XDT_NS)
+    def _loop_depth(self, expr) -> int:
+        """How many of this function's open loops were open where the
+        innermost of ``expr``'s free variables was bound: ``expr`` is
+        invariant to every loop from that index on."""
+        depth = 0
+        for var in free_vars(expr):
+            binding = self.scope.get(var)
+            # bound in an enclosing function: a parameter of this one
+            if binding is not None and binding.function is self._cur:
+                depth = max(depth, binding.depth)
+        return depth
+
+    def _invariant_depth(self, expr) -> int | None:
+        """Like :meth:`_loop_depth` for an expression whose *value*
+        repeats wherever it runs (no focus, no new nodes), whether or
+        not its evaluation may be skipped; None otherwise."""
+        ann = expr.annotations
+        if ann.get("uses_focus", True) or ann.get("creates_nodes", True):
+            return None
+        return self._loop_depth(expr)
+
+    def _hoist(self, depth: int, line: str) -> None:
+        """Run ``line`` once per activation of open loop ``depth``,
+        just before its header."""
+        header, indent = self._cur["loops"][depth]
+        self._cur["hoists"].setdefault(header, []).append(
+            "    " * indent + line)
 
     def _held(self, expr, prefix: str) -> str | None:
         """A local that holds ``expr``'s value for a whole loop
-        activation, or None when ``expr`` is not a pure scalar or no
-        open loop of this function is one it is invariant to.
+        activation, or None when ``expr`` is not holdable or no open
+        loop of this function is one it is invariant to.
 
         The local is initialised to ``_ABSENT`` just before the
         outermost open loop that binds none of ``expr``'s free
         variables; the caller fills it under :meth:`_first_use` — at
         the first use inside the loop, which is where, and only if, the
         unhoisted code would have evaluated ``expr`` first."""
-        cur = self._cur
-        loops = cur["loops"]
-        if not loops or self._hoisting or not self._pure_scalar(expr):
+        loops = self._cur["loops"]
+        if not loops or self._hoisting or not self._holdable(expr):
             return None
-        depth = 0
-        for var in free_vars(expr):
-            binding = self.scope.get(var)
-            # bound in an enclosing function: a parameter of this one
-            if binding is not None and binding.function is cur:
-                depth = max(depth, binding.depth)
+        depth = self._loop_depth(expr)
         if depth >= len(loops):
             return None
-        header, indent = loops[depth]
         held = self.fresh(prefix)
-        cur["hoists"].setdefault(header, []).append(
-            "    " * indent + f"{held} = _ABSENT")
+        self._hoist(depth, f"{held} = _ABSENT")
         return held
 
     @contextmanager
@@ -821,13 +878,15 @@ class SourcePlanCompiler:
                 del self.scope[var]
 
     @contextmanager
-    def focused(self, item: str, position: str, size: str):
-        old = self.focus
-        self.focus = (item, position, size)
+    def focused(self, item: str, position: str, size: str,
+                depth: int | None = None):
+        """A local focus; ``depth`` as :attr:`_focus_depth`."""
+        old = self.focus, self._focus_depth
+        self.focus, self._focus_depth = (item, position, size), depth
         try:
             yield
         finally:
-            self.focus = old
+            self.focus, self._focus_depth = old
 
     # -- plan-tree bookkeeping ---------------------------------------------
 
@@ -954,11 +1013,12 @@ class SourcePlanCompiler:
 
     # -- sub-regions ---------------------------------------------------------
 
-    def _subregion(self, expr) -> str:
+    def _subregion(self, expr, dispatch: bool = False) -> str:
         """Emit ``expr`` as its own generator function; returns the call
         expression.  Captured scope locals (and identifier focus parts)
         pass as parameters under their own names, so the scope map and
-        focus stay valid inside."""
+        focus stay valid inside.  ``dispatch``: ``expr`` already has
+        its plan node (the sub-region is a second emission of it)."""
         name = self.fresh("r")
         captured: list[str] = []
         for binding in self.scope.values():
@@ -970,7 +1030,7 @@ class SourcePlanCompiler:
                     captured.append(part)
         with self.function(name, ["dctx"] + captured):
             self.w("_tok = dctx._shared.cancellation")
-            self.emit(expr, _YieldSink())
+            (self._dispatch if dispatch else self.emit)(expr, _YieldSink())
             self.w("return")
             self.w("yield None")
         args = "".join(", " + c for c in captured)
@@ -1107,7 +1167,7 @@ class SourcePlanCompiler:
         left = expr.left
         lane = self._held(expr.right, "ln")
         casts = lane is not None and self._eligible(left) and (
-            isinstance(left, ast.CastExpr) or self._is_constructor_call(left))
+            isinstance(left, ast.CastExpr) or is_constructor_call(left))
         if lane is None:
             right_list = self._emit_collected(expr.right, _AtomizeSink)
             guard = right_list
@@ -1372,18 +1432,20 @@ class SourcePlanCompiler:
 
     def _e_RootExpr(self, expr, sink) -> None:
         ci = self._context_item()
-        with self.block(f"if not isinstance({ci}, _Node):"):
-            self.w('raise _TypeError_("\'/\' requires a node context item", '
-                   'code="XPDY0050")')
+        if ci not in self._nodes:
+            with self.block(f"if not isinstance({ci}, _Node):"):
+                self.w('raise _TypeError_("\'/\' requires a node context '
+                       'item", code="XPDY0050")')
         t = self.fresh("t")
         self.w(f"{t} = {ci}.root()")
         sink.item(self, t)
 
     def _e_Step(self, expr: ast.Step, sink) -> None:
         ci = self._context_item()
-        with self.block(f"if not isinstance({ci}, _Node):"):
-            self.w(f'raise _TypeError_("axis step {expr.axis}:: on a '
-                   f'non-node item", code="XPTY0020")')
+        if ci not in self._nodes:
+            with self.block(f"if not isinstance({ci}, _Node):"):
+                self.w(f'raise _TypeError_("axis step {expr.axis}:: on a '
+                       f'non-node item", code="XPTY0020")')
         self._emit_step_walk(expr, ci, sink)
 
     @contextmanager
@@ -1426,14 +1488,20 @@ class SourcePlanCompiler:
             self.w(f"{pos_counter} = 0")
         self.emit(expr.left, _PathSink(expr, sink, pos_counter, self._here()))
 
-    def _emit_path_right(self, right, item: str, pos: str, sink) -> None:
-        """The per-left-item right side of a path (focus = left item)."""
+    def _emit_path_right(self, right, item: str, pos: str, sink,
+                         depth: int | None = None) -> None:
+        """The per-left-item right side of a path (focus = left item,
+        invariant to ``depth`` open loops when the left is)."""
         if isinstance(right, ast.Step):
             with self.pnode(right):
                 with self.focused(item, pos, "0"):
                     self._emit_step_walk(right, item, sink)
             return
-        if isinstance(right, ast.Filter) and isinstance(right.base, ast.Step):
+        with self.focused(item, pos, "0", depth):
+            join = self._join_plan(right) \
+                if isinstance(right, ast.Filter) else None
+        if isinstance(right, ast.Filter) and isinstance(right.base, ast.Step) \
+                and join is None:
             # fused step+filter: the candidate sequence is per-parent,
             # so position()/last() in the predicate see the item-mode
             # focus over this parent's candidates
@@ -1469,6 +1537,7 @@ class SourcePlanCompiler:
                 self.w(f"{size} = len({candidates})")
                 cpos = self.fresh("cp")
                 cand = self.fresh("cc")
+                self._nodes.add(cand)
                 with self.loop(f"for {cpos}, {cand} in "
                                f"enumerate({candidates}, 1):"):
                     self._emit_predicate_keep(predicate, cand, cpos, size,
@@ -1476,7 +1545,7 @@ class SourcePlanCompiler:
             return
         # generic right side (it never reads last(): _e_PathExpr took
         # the sized loop otherwise)
-        with self.focused(item, pos, "0"):
+        with self.focused(item, pos, "0", depth):
             self.emit(right, sink)
 
     def _emit_predicate_keep(self, predicate, item: str, pos: str, size: str,
@@ -1498,6 +1567,10 @@ class SourcePlanCompiler:
             sink.item(self, keep)
 
     def _e_Filter(self, expr: ast.Filter, sink) -> None:
+        join = self._join_plan(expr)
+        if join is not None:
+            self._emit_join(expr, join, sink)
+            return
         predicate = expr.predicate
         if isinstance(predicate, ast.Literal) and \
                 predicate.value.type.derives_from(T.XS_INTEGER):
@@ -1519,6 +1592,77 @@ class SourcePlanCompiler:
         self.w(f"{pos_counter} = 0")
         self.emit(expr.base,
                   _FilterSink(expr, sink, pos_counter, self._here()))
+
+    # -- join detection: correlated equality filters ---------------------------
+
+    def _join_plan(self, expr: ast.Filter):
+        """``(key steps, probe, context, depth)`` when ``expr`` is a
+        correlated equality filter ``B[K = $v]`` worth a hash lane, else
+        None: K a relative path of child/attribute steps (or ``.``),
+        ``$v`` a pure scalar, ``B`` invariant to open loop ``depth``
+        while ``$v`` varies inside it.  ``B`` is either a step from a
+        focus that repeats across that loop (``context`` names it: one
+        table per context node) or a holdable expression (``context``
+        None: one table)."""
+        loops = self._cur["loops"]
+        pred = expr.predicate
+        if self._hoisting or not loops \
+                or not isinstance(pred, ast.Comparison) \
+                or pred.family != "general" or pred.op != "=":
+            return None
+        for key, probe in ((pred.left, pred.right), (pred.right, pred.left)):
+            steps = _key_steps(key)
+            if steps is not None and pure_scalar(probe, self._eligible):
+                break
+        else:
+            return None
+        base = expr.base
+        if isinstance(base, ast.Step):
+            if self.focus is None or self._focus_depth is None:
+                return None
+            context, depth = self.focus[0], self._focus_depth
+        elif self._holdable(base):
+            context, depth = None, self._loop_depth(base)
+        else:
+            return None
+        if depth >= len(loops) or self._loop_depth(probe) <= depth:
+            return None
+        return steps, probe, context, depth
+
+    def _emit_join(self, expr: ast.Filter, join, sink) -> None:
+        """``B[K = $v]`` through a :class:`~repro.runtime.compare.
+        HashLane` held for one activation of the loop ``B`` is invariant
+        to: the lane's table (built at first use) answers a string-like
+        probe; anything else — an unusable table, a probe the table does
+        not decide — runs the filter as written, lazily, from a
+        sub-region.  An empty ``B`` yields nothing without evaluating
+        ``$v``, as the scan would."""
+        steps, probe, context, depth = join
+        base = expr.base
+        spec = (None if context is None
+                else _compile_step_fn(base.axis, base.test),
+                tuple(_compile_step_fn(step.axis, step.test)
+                      for step in steps))
+        lane = self.fresh("hj")
+        self._hoist(depth, f"{lane} = _HashLane({self.const(spec, 'hs')}, "
+                           f"_tok)")
+        if self.instrument:
+            self._here().info["join"] = "hash"
+        hits = self.fresh("s")
+        if context is None:
+            self.w(f"{hits} = {lane}.table(None, {self._subregion(base)})")
+        else:
+            self.w(f"{hits} = {lane}.table({context})")
+        with self.block(f"if {hits}:"):
+            atoms = self._emit_collected(probe, _AtomizeSink)
+            self.w(f"{hits} = {hits}.probe({atoms})")
+        with self.block(f"if {hits} is None:"):
+            self.w(f"{hits} = {self._subregion(expr, dispatch=True)}")
+        t = self.fresh("t")
+        if context is not None:
+            self._nodes.add(t)
+        with self.loop(f"for {t} in {hits}:"):
+            sink.item(self, t)
 
     def _e_DDO(self, expr: ast.DDO, sink) -> None:
         if isinstance(sink, _CountSink):
@@ -1561,6 +1705,16 @@ class SourcePlanCompiler:
             return f"dctx.variable({self.const(name, 'qn')})"
         return self._bound_value(binding)
 
+    def _deferred_value(self, expr) -> str:
+        """Code for ``expr``'s value (an item or a sequence), to run
+        in a ``lambda``: the argument of a kernel that decides itself
+        whether, and when, to evaluate it."""
+        if isinstance(expr, ast.Literal):
+            return f"({self.const(expr.value)},)"
+        if isinstance(expr, ast.VarRef):
+            return self._var_value(expr.name)
+        return self._subregion(expr)
+
     @staticmethod
     def _bound_value(binding: _Binding) -> str:
         return f"({binding.local},)" if binding.kind == "item" \
@@ -1584,16 +1738,19 @@ class SourcePlanCompiler:
         with self.block("else:"):
             self.w(f"{nodes} = {index_side(stored, doc)}")
         n = self.fresh("n")
+        self._nodes.add(n)
         with self.loop(f"for {n} in {nodes}:"):
             self.poll()
             sink.item(self, n)
 
     def _e_AccessPath(self, expr: ast.AccessPath, sink) -> None:
         def index_side(stored: str, doc: str) -> str:
-            self.w(f"dctx.count({'access_path.' + expr.chosen!r})")
+            # the probe is evaluated by the shared kernel, lazily
+            probe = "None" if expr.pred is None \
+                else f"lambda: {self._deferred_value(expr.pred[2])}"
             nodes = self.fresh("l")
             self.w(f"{nodes} = _access_path_candidates({stored}, {doc}, "
-                   f"{self.const(expr, 'x')})")
+                   f"{self.const(expr, 'x')}, {probe}, dctx)")
             if expr.predicate is not None:
                 # re-verify every index candidate with the original
                 # predicate (see _c_AccessPath)
@@ -1601,6 +1758,7 @@ class SourcePlanCompiler:
                 self.w(f"{size} = len({nodes})")
                 self.w(f"{verified} = []")
                 pos, cand = self.fresh("cp"), self.fresh("cc")
+                self._nodes.add(cand)
                 with self.loop(f"for {pos}, {cand} in "
                                f"enumerate({nodes}, 1):"):
                     self.poll()
@@ -1869,6 +2027,7 @@ class SourcePlanCompiler:
                 and axis in ("child", "descendant", "descendant-or-self"):
             if axis == "child":
                 c = self.fresh("n")
+                self._nodes.add(c)
                 with self.loop(f"for {c} in {node}.children:"):
                     with self.block(f"if isinstance({c}, _Elem) and "
                                     f"{name_cond(c)}:"):
@@ -1886,6 +2045,7 @@ class SourcePlanCompiler:
             else:
                 self.w(f"{stack} = {node}.children[::-1]")
             n = self.fresh("n")
+            self._nodes.add(n)
             with self.loop(f"while {stack}:"):
                 self.w(f"{n} = {stack}.pop()")
                 with self.block(f"if isinstance({n}, _Elem):"):
@@ -1906,6 +2066,7 @@ class SourcePlanCompiler:
         if plain and kind == "node" and name is None:
             if axis == "child":
                 c = self.fresh("n")
+                self._nodes.add(c)
                 with self.loop(f"for {c} in {node}.children:"):
                     sink.item(self, c)
                 return
@@ -1916,6 +2077,7 @@ class SourcePlanCompiler:
                 stack = self.fresh("st")
                 self.w(f"{stack} = [{node}]")
                 n = self.fresh("n")
+                self._nodes.add(n)
                 with self.loop(f"while {stack}:"):
                     self.w(f"{n} = {stack}.pop()")
                     sink.item(self, n)
@@ -1928,6 +2090,7 @@ class SourcePlanCompiler:
         if plain and axis == "attribute" and kind in ("node", "attribute") \
                 and name is not None:
             a = self.fresh("n")
+            self._nodes.add(a)
             with self.loop(f"for {a} in {node}.attributes:"):
                 with self.block(f"if {name_cond(a)}:"):
                     sink.item(self, a)
@@ -1935,6 +2098,7 @@ class SourcePlanCompiler:
 
         if plain and kind == "text" and axis == "child":
             c = self.fresh("n")
+            self._nodes.add(c)
             with self.loop(f"for {c} in {node}.children:"):
                 with self.block(f"if isinstance({c}, _Text):"):
                     sink.item(self, c)
@@ -1942,6 +2106,7 @@ class SourcePlanCompiler:
 
         kernel = self.const(_compile_step_fn(axis, test), "s")
         t = self.fresh("t")
+        self._nodes.add(t)
         with self.loop(f"for {t} in {kernel}({node}):"):
             sink.item(self, t)
 

@@ -6,7 +6,10 @@ with stack-tree structural joins (element-index scan), or answer a
 value-equality predicate with a point lookup plus upward chain
 verification (value-index lookup).  Both produce distinct elements in
 document order — exactly what the ``DDO(PathExpr(...))`` they replace
-would yield.
+would yield.  The lookup's key is known only at run time
+(:func:`probe_key`), and is asked for only when the chain has a
+candidate (:func:`chain_has_candidate`) — when navigation would first
+evaluate the predicate.
 """
 
 from __future__ import annotations
@@ -15,6 +18,8 @@ from typing import Optional
 
 from repro.joins.stacktree import stack_tree_anc_desc
 from repro.storage.indexes import ElementIndex, Posting, ValueIndex
+from repro.xdm.atomize import atomize_item
+from repro.xdm.items import AtomicValue
 from repro.xdm.nodes import DocumentNode, ElementNode, Node
 
 
@@ -71,6 +76,27 @@ def _chain_admits(node: ElementNode, steps: tuple[tuple[str, str], ...],
         return False
 
     return admits(node, len(steps) - 1)
+
+
+def chain_has_candidate(eindex: ElementIndex,
+                        steps: tuple[tuple[str, str], ...],
+                        doc: DocumentNode) -> bool:
+    """Does the chain reach at least one element?  (Stops at the first
+    output-name posting whose ancestry admits it.)"""
+    return any(_chain_admits(p.node, steps, doc)
+               for p in eindex.postings(steps[-1][1]))
+
+
+def probe_key(value) -> Optional[str]:
+    """The value-index key of a run-time probe value (an item or a
+    sequence of items): the string value of its one string-like atom,
+    else None — a number must meet ``"55.0"`` by numeric promotion,
+    several values or none are the residual predicate's to decide."""
+    items = (value,) if isinstance(value, (AtomicValue, Node)) else value
+    atoms = [atom for item in items for atom in atomize_item(item)]
+    if len(atoms) == 1 and atoms[0].type.string_like:
+        return atoms[0].value
+    return None
 
 
 def value_lookup_elements(eindex: ElementIndex, vindex: ValueIndex,

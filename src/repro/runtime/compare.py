@@ -18,7 +18,9 @@ facts state; every other pair falls through to the cascades
 (:func:`_value_cascade`, :func:`_general_cascade`), which stay the
 single definition of the rare pairs and are the lanes' oracle in
 ``tests/test_runtime_units.py``.  :func:`compare_lane` binds an
-invariant right operand into one such lane per loop activation.
+invariant right operand into one such lane per loop activation;
+:class:`HashLane` binds the other side — the keys of an invariant
+filter base — into a hash table the varying right operand probes.
 """
 
 from __future__ import annotations
@@ -28,7 +30,8 @@ import operator
 from decimal import Decimal
 from typing import Any, Callable, Iterable, Sequence
 
-from repro.errors import TypeError_
+from repro.errors import QueryCancelled, TypeError_, XQueryError
+from repro.xdm.atomize import atomize_item
 from repro.xdm.items import AtomicValue
 from repro.xdm.nodes import Node
 from repro.xdm.order import doc_order_key
@@ -272,6 +275,123 @@ def compare_lane(value_op: str, target: T.AtomicType | None,
                 return True
         return False
     return lane
+
+
+class HashLane:
+    """A correlated equality filter ``B[K = $v]`` evaluated as a hash
+    join: ``{string value of K → items of B}`` is built once per
+    activation of the loop ``B`` is invariant to, and every iteration
+    probes it with its own ``$v``.
+
+    Generated code holds one lane per activation (built lazily: the
+    first :meth:`table` call of a context builds its table) and calls
+    it instead of re-scanning ``B``.  ``B`` is a step from a context
+    node (``base``, a node → list kernel; tables are kept per context
+    node) or, with ``base`` None, the items the caller passes (one
+    table); ``key`` is K's step kernels, applied in turn (none for
+    ``.``).  The table stands only for what the scan would decide:
+
+    - every K atom must be string-like, and :meth:`_Table.probe`
+      answers only string-like probe atoms — the ``compare_lane``
+      string shape, where ``=`` is ``==`` on ``.value``, so a bucket
+      holds exactly the items the scan would keep;
+    - an empty ``B`` returns ``()``: the scan would evaluate neither K
+      nor ``$v``, so the caller must not evaluate ``$v`` either;
+    - a build that meets a non-node where K steps, a non-string-like K
+      atom, or a dynamic error returns ``None`` for the whole
+      activation: the caller scans, and raises where the scan raises.
+      Cancellation is never swallowed.
+    """
+
+    __slots__ = ("base", "key", "token", "tables")
+
+    def __init__(self, spec: tuple, token) -> None:
+        self.base, self.key = spec
+        self.token = token
+        self.tables: dict[int, tuple] = {}
+
+    def table(self, context, items=None):
+        """The table of ``context``'s base (``items`` when the lane has
+        no base step): ``()`` for an empty base, ``None`` to scan."""
+        entry = self.tables.get(id(context))
+        if entry is None:
+            # the context rides along so its id cannot be reused
+            entry = self.tables[id(context)] = (context,
+                                                self._build(context, items))
+        return entry[1]
+
+    def _build(self, context, items):
+        try:
+            if self.base is not None:
+                if not isinstance(context, Node):
+                    return None  # the scan's XPTY0020
+                items = self.base(context)
+            else:
+                items = list(items)
+            if not items:
+                return ()
+            buckets: dict[str, list[int]] = {}
+            token = self.token
+            first, rest = (self.key[0], self.key[1:]) if self.key \
+                else (None, ())
+            for index, item in enumerate(items):
+                if token is not None:
+                    token.check()
+                if first is None:
+                    nodes = (item,)
+                elif not isinstance(item, Node):
+                    return None  # the scan's XPTY0020
+                else:
+                    # steps yield nodes: only the item itself can fail
+                    nodes = first(item)
+                    for step in rest:
+                        nodes = [m for n in nodes for m in step(n)]
+                for node in nodes:
+                    text = node.typed_string() \
+                        if isinstance(node, Node) else None
+                    if text is not None:
+                        keys = (text,)
+                    else:
+                        atoms = atomize_item(node)
+                        if not all(a.type.string_like for a in atoms):
+                            return None
+                        keys = [a.value for a in atoms]
+                    for key in keys:
+                        bucket = buckets.setdefault(key, [])
+                        if not bucket or bucket[-1] != index:
+                            bucket.append(index)
+            return _Table(items, buckets)
+        except QueryCancelled:
+            raise
+        except XQueryError:
+            return None
+
+
+class _Table:
+    """One base's items and their key buckets (positions into ``items``)."""
+
+    __slots__ = ("items", "buckets")
+
+    def __init__(self, items: list, buckets: dict[str, list[int]]) -> None:
+        self.items = items
+        self.buckets = buckets
+
+    def probe(self, atoms: Sequence[AtomicValue]) -> list | None:
+        """The items whose key equals some atom, in base order — the
+        union of the atoms' buckets, each position once (an item whose
+        key holds two probed values is kept once; the same node twice
+        in the base is kept twice, as the scan keeps it).  None unless
+        every atom is string-like (and there is one): the scan decides
+        the rest — numbers, untyped against numbers, the empty probe."""
+        if not atoms or not all(a.type.string_like for a in atoms):
+            return None
+        items, buckets = self.items, self.buckets
+        if len(atoms) == 1:
+            return [items[i] for i in buckets.get(atoms[0].value, ())]
+        hits: set[int] = set()
+        for atom in atoms:
+            hits.update(buckets.get(atom.value, ()))
+        return [items[i] for i in sorted(hits)]
 
 
 def _as_float(value: Any) -> float | None:

@@ -19,6 +19,19 @@ from __future__ import annotations
 from typing import Any, Iterable, Iterator, Optional
 
 
+class _Failed:
+    """The producer of a sequence that raised: every later pull raises
+    the same error again."""
+
+    __slots__ = ("error",)
+
+    def __init__(self, error: Exception):
+        self.error = error
+
+    def __next__(self):
+        raise self.error
+
+
 class BufferedSequence:
     """A lazily-materialized, re-iterable view over a one-shot iterator.
 
@@ -26,7 +39,10 @@ class BufferedSequence:
     to a shared cache; later consumers (or re-iterations) replay the
     cache and continue pulling where it ends.  Memory cost is
     proportional to the *furthest* consumption point, not to the number
-    of consumers.
+    of consumers.  A producer that raised raises the same error to
+    every consumer that reaches that point — a replay must not end
+    where the first pass failed (a hash lane whose build met the error
+    hands the decision back to a scan of the same binding).
     """
 
     __slots__ = ("_source", "_cache", "_done", "_cancellation")
@@ -59,26 +75,35 @@ class BufferedSequence:
                     self._done = True
                     self._source = None
                     return
+                except Exception as exc:
+                    self._source = _Failed(exc)
+                    raise
                 self._cache.append(item)
                 # another consumer may have advanced the cache meanwhile;
                 # loop re-checks the cache before yielding
                 continue
+
+    def _advance(self) -> None:
+        """Pull one more item into the cache (or find the end)."""
+        assert self._source is not None
+        if self._cancellation is not None:
+            self._cancellation.check()
+        try:
+            self._cache.append(next(self._source))
+        except StopIteration:
+            self._done = True
+            self._source = None
+        except Exception as exc:
+            self._source = _Failed(exc)
+            raise
 
     def get(self, index: int) -> Any:
         """Item at ``index`` (0-based), pulling only as far as needed.
 
         Raises IndexError past the end.
         """
-        token = self._cancellation
         while len(self._cache) <= index and not self._done:
-            assert self._source is not None
-            if token is not None:
-                token.check()
-            try:
-                self._cache.append(next(self._source))
-            except StopIteration:
-                self._done = True
-                self._source = None
+            self._advance()
         return self._cache[index]
 
     def has_at_least(self, n: int) -> bool:
@@ -91,16 +116,8 @@ class BufferedSequence:
 
     def length(self) -> int:
         """Total length (materializes the remainder)."""
-        token = self._cancellation
         while not self._done:
-            assert self._source is not None
-            if token is not None:
-                token.check()
-            try:
-                self._cache.append(next(self._source))
-            except StopIteration:
-                self._done = True
-                self._source = None
+            self._advance()
         return len(self._cache)
 
     def materialized_count(self) -> int:

@@ -120,23 +120,29 @@ def node_events(node: Node, with_document: bool | None = None) -> Iterator[Event
 
 
 def _subtree_events(node: Node) -> Iterator[Event]:
-    if isinstance(node, DocumentNode):
-        for child in node.children:
-            yield from _subtree_events(child)
-    elif isinstance(node, ElementNode):
-        yield StartElement(node.name,
-                           tuple((a.name, a.value) for a in node.attributes),
-                           node.ns_decls)
-        for child in node.children:
-            yield from _subtree_events(child)
-        yield EndElement(node.name)
-    elif isinstance(node, TextNode):
-        yield Text(node.content)
-    elif isinstance(node, CommentNode):
-        yield Comment(node.content)
-    elif isinstance(node, PINode):
-        yield ProcessingInstruction(node.target, node.content)
-    elif isinstance(node, AttributeNode):
-        raise ParseError("an attribute node cannot be serialized standalone")
-    else:
-        raise ParseError(f"cannot stream node kind {node.kind!r}")
+    # an explicit stack, not recursion: a document may be nested deeper
+    # than the interpreter's recursion limit; an element's end event
+    # waits on the stack below its children
+    pending: list = [node]
+    while pending:
+        node = pending.pop()
+        if isinstance(node, EndElement):
+            yield node
+        elif isinstance(node, DocumentNode):
+            pending.extend(node.children[::-1])
+        elif isinstance(node, ElementNode):
+            yield StartElement(node.name,
+                               tuple((a.name, a.value) for a in node.attributes),
+                               node.ns_decls)
+            pending.append(EndElement(node.name))
+            pending.extend(node.children[::-1])
+        elif isinstance(node, TextNode):
+            yield Text(node.content)
+        elif isinstance(node, CommentNode):
+            yield Comment(node.content)
+        elif isinstance(node, PINode):
+            yield ProcessingInstruction(node.target, node.content)
+        elif isinstance(node, AttributeNode):
+            raise ParseError("an attribute node cannot be serialized standalone")
+        else:
+            raise ParseError(f"cannot stream node kind {node.kind!r}")

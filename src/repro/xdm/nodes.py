@@ -57,6 +57,12 @@ class Node:
         """The typed-value accessor (a sequence of atomic values)."""
         return [AtomicValue(self.string_value, T.UNTYPED_ATOMIC)]
 
+    def typed_string(self) -> str | None:
+        """The typed value's ``.value`` when it is one string-like atom
+        (untyped data, a comment, ...), without making the atom; None
+        when an annotation decides (ask :meth:`typed_value`)."""
+        return self.string_value
+
     @property
     def children(self) -> list["Node"]:
         return []
@@ -172,8 +178,11 @@ class ElementNode(Node):
 
     @property
     def string_value(self) -> str:
+        children = self._children
+        if len(children) == 1 and isinstance(children[0], TextNode):
+            return children[0].content  # a leaf: most atomized elements
         parts: list[str] = []
-        stack = list(reversed(self._children))
+        stack = list(reversed(children))
         while stack:
             node = stack.pop()
             if isinstance(node, TextNode):
@@ -202,6 +211,9 @@ class ElementNode(Node):
         if self._typed_value is not None:
             return self._typed_value
         return [AtomicValue(self.string_value, T.UNTYPED_ATOMIC)]
+
+    def typed_string(self) -> str | None:
+        return self.string_value if self._typed_value is None else None
 
     @property
     def nilled(self) -> bool | None:
@@ -261,6 +273,9 @@ class AttributeNode(Node):
         if self._typed_value is not None:
             return self._typed_value
         return [AtomicValue(self.value, T.UNTYPED_ATOMIC)]
+
+    def typed_string(self) -> str | None:
+        return self.value if self._typed_value is None else None
 
 
 class TextNode(Node):

@@ -712,8 +712,8 @@ class AccessPath(Expr):
     chain as ``(edge, name)`` pairs (edge ``"child"`` | ``"descendant"``);
     ``pred`` optionally names a value-equality predicate on the output
     step: ``(kind, name, probe)`` with kind ``"child"`` | ``"attribute"``
-    and ``probe`` the string to probe the value index with (None when
-    the literal is non-string — element-scan only).
+    and ``probe`` the *expression* whose value probes the value index —
+    a literal, or a pure scalar known only at run time (``$a``).
 
     ``chosen`` records the planner's decision (``"element_index"`` |
     ``"value_index"``) and ``est_rows`` its selectivity estimate; both
@@ -748,8 +748,9 @@ class AccessPath(Expr):
         if self.pred is not None:
             kind, name, probe = self.pred
             shown = name if kind != "attribute" else "@" + name
-            note = f"[{shown} = {probe!r}]" if probe is not None \
-                else f"[{shown} = <non-string>]"
+            probe = repr(probe.value.value) \
+                if isinstance(probe, Literal) else "<run-time>"
+            note = f"[{shown} = {probe}]"
         return f"AccessPath(${self.var}{path}{note} via {self.chosen})"
 
 

@@ -674,6 +674,8 @@ class Parser:
         s = self.s
         s.skip_ws()
         ch = s.peek()
+        if not ch:
+            return False  # end of input ("" is in every string)
         if ch in "@*(.$'\"":
             return ch in "@*." or _is_name_start(ch) or ch == "$" or ch == "("
         return _is_name_start(ch)
@@ -898,6 +900,8 @@ class Parser:
         s.skip_ws()
         pos = s.location()
         ch = s.peek()
+        if not ch:
+            raise s.error("unexpected end of input")
 
         if ch == "$":
             s.pos += 1

@@ -55,7 +55,13 @@ def run_both(query: str, xml_text: str, **add_kw):
 
 def access_path_of(engine: Engine, query: str):
     """The planner's AccessPath node for ``query``, or None."""
-    compiled = engine.compile(query)
+    return access_path_of_bound(engine, query, ())
+
+
+def access_path_of_bound(engine: Engine, query: str, variables: tuple):
+    """The planner's AccessPath node for ``query`` over declared
+    ``variables``, or None."""
+    compiled = engine.compile(query, variables=variables)
     for node in compiled.optimized.walk():
         if isinstance(node, ast.AccessPath):
             return node
@@ -124,6 +130,32 @@ class TestPlannerChoices:
         engine = indexed_engine(xml_text)
         node = access_path_of(engine, '$doc//shelf[book = "x"]')
         assert node is None or node.chosen != "value_index"
+
+    def test_bound_probe_picks_value_index(self):
+        # the probe's value is known only at run time: priced with the
+        # index's average posting length
+        engine = indexed_engine(BIB)
+        node = access_path_of_bound(engine, "$doc//book[@id = $a]", ("a",))
+        assert node is not None and node.chosen == "value_index"
+        assert isinstance(node.pred[2], ast.VarRef)
+
+    def test_let_bound_chain_prefix_is_seen_through(self):
+        # the shape common-subexpression elimination leaves behind
+        engine = indexed_engine(BIB)
+        node = access_path_of_bound(
+            engine, "let $b := $doc/bib return $b/book[@id = $a]", ("a",))
+        assert node is not None and node.chosen == "value_index"
+        assert node.steps == (("child", "bib"), ("child", "book"))
+        assert node.var.local == "doc"
+
+    def test_rebound_catalog_variable_stops_the_look_through(self):
+        cat = repro.catalog()
+        cat.add("doc", BIB)
+        cat.add("other", BIB.replace('id="b', 'id="x'))
+        engine = Engine(catalog=cat)
+        query = ('let $b := $doc/bib return '
+                 'for $doc in $other return $b/book[@id = "b1"]/title/string()')
+        assert engine.compile(query).execute().serialize() == "A"
 
     def test_est_and_actual_rows_surface_in_explain(self):
         engine = indexed_engine(BIB)
@@ -243,6 +275,52 @@ class TestDifferentialBib:
             for i in range(20)) + "</r>")
         idx, nav = run_both('$doc//g[x = "1"]', xml_text)
         assert idx[0] == "ok" and idx[1] == nav[1]
+
+
+#: probes known only at run time, with the values each is bound to
+RUN_TIME_PROBES = [
+    ("$doc//book[@id = $a]/title/string()", ["b4", "nope", 4, "", " b4"]),
+    ("$doc//book[price = $a]/title/string()", ["55", " 55 ", "12", 55, 12.0]),
+    ("$doc//book[price = ($a, '12')]/title/string()", ["55", "x"]),
+    ("let $b := $doc/bib return $b/book[@id = $a]/title/string()",
+     ["b2", "b9"]),
+    ("$doc//book[@id = concat('b', $a)]/title/string()", [1, 3, "x"]),
+]
+
+
+class TestRunTimeProbes:
+    """A value-index lookup on a bound variable answers exactly what
+    navigation answers — and raises what navigation raises (FORG0001
+    for a numeric probe over ``<price/>``; XPDY0002 when unbound)."""
+
+    @pytest.mark.parametrize("query,values", RUN_TIME_PROBES)
+    def test_identical_to_navigation(self, query, values):
+        idx_engine = indexed_engine(BIB)
+        nav_engine = Engine()
+
+        def outcome(make):
+            try:
+                return ("ok", make().serialize())
+            except Exception as exc:  # noqa: BLE001 - codes compared
+                return ("err", type(exc).__name__, getattr(exc, "code", None))
+
+        for value in values:
+            bindings = {"a": value}
+            idx = outcome(lambda: idx_engine.compile(
+                query, variables=("a",)).execute(variables=bindings))
+            nav = outcome(lambda: nav_engine.compile(
+                query, variables=("doc", "a")).execute(
+                    variables={"doc": repro.xml(BIB), **bindings}))
+            assert idx == nav, (query, value)
+
+    def test_unbound_probe_raises_only_with_a_candidate(self):
+        engine = indexed_engine(BIB)
+        query = "declare variable $u external; count($doc//{}[@id = $u])"
+        with pytest.raises(repro.errors.DynamicError) as err:
+            engine.compile(query.format("book")).execute().items()
+        assert err.value.code == "XPDY0002"
+        # no <shelf> in the document: navigation never evaluates $u
+        assert engine.compile(query.format("shelf")).execute().values() == [0]
 
 
 class TestDifferentialXMark:

@@ -28,6 +28,7 @@ from repro import parse_document
 from repro.engine import Engine
 from repro.errors import QueryCancelled
 from repro.observability import Profiler
+from repro.observability.counters import split_counters
 from repro.options import ExecutionOptions
 from repro.runtime.memo import LRUCache
 from repro.workloads.synthetic import random_tree
@@ -409,6 +410,19 @@ class TestDeepNesting:
         assert generated[0] == "ok"
 
 
+def assert_counters(generated: dict, reference: dict) -> None:
+    """The differential rule for ``engine_stats``
+    (:mod:`repro.observability.counters`): semantic counters identical
+    — but for the seam counter, which only the source backend has —
+    and every diary no higher than the oracle's."""
+    semantics, diaries = split_counters(
+        {k: v for k, v in generated.items() if not k.startswith("codegen.")})
+    ref_semantics, ref_diaries = split_counters(reference)
+    assert semantics == ref_semantics
+    for key, value in diaries.items():
+        assert value <= ref_diaries.get(key, 0), (key, diaries, ref_diaries)
+
+
 def _catalog_outcome(engine, text, declared, bindings):
     try:
         result = engine.compile(text, variables=declared).execute(
@@ -419,7 +433,12 @@ def _catalog_outcome(engine, text, declared, bindings):
         return image, stats, result.stats.get("codegen.fallback_closure", 0)
     except Exception as exc:  # noqa: BLE001 - compared structurally
         return ("err", type(exc).__name__, getattr(exc, "code", None)), \
-            None, None
+            {}, None
+
+
+def _same_catalog_outcome(generated, reference) -> None:
+    assert generated[0] == reference[0]
+    assert_counters(generated[1], reference[1])
 
 
 class TestIndexedOperators:
@@ -440,6 +459,18 @@ class TestIndexedOperators:
         ("$auction//item[location = $a]/name", {"a": "United States"}),
         ("count($auction//person[profile][address/city])", {}),
         ("$auction/site/people/person[xs:integer(@id) = 1]", {}),  # FORG0001
+        # value-index probes with run-time keys: two lookups sharing a
+        # prefix (the let CSE leaves), an empty, a numeric (FORG0001),
+        # a two-valued and an unbound probe (XPDY0002)
+        ("($auction/site/people/person[@id = $a]/name/text(), "
+         "$auction/site/people/person[@id = $b]/name/text())",
+         {"a": "person1", "b": "person2"}),
+        ("$auction/site/people/person[@id = subsequence($a, 2)]", {"a": "x"}),
+        ("$auction/site/people/person[@id = $a]", {"a": 3}),
+        ("$auction/site/people/person[@id = ($a, $b)]/name/text()",
+         {"a": "person2", "b": "person1"}),
+        ("declare variable $u external; "
+         "$auction/site/people/person[@id = $u]", {}),
     ]
 
     @pytest.fixture(scope="class")
@@ -458,7 +489,7 @@ class TestIndexedOperators:
                                      bindings)
         generated = _catalog_outcome(engines["source"], text, declared,
                                      bindings)
-        assert generated[:2] == reference[:2]
+        _same_catalog_outcome(generated, reference)
         if generated[0][0] == "ok":
             assert generated[2] == 0
             assert not any(key.endswith("fallback_navigation")
@@ -473,7 +504,7 @@ class TestIndexedOperators:
                                      foreign)
         generated = _catalog_outcome(engines["source"], text, declared,
                                      foreign)
-        assert generated[:2] == reference[:2]
+        _same_catalog_outcome(generated, reference)
         if generated[0][0] == "ok":
             assert generated[2] == 0
             # every index operator in the plan took its navigation side
@@ -540,11 +571,15 @@ def _hoist_outcome(engine, query, xml_text, bindings):
         result = engine.compile(text).execute(context_item=xml_text,
                                               variables=bindings)
         image = ("ok", result.serialize())
-        stats = {k: v for k, v in result.stats.items()
-                 if not k.startswith("codegen.")}
-        return image, stats
+        return image, dict(result.stats)
     except Exception as exc:  # noqa: BLE001 - compared structurally
-        return ("err", type(exc).__name__, getattr(exc, "code", None)), None
+        return ("err", type(exc).__name__, getattr(exc, "code", None)), {}
+
+
+def _agree(generated, reference) -> None:
+    """Same result or error, same semantic counters, no more diary."""
+    assert generated[0] == reference[0]
+    assert_counters(generated[1], reference[1])
 
 
 class TestInvariantOperands:
@@ -561,7 +596,10 @@ class TestInvariantOperands:
             for x in (40, 40.5):
                 generated = _hoist_outcome(source, query, xml_text, {"x": x})
                 reference = _hoist_outcome(closure, query, xml_text, {"x": x})
-                assert generated == reference, (query, doc_name, x)
+                try:
+                    _agree(generated, reference)
+                except AssertionError as exc:
+                    raise AssertionError((query, doc_name, x)) from exc
 
     def test_operand_is_not_evaluated_by_a_loop_that_never_runs(self):
         engine = source_engine()
@@ -601,8 +639,8 @@ class TestInvariantOperands:
         for query, expected in cases.items():
             generated = _hoist_outcome(source_engine(), query, xml_text,
                                        {"x": 30000.0})
-            assert generated == _hoist_outcome(closure_engine(), query,
-                                               xml_text, {"x": 30000.0})
+            _agree(generated, _hoist_outcome(closure_engine(), query,
+                                             xml_text, {"x": 30000.0}))
             assert generated[0] == ("ok", expected), query
 
     def test_aliasing_a_local_does_not_move_its_first_binding(self):
@@ -641,8 +679,8 @@ class TestInvariantOperands:
         }
         for query, expected in cases.items():
             generated = _hoist_outcome(source_engine(), query, xml_text, {})
-            assert generated == _hoist_outcome(closure_engine(), query,
-                                               xml_text, {})
+            _agree(generated, _hoist_outcome(closure_engine(), query,
+                                             xml_text, {}))
             assert generated[0] == ("ok", expected), query
 
     def test_node_creating_operand_is_never_hoisted(self):
@@ -654,8 +692,8 @@ class TestInvariantOperands:
                    "return count(//e[xs:double(@v) >= $n])")
         for query in (direct, via_let):
             generated = _hoist_outcome(source_engine(), query, xml_text, {})
-            assert generated == _hoist_outcome(closure_engine(), query,
-                                               xml_text, {})
+            _agree(generated, _hoist_outcome(closure_engine(), query,
+                                             xml_text, {}))
             assert generated[0][0] == "ok"
         assert _hoist_outcome(source_engine(), direct, xml_text,
                               {})[1]["elements_constructed"] == 4
@@ -691,6 +729,204 @@ class TestInvariantOperands:
         assert reads.count("x") == 2
 
 
+# ---------------------------------------------------------------------------
+# Join detection: a correlated equality filter probes a hash lane
+# ---------------------------------------------------------------------------
+
+#: people and their cities: one with two cities, one with none, one
+#: padded, one numeric-looking, one empty — and Rome listed twice
+JOIN_DOC = """<r><people>
+<person id="p1" age="31"><address><city>Rome</city></address></person>
+<person id="p2" age="25"><address><city>Paris</city><city>Rome</city>
+<city>Rome</city></address></person>
+<person id="p3" age="40"/>
+<person id="p4" age="52"><address><city> Rome </city></address></person>
+<person id="p5" age="33"><address><city>10</city></address></person>
+<person id="p6" age="28"><address><city>Paris</city></address></person>
+<person id="p7" age="61"><address><city/></address></person>
+</people></r>"""
+
+#: the numeric-looking city first: a numeric probe's scan may stop
+#: before the first FORG0001
+JOIN_DOC_NUMBER_FIRST = JOIN_DOC.replace("<city>Rome</city></address>"
+                                         "</person>\n<person id=\"p2\"",
+                                         "<city>10.0</city></address>"
+                                         "</person>\n<person id=\"p2\"", 1)
+
+#: the loop the probe varies with
+JOIN_LOOPS = {
+    "strings": "for $c in ('Rome', 'Paris', 'Oslo', '', ' Rome ')",
+    "distinct": "for $c in distinct-values($d//city)",  # untyped atoms
+    "nodes": "for $c in $d//city",                       # atomized probe
+    "numbers": "for $c in (10, 10.0, 1e1)",              # scans: FORG0001
+    "mixed": "for $c in ('Rome', 10, 'Paris')",
+    "multi": "for $i in (1, 2, 3) let $c := if ($i = 1) then "
+             "('Rome', 'Paris') else if ($i = 2) then ('Paris', 10) else ()",
+    "empty_loop": "for $c in $d//nowhere",
+    "unbound": "for $i in ('Rome', 'Paris') let $c := concat($i, $u)",
+    "cast_error": "for $i in ('1', 'x') let $c := xs:integer($i)",
+}
+
+#: the correlated filter in every position a consumer can take it
+JOIN_SHAPES = [
+    "count($d/r/people/person[address/city = $c])",
+    "$d/r/people/person[address/city = $c][xs:integer(@age) > 30]"
+    "/@id/string()",
+    "$d/r/people/person[address/city = $c][2]/@id/string()",
+    "$d/r/people/person[address/city = $c][last()]/@id/string()",
+    "exists($d/r/people/person[$c = address/city])",
+    "$d/r/people/person[@id = $c]/@age/string()",
+    "count($d/r/people/person/address[city/text() = $c])",
+    "count($d//city[. = $c])",
+    "$p[address/city = $c]/@id/string()",
+    "count(($p, $p)[address/city = $c])",
+    "count(($p, 1)[address/city = $c])",   # XPTY0020 at the atom
+    "count($z[. = $c])",                   # FOAR0001 building the base
+    "count($d/r/people/nobody[address/city = $c])",
+]
+
+
+def _join_query(loop: str, shape: str) -> str:
+    return ("declare variable $d external; declare variable $u external; "
+            "let $p := $d/r/people/person, "
+            "$z := (for $i in (2, 0) return string(2 idiv $i)) "
+            f"return {loop} return ({shape})")
+
+
+#: shared engines: the matrix compiles each text once per backend
+_join_source = source_engine()
+_join_closure = closure_engine()
+
+
+def _join_outcome(engine, query, doc):
+    try:
+        result = engine.compile(query).execute(variables={"d": doc})
+        return ("ok", result.serialize()), dict(result.stats)
+    except Exception as exc:  # noqa: BLE001 - compared structurally
+        return ("err", type(exc).__name__, getattr(exc, "code", None)), {}
+
+
+class TestJoinDetection:
+    """``B[K = $v]`` inside a loop ``$v`` varies with and ``B`` does
+    not: one table per activation, one probe per iteration — and the
+    same results, error codes and semantic counters as the scan."""
+
+    @pytest.fixture(scope="class")
+    def docs(self):
+        return {"join": parse_document(JOIN_DOC),
+                "number_first": parse_document(JOIN_DOC_NUMBER_FIRST)}
+
+    @pytest.mark.parametrize("loop", sorted(JOIN_LOOPS))
+    @pytest.mark.parametrize("shape", JOIN_SHAPES)
+    def test_identical_to_the_reference(self, docs, loop, shape):
+        query = _join_query(JOIN_LOOPS[loop], shape)
+        for name, doc in docs.items():
+            generated = _join_outcome(_join_source, query, doc)
+            reference = _join_outcome(_join_closure, query, doc)
+            try:
+                _agree(generated, reference)
+            except AssertionError as exc:
+                raise AssertionError((query, name, generated[0],
+                                      reference[0])) from exc
+
+    @pytest.mark.parametrize("shape", [s for s in JOIN_SHAPES
+                                       if "last()" not in s])
+    def test_the_filter_compiles_to_a_hash_lane(self, shape):
+        # last() buffers the base behind a sub-region: a scan there
+        query = _join_query(JOIN_LOOPS["strings"], shape)
+        assert "_HashLane(" in _join_source.compile(query).generated_source
+
+    def test_answers(self, docs):
+        cases = {
+            "count($d/r/people/person[address/city = $c])": "2 2 0 1 1",
+            "$d/r/people/person[address/city = $c][2]/@id/string()":
+                "p2 p6",
+            "count(($p, $p)[address/city = $c])": "4 4 0 2 2",
+        }
+        for shape, expected in cases.items():
+            query = _join_query(JOIN_LOOPS["strings"], shape)
+            assert _join_outcome(_join_source, query, docs["join"])[0] \
+                == ("ok", expected), shape
+
+    def test_table_is_built_once_per_activation(self, docs, monkeypatch):
+        from repro.runtime.compare import HashLane
+
+        builds = []
+        real = HashLane._build
+
+        def counting(lane, context, items):
+            builds.append(context)
+            return real(lane, context, items)
+
+        monkeypatch.setattr(HashLane, "_build", counting)
+        # the base is invariant to both loops: one table for the query
+        query = _join_query("for $k in (1, 2) return " + JOIN_LOOPS["strings"],
+                            JOIN_SHAPES[0])
+        result = _join_outcome(_join_source, query, docs["join"])
+        assert result[0] == ("ok", "2 2 0 1 1 2 2 0 1 1")
+        assert len(builds) == 1
+        # the base varies with $k: one table per activation of the $c loop
+        builds.clear()
+        query = _join_query(
+            "for $k in (1, 2) let $q := $p[xs:integer(@age) > $k * 20] "
+            "return " + JOIN_LOOPS["strings"], "count($q[address/city = $c])")
+        result = _join_outcome(_join_source, query, docs["join"])
+        assert result[0] == ("ok", "2 2 0 1 1 0 0 0 1 1")
+        assert len(builds) == 2
+        _agree(result, _join_outcome(_join_closure, query, docs["join"]))
+
+    def test_errors_fire_where_the_scan_raises(self, docs):
+        # ($p streams: a path would sit behind a materializing DDO)
+        numbers = _join_query(JOIN_LOOPS["numbers"],
+                              "exists($p[address/city = $c])")
+        assert _join_outcome(_join_source, numbers, docs["join"])[0] \
+            == ("err", "CastError", "FORG0001")
+        assert _join_outcome(_join_source, numbers,
+                             docs["number_first"])[0] \
+            == ("ok", "true true true")
+        for loop, code in (("unbound", "XPDY0002"),
+                           ("cast_error", "FORG0001")):
+            query = _join_query(JOIN_LOOPS[loop], JOIN_SHAPES[0])
+            assert _join_outcome(_join_source, query, docs["join"])[0][2] \
+                == code
+            # an empty base never evaluates the probe
+            query = _join_query(JOIN_LOOPS[loop], JOIN_SHAPES[-1])
+            assert _join_outcome(_join_source, query, docs["join"])[0] \
+                == ("ok", "0 0")
+
+    def test_a_lane_never_swallows_cancellation(self):
+        from repro.compiler.codegen import _compile_step_fn
+        from repro.errors import QueryCancelled
+        from repro.qname import QName
+        from repro.runtime.cancellation import CancellationToken
+        from repro.runtime.compare import HashLane
+        from repro.xquery import ast
+
+        doc = parse_document(JOIN_DOC)
+        people = doc.children[0].children[0]
+        step = _compile_step_fn("child", ast.NodeTest("element",
+                                                      QName("", "person")))
+        token = CancellationToken()
+        token.cancel("test")
+        with pytest.raises(QueryCancelled):
+            HashLane((step, ()), token).table(people)
+        # a dynamic error in the build leaves the decision to the scan
+        assert HashLane((None, (step,)), None).table(None, [1]) is None
+
+    def test_invariant_path_aggregate_is_held(self):
+        """``[price > avg($d//price)]`` evaluates the average once per
+        activation: fewer DDO sorts (a diary), same answer."""
+        doc = parse_document(BIB)
+        query = ("declare variable $d external; "
+                 "$d//book[xs:decimal(price) > avg($d//price)]/title/string()")
+        generated = _join_outcome(_join_source, query, doc)
+        reference = _join_outcome(_join_closure, query, doc)
+        _agree(generated, reference)
+        assert generated[1]["ddo_sorts"] < reference[1]["ddo_sorts"]
+        source = _join_source.compile(query).generated_source
+        assert source.count("= _ABSENT") == 1
+
+
 # -- the e2e ledger's templates join the corpus ------------------------------
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]
@@ -701,16 +937,18 @@ sys.path.pop(0)
 
 E2E_TEMPLATES = e2e_queries.templates(n_people=12)
 
-#: emitted lines per ad-hoc text of the ``adhoc_compile`` workload at
-#: the parent commit (2.0.0, literal ``50000.000000001`` for ``$x``,
-#: the ``xmark_small`` catalog): ~8 us of compile per line, so the
-#: comparison lanes must not buy execution speed with emitted text
+#: emitted lines per ad-hoc text of the ``adhoc_compile`` workload
+#: (literal ``50000.000000001`` for ``$x``, the ``xmark_small``
+#: catalog), pinned at 2.2.0: ~8 us of compile per line, so neither the
+#: comparison lanes nor the hash lane may buy execution speed with
+#: emitted text.  1 821 lines over the thirteen at 2.0.0, 1 729 at
+#: 2.1.0, 1 672 here (dead node guards and back-to-back polls gone).
 ADHOC_PARENT_LINES = {
-    "flwor_where": 107, "count_pred": 98, "quantifier": 111,
-    "constructor": 128, "order_by": 126, "user_function": 116,
-    "aggregates": 135, "grouping": 250, "conditional": 149,
-    "string_functions": 119, "absence": 118, "partition": 259,
-    "deep_text": 105,
+    "flwor_where": 98, "count_pred": 87, "quantifier": 102,
+    "constructor": 119, "order_by": 117, "user_function": 113,
+    "aggregates": 124, "grouping": 241, "conditional": 140,
+    "string_functions": 108, "absence": 103, "partition": 226,
+    "deep_text": 94,
 }
 
 
@@ -738,7 +976,7 @@ class TestE2ETemplates:
                                          bindings)
             generated = _catalog_outcome(engines["source"], text, declared,
                                          bindings)
-            assert generated[:2] == reference[:2]
+            _same_catalog_outcome(generated, reference)
             assert generated[0][0] == "ok" and generated[2] == 0
             literals = {k: repr(v) if isinstance(v, float) else f"'{v}'"
                         for k, v in bindings.items()}
@@ -991,15 +1229,36 @@ def test_generated_source_compiles_under_50ms():
             f"source compile too slow for {query!r}: {best * 1000:.1f} ms")
 
 
+def _spread_cities(xml_text: str, ways: int) -> str:
+    """The same document with each city split ``ways`` ways (``Rome``
+    becomes ``Rome 0`` .. ``Rome <ways-1>``, person by person)."""
+    import itertools
+    import re
+
+    turn = itertools.count()
+    return re.sub(r"<city>([^<]*)</city>",
+                  lambda m: f"<city>{m.group(1)} {next(turn) % ways}</city>",
+                  xml_text)
+
+
 @pytest.mark.perfsmoke
-@pytest.mark.parametrize("name", ["partition", "point_lookup"])
+@pytest.mark.parametrize("name", ["partition", "point_lookup", "grouping"])
 def test_predicate_work_is_counted_not_timed(name):
-    """The comparison lanes' gate, in counts (they repeat exactly; times
-    do not): per evaluation of ``xs:double(@income) op $x`` /
-    ``@id = $a`` no ``derives_from`` walk and at most one
-    ``AtomicValue`` (the attribute's typed value), and ``$x`` is read
-    once per loop *activation* — the same few reads on a document five
-    times the size."""
+    """The gates of the comparison lanes (E21) and of join detection
+    (E22), in counts — they repeat exactly; times do not.  No
+    ``derives_from`` walk anywhere, and:
+
+    - ``partition``: at most one ``AtomicValue`` per evaluation of
+      ``xs:double(@income) op $x`` (the attribute's typed value), ``$x``
+      read once per loop *activation* — the same few reads on a document
+      five times the size;
+    - ``point_lookup``: ``[@id = $a]`` on the bound ``$a`` is a
+      value-index probe — a handful of atoms whatever the document size
+      (the scan it replaced made one per person);
+    - ``grouping``: the correlated ``count(P[address/city = $c])``
+      probes a hash table — O(persons + cities) atoms, within four per
+      person also when the document has five times the cities (the
+      per-city scan made persons × cities)."""
     import xml.etree.ElementTree as ET
 
     import repro
@@ -1011,18 +1270,19 @@ def test_predicate_work_is_counted_not_timed(name):
     template = e2e_queries.templates(n_people=250)[name]
     text = e2e_queries.source_text(template, "$auction")
     bindings = {"partition": {"x": 60000.0},
-                "point_lookup": {"a": "person7", "b": "person31"}}[name]
+                "point_lookup": {"a": "person7", "b": "person31"},
+                "grouping": {"x": 9000.0}}[name]
     counted = {"derives_from": AtomicType.derives_from,
                "alloc": AtomicValue.__init__,
                "variable": DynamicContext.variable}
 
-    def run(scale):
-        xml_text = generate_xmark(scale=scale, seed=7)
+    def run(scale, ways=1):
+        xml_text = _spread_cities(generate_xmark(scale=scale, seed=7), ways)
         cat = repro.catalog()
         cat.add("auction", xml_text)
-        compiled = source_engine(catalog=cat).compile(
-            text, variables=tuple(template.params))
-        compiled.execute(variables=bindings).serialize()  # warm
+        engine = source_engine(catalog=cat)
+        compiled = engine.compile(text, variables=tuple(template.params))
+        output = compiled.execute(variables=bindings).serialize()  # warm
         counts = dict.fromkeys(counted, 0)
 
         def shim(key):
@@ -1042,23 +1302,41 @@ def test_predicate_work_is_counted_not_timed(name):
             AtomicType.derives_from = counted["derives_from"]
             AtomicValue.__init__ = counted["alloc"]
             DynamicContext.variable = counted["variable"]
-        people = ET.fromstring(xml_text).findall("people/person")
-        if name == "partition":
+        assert counts["derives_from"] == 0
+        counts["persons"] = len(ET.fromstring(xml_text).findall(
+            "people/person"))
+        counts["cities"] = output.count("<city ")
+        counts["sites"] = compiled.generated_source.count("dctx.variable(")
+        if name == "point_lookup":
+            explained = engine.explain(text, variables=bindings).render()
+            assert "access_path.chosen=value_index" in explained
+        return counts
+
+    small, large = run(0.2), run(1.0)
+    assert large["persons"] >= 4 * small["persons"]
+    if name == "partition":
+        for counts, size in ((small, 0.2), (large, 1.0)):
+            people = ET.fromstring(generate_xmark(scale=size, seed=7)) \
+                .findall("people/person")
             # three scans; the second conjunct runs where the first held
             evaluations = 3 * len(people) + sum(
                 1 for p in people
                 if float(p.find("profile").get("income")) < bindings["x"])
-        else:
-            evaluations = 2 * len(people)
-        sites = compiled.generated_source.count("dctx.variable(")
-        return counts, evaluations, sites
-
-    small, large = run(0.2), run(1.0)
-    for counts, evaluations, sites in (small, large):
-        assert counts["derives_from"] == 0
-        # + the handful of values made once per request: the bound
-        # variable, ``$x div 2``, the three counts
-        assert evaluations <= counts["alloc"] <= evaluations + 8
-        assert counts["variable"] <= sites
-    assert large[1] >= 4 * small[1]
-    assert large[0]["variable"] == small[0]["variable"]
+            # + the handful of values made once per request: the bound
+            # variable, ``$x div 2``, the three counts
+            assert evaluations <= counts["alloc"] <= evaluations + 8
+            assert counts["variable"] <= counts["sites"]
+        assert large["variable"] == small["variable"]
+    elif name == "point_lookup":
+        for counts in (small, large):
+            assert counts["alloc"] <= 10
+            assert counts["variable"] <= counts["sites"]
+        assert large["variable"] == small["variable"]
+    else:
+        spread = run(1.0, ways=5)
+        assert spread["cities"] >= 4 * large["cities"]
+        for counts in (small, large, spread):
+            assert counts["alloc"] <= 4 * counts["persons"], counts
+        # what more cities cost is per city, not per person and city
+        assert spread["alloc"] - large["alloc"] \
+            <= 2 * (spread["cities"] - large["cities"])

@@ -184,6 +184,24 @@ class TestExplain:
         assert profiler.operators[first.plan_tree.id].calls == 1
 
 
+class TestCounterKinds:
+    def test_semantics_and_diaries(self):
+        from repro.observability.counters import is_diary, split_counters
+
+        for key in ("ddo_sorts", "access_path.actual_rows",
+                    "access_path.value_index", "twig.elements_scanned"):
+            assert is_diary(key), key
+        # seams, navigation fallbacks, built nodes, trace labels — and
+        # anything not yet named a diary
+        for key in ("codegen.fallback_closure",
+                    "access_path.fallback_navigation",
+                    "twig.fallback_navigation", "elements_constructed",
+                    "trace:x", "some.new_counter"):
+            assert not is_diary(key), key
+        assert split_counters({"ddo_sorts": 2, "elements_constructed": 1}) \
+            == ({"elements_constructed": 1}, {"ddo_sorts": 2})
+
+
 class TestExecuteIntegration:
     def test_result_profiler_property(self, engine, bib_xml):
         compiled = engine.compile("count(//book)")

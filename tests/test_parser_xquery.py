@@ -210,6 +210,20 @@ class TestErrors:
         with pytest.raises(ParseError):
             parse_query("$x/nope:a")
 
+    @pytest.mark.parametrize("text", ["1 +", "(", "for $x in (1) return"])
+    def test_end_of_input_is_reported_as_such(self, text):
+        # "" is in every string: at the end, peek() once started a
+        # string literal and reported it unterminated
+        with pytest.raises(ParseError, match="unexpected end of input"):
+            parse_query(text)
+
+    def test_lone_slash_is_the_root(self):
+        from repro.engine import Engine
+
+        assert isinstance(body("/"), ast.RootExpr)
+        result = Engine().compile("/").execute(context_item="<a><b/></a>")
+        assert result.serialize() == "<a><b/></a>"
+
 
 class TestConstructorsParsing:
     def test_nested_direct(self):

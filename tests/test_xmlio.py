@@ -191,6 +191,20 @@ class TestSerializer:
         out = serialize_events(parse_events("<a/>"), xml_decl=True)
         assert out.startswith("<?xml")
 
+    def test_document_deeper_than_the_recursion_limit(self):
+        # node events come off an explicit stack, not one Python frame
+        # per level
+        import sys
+
+        from repro.engine import Engine
+
+        depth = 20 * sys.getrecursionlimit()
+        xml = "<a>" * depth + "</a>" * depth
+        expected = "<a>" * (depth - 1) + "<a/>" + "</a>" * (depth - 1)
+        for query in (".", "/a"):
+            result = Engine().compile(query).execute(context_item=xml)
+            assert result.serialize() == expected, query
+
 
 def _reference_escape_text(value: str) -> str:
     return value.replace("&", "&amp;").replace("<", "&lt;") \
