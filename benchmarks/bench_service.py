@@ -1,40 +1,39 @@
-"""E12: parallel-group execution and the concurrent query service.
+"""E12: overlapping fn:doc loader latency, and the concurrent query service.
 
 The tutorial's parallel-execution slide motivates dataflow parallelism
 with independent calls to remote services (``ns1:WS1($input) +
-ns2:WS2($input)``): the win is overlapping the members' *latency*.
-This benchmark reproduces that shape over XMark data:
+ns2:WS2($input)``): the win is overlapping the calls' *latency*.  This
+benchmark reproduces that shape over XMark data:
 
-1. **parallel groups** — one query with four independent aggregation
-   members, each pulling a per-region auction document through
-   ``fn:doc`` from a loader with simulated network latency.  Run
-   sequentially (``jobs=1``) vs through the group executor
-   (``--jobs 4``); the group fans members out, latencies overlap, and
-   wall-clock drops (the acceptance bar is ≥1.5x).
-2. **EXPLAIN ANALYZE** — shows ``parallel.groups_run > 0`` flowing
-   through the stats when the executor is attached.
-3. **service behavior** — deadlines (a runaway query stops within the
+1. **document prefetch** — one query aggregates four per-region auction
+   documents, each pulled through ``fn:doc`` from a loader with
+   simulated network latency.  Written with string-literal URIs, the
+   four loads start together before evaluation (document prefetch);
+   written with computed URIs (``concat($svc, 'europe')``, ``$svc``
+   bound at run time) they load one after another as evaluation
+   reaches each call.  Same loader, same answer; the acceptance bar is
+   literal >= 1.5x faster than computed.
+2. **service behavior** — deadlines (a runaway query stops within the
    budget) and admission control (``ServiceOverloaded`` once the pool
    and queue are full).
 
-CPU-bound members do not speed up: group members are threads under one
-GIL (the fork-per-group executor that was meant to change that measured
-4.4-7x slower than the sequential plan and was retired in 2.0, see
-EXPERIMENTS.md E12), so latency overlap is what this benchmark reports.
+CPU-bound work does not overlap under one GIL, so waiting is all this
+measures; multi-core execution is the pre-forked ``ForkWorkerPool``'s
+job (EXPERIMENTS.md E12 keeps the retired parallel-group numbers).
 
-Run:  PYTHONPATH=src python benchmarks/bench_service.py [--jobs 4]
+Run:  PYTHONPATH=src python benchmarks/bench_service.py
 """
 
 from __future__ import annotations
 
-import argparse
+import statistics
 import sys
 import time
 
 import repro
 from repro import Engine, ExecutionOptions
 from repro.errors import QueryTimeout, ServiceOverloaded
-from repro.service import QueryService, ThreadGroupExecutor
+from repro.service import QueryService
 from repro.workloads import generate_xmark
 
 #: simulated per-request service latency for the fn:doc loader
@@ -42,11 +41,16 @@ LATENCY = 0.12
 
 REGIONS = ("europe", "asia", "namerica", "africa")
 
-#: four independent members — one aggregation per regional "service";
-#: no member reads a variable another binds, none constructs nodes, so
-#: the analysis proves the whole sequence parallel-safe
-GROUP_QUERY = "(" + ",\n ".join(
+#: timed executions of each query form
+RUNS = 10
+
+#: four aggregations, one per regional "service", URIs as literals
+LITERAL_QUERY = "(" + ",\n ".join(
     f"count(doc('svc://{r}')//item//keyword)" for r in REGIONS) + ")"
+
+#: the same query with every URI computed from the external ``$svc``
+COMPUTED_QUERY = "(" + ",\n ".join(
+    f"count(doc(concat($svc, '{r}'))//item//keyword)" for r in REGIONS) + ")"
 
 
 def make_loader(documents: dict[str, str], latency: float):
@@ -62,66 +66,44 @@ def regional_documents(scale: float = 0.3) -> dict[str, str]:
             for i, region in enumerate(REGIONS)}
 
 
-def run_once(engine: Engine, documents: dict[str, str]) -> tuple[float, dict]:
-    loader = make_loader(documents, LATENCY)
-    compiled = engine.compile(GROUP_QUERY)
-    t0 = time.perf_counter()
-    result = compiled.execute(document_loader=loader)
-    values = result.values()
-    elapsed = time.perf_counter() - t0
+def timed_runs(query: str, documents: dict[str, str], runs: int,
+               variables=None) -> tuple[list[float], list]:
+    compiled = Engine().compile(query, variables=tuple(variables or ()))
+    times, values = [], None
+    for _ in range(runs):
+        loader = make_loader(documents, LATENCY)
+        t0 = time.perf_counter()
+        values = compiled.execute(document_loader=loader,
+                                  variables=variables).values()
+        times.append(time.perf_counter() - t0)
     assert len(values) == len(REGIONS)
-    return elapsed, dict(result.stats)
+    return times, values
 
 
-def bench_parallel_groups(jobs: int) -> float:
+def bench_prefetch(runs: int) -> float:
     documents = regional_documents()
-    print(f"query ({len(REGIONS)} independent members):\n{GROUP_QUERY}\n")
-
-    sequential = Engine()
-    t_seq, _ = run_once(sequential, documents)
-    t_seq2, _ = run_once(sequential, documents)
-    t_seq = min(t_seq, t_seq2)
-    print(f"jobs=1 (sequential plan):  {t_seq * 1000:8.1f} ms")
-
-    # threads overlap the fn:doc latency deterministically on any machine
-    executor = ThreadGroupExecutor(max_workers=jobs)
-    parallel = Engine(executor=executor)
-    t_par, stats = run_once(parallel, documents)
-    t_par2, _ = run_once(parallel, documents)
-    t_par = min(t_par, t_par2)
-    executor.shutdown()
-    print(f"--jobs {jobs} (ParallelSeq):   {t_par * 1000:8.1f} ms")
-    print(f"parallel stats: " + ", ".join(
-        f"{k}={v}" for k, v in sorted(stats.items()) if "parallel" in k))
-
-    speedup = t_seq / t_par
+    print(f"query ({len(REGIONS)} fn:doc calls, {LATENCY * 1e3:.0f} ms "
+          f"loader latency each):\n{LITERAL_QUERY}\n")
+    literal, answer = timed_runs(LITERAL_QUERY, documents, runs)
+    computed, same = timed_runs(COMPUTED_QUERY, documents, runs,
+                                variables={"svc": "svc://"})
+    assert answer == same
+    for label, times in (("literal URIs (prefetched)", literal),
+                         ("computed URIs", computed)):
+        print(f"{label:27s} median {statistics.median(times) * 1e3:7.1f} ms"
+              f"  min {min(times) * 1e3:7.1f}  max {max(times) * 1e3:7.1f}"
+              f"  ({runs} runs)")
+    speedup = statistics.median(computed) / statistics.median(literal)
     print(f"speedup: {speedup:.2f}x  (bar: >= 1.5x)\n")
     return speedup
 
 
-def show_explain_analyze(jobs: int) -> int:
-    documents = regional_documents(scale=0.05)
-    executor = ThreadGroupExecutor(max_workers=jobs)
-    engine = Engine(executor=executor)
-    explained = engine.explain(GROUP_QUERY, analyze=True,
-                               document_loader=make_loader(documents, 0.0))
-    dump = explained.to_dict()
-    groups_run = dump.get("engine_stats", {}).get("parallel.groups_run", 0)
-    print(f"EXPLAIN ANALYZE: parallel.groups_run = {groups_run}")
-    for line in str(explained).splitlines():
-        if "ParallelSeq" in line:
-            print(f"  {line.strip()}")
-    executor.shutdown()
-    print()
-    return groups_run
-
-
-def demo_service(jobs: int) -> None:
+def demo_service() -> None:
     big = generate_xmark(scale=1.0, seed=7)
-    runaway = ("count(for $a in $d//item, $b in $d//keyword "
-               "return ($a, $b))")
+    runaway = ("count(for $a in $d//item, $b in $d//keyword, "
+               "$c in $d//item return 1)")
     with QueryService(options=ExecutionOptions(
-            max_workers=2, max_queue=2, jobs=jobs)) as svc:
+            max_workers=2, max_queue=2)) as svc:
         budget = 0.25
         t0 = time.perf_counter()
         try:
@@ -149,18 +131,13 @@ def demo_service(jobs: int) -> None:
         print(f"service stats: {svc.stats()}")
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--jobs", type=int, default=4)
-    args = parser.parse_args(argv)
+def main() -> int:
+    speedup = bench_prefetch(RUNS)
+    demo_service()
 
-    speedup = bench_parallel_groups(args.jobs)
-    groups_run = show_explain_analyze(args.jobs)
-    demo_service(args.jobs)
-
-    ok = speedup >= 1.5 and groups_run > 0
-    print(f"\nE12 {'PASS' if ok else 'FAIL'}: "
-          f"speedup {speedup:.2f}x, parallel.groups_run {groups_run}")
+    ok = speedup >= 1.5
+    print(f"\nE12 {'PASS' if ok else 'FAIL'}: literal vs computed "
+          f"URIs {speedup:.2f}x")
     return 0 if ok else 1
 
 

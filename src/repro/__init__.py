@@ -22,8 +22,8 @@ Quickstart::
 default engine (and its compile cache); plain strings in
 ``variables=`` bind ``xs:string`` atomics — wrap XML text in
 ``repro.xml(...)`` to bind a parsed document.  For concurrent
-execution with deadlines, admission control, and parallel-group plans,
-see :class:`repro.service.QueryService`.
+execution with deadlines and admission control, see
+:class:`repro.service.QueryService`.
 """
 
 from repro.api import catalog, compile, configure, execute, explain
@@ -39,7 +39,7 @@ from repro.options import ExecutionOptions
 from repro.runtime.cancellation import CancellationToken
 from repro.xdm.build import parse_document
 
-__version__ = "2.2.0"
+__version__ = "3.0.0"
 
 __all__ = [
     # the unified public API

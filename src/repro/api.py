@@ -12,9 +12,9 @@ Engine`, so repeated queries share its compiled-query cache::
 
 The default engine is created lazily with the default
 :class:`~repro.options.ExecutionOptions` (optimizer and static typing
-on, no executor, source codegen).  For different options — the closure
-oracle (``ExecutionOptions(codegen="closure")``), parallel-group
-execution, optimizer off — call :func:`configure`; for a shared base
+on, source codegen).  For different options — the closure oracle
+(``ExecutionOptions(codegen="closure")``), optimizer off — call
+:func:`configure`; for a shared base
 context construct an :class:`~repro.engine.Engine` directly, or use
 :class:`repro.service.QueryService` for concurrent execution with
 deadlines and admission control.

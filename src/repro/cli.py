@@ -61,10 +61,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--no-compile-cache", action="store_true",
                         help="compile from scratch instead of reusing the "
                              "process-wide compiled-query cache")
-    parser.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="evaluate analysis-proven-independent "
-                             "subexpression groups on N parallel workers "
-                             "(default 1: sequential plans)")
     parser.add_argument("--codegen", choices=("closure", "source"),
                         default="source",
                         help="execution backend: 'source' (the default) "
@@ -115,9 +111,6 @@ def build_serve_parser() -> argparse.ArgumentParser:
     parser.add_argument("--max-workers", type=int, default=None, metavar="N",
                         help="concurrent queries admitted (in-process "
                              "mode; default 4)")
-    parser.add_argument("--jobs", type=int, default=None, metavar="N",
-                        help="parallel workers *within* one query "
-                             "(default 1: sequential plans)")
     parser.add_argument("--codegen", choices=("closure", "source"),
                         default=None, help="execution backend")
     parser.add_argument("--timeout", type=float, default=None, metavar="SECS",
@@ -158,8 +151,7 @@ def serve_main(argv: list[str]) -> int:
     if args.result_cache is not None:
         changes["result_cache_size"] = args.result_cache
     option_changes: dict = {}
-    for flag, name in (("max_workers", "max_workers"), ("jobs", "jobs"),
-                       ("codegen", "codegen"),
+    for flag, name in (("max_workers", "max_workers"), ("codegen", "codegen"),
                        ("timeout", "default_timeout"),
                        ("data_dir", "data_dir"), ("shards", "shards")):
         value = getattr(args, flag)
@@ -266,8 +258,7 @@ def main(argv: list[str] | None = None) -> int:
     options = ExecutionOptions(optimize=not args.no_optimize,
                                static_typing=not args.no_static_typing,
                                codegen=args.codegen,
-                               twig_strategy=args.twig_strategy,
-                               jobs=args.jobs)
+                               twig_strategy=args.twig_strategy)
     engine = Engine(options=options,
                     compile_cache=None if args.no_compile_cache
                     else _COMPILE_CACHE)

@@ -474,6 +474,25 @@ def _boolean_predicate(expr: ast.Expr) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# Document prefetch
+# ---------------------------------------------------------------------------
+
+
+def literal_doc_uris(expr: ast.Expr) -> tuple[str, ...]:
+    """The distinct string literals one-argument ``fn:doc`` calls name,
+    in first-occurrence order: what a loader may fetch before
+    evaluation reaches the calls."""
+    uris: dict[str, None] = {}
+    for e in expr.walk():
+        if isinstance(e, ast.FunctionCall) and len(e.args) == 1 \
+                and e.name.local == "doc" and e.name.uri in ("", _FN_NS) \
+                and isinstance(e.args[0], ast.Literal) \
+                and isinstance(e.args[0].value.value, str):
+            uris[e.args[0].value.value] = None
+    return tuple(uris)
+
+
+# ---------------------------------------------------------------------------
 # Variable usage
 # ---------------------------------------------------------------------------
 

@@ -18,7 +18,6 @@ from __future__ import annotations
 from typing import Any, Callable, Iterator
 
 from repro.compiler.context import StaticContext
-from repro.compiler.parallel import independent_for_clauses, is_parallel_safe
 from repro.compiler.sequencetype import SequenceType, resolve_sequence_type
 from repro.errors import DynamicError, StaticError, TypeError_, UndefinedNameError
 from repro.qname import QName, XS_NS, XDT_NS
@@ -66,7 +65,7 @@ class CodeGenerator:
     """
 
     def __init__(self, static_ctx: StaticContext, instrument: bool = True,
-                 executor=None, catalog=None):
+                 catalog=None):
         self.ctx = static_ctx
         #: document catalog (``repro.catalog``): AccessPath operators
         #: resolve their posting lists through it at runtime
@@ -79,10 +78,6 @@ class CodeGenerator:
         self.plan_tree = None
         self._node_stack: list = []
         self._op_counter = 0
-        #: group executor (``repro.service.executors``): when set,
-        #: analysis-proven-independent sibling groups compile to a
-        #: ``ParallelSeq`` operator that fans members out through it
-        self.executor = executor
 
     # -- dispatch ---------------------------------------------------------------
 
@@ -147,57 +142,8 @@ class CodeGenerator:
             yield dctx.context_item()
         return plan
 
-    # -- parallel groups ---------------------------------------------------------
-
-    def _mark_parallel(self, members: int) -> None:
-        """Relabel the current PlanNode as a ParallelSeq operator."""
-        if self._node_stack:
-            node = self._node_stack[-1]
-            node.kind = f"ParallelSeq({node.kind})"
-            node.detail = f"ParallelSeq[{members}] {node.detail}"
-            if "parallel_group" not in node.annotations:
-                node.annotations = node.annotations + ("parallel_group",)
-
-    def _parallel_seq(self, member_plans: list[Plan],
-                      eligible: list[bool]) -> Plan:
-        """A ParallelSeq operator over ordered sequence members.
-
-        Eligible members fan out through the executor; ineligible ones
-        evaluate inline at their position, so the merged output order
-        is exactly the sequential order.  Stats: ``parallel.groups_run``
-        on a successful fan-out, ``parallel.fallback_sequential`` when
-        the executor declines the group.
-        """
-        executor = self.executor
-        fan_out = [i for i, ok in enumerate(eligible) if ok]
-
-        def plan(dctx):
-            results = executor.run_group([member_plans[i] for i in fan_out],
-                                         dctx)
-            if results is None:
-                dctx.count("parallel.fallback_sequential")
-                for sub in member_plans:
-                    yield from sub(dctx)
-                return
-            dctx.count("parallel.groups_run")
-            produced = dict(zip(fan_out, results))
-            token = dctx._shared.cancellation
-            for i, sub in enumerate(member_plans):
-                if token is not None:
-                    token.check()
-                if i in produced:
-                    yield from produced[i]
-                else:
-                    yield from sub(dctx)
-        return plan
-
     def _c_SequenceExpr(self, expr: ast.SequenceExpr) -> Plan:
         plans = [self.compile(item) for item in expr.items]
-        if self.executor is not None:
-            eligible = [is_parallel_safe(item) for item in expr.items]
-            if sum(eligible) >= 2:
-                self._mark_parallel(sum(eligible))
-                return self._parallel_seq(plans, eligible)
 
         def plan(dctx):
             for sub in plans:
@@ -327,18 +273,7 @@ class CodeGenerator:
                      for spec in expr.order]
         ret_plan = self.compile(expr.ret)
 
-        # independent FOR-clause sources form a parallel group: their
-        # sequences are prefetched concurrently before tuple formation
-        executor = self.executor
-        par_indices: list[int] = []
-        if executor is not None:
-            par_indices = independent_for_clauses(expr)
-            if len(par_indices) >= 2:
-                self._mark_parallel(len(par_indices))
-            else:
-                par_indices = []
-
-        def tuples(dctx, depth=0, prefetched=None):
+        def tuples(dctx, depth=0):
             """Generate the binding-tuple stream (one dctx per tuple)."""
             if depth == len(clause_plans):
                 if where_plan is None or effective_boolean_value(where_plan(dctx)):
@@ -348,21 +283,16 @@ class CodeGenerator:
             if kind == "let":
                 bound = dctx.bind(var, BufferedSequence(
                     sub(dctx), cancellation=dctx._shared.cancellation))
-                yield from tuples(bound, depth + 1, prefetched)
+                yield from tuples(bound, depth + 1)
             else:
-                source = None
-                if prefetched is not None:
-                    source = prefetched.get(depth)
-                if source is None:
-                    source = sub(dctx)
                 token = dctx._shared.cancellation
-                for i, item in enumerate(source, start=1):
+                for i, item in enumerate(sub(dctx), start=1):
                     if token is not None:
                         token.check()
                     bound = dctx.bind(var, (item,))
                     if pos_var is not None:
                         bound = bound.bind(pos_var, (integer(i),))
-                    yield from tuples(bound, depth + 1, prefetched)
+                    yield from tuples(bound, depth + 1)
 
         def regroup(rows: list) -> list:
             """The group-by extension: one tuple per distinct key, with
@@ -396,16 +326,7 @@ class CodeGenerator:
             return out
 
         def plan(dctx):
-            prefetched = None
-            if par_indices:
-                group = [clause_plans[i][3] for i in par_indices]
-                results = executor.run_group(group, dctx)
-                if results is None:
-                    dctx.count("parallel.fallback_sequential")
-                else:
-                    dctx.count("parallel.groups_run")
-                    prefetched = dict(zip(par_indices, results))
-            rows = list(tuples(dctx, 0, prefetched))
+            rows = list(tuples(dctx))
             if group_specs:
                 rows = regroup(rows)
             if key_plans:
@@ -572,29 +493,6 @@ class CodeGenerator:
         left_plan = self.compile(expr.left)
         right_plan = self.compile(expr.right)
         op = expr.op
-
-        if self.executor is not None and is_parallel_safe(expr.left) \
-                and is_parallel_safe(expr.right):
-            # the slide's example: ns1:WS1($input) + ns2:WS2($input) —
-            # both operands execute unconditionally and independently
-            executor = self.executor
-            self._mark_parallel(2)
-
-            def plan(dctx):
-                results = executor.run_group([left_plan, right_plan], dctx)
-                if results is None:
-                    dctx.count("parallel.fallback_sequential")
-                    a = _opt_atomic_value(left_plan(dctx))
-                    b = _opt_atomic_value(right_plan(dctx))
-                else:
-                    dctx.count("parallel.groups_run")
-                    left_items, right_items = results
-                    a = _opt_atomic_value(iter(left_items))
-                    b = _opt_atomic_value(iter(right_items))
-                result = arithmetic(op, a, b)
-                if result is not None:
-                    yield result
-            return plan
 
         def plan(dctx):
             a = _opt_atomic_value(left_plan(dctx))
@@ -892,32 +790,6 @@ class CodeGenerator:
         builtin = fnlib.lookup(name, arity)
         if builtin is not None:
             impl, lazy = builtin.impl, builtin.lazy
-
-            # eager builtins materialize every argument anyway, so
-            # independent pure arguments are a parallel group (lazy
-            # builtins keep pull semantics: prefetching could hang on
-            # an infinite argument that exists() would never drain)
-            if self.executor is not None and not lazy:
-                eligible = [is_parallel_safe(a) for a in expr.args]
-                if sum(eligible) >= 2:
-                    executor = self.executor
-                    fan_out = [i for i, ok in enumerate(eligible) if ok]
-                    self._mark_parallel(len(fan_out))
-
-                    def plan(dctx):
-                        results = executor.run_group(
-                            [arg_plans[i] for i in fan_out], dctx)
-                        if results is None:
-                            dctx.count("parallel.fallback_sequential")
-                            args = [list(sub(dctx)) for sub in arg_plans]
-                        else:
-                            dctx.count("parallel.groups_run")
-                            produced = dict(zip(fan_out, results))
-                            args = [produced[i] if i in produced
-                                    else list(sub(dctx))
-                                    for i, sub in enumerate(arg_plans)]
-                        yield from impl(dctx, *args)
-                    return plan
 
             def plan(dctx):
                 if lazy:

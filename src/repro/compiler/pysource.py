@@ -24,7 +24,7 @@ Contracts with the closure backend, in both directions:
   (:mod:`repro.observability.counters`) may show.
 - **Fallback, not failure.**  Subtrees this emitter does not fuse
   (order-by FLWOR, typeswitch, node constructors, access paths,
-  parallel groups, user functions, ...) compile through the shared
+  user functions, ...) compile through the shared
   :class:`~repro.compiler.codegen.CodeGenerator` and run as ordinary
   closure plans behind :func:`_fallback_iter`, which transfers the
   generated code's variable bindings (as replayable
@@ -664,11 +664,11 @@ class SourcePlanCompiler:
     """
 
     def __init__(self, static_ctx: StaticContext, instrument: bool = True,
-                 executor=None, catalog=None):
+                 catalog=None):
         self.ctx = static_ctx
         self.instrument = instrument
         self.cgen = CodeGenerator(static_ctx, instrument=instrument,
-                                  executor=executor, catalog=catalog)
+                                  catalog=catalog)
         self.env: dict[str, Any] = dict(_BASE_ENV)
         #: in-scope variables
         self.scope: dict[QName, _Binding] = {}
@@ -943,17 +943,10 @@ class SourcePlanCompiler:
         :meth:`_emit_fallback`.
         """
         kind = type(expr).__name__
-        if kind in ("SequenceExpr", "Arithmetic"):
-            # with an executor attached the closure compiler may form
-            # parallel groups for these — keep that path
-            return self.cgen.executor is None
         if kind == "FLWOR":
-            # group by stays on the closure interpreter, as do the
-            # parallel for-clause prefetches an executor enables
-            return not expr.group and self.cgen.executor is None
+            # group by stays on the closure interpreter
+            return not expr.group
         if kind == "FunctionCall":
-            if self.cgen.executor is not None:
-                return False  # eager builtins may parallelize their args
             if expr.name.uri in (XS_NS, XDT_NS):
                 atype = self.ctx.lookup_type(expr.name)
                 return isinstance(atype, T.AtomicType) and len(expr.args) == 1
@@ -2235,7 +2228,6 @@ class SourcePlanCompiler:
         predicates) fuses into more.  It runs on the closure
         interpreter instead, counted as one seam at the root."""
         self.cgen = CodeGenerator(self.ctx, instrument=self.instrument,
-                                  executor=self.cgen.executor,
                                   catalog=self.cgen.catalog)
         closure_plan = self.cgen.compile(expr)
         if self.cgen.plan_tree is not None:

@@ -12,11 +12,12 @@ from __future__ import annotations
 
 from typing import Any, Iterable, Iterator, Optional
 
+from repro.compiler.analysis import literal_doc_uris
 from repro.compiler.codegen import CodeGenerator
 from repro.compiler.context import StaticContext
 from repro.compiler.normalize import normalize_module
 from repro.compiler.pysource import SourcePlanCompiler
-from repro.errors import QueryCancelled
+from repro.errors import QueryCancelled, StaticError
 from repro.options import ExecutionOptions
 from repro.qname import QName
 from repro.runtime.cancellation import CancellationToken
@@ -122,7 +123,8 @@ class CompiledQuery:
     def __init__(self, module: ast.Module, core: ast.Expr, optimized: ast.Expr,
                  static_ctx: StaticContext, plan, static_type=None,
                  plan_tree=None, catalog_bindings=None,
-                 generated_source=None, catalog_collection=None):
+                 generated_source=None, catalog_collection=None,
+                 doc_uris=()):
         self.module = module
         #: core expression tree straight out of normalization
         self.core = core
@@ -149,6 +151,10 @@ class CompiledQuery:
         #: the default collection.  The scatter-gather router keys its
         #: shard planning off this attribute.
         self.catalog_collection = catalog_collection
+        #: the distinct string literals ``fn:doc`` is called on: with a
+        #: ``document_loader`` attached, execute prefetches those not
+        #: registered (see :meth:`DynamicContext.prefetch_documents`)
+        self.doc_uris = doc_uris
 
     def execute(self, *,
                 context_item: Any = None,
@@ -171,7 +177,10 @@ class CompiledQuery:
           callable for fn:doc;
         - ``collections``: uri → list of nodes for fn:collection;
         - ``document_loader``: fallback ``loader(uri)`` for fn:doc URIs
-          not pre-registered (return XML text / a node / None);
+          not pre-registered (return XML text / a node / None); when
+          the query names two or more such URIs as string literals,
+          their loads start concurrently before evaluation, and each
+          outcome (or error) surfaces at the fn:doc that reaches it;
         - ``profiler``: a :class:`repro.observability.Profiler` to
           activate the plan's per-operator hooks (None = off, free);
         - ``deadline``: seconds this execution may run — evaluation
@@ -202,6 +211,8 @@ class CompiledQuery:
                     if isinstance(provider, StoredDocument):
                         provider = provider.document()
                 dctx.register_document(uri, provider)
+        if document_loader is not None and self.doc_uris:
+            dctx.prefetch_documents(self.doc_uris)
         if collections:
             for uri, nodes in collections.items():
                 dctx.register_collection(uri, nodes)
@@ -277,13 +288,12 @@ class Engine:
     Execution knobs live on one frozen :class:`repro.ExecutionOptions`
     object — ``Engine(options=ExecutionOptions(codegen="closure"))``.
     The other parameters are object wiring (``base_context``,
-    ``executor``, ``catalog``, a shared ``compile_cache``): those carry
-    identity, not configuration.
+    ``catalog``, a shared ``compile_cache``): those carry identity, not
+    configuration.
     """
 
     def __init__(self, base_context: StaticContext | None = None,
                  compile_cache=_DEFAULT_CACHE,
-                 executor=None,
                  catalog=None,
                  options: Optional[ExecutionOptions] = None):
         if options is None:
@@ -311,16 +321,6 @@ class Engine:
         #: result type and reject statically-impossible queries
         self.static_typing = options.static_typing
         self.base_context = base_context
-        if executor is None and options.jobs > 1:
-            # options.jobs is declarative parallelism: N > 1 builds an
-            # N-thread group executor, 0/1 none at all
-            from repro.service.executors import ThreadGroupExecutor
-
-            executor = ThreadGroupExecutor(options.jobs)
-        #: group executor (``repro.service.executors``): when set, the
-        #: code generator fans analysis-proven-independent subexpression
-        #: groups out through it (``ParallelSeq`` operators)
-        self.executor = executor
         from repro.runtime.memo import LRUCache
 
         #: compiled queries are pure — cache them keyed by (source
@@ -356,7 +356,6 @@ class Engine:
                 if self.base_context is not None else None
             # variables are a *set* of declared names: normalize the
             # order so {"a","b"} and {"b","a"} hit the same entry; the
-            # executor shapes the emitted plan, so it keys too; the
             # catalog fingerprint keys store/index identity so a plan
             # compiled against an index is never reused for a
             # different (e.g. unindexed) binding of the same name;
@@ -365,14 +364,26 @@ class Engine:
             # queries keys its cache identically
             cache_key = (query_text, tuple(sorted(extra, key=str)),
                          self.options.fingerprint(), base_fp,
-                         id(self.executor) if self.executor is not None
-                         else None,
                          self.catalog.fingerprint()
                          if self.catalog is not None else None)
             cached = self.compile_cache.get(cache_key)
             if cached is not None:
                 return cached
 
+        try:
+            compiled = self._compile(query_text, extra, schemas)
+        except RecursionError:
+            # every front-half pass recurses once per nesting level (the
+            # parser about twenty frames per parenthesis)
+            raise StaticError("expression nested too deeply",
+                              code="XPST0003") from None
+        if cache_key is not None:
+            self.compile_cache.put(cache_key, compiled)
+        return compiled
+
+    def _compile(self, query_text: str, extra: tuple,
+                 schemas: Iterable) -> CompiledQuery:
+        """parse → normalize → rewrite → analyze → plan → emit."""
         module = parse_query(query_text)
         base = self.base_context.copy() if self.base_context is not None else None
         if schemas:
@@ -409,14 +420,11 @@ class Engine:
 
         generated_source = None
         if self.codegen == "source":
-            generator = SourcePlanCompiler(static_ctx,
-                                           executor=self.executor,
-                                           catalog=self.catalog)
+            generator = SourcePlanCompiler(static_ctx, catalog=self.catalog)
             plan = generator.compile_root(optimized)
             generated_source = generator.generated_source
         else:
-            generator = CodeGenerator(static_ctx, executor=self.executor,
-                                      catalog=self.catalog)
+            generator = CodeGenerator(static_ctx, catalog=self.catalog)
             plan = generator.compile(optimized)
         catalog_bindings = None
         catalog_collection = None
@@ -432,14 +440,12 @@ class Engine:
             if _reads_default_collection(optimized):
                 catalog_collection = [(name, self.catalog[name])
                                       for name in sorted(self.catalog.names())]
-        compiled = CompiledQuery(module, core, optimized, static_ctx, plan,
-                                 static_type, plan_tree=generator.plan_tree,
-                                 catalog_bindings=catalog_bindings,
-                                 generated_source=generated_source,
-                                 catalog_collection=catalog_collection)
-        if cache_key is not None:
-            self.compile_cache.put(cache_key, compiled)
-        return compiled
+        return CompiledQuery(module, core, optimized, static_ctx, plan,
+                             static_type, plan_tree=generator.plan_tree,
+                             catalog_bindings=catalog_bindings,
+                             generated_source=generated_source,
+                             catalog_collection=catalog_collection,
+                             doc_uris=literal_doc_uris(optimized))
 
     def explain(self, query_text: str, *,
                 context_item: Any = None,

@@ -3,11 +3,11 @@
 ``Engine``, ``QueryService``, the module-level
 ``repro.compile/execute/explain`` helpers, the CLI flags and the
 server's tenant configuration all take their knobs (``codegen``,
-``twig_strategy``, ``jobs``, ``default_timeout``, the compile-cache
-size, the service pool bounds) from this one object — it is the only
-way to pass them::
+``twig_strategy``, ``default_timeout``, the compile-cache size, the
+service pool bounds) from this one object — it is the only way to pass
+them::
 
-    opts = repro.ExecutionOptions(codegen="closure", jobs=4)
+    opts = repro.ExecutionOptions(codegen="closure")
     engine = repro.Engine(options=opts)
     svc = QueryService(options=opts.replace(max_workers=8))
 
@@ -46,11 +46,7 @@ class ExecutionOptions:
       choice;
     - ``twig_strategy`` — physical plan for decomposed twig patterns
       (``None`` resolves to ``$REPRO_TEST_TWIG`` or ``"auto"`` at
-      construction);
-    - ``jobs`` — parallel-group workers for analysis-proven-independent
-      subexpressions: ``1`` (or ``0``) compiles sequential plans,
-      ``N > 1`` builds an N-thread group executor
-      (:class:`~repro.service.executors.ThreadGroupExecutor`).
+      construction).
 
     Caching:
 
@@ -62,9 +58,7 @@ class ExecutionOptions:
     HTTP server):
 
     - ``max_workers`` / ``max_queue`` — the admission bound: at most
-      ``max_workers`` queries execute while ``max_queue`` wait (note
-      the distinction from ``jobs``, which parallelizes *within* one
-      query);
+      ``max_workers`` queries execute while ``max_queue`` wait;
     - ``default_timeout`` — deadline (seconds) for requests that don't
       pass their own;
     - ``retries`` / ``retry_base_delay`` — the transient-failure retry
@@ -91,7 +85,6 @@ class ExecutionOptions:
     static_typing: bool = True
     codegen: str = "source"
     twig_strategy: Optional[str] = None
-    jobs: int = 1
     # -- caching -----------------------------------------------------------
     compile_cache_size: int = 64
     # -- service -----------------------------------------------------------
@@ -121,10 +114,6 @@ class ExecutionOptions:
             raise ValueError(
                 f"twig_strategy must be one of "
                 f"{sorted(ALGORITHM_ALIASES)}, got {self.twig_strategy!r}")
-        if not isinstance(self.jobs, int) or isinstance(self.jobs, bool) \
-                or self.jobs < 0:
-            raise ValueError(f"jobs must be an integer >= 0 (1 compiles "
-                             f"sequential plans), got {self.jobs!r}")
         if self.compile_cache_size < 0:
             raise ValueError("compile_cache_size must be >= 0")
         if self.max_workers < 1:
@@ -160,7 +149,7 @@ class ExecutionOptions:
         """The options-dependent part of the compiled-query cache key.
 
         Exactly the knobs that shape a compiled plan; object-identity
-        inputs (executor, base context, catalog) are keyed separately
+        inputs (base context, catalog) are keyed separately
         by the engine.  Deriving this in one place is what keeps the
         Engine / QueryService / CLI / server compile caches coherent.
         Service-level knobs — including ``data_dir`` — stay out: where

@@ -7,6 +7,7 @@ collections, current date-time and implicit timezone.
 
 from __future__ import annotations
 
+import threading
 from datetime import datetime, timezone
 from typing import TYPE_CHECKING, Any, Callable, Optional
 
@@ -112,10 +113,26 @@ class DynamicContext:
         or None (not found).  The CLI plugs the filesystem in here."""
         self._shared.document_loader = loader
 
+    def prefetch_documents(self, uris) -> None:
+        """Start the loader on each of ``uris`` not registered, one
+        short-lived thread per URI, when two or more remain: their waits
+        overlap.  Nothing surfaces here — :meth:`resolve_document` takes
+        each outcome at the ``fn:doc`` that reaches it."""
+        shared = self._shared
+        pending = [uri for uri in uris if uri not in shared.documents]
+        if len(pending) >= 2:
+            for uri in pending:
+                shared.prefetched[uri] = _Prefetch(shared.document_loader, uri)
+
     def resolve_document(self, uri: str) -> "DocumentNode":
-        provider = self._shared.documents.get(uri)
-        if provider is None and self._shared.document_loader is not None:
-            provider = self._shared.document_loader(uri)
+        shared = self._shared
+        provider = shared.documents.get(uri)
+        if provider is None:
+            prefetch = shared.prefetched.pop(uri, None)
+            if prefetch is not None:
+                provider = prefetch.result()
+            elif shared.document_loader is not None:
+                provider = shared.document_loader(uri)
         if provider is None:
             raise DynamicError(f"document {uri!r} is not available", code="FODC0002")
         if callable(provider):
@@ -190,8 +207,8 @@ class _Shared:
     """State shared by all contexts derived from one evaluation."""
 
     __slots__ = ("static_ctx", "current_datetime", "documents", "collections",
-                 "node_ids_required", "stats", "document_loader", "profiler",
-                 "cancellation")
+                 "node_ids_required", "stats", "document_loader", "prefetched",
+                 "profiler", "cancellation")
 
     def __init__(self, static_ctx, current_datetime):
         self.static_ctx = static_ctx
@@ -199,6 +216,8 @@ class _Shared:
         self.documents: dict[str, Any] = {}
         self.collections: dict[str, list] = {}
         self.document_loader = None
+        #: uri → :class:`_Prefetch` not yet taken by an fn:doc
+        self.prefetched: dict[str, _Prefetch] = {}
         #: set by the compiler when the plan contains identity-sensitive
         #: operators; constructors consult it (experiment E4)
         self.node_ids_required = True
@@ -209,3 +228,32 @@ class _Shared:
         #: cooperative CancellationToken polled by the hot iterator
         #: loops; None = no deadline/cancellation, one is-None check
         self.cancellation = None
+
+
+class _Prefetch(threading.Thread):
+    """One ``loader(uri)`` call running ahead of the fn:doc that needs it.
+
+    A thread per call, not a pool: it ends with the load, so no idle
+    thread outlives the query into a later ``ForkWorkerPool`` fork.
+    """
+
+    def __init__(self, loader: Callable[[str], Any], uri: str):
+        super().__init__(name="repro-prefetch", daemon=True)
+        self._loader = loader
+        self._uri = uri
+        self._value: Any = None
+        self._error: Optional[BaseException] = None
+        self.start()
+
+    def run(self) -> None:
+        try:
+            self._value = self._loader(self._uri)
+        except BaseException as exc:  # noqa: BLE001 - re-raised by result()
+            self._error = exc
+
+    def result(self) -> Any:
+        """The loader's return value, or its exception re-raised."""
+        self.join()
+        if self._error is not None:
+            raise self._error
+        return self._value

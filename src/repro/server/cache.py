@@ -18,9 +18,8 @@ re-ingests, so stale responses don't squat in the LRU window.
 
 Only *cacheable* queries are stored: a query that constructs nodes
 (fresh identities per run) or calls a non-deterministic function must
-re-execute every time — the same purity test the parallelizer applies
-(:func:`repro.compiler.parallel.is_parallel_safe`'s helper), evaluated
-once per compiled query.
+re-execute every time.  :func:`cacheable` decides that once per
+compiled query.
 """
 
 from __future__ import annotations

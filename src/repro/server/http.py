@@ -7,7 +7,7 @@ and the result cache; query execution never blocks it:
 
 - **in-process mode** (``processes=0``) — execution is submitted to
   the :class:`~repro.service.QueryService` pool (admission control,
-  deadlines, per-query parallel groups) and awaited via
+  deadlines) and awaited via
   :func:`asyncio.wrap_future`;
 - **pre-forked mode** (``processes=N``) — execution is a
   :meth:`~repro.service.ForkWorkerPool.call` into a persistent child

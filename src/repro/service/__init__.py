@@ -1,4 +1,4 @@
-"""Concurrent query execution: pools, parallel groups, admission control.
+"""Concurrent query execution: pools and admission control.
 
 - :class:`QueryService` — run queries on a bounded pool with deadlines,
   retry, and load shedding;
@@ -7,13 +7,9 @@
   multi-process mode);
 - :class:`ShardRouter` — collection-level scatter-gather across the
   pool children (eligible queries run one shard per worker and merge
-  in document order);
-- :mod:`repro.service.executors` — the group executors behind the
-  compiler's ``ParallelSeq`` operator (threads: blocking members
-  overlap).
+  in document order).
 """
 
-from repro.service.executors import SequentialExecutor, ThreadGroupExecutor
 from repro.service.queryservice import QueryService, RetryingDocumentLoader
 from repro.service.sharding import ShardRouter, UncombinableShardResult
 from repro.service.workers import ForkWorkerPool, WorkerCrashed
@@ -21,8 +17,6 @@ from repro.service.workers import ForkWorkerPool, WorkerCrashed
 __all__ = [
     "QueryService",
     "RetryingDocumentLoader",
-    "SequentialExecutor",
-    "ThreadGroupExecutor",
     "ForkWorkerPool",
     "WorkerCrashed",
     "ShardRouter",

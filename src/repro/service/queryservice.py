@@ -7,7 +7,7 @@ deadline enforced by a cooperative
 document-loader failures retry with exponential backoff, and admission
 control sheds load *before* it queues unboundedly::
 
-    opts = repro.ExecutionOptions(max_workers=4, max_queue=8, jobs=4)
+    opts = repro.ExecutionOptions(max_workers=4, max_queue=8)
     with QueryService(options=opts) as svc:
         future = svc.submit("count($d//item)", variables={"d": repro.xml(text)},
                             timeout=2.0)
@@ -25,12 +25,7 @@ Semantics:
   its worker is freed (cooperative: within one loop iteration);
 - **retry** — a ``document_loader`` wrapped by the service retries
   transient failures (OSError family) with exponential backoff,
-  counting ``service.loader_retries`` into the result stats;
-- **graceful degradation** — with ``jobs > 1`` the service's engine
-  compiles ``ParallelSeq`` plans against a thread group executor; when
-  that pool is saturated the executor declines groups and members
-  evaluate inline, sequentially (``parallel.fallback_sequential`` in
-  the stats) — load makes queries sequential, never wrong.
+  counting ``service.loader_retries`` into the result stats.
 """
 
 from __future__ import annotations
@@ -72,9 +67,11 @@ class RetryingDocumentLoader:
         self.base_delay = base_delay
         self.max_delay = max_delay
         self.token = token
-        #: live stats dict to count retries into (the service points
-        #: this at the executing query's counters)
+        #: stats dict to count retries into (the service folds it into
+        #: the drained result's stats)
         self.stats = stats if stats is not None else {}
+        #: prefetch calls the loader from several threads at once
+        self._count_lock = threading.Lock()
 
     def __call__(self, uri: str):
         attempt = 0
@@ -106,8 +103,9 @@ class RetryingDocumentLoader:
                         time.sleep(min(left, _BACKOFF_SLICE))
                     self.token.check()
                 attempt += 1
-                self.stats["service.loader_retries"] = \
-                    self.stats.get("service.loader_retries", 0) + 1
+                with self._count_lock:
+                    self.stats["service.loader_retries"] = \
+                        self.stats.get("service.loader_retries", 0) + 1
 
 
 class QueryService:
@@ -115,16 +113,11 @@ class QueryService:
 
     Configuration is one frozen :class:`repro.ExecutionOptions`::
 
-        QueryService(options=ExecutionOptions(max_workers=8, jobs=2))
-
-    where the two pool-sizing knobs are deliberately distinct:
+        QueryService(options=ExecutionOptions(max_workers=8))
 
     - ``options.max_workers`` / ``options.max_queue`` — the admission
-      bound *across* queries: at most ``max_workers`` queries execute
-      while ``max_queue`` wait;
-    - ``options.jobs`` — parallelism *within* one query: the group
-      executor threads that independent subexpression groups fan out
-      to (default ``1``: sequential plans, no executor);
+      bound: at most ``max_workers`` queries execute while
+      ``max_queue`` wait;
     - ``options.default_timeout`` — deadline (seconds) for requests
       that don't pass their own;
     - ``options.retries`` / ``options.retry_base_delay`` — the
@@ -224,11 +217,11 @@ class QueryService:
     def _run(self, engine, query_text, context_item, variables, documents,
              collections, document_loader, profiler,
              token: CancellationToken) -> Result:
+        loader = None
         try:
-            loader = document_loader
-            if loader is not None:
+            if document_loader is not None:
                 loader = RetryingDocumentLoader(
-                    loader, retries=self.retries,
+                    document_loader, retries=self.retries,
                     base_delay=self.retry_base_delay, token=token)
             compiled = engine.compile(
                 query_text, variables=tuple(variables or ()))
@@ -237,16 +230,20 @@ class QueryService:
                 documents=documents, collections=collections,
                 document_loader=loader, profiler=profiler,
                 cancellation=token)
-            if loader is not None:
-                # count retries into the live stats of *this* result
-                loader.stats = result.stats
             # drain in the worker: the deadline governs evaluation, and
             # the returned Result is fully buffered (re-iterable, free)
             result.items()
+            if loader is not None:
+                # retries count into the stats of *this* result (or of
+                # the cancellation below): a prefetch may call the
+                # loader before either exists
+                result.stats.update(loader.stats)
             with self._lock:
                 self._counters["completed"] += 1
             return result
         except QueryCancelled as exc:
+            if loader is not None:
+                exc.stats.update(loader.stats)
             with self._lock:
                 key = "timeouts" if exc.reason == "deadline" else "cancelled"
                 self._counters[key] += 1
@@ -272,9 +269,6 @@ class QueryService:
     def shutdown(self, wait: bool = True) -> None:
         self._closed = True
         self._pool.shutdown(wait=wait)
-        executor = getattr(self.engine, "executor", None)
-        if executor is not None:
-            executor.shutdown()
 
     def __enter__(self) -> "QueryService":
         return self

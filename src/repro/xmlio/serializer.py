@@ -162,84 +162,63 @@ def _serialize_flat(events: Iterable[Event], xml_decl: bool) -> str:
 
 
 def _pretty(events: list[Event], xml_decl: bool, indent: int) -> str:
-    # group events per element to decide inline vs block rendering
+    """Element-only content one element per line; an element that
+    directly holds text stays inline, byte for byte.
+
+    Linear and iterative, so document depth is bounded by memory, not
+    the recursion limit: a first pass pairs each start tag with its end
+    and notes which elements directly hold text, then one emitting pass
+    keeps the open block elements on an explicit stack.
+    """
+    n = len(events)
+    end_of: dict[int, int] = {}
+    inline: set[int] = set()
+    starts: list[int] = []
+    for i, event in enumerate(events):
+        if isinstance(event, StartElement):
+            starts.append(i)
+        elif isinstance(event, EndElement):
+            if starts:
+                end_of[starts.pop()] = i
+        elif isinstance(event, Text) and starts and event.content.strip():
+            inline.add(starts[-1])
+    for start in starts:  # never closed: the span runs to the end
+        end_of[start] = n
+
     out: list[str] = []
     if xml_decl:
         out.append('<?xml version="1.0" encoding="UTF-8"?>\n')
-
-    def has_text(start: int) -> bool:
-        """Does the element opened at events[start] directly contain text?"""
-        depth = 0
-        for event in events[start:]:
-            if isinstance(event, StartElement):
-                depth += 1
-            elif isinstance(event, EndElement):
-                depth -= 1
-                if depth == 0:
-                    return False
-            elif isinstance(event, Text) and depth == 1 and event.content.strip():
-                return True
-        return False
-
-    def emit(start: int, level: int) -> int:
-        """Emit the element at events[start]; returns index past its end."""
-        event = events[start]
-        if isinstance(event, Text):
-            out.append(escape_text(event.content))
-            return start + 1
-        if isinstance(event, Comment):
-            out.append("  " * 0 + f"<!--{event.content}-->")
-            return start + 1
-        if isinstance(event, ProcessingInstruction):
-            body = f" {event.content}" if event.content else ""
-            out.append(f"<?{event.target}{body}?>")
-            return start + 1
-        if isinstance(event, (StartDocument, EndDocument)):
-            return start + 1
-        assert isinstance(event, StartElement)
-        pad = " " * (indent * level)
-        open_tag = "".join(serialize_chunks([event, EndElement(event.name)]))
-        if open_tag.endswith("/>"):
-            # reconstruct the start tag text without closing it
-            head = open_tag[:-2]
-        else:  # pragma: no cover - serialize_chunks always collapses
-            head = open_tag
-        # find the span of this element
-        depth = 0
-        i = start
-        while i < len(events):
-            if isinstance(events[i], StartElement):
-                depth += 1
-            elif isinstance(events[i], EndElement):
-                depth -= 1
-                if depth == 0:
-                    break
-            i += 1
-        end = i
-        inner = events[start + 1: end]
-        if not inner:
-            out.append(pad + head + "/>\n")
-            return end + 1
-        if has_text(start):
-            # inline: no reformatting of mixed/text content
-            out.append(pad + "".join(serialize_chunks(events[start: end + 1])) + "\n")
-            return end + 1
-        out.append(pad + head + ">\n")
-        j = start + 1
-        while j < end:
-            if isinstance(events[j], Text) and not events[j].content.strip():
-                j += 1
-                continue
-            if isinstance(events[j], (Comment, ProcessingInstruction)):
-                out.append(" " * (indent * (level + 1)))
-                j = emit(j, level + 1)
-                out.append("\n")
-                continue
-            j = emit(j, level + 1)
-        out.append(pad + f"</{_tag_name(event)}>\n")
-        return end + 1
-
+    #: (end index, closing line) of each open block element
+    blocks: list[tuple[int, str]] = []
     i = 0
-    while i < len(events):
-        i = emit(i, 0)
+    while i < n or blocks:
+        if blocks and (i == blocks[-1][0] or i >= n):
+            out.append(blocks.pop()[1])
+            i += 1
+            continue
+        event = events[i]
+        pad = " " * (indent * len(blocks))
+        if isinstance(event, StartElement):
+            end = end_of[i]
+            head = _serialize_flat((event,), False)  # start tag, unclosed
+            if end == i + 1:
+                out.append(pad + head + "/>\n")
+            elif i in inline:
+                # no reformatting of mixed/text content
+                out.append(pad + _serialize_flat(events[i:end + 1], False)
+                           + "\n")
+            else:
+                out.append(pad + head + ">\n")
+                blocks.append((end, f"{pad}</{_tag_name(event)}>\n"))
+                i += 1
+                continue
+            i = end + 1
+            continue
+        if isinstance(event, Text):
+            if not blocks or event.content.strip():
+                out.append(escape_text(event.content))
+        elif isinstance(event, (Comment, ProcessingInstruction)):
+            text = _serialize_flat((event,), False)
+            out.append(pad + text + "\n" if blocks else text)
+        i += 1
     return "".join(out).rstrip("\n") + ("\n" if out else "")

@@ -107,11 +107,10 @@ class TestCompileCacheKey:
         assert engine.compile_cache.misses == 1
         assert engine.compile_cache.hits == 1
 
-    def test_executor_identity_keys_the_cache(self):
-        from repro.service import SequentialExecutor
-
+    def test_engines_with_equal_options_share_plans(self):
+        # 3.0: no executor slot in the key — engines that differ in no
+        # compile-relevant input reuse one another's plans
         shared_cache = Engine().compile_cache
-        plain = Engine(compile_cache=shared_cache)
-        parallel = Engine(compile_cache=shared_cache,
-                          executor=SequentialExecutor())
-        assert plain.compile("(1, 2)") is not parallel.compile("(1, 2)")
+        first = Engine(compile_cache=shared_cache)
+        second = Engine(compile_cache=shared_cache)
+        assert first.compile("(1, 2)") is second.compile("(1, 2)")

@@ -115,8 +115,7 @@ class TestCli:
 
     @pytest.mark.parametrize("options,named", [
         ('{"batch_size": 8}', "batch_size"),
-        # 2.0: jobs is an int; null meant "platform default" (the
-        # retired fork-per-group executor)
+        # 3.0 deleted jobs with the parallel groups it sized
         ('{"jobs": null}', "jobs")])
     def test_serve_config_with_removed_knob_is_a_config_error(
             self, tmp_path, capsys, options, named):
@@ -127,18 +126,31 @@ class TestCli:
         assert err.startswith("config error:") and named in err
         assert "Traceback" not in err
 
-    def test_jobs_flag_runs_parallel_groups(self, capsys):
-        import json
+    def test_removed_jobs_flag_rejected(self, capsys):
+        # 3.0: one sequential plan per query, on both commands
+        for argv in (["--jobs", "4", "1"], ["serve", "--jobs", "4"]):
+            with pytest.raises(SystemExit) as info:
+                main(argv)
+            assert info.value.code == 2
+            assert "--jobs" in capsys.readouterr().err
 
-        query = "(sum(1 to 500), sum(1 to 600), sum(1 to 700))"
-        code, out, err = run_cli(["--jobs", "4", "--profile", query], capsys)
-        assert code == 0 and out.strip() == "125250 180300 245350"
-        stats = json.loads(err)["engine_stats"]
-        assert stats["parallel.groups_run"] >= 1
-        code, out, err = run_cli(["--profile", query], capsys)
-        assert code == 0 and out.strip() == "125250 180300 245350"
-        assert "parallel.groups_run" not in json.loads(err).get(
-            "engine_stats", {})
+    def test_indent_deep_document(self, tmp_path, capsys):
+        # the pretty-printer keeps open elements on a stack, not the
+        # Python call stack: 2 000 element-only levels (block-rendered,
+        # one per line) above 18 000 under a text-bearing element
+        # (inline), 20 000 deep in all
+        deep = ("<a>" * 2000 + "<b>t" + "<a>" * 17999
+                + "</a>" * 17999 + "</b>" + "</a>" * 2000)
+        path = tmp_path / "deep.xml"
+        path.write_text(deep)
+        code, out, err = run_cli(["--indent", "1", "-i", str(path), "."],
+                                 capsys)
+        assert code == 0, err
+        lines = out.rstrip("\n").splitlines()
+        assert lines[1999] == " " * 1999 + "<a>"
+        assert lines[2000] == " " * 2000 + "<b>t" + "<a>" * 17998 \
+            + "<a/>" + "</a>" * 17998 + "</b>"
+        assert lines[-1] == "</a>" and len(lines) == 4001
 
     def test_xml_decl_flag(self, capsys):
         code, out, _ = run_cli(["--xml-decl", "<a/>"], capsys)

@@ -76,6 +76,17 @@ ERROR_QUERIES = [
     "//book/(1 div 0)",
 ]
 
+#: a later member that would raise FOAR0001 and that evaluation never
+#: reaches: the lazy plan answers (eager intra-query parallel groups,
+#: deleted in 3.0, evaluated every member and raised); ``$d`` is
+#: ``<r><a>1</a></r>``
+UNREACHED_MEMBER_QUERIES = [
+    ("(count($d//a), count($d//a) idiv 0)[1]", "1"),
+    ("exists((count($d//a), count($d//a) idiv 0))", "true"),
+    ("for $x in $d//nothing, $y in (count($d//a) idiv 0) "
+     "order by $x return 1", ""),
+]
+
 #: the XMark scan/aggregate shapes
 XMARK_QUERIES = [
     "count(/site/regions//item)",
@@ -224,6 +235,14 @@ class TestDifferential:
         reference = outcome(closure_engine(), query, bib_xml)
         assert reference[0] == "err"
         assert outcome(source_engine(), query, bib_xml) == reference
+
+    @pytest.mark.parametrize("query,expected", UNREACHED_MEMBER_QUERIES)
+    def test_unreached_member_never_raises(self, query, expected):
+        doc = parse_document("<r><a>1</a></r>")
+        for engine in (source_engine(), closure_engine()):
+            result = engine.compile(query, variables=("d",)).execute(
+                variables={"d": doc})
+            assert result.serialize() == expected, engine.codegen
 
     @pytest.mark.parametrize("query", XMARK_QUERIES)
     def test_xmark_queries(self, query, xmark_small):

@@ -85,6 +85,36 @@ class TestEngineAPI:
         assert result.stats.get("elements_constructed") == 1
 
 
+class TestNestingDepth:
+    """A query nested past the interpreter's recursion limit is a
+    static error (XPST0003), never a raw ``RecursionError``."""
+
+    @staticmethod
+    def _compile_or_static_error(text):
+        from repro.errors import StaticError
+
+        try:
+            return Engine().compile(text)
+        except StaticError as exc:
+            assert exc.code == "XPST0003"
+            assert "nested too deeply" in str(exc)
+            return None
+
+    @pytest.mark.parametrize("text", [
+        "(" * 49 + "1" + ")" * 49,
+        "count(" * 60 + "1" + ")" * 60])
+    def test_near_the_limit_answers_or_maps(self, text):
+        # about twenty parser frames per level: whether 49 levels fit
+        # depends on the caller's stack — either way, no raw error
+        compiled = self._compile_or_static_error(text)
+        if compiled is not None:
+            assert compiled.execute().values() == [1]
+
+    def test_far_past_the_limit_is_a_static_error(self):
+        assert self._compile_or_static_error(
+            "(" * 3000 + "1" + ")" * 3000) is None
+
+
 class TestEbxmlTransformation:
     """The tutorial's customer query, end to end."""
 

@@ -22,7 +22,6 @@ class TestConstructionAndValidation:
         assert opts.optimize is True
         assert opts.static_typing is True
         assert opts.codegen == "source"
-        assert opts.jobs == 1
         assert opts.max_workers == 4
 
     def test_frozen(self):
@@ -57,16 +56,18 @@ class TestConstructionAndValidation:
                 build(options=ExecutionOptions(), **knob)
         assert not hasattr(ExecutionOptions, "from_legacy")
 
-    def test_jobs_is_an_int(self):
-        # None ("platform default") only ever selected the retired
-        # fork-per-group executor
-        fields = {f.name: f.type for f in dataclasses.fields(ExecutionOptions)}
-        assert len(fields) == 13 and fields["jobs"] == "int"
-        for bad in (None, -1, 2.0, True, "4"):
-            with pytest.raises(ValueError, match="jobs"):
-                ExecutionOptions(jobs=bad)
+    def test_removed_jobs_knob_rejected(self):
+        # 3.0 deleted intra-query parallel groups, their executors and
+        # the knob; Python's own TypeError is the rejection
+        fields = {f.name for f in dataclasses.fields(ExecutionOptions)}
+        assert len(fields) == 12 and "jobs" not in fields
+        for build in (ExecutionOptions, ExecutionOptions().replace):
+            with pytest.raises(TypeError, match="jobs"):
+                build(jobs=2)
+        with pytest.raises(TypeError, match="executor"):
+            Engine(executor=None)
         with pytest.raises(ValueError, match="jobs"):
-            ExecutionOptions.from_dict({"jobs": None})
+            ExecutionOptions.from_dict({"jobs": 1})
 
     def test_replace(self):
         base = ExecutionOptions()
@@ -77,7 +78,7 @@ class TestConstructionAndValidation:
 
 class TestSerialization:
     def test_round_trip(self):
-        opts = ExecutionOptions(optimize=False, codegen="closure", jobs=2,
+        opts = ExecutionOptions(optimize=False, codegen="closure",
                                 max_workers=8, default_timeout=1.5)
         assert ExecutionOptions.from_dict(opts.to_dict()) == opts
         assert ExecutionOptions.from_dict(ExecutionOptions().to_dict()) \
@@ -108,7 +109,7 @@ class TestSerialization:
     def test_fingerprint_ignores_service_knobs(self):
         a = ExecutionOptions()
         b = a.replace(max_workers=16, max_queue=99, retries=7,
-                      default_timeout=3.0, jobs=4)
+                      default_timeout=3.0)
         assert a.fingerprint() == b.fingerprint()
 
     def test_fingerprint_ignores_data_dir(self):
@@ -146,23 +147,10 @@ class TestEngineIntegration:
         assert fast.compile("1 + 1") is a
         assert slow.compile("1 + 1") is b
 
-    def test_jobs_builds_executor(self):
-        from repro.service import ThreadGroupExecutor
-
-        engine = Engine(options=ExecutionOptions(jobs=2))
-        try:
-            assert isinstance(engine.executor, ThreadGroupExecutor)
-            assert engine.executor.max_workers == 2
-        finally:
-            engine.executor.shutdown()
-
-    def test_jobs_one_stays_sequential(self):
-        assert Engine(options=ExecutionOptions(jobs=1)).executor is None
-
 
 class TestServiceIntegration:
     def test_service_accepts_options(self):
-        opts = ExecutionOptions(max_workers=2, max_queue=3, jobs=1,
+        opts = ExecutionOptions(max_workers=2, max_queue=3,
                                 default_timeout=5.0)
         with QueryService(options=opts) as svc:
             assert svc.max_workers == 2
@@ -172,25 +160,13 @@ class TestServiceIntegration:
             assert svc.execute("1 + 1").values() == [2]
 
     def test_bare_service_runs_the_default_options(self):
-        # pre-2.0 a bare QueryService() silently built jobs=None: a
-        # fork-per-group executor that put every group on the closure
-        # oracle
         with QueryService() as svc:
             assert svc.options == ExecutionOptions()
-            assert svc.engine.executor is None
             assert svc.engine.codegen == "source"
 
     def test_service_rejects_positional_options(self):
         with pytest.raises(TypeError):
             QueryService(None, 4)
-
-    def test_jobs_and_max_workers_are_distinct(self):
-        # max_workers bounds admission across queries while jobs
-        # parallelizes within one
-        opts = ExecutionOptions(max_workers=3, jobs=1)
-        with QueryService(options=opts) as svc:
-            assert svc.max_workers == 3
-            assert svc.engine.executor is None
 
 
 class TestConfigure:

@@ -58,6 +58,22 @@ class TestPrettyPrint:
         out = execute_query("<r><a/></r>").serialize(xml_decl=True, indent=2)
         assert out.startswith('<?xml version="1.0" encoding="UTF-8"?>\n<r>')
 
+    def test_deep_document_has_no_recursion_limit(self):
+        # 20 000 levels: the top 2 000 element-only (one line each, so
+        # well past the recursion limit), the rest under a text-bearing
+        # element (one inline line).  All 20 000 block-rendered would be
+        # 800 MB of indentation at indent=2.
+        deep = ("<a>" * 2000 + "<b>t" + "<a>" * 17999
+                + "</a>" * 17999 + "</b>" + "</a>" * 2000)
+        out = execute_query(".", context_item=deep).serialize(indent=2)
+        lines = out.splitlines()
+        assert len(lines) == 4001
+        assert lines[0] == "<a>" and lines[-1] == "</a>"
+        assert lines[1999] == " " * 3998 + "<a>"
+        assert lines[2000] == " " * 4000 + "<b>t" + "<a>" * 17998 \
+            + "<a/>" + "</a>" * 17998 + "</b>"
+        assert lines[2001] == " " * 3998 + "</a>"
+
 
 class TestCodepointFunctions:
     def test_string_to_codepoints(self, values):

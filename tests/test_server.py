@@ -335,6 +335,29 @@ def test_non_finite_floats_reply_in_strict_json(processes, shards):
         handle.close()
 
 
+@pytest.mark.parametrize("processes", [0, pytest.param(2, marks=_PREFORK)],
+                         ids=["inprocess", "prefork"])
+def test_too_deeply_nested_query_is_a_400(processes):
+    """The parser recurses per nesting level; past the recursion limit
+    the request is malformed (XPST0003), not a 500 ``internal``."""
+    handle = start_in_thread(ServerConfig(port=0, processes=processes))
+    client = Client(handle.port)
+    try:
+        _setup_tenant(client, "t_deep")
+        status, body, _ = client.request(
+            "POST", "/tenants/t_deep/execute",
+            {"query": "(" * 3000 + "1" + ")" * 3000})
+        assert status == 400, body
+        assert body["error"]["code"] == "XPST0003"
+        assert "nested too deeply" in body["error"]["message"]
+        status, body, _ = client.request(
+            "POST", "/tenants/t_deep/execute", {"query": "count($books//book)"})
+        assert status == 200 and body["items"] == [2]
+    finally:
+        client.close()
+        handle.close()
+
+
 class TestOverload:
     def test_admission_rejects_503(self):
         config = ServerConfig(

@@ -1,5 +1,5 @@
 """The concurrent query service: cancellation, deadlines, admission
-control, parallel-group executors, and loader retry."""
+control, document prefetch, and loader retry."""
 
 import threading
 import time
@@ -8,13 +8,13 @@ import pytest
 
 import repro
 from repro import CancellationToken, Engine, ExecutionOptions
-from repro.errors import QueryCancelled, QueryTimeout, ServiceOverloaded
-from repro.service import (
-    QueryService,
-    RetryingDocumentLoader,
-    SequentialExecutor,
-    ThreadGroupExecutor,
+from repro.errors import (
+    DynamicError,
+    QueryCancelled,
+    QueryTimeout,
+    ServiceOverloaded,
 )
+from repro.service import QueryService, RetryingDocumentLoader
 from repro.workloads.synthetic import nested_sections
 
 
@@ -178,83 +178,215 @@ class TestQueryService:
             assert svc.stats()["cancelled"] == 1
 
 
-class TestExecutors:
-    QUERY = "(sum(1 to 500), sum(1 to 600), sum(1 to 700))"
-    EXPECTED = [125250, 180300, 245350]
+class RecordingLoader:
+    """A ``loader(uri)`` over a dict that records each call and the
+    thread it ran on; ``fail`` maps URIs to the exception to raise."""
 
-    def test_sequential_executor_declines(self):
-        engine = Engine(executor=SequentialExecutor())
-        result = engine.compile(self.QUERY).execute()
-        assert result.values() == self.EXPECTED
-        assert result.stats["parallel.fallback_sequential"] >= 1
-        assert "parallel.groups_run" not in result.stats
+    def __init__(self, docs, fail=None):
+        self.docs = docs
+        self.fail = fail or {}
+        self.calls: list[str] = []
+        self.threads: set[str] = set()
+        self._lock = threading.Lock()
 
-    def test_thread_executor_matches_sequential(self):
-        with ThreadGroupExecutor(max_workers=4) as executor:
-            result = Engine(executor=executor).compile(self.QUERY).execute()
-            assert result.values() == self.EXPECTED
-            assert result.stats["parallel.groups_run"] >= 1
+    def __call__(self, uri):
+        with self._lock:
+            self.calls.append(uri)
+            self.threads.add(threading.current_thread().name)
+        if uri in self.fail:
+            raise self.fail[uri]
+        return self.docs.get(uri)
 
-    def test_thread_executor_saturated_falls_back(self):
-        # one worker can never host a 3-member group: inline fallback
-        with ThreadGroupExecutor(max_workers=1) as executor:
-            result = Engine(executor=executor).compile(self.QUERY).execute()
-            assert result.values() == self.EXPECTED
-            assert result.stats["parallel.fallback_sequential"] >= 1
 
-    def test_thread_executor_returns_nodes_intact(self):
-        with ThreadGroupExecutor(max_workers=4) as executor:
-            result = Engine(executor=executor).compile(
-                "($d//b, $d//b)", variables=("d",)).execute(
-                variables={"d": repro.xml("<a><b/></a>")})
-            # threads share the heap: node members need no transport
-            assert result.serialize() == "<b/><b/>"
-            assert result.stats["parallel.groups_run"] >= 1
+def _failure(query, loader, codegen="source"):
+    """(type, message) of what executing ``query`` raises."""
+    engine = Engine(options=ExecutionOptions(codegen=codegen))
+    with pytest.raises(Exception) as info:
+        engine.compile(query).execute(document_loader=loader).items()
+    return type(info.value), str(info.value)
 
-    def test_fork_per_group_executor_is_gone(self):
-        # 2.0: ForkWorkerPool is the one fork transport
-        import repro.service
 
-        for name in ("ForkGroupExecutor", "default_executor"):
-            assert not hasattr(repro.service, name)
-            assert not hasattr(repro.service.executors, name)
+DOCS = {"a": "<r><b/><b/></r>", "c": "<r><b/></r>"}
+
+#: the three lazy shapes whose later member is never reached: a loader
+#: error (or missing document) behind it must not surface
+UNREACHED_DOC_QUERIES = [
+    ("(count(doc('a')//b), count(doc('bad')//b))[1]", [2]),
+    ("exists((count(doc('a')//b), count(doc('bad')//b)))", [True]),
+    ("for $x in doc('a')//nothing, $y in count(doc('bad')//b) "
+     "order by $x return 1", []),
+]
+
+
+@pytest.mark.parametrize("codegen", ["source", "closure"])
+class TestDocumentPrefetch:
+    """Two or more unregistered string-literal ``fn:doc`` URIs start
+    loading before evaluation; each outcome surfaces only at the
+    ``fn:doc`` that reaches it, exactly as on the sequential path."""
+
+    def engine(self, codegen):
+        return Engine(options=ExecutionOptions(codegen=codegen))
+
+    def test_literal_uris_load_concurrently(self, codegen):
+        # each load waits for the other: only overlapping calls finish
+        barrier = threading.Barrier(2, timeout=10)
+
+        def loader(uri):
+            barrier.wait()
+            return DOCS[uri]
+
+        result = self.engine(codegen).compile(
+            "count(doc('a')//b) + count(doc('c')//b)").execute(
+                document_loader=loader)
+        assert result.values() == [3]
+
+    @pytest.mark.parametrize("query,expected", UNREACHED_DOC_QUERIES)
+    def test_loader_error_of_unreached_member_does_not_raise(
+            self, codegen, query, expected):
+        loader = RecordingLoader(DOCS, fail={"bad": RuntimeError("boom")})
+        result = self.engine(codegen).compile(query).execute(
+            document_loader=loader)
+        assert result.values() == expected
+        assert "repro-prefetch" in loader.threads  # both were prefetched
+
+    @pytest.mark.parametrize("query,expected", UNREACHED_DOC_QUERIES)
+    def test_missing_document_of_unreached_member_does_not_raise(
+            self, codegen, query, expected):
+        result = self.engine(codegen).compile(query).execute(
+            document_loader=RecordingLoader(DOCS))
+        assert result.values() == expected
+
+    def test_reached_failures_match_the_sequential_path(self, codegen):
+        # computed URIs are never prefetched: they are the reference
+        for fail in ({}, {"bad": RuntimeError("boom")}):
+            prefetched = _failure(
+                "(count(doc('a')//b), count(doc('bad')//b))",
+                RecordingLoader(DOCS, fail), codegen)
+            sequential = _failure(
+                "(count(doc('a')//b), count(doc(concat('ba', 'd'))//b))",
+                RecordingLoader(DOCS, fail), codegen)
+            assert prefetched == sequential
+        assert prefetched[0] is RuntimeError
+        missing = _failure("(doc('a'), doc('bad'))", RecordingLoader(DOCS),
+                           codegen)
+        assert missing[0] is DynamicError and "FODC0002" in missing[1]
+
+    def test_one_loader_call_per_uri(self, codegen):
+        loader = RecordingLoader(DOCS)
+        result = self.engine(codegen).compile(
+            "for $i in 1 to 3 return (count(doc('a')//b), "
+            "count(doc('c')//b), count(doc('a')//b))").execute(
+                document_loader=loader)
+        assert result.values() == [2, 1, 2] * 3
+        assert sorted(loader.calls) == ["a", "c"]
+
+    def test_no_prefetch_with_a_single_uri(self, codegen):
+        loader = RecordingLoader(DOCS)
+        # one literal, and one unregistered of two
+        for query, documents, expected in (
+                ("count(doc('a')//b) + count(doc('a')//b)", None, [4]),
+                ("count(doc('a')//b) + count(doc('c')//b)",
+                 {"c": DOCS["c"]}, [3])):
+            result = self.engine(codegen).compile(query).execute(
+                documents=documents, document_loader=loader)
+            assert result.values() == expected
+        assert loader.threads == {threading.current_thread().name}
+
+    def test_no_prefetch_without_a_loader(self, codegen, monkeypatch):
+        import repro.runtime.dynamic as dynamic
+
+        def refuse(*args):
+            raise AssertionError("prefetched without a loader")
+
+        monkeypatch.setattr(dynamic, "_Prefetch", refuse)
+        compiled = self.engine(codegen).compile(
+            "count(doc('a')//b) + count(doc('c')//b)")
+        assert compiled.execute(documents=DOCS).values() == [3]
+        with pytest.raises(DynamicError, match="FODC0002"):
+            compiled.execute().items()
+
+    def test_computed_uris_load_as_before(self, codegen):
+        loader = RecordingLoader(DOCS)
+        result = self.engine(codegen).compile(
+            "(count(doc(concat('a', ''))//b), "
+            "count(doc(concat('c', ''))//b), doc(concat('bad', '')))[2]"
+        ).execute(document_loader=loader)
+        assert result.values() == [1]
+        # lazily, in order, on the calling thread, never the unreached one
+        assert loader.calls == ["a", "c"]
+        assert loader.threads == {threading.current_thread().name}
+
+
+@pytest.mark.perfsmoke
+def test_prefetch_overlaps_loader_waits():
+    """E12's loader shape, bounded by sleeps rather than CPU: four
+    50 ms loads named by literal URIs finish in under twice one load,
+    because at least two loader calls are in flight at once."""
+    lock = threading.Lock()
+    state = {"in_flight": 0, "peak": 0}
+
+    def slow_loader(uri):
+        with lock:
+            state["in_flight"] += 1
+            state["peak"] = max(state["peak"], state["in_flight"])
+        try:
+            time.sleep(0.05)
+            return "<r><b/></r>"
+        finally:
+            with lock:
+                state["in_flight"] -= 1
+
+    def best_of(query, repeat=3):
+        compiled = Engine().compile(query)
+        times = []
+        for _ in range(repeat):
+            started = time.perf_counter()
+            assert compiled.execute(document_loader=slow_loader).values()
+            times.append(time.perf_counter() - started)
+        return min(times)
+
+    one = best_of("count(doc('u0')//b)")
+    four = best_of(" + ".join(f"count(doc('u{i}')//b)" for i in range(4)))
+    assert state["peak"] >= 2
+    assert four < 2 * one, f"4 loads {four * 1e3:.1f} ms, 1 load {one * 1e3:.1f} ms"
+
+
+def test_prefetch_under_thread_switching_stress():
+    # more loads than cores, a switch interval short enough to
+    # interleave every bytecode: each fn:doc still gets its own
+    # document, and each URI is loaded exactly once
+    import sys
+
+    docs = {f"u{i}": f"<r>{'<b/>' * i}</r>" for i in range(16)}
+    query = "(" + ", ".join(f"count(doc('u{i}')//b)" for i in range(16)) + ")"
+    compiled = Engine().compile(query)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            loader = RecordingLoader(docs)
+            result = compiled.execute(document_loader=loader)
+            assert result.values() == list(range(16))
+            assert sorted(loader.calls) == sorted(docs)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_group_executors_are_gone():
+    # 3.0: one sequential plan per query — no ParallelSeq, no group
+    # executors, no parallelizability analysis
+    import importlib
+
+    import repro.service
+
+    for name in ("ThreadGroupExecutor", "SequentialExecutor",
+                 "ForkGroupExecutor", "default_executor"):
+        assert not hasattr(repro.service, name)
         with pytest.raises(ImportError):
-            from repro.service import ForkGroupExecutor  # noqa: F401
+            exec(f"from repro.service import {name}")
+    for module in ("repro.service.executors", "repro.compiler.parallel"):
         with pytest.raises(ImportError):
-            from repro.service import default_executor  # noqa: F401
-
-    def test_member_error_surfaces(self):
-        with ThreadGroupExecutor(max_workers=4) as executor:
-            engine = Engine(executor=executor,
-                            options=ExecutionOptions(static_typing=False))
-            with pytest.raises(Exception):
-                engine.compile("(1 + 2, 'x' + 1, 3 + 4)").execute().items()
-
-    def test_parallel_seq_in_explain(self):
-        with ThreadGroupExecutor(max_workers=4) as executor:
-            explained = Engine(executor=executor).explain(self.QUERY,
-                                                          analyze=True)
-            assert "ParallelSeq" in str(explained)
-            stats = explained.to_dict()["engine_stats"]
-            assert stats["parallel.groups_run"] >= 1
-
-    def test_flwor_independent_sources_prefetch(self):
-        query = ("for $a in (1 to 50), $b in (51 to 100) "
-                 "return $a + $b")
-        with ThreadGroupExecutor(max_workers=4) as executor:
-            parallel = Engine(executor=executor).compile(query).execute()
-            sequential = Engine().compile(query).execute()
-            assert parallel.values() == sequential.values()
-            assert parallel.stats["parallel.groups_run"] >= 1
-
-    def test_flwor_dependent_sources_not_parallel(self):
-        query = ("for $x in $d//x, $y in $x/y return $y")
-        with ThreadGroupExecutor(max_workers=4) as executor:
-            result = Engine(executor=executor).compile(
-                query, variables=("d",)).execute(
-                variables={"d": repro.xml(slow_doc(5))})
-            assert len(result.items()) == 5
-            assert "parallel.groups_run" not in result.stats
+            importlib.import_module(module)
 
 
 class TestRetryingLoader:
@@ -293,6 +425,25 @@ class TestRetryingLoader:
             result = svc.execute("count(doc('u')//b)", document_loader=flaky)
             assert result.values() == [1]
             assert result.stats["service.loader_retries"] == 1
+
+    def test_prefetched_retries_count_into_result_stats(self):
+        # both loads run on prefetch threads, before the result exists
+        failed = set()
+        lock = threading.Lock()
+
+        def flaky(uri):
+            with lock:
+                first = uri not in failed
+                failed.add(uri)
+            if first:
+                raise OSError("transient")
+            return "<a><b/></a>"
+
+        with service(max_workers=1, retry_base_delay=0.001) as svc:
+            result = svc.execute("count(doc('u')//b) + count(doc('v')//b)",
+                                 document_loader=flaky)
+            assert result.values() == [2]
+            assert result.stats["service.loader_retries"] == 2
 
     def test_cancel_mid_backoff_interrupts_sleep(self):
         # regression: pre-1.5 the loader slept the whole backoff before
