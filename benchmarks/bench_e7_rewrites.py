@@ -15,7 +15,7 @@ visible on the query that targets it.
 import pytest
 
 from repro import Engine
-from repro.compiler.codegen import CodeGenerator
+from repro.compiler.reference import CodeGenerator
 from repro.compiler.normalize import normalize_module
 from repro.compiler.rewriter import RewriteEngine, default_rules
 from repro.qname import QName

@@ -241,7 +241,7 @@ def e6_joins() -> None:
 
 
 def e7_rewrites() -> None:
-    from repro.compiler.codegen import CodeGenerator
+    from repro.compiler.reference import CodeGenerator
     from repro.compiler.normalize import normalize_module
     from repro.compiler.rewriter import RewriteEngine, default_rules
     from repro.qname import QName

@@ -6,7 +6,7 @@ paper's BEA architecture:
 
     text --parse--> expression tree --normalize--> core tree
          --analyze--> annotated tree --rewrite--> optimized tree
-         --codegen--> iterator plan
+         --emit--> generated Python
 
 - :mod:`repro.compiler.context` — the static context;
 - :mod:`repro.compiler.normalize` — sugar → core (FLWOR lowering, DDO
@@ -19,18 +19,21 @@ paper's BEA architecture:
 - :mod:`repro.compiler.rewriter` + :mod:`repro.compiler.rules` — the
   rewrite-rule library with the paper's contract
   (type(e2) ⊆ type(e1), freeVars(e2) ⊆ freeVars(e1));
-- :mod:`repro.compiler.codegen` — core tree → executable iterators.
+- :mod:`repro.compiler.planner` — access paths and twig joins over a
+  catalog's indexes;
+- :mod:`repro.compiler.pysource` — core tree → one generated Python
+  module per query (the executor);
+- :mod:`repro.compiler.reference` — the closure interpreter, the
+  differential oracle the generated code is held to.
 """
 
 from repro.compiler.context import StaticContext
 from repro.compiler.normalize import normalize_module
 from repro.compiler.rewriter import RewriteEngine, default_rules
-from repro.compiler.codegen import compile_expr
 
 __all__ = [
     "StaticContext",
     "normalize_module",
     "RewriteEngine",
     "default_rules",
-    "compile_expr",
 ]

@@ -249,7 +249,7 @@ def _node_properties(expr: ast.Expr, static_ctx) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Focus-size usage (the source-codegen eligibility walk)
+# Focus-size usage (the source emitter's lazily-sized focus)
 # ---------------------------------------------------------------------------
 
 
@@ -257,8 +257,8 @@ def uses_last(expr: ast.Expr) -> bool:
     """Does the subtree (conservatively) observe the focus size?
 
     Walks ``_fields`` children plus the clause/case expressions the
-    generic traversal skips; unknown (user) function calls count as
-    using last() because their bodies inherit the caller's focus.
+    generic traversal skips; unknown function calls count as using
+    last().  A user function call does not: its body has no focus.
     The compile-to-source emitter replaces the lazily-sized
     ``BufferedSequence`` focus with a plain counter and gates that
     fusion on this walk.
@@ -269,8 +269,8 @@ def uses_last(expr: ast.Expr) -> bool:
         if isinstance(node, ast.FunctionCall):
             if node.name.local == "last" and not node.args:
                 return True
-            if node.name.uri not in (_XS_NS, _XDT_NS) and \
-                    fnlib.lookup(node.name, len(node.args)) is None:
+            if node.decl is None and node.name.uri not in (_XS_NS, _XDT_NS) \
+                    and fnlib.lookup(node.name, len(node.args)) is None:
                 return True
         stack.extend(node.children())
         clauses = getattr(node, "clauses", None)
@@ -289,6 +289,41 @@ def uses_last(expr: ast.Expr) -> bool:
         if group:
             stack.extend(key for _var, key in group)
     return False
+
+
+# ---------------------------------------------------------------------------
+# Focus reads (the inliner's question)
+# ---------------------------------------------------------------------------
+
+#: built-ins whose zero-argument form reads the focus (``name()`` is
+#: ``name(.)``); ``doc``, ``collection`` and ``current-*`` are
+#: context-sensitive through the dynamic context only
+_FOCUS_BUILTINS = frozenset((
+    "position", "last", "string", "string-length", "normalize-space",
+    "number", "name", "local-name", "namespace-uri", "root", "base-uri"))
+
+
+def reads_focus(expr: ast.Expr) -> bool:
+    """Does evaluating ``expr`` read the focus it runs in?
+
+    Exact where the ``uses_focus`` annotation over-approximates (it
+    counts every context-sensitive built-in, whatever its arity): true
+    for ``.``, ``/``, a relative step and a zero-argument focus
+    built-in.  A path's right side and a filter's predicate read the
+    focus the path or filter sets, and a kept user function call runs
+    its body with none.  The inliner asks this of a function body.
+    """
+    if isinstance(expr, (ast.ContextItem, ast.RootExpr, ast.Step)):
+        return True
+    if isinstance(expr, ast.PathExpr):
+        return reads_focus(expr.left)
+    if isinstance(expr, ast.Filter):
+        return reads_focus(expr.base)
+    if isinstance(expr, ast.FunctionCall) and not expr.args \
+            and expr.name.local in _FOCUS_BUILTINS \
+            and fnlib.lookup(expr.name, 0) is not None:
+        return True
+    return any(reads_focus(child) for child in expr.children())
 
 
 # ---------------------------------------------------------------------------
@@ -478,12 +513,27 @@ def _boolean_predicate(expr: ast.Expr) -> bool:
 # ---------------------------------------------------------------------------
 
 
+def walk_reachable(expr: ast.Expr) -> Iterator[ast.Expr]:
+    """Pre-order walk of ``expr`` and, once each, of the body of every
+    user function a kept call reaches (``FunctionCall.decl`` is not a
+    child): every expression evaluating ``expr`` can run."""
+    seen: set[int] = set()
+    stack = [expr]
+    while stack:
+        for node in stack.pop().walk():
+            yield node
+            if isinstance(node, ast.FunctionCall) and node.decl is not None \
+                    and id(node.decl) not in seen:
+                seen.add(id(node.decl))
+                stack.append(node.decl.body)
+
+
 def literal_doc_uris(expr: ast.Expr) -> tuple[str, ...]:
     """The distinct string literals one-argument ``fn:doc`` calls name,
     in first-occurrence order: what a loader may fetch before
     evaluation reaches the calls."""
     uris: dict[str, None] = {}
-    for e in expr.walk():
+    for e in walk_reachable(expr):
         if isinstance(e, ast.FunctionCall) and len(e.args) == 1 \
                 and e.name.local == "doc" and e.name.uri in ("", _FN_NS) \
                 and isinstance(e.args[0], ast.Literal) \
@@ -705,10 +755,6 @@ _PATH_KINDS = (ast.Literal, ast.EmptySequence, ast.VarRef, ast.ContextItem,
                ast.SequenceExpr, ast.RangeExpr, ast.IfExpr)
 
 
-def _anything(expr: ast.Expr) -> bool:
-    return True
-
-
 def is_constructor_call(expr: ast.Expr) -> bool:
     """``xs:T(..)`` / ``xdt:T(..)``: a cast in function-call syntax."""
     return isinstance(expr, ast.FunctionCall) \
@@ -723,33 +769,29 @@ def _quiet_builtin(expr: ast.Expr, focus_ok: bool) -> bool:
                  and expr.name.local in _COUNTING_BUILTINS)
 
 
-def pure_scalar(expr: ast.Expr, eligible=_anything) -> bool:
+def pure_scalar(expr: ast.Expr) -> bool:
     """Is evaluating ``expr`` once instead of once per item observable
     only through how often it runs?
 
     True for literals, variables, and the arithmetic, casts, sequences
     and built-in calls over them, where a built-in may also aggregate a
     :func:`pure_path` (``avg($doc//price)``).  Such an operand reads no
-    focus, makes no node, bumps no *semantic* counter
+    focus, makes no node and bumps no *semantic* counter
     (:mod:`repro.observability.counters`) — what it does count is
-    diary — and, through ``eligible`` (the source emitter's test),
-    crosses no closure seam.  The loop-invariant hoist, the hash lane's
-    probe and the value-index probe of an access path all ask this.
+    diary.  The loop-invariant hoist, the hash lane's probe and the
+    value-index probe of an access path all ask this.
     """
     if isinstance(expr, (ast.Literal, ast.EmptySequence, ast.VarRef)):
         return True
     if isinstance(expr, (ast.SequenceExpr, ast.Arithmetic, ast.UnaryExpr,
                          ast.CastExpr)) or is_constructor_call(expr):
-        return eligible(expr) and \
-            all(pure_scalar(child, eligible) for child in expr.children())
+        return all(pure_scalar(child) for child in expr.children())
     if isinstance(expr, ast.FunctionCall) and _quiet_builtin(expr, False):
-        return eligible(expr) and all(
-            pure_scalar(arg, eligible) or pure_path(arg, eligible)
-            for arg in expr.args)
+        return all(pure_scalar(arg) or pure_path(arg) for arg in expr.args)
     return False
 
 
-def pure_path(expr: ast.Expr, eligible=_anything) -> bool:
+def pure_path(expr: ast.Expr) -> bool:
     """A focus-free navigation (``$doc//price``, ``$p/address/city``)
     made only of paths, filters, the scalar logic of their predicates
     and quiet built-ins: its value is the same wherever it runs with the
@@ -762,7 +804,5 @@ def pure_path(expr: ast.Expr, eligible=_anything) -> bool:
             if not (is_constructor_call(node) or _quiet_builtin(node, True)):
                 return False
         elif not isinstance(node, _PATH_KINDS):
-            return False
-        if not eligible(node):
             return False
     return True

@@ -1,51 +1,53 @@
 """Compile-to-source: emit specialized Python per query.
 
-The default execution backend (``ExecutionOptions(codegen="source")``).
-Where the closure backend builds a tree of generator closures — one Python frame
-per operator per item — this module walks the *same* post-planner core
-tree and writes one flat Python generator function per fused region:
-whole FLWOR bodies (the ``for``/``let``/``if`` chains normalization
-produces), path chains, predicate filters, and aggregate tails collapse
-into plain loops with no per-operator calls.  It is the paper's
-"compile the query into an executable" move (XQRL compiles queries to
-Java; we compile to Python and ``compile()`` the text in-process).
+The execution backend (``ExecutionOptions(codegen="source")``, the
+default).  Where the closure interpreter builds a tree of generator
+closures — one Python frame per operator per item — this module walks
+the post-planner core tree and writes one flat Python generator
+function per fused region: whole FLWOR bodies (the ``for``/``let``/``if``
+chains normalization produces), path chains, predicate filters, and
+aggregate tails collapse into plain loops with no per-operator calls.
+It is the paper's "compile the query into an executable" move (XQRL
+compiles queries to Java; we compile to Python and ``compile()`` the
+text in-process).  Every core expression kind has an emitter: a query
+runs on generated code alone.
 
-Contracts with the closure backend, in both directions:
+Contracts:
 
 - **Byte-identical semantics.**  Every emission mirrors the matching
-  ``_c_`` closure in :mod:`repro.compiler.codegen` exactly — evaluation
-  order, laziness, error codes, and cancellation-poll placement
-  included.  The differential suites (``tests/test_codegen_source.py``)
-  enforce this over the XMark/bib/seeded-random corpus.  What may
-  differ is how *often* a pure operand or an invariant filter base is
-  evaluated — held once per loop activation (:meth:`SourcePlanCompiler.
-  _held`), or turned into a hash lane (:meth:`SourcePlanCompiler.
-  _join_plan`) — which only the diary counters
-  (:mod:`repro.observability.counters`) may show.
-- **Fallback, not failure.**  Subtrees this emitter does not fuse
-  (order-by FLWOR, typeswitch, node constructors, access paths,
-  user functions, ...) compile through the shared
-  :class:`~repro.compiler.codegen.CodeGenerator` and run as ordinary
-  closure plans behind :func:`_fallback_iter`, which transfers the
-  generated code's variable bindings (as replayable
-  :class:`BufferedSequence` values) and focus into a child dynamic
-  context.  Each
-  crossing counts ``codegen.fallback_closure``.
+  ``_c_`` closure of the differential oracle,
+  :mod:`repro.compiler.reference` — evaluation order, laziness, error
+  codes, and cancellation-poll placement included; the operators whose
+  work is more than a line or two call the same kernel
+  (:mod:`repro.runtime.kernels`).  The differential suites
+  (``tests/test_codegen_source.py``) enforce this over the
+  XMark/bib/seeded-random corpus.  What may differ is how *often* a
+  pure operand or an invariant filter base is evaluated — held once
+  per loop activation (:meth:`SourcePlanCompiler._held`), or turned
+  into a hash lane (:meth:`SourcePlanCompiler._join_plan`) — which
+  only the diary counters (:mod:`repro.observability.counters`) may
+  show.
+- **Sub-regions.**  A lazily bound value (``let``, a lazy builtin's
+  argument, a user function's argument), a multi-site producer feeding
+  a whole loop body, and whatever would nest deeper than CPython's 20
+  statically nested blocks continue in a fresh generator function
+  (:meth:`SourcePlanCompiler._subregion`); each user function kept as
+  a call is one generated generator function.
 - **Observability.**  The root region is registered as a hooked
   :class:`~repro.observability.explain.PlanNode` (tagged
   ``codegen=source``) so EXPLAIN ANALYZE item counts match the closure
-  backend's root operator; fused operators appear as ``codegen=fused``
-  nodes, closure seams as ``codegen=closure``.  The generated text is
-  registered with :mod:`linecache` for as long as the compiled plan is
-  alive, so tracebacks out of generated loops show real source lines
-  and an evicted plan frees its text.
+  interpreter's root operator; fused operators appear as
+  ``codegen=fused`` nodes.  The generated text is registered with
+  :mod:`linecache` for as long as the compiled plan is alive, so
+  tracebacks out of generated loops show real source lines and an
+  evicted plan frees its text.
 
 Early exit (EBV, ``fn:exists``, general comparisons, positional
 filters) uses the :class:`_Early` control exception *with a per-site
 token*: each consumption site only absorbs its own escapes and
 re-raises the rest, so a lazily-satisfied inner consumer never causes
 an outer producer to keep running (which would diverge from the
-closure backend's pull semantics).
+closure interpreter's pull semantics).
 """
 
 from __future__ import annotations
@@ -63,26 +65,10 @@ from repro.compiler.analysis import (
     pure_scalar,
     uses_last,
 )
-from repro.compiler.codegen import (
-    CodeGenerator,
-    Plan,
-    _OrderKey,
-    _access_path_candidates,
-    _all_nodes,
-    _castable,
-    _compile_step_fn,
-    _computed_name,
-    _function_convert,
-    _indexed_value,
-    _opt_integer,
-    _opt_single_node,
-    _order_key_value,
-    _twig_nodes,
-)
 from repro.compiler.context import StaticContext
-from repro.compiler.sequencetype import resolve_sequence_type
-from repro.errors import DynamicError, TypeError_
-from repro.qname import FN_NS, QName, XDT_NS, XS_NS
+from repro.compiler.sequencetype import resolve_atomic, resolve_sequence_type
+from repro.errors import DynamicError, TypeError_, UndefinedNameError
+from repro.qname import FN_NS, QName
 from repro.runtime import functions as fnlib
 from repro.runtime.arithmetic import arithmetic, negate, unary_plus
 from repro.runtime.constructors import (
@@ -104,7 +90,24 @@ from repro.runtime.compare import (
 )
 from repro.runtime.dynamic import DynamicContext
 from repro.runtime.ebv import _atomic_ebv, effective_boolean_value
-from repro.runtime.iterators import BufferedSequence, ensure_replayable
+from repro.runtime.iterators import BufferedSequence
+from repro.runtime.kernels import (
+    OrderKey,
+    access_path_candidates,
+    all_nodes,
+    castable,
+    computed_name,
+    function_convert,
+    group_key,
+    group_rows,
+    indexed_value,
+    opt_integer,
+    opt_single_node,
+    order_key_value,
+    twig_nodes,
+    validate_node,
+)
+from repro.runtime.paths import compile_step_fn
 from repro.xdm.atomize import atomize_item
 from repro.xdm.items import AtomicValue, boolean, integer
 from repro.xdm.nodes import ElementNode, Node, TextNode
@@ -112,6 +115,9 @@ from repro.xdm.order import in_document_order
 from repro.xquery import ast
 from repro.xsd import types as T
 from repro.xsd.casting import cast_value
+
+#: a generated plan: ``plan(dctx) -> Iterator[item]``
+Plan = Callable[[DynamicContext], Iterator[Any]]
 
 #: sequence for generated-module filenames (linecache keys)
 _source_seq = itertools.count()
@@ -128,25 +134,6 @@ class _Early(Exception):
 
 #: sentinel for "no first item seen yet" in EBV accumulation
 _ABSENT = object()
-
-
-def _fallback_iter(plan, dctx, bindings, focus):
-    """Run a closure plan at a source/closure seam.
-
-    ``bindings`` are the generated code's in-scope variables as
-    ``(name, value)`` pairs; values cross the boundary replayable
-    (:func:`repro.runtime.iterators.ensure_replayable`) so a LET binding
-    shared between generated loops and the closure plan is pulled at
-    most once, exactly as within either backend alone.
-    """
-    dctx.count("codegen.fallback_closure")
-    if bindings:
-        token = dctx._shared.cancellation
-        dctx = dctx.bind_many({name: ensure_replayable(value, token)
-                               for name, value in bindings})
-    if focus is not None:
-        dctx = dctx.with_focus(focus[0], focus[1], focus[2])
-    return plan(dctx)
 
 
 def _filter_keep(result, pos):
@@ -195,12 +182,13 @@ def _set_result(op, left_nodes, right_nodes):
 
 
 #: names every generated module can see (the emitter adds per-query
-#: constants — literals, QNames, step kernels, closure plans — on top)
+#: constants — literals, QNames, types, step kernels — on top)
 _BASE_ENV = {
     "_Early": _Early,
     "_ABSENT": _ABSENT,
     "_atomize_item": atomize_item,
     "_ebv_atom": _atomic_ebv,
+    "_ebv": effective_boolean_value,
     "_general_pair": _general_pair,
     "_compare_lane": compare_lane,
     "_HashLane": HashLane,
@@ -220,28 +208,36 @@ _BASE_ENV = {
     "_TypeError_": TypeError_,
     "_DynamicError": DynamicError,
     "_BufferedSequence": BufferedSequence,
-    "_fb": _fallback_iter,
     "_filter_keep": _filter_keep,
     "_ddo_list": _ddo_list,
     "_set_result": _set_result,
-    "_all_nodes": _all_nodes,
-    "_opt_integer": _opt_integer,
-    "_opt_single_node": _opt_single_node,
-    "_indexed_value": _indexed_value,
-    "_access_path_candidates": _access_path_candidates,
-    "_twig_nodes": _twig_nodes,
-    "_computed_name": _computed_name,
+    "_all_nodes": all_nodes,
+    "_opt_integer": opt_integer,
+    "_opt_single_node": opt_single_node,
+    "_indexed_value": indexed_value,
+    "_access_path_candidates": access_path_candidates,
+    "_twig_nodes": twig_nodes,
+    "_computed_name": computed_name,
     "_construct_element": construct_element,
     "_construct_attribute": construct_attribute_from_parts,
     "_construct_text": construct_text,
     "_construct_comment": construct_comment,
     "_construct_pi": construct_pi,
     "_construct_document": construct_document,
-    "_function_convert": _function_convert,
-    "_order_key_value": _order_key_value,
-    "_OrderKey": _OrderKey,
-    "_castable": _castable,
+    "_function_convert": function_convert,
+    "_order_key_value": order_key_value,
+    "_OrderKey": OrderKey,
+    "_castable": castable,
+    "_group_key": group_key,
+    "_group_rows": group_rows,
+    "_validate": validate_node,
 }
+
+#: statically nested blocks (loops, ``try``) open in one generated
+#: function past which :meth:`SourcePlanCompiler.emit` continues in a
+#: fresh one — CPython compiles at most 20, and an emitter and its sink
+#: open up to a handful more before the next ``emit``
+_MAX_NESTED = 13
 
 #: fn: builtins whose EBV equals their (boolean-singleton) value — used
 #: to route fused predicates through the static-boolean EBV emission
@@ -271,6 +267,17 @@ def _peel_ddo(expr):
     while isinstance(expr, ast.DDO):
         expr = expr.operand
     return expr
+
+
+def _path_chain(expr) -> int:
+    """How many paths nest along ``expr``'s left spine: the walks a
+    chain emits one inside the other (a DDO materializes, so the
+    nesting restarts under it)."""
+    depth = 0
+    while isinstance(expr, ast.PathExpr):
+        depth += 1
+        expr = expr.left
+    return depth
 
 
 def _key_steps(expr) -> tuple | None:
@@ -655,10 +662,10 @@ class _Binding(NamedTuple):
 class SourcePlanCompiler:
     """Compiles a core expression tree to generated Python source.
 
-    Owns a :class:`CodeGenerator` for closure fallbacks and shares its
-    operator counter and PlanNode stack, so the plan tree interleaves
-    fused and closure operators with consistent ids; the root region is
-    hooked through the same guarded profiler check as every closure
+    With ``instrument=True`` (the default) every operator is registered
+    in a :class:`~repro.observability.explain.PlanNode` tree
+    (:attr:`plan_tree`), and the root region is hooked through the
+    guarded profiler check the closure interpreter puts on every
     operator, which keeps EXPLAIN ANALYZE item counts comparable
     across backends.
     """
@@ -667,8 +674,14 @@ class SourcePlanCompiler:
                  catalog=None):
         self.ctx = static_ctx
         self.instrument = instrument
-        self.cgen = CodeGenerator(static_ctx, instrument=instrument,
-                                  catalog=catalog)
+        #: document catalog: AccessPath/TwigJoin operators resolve their
+        #: posting lists through it at run time
+        self.catalog = catalog
+        #: root of the PlanNode tree, the operators under construction,
+        #: and the next operator id (instrumented compiles only)
+        self.plan_tree = None
+        self._node_stack: list = []
+        self._op_counter = 0
         self.env: dict[str, Any] = dict(_BASE_ENV)
         #: in-scope variables
         self.scope: dict[QName, _Binding] = {}
@@ -682,6 +695,8 @@ class SourcePlanCompiler:
         self._nodes: set[str] = set()
         self._functions: list[dict] = []
         self._cur: dict | None = None
+        #: generated function of each user function kept as a call
+        self._user_functions: dict[ast.FunctionDecl, str] = {}
         self._counter = 0
         self._early_counter = 0
         self._const_ids: dict[tuple[str, int], str] = {}
@@ -694,10 +709,6 @@ class SourcePlanCompiler:
         self.generated_source: str | None = None
         self.filename: str | None = None
         self.entry_point = None
-
-    @property
-    def plan_tree(self):
-        return self.cgen.plan_tree
 
     # -- text emission -----------------------------------------------------
 
@@ -731,18 +742,31 @@ class SourcePlanCompiler:
         cur = self._cur
         cur["loops"].append((len(cur["lines"]), cur["indent"]))
         try:
-            with self.block(header):
+            with self.nested(header):
                 yield
         finally:
             cur["loops"].pop()
 
     @contextmanager
+    def nested(self, header: str):
+        """A block CPython counts towards its 20 statically nested
+        blocks (a loop, a ``try``); see :meth:`emit`."""
+        cur = self._cur
+        cur["blocks"] += 1
+        try:
+            with self.block(header):
+                yield
+        finally:
+            cur["blocks"] -= 1
+
+    @contextmanager
     def function(self, name: str, params: list[str]):
         #: ``loops``: (header line index, indent) of each open loop;
         #: ``hoists``: header line index -> lines to run just before it;
-        #: ``polled``: where the last poll ended (line count, indent)
+        #: ``polled``: where the last poll ended (line count, indent);
+        #: ``blocks``: nested blocks open (:meth:`nested`)
         rec = {"lines": [f"def {name}({', '.join(params)}):"], "indent": 1,
-               "loops": [], "hoists": {}, "polled": None}
+               "loops": [], "hoists": {}, "polled": None, "blocks": 0}
         self._functions.append(rec)
         prev, self._cur = self._cur, rec
         depth = self._focus_depth
@@ -760,7 +784,7 @@ class SourcePlanCompiler:
         ``_Early(token)`` and foreign tokens are re-raised onward."""
         self._early_counter += 1
         token = self._early_counter
-        with self.block("try:"):
+        with self.nested("try:"):
             yield token
         ex = f"_ex{token}"
         with self.block(f"except _Early as {ex}:"):
@@ -801,8 +825,7 @@ class SourcePlanCompiler:
         """May ``expr`` be evaluated once per loop activation instead
         of once per use?  (A pure scalar or a pure path: see
         :func:`repro.compiler.analysis.pure_scalar`.)"""
-        return pure_scalar(expr, self._eligible) \
-            or pure_path(expr, self._eligible)
+        return pure_scalar(expr) or pure_path(expr)
 
     def _loop_depth(self, expr) -> int:
         """How many of this function's open loops were open where the
@@ -895,14 +918,14 @@ class SourcePlanCompiler:
             return None
         from repro.observability.explain import PlanNode
 
-        node = PlanNode.for_expr(self.cgen._op_counter, expr)
-        self.cgen._op_counter += 1
+        node = PlanNode.for_expr(self._op_counter, expr)
+        self._op_counter += 1
         node.info["codegen"] = tag
-        stack = self.cgen._node_stack
+        stack = self._node_stack
         if stack:
             stack[-1].children.append(node)
-        elif self.cgen.plan_tree is None:
-            self.cgen.plan_tree = node
+        elif self.plan_tree is None:
+            self.plan_tree = node
         return node
 
     @contextmanager
@@ -911,11 +934,11 @@ class SourcePlanCompiler:
         if node is None:
             yield None
             return
-        self.cgen._node_stack.append(node)
+        self._node_stack.append(node)
         try:
             yield node
         finally:
-            self.cgen._node_stack.pop()
+            self._node_stack.pop()
 
     @contextmanager
     def under(self, node):
@@ -924,94 +947,50 @@ class SourcePlanCompiler:
         if node is None:
             yield
             return
-        self.cgen._node_stack.append(node)
+        self._node_stack.append(node)
         try:
             yield
         finally:
-            self.cgen._node_stack.pop()
+            self._node_stack.pop()
 
     def _here(self):
-        stack = self.cgen._node_stack
+        stack = self._node_stack
         return stack[-1] if stack else None
-
-    # -- eligibility ---------------------------------------------------------
-
-    def _eligible(self, expr) -> bool:
-        """Can this instance be emitted with identical semantics?
-
-        Anything else crosses to the closure interpreter via
-        :meth:`_emit_fallback`.
-        """
-        kind = type(expr).__name__
-        if kind == "FLWOR":
-            # group by stays on the closure interpreter
-            return not expr.group
-        if kind == "FunctionCall":
-            if expr.name.uri in (XS_NS, XDT_NS):
-                atype = self.ctx.lookup_type(expr.name)
-                return isinstance(atype, T.AtomicType) and len(expr.args) == 1
-            builtin = fnlib.lookup(expr.name, len(expr.args))
-            if builtin is None:
-                # calls normalization could not inline (recursion) keep
-                # the closure calling convention
-                return False
-            return True
-        return True
 
     # -- dispatch ------------------------------------------------------------
 
     def emit(self, expr, sink) -> None:
-        method = getattr(self, f"_e_{type(expr).__name__}", None)
-        if method is None or not self._eligible(expr):
-            self._emit_fallback(expr, sink)
+        """Emit ``expr``'s production into ``sink``.  CPython compiles
+        at most 20 statically nested blocks per function: past
+        :data:`_MAX_NESTED` open here (leaving room for what one emitter
+        and its sink open before the next ``emit``), the producer
+        continues in a fresh function and the sink takes its items."""
+        if self._cur["blocks"] >= _MAX_NESTED:
+            self._through_subregion(expr, sink)
             return
         with self.pnode(expr):
-            method(expr, sink)
+            self._dispatch(expr, sink)
 
     def _dispatch(self, expr, sink) -> None:
         """Dispatch without registering a PlanNode (the root region's
         node is created by compile_root)."""
-        method = getattr(self, f"_e_{type(expr).__name__}", None)
-        if method is None or not self._eligible(expr):
-            self._emit_fallback(expr, sink)
-        else:
-            method(expr, sink)
-
-    def _emit_fallback(self, expr, sink) -> None:
-        """The source/closure seam: closure-compile ``expr`` and iterate
-        it with the generated scope and focus transferred."""
-        stack = self.cgen._node_stack
-        before = len(stack[-1].children) if stack else 0
-        plan = self.cgen.compile(expr)
-        if self.instrument and stack and len(stack[-1].children) > before:
-            stack[-1].children[-1].info.setdefault("codegen", "closure")
-        plan_const = self.const(plan, "c")
-        pairs = []
-        for var, binding in self.scope.items():
-            qn = self.const(var, "qn")
-            value = self._bound_value(binding)
-            pairs.append(f"({qn}, {value})")
-        if not pairs:
-            bindings = "()"
-        elif len(pairs) == 1:
-            bindings = f"({pairs[0]},)"
-        else:
-            bindings = "(" + ", ".join(pairs) + ")"
-        focus = "None" if self.focus is None else \
-            f"({self.focus[0]}, {self.focus[1]}, {self.focus[2]})"
-        t = self.fresh("t")
-        with self.loop(f"for {t} in _fb({plan_const}, dctx, {bindings}, "
-                       f"{focus}):"):
-            sink.item(self, t)
+        getattr(self, f"_e_{type(expr).__name__}")(expr, sink)
 
     # -- sub-regions ---------------------------------------------------------
 
     def _subregion(self, expr, dispatch: bool = False) -> str:
         """Emit ``expr`` as its own generator function; returns the call
-        expression.  Captured scope locals (and identifier focus parts)
-        pass as parameters under their own names, so the scope map and
-        focus stay valid inside.  ``dispatch``: ``expr`` already has
-        its plan node (the sub-region is a second emission of it)."""
+        expression.  ``dispatch``: ``expr`` already has its plan node
+        (the sub-region is a second emission of it)."""
+        emit = self._dispatch if dispatch else self.emit
+        return self._region(lambda sink: emit(expr, sink))
+
+    def _region(self, body) -> str:
+        """A fresh generator function whose code ``body(sink)`` emits
+        (yielding what reaches the sink); returns the call expression.
+        Captured scope locals (and identifier focus parts) pass as
+        parameters under their own names, so the scope map and focus
+        stay valid inside."""
         name = self.fresh("r")
         captured: list[str] = []
         for binding in self.scope.values():
@@ -1023,7 +1002,7 @@ class SourcePlanCompiler:
                     captured.append(part)
         with self.function(name, ["dctx"] + captured):
             self.w("_tok = dctx._shared.cancellation")
-            (self._dispatch if dispatch else self.emit)(expr, _YieldSink())
+            body(_YieldSink())
             self.w("return")
             self.w("yield None")
         args = "".join(", " + c for c in captured)
@@ -1035,6 +1014,13 @@ class SourcePlanCompiler:
         """Emit the effective boolean value of ``expr`` into a plain
         Python bool local; statically-boolean shapes skip the generic
         first/second-item machinery."""
+        if self._cur["blocks"] >= _MAX_NESTED:
+            # a sink's per-item code (a quantifier's condition, a
+            # predicate) nests without passing through emit: the
+            # operand continues in a fresh function (see emit)
+            out = self.fresh("b")
+            self.w(f"{out} = _ebv({self._subregion(expr)})")
+            return out
         if isinstance(expr, ast.AndExpr):
             with self.pnode(expr):
                 left = self._emit_ebv(expr.left)
@@ -1159,8 +1145,7 @@ class SourcePlanCompiler:
         value_op = _GENERAL_TO_VALUE[expr.op]
         left = expr.left
         lane = self._held(expr.right, "ln")
-        casts = lane is not None and self._eligible(left) and (
-            isinstance(left, ast.CastExpr) or is_constructor_call(left))
+        casts = lane is not None and self._is_cast(left)
         if lane is None:
             right_list = self._emit_collected(expr.right, _AtomizeSink)
             guard = right_list
@@ -1282,10 +1267,14 @@ class SourcePlanCompiler:
         and return True."""
         if getattr(sink, "inline", False):
             return False
+        self._through_subregion(expr, sink)
+        return True
+
+    def _through_subregion(self, expr, sink) -> None:
+        """Produce ``expr`` in a sub-region; the sink takes its items."""
         t = self.fresh("t")
         with self.loop(f"for {t} in {self._subregion(expr)}:"):
             sink.item(self, t)
-        return True
 
     def _e_SequenceExpr(self, expr: ast.SequenceExpr, sink) -> None:
         if len(expr.items) > 1 and self._one_site(expr, sink):
@@ -1479,7 +1468,14 @@ class SourcePlanCompiler:
         else:
             pos_counter = self.fresh("i")
             self.w(f"{pos_counter} = 0")
-        self.emit(expr.left, _PathSink(expr, sink, pos_counter, self._here()))
+        left_sink = _PathSink(expr, sink, pos_counter, self._here())
+        if self._cur["blocks"] + _path_chain(expr.left) >= _MAX_NESTED:
+            # each step of a path chain nests its walk inside the
+            # previous one's, all from this one emit: the left part of
+            # the chain continues in a fresh function (see emit)
+            self._through_subregion(expr.left, left_sink)
+        else:
+            self.emit(expr.left, left_sink)
 
     def _emit_path_right(self, right, item: str, pos: str, sink,
                          depth: int | None = None) -> None:
@@ -1605,7 +1601,7 @@ class SourcePlanCompiler:
             return None
         for key, probe in ((pred.left, pred.right), (pred.right, pred.left)):
             steps = _key_steps(key)
-            if steps is not None and pure_scalar(probe, self._eligible):
+            if steps is not None and pure_scalar(probe):
                 break
         else:
             return None
@@ -1633,8 +1629,8 @@ class SourcePlanCompiler:
         steps, probe, context, depth = join
         base = expr.base
         spec = (None if context is None
-                else _compile_step_fn(base.axis, base.test),
-                tuple(_compile_step_fn(step.axis, step.test)
+                else compile_step_fn(base.axis, base.test),
+                tuple(compile_step_fn(step.axis, step.test)
                       for step in steps))
         lane = self.fresh("hj")
         self._hoist(depth, f"{lane} = _HashLane({self.const(spec, 'hs')}, "
@@ -1722,7 +1718,7 @@ class SourcePlanCompiler:
         fallback = self._subregion(expr.fallback)
         stored, doc = self.fresh("sd"), self.fresh("d")
         self.w(f"{stored}, {doc} = _indexed_value("
-               f"{self.const(self.cgen.catalog, 'cat')}, "
+               f"{self.const(self.catalog, 'cat')}, "
                f"{self._var_value(expr.var)})")
         nodes = self.fresh("l")
         with self.block(f"if {stored} is None:"):
@@ -1775,10 +1771,10 @@ class SourcePlanCompiler:
 
     def _e_FLWOR(self, expr: ast.FLWOR, sink) -> None:
         """Mirrors ``_c_FLWOR`` pass for pass: materialize every binding
-        tuple (where applied), then compute every tuple's order keys,
-        sort, and run the return body — fused into the outer sink — per
-        sorted tuple.  A tuple is the Python tuple of the clause
-        variables' locals."""
+        tuple (where applied), regroup them (``group by``), then compute
+        every tuple's order keys, sort, and run the return body — fused
+        into the outer sink — per sorted tuple.  A tuple is the Python
+        tuple of the clause variables' locals."""
         bound_vars: list[tuple[QName, str]] = []  # (variable, kind)
         for cl in expr.clauses:
             if isinstance(cl, ast.ForClause):
@@ -1793,63 +1789,97 @@ class SourcePlanCompiler:
         def tuple_of(names) -> str:
             return "(" + "".join(f"{name}, " for name in names) + ")"
 
-        def clause(depth: int) -> None:
+        def clause(depth: int, put) -> None:
+            """Clauses ``depth`` on; ``put(row)`` takes each tuple."""
+            if self._cur["blocks"] >= _MAX_NESTED:
+                # the remaining clauses continue in a fresh function
+                # that yields the tuples (see emit)
+                t = self.fresh("t")
+                call = self._region(lambda sink: clause(
+                    depth, lambda row: sink.item(self, row)))
+                with self.loop(f"for {t} in {call}:"):
+                    put(t)
+                return
             if depth == len(expr.clauses):
                 row = tuple_of(self.scope[var].local for var, _ in bound_vars)
                 if expr.where is None:
-                    self.w(f"{rows}.append({row})")
+                    put(row)
                 else:
                     holds = self._emit_ebv(expr.where)
                     with self.block(f"if {holds}:"):
-                        self.w(f"{rows}.append({row})")
+                        put(row)
                 return
             # (a clause body may be emitted at several production sites
             # of its source, like any sink)
             cl = expr.clauses[depth]
             if isinstance(cl, ast.ForClause):
                 self._emit_for(cl.var, cl.pos_var, cl.expr,
-                               lambda: clause(depth + 1))
+                               lambda: clause(depth + 1, put))
             else:
-                self._emit_let(cl.var, cl.expr, lambda: clause(depth + 1))
+                self._emit_let(cl.var, cl.expr,
+                               lambda: clause(depth + 1, put))
 
-        clause(0)
-
-        locals_ = [self.fresh("fv") for _ in bound_vars]
+        clause(0, lambda row: self.w(f"{rows}.append({row})"))
 
         @contextmanager
-        def rebound():
-            """The tuple's variables back in scope, for keys and return."""
-            with ExitStack() as stack:
-                for (var, kind), local in zip(bound_vars, locals_):
-                    stack.enter_context(self.bound(var, local, kind))
-                yield
+        def each_row(rows: str, decorated: bool = False):
+            """A loop over ``rows`` (``(keys, row)`` pairs when
+            ``decorated``) with the tuple's variables back in scope;
+            yields the row local."""
+            row = self.fresh("row")
+            locals_ = [self.fresh("fv") for _ in bound_vars]
+            target = f"_, {row}" if decorated else row
+            with self.loop(f"for {target} in {rows}:"):
+                self.w(f"{tuple_of(locals_)} = {row}")
+                with ExitStack() as stack:
+                    for (var, kind), local in zip(bound_vars, locals_):
+                        stack.enter_context(self.bound(var, local, kind))
+                    yield row
 
-        row = self.fresh("row")
+        if expr.group:
+            # the keys of every tuple, in tuple order, then the partition;
+            # each group is one tuple binding every variable to the
+            # concatenation of its members' values, and each grouping
+            # variable to its key
+            keyed = self.fresh("rows")
+            self.w(f"{keyed} = []")
+            with each_row(rows) as row:
+                keys = []
+                for _gvar, key in expr.group:
+                    values = self._emit_collected(key, _AtomizeSink)
+                    keys.append(self.fresh("k"))
+                    self.w(f"{keys[-1]} = _group_key({values})")
+                self.w(f"{keyed}.append(({tuple_of(keys)}, {row}))")
+            rows = self.fresh("rows")
+            members, key_items = self.fresh("m"), self.fresh("k")
+            r, x = self.fresh("r"), self.fresh("x")
+            merged = [f"[{r}[{i}] for {r} in {members}]" if kind == "item"
+                      else f"[{x} for {r} in {members} for {x} in {r}[{i}]]"
+                      for i, (_var, kind) in enumerate(bound_vars)]
+            merged += [f"[{key_items}[{i}]] if {key_items}[{i}] is not None "
+                       f"else []" for i in range(len(expr.group))]
+            self.w(f"{rows} = [{tuple_of(merged)} for {members}, {key_items} "
+                   f"in _group_rows({keyed})]")
+            bound_vars = [(var, "seq") for var, _kind in bound_vars] \
+                + [(gvar, "seq") for gvar, _key in expr.group]
+
         if expr.order:
             decorated = self.fresh("rows")
             self.w(f"{decorated} = []")
-            with self.loop(f"for {row} in {rows}:"):
-                self.w(f"{tuple_of(locals_)} = {row}")
+            with each_row(rows) as row:
                 keys = []
-                with rebound():
-                    for spec in expr.order:
-                        values = self._emit_collected(spec.expr,
-                                                      _AtomizeSink)
-                        key = self.fresh("k")
-                        self.w(f"{key} = _order_key_value({values})")
-                        keys.append(key)
+                for spec in expr.order:
+                    values = self._emit_collected(spec.expr, _AtomizeSink)
+                    keys.append(self.fresh("k"))
+                    self.w(f"{keys[-1]} = _order_key_value({values})")
                 self.w(f"{decorated}.append(({tuple_of(keys)}, {row}))")
             specs = [(None, spec.descending, spec.empty_least)
                      for spec in expr.order]
             self.w(f"{decorated}.sort(key=_OrderKey.factory("
                    f"{self.const(specs, 'os')}))")
-            header = f"for _, {row} in {decorated}:"
-        else:
-            header = f"for {row} in {rows}:"
-        with self.loop(header):
-            self.w(f"{tuple_of(locals_)} = {row}")
-            with rebound():
-                self.emit(expr.ret, sink)
+            rows = decorated
+        with each_row(rows, decorated=bool(expr.order)):
+            self.emit(expr.ret, sink)
 
     # -- type operators ------------------------------------------------------------
 
@@ -1874,10 +1904,17 @@ class SourcePlanCompiler:
         with self.loop(f"for {t} in {items}:"):
             sink.item(self, t)
 
+    def _is_cast(self, expr) -> bool:
+        """``cast as``, or a constructor function ``xs:T(..)`` of an
+        atomic type (any other ``xs:`` call is an unknown function)."""
+        return isinstance(expr, ast.CastExpr) or (
+            is_constructor_call(expr) and len(expr.args) == 1
+            and isinstance(self.ctx.lookup_type(expr.name), T.AtomicType))
+
     def _cast_type(self, expr) -> T.AtomicType:
         """The target type of a ``cast as`` / constructor call."""
         if isinstance(expr, ast.CastExpr):
-            return self.cgen._resolve_atomic(expr.type_name)
+            return resolve_atomic(expr.type_name, self.ctx)
         return self.ctx.lookup_type(expr.name)
 
     @contextmanager
@@ -1913,7 +1950,7 @@ class SourcePlanCompiler:
             sink.item(self, t)
 
     def _e_CastableExpr(self, expr: ast.CastableExpr, sink) -> None:
-        target = self.const(self.cgen._resolve_atomic(expr.type_name), "ty")
+        target = self.const(resolve_atomic(expr.type_name, self.ctx), "ty")
         values = self._emit_collected(expr.operand, _AtomizeSink)
         t = self.fresh("t")
         self.w(f"{t} = _boolean(_castable({values}, {target}, "
@@ -1928,6 +1965,33 @@ class SourcePlanCompiler:
         with self.loop(f"for {t} in _function_convert({call}, "
                        f"{self._seq_type(expr.seq_type)}, {expr.role!r}):"):
             sink.item(self, t)
+
+    def _e_Typeswitch(self, expr: ast.Typeswitch, sink) -> None:
+        """A chain of ``SequenceType.matches`` tests over the operand,
+        collected once; each case body is a production site, bound to
+        the collected items when the case names a variable."""
+        if self._one_site(expr, sink):
+            return
+        items = self._emit_collected(expr.operand)
+        header = "if"
+        for case in [*expr.cases, expr.default]:
+            if case.seq_type is None:  # the default
+                guard = "else:"
+            else:
+                guard = f"{header} {self._seq_type(case.seq_type)}" \
+                        f".matches({items}):"
+                header = "elif"
+            with self.block(guard), ExitStack() as stack:
+                if case.var is not None:
+                    stack.enter_context(self.bound(case.var, items, "seq"))
+                self.emit(case.body, sink)
+
+    def _e_ValidateExpr(self, expr: ast.ValidateExpr, sink) -> None:
+        items = self._emit_collected(expr.operand)
+        t = self.fresh("t")
+        self.w(f"{t} = _validate({items}, "
+               f"{self.const(self.ctx.schemas, 'sc')})")
+        sink.item(self, t)
 
     # -- constructors ----------------------------------------------------------------
 
@@ -2097,7 +2161,7 @@ class SourcePlanCompiler:
                     sink.item(self, c)
             return
 
-        kernel = self.const(_compile_step_fn(axis, test), "s")
+        kernel = self.const(compile_step_fn(axis, test), "s")
         t = self.fresh("t")
         self._nodes.add(t)
         with self.loop(f"for {t} in {kernel}({node}):"):
@@ -2109,13 +2173,20 @@ class SourcePlanCompiler:
         name = expr.name
         arity = len(expr.args)
 
-        if name.uri in (XS_NS, XDT_NS):
-            # constructor function: a cast (eligibility checked the type)
+        if self._is_cast(expr):
+            # constructor function: a cast
             self._e_CastExpr(expr, sink)
             return
 
         builtin = fnlib.lookup(name, arity)
-        assert builtin is not None  # _eligible guarantees this
+        if builtin is None:
+            if expr.decl is not None:
+                self._emit_user_call(expr, sink)
+                return
+            for arg in expr.args:  # compile errors in arguments come first
+                self._emit_collected(arg)
+            raise UndefinedNameError(f"unknown function {name}#{arity}",
+                                     code="XPST0017")
 
         if builtin.lazy and name.local in ("count", "exists", "empty",
                                            "not", "boolean"):
@@ -2176,6 +2247,61 @@ class SourcePlanCompiler:
         with self.loop(f"for {t} in {impl}({dctx_expr}{args}):"):
             sink.item(self, t)
 
+    def _emit_user_call(self, expr: ast.FunctionCall, sink) -> None:
+        """A call of a user function normalization kept as a call
+        (mirrors ``_c_FunctionCall``): each argument a lazy
+        ``BufferedSequence`` over a sub-region, converted to its
+        declared type as it is pulled; the body runs as the function's
+        generator, with only its parameters bound and no focus."""
+        decl = expr.decl
+        args = []
+        for arg, (_name, ptype) in zip(expr.args, decl.params):
+            binding = self.scope.get(arg.name) \
+                if isinstance(arg, ast.VarRef) else None
+            if binding is not None and ptype is None:
+                # already a replayable value: buffering it again would
+                # chain one more generator per level of a recursion that
+                # passes it on (the prolog variables a body reads)
+                args.append(self._bound_value(binding))
+                continue
+            value = self._subregion(arg)
+            if ptype is not None:
+                value = f"_function_convert({value}, " \
+                        f"{self._seq_type(ptype)}, 'argument')"
+            args.append(self.fresh("a"))
+            self.w(f"{args[-1]} = _BufferedSequence({value}, "
+                   f"cancellation=_tok)")
+        call = f"{self._user_function(decl)}(dctx.function_frame({{}})" \
+               + "".join(", " + a for a in args) + ")"
+        if decl.return_type is not None:
+            call = f"_function_convert({call}, " \
+                   f"{self._seq_type(decl.return_type)}, 'return')"
+        t = self.fresh("t")
+        with self.loop(f"for {t} in {call}:"):
+            sink.item(self, t)
+
+    def _user_function(self, decl: ast.FunctionDecl) -> str:
+        """The generated generator function of ``decl``, emitted at its
+        first call — reserved before its body, so recursion ends."""
+        name = self._user_functions.get(decl)
+        if name is not None:
+            return name
+        name = self._user_functions[decl] = self.fresh("uf")
+        params = [self.fresh("a") for _ in decl.params]
+        saved = self.scope, self.focus, self._hoisting
+        self.scope, self.focus, self._hoisting = {}, None, False
+        try:
+            with self.function(name, ["dctx"] + params), ExitStack() as stack:
+                self.w("_tok = dctx._shared.cancellation")
+                for (var, _type), local in zip(decl.params, params):
+                    stack.enter_context(self.bound(var, local, "seq"))
+                self.emit(decl.body, _YieldSink())
+                self.w("return")
+                self.w("yield None")
+        finally:
+            self.scope, self.focus, self._hoisting = saved
+        return name
+
     # -- entry point ------------------------------------------------------------
 
     def compile_root(self, expr) -> Plan:
@@ -2189,11 +2315,11 @@ class SourcePlanCompiler:
         if self.instrument:
             from repro.observability.explain import PlanNode
 
-            root_node = PlanNode.for_expr(self.cgen._op_counter, expr)
-            self.cgen._op_counter += 1
+            root_node = PlanNode.for_expr(self._op_counter, expr)
+            self._op_counter += 1
             root_node.info["codegen"] = "source"
-            self.cgen.plan_tree = root_node
-            self.cgen._node_stack.append(root_node)
+            self.plan_tree = root_node
+            self._node_stack.append(root_node)
         try:
             with self.function("_q0", ["dctx"]):
                 self.w("_tok = dctx._shared.cancellation")
@@ -2202,13 +2328,8 @@ class SourcePlanCompiler:
                 self.w("yield None")
         finally:
             if root_node is not None:
-                self.cgen._node_stack.pop()
-        try:
-            fn = self._finish()
-        except SyntaxError as exc:
-            if "too many statically nested blocks" not in str(exc):
-                raise
-            return self._closure_root(expr)
+                self._node_stack.pop()
+        fn = self._finish()
         if root_node is None:
             return fn
         op_id = root_node.id
@@ -2219,24 +2340,6 @@ class SourcePlanCompiler:
                 return _fn(dctx)
             return profiler.run_operator(_op, _fn, dctx)
 
-        return plan
-
-    def _closure_root(self, expr) -> Plan:
-        """Fallback, not failure, for the whole query: CPython compiles
-        at most 20 statically nested loop/try blocks, and a query nested
-        deeper than that (two dozen nested ``for`` clauses or
-        predicates) fuses into more.  It runs on the closure
-        interpreter instead, counted as one seam at the root."""
-        self.cgen = CodeGenerator(self.ctx, instrument=self.instrument,
-                                  catalog=self.cgen.catalog)
-        closure_plan = self.cgen.compile(expr)
-        if self.cgen.plan_tree is not None:
-            self.cgen.plan_tree.info["codegen"] = "closure"
-        self.generated_source = None
-
-        def plan(dctx):
-            dctx.count("codegen.fallback_closure")
-            return closure_plan(dctx)
         return plan
 
     def _finish(self) -> Callable[[DynamicContext], Iterator[Any]]:
@@ -2268,8 +2371,3 @@ class SourcePlanCompiler:
         #: keeps the registration alive while this compiler object does
         self.entry_point = fn
         return fn
-
-
-def compile_source_plan(expr, static_ctx: StaticContext | None = None) -> Plan:
-    """Convenience: compile a core expression via the source backend."""
-    return SourcePlanCompiler(static_ctx or StaticContext()).compile_root(expr)

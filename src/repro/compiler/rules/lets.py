@@ -51,6 +51,26 @@ def _substitute(expr: ast.Expr, var: QName, replacement: ast.Expr) -> ast.Expr:
 _TRIVIAL = (ast.Literal, ast.VarRef, ast.EmptySequence, ast.ContextItem)
 
 
+def _binders(expr: ast.Expr) -> set[QName]:
+    """Every variable name bound anywhere inside ``expr``."""
+    out: set[QName] = set()
+    for node in expr.walk():
+        if isinstance(node, (ast.ForExpr, ast.LetExpr, ast.Quantified)):
+            out.add(node.var)
+            if getattr(node, "pos_var", None) is not None:
+                out.add(node.pos_var)
+        elif isinstance(node, ast.FLWOR):
+            for clause in node.clauses:
+                out.add(clause.var)
+                if isinstance(clause, ast.ForClause) and clause.pos_var:
+                    out.add(clause.pos_var)
+            out.update(var for var, _key in node.group)
+        elif isinstance(node, ast.Typeswitch):
+            out.update(case.var for case in [*node.cases, node.default]
+                       if case.var is not None)
+    return out
+
+
 def let_folding(expr: ast.Expr, ctx) -> ast.Expr | None:
     if not isinstance(expr, ast.LetExpr):
         return None
@@ -60,19 +80,19 @@ def let_folding(expr: ast.Expr, ctx) -> ast.Expr | None:
         return None  # dead-let rule handles it
 
     creates_nodes = value.annotations.get("creates_nodes", True)
-    trivial = isinstance(value, _TRIVIAL)
-
-    if trivial:
-        # substituting a literal/variable is always safe and always a win
-        return _substitute(expr.body, expr.var, value)
-
-    if not creates_nodes and uses == 1 and not in_loop:
-        # single non-looped use of a non-constructing value: inline.
-        # (Multiple uses would lose the buffer-iterator sharing; a loop
-        # would re-evaluate per iteration.)
-        return _substitute(expr.body, expr.var, value)
-
-    return None
+    # substituting a literal/variable is always safe and always a win; a
+    # single non-looped use of a non-constructing value inlines too.
+    # (Multiple uses would lose the buffer-iterator sharing; a loop
+    # would re-evaluate per iteration.)
+    if not isinstance(value, _TRIVIAL) and \
+            (creates_nodes or uses != 1 or in_loop):
+        return None
+    # ... unless the body rebinds a variable the value reads: the
+    # substituted reference would be captured
+    reads = free_vars(value)
+    if reads and reads & _binders(expr.body):
+        return None
+    return _substitute(expr.body, expr.var, value)
 
 
 def dead_let_elimination(expr: ast.Expr, ctx) -> ast.Expr | None:

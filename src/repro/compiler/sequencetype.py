@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Any, Iterable
 
-from repro.errors import StaticTypeError
+from repro.errors import StaticError, StaticTypeError
 from repro.qname import QName
 from repro.xdm.items import AtomicValue
 from repro.xdm.nodes import (
@@ -146,6 +146,16 @@ def resolve_sequence_type(st: SequenceTypeAST, static_ctx=None) -> SequenceType:
                 f"{st.type_name} is a complex type; sequence types need simple types")
         return SequenceType("atomic", st.occurrence, atomic_type=atype)
     return SequenceType(st.item_kind, st.occurrence, name=st.name)
+
+
+def resolve_atomic(name: QName, static_ctx) -> T.AtomicType:
+    """The target type of ``cast as`` / ``castable as``."""
+    atype = static_ctx.lookup_type(name)
+    if atype is None:
+        raise StaticError(f"unknown type {name}", code="XPST0051")
+    if not isinstance(atype, T.AtomicType):
+        raise StaticError(f"{name} is not an atomic type")
+    return atype
 
 
 def occurrence_union(a: str, b: str) -> str:

@@ -476,7 +476,7 @@ class TypeChecker:
         atomic = self.ctx.lookup_type(expr.name)
         if isinstance(atomic, T.AtomicType) and len(expr.args) == 1:
             return StaticType("atomic", atomic, "?")
-        decl = self.ctx.lookup_function(expr.name, len(expr.args))
+        decl = expr.decl or self.ctx.lookup_function(expr.name, len(expr.args))
         if decl is not None and decl.return_type is not None:
             try:
                 return _from_sequence_type(

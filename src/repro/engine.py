@@ -12,12 +12,11 @@ from __future__ import annotations
 
 from typing import Any, Iterable, Iterator, Optional
 
-from repro.compiler.analysis import literal_doc_uris
-from repro.compiler.codegen import CodeGenerator
+from repro.compiler.analysis import literal_doc_uris, walk_reachable
 from repro.compiler.context import StaticContext
 from repro.compiler.normalize import normalize_module
 from repro.compiler.pysource import SourcePlanCompiler
-from repro.errors import QueryCancelled, StaticError
+from repro.errors import DynamicError, QueryCancelled, StaticError
 from repro.options import ExecutionOptions
 from repro.qname import QName
 from repro.runtime.cancellation import CancellationToken
@@ -66,12 +65,11 @@ class Result:
     can be iterated multiple times (it buffers what was pulled).
     """
 
-    def __init__(self, plan, dctx: DynamicContext):
+    def __init__(self, plan, dctx: DynamicContext, can_recurse: bool = False):
         source = plan(dctx)
-        if dctx._shared.cancellation is not None:
-            # a cancelled/timed-out pull surfaces the partial stats on
-            # the exception (only queries with a token pay this layer)
-            source = _annotate_cancellation(source, dctx)
+        if can_recurse or dctx._shared.cancellation is not None:
+            # only queries that can fail this way pay the extra layer
+            source = _drain(source, dctx)
         self._seq = BufferedSequence(source)
         self._dctx = dctx
 
@@ -155,6 +153,11 @@ class CompiledQuery:
         #: ``document_loader`` attached, execute prefetches those not
         #: registered (see :meth:`DynamicContext.prefetch_documents`)
         self.doc_uris = doc_uris
+        #: does the plan call a user function normalization kept as a
+        #: call (the only way evaluation recurses without bound)?
+        self.can_recurse = any(isinstance(e, ast.FunctionCall)
+                               and e.decl is not None
+                               for e in optimized.walk())
 
     def execute(self, *,
                 context_item: Any = None,
@@ -247,7 +250,7 @@ class CompiledQuery:
             else:
                 item = _to_item(context_item)
             dctx = dctx.with_focus(item, 1, 1)
-        return Result(self.plan, dctx)
+        return Result(self.plan, dctx, self.can_recurse)
 
     def to_xquery(self) -> str:
         """Render the *optimized* core tree back as XQuery text.
@@ -308,10 +311,9 @@ class Engine:
         #: override/debug and the differential test matrix
         self.twig_strategy = options.twig_strategy
         #: execution backend: "source" emits specialized Python source
-        #: per query (:mod:`repro.compiler.pysource`) and falls back to
-        #: closures for unsupported operators; "closure" interprets a
-        #: tree of generator closures item-at-a-time (the differential
-        #: oracle)
+        #: per query (:mod:`repro.compiler.pysource`); "closure"
+        #: interprets a tree of generator closures item-at-a-time
+        #: (:mod:`repro.compiler.reference`, the differential oracle)
         self.codegen = options.codegen
         #: document catalog (:func:`repro.catalog`): its documents bind
         #: automatically by name, and the access-path planner may
@@ -424,6 +426,9 @@ class Engine:
             plan = generator.compile_root(optimized)
             generated_source = generator.generated_source
         else:
+            # the differential oracle: never imported on the product path
+            from repro.compiler.reference import CodeGenerator
+
             generator = CodeGenerator(static_ctx, catalog=self.catalog)
             plan = generator.compile(optimized)
         catalog_bindings = None
@@ -490,10 +495,11 @@ class Engine:
 
 
 def _reads_default_collection(expr: ast.Expr) -> bool:
-    """True if ``expr`` contains a no-argument ``fn:collection()`` call."""
+    """True if ``expr``, or a function body it calls, contains a
+    no-argument ``fn:collection()`` call."""
     from repro.qname import FN_NS
 
-    for e in expr.walk():
+    for e in walk_reachable(expr):
         if isinstance(e, ast.FunctionCall) and not e.args \
                 and e.name.local == "collection" \
                 and e.name.uri in ("", FN_NS):
@@ -501,14 +507,20 @@ def _reads_default_collection(expr: ast.Expr) -> bool:
     return False
 
 
-def _annotate_cancellation(source, dctx):
-    """Surface partial stats on a cancellation raised mid-evaluation."""
+def _drain(source, dctx):
+    """The root plan's items, with its failures mapped in one place: a
+    cancelled/timed-out pull carries the partial stats, and a recursion
+    deeper than the interpreter's stack (a user function recursing a few
+    hundred levels) is err:XPDY0130, an implementation limit."""
     try:
         yield from source
     except QueryCancelled as exc:
         if not exc.stats:
             exc.stats = dict(dctx.stats)
         raise
+    except RecursionError:
+        raise DynamicError("recursion too deep: implementation limit "
+                           "exceeded", code="XPDY0130") from None
 
 
 def _to_item(value: Any) -> Any:

@@ -4,11 +4,11 @@ Every counter a query bumps (``DynamicContext.count``) is one of two
 kinds, and the split is defined here, once:
 
 - **Semantics** — what the *query* made happen, whatever plan ran it:
-  the closure seams (``codegen.fallback_closure``), an index operator
-  degrading to navigation on a foreign binding
+  an index operator degrading to navigation on a foreign binding
   (``access_path.fallback_navigation``, ``twig.fallback_navigation``),
   nodes built (``elements_constructed``), ``fn:trace`` labels.  Two
-  plans of one query must report them byte-identically.
+  plans of one query — and the generated code and the closure
+  interpreter running one plan — must report them byte-identically.
 - **Diaries** — work the *plan* chose to do: document-order sorts
   (``ddo_sorts``), access-path rows and probes (``access_path.*``), the
   twig joins' scan counters (``twig.*``).  A better plan does less of

@@ -71,6 +71,16 @@ class DynamicContext:
         clone.size = size
         return clone
 
+    def function_frame(self, bindings: dict[QName, Any]) -> "DynamicContext":
+        """The context a user function body runs in: its parameters
+        (``bindings``) and nothing else — no caller variable, no focus
+        (err:XPDY0002 for ``.`` in a function body)."""
+        clone = self._child()
+        clone.variables = bindings
+        clone.item = None
+        clone.position = clone.size = 0
+        return clone
+
     # -- lookups ------------------------------------------------------------------
 
     def variable(self, name: QName) -> Any:
@@ -150,11 +160,6 @@ class DynamicContext:
         if nodes is None:
             raise DynamicError(f"collection {uri!r} is not available", code="FODC0004")
         return nodes
-
-    def user_function(self, name: QName, arity: int):
-        """The user FunctionDecl for (name, arity), if declared."""
-        ctx = self._shared.static_ctx
-        return ctx.lookup_function(name, arity) if ctx is not None else None
 
     @property
     def node_ids_required(self) -> bool:

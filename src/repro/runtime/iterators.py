@@ -129,20 +129,6 @@ class BufferedSequence:
         return self._done
 
 
-def ensure_replayable(value: Any, cancellation=None) -> Any:
-    """Make a sequence value safe to hand to multiple consumers.
-
-    Lists, tuples, and :class:`BufferedSequence` values replay as-is; a
-    one-shot iterator is wrapped in a ``BufferedSequence`` so whichever
-    side of an execution-backend seam pulls first, the other side sees
-    the same items again.  Used by the compile-to-source backend when
-    transferring variable bindings into a closure-interpreter fallback.
-    """
-    if isinstance(value, (list, tuple, BufferedSequence)):
-        return value
-    return BufferedSequence(iter(value), cancellation=cancellation)
-
-
 class PullIterator:
     """The explicit ``open/next/skip/close`` protocol over items.
 

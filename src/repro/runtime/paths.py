@@ -149,3 +149,95 @@ def step_iterator(axis: str, test: NodeTest, node: Node) -> Iterator[Node]:
     for candidate in axis_iterator(axis, node):
         if node_test_matches(test, candidate, axis):
             yield candidate
+
+
+def compile_step_fn(axis: str, test: NodeTest):
+    """A specialized ``node -> [matches]`` function for one axis step.
+
+    The source backend (``pysource._emit_step_walk``) binds this as the
+    kernel of an axis step it does not inline, and a hash lane
+    (:class:`repro.runtime.compare.HashLane`) walks its key paths with
+    it.  For the hot axis/test shapes (child/descendant with a name
+    test, attribute name tests, the ``descendant-or-self::node()`` that
+    ``//`` normalizes to) it is a direct list-building walk — no
+    generator frames and no per-candidate :func:`node_test_matches`
+    call — and the emitter's inlined walks mirror these shapes guard
+    for guard.  Anything else degrades to the generic
+    :func:`step_iterator`.  Traversal order matches the axis iterators
+    exactly (document order for forward axes).
+    """
+    kind, name = test.kind, test.name
+    plain = test.type_name is None and test.pi_target is None
+
+    if plain and kind in ("node", "element") and name is not None \
+            and axis in ("child", "descendant", "descendant-or-self"):
+        local, uri = name.local, name.uri
+        any_local, any_uri = local == "*", uri == "*"
+
+        if axis == "child":
+            def fn(node, _E=ElementNode):
+                return [c for c in node.children
+                        if isinstance(c, _E)
+                        and (any_local or c.name.local == local)
+                        and (any_uri or c.name.uri == uri)]
+            return fn
+
+        include_self = axis == "descendant-or-self"
+
+        def fn(node, _E=ElementNode):
+            out: list = []
+            if include_self and isinstance(node, _E):
+                qn = node.name
+                if (any_local or qn.local == local) and \
+                        (any_uri or qn.uri == uri):
+                    out.append(node)
+            stack = list(reversed(node.children))
+            while stack:
+                n = stack.pop()
+                if isinstance(n, _E):
+                    qn = n.name
+                    if (any_local or qn.local == local) and \
+                            (any_uri or qn.uri == uri):
+                        out.append(n)
+                    children = n._children
+                    if children:
+                        stack.extend(reversed(children))
+            return out
+        return fn
+
+    if plain and kind == "node" and name is None:
+        if axis == "child":
+            return lambda node: list(node.children)
+        if axis == "self":
+            return lambda node: [node]
+        if axis == "descendant-or-self":
+            def fn(node):
+                out = [node]
+                append = out.append
+                stack = list(reversed(node.children))
+                while stack:
+                    n = stack.pop()
+                    append(n)
+                    children = n.children
+                    if children:
+                        stack.extend(reversed(children))
+                return out
+            return fn
+
+    if plain and axis == "attribute" and kind in ("node", "attribute") \
+            and name is not None:
+        local, uri = name.local, name.uri
+        any_local, any_uri = local == "*", uri == "*"
+
+        def fn(node):
+            return [a for a in node.attributes
+                    if (any_local or a.name.local == local)
+                    and (any_uri or a.name.uri == uri)]
+        return fn
+
+    if plain and kind == "text" and axis == "child":
+        return lambda node, _T=TextNode: \
+            [c for c in node.children if isinstance(c, _T)]
+
+    return lambda node, _axis=axis, _test=test: \
+        list(step_iterator(_axis, _test, node))

@@ -182,15 +182,24 @@ class ContextItem(Expr):
 
 
 class FunctionCall(Expr):
-    """A (built-in or user) function call; resolved during compilation."""
+    """A (built-in or user) function call; resolved during compilation.
 
-    __slots__ = ("name", "args")
+    ``decl`` is set on a call to a user function normalization kept as
+    a call instead of inlining it: the *normalized* declaration, closed
+    over its parameters — the prolog variables the body reads are
+    extra trailing parameters, passed by ``args`` past the declared
+    arity (:mod:`repro.compiler.normalize`).
+    """
+
+    __slots__ = ("name", "args", "decl")
     _fields = ("args",)
 
-    def __init__(self, name: QName, args: list[Expr], pos=(0, 0)):
+    def __init__(self, name: QName, args: list[Expr], pos=(0, 0),
+                 decl: "FunctionDecl | None" = None):
         super().__init__(pos)
         self.name = name
         self.args = args
+        self.decl = decl
 
     def __repr__(self) -> str:
         return f"FunctionCall({self.name}/{len(self.args)})"

@@ -288,9 +288,9 @@ class TestDifferential:
         assert counts["source"] == counts["closure"]
 
 
-#: one entry per expression kind the 1.8 emitter added (DESIGN.md seam
-#: table), error paths included: each must leave the closure seam AND
-#: stay byte-identical to the closure interpreter
+#: one entry per expression kind the 1.8 emitter added, error paths
+#: included: each must stay byte-identical to the closure interpreter
+#: and run on generated code alone
 NEW_KIND_QUERIES = [
     # -- node constructors and the enclosed-expression content rules
     '<r a="{//book[1]/@year}" b="x{1 + 1}y">{//book/title}</r>',
@@ -377,17 +377,7 @@ class TestNewlyEmittedKinds:
     @pytest.mark.parametrize("query", NEW_KIND_QUERIES)
     def test_equivalent_and_seamless(self, query, bib_xml):
         assert_source_equivalent(query, bib_xml)
-        seams = 0
-        try:
-            result = source_engine().compile(query).execute(
-                context_item=bib_xml)
-            result.items()
-            seams = result.stats.get("codegen.fallback_closure", 0)
-        except Exception:  # noqa: BLE001 - outcome compared above
-            return
-        # recursion keeps the closure calling convention: one seam at
-        # the outermost call, none per recursive step
-        assert seams == (1 if "local:fact" in query else 0), query
+        assert source_engine().compile(query).generated_source is not None
 
 
 def test_last_keeps_the_base_lazy(bib_xml):
@@ -402,13 +392,20 @@ def test_last_keeps_the_base_lazy(bib_xml):
 
 class TestDeepNesting:
     """CPython compiles at most 20 statically nested loop/try blocks:
-    the emitter continues in a fresh function before it gets there —
-    no query, however nested, may surface a SyntaxError."""
+    the emitter continues in a fresh function before it gets there
+    (``SourcePlanCompiler.emit``) — no query, however nested, may
+    surface a SyntaxError, and each runs on generated code
+    (``tests/test_seam_coverage.py``)."""
 
     DEEP = [
         # 25 nested for clauses (the where keeps them from folding)
         " ".join(f"for $v{i} in (1 to 1)" for i in range(25))
         + " where $v0 + $v24 = 2 return ($v3, $v24)",
+        # the same nest, ordered: an FLWOR that keeps its clauses,
+        # collecting its tuples 25 loops deep
+        " ".join(f"for $v{i} in (1 to 1)" for i in range(25))
+        + " where $v0 + $v24 = 2 order by $v3 descending, $v24 "
+        "return ($v3, $v24)",
         # 24 nested predicates
         "count(//bib" + "".join("[book" for _ in range(24))
         + "]" * 24 + ")",
@@ -424,18 +421,17 @@ class TestDeepNesting:
 
     @pytest.mark.parametrize("query", DEEP)
     def test_deeply_nested_queries_compile(self, query, bib_xml):
-        generated = outcome(source_engine(), query, bib_xml)
-        assert generated == outcome(closure_engine(), query, bib_xml)
-        assert generated[0] == "ok"
+        generated = _outcome_and_stats(source_engine(), query, bib_xml)
+        _agree(generated,
+               _outcome_and_stats(closure_engine(), query, bib_xml))
+        assert generated[0][0] == "ok"
 
 
 def assert_counters(generated: dict, reference: dict) -> None:
     """The differential rule for ``engine_stats``
-    (:mod:`repro.observability.counters`): semantic counters identical
-    — but for the seam counter, which only the source backend has —
+    (:mod:`repro.observability.counters`): semantic counters identical,
     and every diary no higher than the oracle's."""
-    semantics, diaries = split_counters(
-        {k: v for k, v in generated.items() if not k.startswith("codegen.")})
+    semantics, diaries = split_counters(generated)
     ref_semantics, ref_diaries = split_counters(reference)
     assert semantics == ref_semantics
     for key, value in diaries.items():
@@ -449,10 +445,9 @@ def _catalog_outcome(engine, text, declared, bindings):
         image = ("ok", result.serialize())
         stats = {k: v for k, v in result.stats.items()
                  if k.startswith(("access_path.", "twig."))}
-        return image, stats, result.stats.get("codegen.fallback_closure", 0)
+        return image, stats
     except Exception as exc:  # noqa: BLE001 - compared structurally
-        return ("err", type(exc).__name__, getattr(exc, "code", None)), \
-            {}, None
+        return ("err", type(exc).__name__, getattr(exc, "code", None)), {}
 
 
 def _same_catalog_outcome(generated, reference) -> None:
@@ -510,7 +505,6 @@ class TestIndexedOperators:
                                      bindings)
         _same_catalog_outcome(generated, reference)
         if generated[0][0] == "ok":
-            assert generated[2] == 0
             assert not any(key.endswith("fallback_navigation")
                            for key in generated[1])
 
@@ -525,7 +519,6 @@ class TestIndexedOperators:
                                      foreign)
         _same_catalog_outcome(generated, reference)
         if generated[0][0] == "ok":
-            assert generated[2] == 0
             # every index operator in the plan took its navigation side
             assert all(key.endswith("fallback_navigation")
                        for key in generated[1])
@@ -914,7 +907,7 @@ class TestJoinDetection:
                 == ("ok", "0 0")
 
     def test_a_lane_never_swallows_cancellation(self):
-        from repro.compiler.codegen import _compile_step_fn
+        from repro.runtime.paths import compile_step_fn
         from repro.errors import QueryCancelled
         from repro.qname import QName
         from repro.runtime.cancellation import CancellationToken
@@ -923,7 +916,7 @@ class TestJoinDetection:
 
         doc = parse_document(JOIN_DOC)
         people = doc.children[0].children[0]
-        step = _compile_step_fn("child", ast.NodeTest("element",
+        step = compile_step_fn("child", ast.NodeTest("element",
                                                       QName("", "person")))
         token = CancellationToken()
         token.cancel("test")
@@ -996,7 +989,7 @@ class TestE2ETemplates:
             generated = _catalog_outcome(engines["source"], text, declared,
                                          bindings)
             _same_catalog_outcome(generated, reference)
-            assert generated[0][0] == "ok" and generated[2] == 0
+            assert generated[0][0] == "ok"
             literals = {k: repr(v) if isinstance(v, float) else f"'{v}'"
                         for k, v in bindings.items()}
             adhoc = e2e_queries.adhoc_text(template, "$auction", literals)
@@ -1056,65 +1049,138 @@ class TestCompileCache:
 
 
 # ---------------------------------------------------------------------------
-# The source/closure seam (satellite: replay + error propagation)
+# The kinds that crossed into the closure interpreter before 4.0
 # ---------------------------------------------------------------------------
 
 
-#: a kind deliberately left on the closure interpreter (DESIGN.md seam
-#: table) — the canonical way to force a seam in these tests
-SEAM = "typeswitch ({}) case {} return true() default return false()"
+#: typeswitch, group by, validate and user functions kept as calls,
+#: error paths included: results, error codes and counters as the
+#: reference's
+FORMER_SEAM_QUERIES = [
+    # -- typeswitch: case variables, the default's, a failing operand
+    'for $x in (1, "a", //book[1], 2.25) return typeswitch ($x) '
+    'case $i as xs:integer return $i + 1 '
+    'case $s as xs:string return concat($s, "!") '
+    'case $e as element() return name($e) default $d return string($d)',
+    'typeswitch (//book) case $b as element(book)+ return count($b) '
+    'default return 0',
+    'typeswitch (//book[1]/@year) case $a as attribute() return string($a) '
+    'case element() return 1 default $d return $d',
+    'typeswitch (1 div 0) case xs:integer return 1 default return 2',
+    '//book[typeswitch (price) case $p as element(price) '
+    'return xs:decimal($p) > 30 default return false()]/title',
+    'sum(for $b in //book return typeswitch ($b/editor) '
+    'case $e as element()+ return count($e) default return 0)',
+    # -- group by, with and without order by; keys: two-valued
+    # (XPTY0004), empty, mixed types, two of them
+    'for $b in //book group by $y := string($b/@year) order by $y '
+    'descending return <g y="{$y}" n="{count($b)}">{$b/title}</g>',
+    'for $b in //book let $p := xs:decimal($b/price) '
+    'group by $y := $b/@year order by sum($p) return ($y, sum($p))',
+    'for $b at $i in //book group by $k := $i mod 2 return ($k, $i)',
+    'for $b in //book group by $a := $b/author/last return $a',
+    'for $b in //book group by $a := $b/author/last order by $a '
+    'return $a',
+    'for $b in //book group by $e := $b/editor return count($b)',
+    'for $x in (1, 2, 1, "1", 2.0) group by $k := $x '
+    'return ($k, count($x))',
+    'for $b in //book group by $y := string($b/@year), '
+    '$n := count($b/author) order by $y, $n '
+    'return concat($y, ":", $n, ":", count($b))',
+    'for $b in //book where $b/price > 25 group by $p := $b/publisher '
+    'return <p>{$p, count($b)}</p>',
+    # -- validate
+    'validate { <a/> }',
+    'validate { document { <a/> } }',
+    'validate { 1 }',
+    'validate { (<a/>, <b/>) }',
+    # -- recursive user functions: mutual recursion, typed parameters
+    # and returns, conversion errors, laziness, nodes
+    'declare function local:even($n) { if ($n eq 0) then true() '
+    'else local:odd($n - 1) }; declare function local:odd($n) '
+    '{ if ($n eq 0) then false() else local:even($n - 1) }; '
+    '(local:even(10), local:odd(7), local:even(7))',
+    'declare function local:sum($s as xs:decimal*) as xs:decimal '
+    '{ if (empty($s)) then 0 else $s[1] + local:sum(subsequence($s, 2)) }; '
+    'local:sum(//book/price)',
+    'declare function local:f($n as xs:integer) as xs:string '
+    '{ if ($n le 0) then "x" else local:f($n - 1) }; local:f(3)',
+    'declare function local:f($n as xs:integer) as xs:integer '
+    '{ if ($n le 0) then "x" else local:f($n - 1) }; local:f(2)',
+    'declare function local:f($n as xs:integer) '
+    '{ if ($n le 0) then 0 else local:f($n - 0.5) }; local:f(2)',
+    'declare function local:f($n) { if ($n le 0) then error() '
+    'else ($n, local:f($n - 1)) }; local:f(5)[2]',
+    'declare function local:depth($e) { if (empty($e/*)) then 1 '
+    'else 1 + max(for $c in $e/* return local:depth($c)) }; '
+    'local:depth(/bib)',
+    'declare function local:copy($e) { element { name($e) } '
+    '{ for $c in $e/* return local:copy($c) } }; local:copy(//book[1])',
+    'declare function local:up($n, $acc) { if ($n le 0) then $acc '
+    'else local:up($n - 1, ($acc, $n)) }; local:up(5, ())',
+]
+
+#: the answers the differential alone would not pin
+FORMER_SEAM_ANSWERS = {
+    FORMER_SEAM_QUERIES[0]: ("ok", "2 a! book 2.25"),
+    FORMER_SEAM_QUERIES[9]: ("err", "TypeError_", "XPTY0004"),
+    FORMER_SEAM_QUERIES[19]: ("ok", "true true false"),
+    FORMER_SEAM_QUERIES[24]: ("ok", "4"),
+}
 
 
-class TestFallbackSeam:
-    def test_fallback_counter_counts_seams(self, bib_xml):
-        engine = source_engine()
-        result = engine.compile(
-            f"({SEAM.format('//book[1]', 'element()')}, count(//book))").execute(
-            context_item=bib_xml)
-        assert result.values() == [True, 3]
-        assert result.stats["codegen.fallback_closure"] == 1
+def _outcome_and_stats(engine, query, xml_text):
+    try:
+        result = engine.compile(query).execute(context_item=xml_text)
+        return ("ok", result.serialize()), dict(result.stats)
+    except Exception as exc:  # noqa: BLE001 - compared structurally
+        return ("err", type(exc).__name__, getattr(exc, "code", None)), {}
 
-    def test_fused_plan_has_no_seams(self, bib_xml):
-        engine = source_engine()
-        result = engine.compile("count(//book[price > 20])").execute(
-            context_item=bib_xml)
-        result.items()
-        assert "codegen.fallback_closure" not in result.stats
 
-    def test_let_binding_replays_across_seam(self, bib_xml):
-        """A let-bound sequence consumed on both sides of the seam is
-        pulled once and replayed — the BufferedSequence contract."""
-        engine = source_engine()
-        query = ("let $t := //book/title "
-                 f"return (count($t), {SEAM.format('$t', 'element()+')}, "
-                 "count($t))")
-        result = engine.compile(query).execute(context_item=bib_xml)
-        assert result.values() == [3, True, 3]
-        assert result.stats["codegen.fallback_closure"] >= 1
-        # the shared binding was evaluated once: one DDO sort, not two
-        assert result.stats.get("ddo_sorts", 0) <= 2
+class TestFormerSeams:
+    @pytest.mark.parametrize("query", FORMER_SEAM_QUERIES)
+    def test_identical_to_the_reference(self, query, bib_xml):
+        generated = _outcome_and_stats(source_engine(), query, bib_xml)
+        reference = _outcome_and_stats(closure_engine(), query, bib_xml)
+        _agree(generated, reference)
+        if query in FORMER_SEAM_ANSWERS:
+            assert generated[0] == FORMER_SEAM_ANSWERS[query]
+        assert source_engine().compile(query).generated_source is not None
 
-    def test_forg0001_propagates_across_seam(self, bib_xml):
-        """A cast error raised while the *closure* side drains a
-        binding produced by generated code keeps its code — and both
-        backends agree."""
+    def test_let_binding_is_pulled_once(self, bib_xml):
+        """A let-bound sequence consumed by a typeswitch and by a count
+        is pulled once and replayed — the BufferedSequence contract."""
+        query = ("let $t := //book/title return (count($t), "
+                 "typeswitch ($t) case element()+ return true() "
+                 "default return false(), count($t))")
+        generated = _outcome_and_stats(source_engine(), query, bib_xml)
+        _agree(generated, _outcome_and_stats(closure_engine(), query, bib_xml))
+        assert generated[0] == ("ok", "3 true 3")
+        assert generated[1].get("ddo_sorts", 0) <= 1
+
+    def test_forg0001_through_typeswitch(self, bib_xml):
+        """A cast error raised while a typeswitch drains a binding keeps
+        its code — and both backends agree."""
         query = ("let $v := for $i in ('1', '2', 'x', '4') "
                  "         return xs:integer($i) "
-                 f"return ({SEAM.format('$v', 'xs:integer+')}, count($v))")
-        reference = outcome(closure_engine(), query, bib_xml)
+                 "return (typeswitch ($v) case xs:integer+ return true() "
+                 "default return false(), count($v))")
         generated = outcome(source_engine(), query, bib_xml)
-        assert generated == reference
-        assert generated[0] == "err"
-        assert generated[2] == "FORG0001"
+        assert generated == outcome(closure_engine(), query, bib_xml)
+        assert generated == ("err", "CastError", "FORG0001")
 
-    def test_seam_sees_generated_focus(self, bib_xml):
-        # a fallback under a path step must inherit the per-item focus
+    def test_typeswitch_sees_the_path_focus(self, bib_xml):
         query = ("//book/(string(title), typeswitch (.) "
                  "case element() return string(@year) default return ())")
         assert_source_equivalent(query, bib_xml)
-        result = source_engine().compile(query).execute(context_item=bib_xml)
-        result.items()
-        assert result.stats["codegen.fallback_closure"] == 3
+        assert outcome(source_engine(), query, bib_xml)[1].endswith(
+            "XML Query 1998")
+
+    def test_one_generated_function_per_kept_function(self):
+        compiled = source_engine().compile(FORMER_SEAM_QUERIES[19])
+        source = compiled.generated_source
+        # each function once, whatever the number of call sites
+        assert source.count("def _uf") == 2
 
 
 # ---------------------------------------------------------------------------
@@ -1126,13 +1192,13 @@ class TestObservability:
     def test_plan_tree_tagged(self, bib_xml):
         engine = source_engine()
         compiled = engine.compile(
-            f"({SEAM.format('//book[1]', 'element()')}, count(//book))")
+            "(typeswitch (//book[1]) case element() return true() "
+            "default return false(), count(//book))")
         tags = {node.info.get("codegen")
                 for node in compiled.plan_tree.walk()
                 if "codegen" in node.info}
         assert compiled.plan_tree.info["codegen"] == "source"
-        assert "fused" in tags
-        assert "closure" in tags
+        assert tags == {"source", "fused"}
 
     def test_generated_source_is_python(self, bib_xml):
         compiled = source_engine().compile("count(//book)")

@@ -191,10 +191,9 @@ class TestCounterKinds:
         for key in ("ddo_sorts", "access_path.actual_rows",
                     "access_path.value_index", "twig.elements_scanned"):
             assert is_diary(key), key
-        # seams, navigation fallbacks, built nodes, trace labels — and
+        # navigation fallbacks, built nodes, trace labels — and
         # anything not yet named a diary
-        for key in ("codegen.fallback_closure",
-                    "access_path.fallback_navigation",
+        for key in ("access_path.fallback_navigation",
                     "twig.fallback_navigation", "elements_constructed",
                     "trace:x", "some.new_counter"):
             assert not is_diary(key), key
@@ -278,7 +277,7 @@ def test_profiler_off_overhead_under_three_percent():
 
     hooked = Engine(compile_cache=None).compile(query)
 
-    from repro.compiler.codegen import CodeGenerator
+    from repro.compiler.reference import CodeGenerator
     from repro.compiler.normalize import normalize_module
     from repro.xquery.parser import parse_query
 

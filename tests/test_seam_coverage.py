@@ -1,55 +1,55 @@
-"""Seam coverage of the default (compile-to-source) backend.
+"""One executor: the default backend runs every query on generated code.
 
-ROADMAP item 2b as a test: for every query of three corpora — the XMark
-suite, the W3C XMP use cases, and the 22 templates of the end-to-end
-benchmark (``benchmarks/e2e/queries.py``, imported read-only) — count
-how often an execution crosses from generated code into the closure
-interpreter (``codegen.fallback_closure``).  Benchmark templates must
-never cross; the other corpora may only cross for the expression kinds
-deliberately left on the closure interpreter (:data:`LEFT_ON_CLOSURE`).
+For every query of the corpora below, a default-options run must
+compile to generated source (``CompiledQuery.generated_source``), and
+the whole run must never import the closure interpreter,
+:mod:`repro.compiler.reference` — the differential oracle is for the
+test suites and ``codegen="closure"`` only.  The corpora:
 
-The summary this file computes is the table in DESIGN.md's
-compile-to-source section; :func:`test_design_table_is_current` keeps
-the two from drifting apart.
+- the XMark suite;
+- the W3C XMP use cases;
+- the 22 templates of the end-to-end benchmark
+  (``benchmarks/e2e/queries.py``, imported read-only) over ``$auction``,
+  and the 6 it runs over ``collection()``;
+- the four kinds that ran on the closure interpreter before 4.0
+  (:data:`FORMER_CLOSURE_KINDS`);
+- the deeply nested queries of ``TestDeepNesting``.
+
+This process imports the oracle for its differential suites, so the
+corpus runs in one child process (:func:`boundary`), which reports
+per query; the tests below read that report.
 """
 
 from __future__ import annotations
 
 import importlib.util
+import json
+import os
 import random
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-import repro
-from repro import Engine, ExecutionOptions, parse_document
-from repro.workloads import generate_xmark
+from repro import ExecutionOptions
 from repro.workloads.xmark_queries import QUERIES as XMARK_QUERIES
 
-from tests.test_codegen_source import W3C_XMP_QUERIES
-from tests.test_w3c_use_cases import BIB, REVIEWS
+from tests.test_codegen_source import W3C_XMP_QUERIES, TestDeepNesting
 
 ROOT = Path(__file__).resolve().parents[1]
 
-#: expression kinds with no emitter, by design: (label, query, why) —
-#: each must still count its seam (the counter is the observability of
-#: this list) and is a row of the DESIGN.md table
-LEFT_ON_CLOSURE = [
+#: the expression kinds that crossed into the closure interpreter until
+#: the emitter learned them: (label, query)
+FORMER_CLOSURE_KINDS = [
     ("typeswitch",
-     "typeswitch (//book[1]) case element() return 1 default return 0",
-     "per-case variable scoping over a materialized operand; rare"),
-    ("validate",
-     "validate { <a/> }",
-     "schema machinery, not a loop to fuse"),
+     "typeswitch (//book[1]) case element() return 1 default return 0"),
+    ("validate", "validate { <a/> }"),
     ("FLWOR with group by",
-     "for $b in //book group by $y := string($b/@year) return $y",
-     "regrouping rebinds every variable per group"),
+     "for $b in //book group by $y := string($b/@year) return $y"),
     ("recursive user function",
      "declare function local:f($n) { if ($n le 0) then 0 "
-     "else $n + local:f($n - 1) }; local:f(3)",
-     "normalization inlines every non-recursive call; recursion keeps "
-     "the closure calling convention (one seam at the outermost call)"),
+     "else $n + local:f($n - 1) }; local:f(3)"),
 ]
 
 
@@ -74,102 +74,122 @@ COLLECTION_TEMPLATES = ("count_pred", "sum_ages", "exists_current",
 assert ExecutionOptions().codegen == "source"  # what "default" means here
 
 
-def _seams(result) -> int:
-    result.items()
-    return result.stats.get("codegen.fallback_closure", 0)
-
-
-@pytest.fixture(scope="module")
-def xmark_doc(xmark_small):
-    return parse_document(xmark_small)
-
-
-@pytest.fixture(scope="module")
-def shop():
-    """One indexed catalog document, the way the server holds it."""
-    cat = repro.catalog()
-    cat.add("auction", generate_xmark(scale=0.05, seed=1))
-    cat.add("second", generate_xmark(scale=0.05, seed=2))
-    return Engine(catalog=cat)
-
-
-def _run_template(engine, name, source):
+def _template_case(name, source):
     template = TEMPLATES[name]
     params = template.sample(random.Random(f"seams:{name}"))
-    compiled = engine.compile(E2E.source_text(template, source),
-                              variables=tuple(template.params))
-    return compiled.execute(variables=params)
+    return {"text": E2E.source_text(template, source), "on": "catalog",
+            "variables": params}
+
+
+def _cases() -> dict[str, dict]:
+    cases = {}
+    for key, query in XMARK_QUERIES.items():
+        cases[f"xmark:{key}"] = {"text": query.text, "on": "xmark"}
+    for i, text in enumerate(W3C_XMP_QUERIES):
+        cases[f"w3c:{i}"] = {"text": text, "on": "documents"}
+    for name in TEMPLATES:
+        cases[f"e2e:{name}"] = _template_case(name, "$auction")
+    for name in COLLECTION_TEMPLATES:
+        cases[f"collection:{name}"] = _template_case(name, "collection()")
+    for label, text in FORMER_CLOSURE_KINDS:
+        cases[f"kind:{label}"] = {"text": text, "on": "bib"}
+    for i, text in enumerate(TestDeepNesting.DEEP):
+        cases[f"deep:{i}"] = {"text": text, "on": "bib"}
+    return cases
+
+
+#: the child: runs every case on a default Engine, reports per case
+#: whether it compiled to generated source and how it ended, and
+#: whether the oracle module was ever imported
+_CHILD = r"""
+import json, sys
+import repro
+from repro import Engine, parse_document
+from repro.workloads import generate_xmark
+
+spec = json.load(sys.stdin)
+xmark = parse_document(generate_xmark(scale=0.05, seed=1))
+bib = parse_document(spec["bib"])
+cat = repro.catalog()
+cat.add("auction", generate_xmark(scale=0.05, seed=1))
+cat.add("second", generate_xmark(scale=0.05, seed=2))
+engines = {"catalog": Engine(catalog=cat)}
+report = {}
+for key, case in spec["cases"].items():
+    engine = engines.get(case["on"]) or Engine()
+    variables = case.get("variables") or {}
+    run = {"xmark": {"context_item": xmark}, "bib": {"context_item": bib},
+           "documents": {"documents": spec["documents"]},
+           "catalog": {"variables": variables}}[case["on"]]
+    try:
+        compiled = engine.compile(case["text"], variables=tuple(variables))
+        compiled.execute(**run).serialize()
+        outcome = "ok"
+    except Exception as exc:
+        compiled, outcome = None, f"{type(exc).__name__} {getattr(exc, 'code', '')}"
+    report[key] = {"source": compiled is not None
+                   and compiled.generated_source is not None,
+                   "outcome": outcome}
+print(json.dumps({"cases": report,
+                  "reference": "repro.compiler.reference" in sys.modules}))
+"""
+
+
+@pytest.fixture(scope="module")
+def boundary(bib_xml):
+    """The child's report: ``{"cases": {key: {source, outcome}},
+    "reference": imported?}``."""
+    from tests.test_w3c_use_cases import BIB, REVIEWS
+
+    spec = {"cases": _cases(), "bib": bib_xml,
+            "documents": {"bib.xml": BIB, "reviews.xml": REVIEWS}}
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    child = subprocess.run([sys.executable, "-c", _CHILD],
+                           input=json.dumps(spec), capture_output=True,
+                           text=True, env=env, timeout=600, check=True)
+    return json.loads(child.stdout.strip().splitlines()[-1])
+
+
+def _on_generated_code(boundary, key) -> None:
+    case = boundary["cases"][key]
+    assert case == {"source": True, "outcome": "ok"}, (key, case)
+
+
+def test_default_backend_never_imports_the_oracle(boundary):
+    assert boundary["reference"] is False
+    assert set(boundary["cases"]) == set(_cases())
 
 
 @pytest.mark.parametrize("key", list(XMARK_QUERIES))
-def test_xmark_suite_is_seamless(key, xmark_doc):
-    result = Engine().compile(XMARK_QUERIES[key].text).execute(
-        context_item=xmark_doc)
-    assert _seams(result) == 0
+def test_xmark_suite_is_seamless(key, boundary):
+    _on_generated_code(boundary, f"xmark:{key}")
 
 
 @pytest.mark.parametrize("index", range(len(W3C_XMP_QUERIES)))
-def test_w3c_use_cases_are_seamless(index):
-    result = Engine().compile(W3C_XMP_QUERIES[index]).execute(
-        documents={"bib.xml": BIB, "reviews.xml": REVIEWS})
-    assert _seams(result) == 0
+def test_w3c_use_cases_are_seamless(index, boundary):
+    _on_generated_code(boundary, f"w3c:{index}")
 
 
 @pytest.mark.parametrize("name", list(TEMPLATES))
-def test_benchmark_templates_are_seamless(name, shop):
-    assert _seams(_run_template(shop, name, "$auction")) == 0
+def test_benchmark_templates_are_seamless(name, boundary):
+    _on_generated_code(boundary, f"e2e:{name}")
 
 
 @pytest.mark.parametrize("name", COLLECTION_TEMPLATES)
-def test_benchmark_collection_templates_are_seamless(name, shop):
-    assert _seams(_run_template(shop, name, "collection()")) == 0
+def test_benchmark_collection_templates_are_seamless(name, boundary):
+    _on_generated_code(boundary, f"collection:{name}")
 
 
-@pytest.mark.parametrize("label,query,_why", LEFT_ON_CLOSURE,
-                         ids=[row[0] for row in LEFT_ON_CLOSURE])
-def test_kinds_left_on_closure_count_their_seam(label, query, _why,
-                                                bib_xml):
-    result = Engine().compile(query).execute(context_item=bib_xml)
-    assert _seams(result) >= 1
+@pytest.mark.parametrize("label", [row[0] for row in FORMER_CLOSURE_KINDS])
+def test_former_closure_kinds_are_seamless(label, boundary):
+    _on_generated_code(boundary, f"kind:{label}")
+
+
+@pytest.mark.parametrize("index", range(len(TestDeepNesting.DEEP)))
+def test_deep_nests_are_seamless(index, boundary):
+    _on_generated_code(boundary, f"deep:{index}")
 
 
 def test_all_benchmark_templates_are_covered():
     assert len(TEMPLATES) == 22
     assert set(COLLECTION_TEMPLATES) <= set(TEMPLATES)
-
-
-def design_table(xmark_doc, shop) -> str:
-    """The seam-coverage table of DESIGN.md, computed."""
-    def row(corpus, counts):
-        crossing = ", ".join(f"{name}: {n}" for name, n in counts if n) \
-            or "—"
-        zero = sum(1 for _, n in counts if not n)
-        return f"| {corpus} | {len(counts)} | {zero} | {crossing} |"
-
-    corpora = [
-        ("XMark suite (`repro.workloads.xmark_queries`)",
-         [(key, _seams(Engine().compile(q.text).execute(
-             context_item=xmark_doc)))
-          for key, q in XMARK_QUERIES.items()]),
-        ("W3C XMP use cases (`tests/test_codegen_source.py`)",
-         [(f"Q{i}", _seams(Engine().compile(text).execute(
-             documents={"bib.xml": BIB, "reviews.xml": REVIEWS})))
-          for i, text in enumerate(W3C_XMP_QUERIES, 1)]),
-        ("e2e benchmark templates over `$auction`",
-         [(name, _seams(_run_template(shop, name, "$auction")))
-          for name in TEMPLATES]),
-        ("e2e benchmark templates over `collection()`",
-         [(name, _seams(_run_template(shop, name, "collection()")))
-          for name in COLLECTION_TEMPLATES]),
-    ]
-    lines = ["| corpus | queries | zero seams | seams by query |",
-             "|---|---|---|---|"]
-    lines += [row(corpus, counts) for corpus, counts in corpora]
-    return "\n".join(lines)
-
-
-def test_design_table_is_current(xmark_doc, shop):
-    design = (ROOT / "DESIGN.md").read_text(encoding="utf-8")
-    assert design_table(xmark_doc, shop) in design
-    for label, _query, _why in LEFT_ON_CLOSURE:
-        assert f"| {label} |" in design, label

@@ -358,6 +358,34 @@ def test_too_deeply_nested_query_is_a_400(processes):
         handle.close()
 
 
+@pytest.mark.parametrize("processes", [0, pytest.param(2, marks=_PREFORK)],
+                         ids=["inprocess", "prefork"])
+def test_too_deep_recursion_is_a_422(processes):
+    """A user function recursing past the interpreter's stack is an
+    implementation limit (XPDY0130) on this data, not a 500 — and no
+    child dies of it."""
+    handle = start_in_thread(ServerConfig(port=0, processes=processes))
+    client = Client(handle.port)
+    try:
+        _setup_tenant(client, "t_rec")
+        status, body, _ = client.request(
+            "POST", "/tenants/t_rec/execute",
+            {"query": "declare function local:f($n) { if ($n le 0) then 0 "
+                      "else $n + local:f($n - 1) }; local:f(100000)"})
+        assert status == 422, body
+        assert body["error"]["code"] == "XPDY0130"
+        status, body, _ = client.request(
+            "POST", "/tenants/t_rec/execute", {"query": "count($books//book)"})
+        assert status == 200 and body["items"] == [2]
+        status, body, _ = client.request("GET", "/metrics")
+        if processes:
+            assert body["pool"]["workers"] == processes
+            assert body["pool"]["crashes"] == body["pool"]["respawns"] == 0
+    finally:
+        client.close()
+        handle.close()
+
+
 class TestOverload:
     def test_admission_rejects_503(self):
         config = ServerConfig(
