@@ -28,11 +28,13 @@ Contracts:
   only the diary counters (:mod:`repro.observability.counters`) may
   show.
 - **Sub-regions.**  A lazily bound value (``let``, a lazy builtin's
-  argument, a user function's argument), a multi-site producer feeding
-  a whole loop body, and whatever would nest deeper than CPython's 20
-  statically nested blocks continue in a fresh generator function
+  argument, a user function's argument) and a multi-site producer
+  feeding a whole loop body continue in a fresh generator function
   (:meth:`SourcePlanCompiler._subregion`); each user function kept as
-  a call is one generated generator function.
+  a call is one generated generator function.  Depth is not a reason:
+  the emitter builds a loop nest (:mod:`repro.compiler.loopnest`), and
+  its printer moves whatever would pass CPython's nesting limits into
+  a closure.
 - **Observability.**  The root region is registered as a hooked
   :class:`~repro.observability.explain.PlanNode` (tagged
   ``codegen=source``) so EXPLAIN ANALYZE item counts match the closure
@@ -66,6 +68,7 @@ from repro.compiler.analysis import (
     uses_last,
 )
 from repro.compiler.context import StaticContext
+from repro.compiler.loopnest import POLL, Block, Func, Loop, Try, print_module
 from repro.compiler.sequencetype import resolve_atomic, resolve_sequence_type
 from repro.errors import DynamicError, TypeError_, UndefinedNameError
 from repro.qname import FN_NS, QName
@@ -188,7 +191,6 @@ _BASE_ENV = {
     "_ABSENT": _ABSENT,
     "_atomize_item": atomize_item,
     "_ebv_atom": _atomic_ebv,
-    "_ebv": effective_boolean_value,
     "_general_pair": _general_pair,
     "_compare_lane": compare_lane,
     "_HashLane": HashLane,
@@ -233,12 +235,6 @@ _BASE_ENV = {
     "_validate": validate_node,
 }
 
-#: statically nested blocks (loops, ``try``) open in one generated
-#: function past which :meth:`SourcePlanCompiler.emit` continues in a
-#: fresh one — CPython compiles at most 20, and an emitter and its sink
-#: open up to a handful more before the next ``emit``
-_MAX_NESTED = 13
-
 #: fn: builtins whose EBV equals their (boolean-singleton) value — used
 #: to route fused predicates through the static-boolean EBV emission
 _EBV_FUSED_BUILTINS = ("not", "boolean", "exists", "empty")
@@ -267,17 +263,6 @@ def _peel_ddo(expr):
     while isinstance(expr, ast.DDO):
         expr = expr.operand
     return expr
-
-
-def _path_chain(expr) -> int:
-    """How many paths nest along ``expr``'s left spine: the walks a
-    chain emits one inside the other (a DDO materializes, so the
-    nesting restarts under it)."""
-    depth = 0
-    while isinstance(expr, ast.PathExpr):
-        depth += 1
-        expr = expr.left
-    return depth
 
 
 def _key_steps(expr) -> tuple | None:
@@ -642,7 +627,7 @@ class _PathSink:
         with em.under(self.parent):
             em._emit_path_right(self.expr.right, item,
                                 self.pos_counter or "0", self.out,
-                                em._invariant_depth(self.expr.left))
+                                em._invariant_anchor(self.expr.left))
 
 
 # ---------------------------------------------------------------------------
@@ -655,8 +640,7 @@ class _Binding(NamedTuple):
 
     local: str  #: the Python local holding it (may alias another binding's)
     kind: str  #: "item" | "seq"
-    function: dict  #: the function record it was bound in
-    depth: int  #: loops of that function open when it was bound
+    anchor: Loop | Func  #: the innermost loop (or function) bound under
 
 
 class SourcePlanCompiler:
@@ -688,13 +672,17 @@ class SourcePlanCompiler:
         #: local focus: None (ambient dctx focus) or a (item, position,
         #: size) triple of identifiers / integer literals
         self.focus: tuple[str, str, str] | None = None
-        #: how many of this function's open loops the focus item is
-        #: invariant to (None: unknown) — set for a path's right side
-        self._focus_depth: int | None = None
+        #: the open loop (or function) the focus item is invariant to
+        #: every loop inside of (None: unknown) — set for a path's
+        #: right side
+        self._focus_anchor: Loop | Func | None = None
         #: locals an axis walk or access path proved to hold a node
         self._nodes: set[str] = set()
-        self._functions: list[dict] = []
-        self._cur: dict | None = None
+        #: the generated functions; the body being written; the
+        #: innermost open loop (or the function when none is)
+        self._funcs: list[Func] = []
+        self._body: list | None = None
+        self._loop: Loop | Func | None = None
         #: generated function of each user function kept as a call
         self._user_functions: dict[ast.FunctionDecl, str] = {}
         self._counter = 0
@@ -710,73 +698,53 @@ class SourcePlanCompiler:
         self.filename: str | None = None
         self.entry_point = None
 
-    # -- text emission -----------------------------------------------------
+    # -- loop-nest building (printed by repro.compiler.loopnest) -------------
 
     def fresh(self, prefix: str) -> str:
         self._counter += 1
         return f"_{prefix}{self._counter}"
 
     def w(self, line: str) -> None:
-        cur = self._cur
-        cur["lines"].append("    " * cur["indent"] + line)
+        self._body.append(line)
 
     @contextmanager
-    def block(self, header: str | None = None):
-        if header is not None:
-            self.w(header)
-        cur = self._cur
-        cur["indent"] += 1
-        mark = len(cur["lines"])
+    def _open(self, node: Block):
+        """Append ``node``; what is written inside goes to its body."""
+        self._body.append(node)
+        outer, self._body = self._body, node.body
         try:
             yield
         finally:
-            if len(cur["lines"]) == mark:
-                self.w("pass")
-            cur["indent"] -= 1
+            self._body = outer
+
+    def block(self, header: str):
+        return self._open(Block(header))
 
     @contextmanager
     def loop(self, header: str):
         """A ``for`` / ``while`` block.  While it is open, a
         loop-invariant operand in its body may ask for a line to run
         once per activation, just before ``header`` (see :meth:`_held`)."""
-        cur = self._cur
-        cur["loops"].append((len(cur["lines"]), cur["indent"]))
+        node = self._loop = Loop(header, self._loop)
         try:
-            with self.nested(header):
+            with self._open(node):
                 yield
         finally:
-            cur["loops"].pop()
-
-    @contextmanager
-    def nested(self, header: str):
-        """A block CPython counts towards its 20 statically nested
-        blocks (a loop, a ``try``); see :meth:`emit`."""
-        cur = self._cur
-        cur["blocks"] += 1
-        try:
-            with self.block(header):
-                yield
-        finally:
-            cur["blocks"] -= 1
+            self._loop = node.outer
 
     @contextmanager
     def function(self, name: str, params: list[str]):
-        #: ``loops``: (header line index, indent) of each open loop;
-        #: ``hoists``: header line index -> lines to run just before it;
-        #: ``polled``: where the last poll ended (line count, indent);
-        #: ``blocks``: nested blocks open (:meth:`nested`)
-        rec = {"lines": [f"def {name}({', '.join(params)}):"], "indent": 1,
-               "loops": [], "hoists": {}, "polled": None, "blocks": 0}
-        self._functions.append(rec)
-        prev, self._cur = self._cur, rec
-        depth = self._focus_depth
+        func = Func(name, params)
+        self._funcs.append(func)
+        saved = self._body, self._loop, self._focus_anchor
+        self._body = func.body
+        self._loop = func
         # a captured focus is a parameter: invariant to every loop here
-        self._focus_depth = None if self.focus is None else 0
+        self._focus_anchor = None if self.focus is None else func
         try:
             yield
         finally:
-            self._cur = prev
-            self._focus_depth = depth
+            self._body, self._loop, self._focus_anchor = saved
 
     @contextmanager
     def early(self):
@@ -784,12 +752,12 @@ class SourcePlanCompiler:
         ``_Early(token)`` and foreign tokens are re-raised onward."""
         self._early_counter += 1
         token = self._early_counter
-        with self.nested("try:"):
+        with self._open(Try()):
             yield token
         ex = f"_ex{token}"
-        with self.block(f"except _Early as {ex}:"):
-            with self.block(f"if {ex}.args[0] != {token}:"):
-                self.w("raise")
+        with self._open(Block(f"except _Early as {ex}:", 2)), \
+                self.block(f"if {ex}.args[0] != {token}:"):
+            self.w("raise")
 
     def const(self, value: Any, prefix: str = "k") -> str:
         key = (prefix, id(value))
@@ -801,14 +769,9 @@ class SourcePlanCompiler:
         return name
 
     def poll(self) -> None:
-        """A cancellation poll (free when no token is attached) — unless
-        the last statement written at this level already was one."""
-        cur = self._cur
-        if cur["polled"] == (len(cur["lines"]), cur["indent"]):
-            return
-        with self.block("if _tok is not None:"):
-            self.w("_tok.check()")
-        cur["polled"] = (len(cur["lines"]), cur["indent"])
+        """A cancellation poll (the printer drops one that directly
+        follows another)."""
+        self._body.append(POLL)
 
     def _as_local(self, code: str) -> str:
         """Pin a produced expression to a temp (producers call this so
@@ -827,33 +790,36 @@ class SourcePlanCompiler:
         :func:`repro.compiler.analysis.pure_scalar`.)"""
         return pure_scalar(expr) or pure_path(expr)
 
-    def _loop_depth(self, expr) -> int:
-        """How many of this function's open loops were open where the
-        innermost of ``expr``'s free variables was bound: ``expr`` is
-        invariant to every loop from that index on."""
-        depth = 0
-        for var in free_vars(expr):
-            binding = self.scope.get(var)
-            # bound in an enclosing function: a parameter of this one
-            if binding is not None and binding.function is self._cur:
-                depth = max(depth, binding.depth)
-        return depth
+    def _innermost(self, anchors) -> Loop | Func:
+        """The innermost of ``anchors`` open in this function (the
+        function when none is: an anchor elsewhere is a parameter's)."""
+        node = self._loop
+        while node.outer is not None and node not in anchors:
+            node = node.outer
+        return node
 
-    def _invariant_depth(self, expr) -> int | None:
-        """Like :meth:`_loop_depth` for an expression whose *value*
+    def _inside(self, anchor: Loop | Func) -> Loop | None:
+        """The open loop directly inside ``anchor`` (None: none is)."""
+        node, inner = self._loop, None
+        while node is not anchor:
+            node, inner = node.outer, node
+        return inner
+
+    def _anchor(self, expr) -> Loop | Func:
+        """Where the innermost of ``expr``'s free variables was bound:
+        ``expr`` is invariant to every loop inside it."""
+        return self._innermost([self.scope[var].anchor
+                                for var in free_vars(expr)
+                                if var in self.scope])
+
+    def _invariant_anchor(self, expr) -> Loop | Func | None:
+        """Like :meth:`_anchor` for an expression whose *value*
         repeats wherever it runs (no focus, no new nodes), whether or
         not its evaluation may be skipped; None otherwise."""
         ann = expr.annotations
         if ann.get("uses_focus", True) or ann.get("creates_nodes", True):
             return None
-        return self._loop_depth(expr)
-
-    def _hoist(self, depth: int, line: str) -> None:
-        """Run ``line`` once per activation of open loop ``depth``,
-        just before its header."""
-        header, indent = self._cur["loops"][depth]
-        self._cur["hoists"].setdefault(header, []).append(
-            "    " * indent + line)
+        return self._anchor(expr)
 
     def _held(self, expr, prefix: str) -> str | None:
         """A local that holds ``expr``'s value for a whole loop
@@ -865,14 +831,13 @@ class SourcePlanCompiler:
         variables; the caller fills it under :meth:`_first_use` — at
         the first use inside the loop, which is where, and only if, the
         unhoisted code would have evaluated ``expr`` first."""
-        loops = self._cur["loops"]
-        if not loops or self._hoisting or not self._holdable(expr):
+        if self._hoisting or not self._holdable(expr):
             return None
-        depth = self._loop_depth(expr)
-        if depth >= len(loops):
+        loop = self._inside(self._anchor(expr))
+        if loop is None:
             return None
         held = self.fresh(prefix)
-        self._hoist(depth, f"{held} = _ABSENT")
+        loop.pre.append(f"{held} = _ABSENT")
         return held
 
     @contextmanager
@@ -890,8 +855,7 @@ class SourcePlanCompiler:
     def bound(self, var: QName, local: str, kind: str):
         had = var in self.scope
         old = self.scope.get(var)
-        self.scope[var] = _Binding(local, kind, self._cur,
-                                   len(self._cur["loops"]))
+        self.scope[var] = _Binding(local, kind, self._loop)
         try:
             yield
         finally:
@@ -902,14 +866,14 @@ class SourcePlanCompiler:
 
     @contextmanager
     def focused(self, item: str, position: str, size: str,
-                depth: int | None = None):
-        """A local focus; ``depth`` as :attr:`_focus_depth`."""
-        old = self.focus, self._focus_depth
-        self.focus, self._focus_depth = (item, position, size), depth
+                anchor: Loop | Func | None = None):
+        """A local focus; ``anchor`` as :attr:`_focus_anchor`."""
+        old = self.focus, self._focus_anchor
+        self.focus, self._focus_anchor = (item, position, size), anchor
         try:
             yield
         finally:
-            self.focus, self._focus_depth = old
+            self.focus, self._focus_anchor = old
 
     # -- plan-tree bookkeeping ---------------------------------------------
 
@@ -928,28 +892,20 @@ class SourcePlanCompiler:
             self.plan_tree = node
         return node
 
-    @contextmanager
     def pnode(self, expr, tag: str = "fused"):
-        node = self._pnode(expr, tag)
+        return self.under(self._pnode(expr, tag))
+
+    @contextmanager
+    def under(self, node):
+        """Enter a PlanNode — a new one (:meth:`pnode`), or one created
+        before (sink bodies run while the producer's subtree is on the
+        stack; this restores nesting)."""
         if node is None:
             yield None
             return
         self._node_stack.append(node)
         try:
             yield node
-        finally:
-            self._node_stack.pop()
-
-    @contextmanager
-    def under(self, node):
-        """Re-enter a previously created PlanNode (sink bodies run while
-        the producer's subtree is on the stack; this restores nesting)."""
-        if node is None:
-            yield
-            return
-        self._node_stack.append(node)
-        try:
-            yield
         finally:
             self._node_stack.pop()
 
@@ -960,14 +916,7 @@ class SourcePlanCompiler:
     # -- dispatch ------------------------------------------------------------
 
     def emit(self, expr, sink) -> None:
-        """Emit ``expr``'s production into ``sink``.  CPython compiles
-        at most 20 statically nested blocks per function: past
-        :data:`_MAX_NESTED` open here (leaving room for what one emitter
-        and its sink open before the next ``emit``), the producer
-        continues in a fresh function and the sink takes its items."""
-        if self._cur["blocks"] >= _MAX_NESTED:
-            self._through_subregion(expr, sink)
-            return
+        """Emit ``expr``'s production into ``sink``."""
         with self.pnode(expr):
             self._dispatch(expr, sink)
 
@@ -979,18 +928,13 @@ class SourcePlanCompiler:
     # -- sub-regions ---------------------------------------------------------
 
     def _subregion(self, expr, dispatch: bool = False) -> str:
-        """Emit ``expr`` as its own generator function; returns the call
-        expression.  ``dispatch``: ``expr`` already has its plan node
-        (the sub-region is a second emission of it)."""
+        """Emit ``expr`` as its own generator function, yielding its
+        items; returns the call expression.  ``dispatch``: ``expr``
+        already has its plan node (the sub-region is a second emission
+        of it).  Captured scope locals (and identifier focus parts)
+        pass as parameters under their own names, so the scope map and
+        focus stay valid inside."""
         emit = self._dispatch if dispatch else self.emit
-        return self._region(lambda sink: emit(expr, sink))
-
-    def _region(self, body) -> str:
-        """A fresh generator function whose code ``body(sink)`` emits
-        (yielding what reaches the sink); returns the call expression.
-        Captured scope locals (and identifier focus parts) pass as
-        parameters under their own names, so the scope map and focus
-        stay valid inside."""
         name = self.fresh("r")
         captured: list[str] = []
         for binding in self.scope.values():
@@ -1001,10 +945,7 @@ class SourcePlanCompiler:
                 if part.isidentifier() and part not in captured:
                     captured.append(part)
         with self.function(name, ["dctx"] + captured):
-            self.w("_tok = dctx._shared.cancellation")
-            body(_YieldSink())
-            self.w("return")
-            self.w("yield None")
+            emit(expr, _YieldSink())
         args = "".join(", " + c for c in captured)
         return f"{name}(dctx{args})"
 
@@ -1014,31 +955,9 @@ class SourcePlanCompiler:
         """Emit the effective boolean value of ``expr`` into a plain
         Python bool local; statically-boolean shapes skip the generic
         first/second-item machinery."""
-        if self._cur["blocks"] >= _MAX_NESTED:
-            # a sink's per-item code (a quantifier's condition, a
-            # predicate) nests without passing through emit: the
-            # operand continues in a fresh function (see emit)
-            out = self.fresh("b")
-            self.w(f"{out} = _ebv({self._subregion(expr)})")
-            return out
-        if isinstance(expr, ast.AndExpr):
+        if isinstance(expr, (ast.AndExpr, ast.OrExpr)):
             with self.pnode(expr):
-                left = self._emit_ebv(expr.left)
-                out = self.fresh("b")
-                self.w(f"{out} = False")
-                with self.block(f"if {left}:"):
-                    right = self._emit_ebv(expr.right)
-                    self.w(f"{out} = {right}")
-            return out
-        if isinstance(expr, ast.OrExpr):
-            with self.pnode(expr):
-                left = self._emit_ebv(expr.left)
-                out = self.fresh("b")
-                self.w(f"{out} = True")
-                with self.block(f"if not {left}:"):
-                    right = self._emit_ebv(expr.right)
-                    self.w(f"{out} = {right}")
-            return out
+                return self._emit_logic(expr)
         if isinstance(expr, ast.IfExpr):
             with self.pnode(expr):
                 cond = self._emit_ebv(expr.cond)
@@ -1110,6 +1029,23 @@ class SourcePlanCompiler:
             with self.block(f"if {first} is not _ABSENT:"):
                 self.w(f"{result} = _ebv_atom({first})")
         return result
+
+    def _emit_logic(self, expr) -> str:
+        """``and`` / ``or`` into a plain Python bool local: the right
+        operand runs only when the left does not decide."""
+        left = self._emit_ebv(expr.left)
+        out = self.fresh("b")
+        conjunction = isinstance(expr, ast.AndExpr)
+        self.w(f"{out} = {not conjunction}")
+        with self.block(f"if {left}:" if conjunction else f"if not {left}:"):
+            self.w(f"{out} = {self._emit_ebv(expr.right)}")
+        return out
+
+    def _emit_boolean(self, value: str, sink) -> None:
+        """Produce the ``xs:boolean`` of the Python bool ``value``."""
+        t = self.fresh("t")
+        self.w(f"{t} = _boolean({value})")
+        sink.item(self, t)
 
     def _emit_collected(self, expr, sink_cls=_CollectSink) -> str:
         """Drain ``expr`` into a fresh list local (items, or atomized
@@ -1243,9 +1179,7 @@ class SourcePlanCompiler:
             if binding.kind == "item":
                 sink.item(self, binding.local)
             else:
-                t = self.fresh("t")
-                with self.loop(f"for {t} in {binding.local}:"):
-                    sink.item(self, t)
+                self._produce(binding.local, sink)
             return
         qn = self.const(expr.name, "qn")
         v = self.fresh("v")
@@ -1253,8 +1187,15 @@ class SourcePlanCompiler:
         with self.block(f"if not isinstance({v}, (list, tuple, "
                         f"_BufferedSequence)):"):
             self.w(f"{v} = ({v},)")
+        self._produce(v, sink)
+
+    def _produce(self, iterable: str, sink, nodes: bool = False) -> None:
+        """Feed the sink every item of the Python iterable ``iterable``
+        (``nodes``: each is proven to be a node)."""
         t = self.fresh("t")
-        with self.loop(f"for {t} in {v}:"):
+        if nodes:
+            self._nodes.add(t)
+        with self.loop(f"for {t} in {iterable}:"):
             sink.item(self, t)
 
     def _e_ContextItem(self, expr, sink) -> None:
@@ -1267,14 +1208,10 @@ class SourcePlanCompiler:
         and return True."""
         if getattr(sink, "inline", False):
             return False
-        self._through_subregion(expr, sink)
-        return True
-
-    def _through_subregion(self, expr, sink) -> None:
-        """Produce ``expr`` in a sub-region; the sink takes its items."""
         t = self.fresh("t")
         with self.loop(f"for {t} in {self._subregion(expr)}:"):
             sink.item(self, t)
+        return True
 
     def _e_SequenceExpr(self, expr: ast.SequenceExpr, sink) -> None:
         if len(expr.items) > 1 and self._one_site(expr, sink):
@@ -1322,10 +1259,7 @@ class SourcePlanCompiler:
                        lambda: self.emit(expr.body, sink))
 
     def _e_Quantified(self, expr: ast.Quantified, sink) -> None:
-        flag = self._emit_quantified_flag(expr)
-        t = self.fresh("t")
-        self.w(f"{t} = _boolean({flag})")
-        sink.item(self, t)
+        self._emit_boolean(self._emit_quantified_flag(expr), sink)
 
     def _e_IfExpr(self, expr: ast.IfExpr, sink) -> None:
         if not isinstance(expr.then, ast.EmptySequence) \
@@ -1341,48 +1275,25 @@ class SourcePlanCompiler:
     # -- logic / comparison / arithmetic --------------------------------------
 
     def _e_AndExpr(self, expr: ast.AndExpr, sink) -> None:
-        left = self._emit_ebv(expr.left)
-        out = self.fresh("b")
-        self.w(f"{out} = False")
-        with self.block(f"if {left}:"):
-            right = self._emit_ebv(expr.right)
-            self.w(f"{out} = {right}")
-        t = self.fresh("t")
-        self.w(f"{t} = _boolean({out})")
-        sink.item(self, t)
+        self._emit_boolean(self._emit_logic(expr), sink)
 
     def _e_OrExpr(self, expr: ast.OrExpr, sink) -> None:
-        left = self._emit_ebv(expr.left)
-        out = self.fresh("b")
-        self.w(f"{out} = True")
-        with self.block(f"if not {left}:"):
-            right = self._emit_ebv(expr.right)
-            self.w(f"{out} = {right}")
-        t = self.fresh("t")
-        self.w(f"{t} = _boolean({out})")
-        sink.item(self, t)
+        self._emit_boolean(self._emit_logic(expr), sink)
 
     def _e_Comparison(self, expr: ast.Comparison, sink) -> None:
         if expr.family == "general":
-            result = self._emit_general(expr)
-            t = self.fresh("t")
-            self.w(f"{t} = _boolean({result})")
-            sink.item(self, t)
+            self._emit_boolean(self._emit_general(expr), sink)
             return
         if expr.family == "value":
             a = self._emit_atom_opt(expr.left)
             b = self._emit_atom_opt(expr.right)
             with self.block(f"if {a} is not None and {b} is not None:"):
-                t = self.fresh("t")
-                self.w(f"{t} = _boolean(_value_compare({expr.op!r}, "
-                       f"{a}, {b}))")
-                sink.item(self, t)
+                self._emit_boolean(f"_value_compare({expr.op!r}, {a}, {b})",
+                                   sink)
             return
         result = self._emit_node_compare(expr)
         with self.block(f"if {result} is not None:"):
-            t = self.fresh("t")
-            self.w(f"{t} = _boolean({result})")
-            sink.item(self, t)
+            self._emit_boolean(result, sink)
 
     def _e_Arithmetic(self, expr: ast.Arithmetic, sink) -> None:
         a = self._emit_atom_opt(expr.left)
@@ -1406,9 +1317,7 @@ class SourcePlanCompiler:
         self.w(f"{la} = _all_nodes({la}, {expr.op!r})")
         lb = self._emit_collected(expr.right)
         self.w(f"{lb} = _all_nodes({lb}, {expr.op!r})")
-        t = self.fresh("t")
-        with self.loop(f"for {t} in _set_result({expr.op!r}, {la}, {lb}):"):
-            sink.item(self, t)
+        self._produce(f"_set_result({expr.op!r}, {la}, {lb})", sink)
 
     # -- paths ------------------------------------------------------------------
 
@@ -1468,25 +1377,18 @@ class SourcePlanCompiler:
         else:
             pos_counter = self.fresh("i")
             self.w(f"{pos_counter} = 0")
-        left_sink = _PathSink(expr, sink, pos_counter, self._here())
-        if self._cur["blocks"] + _path_chain(expr.left) >= _MAX_NESTED:
-            # each step of a path chain nests its walk inside the
-            # previous one's, all from this one emit: the left part of
-            # the chain continues in a fresh function (see emit)
-            self._through_subregion(expr.left, left_sink)
-        else:
-            self.emit(expr.left, left_sink)
+        self.emit(expr.left, _PathSink(expr, sink, pos_counter, self._here()))
 
     def _emit_path_right(self, right, item: str, pos: str, sink,
-                         depth: int | None = None) -> None:
+                         anchor: Loop | Func | None = None) -> None:
         """The per-left-item right side of a path (focus = left item,
-        invariant to ``depth`` open loops when the left is)."""
+        invariant to the loops inside ``anchor`` when the left is)."""
         if isinstance(right, ast.Step):
             with self.pnode(right):
                 with self.focused(item, pos, "0"):
                     self._emit_step_walk(right, item, sink)
             return
-        with self.focused(item, pos, "0", depth):
+        with self.focused(item, pos, "0", anchor):
             join = self._join_plan(right) \
                 if isinstance(right, ast.Filter) else None
         if isinstance(right, ast.Filter) and isinstance(right.base, ast.Step) \
@@ -1534,7 +1436,7 @@ class SourcePlanCompiler:
             return
         # generic right side (it never reads last(): _e_PathExpr took
         # the sized loop otherwise)
-        with self.focused(item, pos, "0", depth):
+        with self.focused(item, pos, "0", anchor):
             self.emit(right, sink)
 
     def _emit_predicate_keep(self, predicate, item: str, pos: str, size: str,
@@ -1585,17 +1487,16 @@ class SourcePlanCompiler:
     # -- join detection: correlated equality filters ---------------------------
 
     def _join_plan(self, expr: ast.Filter):
-        """``(key steps, probe, context, depth)`` when ``expr`` is a
+        """``(key steps, probe, context, loop)`` when ``expr`` is a
         correlated equality filter ``B[K = $v]`` worth a hash lane, else
         None: K a relative path of child/attribute steps (or ``.``),
-        ``$v`` a pure scalar, ``B`` invariant to open loop ``depth``
-        while ``$v`` varies inside it.  ``B`` is either a step from a
-        focus that repeats across that loop (``context`` names it: one
-        table per context node) or a holdable expression (``context``
-        None: one table)."""
-        loops = self._cur["loops"]
+        ``$v`` a pure scalar, ``B`` invariant to the open ``loop`` while
+        ``$v`` varies inside it.  ``B`` is either a step from a focus
+        that repeats across that loop (``context`` names it: one table
+        per context node) or a holdable expression (``context`` None:
+        one table)."""
         pred = expr.predicate
-        if self._hoisting or not loops \
+        if self._hoisting or isinstance(self._loop, Func) \
                 or not isinstance(pred, ast.Comparison) \
                 or pred.family != "general" or pred.op != "=":
             return None
@@ -1607,16 +1508,18 @@ class SourcePlanCompiler:
             return None
         base = expr.base
         if isinstance(base, ast.Step):
-            if self.focus is None or self._focus_depth is None:
+            if self.focus is None or self._focus_anchor is None:
                 return None
-            context, depth = self.focus[0], self._focus_depth
+            context, anchor = self.focus[0], self._focus_anchor
         elif self._holdable(base):
-            context, depth = None, self._loop_depth(base)
+            context, anchor = None, self._anchor(base)
         else:
             return None
-        if depth >= len(loops) or self._loop_depth(probe) <= depth:
+        loop = self._inside(anchor)
+        if loop is None or \
+                self._innermost([anchor, self._anchor(probe)]) is anchor:
             return None
-        return steps, probe, context, depth
+        return steps, probe, context, loop
 
     def _emit_join(self, expr: ast.Filter, join, sink) -> None:
         """``B[K = $v]`` through a :class:`~repro.runtime.compare.
@@ -1626,15 +1529,14 @@ class SourcePlanCompiler:
         not decide — runs the filter as written, lazily, from a
         sub-region.  An empty ``B`` yields nothing without evaluating
         ``$v``, as the scan would."""
-        steps, probe, context, depth = join
+        steps, probe, context, loop = join
         base = expr.base
         spec = (None if context is None
                 else compile_step_fn(base.axis, base.test),
                 tuple(compile_step_fn(step.axis, step.test)
                       for step in steps))
         lane = self.fresh("hj")
-        self._hoist(depth, f"{lane} = _HashLane({self.const(spec, 'hs')}, "
-                           f"_tok)")
+        loop.pre.append(f"{lane} = _HashLane({self.const(spec, 'hs')}, _tok)")
         if self.instrument:
             self._here().info["join"] = "hash"
         hits = self.fresh("s")
@@ -1647,11 +1549,7 @@ class SourcePlanCompiler:
             self.w(f"{hits} = {hits}.probe({atoms})")
         with self.block(f"if {hits} is None:"):
             self.w(f"{hits} = {self._subregion(expr, dispatch=True)}")
-        t = self.fresh("t")
-        if context is not None:
-            self._nodes.add(t)
-        with self.loop(f"for {t} in {hits}:"):
-            sink.item(self, t)
+        self._produce(hits, sink, nodes=context is not None)
 
     def _e_DDO(self, expr: ast.DDO, sink) -> None:
         if isinstance(sink, _CountSink):
@@ -1677,9 +1575,7 @@ class SourcePlanCompiler:
             self.w(f"{sink.counter} += {nodes} + {atoms}")
             return
         items = self._emit_collected(expr.operand)
-        t = self.fresh("t")
-        with self.loop(f"for {t} in _ddo_list({items}, dctx):"):
-            sink.item(self, t)
+        self._produce(f"_ddo_list({items}, dctx)", sink)
 
     def _e_OrderedExpr(self, expr: ast.OrderedExpr, sink) -> None:
         self.emit(expr.operand, sink)
@@ -1791,15 +1687,6 @@ class SourcePlanCompiler:
 
         def clause(depth: int, put) -> None:
             """Clauses ``depth`` on; ``put(row)`` takes each tuple."""
-            if self._cur["blocks"] >= _MAX_NESTED:
-                # the remaining clauses continue in a fresh function
-                # that yields the tuples (see emit)
-                t = self.fresh("t")
-                call = self._region(lambda sink: clause(
-                    depth, lambda row: sink.item(self, row)))
-                with self.loop(f"for {t} in {call}:"):
-                    put(t)
-                return
             if depth == len(expr.clauses):
                 row = tuple_of(self.scope[var].local for var, _ in bound_vars)
                 if expr.where is None:
@@ -1900,9 +1787,7 @@ class SourcePlanCompiler:
         with self.block(f"if not {seq_type}.matches({items}):"):
             message = f"treat as {resolved}: value does not conform"
             self.w(f"raise _TypeError_({message!r}, code='XPDY0050')")
-        t = self.fresh("t")
-        with self.loop(f"for {t} in {items}:"):
-            sink.item(self, t)
+        self._produce(items, sink)
 
     def _is_cast(self, expr) -> bool:
         """``cast as``, or a constructor function ``xs:T(..)`` of an
@@ -2062,11 +1947,12 @@ class SourcePlanCompiler:
     def _emit_step_walk(self, step: ast.Step, node: str, sink) -> None:
         """One axis step over the node in ``node``, streamed to the sink.
 
-        The hot shapes (the same set ``_compile_step_fn`` specializes:
+        The hot shapes (the same set
+        :func:`repro.runtime.paths.compile_step_fn` specializes:
         child/descendant name tests, ``descendant-or-self::node()``,
         attribute name tests, ``child::text()``) are inlined as flat
         loops; anything else calls a generic kernel constant.  Guard
-        conditions and traversal order mirror ``_compile_step_fn``.
+        conditions and traversal order mirror ``compile_step_fn``.
         """
         axis, test = step.axis, step.test
         kind, name = test.kind, test.name
@@ -2162,10 +2048,7 @@ class SourcePlanCompiler:
             return
 
         kernel = self.const(compile_step_fn(axis, test), "s")
-        t = self.fresh("t")
-        self._nodes.add(t)
-        with self.loop(f"for {t} in {kernel}({node}):"):
-            sink.item(self, t)
+        self._produce(f"{kernel}({node})", sink, nodes=True)
 
     # -- function calls ---------------------------------------------------------
 
@@ -2243,9 +2126,7 @@ class SourcePlanCompiler:
         else:
             dctx_expr = "dctx"
         args = "".join(", " + lst for lst in arg_lists)
-        t = self.fresh("t")
-        with self.loop(f"for {t} in {impl}({dctx_expr}{args}):"):
-            sink.item(self, t)
+        self._produce(f"{impl}({dctx_expr}{args})", sink)
 
     def _emit_user_call(self, expr: ast.FunctionCall, sink) -> None:
         """A call of a user function normalization kept as a call
@@ -2276,9 +2157,7 @@ class SourcePlanCompiler:
         if decl.return_type is not None:
             call = f"_function_convert({call}, " \
                    f"{self._seq_type(decl.return_type)}, 'return')"
-        t = self.fresh("t")
-        with self.loop(f"for {t} in {call}:"):
-            sink.item(self, t)
+        self._produce(call, sink)
 
     def _user_function(self, decl: ast.FunctionDecl) -> str:
         """The generated generator function of ``decl``, emitted at its
@@ -2292,12 +2171,9 @@ class SourcePlanCompiler:
         self.scope, self.focus, self._hoisting = {}, None, False
         try:
             with self.function(name, ["dctx"] + params), ExitStack() as stack:
-                self.w("_tok = dctx._shared.cancellation")
                 for (var, _type), local in zip(decl.params, params):
                     stack.enter_context(self.bound(var, local, "seq"))
                 self.emit(decl.body, _YieldSink())
-                self.w("return")
-                self.w("yield None")
         finally:
             self.scope, self.focus, self._hoisting = saved
         return name
@@ -2311,24 +2187,9 @@ class SourcePlanCompiler:
         (``plan(dctx) -> Iterator[item]``) and is hooked through the
         profiler exactly like a closure root operator.
         """
-        root_node = None
-        if self.instrument:
-            from repro.observability.explain import PlanNode
-
-            root_node = PlanNode.for_expr(self._op_counter, expr)
-            self._op_counter += 1
-            root_node.info["codegen"] = "source"
-            self.plan_tree = root_node
-            self._node_stack.append(root_node)
-        try:
-            with self.function("_q0", ["dctx"]):
-                self.w("_tok = dctx._shared.cancellation")
-                self._dispatch(expr, _YieldSink())
-                self.w("return")
-                self.w("yield None")
-        finally:
-            if root_node is not None:
-                self._node_stack.pop()
+        with self.pnode(expr, "source") as root_node, \
+                self.function("_q0", ["dctx"]):
+            self._dispatch(expr, _YieldSink())
         fn = self._finish()
         if root_node is None:
             return fn
@@ -2343,15 +2204,7 @@ class SourcePlanCompiler:
         return plan
 
     def _finish(self) -> Callable[[DynamicContext], Iterator[Any]]:
-        lines: list[str] = []
-        for rec in self._functions:
-            hoists = rec["hoists"]
-            for index, line in enumerate(rec["lines"]):
-                if index in hoists:
-                    lines.extend(hoists[index])
-                lines.append(line)
-            lines.append("")
-        source = "\n".join(lines)
+        source = print_module(self._funcs)
         self.generated_source = source
         self.filename = f"<repro-pysource-{next(_source_seq)}>"
         code = compile(source, self.filename, "exec")

@@ -41,9 +41,8 @@ class ExecutionOptions:
     - ``static_typing`` — infer result types / reject impossible queries;
     - ``codegen`` — ``"source"`` (the default since 1.8) emits one
       specialized Python function per query, ``"closure"`` interprets
-      the operator tree item-at-a-time — the differential oracle and
-      the target of the source backend's fallback seams, not a tuning
-      choice;
+      the operator tree item-at-a-time — the differential oracle, not
+      a tuning choice;
     - ``twig_strategy`` — physical plan for decomposed twig patterns
       (``None`` resolves to ``$REPRO_TEST_TWIG`` or ``"auto"`` at
       construction).

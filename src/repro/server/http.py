@@ -67,6 +67,11 @@ _REASONS = {200: "OK", 400: "Bad Request", 404: "Not Found",
 #: catches a worker wedged in non-cooperative code)
 _HARD_TIMEOUT_SLACK = 10.0
 
+#: after a rejected head, how long the client may go on sending, and
+#: stay silent between reads, before its connection closes (seconds)
+_LINGER_SECONDS = 5.0
+_LINGER_IDLE = 1.0
+
 
 class XQueryServer:
     """The server: one :class:`AppCore` behind HTTP, two exec modes."""
@@ -123,7 +128,17 @@ class XQueryServer:
                                  writer: asyncio.StreamWriter) -> None:
         try:
             while True:
-                request = await self._read_request(reader)
+                try:
+                    request = await self._read_request(reader)
+                except ApiError as exc:
+                    # nothing past a rejected head can be trusted to
+                    # start the next request: answer, then close
+                    reply = _error_response(error_reply(exc), {})
+                    self.metrics.observe("other", 0.0, reply[0])
+                    await self._write_response(writer, *reply,
+                                               keep_alive=False)
+                    await _linger(reader, writer)
+                    break
                 if request is None:
                     break
                 method, path, query, headers, body = request
@@ -147,8 +162,8 @@ class XQueryServer:
                                            content_type, extra, keep_alive)
                 if not keep_alive:
                     break
-        except (asyncio.IncompleteReadError, asyncio.LimitOverrunError,
-                asyncio.CancelledError, ConnectionError):
+        except (asyncio.IncompleteReadError, asyncio.CancelledError,
+                ConnectionError):
             pass
         finally:
             try:
@@ -162,6 +177,9 @@ class XQueryServer:
             head = await reader.readuntil(b"\r\n\r\n")
         except (asyncio.IncompleteReadError, ConnectionError):
             return None
+        except asyncio.LimitOverrunError:
+            raise ApiError(400, "bad_request",
+                           "request head is too long") from None
         lines = head.decode("latin-1").split("\r\n")
         try:
             method, target, _version = lines[0].split(" ", 2)
@@ -174,7 +192,11 @@ class XQueryServer:
                 continue
             name, _, value = line.partition(":")
             headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", 0) or 0)
+        declared = headers.get("content-length") or "0"
+        if not (declared.isascii() and declared.isdigit()):
+            raise ApiError(400, "bad_request",
+                           f"malformed Content-Length {declared!r}")
+        length = int(declared)
         if length > self.config.max_body:
             raise ApiError(413, "payload_too_large",
                            f"body of {length} bytes exceeds the "
@@ -242,7 +264,11 @@ class XQueryServer:
 
     async def _ingest(self, tenant: str, doc: str, query: dict,
                       body: bytes):
-        text = body.decode("utf-8")
+        try:
+            text = body.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ApiError(400, "bad_request",
+                           f"document body is not UTF-8: {exc}") from exc
         store = query.get("store", "tree")
         index = query.get("index", "1") not in ("0", "false", "no")
         durability = query.get("durability")
@@ -497,6 +523,24 @@ def _error_response(reply: dict, extra: dict):
     return reply["status"], {"error": {"code": reply["error"],
                                        "message": reply["message"]}}, \
         "application/json", extra
+
+
+async def _linger(reader: asyncio.StreamReader,
+                  writer: asyncio.StreamWriter) -> None:
+    """After the reply to a rejected head: half-close, then read and
+    drop what the client still sends until it closes, is idle for
+    :data:`_LINGER_IDLE`, or :data:`_LINGER_SECONDS` pass.  Closing a
+    socket with unread input resets the connection, and the client can
+    lose the reply with it."""
+    deadline = time.monotonic() + _LINGER_SECONDS
+    try:
+        writer.write_eof()
+        while (left := deadline - time.monotonic()) > 0:
+            if not await asyncio.wait_for(reader.read(65536),
+                                          min(left, _LINGER_IDLE)):
+                return
+    except (asyncio.TimeoutError, ConnectionError):
+        pass
 
 
 def _json_body(body: bytes) -> dict:

@@ -390,12 +390,18 @@ def test_last_keeps_the_base_lazy(bib_xml):
         == outcome(closure_engine(), query, bib_xml) == ("ok", "1")
 
 
+def _else_if_chain(branches: int) -> str:
+    return "".join(f"if ($x lt {i}) then {i} else " for i in range(branches))
+
+
 class TestDeepNesting:
-    """CPython compiles at most 20 statically nested loop/try blocks:
-    the emitter continues in a fresh function before it gets there
-    (``SourcePlanCompiler.emit``) — no query, however nested, may
-    surface a SyntaxError, and each runs on generated code
-    (``tests/test_seam_coverage.py``)."""
+    """CPython compiles at most 20 statically nested loop/try/except
+    blocks and 100 indentation levels per function: the printer
+    (:func:`repro.compiler.loopnest.print_module`) moves whatever would
+    pass either into a closure — no query, however nested, may surface a
+    SyntaxError, and each runs on generated code
+    (``tests/test_seam_coverage.py``) with the reference's answer and
+    counters."""
 
     DEEP = [
         # 25 nested for clauses (the where keeps them from folding)
@@ -419,12 +425,73 @@ class TestDeepNesting:
         "</x>}</a>)",
     ]
 
+    #: one nest per place the emitter used to split a function (emit,
+    #: EBV, path chains, FLWOR clauses), inside the sub-functions that
+    #: carry semantics, and the indentation limit: (query, answer)
+    NESTS = {
+        "quantifiers_in_predicate": (
+            "//book[" + "".join(f"some $a{i} in title satisfies "
+                                for i in range(25))
+            + "$a0 is $a24 and price > 30]/title/string()",
+            "Data on the Web XML Query"),
+        "grouped_ordered_flwor": (
+            "for $v0 in (1, 2, 1) "
+            + " ".join(f"for $v{i} in (1 to 1)" for i in range(1, 25))
+            + " group by $k := $v0 order by $k descending "
+            "return ($k, count($v24))", "2 1 1 2"),
+        # each regroup is a list comprehension: a child scope with its
+        # own locals next to the closure the deep nest moves into
+        "two_groupings": (
+            "((for $a in (1, 2, 1) group by $k := $a return $k), "
+            "for $v0 in (1, 2, 1) "
+            + " ".join(f"for $v{i} in (1 to 1)" for i in range(1, 25))
+            + " group by $k := $v0 order by $k descending "
+            "return ($k, count($v24)))", "1 2 2 1 1 2"),
+        "recursive_body": (
+            "declare function local:f($n) { if ($n le 0) then 0 else "
+            "count(" + " ".join(f"for $v{i} in (1 to 1)" for i in range(25))
+            + " where $v0 + $v24 = 2 return $n) + local:f($n - 1) }; "
+            "local:f(3)", "3"),
+        "let_value": (
+            "let $s := (" + " ".join(f"for $v{i} in (1 to 2)"
+                                     for i in range(6))
+            + " " + " ".join(f"for $w{i} in (1 to 1)" for i in range(19))
+            + " return $v0 + $w18) return (count($s), sum($s), count($s))",
+            "64 160 64"),
+        "else_if_100": (
+            "for $x in (5, 7, 200) return " + _else_if_chain(100) + "0",
+            "6 8 0"),
+        "else_if_300": (
+            "for $x in (5, 250) return " + _else_if_chain(300) + "0",
+            "6 251"),
+    }
+
+    #: 30 child steps, each one loop inside the last, over a document
+    #: 30 elements deep
+    CHILD_PATH = ("count(/" + "/".join(f"d{i}" for i in range(30)) + ")",
+                  "".join(f"<d{i}>" for i in range(29)) + "<d29/><d29/>"
+                  + "".join(f"</d{i}>" for i in reversed(range(29))))
+
     @pytest.mark.parametrize("query", DEEP)
     def test_deeply_nested_queries_compile(self, query, bib_xml):
         generated = _outcome_and_stats(source_engine(), query, bib_xml)
         _agree(generated,
                _outcome_and_stats(closure_engine(), query, bib_xml))
         assert generated[0][0] == "ok"
+
+    @pytest.mark.parametrize("name", sorted(NESTS))
+    def test_nests_answer_like_the_reference(self, name, bib_xml):
+        query, answer = self.NESTS[name]
+        generated = _outcome_and_stats(source_engine(), query, bib_xml)
+        _agree(generated,
+               _outcome_and_stats(closure_engine(), query, bib_xml))
+        assert generated[0] == ("ok", answer)
+
+    def test_thirty_step_child_path(self):
+        query, doc = self.CHILD_PATH
+        generated = _outcome_and_stats(source_engine(), query, doc)
+        _agree(generated, _outcome_and_stats(closure_engine(), query, doc))
+        assert generated[0] == ("ok", "2")
 
 
 def assert_counters(generated: dict, reference: dict) -> None:

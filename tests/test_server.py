@@ -10,6 +10,7 @@ error-code → status mapping, and the /metrics shape.
 import json
 import http.client
 import os
+import socket
 import threading
 
 import pytest
@@ -384,6 +385,125 @@ def test_too_deep_recursion_is_a_422(processes):
     finally:
         client.close()
         handle.close()
+
+
+def _raw_exchange(port: int, data: bytes):
+    """Send ``data`` on a fresh socket while reading until the server
+    closes (a server may answer before it has read everything):
+    ``(status, headers, json body)``."""
+    def send():
+        try:
+            sock.sendall(data)
+        except OSError:
+            pass  # the reply, read meanwhile, is what is checked
+
+    with socket.create_connection(("127.0.0.1", port), timeout=30) as sock:
+        sender = threading.Thread(target=send)
+        sender.start()
+        reply = b""
+        while chunk := sock.recv(65536):
+            reply += chunk
+        sender.join()
+    head, _, body = reply.partition(b"\r\n\r\n")
+    lines = head.decode("latin-1").split("\r\n")
+    headers = dict(line.split(": ", 1) for line in lines[1:])
+    return int(lines[0].split(" ")[1]), headers, json.loads(body)
+
+
+class TestHostileRequests:
+    """Every request gets exactly one well-formed reply, in both modes:
+    heads the parser rejects (then the connection closes: nothing after
+    them can be trusted to start a request), document bodies that are
+    not UTF-8, and queries nested past what one Python function may
+    hold."""
+
+    @pytest.fixture(scope="class", params=[
+        0, pytest.param(2, marks=_PREFORK)], ids=["inprocess", "prefork"])
+    def port(self, request):
+        handle = start_in_thread(ServerConfig(
+            port=0, processes=request.param, max_body=4096))
+        client = Client(handle.port)
+        _setup_tenant(client, "t")
+        client.close()
+        yield handle.port
+        handle.close()
+
+    @pytest.mark.parametrize("head", [
+        b"GARBAGE\r\n\r\n",
+        b"POST /tenants/t/execute HTTP/1.1\r\nContent-Length: abc\r\n\r\n",
+        b"POST /tenants/t/execute HTTP/1.1\r\nContent-Length: -5\r\n\r\n",
+        b"POST /tenants/t/execute HTTP/1.1\r\nContent-Length: 1_0\r\n\r\n",
+    ], ids=["request_line", "non_integer_length", "negative_length",
+            "underscored_length"])
+    def test_malformed_head_is_a_400(self, port, head):
+        status, headers, body = _raw_exchange(port, head)
+        assert status == 400, body
+        assert body["error"]["code"] == "bad_request"
+        assert headers["Connection"] == "close"
+
+    def test_oversized_body_is_a_413(self, port):
+        status, headers, body = _raw_exchange(
+            port, b"POST /tenants/t/execute HTTP/1.1\r\n"
+                  b"Content-Length: 4097\r\n\r\n")
+        assert status == 413, body
+        assert body["error"]["code"] == "payload_too_large"
+        assert headers["Connection"] == "close"
+
+    def test_oversized_body_sent_anyway_is_a_413(self, port):
+        # the server answers before reading the body, then drains it:
+        # closing over unread input would reset the connection
+        status, _headers, body = _raw_exchange(
+            port, b"POST /tenants/t/execute HTTP/1.1\r\n"
+                  b"Content-Length: 4194304\r\n\r\n" + b"x" * 4194304)
+        assert status == 413, body
+
+    def test_overlong_head_is_a_400(self, port):
+        status, headers, body = _raw_exchange(
+            port, b"GET /health HTTP/1.1\r\nX-Pad: " + b"x" * 80000
+                  + b"\r\n\r\n")
+        assert status == 400, body
+        assert body["error"]["code"] == "bad_request"
+        assert headers["Connection"] == "close"
+
+    def test_rejected_heads_are_counted(self, port):
+        def rejected():
+            client = Client(port)
+            try:
+                _status, body, _ = client.request("GET", "/metrics")
+                return body["server"]["status"].get("400", 0)
+            finally:
+                client.close()
+
+        before = rejected()
+        _raw_exchange(port, b"GARBAGE\r\n\r\n")
+        assert rejected() == before + 1
+
+    def test_non_utf8_document_is_a_400(self, port):
+        client = Client(port)
+        try:
+            status, body, _ = client.request(
+                "PUT", "/tenants/t/documents/bad", b"<a\xff>")
+            assert status == 400, body
+            assert body["error"]["code"] == "bad_request"
+            status, body, _ = client.request(
+                "POST", "/tenants/t/execute", {"query": "count($books//book)"})
+            assert status == 200 and body["items"] == [2]
+        finally:
+            client.close()
+
+    def test_deep_else_if_chain_answers(self, port):
+        """100 nested ``else`` branches are past CPython's 100
+        indentation levels in one function."""
+        chain = "".join(f"if ($x lt {i}) then {i} else " for i in range(100))
+        client = Client(port)
+        try:
+            status, body, _ = client.request(
+                "POST", "/tenants/t/execute",
+                {"query": f"let $x := count($books//book) return {chain} 0"})
+            assert status == 200, body
+            assert body["items"] == [3]
+        finally:
+            client.close()
 
 
 class TestOverload:
