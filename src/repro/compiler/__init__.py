@@ -9,6 +9,8 @@ paper's BEA architecture:
          --emit--> generated Python
 
 - :mod:`repro.compiler.context` — the static context;
+- :mod:`repro.compiler.lift` — literal lifting: texts that differ only
+  in a literal share one plan;
 - :mod:`repro.compiler.normalize` — sugar → core (FLWOR lowering, DDO
   insertion, function inlining);
 - :mod:`repro.compiler.sequencetype` — runtime-checkable sequence types;

@@ -76,8 +76,9 @@ class Normalizer:
         self._reads: dict[tuple[QName, int], set[QName]] | None = None
 
     def fresh_var(self, hint: str = "v") -> QName:
+        # the "_" keeps fresh names apart from lifted literals ($#l3)
         self._gensym += 1
-        return QName("", f"#{hint}{self._gensym}")
+        return QName("", f"#{hint}_{self._gensym}")
 
     # -- entry points ------------------------------------------------------------
 

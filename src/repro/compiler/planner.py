@@ -39,7 +39,8 @@ Eligibility (anything else keeps navigation untouched):
   element occurrences are all text-only leaves, and a probe that may
   be a string (a numeric literal like ``price = 55`` must match
   ``"55.0"`` by numeric promotion, which a string-keyed index cannot
-  answer, so it never prices the value path).
+  answer, so it never prices the value path; nor does a lifted
+  numeric literal, by its variable's declared type).
 
 The chain root may also be a ``let`` variable bound, once, to a plain
 catalog chain: ``let $p := $doc/site/people return $p/person[@id = $a]``
@@ -100,6 +101,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.compiler.analysis import pure_scalar
+from repro.compiler.lift import is_lifted
 from repro.joins.patterns import (
     ALGORITHM_ALIASES,
     TwigNode,
@@ -148,7 +150,7 @@ def plan_access_paths(expr: ast.Expr, static_ctx, catalog,
     def visit(node: ast.Expr, lets: dict) -> ast.Expr:
         replaced = _try_rewrite_twig(node, catalog, twig_strategy)
         if replaced is None:
-            replaced = _try_rewrite(node, catalog, lets)
+            replaced = _try_rewrite(node, static_ctx, catalog, lets)
         if replaced is not None:
             return replaced
         if isinstance(node, ast.LetExpr):
@@ -206,7 +208,7 @@ def _catalog_chain(value: ast.Expr, lets: dict, bound: dict):
     return var, tuple(steps)
 
 
-def _try_rewrite(expr: ast.Expr, catalog,
+def _try_rewrite(expr: ast.Expr, static_ctx, catalog,
                  lets: dict) -> Optional[ast.AccessPath]:
     decomposed = _decompose(expr, lets)
     if decomposed is None:
@@ -229,9 +231,7 @@ def _try_rewrite(expr: ast.Expr, catalog,
     if pred_parts is not None:
         pred_kind, pred_name, probe, predicate_expr = pred_parts
         pred_key = "@" + pred_name if pred_kind == "attribute" else pred_name
-        # a literal's type is known now; anything else only at run time
-        may_be_string = not isinstance(probe, ast.Literal) \
-            or probe.value.type.string_like
+        may_be_string = _may_be_string(probe, static_ctx)
         pred = (pred_kind, pred_name, probe)
 
     out_name = steps[-1][1]
@@ -273,6 +273,17 @@ def _try_rewrite(expr: ast.Expr, catalog,
         "access_path.est_rows": rows,
     })
     return node
+
+
+def _may_be_string(probe: ast.Expr, static_ctx) -> bool:
+    """A literal's type is known now, and so is a lifted literal's (its
+    variable's declared type); anything else only at run time."""
+    if isinstance(probe, ast.Literal):
+        return probe.value.type.string_like
+    if isinstance(probe, ast.VarRef) and is_lifted(probe.name):
+        declared = static_ctx.variables[probe.name]
+        return static_ctx.lookup_type(declared.type_name).string_like
+    return True
 
 
 def _decompose(expr: ast.Expr, lets: dict):

@@ -68,6 +68,7 @@ from repro.compiler.analysis import (
     uses_last,
 )
 from repro.compiler.context import StaticContext
+from repro.compiler.lift import is_lifted
 from repro.compiler.loopnest import POLL, Block, Func, Loop, Try, print_module
 from repro.compiler.sequencetype import resolve_atomic, resolve_sequence_type
 from repro.errors import DynamicError, TypeError_, UndefinedNameError
@@ -1183,6 +1184,11 @@ class SourcePlanCompiler:
             return
         qn = self.const(expr.name, "qn")
         v = self.fresh("v")
+        if is_lifted(expr.name):
+            # the engine binds a lifted literal as one atomic value
+            self.w(f"{v} = dctx.variable({qn})[0]")
+            sink.item(self, v)
+            return
         self.w(f"{v} = dctx.variable({qn})")
         with self.block(f"if not isinstance({v}, (list, tuple, "
                         f"_BufferedSequence)):"):

@@ -10,10 +10,12 @@ one item of the result does one item's worth of work (E1/E2).
 
 from __future__ import annotations
 
+import copy
 from typing import Any, Iterable, Iterator, Optional
 
 from repro.compiler.analysis import literal_doc_uris, walk_reachable
 from repro.compiler.context import StaticContext
+from repro.compiler.lift import Bindings, lift_literals
 from repro.compiler.normalize import normalize_module
 from repro.compiler.pysource import SourcePlanCompiler
 from repro.errors import DynamicError, QueryCancelled, StaticError
@@ -27,7 +29,6 @@ from repro.xdm.build import parse_document
 from repro.xdm.items import AtomicValue
 from repro.xdm.nodes import DocumentNode, Node
 from repro.xquery import ast
-from repro.xquery.parser import parse_query
 
 
 class xml:
@@ -65,9 +66,11 @@ class Result:
     can be iterated multiple times (it buffers what was pulled).
     """
 
-    def __init__(self, plan, dctx: DynamicContext, can_recurse: bool = False):
-        source = plan(dctx)
-        if can_recurse or dctx._shared.cancellation is not None:
+    def __init__(self, compiled: "CompiledQuery", dctx: DynamicContext):
+        #: the :class:`CompiledQuery` this result ran
+        self.compiled = compiled
+        source = compiled.plan(dctx)
+        if compiled.can_recurse or dctx._shared.cancellation is not None:
             # only queries that can fail this way pay the extra layer
             source = _drain(source, dctx)
         self._seq = BufferedSequence(source)
@@ -122,7 +125,7 @@ class CompiledQuery:
                  static_ctx: StaticContext, plan, static_type=None,
                  plan_tree=None, catalog_bindings=None,
                  generated_source=None, catalog_collection=None,
-                 doc_uris=()):
+                 doc_uris=(), lifted: Bindings = ()):
         self.module = module
         #: core expression tree straight out of normalization
         self.core = core
@@ -158,6 +161,16 @@ class CompiledQuery:
         self.can_recurse = any(isinstance(e, ast.FunctionCall)
                                and e.decl is not None
                                for e in optimized.walk())
+        #: the literals :mod:`repro.compiler.lift` lifted out of this
+        #: text, ``(($#l0, value), ...)``: bound at every execute
+        self.lifted = lifted
+
+    def bind_literals(self, lifted: Bindings) -> "CompiledQuery":
+        """A view of this plan that runs with another text's literals
+        (a text of the same lifted shape): a shallow copy."""
+        view = copy.copy(self)
+        view.lifted = lifted
+        return view
 
     def execute(self, *,
                 context_item: Any = None,
@@ -241,6 +254,8 @@ class CompiledQuery:
                 qname = QName("", name)
                 if qname not in bindings:
                     bindings[qname] = [stored.document()]
+        for name, value in self.lifted:
+            bindings[name] = [value]
         if bindings:
             dctx = dctx.bind_many(bindings)
         if context_item is not None:
@@ -250,10 +265,11 @@ class CompiledQuery:
             else:
                 item = _to_item(context_item)
             dctx = dctx.with_focus(item, 1, 1)
-        return Result(self.plan, dctx, self.can_recurse)
+        return Result(self, dctx)
 
     def to_xquery(self) -> str:
-        """Render the *optimized* core tree back as XQuery text.
+        """Render the *optimized* core tree back as XQuery text, with
+        this text's lifted literals in place of their variables.
 
         Useful for inspecting what the rewrite engine actually did;
         raises :class:`repro.xquery.unparse.Unparsable` for trees with
@@ -261,7 +277,14 @@ class CompiledQuery:
         """
         from repro.xquery.unparse import unparse
 
-        return unparse(self.optimized)
+        values = dict(self.lifted)
+
+        def bind(expr: ast.Expr) -> ast.Expr:
+            if isinstance(expr, ast.VarRef) and expr.name in values:
+                return ast.Literal(values[expr.name], expr.pos)
+            return expr.with_children(bind)
+
+        return unparse(bind(self.optimized) if values else self.optimized)
 
     def explain(self) -> str:
         """A readable dump of the optimized core tree (with lineage)."""
@@ -325,10 +348,11 @@ class Engine:
         self.base_context = base_context
         from repro.runtime.memo import LRUCache
 
-        #: compiled queries are pure — cache them keyed by (source
-        #: text, declared variables, options fingerprint, static-context
-        #: fingerprint).  Pass ``compile_cache=None`` to disable, or an
-        #: :class:`LRUCache` to share one cache across engines (keys
+        #: compiled queries are pure — cache them keyed by (source text
+        #: or lifted shape, declared variables, options fingerprint,
+        #: static-context fingerprint, catalog fingerprint); see
+        #: :meth:`compile`.  Pass ``compile_cache=None`` to disable, or
+        #: an :class:`LRUCache` to share one cache across engines (keys
         #: carry every compile-relevant input, so sharing is safe).
         if compile_cache is _DEFAULT_CACHE:
             self.compile_cache = LRUCache(options.compile_cache_size) \
@@ -344,16 +368,18 @@ class Engine:
         ``variables`` pre-declares application-bound variable names;
         ``schemas`` are :class:`repro.xsd.schema.Schema` objects made
         available to ``validate`` and type references.
+
+        Two lookups (DESIGN.md, "Literal lifting"): the exact text, with
+        no parse; then, after parsing and lifting the literals
+        (:mod:`repro.compiler.lift`), the lifted *shape*, which answers
+        with a view of the shape's plan bound to this text's literals.
+        Only a full compile stores entries (the text's and its
+        shape's).  A call that did not compile counts one cache hit,
+        one that did counts one miss.
         """
-        extra = tuple(QName("", v) if not isinstance(v, QName) else v
-                      for v in variables)
-        if self.catalog is not None:
-            declared = {q.local for q in extra if not q.uri}
-            extra = extra + tuple(QName("", name)
-                                  for name in self.catalog.names()
-                                  if name not in declared)
-        cache_key = None
-        if self.compile_cache is not None and not schemas:
+        extra = self._declared(variables)
+        cache = self.compile_cache if not schemas else None
+        if cache is not None:
             base_fp = self.base_context.fingerprint() \
                 if self.base_context is not None else None
             # variables are a *set* of declared names: normalize the
@@ -364,29 +390,59 @@ class Engine:
             # every value knob (backend, twig strategy, …) keys through
             # the one options fingerprint, so each surface that compiles
             # queries keys its cache identically
-            cache_key = (query_text, tuple(sorted(extra, key=str)),
-                         self.options.fingerprint(), base_fp,
-                         self.catalog.fingerprint()
-                         if self.catalog is not None else None)
-            cached = self.compile_cache.get(cache_key)
+            inputs = (tuple(sorted(extra, key=str)),
+                      self.options.fingerprint(), base_fp,
+                      self.catalog.fingerprint()
+                      if self.catalog is not None else None)
+            cached = cache.find((query_text,) + inputs)
             if cached is not None:
+                cache.hits += 1
                 return cached
 
+        found = None
         try:
-            compiled = self._compile(query_text, extra, schemas)
+            module, lifted, shape = lift_literals(query_text)
+            if cache is not None and shape is not None:
+                found = cache.find((shape,) + inputs)
+            if found is None:
+                compiled = self._compile_module(module, extra, schemas,
+                                                lifted)
         except RecursionError:
             # every front-half pass recurses once per nesting level (the
             # parser about twenty frames per parenthesis)
             raise StaticError("expression nested too deeply",
                               code="XPST0003") from None
-        if cache_key is not None:
-            self.compile_cache.put(cache_key, compiled)
+        finally:
+            if cache is not None:
+                if found is None:
+                    cache.misses += 1
+                else:
+                    cache.hits += 1
+        if found is not None:
+            return found.bind_literals(lifted)
+        if cache is not None:
+            cache.put((query_text,) + inputs, compiled)
+            if shape is not None:
+                cache.put((shape,) + inputs, compiled)
         return compiled
 
-    def _compile(self, query_text: str, extra: tuple,
-                 schemas: Iterable) -> CompiledQuery:
-        """parse → normalize → rewrite → analyze → plan → emit."""
-        module = parse_query(query_text)
+    def _declared(self, variables: Iterable[str]) -> tuple[QName, ...]:
+        """The application-bound variable names: ``variables`` plus
+        the catalog's document names."""
+        extra = tuple(QName("", v) if not isinstance(v, QName) else v
+                      for v in variables)
+        if self.catalog is not None:
+            declared = {q.local for q in extra if not q.uri}
+            extra = extra + tuple(QName("", name)
+                                  for name in self.catalog.names()
+                                  if name not in declared)
+        return extra
+
+    def _compile_module(self, module: ast.Module, extra: tuple,
+                        schemas: Iterable,
+                        lifted: Bindings = ()) -> CompiledQuery:
+        """normalize → rewrite → analyze → plan → emit a parsed module
+        (``lifted``: the values its lifted literals run with)."""
         base = self.base_context.copy() if self.base_context is not None else None
         if schemas:
             if base is None:
@@ -450,7 +506,8 @@ class Engine:
                              catalog_bindings=catalog_bindings,
                              generated_source=generated_source,
                              catalog_collection=catalog_collection,
-                             doc_uris=literal_doc_uris(optimized))
+                             doc_uris=literal_doc_uris(optimized),
+                             lifted=lifted)
 
     def explain(self, query_text: str, *,
                 context_item: Any = None,

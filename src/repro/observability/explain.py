@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Iterator, Optional
 
+from repro.compiler.lift import describe
 from repro.observability.profiler import Profiler
 
 #: detail strings are clipped so wide constructor plans stay readable
@@ -78,6 +79,11 @@ class ExplainResult:
     def analyzed(self) -> bool:
         return self.profiler is not None
 
+    def _lifted(self) -> list[str]:
+        """``$#l0 = 45000.1 (xs:decimal)`` per literal the plan reads
+        from a variable (:mod:`repro.compiler.lift`)."""
+        return describe(self.compiled.lifted)
+
     # -- rendering ---------------------------------------------------------
 
     def render(self) -> str:
@@ -85,6 +91,7 @@ class ExplainResult:
         lines: list[str] = []
         if self.compiled.static_type is not None:
             lines.append(f"static type: {self.compiled.static_type}")
+        lines += [f"lifted {binding}" for binding in self._lifted()]
         root = self.tree
         if root is None:
             return "\n".join(lines + ["<plan tree unavailable>"])
@@ -150,6 +157,9 @@ class ExplainResult:
             "static_type": str(self.compiled.static_type)
             if self.compiled.static_type is not None else None,
         }
+        lifted = self._lifted()
+        if lifted:
+            result["lifted"] = lifted
         root = self.tree
         if root is not None:
             result["plan"] = node_dict(root)

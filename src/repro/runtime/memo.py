@@ -36,13 +36,22 @@ class LRUCache:
         self.misses = 0
 
     def get(self, key: Hashable) -> Any:
-        """The cached value (refreshing recency), or None."""
-        if key in self._data:
-            self._data.move_to_end(key)
+        """The cached value (refreshing recency), or None; counts a hit
+        or a miss."""
+        value = self.find(key)
+        if value is None:
+            self.misses += 1
+        else:
             self.hits += 1
-            return self._data[key]
-        self.misses += 1
-        return None
+        return value
+
+    def find(self, key: Hashable) -> Any:
+        """:meth:`get` without counting: for a caller that probes more
+        than one key per lookup and counts the lookup itself."""
+        value = self._data.get(key)
+        if value is not None:
+            self._data.move_to_end(key)
+        return value
 
     def put(self, key: Hashable, value: Any) -> None:
         """Insert/refresh an entry, evicting the least recent overflow."""
@@ -90,10 +99,12 @@ class ResultCache:
         key = (id(compiled), id(context_item), key_extra)
         cached = self._cache.get(key)
         if cached is not None:
-            return cached
+            return cached[2]
         result = compiled.execute(context_item=context_item, **kwargs)
         sequence = BufferedSequence(iter(result))
-        self._cache.put(key, sequence)
+        # the entry holds the objects it is keyed on: while it lives,
+        # no other object can take one of their ids
+        self._cache.put(key, (compiled, context_item, sequence))
         return sequence
 
     def invalidate(self) -> None:

@@ -413,7 +413,7 @@ class XQueryServer:
                 self.core.result_cache.put(key, reply["payload"])
         else:
             reply = await self._execute_inprocess(tenant, query_text,
-                                                  declared, request)
+                                                  request)
         self.metrics.count("cache_hits" if reply.get("cached")
                            else "cache_misses")
         if reply["status"] == 503:
@@ -421,7 +421,6 @@ class XQueryServer:
         return reply
 
     async def _execute_inprocess(self, tenant_name: str, query_text: str,
-                                 declared: Optional[tuple],
                                  request: "_ExecuteRequest") -> dict:
         """The QueryService path: admission, deadline, then serialize
         and cache on the event loop (the result is already drained)."""
@@ -439,19 +438,14 @@ class XQueryServer:
                 if hit is not None:
                     return {"status": 200, "payload": hit, "cached": True,
                             "elapsed_ms": ms_since(started)}
-            if declared is None:
-                declared = tuple(request.variables or ())
             bindings = convert_variables(request.variables)
             future = self.service.submit(
                 query_text, variables=bindings or None,
                 timeout=request.timeout, engine=tenant.engine)
             result = await asyncio.wrap_future(future)
             payload = result_payload(result, request.form)
-            if key is not None:
-                compiled = tenant.engine.compile(query_text,
-                                                 variables=declared)
-                if cacheable(compiled):
-                    core.result_cache.put(key, payload)
+            if key is not None and cacheable(result.compiled):
+                core.result_cache.put(key, payload)
             return {"status": 200, "payload": payload, "cached": False,
                     "elapsed_ms": ms_since(started)}
         except (ApiError, XQueryError) as exc:

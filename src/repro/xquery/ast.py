@@ -757,8 +757,12 @@ class AccessPath(Expr):
         if self.pred is not None:
             kind, name, probe = self.pred
             shown = name if kind != "attribute" else "@" + name
-            probe = repr(probe.value.value) \
-                if isinstance(probe, Literal) else "<run-time>"
+            if isinstance(probe, Literal):
+                probe = repr(probe.value.value)
+            elif isinstance(probe, VarRef):  # EXPLAIN lists lifted values
+                probe = f"${probe.name}"
+            else:
+                probe = "<run-time>"
             note = f"[{shown} = {probe}]"
         return f"AccessPath(${self.var}{path}{note} via {self.chosen})"
 

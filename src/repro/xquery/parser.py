@@ -176,6 +176,10 @@ class Parser:
         self.s = _Scanner(text)
         self.ns = NamespaceBindings()
         self.prolog = ast.Prolog()
+        #: the ``(start, end)`` text span of every string and numeric
+        #: literal written in expression position (not constructor
+        #: content or prolog URIs): what literal lifting may replace
+        self.literal_spans: dict[ast.Literal, tuple[int, int]] = {}
 
     # =====================================================================
     # Module & prolog
@@ -918,10 +922,15 @@ class Parser:
             if not nxt.isdigit():
                 s.pos += 1
                 return ast.ContextItem(pos)
-        if ch in "'\"":
-            return ast.Literal(AtomicValue(self._string_literal_value(), T.XS_STRING), pos)
-        if ch.isdigit() or (ch == "." and s.peek(1).isdigit()):
-            return self._parse_numeric_literal(pos)
+        if ch in "'\"" or ch.isdigit() or (ch == "." and s.peek(1).isdigit()):
+            start = s.pos
+            if ch in "'\"":
+                literal = ast.Literal(AtomicValue(self._string_literal_value(),
+                                                  T.XS_STRING), pos)
+            else:
+                literal = self._parse_numeric_literal(pos)
+            self.literal_spans[literal] = (start, s.pos)
+            return literal
         if ch == "<":
             return self._parse_direct_constructor(pos)
 

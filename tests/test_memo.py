@@ -173,6 +173,15 @@ class TestResultCache:
         assert ResultCache.cacheable(pure)
         assert not ResultCache.cacheable(constructing)
 
+    def test_freed_query_never_replays_another_answer(self):
+        # keyed by id(): once a compiled query is freed, the next one
+        # may take its id — the entry must keep the keyed objects alive
+        engine = Engine(compile_cache=None)
+        cache = ResultCache()
+        for i in range(200):
+            answer = cache.execute(engine.compile(f"{i} + 0"))
+            assert [item.value for item in answer] == [i]
+
     def test_invalidate(self, bib_xml):
         engine = Engine()
         compiled = engine.compile("count(//book)")

@@ -191,6 +191,29 @@ class TestResultCache:
         _, body, _ = client.request("POST", "/tenants/t_cast/execute", req)
         assert body["cached"] is True
 
+    def test_one_compile_per_inprocess_request(self, server, client,
+                                               monkeypatch):
+        # the cacheable verdict comes from the query the service ran,
+        # not from a second compile (which, for a text that only shares
+        # its shape with a cached one, would parse it again)
+        _setup_tenant(client, "t_once")
+        engine = server.server.core.tenants.get("t_once").engine
+        calls = []
+        compile_ = engine.compile
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return compile_(*args, **kwargs)
+
+        monkeypatch.setattr(engine, "compile", counted)
+        for limit in (10, 40, 60, 40):
+            _, body, _ = client.request(
+                "POST", "/tenants/t_once/execute",
+                {"query": f"count($books//book[price < {limit}])"})
+            assert body["items"] == [{10: 0, 40: 1, 60: 2}[limit]]
+        assert body["cached"] is True
+        assert len(calls) == 3
+
     def test_variable_order_insensitive(self, client):
         _setup_tenant(client, "t_canon")
         q = "count($books//book[price < $a + $b])"
