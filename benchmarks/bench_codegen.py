@@ -15,10 +15,10 @@ The document is parsed ONCE per session (``xmark_s08_doc``); timing
 
 import pytest
 
+from repro.compiler.reference import ReferenceEngine
 from repro.engine import Engine
-from repro.options import ExecutionOptions
 
-#: the XMark scan/aggregate shapes, measured on both execution backends
+#: the XMark scan/aggregate shapes, measured on both executors
 QUERIES = [
     ("descendant scan + count", "count(/site/regions//item)"),
     ("scan + filter + step", "/site/regions//item[@id]/name"),
@@ -31,12 +31,12 @@ QUERIES = [
 
 @pytest.fixture(scope="module")
 def closure_engine():
-    return Engine(options=ExecutionOptions(codegen="closure"))
+    return ReferenceEngine()
 
 
 @pytest.fixture(scope="module")
 def source_engine():
-    return Engine(options=ExecutionOptions(codegen="source"))
+    return Engine()
 
 
 @pytest.mark.parametrize("label,query", QUERIES, ids=[q[0] for q in QUERIES])

@@ -510,14 +510,15 @@ def e13_access_paths() -> None:
 
 def e15_codegen() -> None:
     """Compile-to-source codegen vs closure interpretation."""
-    from repro import Engine, ExecutionOptions
+    from repro import Engine
+    from repro.compiler.reference import ReferenceEngine
     from repro.workloads import generate_xmark
     from repro.xdm.build import parse_document
 
     xml = generate_xmark(scale=0.8 if not QUICK else 0.2, seed=2004)
     doc = parse_document(xml)  # pre-parsed: time the query, not the parser
-    closure_engine = Engine(options=ExecutionOptions(codegen="closure"))
-    source_engine = Engine(options=ExecutionOptions(codegen="source"))
+    closure_engine = ReferenceEngine()
+    source_engine = Engine()
 
     queries = [
         ("descendant scan + count", "count(/site/regions//item)"),

@@ -12,9 +12,8 @@ Engine`, so repeated queries share its compiled-query cache::
 
 The default engine is created lazily with the default
 :class:`~repro.options.ExecutionOptions` (optimizer and static typing
-on, source codegen).  For different options — the closure oracle
-(``ExecutionOptions(codegen="closure")``), optimizer off — call
-:func:`configure`; for a shared base
+on).  For different options — optimizer off, a forced twig strategy —
+call :func:`configure`; for a shared base
 context construct an :class:`~repro.engine.Engine` directly, or use
 :class:`repro.service.QueryService` for concurrent execution with
 deadlines and admission control.
@@ -47,7 +46,7 @@ def configure(options: ExecutionOptions) -> Engine:
     One call configures every subsequent :func:`compile` /
     :func:`execute` / :func:`explain`::
 
-        repro.configure(repro.ExecutionOptions(codegen="source"))
+        repro.configure(repro.ExecutionOptions(optimize=False))
 
     Returns the new default engine (its compile cache starts empty —
     cached plans from the previous configuration are dropped).

@@ -47,7 +47,8 @@ def build_parser() -> argparse.ArgumentParser:
                              "starts with '<', else string; @file.xml reads "
                              "and parses a file")
     parser.add_argument("--explain", action="store_true",
-                        help="print the optimized plan instead of running "
+                        help="print the optimized plan and the generated "
+                             "Python instead of running "
                              "(with --profile: run, then print the plan "
                              "annotated with per-operator metrics)")
     parser.add_argument("--profile", action="store_true",
@@ -61,15 +62,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--no-compile-cache", action="store_true",
                         help="compile from scratch instead of reusing the "
                              "process-wide compiled-query cache")
-    parser.add_argument("--codegen", choices=("closure", "source"),
-                        default="source",
-                        help="execution backend: 'source' (the default) "
-                             "emits one specialized Python function per "
-                             "query with whole-FLWOR fusion (with "
-                             "--explain, also prints the generated "
-                             "source); 'closure' interprets the compiled "
-                             "operator tree item-at-a-time (the "
-                             "differential oracle)")
     parser.add_argument("--twig-strategy",
                         choices=("auto", "holistic", "binary", "navigation",
                                  "mixed"),
@@ -111,8 +103,6 @@ def build_serve_parser() -> argparse.ArgumentParser:
     parser.add_argument("--max-workers", type=int, default=None, metavar="N",
                         help="concurrent queries admitted (in-process "
                              "mode; default 4)")
-    parser.add_argument("--codegen", choices=("closure", "source"),
-                        default=None, help="execution backend")
     parser.add_argument("--timeout", type=float, default=None, metavar="SECS",
                         help="default per-request deadline")
     parser.add_argument("--result-cache", type=int, default=None, metavar="N",
@@ -151,7 +141,7 @@ def serve_main(argv: list[str]) -> int:
     if args.result_cache is not None:
         changes["result_cache_size"] = args.result_cache
     option_changes: dict = {}
-    for flag, name in (("max_workers", "max_workers"), ("codegen", "codegen"),
+    for flag, name in (("max_workers", "max_workers"),
                        ("timeout", "default_timeout"),
                        ("data_dir", "data_dir"), ("shards", "shards")):
         value = getattr(args, flag)
@@ -257,7 +247,6 @@ def main(argv: list[str] | None = None) -> int:
 
     options = ExecutionOptions(optimize=not args.no_optimize,
                                static_typing=not args.no_static_typing,
-                               codegen=args.codegen,
                                twig_strategy=args.twig_strategy)
     engine = Engine(options=options,
                     compile_cache=None if args.no_compile_cache
@@ -273,9 +262,8 @@ def main(argv: list[str] | None = None) -> int:
             if compiled.static_type is not None:
                 print(f"static type: {compiled.static_type}")
             print(compiled.explain())
-            if compiled.generated_source is not None:
-                print("-- generated source --")
-                print(compiled.generated_source)
+            print("-- generated source --")
+            print(compiled.generated_source)
         except BrokenPipeError:  # e.g. `| head` closed the pipe
             pass
         return 0

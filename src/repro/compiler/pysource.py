@@ -1,12 +1,13 @@
 """Compile-to-source: emit specialized Python per query.
 
-The execution backend (``ExecutionOptions(codegen="source")``, the
-default).  Where the closure interpreter builds a tree of generator
-closures — one Python frame per operator per item — this module walks
-the post-planner core tree and writes one flat Python generator
-function per fused region: whole FLWOR bodies (the ``for``/``let``/``if``
-chains normalization produces), path chains, predicate filters, and
-aggregate tails collapse into plain loops with no per-operator calls.
+The executor: every query runs on the code this module writes.  Where
+the closure interpreter (the differential oracle) builds a tree of
+generator closures — one Python frame per operator per item — this
+module walks the post-planner core tree and writes one flat Python
+generator function per fused region: whole FLWOR bodies (the
+``for``/``let``/``if`` chains normalization produces), path chains,
+predicate filters, and aggregate tails collapse into plain loops with
+no per-operator calls.
 It is the paper's "compile the query into an executable" move (XQRL
 compiles queries to Java; we compile to Python and ``compile()`` the
 text in-process).  Every core expression kind has an emitter: a query
@@ -39,10 +40,12 @@ Contracts:
   :class:`~repro.observability.explain.PlanNode` (tagged
   ``codegen=source``) so EXPLAIN ANALYZE item counts match the closure
   interpreter's root operator; fused operators appear as
-  ``codegen=fused`` nodes.  The generated text is registered with
-  :mod:`linecache` for as long as the compiled plan is alive, so
-  tracebacks out of generated loops show real source lines and an
-  evicted plan frees its text.
+  ``codegen=fused`` nodes, and no per-region counters are written —
+  per-operator timing is the oracle's diagnostic
+  (``ReferenceEngine().explain(q, analyze=True)``).  The generated
+  text is registered with :mod:`linecache` for as long as the compiled
+  plan is alive, so tracebacks out of generated loops show real source
+  lines and an evicted plan frees its text.
 
 Early exit (EBV, ``fn:exists``, general comparisons, positional
 filters) uses the :class:`_Early` control exception *with a per-site

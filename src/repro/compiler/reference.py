@@ -13,11 +13,10 @@ executable operator tree (the paper's "annotated expression tree →
 TokenIterator" step, at item granularity).
 
 Queries run on :mod:`repro.compiler.pysource`; this module is what
-that emitter is held to.  It runs only under
-``ExecutionOptions(codegen="closure")`` (``Engine`` imports it lazily
-then) and in the differential suites — no product path imports it.
-Operators whose work is more than a line or two share one kernel with
-the emitter (:mod:`repro.runtime.kernels`).
+that emitter is held to.  :class:`ReferenceEngine` is the engine that
+runs it, for the differential suites and benchmarks — no product path
+imports this module.  Operators whose work is more than a line or two
+share one kernel with the emitter (:mod:`repro.runtime.kernels`).
 """
 
 from __future__ import annotations
@@ -30,6 +29,7 @@ from repro.compiler.sequencetype import (
     resolve_atomic,
     resolve_sequence_type,
 )
+from repro.engine import Engine
 from repro.errors import DynamicError, StaticError, TypeError_, UndefinedNameError
 from repro.qname import QName, XS_NS, XDT_NS
 from repro.runtime import functions as fnlib
@@ -79,20 +79,39 @@ from repro.xsd.casting import cast_value
 Plan = Callable[[DynamicContext], Iterator[Any]]
 
 
+class ReferenceEngine(Engine):
+    """An :class:`~repro.engine.Engine` whose plans run on the closure
+    interpreter: the oracle the differential suites hold the product to.
+
+    Only the emit step differs — parse, literal lifting, normalize,
+    rewrite, plan and EXPLAIN are the engine's own — so one suite drives
+    both through the same ``compile``/``execute``/``explain`` calls.
+    Every operator of its plans carries a profiler hook, which makes
+    ``ReferenceEngine().explain(q, analyze=True)`` the per-operator
+    timing diagnostic.  No cache key names the executor, so its plans
+    live in a compile cache of its own: ``compile_cache=`` is refused.
+    """
+
+    def __init__(self, base_context: StaticContext | None = None, *,
+                 catalog=None, options=None):
+        super().__init__(base_context, catalog=catalog, options=options)
+
+    def _emit(self, optimized: ast.Expr, static_ctx: StaticContext):
+        generator = CodeGenerator(static_ctx, catalog=self.catalog)
+        return generator.compile(optimized), generator.plan_tree, None
+
+
 class CodeGenerator:
     """Compiles core expressions against a static context.
 
-    With ``instrument=True`` (the default) every operator is emitted
-    behind a guarded observability hook and registered in a
-    :class:`~repro.observability.explain.PlanNode` tree
+    Every operator is emitted behind a guarded observability hook and
+    registered in a :class:`~repro.observability.explain.PlanNode` tree
     (:attr:`plan_tree`).  The hook costs one attribute load and an
     ``is None`` branch per operator *invocation* when no profiler is
-    attached — never a per-item cost — so instrumented plans are the
-    only kind the engine builds.
+    attached — never a per-item cost.
     """
 
-    def __init__(self, static_ctx: StaticContext, instrument: bool = True,
-                 catalog=None):
+    def __init__(self, static_ctx: StaticContext, catalog=None):
         self.ctx = static_ctx
         #: document catalog (``repro.catalog``): AccessPath operators
         #: resolve their posting lists through it at runtime
@@ -101,8 +120,7 @@ class CodeGenerator:
         #: declaration — fills lazily so recursive functions terminate
         #: compilation
         self._function_plans: dict[ast.FunctionDecl, Plan] = {}
-        self.instrument = instrument
-        #: root of the PlanNode tree (instrumented compiles only)
+        #: root of the PlanNode tree
         self.plan_tree = None
         self._node_stack: list = []
         self._op_counter = 0
@@ -113,8 +131,6 @@ class CodeGenerator:
         method = getattr(self, f"_c_{type(expr).__name__}", None)
         if method is None:
             raise StaticError(f"no code generation for {type(expr).__name__}")
-        if not self.instrument:
-            return method(expr)
 
         from repro.observability.explain import PlanNode
 

@@ -2,7 +2,7 @@
 
     Engine().compile(query) → CompiledQuery → .execute(...) → Result
 
-``compile`` runs parse → normalize → analyze → rewrite → codegen;
+``compile`` runs parse → normalize → analyze → rewrite → emit;
 ``execute`` evaluates lazily — the returned :class:`Result` is an
 iterable that pulls through the operator tree on demand, so consuming
 one item of the result does one item's worth of work (E1/E2).
@@ -141,8 +141,7 @@ class CompiledQuery:
         #: catalog documents the query references, bound automatically
         #: at execute unless overridden (name → StoredDocument)
         self.catalog_bindings = catalog_bindings
-        #: the Python text the compile-to-source backend emitted for
-        #: this query (None under the closure backend)
+        #: the Python text the emitter wrote for this query
         self.generated_source = generated_source
         #: the *default collection* this query reads (it contains a
         #: no-argument ``fn:collection()`` call and the engine has a
@@ -312,7 +311,7 @@ class Engine:
     """Compiles queries; holds cross-query configuration (schemas, ...).
 
     Execution knobs live on one frozen :class:`repro.ExecutionOptions`
-    object — ``Engine(options=ExecutionOptions(codegen="closure"))``.
+    object — ``Engine(options=ExecutionOptions(optimize=False))``.
     The other parameters are object wiring (``base_context``,
     ``catalog``, a shared ``compile_cache``): those carry identity, not
     configuration.
@@ -333,11 +332,6 @@ class Engine:
         #: "holistic" | "binary" | "navigation" | "mixed" for
         #: override/debug and the differential test matrix
         self.twig_strategy = options.twig_strategy
-        #: execution backend: "source" emits specialized Python source
-        #: per query (:mod:`repro.compiler.pysource`); "closure"
-        #: interprets a tree of generator closures item-at-a-time
-        #: (:mod:`repro.compiler.reference`, the differential oracle)
-        self.codegen = options.codegen
         #: document catalog (:func:`repro.catalog`): its documents bind
         #: automatically by name, and the access-path planner may
         #: compile eligible steps onto its indexes
@@ -387,7 +381,7 @@ class Engine:
             # catalog fingerprint keys store/index identity so a plan
             # compiled against an index is never reused for a
             # different (e.g. unindexed) binding of the same name;
-            # every value knob (backend, twig strategy, …) keys through
+            # every value knob (optimizer, twig strategy, …) keys through
             # the one options fingerprint, so each surface that compiles
             # queries keys its cache identically
             inputs = (tuple(sorted(extra, key=str)),
@@ -476,17 +470,7 @@ class Engine:
             optimized = plan_access_paths(optimized, static_ctx, self.catalog,
                                           twig_strategy=self.twig_strategy)
 
-        generated_source = None
-        if self.codegen == "source":
-            generator = SourcePlanCompiler(static_ctx, catalog=self.catalog)
-            plan = generator.compile_root(optimized)
-            generated_source = generator.generated_source
-        else:
-            # the differential oracle: never imported on the product path
-            from repro.compiler.reference import CodeGenerator
-
-            generator = CodeGenerator(static_ctx, catalog=self.catalog)
-            plan = generator.compile(optimized)
+        plan, plan_tree, generated_source = self._emit(optimized, static_ctx)
         catalog_bindings = None
         catalog_collection = None
         if self.catalog is not None:
@@ -502,12 +486,19 @@ class Engine:
                 catalog_collection = [(name, self.catalog[name])
                                       for name in sorted(self.catalog.names())]
         return CompiledQuery(module, core, optimized, static_ctx, plan,
-                             static_type, plan_tree=generator.plan_tree,
+                             static_type, plan_tree=plan_tree,
                              catalog_bindings=catalog_bindings,
                              generated_source=generated_source,
                              catalog_collection=catalog_collection,
                              doc_uris=literal_doc_uris(optimized),
                              lifted=lifted)
+
+    def _emit(self, optimized: ast.Expr, static_ctx: StaticContext):
+        """The code-generation step: ``(plan, plan_tree,
+        generated_source)`` for an optimized core tree."""
+        generator = SourcePlanCompiler(static_ctx, catalog=self.catalog)
+        plan = generator.compile_root(optimized)
+        return plan, generator.plan_tree, generator.generated_source
 
     def explain(self, query_text: str, *,
                 context_item: Any = None,

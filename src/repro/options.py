@@ -2,12 +2,12 @@
 
 ``Engine``, ``QueryService``, the module-level
 ``repro.compile/execute/explain`` helpers, the CLI flags and the
-server's tenant configuration all take their knobs (``codegen``,
+server's tenant configuration all take their knobs (``optimize``,
 ``twig_strategy``, ``default_timeout``, the compile-cache size, the
 service pool bounds) from this one object — it is the only way to pass
 them::
 
-    opts = repro.ExecutionOptions(codegen="closure")
+    opts = repro.ExecutionOptions(twig_strategy="binary")
     engine = repro.Engine(options=opts)
     svc = QueryService(options=opts.replace(max_workers=8))
 
@@ -26,9 +26,6 @@ import os
 from dataclasses import dataclass
 from typing import Any, Optional
 
-#: execution backends the engine knows how to drive
-CODEGEN_BACKENDS = ("closure", "source")
-
 
 @dataclass(frozen=True)
 class ExecutionOptions:
@@ -39,10 +36,6 @@ class ExecutionOptions:
 
     - ``optimize`` — run the rewrite engine and the cost-based planner;
     - ``static_typing`` — infer result types / reject impossible queries;
-    - ``codegen`` — ``"source"`` (the default since 1.8) emits one
-      specialized Python function per query, ``"closure"`` interprets
-      the operator tree item-at-a-time — the differential oracle, not
-      a tuning choice;
     - ``twig_strategy`` — physical plan for decomposed twig patterns
       (``None`` resolves to ``$REPRO_TEST_TWIG`` or ``"auto"`` at
       construction).
@@ -82,7 +75,6 @@ class ExecutionOptions:
     # -- engine: plan-shaping ---------------------------------------------
     optimize: bool = True
     static_typing: bool = True
-    codegen: str = "source"
     twig_strategy: Optional[str] = None
     # -- caching -----------------------------------------------------------
     compile_cache_size: int = 64
@@ -98,9 +90,6 @@ class ExecutionOptions:
     shards: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if self.codegen not in CODEGEN_BACKENDS:
-            raise ValueError(f"codegen must be one of {CODEGEN_BACKENDS}, "
-                             f"got {self.codegen!r}")
         if self.twig_strategy is None:
             # the CI matrix forces strategies via REPRO_TEST_TWIG so
             # every physical twig plan stays green on every leg
@@ -154,8 +143,7 @@ class ExecutionOptions:
         Service-level knobs — including ``data_dir`` — stay out: where
         a catalog lives does not change what a query compiles to.
         """
-        return ("opts", self.optimize, self.static_typing, self.codegen,
-                self.twig_strategy)
+        return ("opts", self.optimize, self.static_typing, self.twig_strategy)
 
     def replace(self, **changes: Any) -> "ExecutionOptions":
         """A copy with ``changes`` applied (re-validated)."""

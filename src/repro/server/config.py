@@ -6,7 +6,7 @@ server.json``), tests (:func:`repro.server.start_in_thread`), and the
 benchmark harness construct servers the same way::
 
     ServerConfig(port=8820, processes=4,
-                 options=ExecutionOptions(codegen="source"))
+                 options=ExecutionOptions(default_timeout=5.0))
 
 ``processes`` picks the execution mode:
 

@@ -7,15 +7,9 @@ import os
 
 import pytest
 
-from repro import Engine, ExecutionOptions, execute_query
+from repro import Engine, execute_query
 from repro.workloads import generate_xmark
 from repro.xdm.build import parse_document
-
-#: the CI matrix's --codegen leg: REPRO_TEST_CODEGEN=closure reruns the
-#: engine/run/values fixtures (and every test built on them) on the
-#: closure interpreter instead of the shipped default backend
-_DEFAULT_CODEGEN = ExecutionOptions().codegen
-_CODEGEN = os.environ.get("REPRO_TEST_CODEGEN", _DEFAULT_CODEGEN)
 
 #: the CI matrix's storage leg: REPRO_TEST_STORE=disk makes every
 #: catalog created without a path disk-backed (a fresh temp collection
@@ -81,24 +75,13 @@ def xmark_small() -> str:
 
 @pytest.fixture()
 def engine() -> Engine:
-    return Engine(options=ExecutionOptions(codegen=_CODEGEN))
+    return Engine()
 
 
 @pytest.fixture()
 def run():
     """Run a query and return its Result."""
-    if _CODEGEN == _DEFAULT_CODEGEN:
-        def _run(query: str, **kwargs):
-            return execute_query(query, **kwargs)
-    else:
-        def _run(query: str, **kwargs):
-            optimize = kwargs.pop("optimize", True)
-            eng = Engine(options=ExecutionOptions(optimize=optimize,
-                                                  codegen=_CODEGEN))
-            compiled = eng.compile(
-                query, variables=tuple(kwargs.get("variables") or ()))
-            return compiled.execute(**kwargs)
-    return _run
+    return execute_query
 
 
 @pytest.fixture()

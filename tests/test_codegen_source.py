@@ -1,14 +1,15 @@
-"""Compile-to-source backend: differential equivalence + unit tests.
+"""Compile-to-source: differential equivalence + unit tests.
 
-The contract under test: ``codegen="source"`` may only change *how* a
-query executes — byte-identical serialized results, identical order,
-identical error codes, and identical root-operator profiler item
-counts versus the closure interpreter (the differential oracle).  The
-corpus is bib/XMark/seeded-random queries, the W3C XMP use cases, and
-the property suite's random query generator.
+The contract under test: the generated code an :class:`Engine` runs
+may only change *how* a query executes — byte-identical serialized
+results, identical order, identical error codes, and identical
+root-operator profiler item counts versus the closure interpreter a
+:class:`ReferenceEngine` runs (the differential oracle).  The corpus is
+bib/XMark/seeded-random queries, the W3C XMP use cases, and the
+property suite's random query generator.
 
 A marker-gated perf smoke (``-m perfsmoke``) additionally asserts the
-source backend beats the closure oracle on the E15 scan shape and that
+generated code beats the closure oracle on the E15 scan shape and that
 emitting + ``compile()``-ing the generated source stays under 50 ms
 per query.
 """
@@ -25,6 +26,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import parse_document
+from repro.compiler.reference import ReferenceEngine
 from repro.engine import Engine
 from repro.errors import QueryCancelled
 from repro.observability import Profiler
@@ -177,20 +179,6 @@ W3C_XMP_QUERIES = [
 ]
 
 
-SOURCE = ExecutionOptions(codegen="source")
-#: the differential oracle, named explicitly: the shipped default is
-#: the source backend since 1.8
-CLOSURE = ExecutionOptions(codegen="closure")
-
-
-def source_engine(options: ExecutionOptions = SOURCE, **wiring) -> Engine:
-    return Engine(options=options, **wiring)
-
-
-def closure_engine(options: ExecutionOptions = CLOSURE, **wiring) -> Engine:
-    return Engine(options=options, **wiring)
-
-
 def outcome(engine: Engine, query: str, xml_text: str):
     """Full-drain result image: serialized text, or (error type, code)."""
     try:
@@ -203,8 +191,8 @@ def outcome(engine: Engine, query: str, xml_text: str):
 def assert_source_equivalent(query: str, xml_text: str):
     """The source backend must match the closure oracle — results,
     order, and error codes alike."""
-    generated = outcome(source_engine(), query, xml_text)
-    reference = outcome(closure_engine(), query, xml_text)
+    generated = outcome(Engine(), query, xml_text)
+    reference = outcome(ReferenceEngine(), query, xml_text)
     assert generated == reference, (
         f"source backend diverged for {query!r}:\n"
         f"  closure: {reference}\n  source : {generated}")
@@ -232,17 +220,17 @@ class TestDifferential:
 
     @pytest.mark.parametrize("query", ERROR_QUERIES)
     def test_error_codes_identical(self, query, bib_xml):
-        reference = outcome(closure_engine(), query, bib_xml)
+        reference = outcome(ReferenceEngine(), query, bib_xml)
         assert reference[0] == "err"
-        assert outcome(source_engine(), query, bib_xml) == reference
+        assert outcome(Engine(), query, bib_xml) == reference
 
     @pytest.mark.parametrize("query,expected", UNREACHED_MEMBER_QUERIES)
     def test_unreached_member_never_raises(self, query, expected):
         doc = parse_document("<r><a>1</a></r>")
-        for engine in (source_engine(), closure_engine()):
+        for engine in (Engine(), ReferenceEngine()):
             result = engine.compile(query, variables=("d",)).execute(
                 variables={"d": doc})
-            assert result.serialize() == expected, engine.codegen
+            assert result.serialize() == expected, type(engine).__name__
 
     @pytest.mark.parametrize("query", XMARK_QUERIES)
     def test_xmark_queries(self, query, xmark_small):
@@ -257,8 +245,8 @@ class TestDifferential:
 
     @pytest.mark.parametrize("query", W3C_XMP_QUERIES)
     def test_w3c_xmp_suite(self, query):
-        reference = outcome_docs(closure_engine(), query)
-        generated = outcome_docs(source_engine(), query)
+        reference = outcome_docs(ReferenceEngine(), query)
+        generated = outcome_docs(Engine(), query)
         assert generated == reference
         assert reference[0] == "ok"  # the conformance corpus must pass
 
@@ -278,8 +266,8 @@ class TestDifferential:
     ])
     def test_profiler_item_counts_match(self, query, bib_xml):
         counts = {}
-        for tag, engine in (("closure", closure_engine()),
-                            ("source", source_engine())):
+        for tag, engine in (("closure", ReferenceEngine()),
+                            ("source", Engine())):
             profiler = Profiler()
             compiled = engine.compile(query)
             compiled.execute(context_item=bib_xml,
@@ -377,7 +365,7 @@ class TestNewlyEmittedKinds:
     @pytest.mark.parametrize("query", NEW_KIND_QUERIES)
     def test_equivalent_and_seamless(self, query, bib_xml):
         assert_source_equivalent(query, bib_xml)
-        assert source_engine().compile(query).generated_source is not None
+        assert Engine().compile(query).generated_source is not None
 
 
 def test_last_keeps_the_base_lazy(bib_xml):
@@ -386,8 +374,8 @@ def test_last_keeps_the_base_lazy(bib_xml):
     BufferedSequence."""
     query = ("((1, 2, error())"
              "[if (position() lt 3) then true() else last() gt 0])[1]")
-    assert outcome(source_engine(), query, bib_xml) \
-        == outcome(closure_engine(), query, bib_xml) == ("ok", "1")
+    assert outcome(Engine(), query, bib_xml) \
+        == outcome(ReferenceEngine(), query, bib_xml) == ("ok", "1")
 
 
 def _else_if_chain(branches: int) -> str:
@@ -474,23 +462,23 @@ class TestDeepNesting:
 
     @pytest.mark.parametrize("query", DEEP)
     def test_deeply_nested_queries_compile(self, query, bib_xml):
-        generated = _outcome_and_stats(source_engine(), query, bib_xml)
+        generated = _outcome_and_stats(Engine(), query, bib_xml)
         _agree(generated,
-               _outcome_and_stats(closure_engine(), query, bib_xml))
+               _outcome_and_stats(ReferenceEngine(), query, bib_xml))
         assert generated[0][0] == "ok"
 
     @pytest.mark.parametrize("name", sorted(NESTS))
     def test_nests_answer_like_the_reference(self, name, bib_xml):
         query, answer = self.NESTS[name]
-        generated = _outcome_and_stats(source_engine(), query, bib_xml)
+        generated = _outcome_and_stats(Engine(), query, bib_xml)
         _agree(generated,
-               _outcome_and_stats(closure_engine(), query, bib_xml))
+               _outcome_and_stats(ReferenceEngine(), query, bib_xml))
         assert generated[0] == ("ok", answer)
 
     def test_thirty_step_child_path(self):
         query, doc = self.CHILD_PATH
-        generated = _outcome_and_stats(source_engine(), query, doc)
-        _agree(generated, _outcome_and_stats(closure_engine(), query, doc))
+        generated = _outcome_and_stats(Engine(), query, doc)
+        _agree(generated, _outcome_and_stats(ReferenceEngine(), query, doc))
         assert generated[0] == ("ok", "2")
 
 
@@ -560,8 +548,8 @@ class TestIndexedOperators:
 
         cat = repro.catalog()
         cat.add("auction", xmark_small)
-        return {"closure": closure_engine(catalog=cat),
-                "source": source_engine(catalog=cat)}
+        return {"closure": ReferenceEngine(catalog=cat),
+                "source": Engine(catalog=cat)}
 
     @pytest.mark.parametrize("text,bindings", QUERIES)
     def test_pinned_tree_uses_the_index(self, engines, text, bindings):
@@ -670,7 +658,7 @@ class TestInvariantOperands:
     @pytest.mark.parametrize("shape", HOIST_SHAPES)
     def test_identical_to_the_reference(self, shape, inv):
         query = shape.format(inv=inv)
-        source, closure = source_engine(), closure_engine()
+        source, closure = Engine(), ReferenceEngine()
         for doc_name, xml_text in HOIST_DOCS.items():
             for x in (40, 40.5):
                 generated = _hoist_outcome(source, query, xml_text, {"x": x})
@@ -681,7 +669,7 @@ class TestInvariantOperands:
                     raise AssertionError((query, doc_name, x)) from exc
 
     def test_operand_is_not_evaluated_by_a_loop_that_never_runs(self):
-        engine = source_engine()
+        engine = Engine()
         for inv in ("$u", "$x div 0", "xs:double('oops')"):
             query = f"count(//e[xs:double(@v) >= {inv}])"
             assert _hoist_outcome(engine, query, HOIST_DOCS["none"],
@@ -690,7 +678,7 @@ class TestInvariantOperands:
                                   {"x": 1})[0][0] == "err"
 
     def test_cast_error_fires_iff_the_reference_reaches_it(self):
-        engine = source_engine()
+        engine = Engine()
         # (/r/e streams: //e would sit behind a materializing DDO)
         query = "exists(/r/e[xs:double(@v) >= $x])"
         assert _hoist_outcome(engine, query, HOIST_DOCS["invalid_late"],
@@ -716,9 +704,9 @@ class TestInvariantOperands:
             "return string($e/@v))": "10 20",
         }
         for query, expected in cases.items():
-            generated = _hoist_outcome(source_engine(), query, xml_text,
+            generated = _hoist_outcome(Engine(), query, xml_text,
                                        {"x": 30000.0})
-            _agree(generated, _hoist_outcome(closure_engine(), query,
+            _agree(generated, _hoist_outcome(ReferenceEngine(), query,
                                              xml_text, {"x": 30000.0}))
             assert generated[0] == ("ok", expected), query
 
@@ -757,8 +745,8 @@ class TestInvariantOperands:
                 "1 1 1 1 1 2 2 2 2 2 3 3 3 3 3",
         }
         for query, expected in cases.items():
-            generated = _hoist_outcome(source_engine(), query, xml_text, {})
-            _agree(generated, _hoist_outcome(closure_engine(), query,
+            generated = _hoist_outcome(Engine(), query, xml_text, {})
+            _agree(generated, _hoist_outcome(ReferenceEngine(), query,
                                              xml_text, {}))
             assert generated[0] == ("ok", expected), query
 
@@ -770,17 +758,17 @@ class TestInvariantOperands:
         via_let = ("for $i in (1, 2) let $n := <n>{$i * 20}</n> "
                    "return count(//e[xs:double(@v) >= $n])")
         for query in (direct, via_let):
-            generated = _hoist_outcome(source_engine(), query, xml_text, {})
-            _agree(generated, _hoist_outcome(closure_engine(), query,
+            generated = _hoist_outcome(Engine(), query, xml_text, {})
+            _agree(generated, _hoist_outcome(ReferenceEngine(), query,
                                              xml_text, {}))
             assert generated[0][0] == "ok"
-        assert _hoist_outcome(source_engine(), direct, xml_text,
+        assert _hoist_outcome(Engine(), direct, xml_text,
                               {})[1]["elements_constructed"] == 4
-        source = source_engine().compile(direct).generated_source
+        source = Engine().compile(direct).generated_source
         assert "_compare_lane" not in source
 
     def test_invariant_is_read_once_per_activation(self):
-        compiled = source_engine().compile(
+        compiled = Engine().compile(
             "declare variable $x external; "
             "count(//e[xs:double(@v) >= $x and xs:double(@v) < $x * 2])")
         source = compiled.generated_source
@@ -873,8 +861,8 @@ def _join_query(loop: str, shape: str) -> str:
 
 
 #: shared engines: the matrix compiles each text once per backend
-_join_source = source_engine()
-_join_closure = closure_engine()
+_join_source = Engine()
+_join_closure = ReferenceEngine()
 
 
 def _join_outcome(engine, query, doc):
@@ -1044,8 +1032,8 @@ class TestE2ETemplates:
 
         cat = repro.catalog()
         cat.add("auction", xmark_small)
-        return {"closure": closure_engine(catalog=cat),
-                "source": source_engine(catalog=cat)}
+        return {"closure": ReferenceEngine(catalog=cat),
+                "source": Engine(catalog=cat)}
 
     @pytest.mark.parametrize("name", sorted(E2E_TEMPLATES))
     def test_registered_and_adhoc_forms(self, engines, name):
@@ -1080,44 +1068,48 @@ class TestE2ETemplates:
 
 
 #: module-level engines so hypothesis examples share the compile caches
-_closure_prop = closure_engine(CLOSURE.replace(static_typing=False))
-_source_prop = source_engine(SOURCE.replace(static_typing=False))
+_closure_prop = ReferenceEngine(options=ExecutionOptions(static_typing=False))
+_source_prop = Engine(options=ExecutionOptions(static_typing=False))
 
 
 # ---------------------------------------------------------------------------
-# Compile-cache identity (satellite: the backend keys the cache)
+# Compile-cache identity: the executor keys the cache
 # ---------------------------------------------------------------------------
 
 
 class TestCompileCache:
     def test_backend_keys_the_compile_cache(self, bib_xml):
-        """Switching ``codegen`` on engines sharing one cache must
-        never replay the other backend's plan (same shape as the PR 4
-        catalog-fingerprint regression)."""
+        """No cache key names the executor, so an oracle plan must never
+        reach a product engine's cache: a :class:`ReferenceEngine`
+        refuses a shared cache and keeps one of its own."""
         shared = LRUCache(16)
-        closure = closure_engine(compile_cache=shared)
-        source = source_engine(compile_cache=shared)
+        with pytest.raises(TypeError, match="compile_cache"):
+            ReferenceEngine(compile_cache=shared)
+        closure = ReferenceEngine()
+        source = Engine(compile_cache=shared)
         query = "count(//book)"
         a = closure.compile(query)
         b = source.compile(query)
         assert a is not b
         assert a.generated_source is None
         assert b.generated_source is not None
-        # both entries live side by side: recompiles hit, not clobber
+        assert closure.compile_cache is not shared
+        # each engine hits its own entry
         assert closure.compile(query) is a
         assert source.compile(query) is b
 
     def test_source_cache_hit_returns_same_plan(self, bib_xml):
-        engine = source_engine()
+        engine = Engine()
         first = engine.compile("//book/title")
         second = engine.compile("//book/title")
         assert first is second
         assert first.execute(context_item=bib_xml).serialize() \
-            == closure_engine().compile("//book/title") \
+            == ReferenceEngine().compile("//book/title") \
                        .execute(context_item=bib_xml).serialize()
 
     def test_codegen_argument_validated(self):
-        with pytest.raises(ValueError):
+        # the executor is chosen by engine class, not by an option
+        with pytest.raises(TypeError, match="codegen"):
             ExecutionOptions(codegen="jit")
 
 
@@ -1213,12 +1205,12 @@ def _outcome_and_stats(engine, query, xml_text):
 class TestFormerSeams:
     @pytest.mark.parametrize("query", FORMER_SEAM_QUERIES)
     def test_identical_to_the_reference(self, query, bib_xml):
-        generated = _outcome_and_stats(source_engine(), query, bib_xml)
-        reference = _outcome_and_stats(closure_engine(), query, bib_xml)
+        generated = _outcome_and_stats(Engine(), query, bib_xml)
+        reference = _outcome_and_stats(ReferenceEngine(), query, bib_xml)
         _agree(generated, reference)
         if query in FORMER_SEAM_ANSWERS:
             assert generated[0] == FORMER_SEAM_ANSWERS[query]
-        assert source_engine().compile(query).generated_source is not None
+        assert Engine().compile(query).generated_source is not None
 
     def test_let_binding_is_pulled_once(self, bib_xml):
         """A let-bound sequence consumed by a typeswitch and by a count
@@ -1226,8 +1218,9 @@ class TestFormerSeams:
         query = ("let $t := //book/title return (count($t), "
                  "typeswitch ($t) case element()+ return true() "
                  "default return false(), count($t))")
-        generated = _outcome_and_stats(source_engine(), query, bib_xml)
-        _agree(generated, _outcome_and_stats(closure_engine(), query, bib_xml))
+        generated = _outcome_and_stats(Engine(), query, bib_xml)
+        _agree(generated,
+               _outcome_and_stats(ReferenceEngine(), query, bib_xml))
         assert generated[0] == ("ok", "3 true 3")
         assert generated[1].get("ddo_sorts", 0) <= 1
 
@@ -1238,19 +1231,19 @@ class TestFormerSeams:
                  "         return xs:integer($i) "
                  "return (typeswitch ($v) case xs:integer+ return true() "
                  "default return false(), count($v))")
-        generated = outcome(source_engine(), query, bib_xml)
-        assert generated == outcome(closure_engine(), query, bib_xml)
+        generated = outcome(Engine(), query, bib_xml)
+        assert generated == outcome(ReferenceEngine(), query, bib_xml)
         assert generated == ("err", "CastError", "FORG0001")
 
     def test_typeswitch_sees_the_path_focus(self, bib_xml):
         query = ("//book/(string(title), typeswitch (.) "
                  "case element() return string(@year) default return ())")
         assert_source_equivalent(query, bib_xml)
-        assert outcome(source_engine(), query, bib_xml)[1].endswith(
+        assert outcome(Engine(), query, bib_xml)[1].endswith(
             "XML Query 1998")
 
     def test_one_generated_function_per_kept_function(self):
-        compiled = source_engine().compile(FORMER_SEAM_QUERIES[19])
+        compiled = Engine().compile(FORMER_SEAM_QUERIES[19])
         source = compiled.generated_source
         # each function once, whatever the number of call sites
         assert source.count("def _uf") == 2
@@ -1263,7 +1256,7 @@ class TestFormerSeams:
 
 class TestObservability:
     def test_plan_tree_tagged(self, bib_xml):
-        engine = source_engine()
+        engine = Engine()
         compiled = engine.compile(
             "(typeswitch (//book[1]) case element() return true() "
             "default return false(), count(//book))")
@@ -1274,12 +1267,12 @@ class TestObservability:
         assert tags == {"source", "fused"}
 
     def test_generated_source_is_python(self, bib_xml):
-        compiled = source_engine().compile("count(//book)")
+        compiled = Engine().compile("count(//book)")
         assert "def _q0(dctx):" in compiled.generated_source
         compile(compiled.generated_source, "<check>", "exec")  # parses
 
     def test_closure_backend_has_no_generated_source(self):
-        assert closure_engine().compile("1 + 1").generated_source is None
+        assert ReferenceEngine().compile("1 + 1").generated_source is None
 
     def test_generated_source_registered_with_linecache(self):
         from repro.compiler.pysource import SourcePlanCompiler
@@ -1304,7 +1297,7 @@ class TestObservability:
 
         gc.collect()
         before = registered()
-        engine = source_engine(SOURCE.replace(compile_cache_size=64))
+        engine = Engine(options=ExecutionOptions(compile_cache_size=64))
         for i in range(500):
             engine.compile(f"for $i in 1 to {i} return <a n='{{$i}}'/>")
         gc.collect()
@@ -1319,7 +1312,7 @@ class TestObservability:
         assert registered() - before <= 4
 
     def test_explain_analyze_runs_on_source_backend(self, bib_xml):
-        engine = source_engine()
+        engine = Engine()
         text = str(engine.explain(
             "for $b in //book where $b/price > 20 return $b/title",
             context_item=bib_xml, analyze=True))
@@ -1330,7 +1323,7 @@ class TestObservability:
         assert "(never executed)" not in text
 
     def test_deadline_interrupts_generated_loop(self):
-        engine = source_engine()
+        engine = Engine()
         compiled = engine.compile(
             "count(for $i in 1 to 100000000 return $i * 2)")
         t0 = time.perf_counter()
@@ -1361,8 +1354,8 @@ def test_source_scan_beats_closure():
 
     doc = parse_document(generate_xmark(scale=0.3, seed=7))
     query = "/site/regions//item[@id]/name"
-    closure = closure_engine().compile(query)
-    source = source_engine().compile(query)
+    closure = ReferenceEngine().compile(query)
+    source = Engine().compile(query)
     t_closure = _best_of(lambda: closure.execute(context_item=doc).items())
     t_source = _best_of(lambda: source.execute(context_item=doc).items())
     assert t_source * 2 <= t_closure, (
@@ -1382,7 +1375,7 @@ def test_generated_source_compiles_under_50ms():
     ]
     for query in queries:
         best = _best_of(
-            lambda: source_engine(compile_cache=None).compile(query))
+            lambda: Engine(compile_cache=None).compile(query))
         assert best < 0.050, (
             f"source compile too slow for {query!r}: {best * 1000:.1f} ms")
 
@@ -1438,7 +1431,7 @@ def test_predicate_work_is_counted_not_timed(name):
         xml_text = _spread_cities(generate_xmark(scale=scale, seed=7), ways)
         cat = repro.catalog()
         cat.add("auction", xml_text)
-        engine = source_engine(catalog=cat)
+        engine = Engine(catalog=cat)
         compiled = engine.compile(text, variables=tuple(template.params))
         output = compiled.execute(variables=bindings).serialize()  # warm
         counts = dict.fromkeys(counted, 0)

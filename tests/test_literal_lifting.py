@@ -6,7 +6,7 @@ the literal is bound at execute.  What must hold:
 - lifted ≡ unlifted: identical serialized results and error codes, and
   every error in the same *phase* (``compile`` vs ``execute``), over
   the bib, XMark, W3C XMP, error and e2e-template corpora and a
-  property generator that rewrites literals — on both backends;
+  property generator that rewrites literals — on both executors;
 - shape keys are sound: texts with equal keys lift to equal modules;
 - every position the compiler reads keeps its literal;
 - texts of one shape compile once (counted, not timed).
@@ -28,8 +28,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro
-from repro import Engine, ExecutionOptions, parse_document
+from repro import Engine, parse_document
 from repro.compiler.lift import lift_literals
+from repro.compiler.reference import ReferenceEngine
 from repro.workloads.synthetic import random_tree
 from repro.workloads.xmark_queries import QUERIES as XMARK_SUITE
 from repro.xquery import ast
@@ -54,12 +55,12 @@ import workloads as e2e_workloads  # noqa: E402 - the harness's flat module
 
 sys.path.pop(0)
 
-BACKENDS = ("source", "closure")
+#: the two executors, by the label the test ids carry
+EXECUTORS = {"source": Engine, "closure": ReferenceEngine}
 
-#: one engine per backend for the whole module, compile cache on: the
+#: one engine per executor for the whole module, compile cache on: the
 #: second and later texts of a shape run as views of the first's plan
-ENGINES = {codegen: Engine(options=ExecutionOptions(codegen=codegen))
-           for codegen in BACKENDS}
+ENGINES = {label: executor() for label, executor in EXECUTORS.items()}
 
 #: a folded constant that decides what the rewriter drops (a branch, a
 #: filter base, a function call), and literals whose type is a static
@@ -158,37 +159,36 @@ def lifted_image(text: str):
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("codegen", BACKENDS)
+@pytest.mark.parametrize("label", EXECUTORS)
 class TestDifferential:
     @pytest.mark.parametrize("query", BIB_QUERIES + ERROR_QUERIES
                              + NEW_KIND_QUERIES + FORMER_SEAM_QUERIES
                              + PHASE_QUERIES)
-    def test_bib_and_error_corpora(self, codegen, query, bib_xml):
+    def test_bib_and_error_corpora(self, label, query, bib_xml):
         for text in variants(query):
-            assert_lifting_invisible(ENGINES[codegen], text,
+            assert_lifting_invisible(ENGINES[label], text,
                                      context_item=bib_xml)
 
     @pytest.mark.parametrize("query", XMARK_QUERIES + [
         q.text for q in XMARK_SUITE.values()])
-    def test_xmark(self, codegen, query, xmark_small):
+    def test_xmark(self, label, query, xmark_small):
         doc = parse_document(xmark_small)
         for text in variants(query):
-            assert_lifting_invisible(ENGINES[codegen], text,
+            assert_lifting_invisible(ENGINES[label], text,
                                      context_item=doc)
 
     @pytest.mark.parametrize("query", W3C_XMP_QUERIES)
-    def test_w3c_xmp(self, codegen, query):
+    def test_w3c_xmp(self, label, query):
         documents = {"bib.xml": BIB, "reviews.xml": REVIEWS}
         for text in variants(query):
-            assert_lifting_invisible(ENGINES[codegen], text,
+            assert_lifting_invisible(ENGINES[label], text,
                                      documents=documents)
 
     @pytest.mark.parametrize("name", sorted(E2E_TEMPLATES))
-    def test_e2e_templates_adhoc(self, codegen, name, xmark_small):
+    def test_e2e_templates_adhoc(self, label, name, xmark_small):
         cat = repro.catalog()
         cat.add("auction", xmark_small)
-        engine = Engine(options=ExecutionOptions(codegen=codegen),
-                        catalog=cat)
+        engine = EXECUTORS[label](catalog=cat)
         template = E2E_TEMPLATES[name]
         rng = random.Random(name)
         for _ in range(4):
@@ -202,12 +202,12 @@ class TestDifferential:
                                        max_size=3),
            n=st.integers(min_value=5, max_value=40))
     @settings(max_examples=60, deadline=None)
-    def test_property_rewritten_literals(self, codegen, query, seeds, n):
+    def test_property_rewritten_literals(self, label, query, seeds, n):
         doc = parse_document(random_tree(n, tags=("a", "b", "c"),
                                          seed=seeds[0]))
         for seed in seeds:
             text = with_literals(query, random.Random(seed))
-            assert_lifting_invisible(ENGINES[codegen], text,
+            assert_lifting_invisible(ENGINES[label], text,
                                      context_item=doc)
 
 

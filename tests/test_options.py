@@ -7,6 +7,7 @@ surface rejected by Python's own ``TypeError``.
 """
 
 import dataclasses
+import json
 
 import pytest
 
@@ -21,17 +22,12 @@ class TestConstructionAndValidation:
         opts = ExecutionOptions()
         assert opts.optimize is True
         assert opts.static_typing is True
-        assert opts.codegen == "source"
         assert opts.max_workers == 4
 
     def test_frozen(self):
         opts = ExecutionOptions()
         with pytest.raises(dataclasses.FrozenInstanceError):
             opts.optimize = False
-
-    def test_bad_codegen_rejected(self):
-        with pytest.raises(ValueError, match="codegen"):
-            ExecutionOptions(codegen="llvm")
 
     def test_bad_twig_strategy_rejected(self):
         with pytest.raises(ValueError, match="twig_strategy"):
@@ -43,6 +39,37 @@ class TestConstructionAndValidation:
                       Engine, QueryService):
             with pytest.raises(TypeError, match="batch_size"):
                 build(batch_size=8)
+
+    def test_bad_codegen_rejected(self):
+        # no codegen value is valid: the keyword itself is gone
+        with pytest.raises(TypeError, match="codegen"):
+            ExecutionOptions(codegen="llvm")
+
+    def test_removed_codegen_knob_rejected(self, tmp_path, capsys):
+        # 5.0: the closure oracle is no product backend — tests reach it
+        # as repro.compiler.reference.ReferenceEngine
+        from repro.cli import main
+
+        knob = {"codegen": "source"}
+        for build in (ExecutionOptions, ExecutionOptions().replace):
+            with pytest.raises(TypeError, match="codegen"):
+                build(**knob)
+        with pytest.raises(ValueError, match="codegen"):
+            ExecutionOptions.from_dict(knob)
+        for argv in (["--codegen", "source", "1"],
+                     ["serve", "--codegen", "source"]):
+            with pytest.raises(SystemExit) as info:
+                main(argv)
+            assert info.value.code == 2
+            assert "--codegen" in capsys.readouterr().err
+        config = tmp_path / "server.json"
+        config.write_text(json.dumps({"options": knob}))
+        assert main(["serve", "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "codegen" in err
+        assert not hasattr(Engine(), "codegen")
+        assert ExecutionOptions().fingerprint() \
+            == ("opts", True, True, ExecutionOptions().twig_strategy)
 
     def test_removed_1x_keyword_shims_rejected(self):
         # 2.0 removed the deprecation layer: knobs travel in options=
@@ -60,7 +87,7 @@ class TestConstructionAndValidation:
         # 3.0 deleted intra-query parallel groups, their executors and
         # the knob; Python's own TypeError is the rejection
         fields = {f.name for f in dataclasses.fields(ExecutionOptions)}
-        assert len(fields) == 12 and "jobs" not in fields
+        assert len(fields) == 11 and "jobs" not in fields
         for build in (ExecutionOptions, ExecutionOptions().replace):
             with pytest.raises(TypeError, match="jobs"):
                 build(jobs=2)
@@ -71,14 +98,14 @@ class TestConstructionAndValidation:
 
     def test_replace(self):
         base = ExecutionOptions()
-        derived = base.replace(codegen="closure")
-        assert derived.codegen == "closure"
-        assert base.codegen == "source"
+        derived = base.replace(optimize=False)
+        assert derived.optimize is False
+        assert base.optimize is True
 
 
 class TestSerialization:
     def test_round_trip(self):
-        opts = ExecutionOptions(optimize=False, codegen="closure",
+        opts = ExecutionOptions(optimize=False, twig_strategy="binary",
                                 max_workers=8, default_timeout=1.5)
         assert ExecutionOptions.from_dict(opts.to_dict()) == opts
         assert ExecutionOptions.from_dict(ExecutionOptions().to_dict()) \
@@ -94,17 +121,8 @@ class TestSerialization:
         a = ExecutionOptions()
         assert a.fingerprint() == ExecutionOptions().fingerprint()
         for change in ({"optimize": False}, {"static_typing": False},
-                       {"codegen": "closure"},
                        {"twig_strategy": "binary"}):
             assert a.replace(**change).fingerprint() != a.fingerprint()
-
-    def test_fingerprint_keys_the_backend(self):
-        # default and explicit spellings of one backend share plans;
-        # the two backends never do
-        assert ExecutionOptions().fingerprint() \
-            == ExecutionOptions(codegen="source").fingerprint()
-        assert ExecutionOptions().fingerprint() \
-            != ExecutionOptions(codegen="closure").fingerprint()
 
     def test_fingerprint_ignores_service_knobs(self):
         a = ExecutionOptions()
@@ -162,7 +180,7 @@ class TestServiceIntegration:
     def test_bare_service_runs_the_default_options(self):
         with QueryService() as svc:
             assert svc.options == ExecutionOptions()
-            assert svc.engine.codegen == "source"
+            assert type(svc.engine) is Engine
 
     def test_service_rejects_positional_options(self):
         with pytest.raises(TypeError):

@@ -9,8 +9,8 @@ Covers the 1.6 durability guarantees end to end:
 - crash safety: commits interrupted at every seam (including a real
   SIGKILL loop) must reopen to a consistent previous state;
 - the property differential: a reopened disk catalog is byte-identical
-  to an in-memory one — results *and* error codes — across both
-  codegen backends and every twig strategy;
+  to an in-memory one — results *and* error codes — on the product
+  and the oracle executor and every twig strategy;
 - a fresh process (and by extension every pre-forked child) serves
   results without re-parsing any XML (the parser is booby-trapped).
 """
@@ -26,6 +26,7 @@ import pytest
 import repro
 from repro import Engine, ExecutionOptions
 from repro.catalog import DocumentCatalog, PersistedDocument
+from repro.compiler.reference import ReferenceEngine
 from repro.errors import StorageError, XQueryError
 from repro.storage.persist import (
     CatalogStorage,
@@ -426,9 +427,10 @@ _DIFF_QUERIES = [
     "xs:integer($books//missing)",  # FORG0001-family dynamic error
 ]
 
-_OPTION_GRID = [ExecutionOptions(codegen="closure", twig_strategy=t)
+#: (label, executor, twig strategy)
+_OPTION_GRID = [("closure", ReferenceEngine, t)
                 for t in ("auto", "holistic")] + \
-               [ExecutionOptions(codegen="source", twig_strategy=t)
+               [("source", Engine, t)
                 for t in ("auto", "binary", "navigation", "mixed")]
 
 
@@ -451,14 +453,17 @@ class TestDiskMemoryDifferential:
         disk = DocumentCatalog(root / "cat")  # reopened: all-lazy
         return mem, disk
 
-    @pytest.mark.parametrize("options", _OPTION_GRID,
-                             ids=lambda o: f"{o.codegen}-{o.twig_strategy}")
-    def test_byte_identical_results_and_errors(self, catalogs, options):
+    @pytest.mark.parametrize("label,executor,strategy", _OPTION_GRID,
+                             ids=[f"{label}-{t}"
+                                  for label, _, t in _OPTION_GRID])
+    def test_byte_identical_results_and_errors(self, catalogs, label,
+                                               executor, strategy):
         mem, disk = catalogs
+        options = ExecutionOptions(twig_strategy=strategy)
         for query in _DIFF_QUERIES:
             outcomes = []
             for cat in (mem, disk):
-                engine = Engine(options=options, catalog=cat)
+                engine = executor(options=options, catalog=cat)
                 try:
                     outcomes.append(
                         ("ok", engine.compile(query).execute().serialize()))

@@ -1,10 +1,9 @@
 """One executor: the default backend runs every query on generated code.
 
-For every query of the corpora below, a default-options run must
-compile to generated source (``CompiledQuery.generated_source``), and
-the whole run must never import the closure interpreter,
-:mod:`repro.compiler.reference` — the differential oracle is for the
-test suites and ``codegen="closure"`` only.  The corpora:
+For every query of the corpora below, a default :class:`Engine` run
+must succeed, and the whole run must never import the closure
+interpreter, :mod:`repro.compiler.reference` — the differential oracle
+(``ReferenceEngine``) is for the test suites only.  The corpora:
 
 - the XMark suite;
 - the W3C XMP use cases;
@@ -32,7 +31,6 @@ from pathlib import Path
 
 import pytest
 
-from repro import ExecutionOptions
 from repro.workloads.xmark_queries import QUERIES as XMARK_QUERIES
 
 from tests.test_codegen_source import W3C_XMP_QUERIES, TestDeepNesting
@@ -71,8 +69,6 @@ TEMPLATES = E2E.templates(n_people=12)
 COLLECTION_TEMPLATES = ("count_pred", "sum_ages", "exists_current",
                         "scan_names", "positional", "order_income")
 
-assert ExecutionOptions().codegen == "source"  # what "default" means here
-
 
 def _template_case(name, source):
     template = TEMPLATES[name]
@@ -98,9 +94,8 @@ def _cases() -> dict[str, dict]:
     return cases
 
 
-#: the child: runs every case on a default Engine, reports per case
-#: whether it compiled to generated source and how it ended, and
-#: whether the oracle module was ever imported
+#: the child: runs every case on a default Engine, reports per case how
+#: it ended, and whether the oracle module was ever imported
 _CHILD = r"""
 import json, sys
 import repro
@@ -126,10 +121,8 @@ for key, case in spec["cases"].items():
         compiled.execute(**run).serialize()
         outcome = "ok"
     except Exception as exc:
-        compiled, outcome = None, f"{type(exc).__name__} {getattr(exc, 'code', '')}"
-    report[key] = {"source": compiled is not None
-                   and compiled.generated_source is not None,
-                   "outcome": outcome}
+        outcome = f"{type(exc).__name__} {getattr(exc, 'code', '')}"
+    report[key] = {"outcome": outcome}
 print(json.dumps({"cases": report,
                   "reference": "repro.compiler.reference" in sys.modules}))
 """
@@ -137,7 +130,7 @@ print(json.dumps({"cases": report,
 
 @pytest.fixture(scope="module")
 def boundary(bib_xml):
-    """The child's report: ``{"cases": {key: {source, outcome}},
+    """The child's report: ``{"cases": {key: {outcome}},
     "reference": imported?}``."""
     from tests.test_w3c_use_cases import BIB, REVIEWS
 
@@ -152,7 +145,7 @@ def boundary(bib_xml):
 
 def _on_generated_code(boundary, key) -> None:
     case = boundary["cases"][key]
-    assert case == {"source": True, "outcome": "ok"}, (key, case)
+    assert case == {"outcome": "ok"}, (key, case)
 
 
 def test_default_backend_never_imports_the_oracle(boundary):

@@ -8,6 +8,7 @@ import pytest
 
 import repro
 from repro import CancellationToken, Engine, ExecutionOptions
+from repro.compiler.reference import ReferenceEngine
 from repro.errors import (
     DynamicError,
     QueryCancelled,
@@ -198,9 +199,9 @@ class RecordingLoader:
         return self.docs.get(uri)
 
 
-def _failure(query, loader, codegen="source"):
+def _failure(query, loader, executor=Engine):
     """(type, message) of what executing ``query`` raises."""
-    engine = Engine(options=ExecutionOptions(codegen=codegen))
+    engine = executor()
     with pytest.raises(Exception) as info:
         engine.compile(query).execute(document_loader=loader).items()
     return type(info.value), str(info.value)
@@ -218,16 +219,14 @@ UNREACHED_DOC_QUERIES = [
 ]
 
 
-@pytest.mark.parametrize("codegen", ["source", "closure"])
+@pytest.mark.parametrize("executor", [Engine, ReferenceEngine],
+                         ids=["source", "closure"])
 class TestDocumentPrefetch:
     """Two or more unregistered string-literal ``fn:doc`` URIs start
     loading before evaluation; each outcome surfaces only at the
     ``fn:doc`` that reaches it, exactly as on the sequential path."""
 
-    def engine(self, codegen):
-        return Engine(options=ExecutionOptions(codegen=codegen))
-
-    def test_literal_uris_load_concurrently(self, codegen):
+    def test_literal_uris_load_concurrently(self, executor):
         # each load waits for the other: only overlapping calls finish
         barrier = threading.Barrier(2, timeout=10)
 
@@ -235,79 +234,79 @@ class TestDocumentPrefetch:
             barrier.wait()
             return DOCS[uri]
 
-        result = self.engine(codegen).compile(
+        result = executor().compile(
             "count(doc('a')//b) + count(doc('c')//b)").execute(
                 document_loader=loader)
         assert result.values() == [3]
 
     @pytest.mark.parametrize("query,expected", UNREACHED_DOC_QUERIES)
     def test_loader_error_of_unreached_member_does_not_raise(
-            self, codegen, query, expected):
+            self, executor, query, expected):
         loader = RecordingLoader(DOCS, fail={"bad": RuntimeError("boom")})
-        result = self.engine(codegen).compile(query).execute(
+        result = executor().compile(query).execute(
             document_loader=loader)
         assert result.values() == expected
         assert "repro-prefetch" in loader.threads  # both were prefetched
 
     @pytest.mark.parametrize("query,expected", UNREACHED_DOC_QUERIES)
     def test_missing_document_of_unreached_member_does_not_raise(
-            self, codegen, query, expected):
-        result = self.engine(codegen).compile(query).execute(
+            self, executor, query, expected):
+        result = executor().compile(query).execute(
             document_loader=RecordingLoader(DOCS))
         assert result.values() == expected
 
-    def test_reached_failures_match_the_sequential_path(self, codegen):
+    def test_reached_failures_match_the_sequential_path(self, executor):
         # computed URIs are never prefetched: they are the reference
         for fail in ({}, {"bad": RuntimeError("boom")}):
             prefetched = _failure(
                 "(count(doc('a')//b), count(doc('bad')//b))",
-                RecordingLoader(DOCS, fail), codegen)
+                RecordingLoader(DOCS, fail), executor)
             sequential = _failure(
                 "(count(doc('a')//b), count(doc(concat('ba', 'd'))//b))",
-                RecordingLoader(DOCS, fail), codegen)
+                RecordingLoader(DOCS, fail), executor)
             assert prefetched == sequential
         assert prefetched[0] is RuntimeError
         missing = _failure("(doc('a'), doc('bad'))", RecordingLoader(DOCS),
-                           codegen)
+                           executor)
         assert missing[0] is DynamicError and "FODC0002" in missing[1]
 
-    def test_one_loader_call_per_uri(self, codegen):
+    def test_one_loader_call_per_uri(self, executor):
         loader = RecordingLoader(DOCS)
-        result = self.engine(codegen).compile(
+        result = executor().compile(
             "for $i in 1 to 3 return (count(doc('a')//b), "
             "count(doc('c')//b), count(doc('a')//b))").execute(
                 document_loader=loader)
         assert result.values() == [2, 1, 2] * 3
         assert sorted(loader.calls) == ["a", "c"]
 
-    def test_no_prefetch_with_a_single_uri(self, codegen):
+    def test_no_prefetch_with_a_single_uri(self, executor):
         loader = RecordingLoader(DOCS)
         # one literal, and one unregistered of two
         for query, documents, expected in (
                 ("count(doc('a')//b) + count(doc('a')//b)", None, [4]),
                 ("count(doc('a')//b) + count(doc('c')//b)",
                  {"c": DOCS["c"]}, [3])):
-            result = self.engine(codegen).compile(query).execute(
+            result = executor().compile(query).execute(
                 documents=documents, document_loader=loader)
             assert result.values() == expected
         assert loader.threads == {threading.current_thread().name}
 
-    def test_no_prefetch_without_a_loader(self, codegen, monkeypatch):
+    def test_no_prefetch_without_a_loader(self, executor, monkeypatch):
         import repro.runtime.dynamic as dynamic
 
         def refuse(*args):
             raise AssertionError("prefetched without a loader")
 
         monkeypatch.setattr(dynamic, "_Prefetch", refuse)
-        compiled = self.engine(codegen).compile(
+        compiled = executor().compile(
             "count(doc('a')//b) + count(doc('c')//b)")
         assert compiled.execute(documents=DOCS).values() == [3]
         with pytest.raises(DynamicError, match="FODC0002"):
             compiled.execute().items()
 
-    def test_computed_uris_load_as_before(self, codegen):
+    def test_computed_uris_load_as_before(self, executor):
         loader = RecordingLoader(DOCS)
-        result = self.engine(codegen).compile(
+        result = executor().compile(
             "(count(doc(concat('a', ''))//b), "
             "count(doc(concat('c', ''))//b), doc(concat('bad', '')))[2]"
         ).execute(document_loader=loader)

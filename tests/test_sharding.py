@@ -4,8 +4,10 @@ merge semantics, and the worker-pool replay fix it leans on.
 The differential suite runs every query against two real servers —
 one scattering across 4 pre-forked workers, one pinned to the
 single-worker path (``shards=0``) — and requires identical items,
-serializations, and error codes.  The matrix covers both codegen
-backends on disk and memory stores.
+serializations, and error codes, on disk and memory stores.
+
+Every server here runs the product (generated code), so the behaviour
+tests and the E19 perfsmoke gates measure what ships.
 """
 
 import json
@@ -95,21 +97,11 @@ CASES = [
                                     "return string($x)"}),
 ]
 
-#: backend x store
-MATRIX = [
-    ("closure", "disk"),
-    ("closure", "memory"),
-    ("source", "disk"),
-    ("source", "memory"),
-]
 
-
-def _start(tmp_path, *, shards, codegen="closure",
-           store="disk", processes=4, tag=""):
+def _start(tmp_path, *, shards, store="disk", processes=4, tag=""):
     data_dir = str(tmp_path / f"srv-{tag}-{shards}") \
         if store == "disk" else None
-    options = ExecutionOptions(codegen=codegen,
-                               data_dir=data_dir, shards=shards)
+    options = ExecutionOptions(data_dir=data_dir, shards=shards)
     return start_in_thread(ServerConfig(port=0, processes=processes,
                                         options=options))
 
@@ -132,14 +124,12 @@ def _comparable(status, body):
 
 
 class TestDifferential:
-    @pytest.mark.parametrize("codegen,store", MATRIX,
-                             ids=[f"{c}-{s}" for c, s in MATRIX])
-    def test_sharded_matches_single(self, tmp_path, codegen, store):
-        tag = f"{codegen}-{store}"
-        sharded = _start(tmp_path, shards=None, codegen=codegen,
-                         store=store, tag=tag)
-        single = _start(tmp_path, shards=0, codegen=codegen,
-                        store=store, tag=tag)
+    # "source" labels the product executor, as in the other suites' ids
+    @pytest.mark.parametrize("store", ["disk", "memory"],
+                             ids=["source-disk", "source-memory"])
+    def test_sharded_matches_single(self, tmp_path, store):
+        sharded = _start(tmp_path, shards=None, store=store, tag=store)
+        single = _start(tmp_path, shards=0, store=store, tag=store)
         try:
             cs, c0 = Client(sharded.port), Client(single.port)
             _load(cs)

@@ -16,17 +16,16 @@ the rare-leaf adversary where binary cascades blow up).
 
 from __future__ import annotations
 
-import os
 import random
 
 import pytest
 
 import repro
 from repro.compiler.planner import choose_twig_strategy
+from repro.compiler.reference import ReferenceEngine
 from repro.engine import Engine
 from repro.joins import TwigNode, TwigPattern, evaluate_pattern
 from repro.joins.patterns import ALGORITHM_ALIASES
-from repro.options import CODEGEN_BACKENDS
 from repro.storage import ElementIndex
 from repro.storage.stats import collect_stats
 from repro.workloads.synthetic import random_tree
@@ -40,11 +39,8 @@ from .conftest import BIB_XML
 #: forced plans, and all forced plans must agree with plain navigation
 STRATEGIES = ("auto", "holistic", "binary", "navigation", "mixed")
 
-#: honor the CI codegen matrix: the closure leg reruns this whole file
-#: compiling twigs through the closure interpreter instead of the
-#: shipped default backend
-_CODEGEN = os.environ.get("REPRO_TEST_CODEGEN",
-                          repro.ExecutionOptions().codegen)
+#: the property test rotates its engine-level runs over both executors
+EXECUTORS = (Engine, ReferenceEngine)
 
 
 def _skew_xml(n: int = 800, seed: int = 3) -> str:
@@ -57,8 +53,8 @@ def _skew_xml(n: int = 800, seed: int = 3) -> str:
 def _engines(xml_text: str) -> dict[str, Engine]:
     cat = repro.catalog()
     cat.add("doc", xml_text)
-    return {s: Engine(catalog=cat, options=repro.ExecutionOptions(
-                twig_strategy=s, codegen=_CODEGEN))
+    return {s: Engine(catalog=cat,
+                      options=repro.ExecutionOptions(twig_strategy=s))
             for s in STRATEGIES}
 
 
@@ -72,7 +68,7 @@ def _outcome(make):
 
 def _baseline(xml_text: str):
     """Catalog-less navigation runner: the semantics oracle."""
-    nav = Engine(options=repro.ExecutionOptions(codegen=_CODEGEN))
+    nav = Engine()
     doc = repro.xml(xml_text)
 
     def run(query: str):
@@ -170,8 +166,7 @@ class TestPlannerChoices:
         # leg; whatever the session default, results must match
         cat = repro.catalog()
         cat.add("doc", BIB_XML)
-        engine = Engine(catalog=cat,
-                        options=repro.ExecutionOptions(codegen=_CODEGEN))
+        engine = Engine(catalog=cat)
         assert engine.twig_strategy in STRATEGIES
         run = _baseline(BIB_XML)
         for query in ("$doc//book[author]/title",
@@ -414,20 +409,20 @@ class TestPropertyTwigs:
                 assert not reference, (i, query)
 
             # 3. engine level: the planner must decompose the surface
-            # form, and one rotating (strategy, codegen) combo must
+            # form, and one rotating (strategy, executor) combo must
             # serialize byte-identically to plain navigation
-            codegen = CODEGEN_BACKENDS[i % len(CODEGEN_BACKENDS)]
+            executor = EXECUTORS[i % len(EXECUTORS)]
             strategy = STRATEGIES[i % len(STRATEGIES)]
-            engine = Engine(catalog=corpus["catalog"],
-                            options=repro.ExecutionOptions(
-                                twig_strategy=strategy, codegen=codegen))
+            engine = executor(catalog=corpus["catalog"],
+                              options=repro.ExecutionOptions(
+                                  twig_strategy=strategy))
             node = twig_node_of(engine, query)
             assert node is not None, (i, query)
             if reference:
                 assert node.est_rows > 0, (i, query)
             got = _outcome(lambda: engine.compile(query).execute())
             assert got == corpus["baseline"](query), \
-                (i, query, strategy, codegen)
+                (i, query, strategy, executor.__name__)
         # the generator must exercise the interesting half of the space
         assert non_empty >= self.N_PATTERNS // 4
 

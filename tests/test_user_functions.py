@@ -1,12 +1,12 @@
-"""The user-function calling convention, on both backends.
+"""The user-function calling convention, on both executors.
 
 A function body sees its parameters and the prolog's variables — never
 a variable of the caller, and never the caller's focus — whether
 normalization inlines the call or keeps it (recursion, or a body that
 reads the focus).  The source-vs-reference differential cannot catch a
-mistake here that both backends share, so every case asserts the
-expected answer or error code, on ``source`` and ``closure``, with the
-optimizer on and off.
+mistake here that both executors share, so every case asserts the
+expected answer or error code, on ``source`` (:class:`Engine`) and
+``closure`` (:class:`ReferenceEngine`), with the optimizer on and off.
 """
 
 from __future__ import annotations
@@ -15,15 +15,31 @@ import pytest
 
 import repro
 from repro import Engine, ExecutionOptions
+from repro.compiler.reference import ReferenceEngine
 from repro.xquery import ast
 
-CONFIGS = [ExecutionOptions(codegen=codegen, optimize=optimize)
-           for codegen in ("source", "closure") for optimize in (True, False)]
+#: the two executors, by the label the test ids carry
+EXECUTORS = {"source": Engine, "closure": ReferenceEngine}
+
+#: (executor label, optimize)
+CONFIGS = [(label, optimize) for label in EXECUTORS
+           for optimize in (True, False)]
 
 
-def _outcome(options, query, **execute):
+def _config_id(config) -> str:
+    label, optimize = config
+    return f"{label}-opt{int(optimize)}"
+
+
+def _engine(config, **wiring) -> Engine:
+    label, optimize = config
+    return EXECUTORS[label](options=ExecutionOptions(optimize=optimize),
+                            **wiring)
+
+
+def _outcome(config, query, **execute):
     try:
-        result = Engine(options=options).compile(
+        result = _engine(config).compile(
             query, variables=tuple(execute.get("variables") or ())) \
             .execute(**execute)
         return result.serialize()
@@ -76,23 +92,21 @@ CASES = [
 ]
 
 
-@pytest.mark.parametrize("options", CONFIGS,
-                         ids=lambda o: f"{o.codegen}-opt{int(o.optimize)}")
+@pytest.mark.parametrize("config", CONFIGS, ids=_config_id)
 @pytest.mark.parametrize("query,expected", CASES)
-def test_calling_convention(options, query, expected):
-    assert _outcome(options, query,
+def test_calling_convention(config, query, expected):
+    assert _outcome(config, query,
                     context_item="<r><a/><a/></r>") == expected
 
 
-@pytest.mark.parametrize("options", CONFIGS,
-                         ids=lambda o: f"{o.codegen}-opt{int(o.optimize)}")
-def test_external_variables_are_the_prologs(options):
+@pytest.mark.parametrize("config", CONFIGS, ids=_config_id)
+def test_external_variables_are_the_prologs(config):
     query = ("declare variable $x external; "
              "declare function local:f() { $x }; "
              "declare function local:r($n) { if ($n le 0) then $x "
              "else local:r($n - 1) }; "
              "for $x in (5) return (local:f(), local:r(2))")
-    assert _outcome(options, query, variables={"x": 1}) == "1 1"
+    assert _outcome(config, query, variables={"x": 1}) == "1 1"
 
 
 #: (query, expected) over a catalog of two documents, three persons
@@ -110,15 +124,14 @@ CATALOG_CASES = [
 ]
 
 
-@pytest.mark.parametrize("options", CONFIGS,
-                         ids=lambda o: f"{o.codegen}-opt{int(o.optimize)}")
+@pytest.mark.parametrize("config", CONFIGS, ids=_config_id)
 @pytest.mark.parametrize("query,expected", CATALOG_CASES)
-def test_function_bodies_read_the_catalog(options, query, expected):
+def test_function_bodies_read_the_catalog(config, query, expected):
     catalog = repro.catalog()
     catalog.add("bib", "<site><person><name>A</name></person>"
                        "<person><name>B</name></person></site>")
     catalog.add("more", "<site><person><name>C</name></person></site>")
-    compiled = Engine(catalog=catalog, options=options).compile(query)
+    compiled = _engine(config, catalog=catalog).compile(query)
     assert compiled.execute().serialize() == expected
     recursive = "local:c(" in query or "local:r(" in query
     kept = [e for e in compiled.optimized.walk()
@@ -126,9 +139,9 @@ def test_function_bodies_read_the_catalog(options, query, expected):
     assert bool(kept) == recursive
 
 
-@pytest.mark.parametrize("codegen", ["source", "closure"])
-def test_the_limit_leaves_the_engine_usable(codegen):
-    engine = Engine(options=ExecutionOptions(codegen=codegen))
+@pytest.mark.parametrize("label", ["source", "closure"])
+def test_the_limit_leaves_the_engine_usable(label):
+    engine = EXECUTORS[label]()
     compiled = engine.compile(REC + "local:f($n)", variables=("n",))
     for _ in range(2):
         with pytest.raises(Exception) as info:

@@ -125,6 +125,7 @@ class TestDocumentOrder:
         no ``doc_order_key`` root walk — the duplicate *pair* still
         dedups, and DDO operators count ``ddo_sorts`` as before."""
         from repro import Engine, ExecutionOptions
+        from repro.compiler.reference import ReferenceEngine
         from repro.xdm import order
 
         title, author = book_doc.document_element().children
@@ -140,9 +141,9 @@ class TestDocumentOrder:
         assert in_document_order([author, title]) == [title, author]
         assert keyed
         sorts = set()
-        for codegen in ("source", "closure"):
-            result = Engine(options=ExecutionOptions(
-                codegen=codegen, optimize=False)).compile(
+        for executor in (Engine, ReferenceEngine):
+            result = executor(options=ExecutionOptions(
+                optimize=False)).compile(
                 "(/*/*[1]/text(), /*/nothing/text())").execute(
                 context_item=book_doc)
             result.items()
