@@ -2,8 +2,8 @@
 
 Claims (PR 7): per-pattern cost-based selection from ingest statistics
 picks, for each E6 shape, a physical plan whose runtime sits on (or
-within the tie window of) the fastest forced strategy — so users can
-leave ``twig_strategy="auto"`` on and never pay a cross-shape penalty.
+within the tie window of) the fastest forced strategy — so the engine,
+which always plans ``auto``, never pays a cross-shape penalty.
 
 Series reported: per E6 shape, runtime of every forced algorithm plus
 the statistics-driven ``auto`` bar over the same labeled index; the

@@ -11,9 +11,9 @@ Engine`, so repeated queries share its compiled-query cache::
                         context_item=xml_text))
 
 The default engine is created lazily with the default
-:class:`~repro.options.ExecutionOptions` (optimizer and static typing
-on).  For different options — optimizer off, a forced twig strategy —
-call :func:`configure`; for a shared base
+:class:`~repro.options.ExecutionOptions` (optimizer on).  For different
+options — optimizer off, a smaller compile cache — call
+:func:`configure`; for a shared base
 context construct an :class:`~repro.engine.Engine` directly, or use
 :class:`repro.service.QueryService` for concurrent execution with
 deadlines and admission control.

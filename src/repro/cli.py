@@ -24,7 +24,7 @@ from repro.runtime.memo import LRUCache
 #: process-wide compile cache shared by every ``main()`` call: drivers
 #: that invoke the CLI repeatedly in-process (tests, notebooks, the
 #: broker demo) recompile repeated queries for free.  Keys include the
-#: engine flags and static-context fingerprint, so sharing is safe.
+#: options fingerprint (``--no-optimize``), so sharing is safe.
 _COMPILE_CACHE = LRUCache(128)
 
 
@@ -57,20 +57,9 @@ def build_parser() -> argparse.ArgumentParser:
                              "dump to stderr")
     parser.add_argument("--no-optimize", action="store_true",
                         help="disable the rewrite engine")
-    parser.add_argument("--no-static-typing", action="store_true",
-                        help="disable static type checking")
     parser.add_argument("--no-compile-cache", action="store_true",
                         help="compile from scratch instead of reusing the "
                              "process-wide compiled-query cache")
-    parser.add_argument("--twig-strategy",
-                        choices=("auto", "holistic", "binary", "navigation",
-                                 "mixed"),
-                        default=None,
-                        help="physical plan for twig patterns the planner "
-                             "decomposes: 'auto' (default) picks per pattern "
-                             "from ingest statistics; the rest force one "
-                             "algorithm for override/debug (results are "
-                             "identical either way)")
     parser.add_argument("--timeout", type=float, default=None, metavar="SECS",
                         help="abort evaluation after SECS seconds "
                              "(exit code 124, like timeout(1))")
@@ -245,9 +234,7 @@ def main(argv: list[str] | None = None) -> int:
 
     variables = dict(_parse_var(v) for v in args.var)
 
-    options = ExecutionOptions(optimize=not args.no_optimize,
-                               static_typing=not args.no_static_typing,
-                               twig_strategy=args.twig_strategy)
+    options = ExecutionOptions(optimize=not args.no_optimize)
     engine = Engine(options=options,
                     compile_cache=None if args.no_compile_cache
                     else _COMPILE_CACHE)
@@ -259,8 +246,7 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.explain and not args.profile:
         try:
-            if compiled.static_type is not None:
-                print(f"static type: {compiled.static_type}")
+            print(f"static type: {compiled.static_type}")
             print(compiled.explain())
             print("-- generated source --")
             print(compiled.generated_source)

@@ -135,9 +135,11 @@ _TWIG_PREFERENCE = ("binary", "mixed", "twigstack", "navigation")
 def plan_access_paths(expr: ast.Expr, static_ctx, catalog,
                       twig_strategy: str = "auto") -> ast.Expr:
     """Rewrite eligible chains in ``expr`` into AccessPath or TwigJoin
-    operators.  ``twig_strategy`` forces the physical twig plan
-    (``"auto"`` | ``"holistic"`` | ``"binary"`` | ``"navigation"`` |
-    ``"mixed"``); ``"auto"`` asks :func:`choose_twig_strategy`."""
+    operators.  ``"auto"`` asks :func:`choose_twig_strategy` for each
+    twig's physical plan; the other ``twig_strategy`` values
+    (``"holistic"`` | ``"binary"`` | ``"navigation"`` | ``"mixed"``)
+    force one, for the test references built by
+    :func:`repro.compiler.reference.forced_twig`."""
     if catalog is None or len(catalog) == 0:
         return expr
     if static_ctx is not None and getattr(static_ctx, "default_element_ns", ""):
@@ -418,8 +420,9 @@ def choose_twig_strategy(stats, pattern: TwigPattern,
     """Price the four physical twig plans against ``stats`` and pick.
 
     ``force`` pins the returned algorithm (internal name) while still
-    computing estimates — the engine's ``twig_strategy`` override uses
-    it so EXPLAIN keeps showing the model's numbers.
+    computing estimates — a forced ``twig_strategy`` of
+    :func:`plan_access_paths` uses it so EXPLAIN keeps showing the
+    model's numbers.
     """
     nodes = list(pattern.nodes())
     edges = pattern.edges()

@@ -24,6 +24,7 @@ from __future__ import annotations
 from typing import Any, Callable, Iterator
 
 from repro.compiler.context import StaticContext
+from repro.compiler.planner import plan_access_paths
 from repro.compiler.sequencetype import (
     SequenceType,
     resolve_atomic,
@@ -99,6 +100,26 @@ class ReferenceEngine(Engine):
     def _emit(self, optimized: ast.Expr, static_ctx: StaticContext):
         generator = CodeGenerator(static_ctx, catalog=self.catalog)
         return generator.compile(optimized), generator.plan_tree, None
+
+
+def forced_twig(engine_cls: type[Engine], strategy: str) -> type[Engine]:
+    """``engine_cls`` (:class:`Engine` or :class:`ReferenceEngine`) with
+    every twig pattern planned by ``strategy`` — ``"auto"``,
+    ``"holistic"``, ``"binary"``, ``"navigation"`` or ``"mixed"`` —
+    instead of the cost model's pick: the reference the twig
+    differentials hold ``auto`` to.  No cache key names the strategy,
+    so ``compile_cache=`` is refused, as by :class:`ReferenceEngine`."""
+
+    class ForcedTwig(engine_cls):
+        def __init__(self, base_context: StaticContext | None = None, *,
+                     catalog=None, options=None):
+            super().__init__(base_context, catalog=catalog, options=options)
+
+        def _plan(self, optimized: ast.Expr, static_ctx: StaticContext):
+            return plan_access_paths(optimized, static_ctx, self.catalog,
+                                     twig_strategy=strategy)
+
+    return ForcedTwig
 
 
 class CodeGenerator:

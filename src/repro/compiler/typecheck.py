@@ -101,7 +101,6 @@ def _occ_star(occ: str) -> str:
 
 
 def _occ_concat(a: str, b: str) -> str:
-    order = "0" "?" "" "+" "*"
     if a == "0":
         return b
     if b == "0":
@@ -114,7 +113,6 @@ def _occ_concat(a: str, b: str) -> str:
 def _occ_union(a: str, b: str) -> str:
     if a == b:
         return a
-    pairs = {frozenset(x) for x in ()}
     s = {a, b}
     if s <= {"0", "?"}:
         return "?"
@@ -202,10 +200,6 @@ class TypeChecker:
         if t.always_empty() and not expected.allows_empty():
             raise StaticTypeError(
                 f"expression is statically empty but {expected} is required")
-        if t.occurrence in ("+",) and not expected.allows_many() \
-                and not expected.allows_empty() and expected.occurrence == "":
-            # "+" *may* be a singleton — optimistic: allowed
-            pass
         if expected.item_kind == "atomic" and t.is_node_kind() is False \
                 and t.kind == "atomic" and t.atomic is not None \
                 and expected.atomic_type is not None:
@@ -385,7 +379,8 @@ class TypeChecker:
         left = self._infer(expr.left, env)
         if left.kind == "atomic" and not left.always_empty():
             raise StaticTypeError(
-                f"path step applied to a statically atomic value ({left})")
+                f"path step applied to a statically atomic value ({left})",
+                code="XPTY0019")
         right = self._infer(expr.right, env)
         if left.always_empty():
             return EMPTY

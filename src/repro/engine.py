@@ -17,6 +17,7 @@ from repro.compiler.analysis import literal_doc_uris, walk_reachable
 from repro.compiler.context import StaticContext
 from repro.compiler.lift import Bindings, lift_literals
 from repro.compiler.normalize import normalize_module
+from repro.compiler.planner import plan_access_paths
 from repro.compiler.pysource import SourcePlanCompiler
 from repro.errors import DynamicError, QueryCancelled, StaticError
 from repro.options import ExecutionOptions
@@ -122,7 +123,7 @@ class CompiledQuery:
     """A compiled query: executable plan plus its compile-time artifacts."""
 
     def __init__(self, module: ast.Module, core: ast.Expr, optimized: ast.Expr,
-                 static_ctx: StaticContext, plan, static_type=None,
+                 static_ctx: StaticContext, plan, static_type,
                  plan_tree=None, catalog_bindings=None,
                  generated_source=None, catalog_collection=None,
                  doc_uris=(), lifted: Bindings = ()):
@@ -133,7 +134,7 @@ class CompiledQuery:
         self.optimized = optimized
         self.static_context = static_ctx
         self.plan = plan
-        #: inferred result type (None when static typing is off)
+        #: inferred result type
         self.static_type = static_type
         #: the operator tree the code generator emitted hooks for
         #: (:class:`repro.observability.PlanNode`)
@@ -327,18 +328,10 @@ class Engine:
         #: under; the knob attributes below are read-only mirrors
         self.options = options
         self.optimize = options.optimize
-        #: physical plan for twig patterns the planner decomposes:
-        #: "auto" (the pattern-level cost model picks), or a forced
-        #: "holistic" | "binary" | "navigation" | "mixed" for
-        #: override/debug and the differential test matrix
-        self.twig_strategy = options.twig_strategy
         #: document catalog (:func:`repro.catalog`): its documents bind
         #: automatically by name, and the access-path planner may
         #: compile eligible steps onto its indexes
         self.catalog = catalog
-        #: the "static typing feature" (optional in XQuery): infer the
-        #: result type and reject statically-impossible queries
-        self.static_typing = options.static_typing
         self.base_context = base_context
         from repro.runtime.memo import LRUCache
 
@@ -381,7 +374,7 @@ class Engine:
             # catalog fingerprint keys store/index identity so a plan
             # compiled against an index is never reused for a
             # different (e.g. unindexed) binding of the same name;
-            # every value knob (optimizer, twig strategy, …) keys through
+            # every value knob (the optimizer) keys through
             # the one options fingerprint, so each surface that compiles
             # queries keys its cache identically
             inputs = (tuple(sorted(extra, key=str)),
@@ -435,8 +428,8 @@ class Engine:
     def _compile_module(self, module: ast.Module, extra: tuple,
                         schemas: Iterable,
                         lifted: Bindings = ()) -> CompiledQuery:
-        """normalize → rewrite → analyze → plan → emit a parsed module
-        (``lifted``: the values its lifted literals run with)."""
+        """normalize → type → rewrite → analyze → plan → emit a parsed
+        module (``lifted``: the values its lifted literals run with)."""
         base = self.base_context.copy() if self.base_context is not None else None
         if schemas:
             if base is None:
@@ -445,11 +438,9 @@ class Engine:
                 base.import_schema(schema)
         core, static_ctx = normalize_module(module, base, extra)
 
-        static_type = None
-        if self.static_typing:
-            from repro.compiler.typecheck import infer_type
+        from repro.compiler.typecheck import infer_type
 
-            static_type = infer_type(core, static_ctx)
+        static_type = infer_type(core, static_ctx)
 
         optimized = core
         if self.optimize:
@@ -465,10 +456,7 @@ class Engine:
             analyze(optimized, static_ctx)
 
         if self.catalog is not None and self.optimize:
-            from repro.compiler.planner import plan_access_paths
-
-            optimized = plan_access_paths(optimized, static_ctx, self.catalog,
-                                          twig_strategy=self.twig_strategy)
+            optimized = self._plan(optimized, static_ctx)
 
         plan, plan_tree, generated_source = self._emit(optimized, static_ctx)
         catalog_bindings = None
@@ -492,6 +480,12 @@ class Engine:
                              catalog_collection=catalog_collection,
                              doc_uris=literal_doc_uris(optimized),
                              lifted=lifted)
+
+    def _plan(self, optimized: ast.Expr, static_ctx: StaticContext):
+        """The physical-planning step: compile eligible catalog chains
+        onto access paths and twig joins, each twig pattern's algorithm
+        picked from ingest statistics."""
+        return plan_access_paths(optimized, static_ctx, self.catalog)
 
     def _emit(self, optimized: ast.Expr, static_ctx: StaticContext):
         """The code-generation step: ``(plan, plan_tree,

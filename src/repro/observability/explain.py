@@ -88,9 +88,7 @@ class ExplainResult:
 
     def render(self) -> str:
         """The annotated plan tree as indented text."""
-        lines: list[str] = []
-        if self.compiled.static_type is not None:
-            lines.append(f"static type: {self.compiled.static_type}")
+        lines = [f"static type: {self.compiled.static_type}"]
         lines += [f"lifted {binding}" for binding in self._lifted()]
         root = self.tree
         if root is None:
@@ -154,8 +152,7 @@ class ExplainResult:
         result: dict[str, Any] = {
             "query": self.query_text,
             "analyze": self.analyzed,
-            "static_type": str(self.compiled.static_type)
-            if self.compiled.static_type is not None else None,
+            "static_type": str(self.compiled.static_type),
         }
         lifted = self._lifted()
         if lifted:

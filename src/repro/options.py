@@ -3,11 +3,10 @@
 ``Engine``, ``QueryService``, the module-level
 ``repro.compile/execute/explain`` helpers, the CLI flags and the
 server's tenant configuration all take their knobs (``optimize``,
-``twig_strategy``, ``default_timeout``, the compile-cache size, the
-service pool bounds) from this one object — it is the only way to pass
-them::
+``default_timeout``, the compile-cache size, the service pool bounds)
+from this one object — it is the only way to pass them::
 
-    opts = repro.ExecutionOptions(twig_strategy="binary")
+    opts = repro.ExecutionOptions(optimize=False)
     engine = repro.Engine(options=opts)
     svc = QueryService(options=opts.replace(max_workers=8))
 
@@ -31,14 +30,12 @@ from typing import Any, Optional
 class ExecutionOptions:
     """Every tunable of query compilation and execution, frozen.
 
-    Engine-level knobs (shape the compiled plan — all of these are in
+    Engine-level knob (shapes the compiled plan — the one input of
     :meth:`fingerprint`):
 
-    - ``optimize`` — run the rewrite engine and the cost-based planner;
-    - ``static_typing`` — infer result types / reject impossible queries;
-    - ``twig_strategy`` — physical plan for decomposed twig patterns
-      (``None`` resolves to ``$REPRO_TEST_TWIG`` or ``"auto"`` at
-      construction).
+    - ``optimize`` — run the rewrite engine and the cost-based planner.
+      Static type inference always runs, and the planner always picks
+      each twig pattern's physical plan from ingest statistics.
 
     Caching:
 
@@ -53,8 +50,6 @@ class ExecutionOptions:
       ``max_workers`` queries execute while ``max_queue`` wait;
     - ``default_timeout`` — deadline (seconds) for requests that don't
       pass their own;
-    - ``retries`` / ``retry_base_delay`` — the transient-failure retry
-      policy applied to document loaders;
     - ``data_dir`` — a directory for persistent tenant catalogs
       (:mod:`repro.storage.persist`): the server opens each tenant's
       collection at ``<data_dir>/<tenant>``, so restarts come up warm.
@@ -74,42 +69,24 @@ class ExecutionOptions:
 
     # -- engine: plan-shaping ---------------------------------------------
     optimize: bool = True
-    static_typing: bool = True
-    twig_strategy: Optional[str] = None
     # -- caching -----------------------------------------------------------
     compile_cache_size: int = 64
     # -- service -----------------------------------------------------------
     max_workers: int = 4
     max_queue: int = 8
     default_timeout: Optional[float] = None
-    retries: int = 2
-    retry_base_delay: float = 0.05
     # -- storage -----------------------------------------------------------
     data_dir: Optional[str] = None
     # -- scatter-gather ----------------------------------------------------
     shards: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if self.twig_strategy is None:
-            # the CI matrix forces strategies via REPRO_TEST_TWIG so
-            # every physical twig plan stays green on every leg
-            object.__setattr__(
-                self, "twig_strategy",
-                os.environ.get("REPRO_TEST_TWIG", "auto"))
-        from repro.joins.patterns import ALGORITHM_ALIASES
-
-        if self.twig_strategy not in ALGORITHM_ALIASES:
-            raise ValueError(
-                f"twig_strategy must be one of "
-                f"{sorted(ALGORITHM_ALIASES)}, got {self.twig_strategy!r}")
         if self.compile_cache_size < 0:
             raise ValueError("compile_cache_size must be >= 0")
         if self.max_workers < 1:
             raise ValueError("max_workers must be >= 1")
         if self.max_queue < 0:
             raise ValueError("max_queue must be >= 0")
-        if self.retries < 0:
-            raise ValueError("retries must be >= 0")
         if self.default_timeout is not None and self.default_timeout <= 0:
             raise ValueError("default_timeout must be positive (or None)")
         if self.data_dir is not None and not isinstance(self.data_dir, str):
@@ -143,7 +120,7 @@ class ExecutionOptions:
         Service-level knobs — including ``data_dir`` — stay out: where
         a catalog lives does not change what a query compiles to.
         """
-        return ("opts", self.optimize, self.static_typing, self.twig_strategy)
+        return ("opts", self.optimize)
 
     def replace(self, **changes: Any) -> "ExecutionOptions":
         """A copy with ``changes`` applied (re-validated)."""

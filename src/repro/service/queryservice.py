@@ -119,10 +119,11 @@ class QueryService:
       bound: at most ``max_workers`` queries execute while
       ``max_queue`` wait;
     - ``options.default_timeout`` — deadline (seconds) for requests
-      that don't pass their own;
-    - ``options.retries`` / ``options.retry_base_delay`` — the
-      transient-failure policy applied to every request's
-      ``document_loader``.
+      that don't pass their own.
+
+    Every request's ``document_loader`` retries transient failures
+    under :class:`RetryingDocumentLoader`'s defaults (2 retries, 0.05 s
+    base delay).
 
     ``engine`` overrides the service-built engine (e.g. one carrying a
     catalog).
@@ -144,8 +145,6 @@ class QueryService:
         self.max_workers = options.max_workers
         self.max_queue = options.max_queue
         self.default_timeout = options.default_timeout
-        self.retries = options.retries
-        self.retry_base_delay = options.retry_base_delay
         self._pool = ThreadPoolExecutor(max_workers=self.max_workers,
                                         thread_name_prefix="repro-svc")
         self._lock = threading.Lock()
@@ -220,9 +219,7 @@ class QueryService:
         loader = None
         try:
             if document_loader is not None:
-                loader = RetryingDocumentLoader(
-                    document_loader, retries=self.retries,
-                    base_delay=self.retry_base_delay, token=token)
+                loader = RetryingDocumentLoader(document_loader, token=token)
             compiled = engine.compile(
                 query_text, variables=tuple(variables or ()))
             result = compiled.execute(

@@ -86,12 +86,6 @@ class TestCli:
         assert code == 1
         assert "XPTY0004" in err
 
-    def test_no_static_typing_flag(self, capsys):
-        # compiles; fails at runtime instead
-        code, _, err = run_cli(["--no-static-typing", "fn:true() + 1"], capsys)
-        assert code == 1
-        assert "error" in err
-
     def test_runtime_error_reported(self, capsys):
         code, _, err = run_cli(["1 idiv 0"], capsys)
         assert code == 1

@@ -1068,8 +1068,8 @@ class TestE2ETemplates:
 
 
 #: module-level engines so hypothesis examples share the compile caches
-_closure_prop = ReferenceEngine(options=ExecutionOptions(static_typing=False))
-_source_prop = Engine(options=ExecutionOptions(static_typing=False))
+_closure_prop = ReferenceEngine()
+_source_prop = Engine()
 
 
 # ---------------------------------------------------------------------------

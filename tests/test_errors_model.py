@@ -66,6 +66,10 @@ class TestCodesSurface:
     def test_static_type_error(self):
         assert self._code("fn:true() + 1") == "XPTY0004"
 
+    def test_path_step_over_atomic(self):
+        # the static checker raises the code the runtime raises
+        assert self._code("(1, 2)/a") == "XPTY0019"
+
     def test_division_by_zero(self):
         assert self._code("1 idiv 0") == "FOAR0001"
 

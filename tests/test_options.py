@@ -21,17 +21,12 @@ class TestConstructionAndValidation:
     def test_defaults(self):
         opts = ExecutionOptions()
         assert opts.optimize is True
-        assert opts.static_typing is True
         assert opts.max_workers == 4
 
     def test_frozen(self):
         opts = ExecutionOptions()
         with pytest.raises(dataclasses.FrozenInstanceError):
             opts.optimize = False
-
-    def test_bad_twig_strategy_rejected(self):
-        with pytest.raises(ValueError, match="twig_strategy"):
-            ExecutionOptions(twig_strategy="quantum")
 
     def test_removed_batch_size_knob_rejected(self):
         # 1.9 deleted the batched executor and its knob, shims included
@@ -68,8 +63,45 @@ class TestConstructionAndValidation:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "codegen" in err
         assert not hasattr(Engine(), "codegen")
-        assert ExecutionOptions().fingerprint() \
-            == ("opts", True, True, ExecutionOptions().twig_strategy)
+        assert ExecutionOptions().fingerprint() == ("opts", True)
+
+    def test_removed_plan_knobs_rejected(self, tmp_path, capsys):
+        # 6.0: types are always inferred, the planner always picks each
+        # twig's algorithm, and the service loader retries on its own
+        # defaults — tests force a twig algorithm through
+        # repro.compiler.reference.forced_twig
+        from repro.cli import main
+        from repro.compiler.reference import forced_twig
+
+        knobs = {"static_typing": False, "twig_strategy": "binary",
+                 "retries": 3, "retry_base_delay": 0.001}
+        for name, value in knobs.items():
+            for build in (ExecutionOptions, ExecutionOptions().replace):
+                with pytest.raises(TypeError, match=name):
+                    build(**{name: value})
+            with pytest.raises(ValueError, match=name):
+                ExecutionOptions.from_dict({name: value})
+        for argv in (["--no-static-typing", "1"],
+                     ["--twig-strategy", "binary", "1"]):
+            with pytest.raises(SystemExit) as info:
+                main(argv)
+            assert info.value.code == 2
+            assert argv[0] in capsys.readouterr().err
+        config = tmp_path / "server.json"
+        config.write_text(json.dumps({"options": {"twig_strategy": "binary"}}))
+        assert main(["serve", "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "twig_strategy" in err
+        engine = Engine()
+        assert not hasattr(engine, "static_typing")
+        assert not hasattr(engine, "twig_strategy")
+        with QueryService() as svc:
+            assert not hasattr(svc, "retries")
+            assert not hasattr(svc, "retry_base_delay")
+        assert ExecutionOptions(optimize=False).fingerprint() \
+            == ("opts", False)
+        with pytest.raises(TypeError, match="compile_cache"):
+            forced_twig(Engine, "binary")(compile_cache=LRUCache(4))
 
     def test_removed_1x_keyword_shims_rejected(self):
         # 2.0 removed the deprecation layer: knobs travel in options=
@@ -87,7 +119,7 @@ class TestConstructionAndValidation:
         # 3.0 deleted intra-query parallel groups, their executors and
         # the knob; Python's own TypeError is the rejection
         fields = {f.name for f in dataclasses.fields(ExecutionOptions)}
-        assert len(fields) == 11 and "jobs" not in fields
+        assert len(fields) == 7 and "jobs" not in fields
         for build in (ExecutionOptions, ExecutionOptions().replace):
             with pytest.raises(TypeError, match="jobs"):
                 build(jobs=2)
@@ -105,8 +137,8 @@ class TestConstructionAndValidation:
 
 class TestSerialization:
     def test_round_trip(self):
-        opts = ExecutionOptions(optimize=False, twig_strategy="binary",
-                                max_workers=8, default_timeout=1.5)
+        opts = ExecutionOptions(optimize=False, max_workers=8,
+                                default_timeout=1.5)
         assert ExecutionOptions.from_dict(opts.to_dict()) == opts
         assert ExecutionOptions.from_dict(ExecutionOptions().to_dict()) \
             == ExecutionOptions()
@@ -120,14 +152,12 @@ class TestSerialization:
     def test_fingerprint_covers_compile_knobs(self):
         a = ExecutionOptions()
         assert a.fingerprint() == ExecutionOptions().fingerprint()
-        for change in ({"optimize": False}, {"static_typing": False},
-                       {"twig_strategy": "binary"}):
-            assert a.replace(**change).fingerprint() != a.fingerprint()
+        assert a.replace(optimize=False).fingerprint() != a.fingerprint()
 
     def test_fingerprint_ignores_service_knobs(self):
         a = ExecutionOptions()
-        b = a.replace(max_workers=16, max_queue=99, retries=7,
-                      default_timeout=3.0)
+        b = a.replace(max_workers=16, max_queue=99, default_timeout=3.0,
+                      compile_cache_size=3)
         assert a.fingerprint() == b.fingerprint()
 
     def test_fingerprint_ignores_data_dir(self):

@@ -24,9 +24,9 @@ import time
 import pytest
 
 import repro
-from repro import Engine, ExecutionOptions
+from repro import Engine
 from repro.catalog import DocumentCatalog, PersistedDocument
-from repro.compiler.reference import ReferenceEngine
+from repro.compiler.reference import ReferenceEngine, forced_twig
 from repro.errors import StorageError, XQueryError
 from repro.storage.persist import (
     CatalogStorage,
@@ -459,11 +459,10 @@ class TestDiskMemoryDifferential:
     def test_byte_identical_results_and_errors(self, catalogs, label,
                                                executor, strategy):
         mem, disk = catalogs
-        options = ExecutionOptions(twig_strategy=strategy)
         for query in _DIFF_QUERIES:
             outcomes = []
             for cat in (mem, disk):
-                engine = executor(options=options, catalog=cat)
+                engine = forced_twig(executor, strategy)(catalog=cat)
                 try:
                     outcomes.append(
                         ("ok", engine.compile(query).execute().serialize()))

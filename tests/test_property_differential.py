@@ -64,8 +64,8 @@ def _exprs(depth: int):
 
 QUERY = _exprs(2)
 
-_fast = Engine(options=ExecutionOptions(static_typing=False))
-_slow = Engine(options=ExecutionOptions(optimize=False, static_typing=False))
+_fast = Engine()
+_slow = Engine(options=ExecutionOptions(optimize=False))
 
 
 def _outcome(engine: Engine, query: str, doc) -> tuple:

@@ -420,7 +420,7 @@ class TestRetryingLoader:
                 raise OSError("transient")
             return "<a><b/></a>"
 
-        with service(max_workers=1, retry_base_delay=0.001) as svc:
+        with service(max_workers=1) as svc:
             result = svc.execute("count(doc('u')//b)", document_loader=flaky)
             assert result.values() == [1]
             assert result.stats["service.loader_retries"] == 1
@@ -438,7 +438,7 @@ class TestRetryingLoader:
                 raise OSError("transient")
             return "<a><b/></a>"
 
-        with service(max_workers=1, retry_base_delay=0.001) as svc:
+        with service(max_workers=1) as svc:
             result = svc.execute("count(doc('u')//b) + count(doc('v')//b)",
                                  document_loader=flaky)
             assert result.values() == [2]

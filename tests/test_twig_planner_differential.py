@@ -22,7 +22,7 @@ import pytest
 
 import repro
 from repro.compiler.planner import choose_twig_strategy
-from repro.compiler.reference import ReferenceEngine
+from repro.compiler.reference import ReferenceEngine, forced_twig
 from repro.engine import Engine
 from repro.joins import TwigNode, TwigPattern, evaluate_pattern
 from repro.joins.patterns import ALGORITHM_ALIASES
@@ -35,7 +35,7 @@ from repro.xquery import ast
 
 from .conftest import BIB_XML
 
-#: every engine-level strategy knob value; "auto" must agree with all
+#: every strategy :func:`forced_twig` takes; "auto" must agree with all
 #: forced plans, and all forced plans must agree with plain navigation
 STRATEGIES = ("auto", "holistic", "binary", "navigation", "mixed")
 
@@ -53,9 +53,7 @@ def _skew_xml(n: int = 800, seed: int = 3) -> str:
 def _engines(xml_text: str) -> dict[str, Engine]:
     cat = repro.catalog()
     cat.add("doc", xml_text)
-    return {s: Engine(catalog=cat,
-                      options=repro.ExecutionOptions(twig_strategy=s))
-            for s in STRATEGIES}
+    return {s: forced_twig(Engine, s)(catalog=cat) for s in STRATEGIES}
 
 
 def _outcome(make):
@@ -128,13 +126,6 @@ class TestPlannerChoices:
         result = engines["auto"].compile("$doc//book[absent]/title").execute()
         assert result.serialize() == ""
 
-    def test_invalid_strategy_rejected(self):
-        cat = repro.catalog()
-        cat.add("doc", BIB_XML)
-        with pytest.raises(ValueError, match="twig_strategy"):
-            Engine(catalog=cat, options=repro.ExecutionOptions(
-                twig_strategy="bogus"))
-
     def test_explain_analyze_reports_actuals(self, engines):
         engine = engines["auto"]
         explained = engine.explain("$doc//book[author]/title", analyze=True)
@@ -160,19 +151,6 @@ class TestPlannerChoices:
         assert result.stats.get("twig.fallback_navigation") == 1
         assert serialized == engine.compile("$doc//book[author]/title") \
             .execute().serialize()
-
-    def test_env_default_strategy_matches_baseline(self):
-        # an unset twig_strategy reads REPRO_TEST_TWIG — the CI matrix
-        # leg; whatever the session default, results must match
-        cat = repro.catalog()
-        cat.add("doc", BIB_XML)
-        engine = Engine(catalog=cat)
-        assert engine.twig_strategy in STRATEGIES
-        run = _baseline(BIB_XML)
-        for query in ("$doc//book[author]/title",
-                      "$doc//book[.//last]//first"):
-            got = _outcome(lambda: engine.compile(query).execute())
-            assert got == run(query), query
 
 
 # ---------------------------------------------------------------------------
@@ -413,9 +391,8 @@ class TestPropertyTwigs:
             # serialize byte-identically to plain navigation
             executor = EXECUTORS[i % len(EXECUTORS)]
             strategy = STRATEGIES[i % len(STRATEGIES)]
-            engine = executor(catalog=corpus["catalog"],
-                              options=repro.ExecutionOptions(
-                                  twig_strategy=strategy))
+            engine = forced_twig(executor, strategy)(
+                catalog=corpus["catalog"])
             node = twig_node_of(engine, query)
             assert node is not None, (i, query)
             if reference:

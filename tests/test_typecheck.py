@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import Engine, ExecutionOptions, execute_query
+from repro import Engine, execute_query
 from repro.compiler.normalize import normalize_module
 from repro.compiler.sequencetype import resolve_sequence_type
 from repro.compiler.typecheck import TypeChecker, infer_type
@@ -169,15 +169,13 @@ class TestEngineIntegration:
         compiled = Engine().compile("count((1, 2, 3))")
         assert str(compiled.static_type) == "xs:integer"
 
-    def test_static_typing_can_be_disabled(self):
-        engine = Engine(options=ExecutionOptions(static_typing=False))
-        compiled = engine.compile("1 + 1")
-        assert compiled.static_type is None
-
     def test_disabled_typing_defers_error_to_runtime(self):
-        engine = Engine(options=ExecutionOptions(static_typing=False))
-        compiled = engine.compile("fn:true() + 1")  # compiles fine
+        # typing always runs (6.0), but an external variable's type is
+        # statically unknown: the query compiles, and evaluation raises
         from repro.errors import TypeError_
 
-        with pytest.raises(TypeError_):
-            compiled.execute().items()
+        compiled = Engine().compile("declare variable $x external; $x + 1")
+        with pytest.raises(TypeError_) as info:
+            compiled.execute(variables={"x": True}).items()
+        assert not isinstance(info.value, StaticTypeError)
+        assert info.value.code == "XPTY0004"
