@@ -205,11 +205,7 @@ def main(argv: list[str] | None = None) -> int:
         _, metrics = client.request("GET", "/metrics")
         client.close()
         window = metrics["server"]["latency"]["execute"]
-        caches = dict(metrics["caches"]["result_cache"])
-        parent = metrics["caches"].get("parent_result_cache")
-        if parent:  # pre-forked mode: the cross-child layer holds the hits
-            caches["hits"] += parent["hits"]
-            caches["misses"] += parent["misses"]
+        caches = metrics["caches"]["result_cache"]
         hit_rate = caches["hits"] / max(1, caches["hits"] + caches["misses"])
         print(f"server-side window: p50 {window['p50_ms']} ms, "
               f"p99 {window['p99_ms']} ms over {window['count']} requests")

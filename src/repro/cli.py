@@ -136,9 +136,9 @@ def serve_main(argv: list[str]) -> int:
         value = getattr(args, flag)
         if value is not None:
             option_changes[name] = value
-    if option_changes:
-        changes["options"] = config.options.replace(**option_changes)
     try:
+        if option_changes:
+            changes["options"] = config.options.replace(**option_changes)
         config = config.replace(**changes)
         server = XQueryServer(config)
     except (ValueError, TypeError) as exc:

@@ -21,6 +21,7 @@ its cache identically by construction.
 from __future__ import annotations
 
 import dataclasses
+import math
 import os
 from dataclasses import dataclass
 from typing import Any, Optional
@@ -87,8 +88,11 @@ class ExecutionOptions:
             raise ValueError("max_workers must be >= 1")
         if self.max_queue < 0:
             raise ValueError("max_queue must be >= 0")
-        if self.default_timeout is not None and self.default_timeout <= 0:
-            raise ValueError("default_timeout must be positive (or None)")
+        if self.default_timeout is not None and not (
+                math.isfinite(self.default_timeout)
+                and self.default_timeout > 0):
+            raise ValueError("default_timeout must be a positive finite "
+                             "number (or None)")
         if self.data_dir is not None and not isinstance(self.data_dir, str):
             # accept Path objects but store a str: to_dict() must stay
             # JSON-serializable (the server's tenant-config wire format)

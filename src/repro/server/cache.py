@@ -4,8 +4,9 @@
 (same compiled query, same document node) — right for an embedding
 process, useless across HTTP requests where every input arrives as
 data.  :class:`ServerResultCache` is the inter-process level the memo
-module's docstring calls "semantic caching": the key is built from
-values —
+module's docstring calls "semantic caching", held once per server by
+the process that owns the socket (pool children never cache): the key
+is built from values —
 
     (tenant, query text, options fingerprint, catalog fingerprint,
      canonical variables JSON, response form)
@@ -182,17 +183,14 @@ class ServerResultCache:
         with self._lock:
             self._cache.put(key, value)
 
-    def invalidate_tenant(self, tenant: str, persist: bool = True) -> None:
+    def invalidate_tenant(self, tenant: str) -> None:
         """Drop every cached response for ``tenant`` (epoch bump).
 
         With an epoch source, the bump writes through it so the new
-        epoch survives a restart.  ``persist=False`` bumps only this
-        process's view — read-only attachers (pre-forked children
-        picking up a parent commit) use it, since the parent already
-        persisted the bump.
+        epoch survives a restart.
         """
         with self._lock:
-            if self._epoch_source is not None and persist:
+            if self._epoch_source is not None:
                 self._epochs[tenant] = self._epoch_source.bump(tenant)
             else:
                 self._epochs[tenant] = self._epoch(tenant) + 1

@@ -8,16 +8,16 @@ benchmark harness construct servers the same way::
     ServerConfig(port=8820, processes=4,
                  options=ExecutionOptions(default_timeout=5.0))
 
-``processes`` picks the execution mode:
+``processes`` picks only where queries run; the result cache lives in
+the serving process either way:
 
-- ``0`` (default) — in-process: requests run on a
+- ``0`` (default) — in-process: on a
   :class:`~repro.service.QueryService` thread pool sized by
-  ``options.max_workers``, sharing one compile cache and one result
-  cache;
-- ``N > 0`` — pre-forked: a :class:`~repro.service.ForkWorkerPool` of
-  ``N`` persistent children executes queries, each with its own warm
-  caches inherited copy-on-write and rebuilt from the replay log after
-  a crash.
+  ``options.max_workers``, sharing the server's compile cache;
+- ``N > 0`` — pre-forked: in a :class:`~repro.service.ForkWorkerPool`
+  of ``N`` persistent children, each with its own warm compile cache
+  inherited copy-on-write and rebuilt from the replay log after a
+  crash.
 """
 
 from __future__ import annotations

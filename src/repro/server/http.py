@@ -2,18 +2,25 @@
 
 Stdlib only — :func:`asyncio.start_server` speaks just enough
 HTTP/1.1 (keep-alive, Content-Length bodies) for real clients and the
-load harness.  The event loop owns parsing, routing, serialization,
-and the result cache; query execution never blocks it:
+load harness.  The event loop owns parsing, routing, the response
+encoding and the one result cache; query execution never blocks it.
 
-- **in-process mode** (``processes=0``) — execution is submitted to
-  the :class:`~repro.service.QueryService` pool (admission control,
-  deadlines) and awaited via
-  :func:`asyncio.wrap_future`;
-- **pre-forked mode** (``processes=N``) — execution is a
-  :meth:`~repro.service.ForkWorkerPool.call` into a persistent child
-  (dispatched through a thread so the loop stays free); ingests and
-  registrations broadcast to every child with replay, so a respawned
-  child rebuilds the same tenants.
+Every execute and explain takes one path: the front probes the result
+cache, resolves the request's timeout (its own, else
+``options.default_timeout``), then runs the command tuple through
+:meth:`~repro.server.tenants.AppCore.handle` over one of two
+transports, and caches a cacheable reply.  ``processes`` picks only
+where ``handle`` runs:
+
+- ``processes=0`` — on a :class:`~repro.service.QueryService` thread
+  (:meth:`~repro.service.QueryService.call`: admission control,
+  in-flight accounting), awaited via :func:`asyncio.wrap_future`;
+- ``processes=N`` — in a persistent child through
+  :meth:`~repro.service.ForkWorkerPool.call` (dispatched through a
+  thread so the loop stays free; the pool adds the hard-timeout
+  backstop).  Ingests and registrations broadcast to every child with
+  replay, so a respawned child rebuilds the same tenants, and eligible
+  collection queries may scatter across the children instead.
 
 API (all responses JSON unless ``form=xml``)::
 
@@ -28,31 +35,24 @@ API (all responses JSON unless ``form=xml``)::
     POST /tenants/{t}/explain            body: {"query", "variables", ...}
 
 Execute bodies accept ``"form": "json" | "xml"``, ``"timeout"``
-(seconds), and ``"cache": false`` to bypass the result cache.
+(a positive, finite number of seconds), and ``"cache": false`` to
+bypass the result cache.
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
+import math
 import threading
 import time
 from typing import Any, Optional
 from urllib.parse import parse_qs, unquote, urlsplit
 
-from repro.errors import ServiceOverloaded, XQueryError
+from repro.errors import XQueryError
 from repro.server.config import ServerConfig
 from repro.server.metrics import ServerMetrics
-from repro.server.tenants import (
-    ApiError,
-    AppCore,
-    FORMS,
-    cacheable,
-    convert_variables,
-    error_reply,
-    ms_since,
-    result_payload,
-)
+from repro.server.tenants import ApiError, AppCore, FORMS, error_reply
 from repro.service import ForkWorkerPool, QueryService
 from repro.service.sharding import ShardRouter
 
@@ -74,7 +74,8 @@ _LINGER_IDLE = 1.0
 
 
 class XQueryServer:
-    """The server: one :class:`AppCore` behind HTTP, two exec modes."""
+    """The server: one :class:`AppCore` behind HTTP; ``AppCore.handle``
+    runs on a service thread or in a pool child."""
 
     def __init__(self, config: Optional[ServerConfig] = None):
         self.config = config or ServerConfig()
@@ -311,7 +312,8 @@ class XQueryServer:
                                   query: dict, body: bytes):
         data = _json_body(body)
         _tenant_obj, registered = self.core.resolve(tenant, name)
-        request = _ExecuteRequest.from_body(data, query)
+        request = _ExecuteRequest.from_body(
+            data, query, self.config.options.default_timeout)
         reply = await self._execute(tenant, registered.query_text,
                                     registered.variables, request)
         return _execute_response(reply, request.form)
@@ -322,7 +324,8 @@ class XQueryServer:
         if not isinstance(text, str) or not text.strip():
             raise ApiError(400, "bad_request",
                            'execute body needs a "query" string')
-        request = _ExecuteRequest.from_body(data, query)
+        request = _ExecuteRequest.from_body(
+            data, query, self.config.options.default_timeout)
         reply = await self._execute(tenant, text, None, request)
         return _execute_response(reply, request.form)
 
@@ -335,17 +338,8 @@ class XQueryServer:
         variables = _variables_of(data)
         analyze = bool(data.get("analyze", True))
         timeout = _timeout_of(data, self.config.options.default_timeout)
-        loop = asyncio.get_running_loop()
-        if self.pool is not None:
-            reply = await loop.run_in_executor(
-                None, lambda: self.pool.call(
-                    ("explain", tenant, text, variables, analyze, timeout),
-                    hard_timeout=_hard_timeout(timeout)))
-        else:
-            reply = await loop.run_in_executor(
-                None, lambda: self.core.explain_inline(
-                    tenant, text, variables=variables, analyze=analyze,
-                    timeout=timeout))
+        reply = await self._call(
+            ("explain", tenant, text, variables, analyze, timeout), timeout)
         if reply["status"] != 200:
             return _error_response(reply, {})
         payload = reply["payload"]
@@ -353,7 +347,7 @@ class XQueryServer:
             # EXPLAIN ANALYZE reports how the scatter path would run
             # this query: actually scatter it and surface the shard
             # stats next to the engine's own counters
-            scatter = await loop.run_in_executor(
+            scatter = await asyncio.get_running_loop().run_in_executor(
                 None, lambda: self.router.try_execute(
                     tenant, text, variables, None, "json", timeout,
                     _hard_timeout(timeout)))
@@ -362,111 +356,84 @@ class XQueryServer:
                     scatter["shard"])
         return 200, payload, "application/json", {}
 
-    # -- execution (both modes) --------------------------------------------
+    # -- execution ---------------------------------------------------------
 
     async def _execute(self, tenant: str, query_text: str,
                        declared: Optional[tuple],
                        request: "_ExecuteRequest") -> dict:
-        loop = asyncio.get_running_loop()
-        if self.pool is not None:
-            # the parent-side cache spans children: each child caches
-            # what *it* executed, but repeat requests land on whichever
-            # child is free — this layer makes the hit rate independent
-            # of dispatch.  The parent applies every ingest before
-            # broadcasting it, so its catalog fingerprints (and hence
-            # the keys) stay consistent with its own state.
-            key = None
-            if request.use_cache:
-                tenant_obj = self.core.tenants.get(tenant)
-                key = self.core.result_cache.key(
-                    tenant, query_text, self.core.options.fingerprint(),
-                    tenant_obj.catalog.fingerprint(), request.variables,
-                    request.form)
-                hit = self.core.result_cache.get(key)
-                if hit is not None:
-                    self.metrics.count("cache_hits")
-                    return {"status": 200, "payload": hit, "cached": True}
-            reply = None
-            if self.router is not None \
-                    and self.router.might_scatter(query_text, request.form):
-                # scatter-gather for eligible collection queries; None
-                # always means "use the normal single-worker path"
-                reply = await loop.run_in_executor(
-                    None, lambda: self.router.try_execute(
-                        tenant, query_text, request.variables, declared,
-                        request.form, request.timeout,
-                        _hard_timeout(request.timeout)))
-                if reply is not None:
-                    self.metrics.count("scattered")
-            if reply is None:
-                try:
-                    reply = await loop.run_in_executor(
-                        None, lambda: self.pool.call(
-                            ("execute", tenant, query_text,
-                             request.variables, declared, request.form,
-                             request.timeout, request.use_cache),
-                            hard_timeout=_hard_timeout(request.timeout)))
-                except XQueryError as exc:
-                    reply = error_reply(exc)
-            if key is not None and isinstance(reply, dict) \
-                    and reply.get("status") == 200 and reply.get("cacheable"):
-                self.core.result_cache.put(key, reply["payload"])
-        else:
-            reply = await self._execute_inprocess(tenant, query_text,
-                                                  request)
-        self.metrics.count("cache_hits" if reply.get("cached")
-                           else "cache_misses")
+        """Probe the result cache, run the query, fill the cache.
+
+        Ingests and registrations apply in this process before they
+        are broadcast, so the keys it computes match the catalog any
+        child executes against.
+        """
+        key = None
+        if request.use_cache:
+            key = self.core.result_cache.key(
+                tenant, query_text, self.core.options.fingerprint(),
+                self.core.tenants.get(tenant).catalog.fingerprint(),
+                request.variables, request.form)
+            hit = self.core.result_cache.get(key)
+            if hit is not None:
+                self.metrics.count("cache_hits")
+                return {"status": 200, "payload": hit, "cached": True}
+        reply = None
+        if self.router is not None \
+                and self.router.might_scatter(query_text, request.form):
+            # scatter-gather for eligible collection queries; None
+            # always means "use the normal single-worker path"
+            reply = await asyncio.get_running_loop().run_in_executor(
+                None, lambda: self.router.try_execute(
+                    tenant, query_text, request.variables, declared,
+                    request.form, request.timeout,
+                    _hard_timeout(request.timeout)))
+            if reply is not None:
+                self.metrics.count("scattered")
+        if reply is None:
+            reply = await self._call(
+                ("execute", tenant, query_text, request.variables,
+                 declared, request.form, request.timeout, False),
+                request.timeout)
+        if key is not None and reply["status"] == 200 \
+                and reply.get("cacheable"):
+            self.core.result_cache.put(key, reply["payload"])
+        self.metrics.count("cache_misses")
         if reply["status"] == 503:
             self.metrics.count("rejected")
         return reply
 
-    async def _execute_inprocess(self, tenant_name: str, query_text: str,
-                                 request: "_ExecuteRequest") -> dict:
-        """The QueryService path: admission, deadline, then serialize
-        and cache on the event loop (the result is already drained)."""
-        started = time.perf_counter()
-        core = self.core
+    async def _call(self, command: tuple, timeout: Optional[float]) -> dict:
+        """``core.handle(command)`` where this server runs queries: in a
+        pool child (with the hard-timeout backstop) or on a service
+        thread; a rejected or lost call comes back as an error reply."""
         try:
-            tenant = core.tenants.get(tenant_name)
-            key = None
-            if request.use_cache:
-                key = core.result_cache.key(
-                    tenant_name, query_text, core.options.fingerprint(),
-                    tenant.catalog.fingerprint(), request.variables,
-                    request.form)
-                hit = core.result_cache.get(key)
-                if hit is not None:
-                    return {"status": 200, "payload": hit, "cached": True,
-                            "elapsed_ms": ms_since(started)}
-            bindings = convert_variables(request.variables)
-            future = self.service.submit(
-                query_text, variables=bindings or None,
-                timeout=request.timeout, engine=tenant.engine)
-            result = await asyncio.wrap_future(future)
-            payload = result_payload(result, request.form)
-            if key is not None and cacheable(result.compiled):
-                core.result_cache.put(key, payload)
-            return {"status": 200, "payload": payload, "cached": False,
-                    "elapsed_ms": ms_since(started)}
-        except (ApiError, XQueryError) as exc:
-            return error_reply(exc, started)
+            if self.pool is not None:
+                return await asyncio.get_running_loop().run_in_executor(
+                    None, lambda: self.pool.call(
+                        command, hard_timeout=_hard_timeout(timeout)))
+            return await asyncio.wrap_future(
+                self.service.call(self.core.handle, command))
+        except XQueryError as exc:
+            return error_reply(exc)
 
     # -- metrics -----------------------------------------------------------
 
     def _metrics_payload(self) -> dict:
         out = {"server": self.metrics.snapshot()}
-        if self.service is not None:
+        result_cache = self.core.result_cache.stats()
+        if self.pool is None:
             out["service"] = self.service.stats()
             out["caches"] = self.core.cache_stats()
-        if self.pool is not None:
+        else:
             out["pool"] = self.pool.stats()
             replies = self.pool.broadcast(("cache_stats",))
             out["caches"] = _sum_cache_stats(
                 [r["payload"] for r in replies
                  if isinstance(r, dict) and r.get("status") == 200])
-            # the cross-child layer in the parent (see _execute)
-            out["caches"]["parent_result_cache"] = \
-                self.core.result_cache.stats()
+            # the same cache under its pre-7.0 name, which
+            # benchmarks/e2e/layers.py reads
+            out["caches"]["parent_result_cache"] = result_cache
+        out["caches"]["result_cache"] = result_cache
         if self.router is not None:
             out["sharding"] = self.router.stats()
         return out
@@ -484,7 +451,8 @@ class _ExecuteRequest:
         self.use_cache = use_cache
 
     @classmethod
-    def from_body(cls, data: dict, query: dict) -> "_ExecuteRequest":
+    def from_body(cls, data: dict, query: dict,
+                  default_timeout: Optional[float]) -> "_ExecuteRequest":
         form = data.get("form") or query.get("form") or "json"
         if form not in FORMS:
             raise ApiError(400, "bad_request",
@@ -492,8 +460,8 @@ class _ExecuteRequest:
         use_cache = data.get("cache", True)
         if query.get("cache") in ("0", "false", "no"):
             use_cache = False
-        return cls(_variables_of(data), form, _timeout_of(data, None),
-                   bool(use_cache))
+        return cls(_variables_of(data), form,
+                   _timeout_of(data, default_timeout), bool(use_cache))
 
 
 def _execute_response(reply: dict, form: str):
@@ -564,11 +532,16 @@ def _timeout_of(data: dict, default: Optional[float]) -> Optional[float]:
     timeout = data.get("timeout", default)
     if timeout is None:
         return None
-    if not isinstance(timeout, (int, float)) or isinstance(timeout, bool) \
-            or timeout <= 0:
-        raise ApiError(400, "bad_request",
-                       '"timeout" must be a positive number of seconds')
-    return float(timeout)
+    try:
+        # JSON gives int, float or bool here; a bool is not a number
+        seconds = float(timeout) if type(timeout) in (int, float) \
+            else math.nan
+    except OverflowError:  # an integer past the float range
+        seconds = math.inf
+    if not (math.isfinite(seconds) and seconds > 0):
+        raise ApiError(400, "bad_request", '"timeout" must be a positive, '
+                                           'finite number of seconds')
+    return seconds
 
 
 def _hard_timeout(timeout: Optional[float]) -> Optional[float]:
@@ -588,17 +561,12 @@ def _endpoint_class(method: str, path: str) -> str:
 
 
 def _sum_cache_stats(per_child: list[dict]) -> dict:
-    out = {"result_cache": {"enabled": 0, "hits": 0, "misses": 0,
-                            "entries": 0},
-           "compile_cache": {"hits": 0, "misses": 0, "entries": 0}}
+    """The children's compile caches, summed."""
+    total = {"hits": 0, "misses": 0, "entries": 0}
     for stats in per_child:
-        for cache in ("result_cache", "compile_cache"):
-            for field, value in stats.get(cache, {}).items():
-                if field == "enabled":
-                    out[cache][field] = max(out[cache][field], value)
-                else:
-                    out[cache][field] = out[cache].get(field, 0) + value
-    return out
+        for field, value in stats["compile_cache"].items():
+            total[field] += value
+    return {"compile_cache": total}
 
 
 def _version() -> str:

@@ -12,10 +12,13 @@ two requests from the *same* tenant for the same query text hit.
 
 :class:`AppCore` is the server's application logic with no transport
 in it: ingest, register, execute, serialize — taking and returning
-plain data.  Both execution modes run the same core; the pre-forked
-mode forks it into children (copy-on-write), routes state mutations
-through the pool's replay broadcast, and gets back picklable response
-dicts.
+plain data.  Every execute and explain request runs through
+:meth:`AppCore.handle`, which returns a picklable reply dict: on a
+:class:`~repro.service.QueryService` thread in-process, or in a
+pre-forked child that inherited the core copy-on-write and receives
+state mutations through the pool's replay broadcast.  The result cache
+(:attr:`AppCore.result_cache`) is probed and filled only by the process
+that owns the socket; ``handle`` never touches it.
 """
 
 from __future__ import annotations
@@ -196,10 +199,11 @@ def result_payload(result: Result, form: str) -> dict:
 class AppCore:
     """Ingest / register / execute, transport-free.
 
-    Every method takes and returns plain data, so the asyncio front
-    end calls it directly while the pre-forked mode sends it command
-    tuples through :class:`~repro.service.ForkWorkerPool` (see
-    :meth:`handle` — the child-side dispatcher).
+    Every method takes and returns plain data.  The asyncio front end
+    calls ``ingest``/``register`` directly and owns
+    :attr:`result_cache`; every execute and explain goes through
+    :meth:`handle`, on a :class:`~repro.service.QueryService` thread
+    or in a :class:`~repro.service.ForkWorkerPool` child.
     """
 
     def __init__(self, options: ExecutionOptions,
@@ -255,9 +259,6 @@ class AppCore:
         every child attaches to the same segment files."""
         tenant = self.tenants.get_or_create(tenant_name)
         changed = tenant.catalog.refresh()
-        # local bump only: the parent persisted the epoch when it
-        # ingested; a read-only attacher must not write the manifest
-        self.result_cache.invalidate_tenant(tenant_name, persist=False)
         return {"tenant": tenant_name, "changed": changed}
 
     def register(self, tenant_name: str, query_name: str, query_text: str,
@@ -295,19 +296,20 @@ class AppCore:
                            f"query {query_name!r}")
         return tenant, registered
 
-    # -- execution (the inline path: pool children + direct callers) ------
+    # -- execution (what ``handle`` runs, wherever it runs) ---------------
 
     def execute_inline(self, tenant_name: str, query_text: str,
                        variables: Optional[dict] = None,
                        declared: Optional[tuple] = None,
                        form: str = "json",
-                       timeout: Optional[float] = None,
-                       use_cache: bool = True) -> dict:
+                       timeout: Optional[float] = None) -> dict:
         """Compile (cached), execute, serialize — one picklable dict.
 
-        Returns ``{"status", "payload", "cached", "elapsed_ms"}``;
-        engine errors come back as error payloads (status >= 400), so
-        a pool child never lets a query failure look like a crash.
+        Returns ``{"status", "payload", "cacheable", "elapsed_ms"}``;
+        ``cacheable`` tells the caller's result cache whether it may
+        keep the payload.  Engine errors come back as
+        error payloads (status >= 400), so a pool child never lets a
+        query failure look like a crash.
         """
         started = time.perf_counter()
         try:
@@ -315,30 +317,14 @@ class AppCore:
             if form not in FORMS:
                 raise ApiError(400, "bad_request",
                                f"form must be one of {list(FORMS)}")
-            key = None
-            if use_cache:
-                key = self.result_cache.key(
-                    tenant_name, query_text, self.options.fingerprint(),
-                    tenant.catalog.fingerprint(), variables, form)
-                hit = self.result_cache.get(key)
-                if hit is not None:
-                    return {"status": 200, "payload": hit, "cached": True,
-                            "cacheable": True,
-                            "elapsed_ms": ms_since(started)}
             if declared is None:
                 declared = tuple(variables or ())
             compiled = tenant.engine.compile(query_text, variables=declared)
             bindings = convert_variables(variables)
             result = compiled.execute(variables=bindings, deadline=timeout)
             result.items()  # drain under the deadline
-            payload = result_payload(result, form)
-            reusable = cacheable(compiled)
-            if key is not None and reusable:
-                self.result_cache.put(key, payload)
-            # ``cacheable`` lets a parent-side cache (the pre-forked
-            # server's cross-child layer) memoize this reply too
-            return {"status": 200, "payload": payload, "cached": False,
-                    "cacheable": reusable,
+            return {"status": 200, "payload": result_payload(result, form),
+                    "cacheable": cacheable(compiled),
                     "elapsed_ms": ms_since(started)}
         except (ApiError, XQueryError) as exc:
             return error_reply(exc, started)
@@ -435,25 +421,23 @@ class AppCore:
             return error_reply(exc, started)
 
     def cache_stats(self) -> dict:
-        """Result- and compile-cache counters (this process's view)."""
-        out = {"result_cache": self.result_cache.stats()}
-        if self.compile_cache is not None:
-            out["compile_cache"] = {"hits": self.compile_cache.hits,
-                                    "misses": self.compile_cache.misses,
-                                    "entries": len(self.compile_cache)}
-        else:
-            out["compile_cache"] = {"hits": 0, "misses": 0, "entries": 0}
-        return out
+        """Compile-cache counters (this process's view)."""
+        cache = self.compile_cache
+        if cache is None:
+            return {"compile_cache": {"hits": 0, "misses": 0, "entries": 0}}
+        return {"compile_cache": {"hits": cache.hits, "misses": cache.misses,
+                                  "entries": len(cache)}}
 
-    # -- the pool-child dispatcher ----------------------------------------
+    # -- the command dispatcher -------------------------------------------
 
     def handle(self, command: tuple) -> Any:
-        """Dispatch one pool command tuple (runs in a forked child).
+        """Dispatch one command tuple: every execute and explain the
+        server answers, on a service thread or in a forked child.
 
-        State mutations (``ingest``, ``register``) arrive via the
-        pool's replay broadcast, so a respawned child rebuilds the same
-        tenants; ``execute`` arrives via ``call`` on whichever child is
-        free.
+        In a child, state mutations (``ingest``, ``register``) arrive
+        via the pool's replay broadcast, so a respawned child rebuilds
+        the same tenants; ``execute`` arrives via ``call`` on whichever
+        child is free.
         """
         kind = command[0]
         try:
@@ -471,13 +455,14 @@ class AppCore:
                         "payload": self.register(tenant, name, text,
                                                  tuple(variables))}
             if kind == "execute":
+                # the 8th slot (use_cache) is unused: only the front
+                # caches; benchmarks/e2e/layers.py still sends it
                 (_, tenant, text, variables, declared, form,
-                 timeout, use_cache) = command
+                 timeout, _use_cache) = command
                 return self.execute_inline(
                     tenant, text, variables=variables,
                     declared=tuple(declared) if declared is not None
-                    else None, form=form, timeout=timeout,
-                    use_cache=use_cache)
+                    else None, form=form, timeout=timeout)
             if kind == "execute_shard":
                 (_, tenant, text, variables, declared, doc_names,
                  timeout) = command

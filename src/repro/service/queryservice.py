@@ -15,8 +15,9 @@ control sheds load *before* it queues unboundedly::
 
 Semantics:
 
-- **admission control** — at most ``max_workers`` queries run and
-  ``max_queue`` wait; one more raises
+- **admission control** — at most ``max_workers`` calls run and
+  ``max_queue`` wait (:meth:`QueryService.call` admits any callable;
+  :meth:`~QueryService.submit` admits a query); one more raises
   :class:`repro.errors.ServiceOverloaded` carrying the observed queue
   depth, so clients can shed or back off;
 - **deadlines** — ``timeout=`` (or ``default_timeout``) attaches a
@@ -127,6 +128,12 @@ class QueryService:
 
     ``engine`` overrides the service-built engine (e.g. one carrying a
     catalog).
+
+    :meth:`call` is the admission door for any callable; :meth:`submit`
+    is ``call`` on this service's query runner.  The in-process HTTP
+    server admits every execute and explain as
+    ``call(core.handle, command)`` — the same
+    :meth:`~repro.server.AppCore.handle` a pre-forked child runs.
     """
 
     def __init__(self, engine: Optional[Engine] = None,
@@ -153,32 +160,17 @@ class QueryService:
                           "failed": 0, "timeouts": 0, "cancelled": 0}
         self._closed = False
 
-    # -- submission --------------------------------------------------------
+    # -- admission ---------------------------------------------------------
 
-    def submit(self, query_text: str, *,
-               context_item: Any = None,
-               variables: Optional[dict[str, Any]] = None,
-               documents: Optional[dict[str, Any]] = None,
-               collections: Optional[dict[str, list]] = None,
-               document_loader=None,
-               profiler=None,
-               timeout: Optional[float] = None,
-               cancellation: Optional[CancellationToken] = None,
-               engine: Optional[Engine] = None) -> Future:
-        """Admit a query; returns a Future resolving to a drained
-        :class:`~repro.engine.Result`.
+    def call(self, fn, *args) -> Future:
+        """Admit ``fn(*args)`` onto the pool; returns its Future.
 
-        Raises :class:`~repro.errors.ServiceOverloaded` immediately
-        when ``max_workers`` queries are running and ``max_queue`` are
-        already waiting.  The Future raises what the query raised —
-        :class:`~repro.errors.QueryTimeout` (with partial stats) on a
-        blown deadline, :class:`~repro.errors.QueryCancelled` when the
-        caller cancelled the token.
-
-        ``engine`` compiles this one request on a different engine than
-        the service default — the multi-tenant server passes each
-        tenant's catalog-wired engine here while one service enforces
-        the admission bound across all tenants.
+        The one admission door: raises
+        :class:`~repro.errors.ServiceOverloaded` immediately when
+        ``max_workers`` calls are running and ``max_queue`` are
+        already waiting.  A call that returns counts ``completed``;
+        one that raises counts ``timeouts``/``cancelled``
+        (:class:`~repro.errors.QueryCancelled`) or ``failed``.
         """
         if self._closed:
             raise RuntimeError("QueryService is shut down")
@@ -190,22 +182,55 @@ class QueryService:
                     max_queue=self.max_queue, max_workers=self.max_workers)
             self._in_flight += 1
             self._counters["submitted"] += 1
+        try:
+            return self._pool.submit(self._admitted, fn, args)
+        except BaseException:
+            with self._lock:
+                self._in_flight -= 1
+            raise
 
+    def _admitted(self, fn, args):
+        counter = "failed"
+        try:
+            out = fn(*args)
+            counter = "completed"
+            return out
+        except QueryCancelled as exc:
+            counter = "timeouts" if exc.reason == "deadline" \
+                else "cancelled"
+            raise
+        finally:
+            with self._lock:
+                self._counters[counter] += 1
+                self._in_flight -= 1
+
+    # -- queries -----------------------------------------------------------
+
+    def submit(self, query_text: str, *,
+               context_item: Any = None,
+               variables: Optional[dict[str, Any]] = None,
+               documents: Optional[dict[str, Any]] = None,
+               collections: Optional[dict[str, list]] = None,
+               document_loader=None,
+               profiler=None,
+               timeout: Optional[float] = None,
+               cancellation: Optional[CancellationToken] = None) -> Future:
+        """Admit a query (:meth:`call`); returns a Future resolving to
+        a drained :class:`~repro.engine.Result`.
+
+        The Future raises what the query raised —
+        :class:`~repro.errors.QueryTimeout` (with partial stats) on a
+        blown deadline, :class:`~repro.errors.QueryCancelled` when the
+        caller cancelled the token.
+        """
         token = cancellation if cancellation is not None \
             else CancellationToken()
         deadline = timeout if timeout is not None else self.default_timeout
         if deadline is not None:
             token.tighten(deadline)
-
-        try:
-            return self._pool.submit(
-                self._run, engine or self.engine, query_text, context_item,
-                variables, documents, collections, document_loader, profiler,
-                token)
-        except BaseException:
-            with self._lock:
-                self._in_flight -= 1
-            raise
+        return self.call(self._run, query_text, context_item, variables,
+                         documents, collections, document_loader, profiler,
+                         token)
 
     def execute(self, query_text: str, **kwargs) -> Result:
         """Blocking convenience: ``submit(...).result()``."""
@@ -213,14 +238,14 @@ class QueryService:
 
     # -- the worker --------------------------------------------------------
 
-    def _run(self, engine, query_text, context_item, variables, documents,
+    def _run(self, query_text, context_item, variables, documents,
              collections, document_loader, profiler,
              token: CancellationToken) -> Result:
         loader = None
+        if document_loader is not None:
+            loader = RetryingDocumentLoader(document_loader, token=token)
         try:
-            if document_loader is not None:
-                loader = RetryingDocumentLoader(document_loader, token=token)
-            compiled = engine.compile(
+            compiled = self.engine.compile(
                 query_text, variables=tuple(variables or ()))
             result = compiled.execute(
                 context_item=context_item, variables=variables,
@@ -230,28 +255,16 @@ class QueryService:
             # drain in the worker: the deadline governs evaluation, and
             # the returned Result is fully buffered (re-iterable, free)
             result.items()
-            if loader is not None:
-                # retries count into the stats of *this* result (or of
-                # the cancellation below): a prefetch may call the
-                # loader before either exists
-                result.stats.update(loader.stats)
-            with self._lock:
-                self._counters["completed"] += 1
-            return result
         except QueryCancelled as exc:
             if loader is not None:
                 exc.stats.update(loader.stats)
-            with self._lock:
-                key = "timeouts" if exc.reason == "deadline" else "cancelled"
-                self._counters[key] += 1
             raise
-        except BaseException:
-            with self._lock:
-                self._counters["failed"] += 1
-            raise
-        finally:
-            with self._lock:
-                self._in_flight -= 1
+        if loader is not None:
+            # retries count into the stats of *this* result (or of the
+            # cancellation above): a prefetch may call the loader
+            # before either exists
+            result.stats.update(loader.stats)
+        return result
 
     # -- introspection / lifecycle ----------------------------------------
 

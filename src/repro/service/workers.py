@@ -18,7 +18,7 @@ its siblings have.
 Failure semantics:
 
 - a child that dies mid-request surfaces :class:`WorkerCrashed` to the
-  caller (the server re-runs that request inline) and is respawned;
+  caller (the server answers 502 ``SVC0004``) and is respawned;
 - a child that overruns ``hard_timeout`` (the cooperative deadline is
   the first line of defense — this is the backstop for a worker stuck
   in non-cooperative code) is SIGKILLed, respawned, and the caller
@@ -293,11 +293,10 @@ class ForkWorkerPool:
                 try:
                     _write_frame(handle.send_fd, command)
                     if hard_timeout is not None:
-                        ready, _, _ = select.select([handle.recv_fd], [], [],
-                                                    hard_timeout)
+                        ready, _, _ = select.select(
+                            [handle.recv_fd], [], [],
+                            min(hard_timeout, threading.TIMEOUT_MAX))
                         if not ready:
-                            self._kill(handle)
-                            self._respawn(wid)
                             with self._lock:
                                 self._counters["hard_kills"] += 1
                             raise QueryTimeout(deadline=hard_timeout,
@@ -305,6 +304,12 @@ class ForkWorkerPool:
                     reply = _read_frame(handle.recv_fd)
                 except OSError:
                     reply = None
+                except BaseException:
+                    # the reply to `command` may still be on its way:
+                    # released as is, this worker would answer the next
+                    # call with it
+                    self._respawn(wid)
+                    raise
                 if reply is None:
                     with self._lock:
                         self._counters["crashes"] += 1
@@ -372,15 +377,15 @@ class ForkWorkerPool:
 
     # -- worker failure ----------------------------------------------------
 
-    def _kill(self, worker: _Worker) -> None:
-        try:
-            os.kill(worker.pid, signal.SIGKILL)
-        except OSError:
-            pass
-
     def _respawn(self, wid: int) -> None:
+        """SIGKILL what is left of worker ``wid``, reap it, fork a
+        fresh child in its slot."""
         worker = self._workers.pop(wid, None)
         if worker is not None:
+            try:
+                os.kill(worker.pid, signal.SIGKILL)
+            except OSError:
+                pass
             for fd in (worker.send_fd, worker.recv_fd):
                 try:
                     os.close(fd)

@@ -128,6 +128,18 @@ class TestConstructionAndValidation:
         with pytest.raises(ValueError, match="jobs"):
             ExecutionOptions.from_dict({"jobs": 1})
 
+    @pytest.mark.parametrize("seconds", [0, -1.0, float("nan"),
+                                         float("inf")])
+    def test_default_timeout_must_be_positive_and_finite(self, seconds,
+                                                          capsys):
+        from repro.cli import main
+
+        with pytest.raises(ValueError, match="default_timeout"):
+            ExecutionOptions(default_timeout=seconds)
+        assert main(["serve", "--port", "0", "--timeout",
+                     str(seconds)]) == 1
+        assert capsys.readouterr().err.startswith("config error:")
+
     def test_replace(self):
         base = ExecutionOptions()
         derived = base.replace(optimize=False)

@@ -247,16 +247,21 @@ class TestTenantIsolation:
         assert alpha.engine.compile_cache is beta.engine.compile_cache
         assert alpha.engine.compile(query) is not beta.engine.compile(query)
 
-    def test_result_cache_partitioned_by_tenant(self):
-        core = AppCore(ExecutionOptions(), result_cache_size=8)
-        core.ingest("one", "d", "<r><x/></r>")
-        core.ingest("two", "d", "<r><x/><x/></r>")
-        query = "count($d//x)"
-        assert core.execute_inline("one", query)["payload"]["items"] == [1]
-        assert core.execute_inline("two", query)["payload"]["items"] == [2]
-        hit = core.execute_inline("one", query)
-        assert hit["cached"] is True
-        assert hit["payload"]["items"] == [1]
+    def test_result_cache_partitioned_by_tenant(self, client):
+        # the front's one result cache: same text, same document name,
+        # two tenants — each hit answers from its own tenant's entry
+        for tenant, doc in (("t_part1", "<r><x/></r>"),
+                            ("t_part2", "<r><x/><x/></r>")):
+            status, body, _ = client.request(
+                "PUT", f"/tenants/{tenant}/documents/d", doc)
+            assert status == 200, body
+        req = {"query": "count($d//x)"}
+        for cached in (False, True):
+            for tenant, items in (("t_part1", [1]), ("t_part2", [2])):
+                status, body, _ = client.request(
+                    "POST", f"/tenants/{tenant}/execute", req)
+                assert status == 200 and body["items"] == items
+                assert body["cached"] is cached
 
 
 class TestErrorMapping:
@@ -405,6 +410,104 @@ def test_too_deep_recursion_is_a_422(processes):
         if processes:
             assert body["pool"]["workers"] == processes
             assert body["pool"]["crashes"] == body["pool"]["respawns"] == 0
+    finally:
+        client.close()
+        handle.close()
+
+
+class TestOneExecutePath:
+    """Both modes run every execute through ``AppCore.handle`` behind
+    the front's one result cache: a request gets the same answer
+    whichever process runs it."""
+
+    @pytest.fixture(scope="class", params=[
+        0, pytest.param(2, marks=_PREFORK)], ids=["inprocess", "prefork"])
+    def client(self, request):
+        handle = start_in_thread(ServerConfig(port=0,
+                                              processes=request.param))
+        client = Client(handle.port)
+        _setup_tenant(client, "t")
+        yield client
+        client.close()
+        handle.close()
+
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_timeout_is_a_400(self, client, token):
+        status, body, _ = client.request(
+            "POST", "/tenants/t/execute",
+            '{"query": "count($books//book)", "timeout": %s}' % token)
+        assert status == 400, body
+        assert body["error"]["code"] == "bad_request"
+        assert "finite" in body["error"]["message"]
+
+    def test_huge_timeout_keeps_replies_paired(self, client):
+        # a timeout past what select() accepts must not leave a pool
+        # worker holding an unread reply: every later request on it
+        # would get the previous request's answer, cached by the front
+        status, body, _ = client.request(
+            "POST", "/tenants/t/execute",
+            {"query": "10 * count($books//book)", "timeout": 1e300,
+             "cache": False})
+        # executed, then again from the front's cache
+        answers = [client.request(
+            "POST", "/tenants/t/execute",
+            {"query": f"{n} + count($books//book)"})[1].get("items")
+            for _round in range(2) for n in (0, 100, 200, 300)]
+        assert answers == [[2], [102], [202], [302]] * 2
+        assert status == 200 and body["items"] == [20], body
+
+    def test_registered_query_keeps_its_declared_variables(self, client):
+        status, body, _ = client.request(
+            "PUT", "/tenants/t/queries/sum2",
+            {"query": "count($books//book[price < $a + $b])",
+             "variables": ["a", "b"]})
+        assert status == 200, body
+        status, body, _ = client.request(
+            "POST", "/tenants/t/queries/sum2", {"variables": {"a": 10}})
+        assert status == 422, body
+        assert body["error"]["code"] == "XPDY0002"
+        status, body, _ = client.request(
+            "POST", "/tenants/t/queries/sum2",
+            {"variables": {"a": 10, "b": 30}})
+        assert status == 200 and body["items"] == [1]
+
+    def test_front_hits_reach_metrics(self, client):
+        status, body, _ = client.request(
+            "PUT", "/tenants/t/queries/titles",
+            {"query": "$books//book/title", "variables": []})
+        assert status == 200, body
+
+        def hits():
+            return client.request("GET", "/metrics")[1][
+                "caches"]["result_cache"]["hits"]
+
+        before = hits()
+        replies = [client.request("POST", "/tenants/t/queries/titles", {})
+                   for _ in range(3)]
+        assert [body["cached"] for _, body, _ in replies] \
+            == [False, True, True]
+        # the executing side times what it ran; a front hit ran nothing
+        assert "X-Repro-Elapsed-Ms" in replies[0][2]
+        assert all("X-Repro-Elapsed-Ms" not in headers
+                   for _, _, headers in replies[1:])
+        assert hits() - before >= 2
+
+
+@pytest.mark.parametrize("processes", [0, pytest.param(2, marks=_PREFORK)],
+                         ids=["inprocess", "prefork"])
+def test_default_timeout_applies_to_execute(processes):
+    handle = start_in_thread(ServerConfig(
+        port=0, processes=processes,
+        options=ExecutionOptions(default_timeout=0.05)))
+    client = Client(handle.port)
+    try:
+        _setup_tenant(client, "t")
+        status, body, _ = client.request(
+            "POST", "/tenants/t/execute", {"query": SLOW})
+        assert status == 504, body
+        assert body["error"]["code"] == "SVC0003"
+        status, body, _ = client.request("GET", "/metrics")
+        assert body["server"]["status"]["504"] >= 1
     finally:
         client.close()
         handle.close()
@@ -602,7 +705,7 @@ class TestPreforkedMode:
                 "POST", "/tenants/t_fork/queries/titles", {})
             assert status == 200
             assert body["count"] == 2
-            # the parent-side cache spans children
+            # the front's one cache answers, whichever child executed
             status, body, _ = client.request(
                 "POST", "/tenants/t_fork/queries/titles", {})
             assert body["cached"] is True
@@ -620,8 +723,8 @@ class TestPreforkedMode:
             client.close()
 
     def test_parent_side_hits_count_in_metrics(self, prefork):
-        """A hit in the parent's cross-child result cache returns before
-        any child is asked; it must still count as a cache hit."""
+        """A hit in the front's result cache returns before any child
+        is asked; it must still count as a cache hit."""
         client = Client(prefork.port)
         try:
             _setup_tenant(client, "t_forkhits")

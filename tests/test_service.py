@@ -167,6 +167,25 @@ class TestQueryService:
             for future in futures:
                 future.result()
 
+    def test_call_shares_the_admission_bound(self):
+        # call() is the one admission door: submit() and any other
+        # callable count against the same bound and the same counters
+        blocker = threading.Event()
+        with service(max_workers=1, max_queue=1) as svc:
+            futures = [svc.call(blocker.wait, 5.0),
+                       svc.submit("1 + 1")]  # 1 running + 1 queued
+            with pytest.raises(ServiceOverloaded):
+                svc.call(len, "x")
+            blocker.set()
+            assert futures[0].result() is True
+            assert futures[1].result().items()[0].value == 2
+            with pytest.raises(ZeroDivisionError):
+                svc.call(divmod, 1, 0).result()
+            stats = svc.stats()
+            assert (stats["submitted"], stats["rejected"],
+                    stats["completed"], stats["failed"],
+                    stats["in_flight"]) == (3, 1, 2, 1, 0)
+
     def test_caller_cancellation(self):
         token = CancellationToken()
         with service(max_workers=1) as svc:

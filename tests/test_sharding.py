@@ -530,6 +530,25 @@ class TestReplayExactlyOnce:
             handle.close()
 
 
+
+class TestPoolCall:
+    """A call that fails once its frame is out must not leave the
+    worker's reply in the pipe for the next call to read."""
+
+    def test_failed_wait_respawns_the_worker(self):
+        pool = ForkWorkerPool(lambda command: command, workers=1,
+                              max_queue=4)
+        pool.start()
+        try:
+            with pytest.raises(ValueError):  # select() rejects NaN
+                pool.call(("a",), hard_timeout=float("nan"))
+            assert pool.call(("b",)) == ("b",)
+            # past threading.TIMEOUT_MAX the backstop waits that long
+            assert pool.call(("c",), hard_timeout=1e300) == ("c",)
+            assert pool.stats()["respawns"] == 1
+        finally:
+            pool.shutdown()
+
 class TestRefreshRace:
     """Satellite: refresh() racing a concurrent add() on the same
     directory never observes a partially-committed generation."""
