@@ -1,9 +1,10 @@
 """E16 — pattern-level twig planning: does ``auto`` track the winner?
 
-Claims (PR 7): per-pattern cost-based selection from ingest statistics
-picks, for each E6 shape, a physical plan whose runtime sits on (or
-within the tie window of) the fastest forced strategy — so the engine,
-which always plans ``auto``, never pays a cross-shape penalty.
+Claims (PR 7, restated in time): per-pattern cost-based selection from
+ingest statistics, with every plan priced in calibrated microseconds,
+picks for each E6 shape a physical plan whose runtime sits on the
+fastest forced strategy, within the 1.25x wall-clock gate — so the
+engine, which always plans ``auto``, never pays a cross-shape penalty.
 
 Series reported: per E6 shape, runtime of every forced algorithm plus
 the statistics-driven ``auto`` bar over the same labeled index; the
@@ -21,6 +22,8 @@ from repro.storage import ElementIndex
 from repro.storage.stats import collect_stats
 from repro.workloads.synthetic import random_tree
 from repro.xdm.build import parse_document
+
+from tests.test_twig_planner_differential import auto_time_ratio
 
 #: every forced strategy, plus the cost-model-driven choice
 ALGORITHMS = ("navigation", "binary", "twigstack", "mixed", "auto")
@@ -101,15 +104,9 @@ def test_planning_cost(benchmark, stats, label, pattern):
 
 
 @pytest.mark.parametrize("label,pattern", PATTERNS, ids=[p[0] for p in PATTERNS])
-def test_auto_tracks_best_scans(index, stats, label, pattern):
-    """Correctness companion to the timing series: auto's element scans
-    stay within the 1.25x gate of the best forced plan."""
-    scans = {}
-    for algorithm in ("navigation", "binary", "twigstack", "mixed"):
-        counters: dict[str, int] = {}
-        evaluate_pattern(index, pattern, algorithm, counters=counters)
-        scans[algorithm] = counters["elements_scanned"]
-    counters = {}
-    evaluate_pattern(index, pattern, "auto", stats=stats, counters=counters)
-    assert counters["elements_scanned"] <= 1.25 * min(scans.values()), \
-        (label, counters["elements_scanned"], scans)
+def test_auto_tracks_fastest_plan(xmark_s08_doc, label, pattern):
+    """Companion to the timing series, through the perfsmoke gate's
+    helper: auto's plan runs within 1.25x of the fastest forced plan
+    (medians over interleaved repetitions)."""
+    ratio, medians = auto_time_ratio(xmark_s08_doc, pattern)
+    assert ratio <= 1.25, (label, round(ratio, 2), medians)

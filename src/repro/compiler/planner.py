@@ -69,35 +69,36 @@ Pattern-level twig planning
 Chains whose steps carry *structural* predicates (pure path existence,
 ``$doc//book[.//year]/title``) decompose into twig patterns
 (:mod:`repro.joins.patterns`) instead.  :func:`choose_twig_strategy`
-prices the four physical twig plans from the same ingest statistics,
-now extended with exact per-edge pair counts:
+prices the four physical twig plans in **microseconds**: each plan's
+work units, estimated from the ingest statistics, times one measured
+cost per unit from :data:`_TWIG_US` (fitted once, EXPERIMENTS.md E16):
 
-- **holistic** (TwigStack): every posting list scanned once —
-  ``Σ count(n)`` — times a small coordination factor for the
-  per-advance ``getNext`` machinery E6 measured;
-- **binary**: one stack-tree join per edge in evaluation order; the
-  alist re-scans the junction's surviving bindings and intermediate
-  row materialization is charged as a blow-up penalty (the failure
-  mode E6 showed on skewed twigs);
-- **mixed**: side branches reduced to semi-join filters (binary
-  bottom-up, or holistic for branches where a TwigStack sub-pass is
-  cheaper), then a binary cascade down the filtered output chain;
-- **navigation**: the walking baseline, ``total_nodes`` plus the
-  per-candidate subtree visits the pair counts bound.
+- **twigstack**: getNext descents (leaf postings and the inner
+  postings that embed their sub-twig, times the pattern size) and the
+  pairs on a match, which its stacks and path solutions carry;
+- **binary**: postings merged per stack-tree join, and the row dicts
+  the cascade builds — rows multiply across sibling branches, the
+  blow-up E6 showed on skewed twigs;
+- **mixed**: postings merged and pairs yielded by the side-branch
+  semi-joins (or a TwigStack sub-pass per branch, where the table
+  prices it cheaper) and by the cascade down the output chain;
+- **navigation**: nodes visited — the document walk, then each
+  candidate's subtree (or children) as the pair tables total them.
 
 Per-edge selectivity comes from ``DocumentStats.edge_pairs`` /
 ``edge_parents`` — *exact* single-edge join cardinalities, so a zero
 estimate proves the result empty and ``est_rows`` is only 0 for
-provably-empty patterns.  On near-ties (within :data:`_TWIG_TIE`) the
-cheaper-constant plan wins: binary > mixed > holistic > navigation.
-All four plans are result-identical over posting lists by
-construction; the runtime re-verifies the binding is the indexed
-document the plan was costed for (same fallback seam as AccessPath).
+provably-empty patterns.  The cheapest plan wins; an exact tie goes to
+the earlier of :data:`_TWIG_AUTO`.  All four plans are result-identical
+over posting lists by construction; the runtime re-verifies the binding
+is the indexed document the plan was costed for (same fallback seam as
+AccessPath).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import prod
 from typing import Optional
 
 from repro.compiler.analysis import pure_scalar
@@ -116,20 +117,20 @@ _VERIFY_FACTOR = 2
 #: an index path must beat navigation by this margin to be worth the
 #: runtime binding check and posting-list machinery
 _MARGIN = 0.75
-#: holistic coordination overhead per scanned element: TwigStack pays a
-#: recursive getNext per advance, so its scan estimate is inflated a
-#: little — enough for cheaper-machinery plans to win genuine ties
-#: without ever overrunning the 1.25x scan-cost acceptance margin
-_TWIG_HOL_FACTOR = 1.15
-#: near-tie window: an earlier-preference strategy is chosen when its
-#: estimated cost is within this factor of the cheapest estimate
-_TWIG_TIE = 1.05
-#: λ — cost charged per estimated intermediate row the binary plan
-#: materializes (rows carried into subsequent joins)
-_TWIG_BLOWUP = 1.0
-#: tie-break preference on near-equal estimates (cheapest machinery
-#: first; navigation last — it never touches the posting lists)
-_TWIG_PREFERENCE = ("binary", "mixed", "twigstack", "navigation")
+#: µs per estimated work unit, per physical twig plan, fitted once on
+#: the calibration corpus (EXPERIMENTS.md E16: every forced plan timed
+#: in process on the E6 shapes and the ledger's twig pattern) and
+#: committed; nothing is calibrated at start-up or run time.  Holistic
+#: sub-passes of the mixed plan are priced at twigstack's rates
+_TWIG_US = {
+    "twigstack": {"scan": 1.0, "row": 3.2},
+    "binary": {"scan": 0.59, "row": 0.82},
+    "mixed": {"scan": 0.70, "row": 0.22},
+    "navigation": {"node": 0.33},
+}
+#: the strategies ``auto`` chooses among; an exact cost tie goes to the
+#: earlier
+_TWIG_AUTO = ("mixed", "binary", "twigstack", "navigation")
 
 
 def plan_access_paths(expr: ast.Expr, static_ctx, catalog,
@@ -403,7 +404,7 @@ class TwigChoice:
     cardinality (0 only when the result is provably empty — every
     single-edge estimate is exact); ``edge_ests`` the per-edge
     estimated join pairs as ``(parent, kind, child, est_pairs)``;
-    ``costs`` the per-strategy scan-cost estimates the choice compared;
+    ``costs`` the per-strategy estimates in µs the choice compared;
     ``holistic_branches`` the side branches a mixed plan filters
     holistically.
     """
@@ -427,139 +428,138 @@ def choose_twig_strategy(stats, pattern: TwigPattern,
     nodes = list(pattern.nodes())
     edges = pattern.edges()
     counts = {n.name: stats.count(n.name) for n in nodes}
-    raw_pairs: dict[tuple[str, str], int] = {}
-    provably_empty = any(c == 0 for c in counts.values())
-    for parent, kind, child in edges:
-        pairs = stats.edge_pairs(parent, child, kind)
-        raw_pairs[(parent, child)] = pairs
-        if pairs == 0:
-            provably_empty = True
+    raw_pairs = {(p, c): stats.edge_pairs(p, c, kind) for p, kind, c in edges}
+    provably_empty = 0 in counts.values() or 0 in raw_pairs.values()
 
     # -- survival fractions (independence assumption across edges) -----
+    # keep[(p, c)]: the share of p postings that embed c's sub-twig
     down: dict[str, float] = {}
+    keep: dict[tuple[str, str], float] = {}
 
     def visit_down(node: TwigNode) -> None:
-        frac = 1.0
         cnt = counts[node.name]
+        down[node.name] = 1.0
         for edge in node.children:
             visit_down(edge.child)
-            if cnt == 0:
-                frac = 0.0
-                continue
-            p_has = stats.edge_parents(node.name, edge.child.name,
-                                       edge.kind) / cnt
-            frac *= min(1.0, p_has * down[edge.child.name])
-        down[node.name] = frac
+            key = (node.name, edge.child.name)
+            keep[key] = min(1.0, stats.edge_parents(*key, edge.kind) / cnt
+                            * down[edge.child.name]) if cnt else 0.0
+            down[node.name] *= keep[key]
 
     visit_down(pattern.root)
 
-    chain = _root_to_output(pattern)
-    chain_next = {chain[i][0].name: chain[i + 1][0].name
-                  for i in range(len(chain) - 1)}
-    # per chain node: survival from side branches only (the chain edge
-    # itself is priced by the cascade, not the node filter)
-    down_side: dict[str, float] = {}
-    for qnode, _kind in chain:
-        nxt = chain_next.get(qnode.name)
-        frac = 1.0
-        cnt = counts[qnode.name]
-        for edge in qnode.children:
-            if edge.child.name == nxt:
-                continue
-            if cnt == 0:
-                frac = 0.0
-                continue
-            p_has = stats.edge_parents(qnode.name, edge.child.name,
-                                       edge.kind) / cnt
-            frac *= min(1.0, p_has * down[edge.child.name])
-        down_side[qnode.name] = frac
+    def side(parent: str, skip) -> float:
+        # the share of parent postings embedding every branch but skip's
+        return prod(v for (p, c), v in keep.items()
+                    if p == parent and c != skip)
 
-    # ancestor-chain survival of the output node
-    anc = 1.0
-    for i in range(1, len(chain)):
-        pq = chain[i - 1][0]
-        cq = chain[i][0]
-        cc = counts[cq.name]
-        p_above = min(1.0, raw_pairs[(pq.name, cq.name)] / cc) if cc else 0.0
-        anc = min(1.0, p_above * anc * down_side[pq.name])
+    # up[n]: the share of n postings under a parent posting that embeds
+    # the rest of the pattern (edges list parents before children)
+    up = {pattern.root.name: 1.0}
+    for parent, _kind, child in edges:
+        up[child] = min(1.0, raw_pairs[(parent, child)] / counts[child]) \
+            * up[parent] * side(parent, child) if counts[child] else 0.0
 
     out_name = pattern.output.name
-    if provably_empty:
-        est_rows = 0
-    else:
-        est_rows = max(1, round(counts[out_name] * down[out_name] * anc))
-
+    est_rows = 0 if provably_empty else max(
+        1, round(counts[out_name] * down[out_name] * up[out_name]))
     edge_ests = tuple((parent, kind, child, raw_pairs[(parent, child)])
                       for parent, kind, child in edges)
 
-    # -- per-strategy scan-cost estimates ------------------------------
-    total_list = sum(counts.values())
-    costs: dict[str, float] = {}
-    costs["twigstack"] = _TWIG_HOL_FACTOR * max(1, total_list)
-    costs["navigation"] = float(
-        max(1, stats.total_nodes) + 2 * sum(raw_pairs.values()))
+    # -- per-plan work units, priced in µs by _TWIG_US ------------------
+    ts_us = _TWIG_US["twigstack"]
+    costs: dict[str, float] = {
+        # a getNext descent per leaf posting and per inner posting that
+        # embeds its sub-twig (the inner loop skips the rest), and the
+        # pairs on a match, which stacks and path solutions carry
+        "twigstack": ts_us["scan"] * len(nodes) * sum(
+            counts[n] * down[n] for n in counts) + ts_us["row"] * sum(
+            raw_pairs[(p, c)] * up[p] * side(p, c) * down[c]
+            for p, _k, c in edges),
+    }
 
-    # binary: stack-tree join per edge in the plan's evaluation order
+    # navigation: the document walk, then each candidate's children or
+    # subtree — all of it down the output chain, up to the first match
+    # in a predicate branch (text nodes pro rata)
+    chain = _root_to_output(pattern)
+    on_chain = {q.name for q, _kind in chain}
+    walked = 0.0
+    for p, kind, c in edges:
+        below = sum(n for (a, _d), n in (stats.child_pairs if kind == "child"
+                                         else stats.desc_pairs).items()
+                    if a == p)
+        walked += up[p] * below * (1.0 if c in on_chain else 1 - keep[p, c])
+    costs["navigation"] = _TWIG_US["navigation"]["node"] * stats.total_nodes \
+        * (1 + walked / max(1, stats.total_elements))
+
+    # binary: stack-tree join per edge in the plan's evaluation order;
+    # each join extends every row dict by its anchor's matches, so the
+    # rows multiply across sibling branches
     bin_scan = 0.0
-    intermediates: list[float] = []
-    est_distinct = {pattern.root.name: float(counts[pattern.root.name])}
+    bin_rows = float(counts[pattern.root.name])
+    est_distinct = {pattern.root.name: bin_rows}
 
-    def visit_bin(node: TwigNode) -> None:
-        nonlocal bin_scan
+    def visit_bin(node: TwigNode, rows: float) -> float:
+        nonlocal bin_scan, bin_rows
         for edge in node.children:
-            cnt = counts[node.name]
-            alist = est_distinct[node.name]
-            frac = alist / cnt if cnt else 0.0
-            pairs_est = raw_pairs[(node.name, edge.child.name)] * frac
+            key, alist = (node.name, edge.child.name), est_distinct[node.name]
+            pairs_est = raw_pairs[key] * alist / counts[node.name] \
+                if alist else 0.0
             bin_scan += alist + counts[edge.child.name]
-            intermediates.append(pairs_est)
-            est_distinct[edge.child.name] = min(
-                float(counts[edge.child.name]), pairs_est)
-            visit_bin(edge.child)
+            rows *= pairs_est / alist if alist else 0.0
+            bin_rows += rows
+            est_distinct[edge.child.name] = min(counts[edge.child.name],
+                                                pairs_est)
+            rows = visit_bin(edge.child, rows)
+            # rows whose binding lacks the child's sub-twig are gone
+            est_distinct[node.name] = alist * keep[key]
+        return rows
 
-    visit_bin(pattern.root)
-    # rows materialized after the final join are the output, not a
-    # blow-up — only rows carried into subsequent joins are charged
-    blowup = sum(intermediates[:-1]) if len(intermediates) > 1 else 0.0
-    costs["binary"] = max(1.0, bin_scan + _TWIG_BLOWUP * blowup)
+    visit_bin(pattern.root, bin_rows)
+    costs["binary"] = _TWIG_US["binary"]["scan"] * bin_scan \
+        + _TWIG_US["binary"]["row"] * bin_rows
 
     # mixed: per-branch min(binary semi-join, holistic sub-pass), then
-    # the binary cascade over the filtered chain lists
+    # the binary cascade over the filtered chain lists; a join's rows
+    # are the pairs it yields, each a stack-tree step and a dedup probe
+    mix_us = _TWIG_US["mixed"]
+    chain_next = {chain[i][0].name: chain[i + 1][0].name
+                  for i in range(len(chain) - 1)}
     mix_cost = 0.0
     holistic_branches: list[str] = []
     filt: list[float] = []
     for qnode, _kind in chain:
         nxt = chain_next.get(qnode.name)
+        share = 1.0  # of qnode's list left by the branches filtered so far
         for edge in qnode.children:
             if edge.child.name == nxt:
                 continue
-            branch_edges = _subtree_edges(edge.child)
-            semi = counts[qnode.name] + counts[edge.child.name] + sum(
-                counts[p] + counts[c] for p, _k, c in branch_edges)
-            hol = _TWIG_HOL_FACTOR * (
-                counts[qnode.name] + counts[edge.child.name] + sum(
-                    counts[c] for _p, _k, c in branch_edges))
+            first = (qnode.name, edge.child.name)
+            branch = [(qnode.name, edge.kind, edge.child.name)] \
+                + _subtree_edges(edge.child)
+            rows = sum(raw_pairs[p, c] * down[c] for p, _k, c in branch)
+            semi = mix_us["scan"] * (sum(counts[p] + counts[c] for p, _k, c
+                                         in branch) - (1 - share) * counts[
+                qnode.name]) + mix_us["row"] * rows
+            hol = ts_us["scan"] * (len(branch) + 1) * (
+                counts[qnode.name] * keep[first] + sum(
+                    counts[c] * down[c] for _p, _k, c in branch)) \
+                + ts_us["row"] * rows
             if hol < semi:
                 holistic_branches.append(edge.child.name)
-                mix_cost += hol
-            else:
-                mix_cost += semi
-        filt.append(counts[qnode.name] * down_side[qnode.name])
+            mix_cost += min(hol, semi)
+            share *= keep[first]
+        filt.append(counts[qnode.name] * share)
     surv = filt[0]
     for i in range(1, len(chain)):
-        pq = chain[i - 1][0]
-        mix_cost += surv + filt[i]
-        cnt = counts[pq.name]
-        frac = surv / cnt if cnt else 0.0
-        surv = min(filt[i], raw_pairs[(pq.name, chain[i][0].name)] * frac)
-    costs["mixed"] = max(1.0, mix_cost)
+        pq, cq = chain[i - 1][0].name, chain[i][0].name
+        pairs_est = raw_pairs[pq, cq] * surv / counts[pq] if surv else 0.0
+        mix_cost += mix_us["scan"] * (surv + filt[i]) \
+            + mix_us["row"] * pairs_est * side(cq, chain_next.get(cq))
+        surv = min(filt[i], pairs_est)
+    costs["mixed"] = mix_cost
 
-    if force is not None:
-        chosen = force
-    else:
-        best = min(costs.values())
-        chosen = next(name for name in _TWIG_PREFERENCE
-                      if costs[name] <= _TWIG_TIE * best)
+    chosen = force or min(_TWIG_AUTO, key=costs.__getitem__)
     return TwigChoice(chosen, est_rows, edge_ests, costs,
                       tuple(holistic_branches) if chosen == "mixed" else ())
 

@@ -389,9 +389,11 @@ class _CountSink:
 
 class _DistinctCountSink:
     """Streaming distinct count for ``count(DDO(...))``: nodes are
-    deduped by identity (the key ``_ddo_list`` uses) without buffering
-    or sorting; atomic items are tallied so the caller can reproduce
-    the XPTY0018 mixed-sequence check after the drain."""
+    deduped by identity (the key ``_ddo_list`` uses) without sorting;
+    atomic items are tallied so the caller can reproduce the XPTY0018
+    mixed-sequence check after the drain.  The seen dict maps each id
+    to its node: holding the node keeps its id from being reused by a
+    later constructed node while the count runs."""
 
     def __init__(self, seen: str, nodes: str, atoms: str):
         self.seen = seen
@@ -404,7 +406,7 @@ class _DistinctCountSink:
             k = em.fresh("k")
             em.w(f"{k} = id({t})")
             with em.block(f"if {k} not in {self.seen}:"):
-                em.w(f"{self.seen}.add({k})")
+                em.w(f"{self.seen}[{k}] = {t}")
                 em.w(f"{self.nodes} += 1")
         with em.block("else:"):
             em.w(f"{self.atoms} += 1")
@@ -1565,12 +1567,12 @@ class SourcePlanCompiler:
             # count(DDO(...)) observes only the post-dedup cardinality,
             # so the document-order sort is unobservable: count distinct
             # nodes by identity (same key _ddo_list dedups on) as they
-            # stream past, keeping the mixed-sequence check and the
-            # ddo_sorts accounting of the materialized path
+            # stream past, keeping the mixed-sequence check; nothing is
+            # sorted, so the ddo_sorts diary stays untouched
             seen = self.fresh("dd")
             nodes = self.fresh("dn")
             atoms = self.fresh("da")
-            self.w(f"{seen} = set()")
+            self.w(f"{seen} = {{}}")
             self.w(f"{nodes} = 0")
             self.w(f"{atoms} = 0")
             self.emit(expr.operand,
@@ -1579,8 +1581,6 @@ class SourcePlanCompiler:
                 self.w("raise _TypeError_("
                        "'path result mixes nodes and atomic values', "
                        "code='XPTY0018')")
-            with self.block(f"if {nodes}:"):
-                self.w("dctx.count('ddo_sorts')")
             self.w(f"{sink.counter} += {nodes} + {atoms}")
             return
         items = self._emit_collected(expr.operand)

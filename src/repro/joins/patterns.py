@@ -171,13 +171,16 @@ def evaluate_pattern(index: ElementIndex, pattern: TwigPattern,
     ``algorithm`` is one of ``twigstack`` (alias ``holistic``),
     ``binary``, ``navigation``, ``mixed``, or ``auto``.  ``auto`` asks
     the pattern-level cost model (:func:`repro.compiler.planner.
-    choose_twig_strategy`) to pick from the document's ingest
-    statistics — pass ``stats`` (a :class:`repro.storage.stats.
-    DocumentStats`); without statistics ``auto`` degrades to the
-    scan-optimal holistic plan.  ``mixed`` runs binary semi-joins down
-    the output chain with side branches pre-filtered; branches named in
-    ``holistic_branches`` are filtered holistically (TwigStack on the
-    sub-twig) instead of by cascaded binary semi-joins.
+    choose_twig_strategy`) to pick, in calibrated microseconds, from
+    the document's ingest statistics — pass ``stats`` (a
+    :class:`repro.storage.stats.DocumentStats`).  Without statistics
+    ``auto`` falls back to TwigStack, the plan that scans the fewest
+    postings: a claim about scans, not speed — on the XMark shapes of
+    E16 TwigStack runs 4-7x slower than the mixed plan.  ``mixed``
+    runs binary semi-joins down the output chain with side branches
+    pre-filtered; branches named in ``holistic_branches`` are filtered
+    holistically (TwigStack on the sub-twig) instead of by cascaded
+    binary semi-joins.
 
     With a :class:`repro.observability.Profiler` attached, records a
     ``join.<algorithm>`` operator under the *resolved* algorithm name
@@ -185,8 +188,9 @@ def evaluate_pattern(index: ElementIndex, pattern: TwigPattern,
     ``elements_scanned`` for all plans,
     ``stack_pushes``/``path_solutions``/``output_matches`` and
     per-edge ``edge.<parent>><child>.pairs`` where they apply).
-    ``elements_scanned`` is the E6 cost model the differential harness
-    ranks: holistic ≤ binary ≤ navigation.  An explicit ``counters``
+    ``elements_scanned`` is E6's counted unit (``tests/test_claims.py``
+    pins it per plan): holistic ≤ binary ≤ navigation, which is not
+    the order of their wall times.  An explicit ``counters``
     dict collects the same metrics without a profiler (the compiled
     TwigJoin operator uses this).
 

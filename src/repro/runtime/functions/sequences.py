@@ -41,13 +41,17 @@ def fn_distinct_values(dctx, arg):
 
 @register("distinct-nodes", 1, lazy=True)
 def fn_distinct_nodes(dctx, arg):
-    """``fn:distinct-nodes(node()*) as node()*`` — identity-based (tutorial sampler)."""
-    seen: set[int] = set()
+    """``fn:distinct-nodes(node()*) as node()*`` — identity-based (tutorial sampler).
+
+    ``seen`` maps each id to its node: a lazily streamed node the
+    consumer drops could otherwise be freed and its id handed to a
+    later, different node."""
+    seen: dict[int, Node] = {}
     for item in arg:
         if not isinstance(item, Node):
             raise TypeError_("fn:distinct-nodes requires nodes")
         if id(item) not in seen:
-            seen.add(id(item))
+            seen[id(item)] = item
             yield item
 
 

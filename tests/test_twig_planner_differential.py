@@ -5,8 +5,9 @@ for a decomposed twig pattern — holistic TwigStack, a binary stack-tree
 cascade, navigation, or the mixed semi-join plan — but every choice
 must return byte-identical serialized results, in document order,
 raising the same error codes.  ``auto`` additionally has a performance
-contract, pinned by the perfsmoke gate: on the E6 benchmark shapes it
-never scans more than 1.25x the elements of the best forced strategy.
+contract in wall clock, pinned by the perfsmoke gate: on the E6 shapes
+and the ledger's twig pattern its plan runs within 1.25x of the fastest
+forced plan.  A tier-1 test pins the calibrated decisions themselves.
 
 Three corpora stress different cost-model regimes: XMark (deep,
 branchy, realistic tag mix), the tutorial bibliography (tiny, child
@@ -16,7 +17,10 @@ the rare-leaf adversary where binary cascades blow up).
 
 from __future__ import annotations
 
+import gc
 import random
+import statistics
+import time
 
 import pytest
 
@@ -405,8 +409,11 @@ class TestPropertyTwigs:
 
 
 # ---------------------------------------------------------------------------
-# perfsmoke: auto must stay within 1.25x of the best plan's scans (E6)
+# The calibration corpus, the calibrated decisions, and the wall-clock gate
 # ---------------------------------------------------------------------------
+
+#: every forced plan the gate times against ``auto``'s
+FORCED_PLANS = ("twigstack", "binary", "mixed", "navigation")
 
 
 def _e6_shapes():
@@ -433,30 +440,100 @@ def _e6_shapes():
     ]
 
 
+def ledger_twig() -> TwigPattern:
+    """``open_auction[itemref][bidder/increase]``: the pattern the
+    ledger's ``twig`` template compiles to."""
+    root = TwigNode("open_auction", is_output=True)
+    root.add(TwigNode("itemref"), "child")
+    root.add(TwigNode("bidder"), "child").add(TwigNode("increase"), "child")
+    return TwigPattern(root)
+
+
+def calibration_shapes():
+    """The corpus ``_TWIG_US`` was fitted on (EXPERIMENTS.md E16): the
+    four E6 shapes, and the ledger's twig pattern on the E6 XMark
+    document (the ledger's own document is not part of the fit)."""
+    shapes = _e6_shapes()
+    return shapes + [("ledger twig open_auction[itemref][bidder/increase]",
+                      shapes[0][1], ledger_twig())]
+
+
+def ledger_shape():
+    """The ledger's twig pattern on the ``registered_exec`` document
+    (XMark scale 1.0, seed 7)."""
+    return ("ledger twig on the ledger document",
+            parse_document(generate_xmark(scale=1.0, seed=7)), ledger_twig())
+
+
+#: the plan each calibration shape ran fastest, forced, in process
+#: (EXPERIMENTS.md E16's committed table)
+MEASURED_FASTEST = ("mixed", "mixed", "mixed", "twigstack", "mixed")
+
+
+def plan_medians(index, stats, pattern, reps: int = 21) -> dict[str, float]:
+    """Median wall seconds of every forced plan and of ``auto``'s plan.
+
+    ``auto`` is planned once, outside the timing, as compilation plans
+    a ``TwigJoin`` once for every later execution.  Its plan is the
+    forced plan of the same name, and shares its samples, unless it
+    filters side branches holistically: then it is timed as a plan of
+    its own.  Repetitions interleave the plans, so a load change on the
+    machine hits all of them alike and the medians compare the same
+    load; the order rotates and each run starts after a collection, so
+    no plan always inherits the garbage of the same predecessor.
+    """
+    choice = choose_twig_strategy(stats, pattern)
+    runs = {alg: (alg, ()) for alg in FORCED_PLANS}
+    if choice.holistic_branches:
+        runs["auto"] = (choice.algorithm, choice.holistic_branches)
+    times: dict[str, list[float]] = {name: [] for name in runs}
+    order = list(runs)
+    for rep in range(reps):
+        for name in order[rep % len(order):] + order[:rep % len(order)]:
+            alg, branches = runs[name]
+            gc.collect()
+            start = time.perf_counter()
+            evaluate_pattern(index, pattern, alg,
+                             holistic_branches=branches)
+            times[name].append(time.perf_counter() - start)
+    medians = {name: statistics.median(ts) for name, ts in times.items()}
+    medians.setdefault("auto", medians[choice.algorithm])
+    return medians
+
+
+def auto_time_ratio(doc, pattern) -> tuple[float, dict[str, float]]:
+    """``auto``'s median wall time over the fastest forced plan's."""
+    medians = plan_medians(ElementIndex(doc), collect_stats(doc), pattern)
+    fastest = min(medians[alg] for alg in FORCED_PLANS)
+    return medians["auto"] / fastest, medians
+
+
+@pytest.fixture(scope="module")
+def calibration():
+    return [(label, collect_stats(doc), pattern)
+            for label, doc, pattern in calibration_shapes()]
+
+
+@pytest.mark.parametrize("shape", range(len(MEASURED_FASTEST)))
+def test_calibrated_choice_is_measured_fastest(calibration, shape):
+    """Over the calibration corpus's statistics the model picks the
+    plan the committed table measured fastest: never TwigStack on the
+    chain, branching and ledger shapes, where it ran 4-7x slower, and
+    TwigStack on rare-leaf, where mixed pays for its (a, b) pairs."""
+    label, stats, pattern = calibration[shape]
+    choice = choose_twig_strategy(stats, pattern)
+    assert choice.algorithm == MEASURED_FASTEST[shape], (label, choice.costs)
+
+
 @pytest.mark.perfsmoke
 def test_perfsmoke_auto_within_gate_on_e6_shapes():
-    """The cost-model contract: on every E6 shape, the statistics-driven
-    choice scans at most 1.25x the elements of the best forced plan
-    (tie window 1.05 x holistic overhead 1.15 = 1.2075 by design)."""
-    for label, doc, pattern in _e6_shapes():
-        index = ElementIndex(doc)
-        stats = collect_stats(doc)
-        scans: dict[str, int] = {}
-        reference = None
-        for alg in ("twigstack", "binary", "navigation", "mixed"):
-            counters: dict[str, int] = {}
-            result = [p.pre for p in
-                      evaluate_pattern(index, pattern, alg,
-                                       counters=counters)]
-            scans[alg] = counters["elements_scanned"]
-            if reference is None:
-                reference = result
-            assert result == reference, (label, alg)
-        auto_counters: dict[str, int] = {}
-        auto = [p.pre for p in
-                evaluate_pattern(index, pattern, "auto", stats=stats,
-                                 counters=auto_counters)]
-        assert auto == reference, label
-        best = min(scans.values())
-        assert auto_counters["elements_scanned"] <= 1.25 * best, \
-            (label, auto_counters["elements_scanned"], scans)
+    """The planner's contract in wall clock: on every E6 shape and on
+    the ledger's twig pattern (on the calibration document and on the
+    ledger's own), ``auto``'s plan runs within 1.25x of the fastest
+    forced plan (that the plans agree is ``tests/test_claims.py``'s)."""
+    over = []
+    for label, doc, pattern in calibration_shapes() + [ledger_shape()]:
+        ratio, medians = auto_time_ratio(doc, pattern)
+        if ratio > 1.25:
+            over.append((label, round(ratio, 2), medians))
+    assert not over, over
