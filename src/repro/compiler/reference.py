@@ -14,7 +14,7 @@ TokenIterator" step, at item granularity).
 
 Queries run on :mod:`repro.compiler.pysource`; this module is what
 that emitter is held to.  :class:`ReferenceEngine` is the engine that
-runs it, for the differential suites and benchmarks — no product path
+runs it, for the differential suites — no product path
 imports this module.  Operators whose work is more than a line or two
 share one kernel with the emitter (:mod:`repro.runtime.kernels`).
 """

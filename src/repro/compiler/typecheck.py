@@ -15,9 +15,11 @@ are statically booleans, or a path step over a statically atomic
 value.  ``infer`` returns the root type; ``check_against`` implements
 goal 3 for an expected sequence type.
 
-The inferred facts also power optimizations: ``singleton`` results
-feed FOR-minimization, and numeric-vs-untyped knowledge could avoid
-runtime dispatch (left as future work, as in the talk).
+Only the root's type is kept (``CompiledQuery.static_type``); the
+per-node facts the rewrites read, such as ``singleton`` for
+FOR-minimization, come from :mod:`repro.compiler.analysis`, not from
+this pass.  Numeric-vs-untyped knowledge could avoid runtime dispatch
+(left as future work, as in the talk).
 """
 
 from __future__ import annotations
@@ -190,9 +192,7 @@ class TypeChecker:
     # -- public API ----------------------------------------------------------
 
     def infer(self, expr: ast.Expr) -> StaticType:
-        t = self._infer(expr, dict(self._env))
-        expr.annotations["static_type"] = t
-        return t
+        return self._infer(expr, dict(self._env))
 
     def check_against(self, expr: ast.Expr, expected: SequenceType) -> StaticType:
         """Goal 3: static conformance to an expected sequence type."""
@@ -215,9 +215,7 @@ class TypeChecker:
 
     def _infer(self, expr: ast.Expr, env: dict) -> StaticType:
         method = getattr(self, f"_t_{type(expr).__name__}", None)
-        result = method(expr, env) if method is not None else self._default(expr, env)
-        expr.annotations["static_type"] = result
-        return result
+        return method(expr, env) if method is not None else self._default(expr, env)
 
     def _default(self, expr: ast.Expr, env: dict) -> StaticType:
         for child in expr.children():

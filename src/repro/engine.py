@@ -512,7 +512,7 @@ class Engine:
         with a profiler attached, so every operator is annotated with
         invocation, item, and inclusive-time counts.  ``str()`` the
         result for the text form; ``.to_dict()`` is the JSON form the
-        CLI's ``--profile`` emits and ``benchmarks/report.py`` ingests.
+        CLI's ``--profile`` emits.
         """
         from repro.observability import ExplainResult, Profiler
 

@@ -17,7 +17,7 @@ with zero dependencies and near-zero cost when disabled:
 - :class:`PlanNode` / :class:`ExplainResult` — the annotated plan
   tree behind ``Engine.explain(query, analyze=True)``, the CLI's
   ``--explain`` / ``--profile`` flags, and the machine-readable JSON
-  dump ``benchmarks/report.py`` ingests.
+  dump ``--profile`` prints.
 
 See README.md ("Observability") for the JSON schema.
 """

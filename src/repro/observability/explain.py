@@ -6,7 +6,7 @@ nests them into a tree that mirrors plan structure.  An
 :class:`ExplainResult` pairs that tree with a
 :class:`~repro.observability.profiler.Profiler` from an actual run and
 renders both a human-readable annotated tree and the machine-readable
-JSON dump consumed by ``benchmarks/report.py``.
+JSON dump the CLI's ``--profile`` prints.
 
 Timing is *inclusive* (an operator's time contains its inputs'), as in
 the usual EXPLAIN ANALYZE convention.

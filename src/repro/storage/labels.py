@@ -11,7 +11,7 @@ document walk assigns all labels.
 Dewey labels (``1.3.2`` = second child of third child of root) support
 the same tests (prefix containment) plus cheap sibling/update
 reasoning; both are provided because the literature of the era uses
-both, and the benchmarks compare them.
+both, and ``tests/test_storage.py`` checks that they agree.
 """
 
 from __future__ import annotations

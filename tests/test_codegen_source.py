@@ -89,12 +89,15 @@ UNREACHED_MEMBER_QUERIES = [
      "order by $x return 1", ""),
 ]
 
-#: the XMark scan/aggregate shapes
+#: the XMark scan/aggregate shapes, E15's five timed shapes among them
 XMARK_QUERIES = [
     "count(/site/regions//item)",
     "/site/regions//item/name",
+    "/site/regions//item[@id]/name",
     "//item[@id]/name",
+    "count(//item/name)",
     "for $i in /site//item return $i/location",
+    "for $i in /site/regions//item where $i/location return $i/name",
     "count(//description)",
     "sum(for $p in //initial return xs:decimal($p))",
     "//item[2]",
