@@ -21,6 +21,23 @@ if TYPE_CHECKING:
     from repro.xsd.schema import Schema
 
 
+class _Same:
+    """An object in a key, by identity: equal only to a holder of the
+    same object, and keeping that object alive (an ``id()`` in its
+    place could name a later object at a freed address)."""
+
+    __slots__ = ("obj",)
+
+    def __init__(self, obj: Any):
+        self.obj = obj
+
+    def __hash__(self) -> int:
+        return id(self.obj)
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, _Same) and other.obj is self.obj
+
+
 class StaticContext:
     """Everything known at compile time."""
 
@@ -71,25 +88,27 @@ class StaticContext:
         Two contexts with equal fingerprints make any query compile to
         the same artifacts, so the engine's compile cache keys on it.
         Cheap by-value members (namespaces, base URI) are digested
-        directly; members holding arbitrary objects (function
-        declarations, schemas, document providers) are digested by
-        identity — replacing such an object changes the fingerprint,
-        mutating it in place does not (callers who mutate must not
-        share a base context across compiles they want distinguished).
+        directly; members holding arbitrary objects (variable types,
+        function declarations, schemas, document providers) are held
+        by identity (:class:`_Same`) — replacing such an object changes
+        the fingerprint, mutating it in place does not (callers who
+        mutate must not share a base context across compiles they want
+        distinguished).  The digest holds those objects, so while a
+        key made from it lives, no other object can take their place.
         """
         return (
             tuple(sorted(self.namespaces.in_scope().items())),
             self.default_element_ns,
             self.default_function_ns,
-            tuple(sorted((name.clark, id(decl))
+            tuple(sorted((name.clark, _Same(decl))
                          for name, decl in self.variables.items())),
-            tuple(sorted((name.clark, arity, id(decl))
+            tuple(sorted((name.clark, arity, _Same(decl))
                          for (name, arity), decl in self.functions.items())),
-            tuple(sorted((ns, id(schema))
+            tuple(sorted((ns, _Same(schema))
                          for ns, schema in self.schemas.items())),
-            id(self.types),
+            _Same(self.types),
             self.base_uri,
-            tuple(sorted((uri, id(provider))
+            tuple(sorted((uri, _Same(provider))
                          for uri, provider in self.known_documents.items())),
             self.ordering_mode,
         )

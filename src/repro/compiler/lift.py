@@ -26,15 +26,23 @@ then drops: ``if (1 = 1) then 2 else foo()`` never compiles ``foo()``.
 So a literal lifts only where its value flows into an operator that
 folding cannot evaluate — one with an operand no rewrite turns into a
 constant (:meth:`_Lifter.constant` errs towards "might").
+
+:func:`scan_literals` finds the literal spans of a text without
+parsing it: the engine's pre-parse key (DESIGN.md, "Literal lifting").
 """
 
 from __future__ import annotations
+
+import re
+from decimal import Decimal
+from typing import NamedTuple
 
 from repro.qname import QName, XDT_NS, XS_NS
 from repro.xdm.items import AtomicValue
 from repro.xquery import ast
 from repro.xquery.parser import Parser
 from repro.xquery.unparse import unparse
+from repro.xsd import types as T
 
 #: local-name prefix of the variables lifted literals become
 PREFIX = "#l"
@@ -64,16 +72,32 @@ def describe(bindings: Bindings) -> list[str]:
             for name, value in bindings]
 
 
-def lift_literals(text: str) -> tuple[ast.Module, Bindings, tuple | None]:
+class Lifted(NamedTuple):
+    """What :func:`lift_literals` makes of one text."""
+
+    #: each lifted literal a ``$#lN`` reference, each declared external
+    module: ast.Module
+    #: the values to bind
+    bindings: Bindings
+    #: the shape key, None when nothing lifted
+    shape: tuple | None
+    #: the ``(start, end)`` text span of each lifted literal, in order
+    spans: tuple[tuple[int, int], ...]
+
+
+def _placeholder(atomic: T.AtomicType, first: str) -> str:
+    """A literal's stand-in in a key: its type and its first character
+    when that is a quote or the ``.`` of ``.5``."""
+    return atomic.name.local + (first if first in "'\"." else "")
+
+
+def lift_literals(text: str) -> Lifted:
     """Parse ``text`` and lift its liftable literals.
 
-    Returns the module (each lifted literal a ``$#lN`` reference, each
-    declared external), the values to bind, and the shape key — None
-    when nothing lifted.  Texts with equal shape keys lift to the same
-    module: the key keeps every character outside the lifted spans, and
-    each placeholder the literal's type and first character (a quote,
-    or ``.`` for ``.5``), which are all the parser reads of a literal
-    it is not inside.
+    Texts with equal shape keys lift to the same module: the key keeps
+    every character outside the lifted spans, and each placeholder the
+    literal's type and first character, which are all the parser reads
+    of a literal it is not inside.
     """
     parser = Parser(text)
     module = parser.parse_module()
@@ -81,7 +105,7 @@ def lift_literals(text: str) -> tuple[ast.Module, Bindings, tuple | None]:
     lifter = _Lifter(module, spans)
     lifter.visit(module.body, lifter.prolog_scope(), False)
     if not lifter.chosen:
-        return module, (), None
+        return Lifted(module, (), None, ())
     chosen = sorted(lifter.chosen, key=spans.__getitem__)
     refs: dict[ast.Literal, ast.VarRef] = {}
     shape: list = []
@@ -94,9 +118,7 @@ def lift_literals(text: str) -> tuple[ast.Module, Bindings, tuple | None]:
             name, ast.SequenceTypeAST("atomic", None, atomic.name), None,
             external=True))
         start, end = spans[literal]
-        first = text[start]
-        shape += [text[done:start],
-                  atomic.name.local + (first if first in "'\"." else "")]
+        shape += [text[done:start], _placeholder(atomic, text[start])]
         done = end
     shape.append(text[done:])
 
@@ -106,7 +128,86 @@ def lift_literals(text: str) -> tuple[ast.Module, Bindings, tuple | None]:
 
     module.body = rebuild(module.body)
     bindings = tuple((refs[literal].name, literal.value) for literal in chosen)
-    return module, bindings, tuple(shape)
+    return Lifted(module, bindings, tuple(shape),
+                  tuple(spans[literal] for literal in chosen))
+
+
+#: one token of the literal scanner.  Names are matched so that their
+#: digits (``a1``, ``$x.5``) are no literal; numbers and strings follow
+#: the parser's lexing (``_parse_numeric_literal``: ``1.`` is a decimal
+#: unless a name starts after the dot; ``_string_literal_value``: a
+#: doubled quote escapes one).  A quoted run holding ``&``, ``{`` or
+#: ``}`` is no string token (an entity's value is not its text; an
+#: attribute value template holds expressions): its quote is stepped
+#: over and the scan goes on inside.
+_TOKEN = re.compile(r"""
+    [A-Za-z_][\w.\-]*
+  | (?P<number>(?:\d+(?:\.\d+|\.(?![A-Za-z_]))?|\.\d+)(?P<exp>[eE][+-]?\d+)?)
+  | (?P<string>"(?:[^"&{}]|"")*"|'(?:[^'&{}]|'')*')
+""", re.VERBOSE | re.ASCII)
+
+
+class Scan(NamedTuple):
+    """What :func:`scan_literals` makes of one text."""
+
+    #: the pre-parse key: ``(None, segment, placeholder, ..., segment)``
+    #: — the leading None keeps it apart from every text (a str) and
+    #: every shape key (strs only)
+    key: tuple
+    #: the ``(start, end)`` text span of each literal token, in order
+    spans: tuple[tuple[int, int], ...]
+
+
+def scan_literals(text: str) -> Scan | None:
+    """The string and numeric literal tokens of ``text``, found by one
+    regex pass instead of a parse; None when the text holds a comment
+    or a non-ASCII character (where the regex classes and the parser's
+    ``str.isalpha`` part ways).
+
+    The scan does not know where it is: a quote or digit in
+    constructor content is a token too, and a lone quote is stepped
+    over.  So a token is a literal only where the parser put one at
+    the same span; the engine stores a pre-parse entry only when every
+    lifted literal is such a token, and matches every other token byte
+    for byte (DESIGN.md, "Literal lifting").
+    """
+    if "(:" in text or not text.isascii():
+        return None
+    key: list = [None]
+    spans = []
+    done = 0
+    for match in _TOKEN.finditer(text):
+        kind = match.lastgroup
+        if kind is None:  # a name
+            continue
+        start, end = match.span()
+        if kind == "string":
+            atomic = T.XS_STRING
+        elif match.group("exp"):
+            atomic = T.XS_DOUBLE
+        elif "." in match.group():
+            atomic = T.XS_DECIMAL
+        else:
+            atomic = T.XS_INTEGER
+        key += [text[done:start], _placeholder(atomic, text[start])]
+        spans.append((start, end))
+        done = end
+    key.append(text[done:])
+    return Scan(tuple(key), tuple(spans))
+
+
+def literal_value(token: str) -> AtomicValue:
+    """The value the parser gives the literal ``token`` (a string or
+    numeric token of :func:`scan_literals`)."""
+    first = token[0]
+    if first in "'\"":
+        return AtomicValue(token[1:-1].replace(first + first, first),
+                           T.XS_STRING)
+    if "e" in token or "E" in token:
+        return AtomicValue(float(token), T.XS_DOUBLE)
+    if "." in token:
+        return AtomicValue(Decimal(token), T.XS_DECIMAL)
+    return AtomicValue(int(token), T.XS_INTEGER)
 
 
 def _folds(expr: ast.Expr) -> bool:

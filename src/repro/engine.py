@@ -15,7 +15,13 @@ from typing import Any, Iterable, Iterator, Optional
 
 from repro.compiler.analysis import literal_doc_uris, walk_reachable
 from repro.compiler.context import StaticContext
-from repro.compiler.lift import Bindings, lift_literals
+from repro.compiler.lift import (
+    Bindings,
+    Scan,
+    lift_literals,
+    literal_value,
+    scan_literals,
+)
 from repro.compiler.normalize import normalize_module
 from repro.compiler.planner import plan_access_paths
 from repro.compiler.pysource import SourcePlanCompiler
@@ -164,10 +170,14 @@ class CompiledQuery:
         #: the literals :mod:`repro.compiler.lift` lifted out of this
         #: text, ``(($#l0, value), ...)``: bound at every execute
         self.lifted = lifted
+        #: what callers derive from the plan once (the server's
+        #: cacheability verdict): shared with every bound view
+        self.memo: dict[str, Any] = {}
 
     def bind_literals(self, lifted: Bindings) -> "CompiledQuery":
         """A view of this plan that runs with another text's literals
-        (a text of the same lifted shape): a shallow copy."""
+        (a text of the same lifted shape): a shallow copy, sharing
+        :attr:`memo`."""
         view = copy.copy(self)
         view.lifted = lifted
         return view
@@ -304,6 +314,51 @@ class CompiledQuery:
         return "\n".join(lines)
 
 
+class _PreParsed:
+    """A pre-parse entry: a plan, and how a text with its pre-parse key
+    binds it without a parse.  Of the text's literal tokens, those at
+    ``lifted`` are the plan's lifted literals, in order; every other
+    token must equal ``fixed``'s at its index (None at a lifted one)."""
+
+    __slots__ = ("compiled", "lifted", "fixed")
+
+    def __init__(self, compiled: CompiledQuery, lifted: tuple[int, ...],
+                 fixed: tuple[str | None, ...]):
+        self.compiled = compiled
+        self.lifted = lifted
+        self.fixed = fixed
+
+    @classmethod
+    def align(cls, compiled: CompiledQuery, text: str, scan: Scan,
+              spans: tuple) -> "_PreParsed | None":
+        """The entry for ``text``, just compiled, whose lifted literals
+        sit at ``spans``; None unless each is exactly one literal token
+        (a quote in constructor content can shift the scan's view of
+        the text, and then the text is never keyed this way)."""
+        if not spans:
+            return None
+        index = {span: i for i, span in enumerate(scan.spans)}
+        lifted = tuple(index.get(span, -1) for span in spans)
+        if -1 in lifted:
+            return None
+        fixed = [text[start:end] for start, end in scan.spans]
+        for i in lifted:
+            fixed[i] = None
+        return cls(compiled, lifted, tuple(fixed))
+
+    def bind(self, text: str, spans: tuple) -> CompiledQuery | None:
+        """A view of the plan with ``text``'s literals; None when a
+        token that is no lifted literal differs."""
+        tokens = [text[start:end] for start, end in spans]
+        for token, fixed in zip(tokens, self.fixed):
+            if fixed is not None and token != fixed:
+                return None
+        compiled = self.compiled
+        return compiled.bind_literals(tuple(
+            (name, literal_value(tokens[i]))
+            for (name, _value), i in zip(compiled.lifted, self.lifted)))
+
+
 #: sentinel distinguishing "no compile_cache argument" from an explicit None
 _DEFAULT_CACHE = object()
 
@@ -356,16 +411,18 @@ class Engine:
         ``schemas`` are :class:`repro.xsd.schema.Schema` objects made
         available to ``validate`` and type references.
 
-        Two lookups (DESIGN.md, "Literal lifting"): the exact text, with
-        no parse; then, after parsing and lifting the literals
-        (:mod:`repro.compiler.lift`), the lifted *shape*, which answers
-        with a view of the shape's plan bound to this text's literals.
-        Only a full compile stores entries (the text's and its
-        shape's).  A call that did not compile counts one cache hit,
-        one that did counts one miss.
+        Three lookups (DESIGN.md, "Literal lifting"): the exact text;
+        then the pre-parse key of :func:`~repro.compiler.lift.
+        scan_literals`, which answers with no parse; then, after
+        parsing and lifting the literals, the lifted *shape*.  The last
+        two answer with a view of a plan bound to this text's literals.
+        Only a full compile stores entries: the text's, and its
+        pre-parse entry or else its shape's.  A call that did not
+        compile counts one cache hit, one that did counts one miss.
         """
         extra = self._declared(variables)
         cache = self.compile_cache if not schemas else None
+        scan = entry = None
         if cache is not None:
             base_fp = self.base_context.fingerprint() \
                 if self.base_context is not None else None
@@ -385,10 +442,18 @@ class Engine:
             if cached is not None:
                 cache.hits += 1
                 return cached
+            scan = scan_literals(query_text)
+            if scan is not None and scan.spans:
+                entry = cache.find((scan.key,) + inputs)
+                view = entry.bind(query_text, scan.spans) \
+                    if entry is not None else None
+                if view is not None:
+                    cache.hits += 1
+                    return view
 
         found = None
         try:
-            module, lifted, shape = lift_literals(query_text)
+            module, lifted, shape, spans = lift_literals(query_text)
             if cache is not None and shape is not None:
                 found = cache.find((shape,) + inputs)
             if found is None:
@@ -409,7 +474,15 @@ class Engine:
             return found.bind_literals(lifted)
         if cache is not None:
             cache.put((query_text,) + inputs, compiled)
-            if shape is not None:
+            # a pre-parse key already taken belongs to a text whose
+            # other tokens differ (``[3]`` against ``[4]``): keep it,
+            # and give this one a shape entry, so the two never evict
+            # each other
+            pre = _PreParsed.align(compiled, query_text, scan, spans) \
+                if scan is not None and entry is None else None
+            if pre is not None:
+                cache.put((scan.key,) + inputs, pre)
+            elif shape is not None:
                 cache.put((shape,) + inputs, compiled)
         return compiled
 

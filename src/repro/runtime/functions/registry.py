@@ -9,6 +9,7 @@ feed :mod:`repro.compiler.analysis`.
 
 from __future__ import annotations
 
+import math
 from typing import Any, Callable, Iterable, Optional
 
 from repro.errors import TypeError_
@@ -122,6 +123,38 @@ def numeric_arg(seq: Iterable[Any]) -> AtomicValue | None:
     if not T.is_numeric(value.type):
         raise TypeError_(f"expected a numeric argument, got {value.type}")
     return value
+
+
+def rounded_double(seq: Iterable[Any], empty: float) -> float:
+    """``fn:round`` of an ``xs:double`` argument — ties go toward
+    positive infinity, NaN and the infinities stay — or ``empty`` for
+    ``()``."""
+    value = numeric_arg(seq)
+    if value is None:
+        return empty
+    try:
+        x = float(value.value)
+    except OverflowError:  # an integer or decimal past xs:double's range
+        x = math.copysign(math.inf, value.value)
+    if not math.isfinite(x):
+        return x
+    down = math.floor(x)
+    return float(down + 1 if x - down >= 0.5 else down)
+
+
+def position_window(start: float,
+                    length: float | None) -> tuple[int, float] | None:
+    """The 1-based positions ``p`` that ``fn:substring`` and
+    ``fn:subsequence`` keep: ``start <= p < start + length`` (F&O
+    7.4.3 and 15.1.10; both bounds from :func:`rounded_double`, no
+    upper one without a length).  ``(first, end)`` with ``first >= 1``
+    and ``end`` possibly INF, or None when no position qualifies: a
+    NaN bound fails every comparison, and -INF + INF is NaN."""
+    end = math.inf if length is None else start + length
+    if math.isnan(start) or math.isnan(end):
+        return None
+    first = max(start, 1.0)
+    return (int(first), end) if first < end else None
 
 
 def one_node(seq: Iterable[Any], what: str = "argument") -> Node:

@@ -5,7 +5,13 @@ from __future__ import annotations
 from typing import Any
 
 from repro.errors import DynamicError, TypeError_
-from repro.runtime.functions.registry import atomized, numeric_arg, register
+from repro.runtime.functions.registry import (
+    atomized,
+    numeric_arg,
+    position_window,
+    register,
+    rounded_double,
+)
 from repro.xdm.atomize import atomize, string_value_of
 from repro.xdm.items import AtomicValue, boolean, integer
 from repro.xdm.nodes import ElementNode, Node
@@ -110,20 +116,19 @@ def fn_reverse(dctx, seq):
 
 @register("subsequence", 2, 3, lazy=True)
 def fn_subsequence(dctx, seq, start, *rest):
-    """``fn:subsequence(item()*, xs:double[, xs:double]) as item()*`` — lazy."""
-    start_value = numeric_arg(start)
-    begin = round(float(start_value.value)) if start_value is not None else 1
-    if rest:
-        length_value = numeric_arg(rest[0])
-        length = round(float(length_value.value)) if length_value is not None else 0
-        end = begin + length
-    else:
-        end = None
+    """``fn:subsequence(item()*, xs:double[, xs:double]) as item()*`` —
+    lazy: the items at the positions :func:`position_window` keeps,
+    pulling none past the last of them."""
+    window = position_window(rounded_double(start, 1.0),
+                             rounded_double(rest[0], 0.0) if rest else None)
+    if window is None:
+        return
+    first, end = window
     for i, item in enumerate(seq, start=1):
-        if end is not None and i >= end:
-            return
-        if i >= begin:
+        if i >= first:
             yield item
+        if i + 1 >= end:
+            return
 
 
 @register("unordered", 1, lazy=True)

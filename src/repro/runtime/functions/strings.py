@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import re
 
 from repro.errors import DynamicError
@@ -9,7 +10,9 @@ from repro.runtime.functions.registry import (
     one_atomic,
     opt_atomic,
     opt_string,
+    position_window,
     register,
+    rounded_double,
     string_arg,
 )
 from repro.xdm.atomize import string_value_of
@@ -107,24 +110,16 @@ def fn_ends_with(dctx, haystack, needle):
 
 @register("substring", 2, 3)
 def fn_substring(dctx, source, start, *rest):
-    """``fn:substring(xs:string?, xs:double[, xs:double]) as xs:string`` — 1-based, rounded positions."""
+    """``fn:substring(xs:string?, xs:double[, xs:double]) as xs:string``
+    — the characters at the positions :func:`position_window` keeps."""
     text = string_arg(source)
-    start_val = _round_half_even(start)
-    if rest:
-        length = _round_half_even(rest[0])
-        begin = max(start_val, 1)
-        end = start_val + length
-        return [string(text[int(begin) - 1: max(int(end) - 1, 0)])]
-    return [string(text[max(int(start_val) - 1, 0):])]
-
-
-def _round_half_even(seq) -> float:
-    from repro.runtime.functions.registry import numeric_arg
-
-    value = numeric_arg(seq)
-    if value is None:
-        return 0.0
-    return round(float(value.value))
+    window = position_window(rounded_double(start, 0.0),
+                             rounded_double(rest[0], 0.0) if rest else None)
+    if window is None:
+        return [string("")]
+    first, end = window
+    return [string(text[first - 1: None if end == math.inf
+                        else int(end) - 1])]
 
 
 @register("substring-before", 2)

@@ -20,7 +20,7 @@ re-ingests, so stale responses don't squat in the LRU window.
 Only *cacheable* queries are stored: a query that constructs nodes
 (fresh identities per run) or calls a non-deterministic function must
 re-execute every time.  :func:`cacheable` decides that once per
-compiled query.
+compiled plan.
 """
 
 from __future__ import annotations
@@ -48,9 +48,19 @@ def cacheable(compiled) -> bool:
 
     False when the optimized tree constructs nodes or calls a function
     the library doesn't prove deterministic (unknown functions are
-    conservatively non-deterministic).
+    conservatively non-deterministic).  The tree is walked once per
+    plan: the verdict is kept in ``compiled.memo``, which the views
+    :meth:`~repro.engine.CompiledQuery.bind_literals` makes share.
     """
-    for node in compiled.optimized.walk():
+    verdict = compiled.memo.get("cacheable")
+    if verdict is None:
+        verdict = compiled.memo["cacheable"] = _deterministic(
+            compiled.optimized)
+    return verdict
+
+
+def _deterministic(tree: ast.Expr) -> bool:
+    for node in tree.walk():
         if isinstance(node, _CONSTRUCTORS) \
                 or node.annotations.get("creates_nodes", False):
             return False

@@ -1425,6 +1425,11 @@ def test_generated_source_compiles_under_50ms():
             f"source compile too slow for {query!r}: {best * 1000:.1f} ms")
 
 
+# ---------------------------------------------------------------------------
+# Counted, not timed: tier-1
+# ---------------------------------------------------------------------------
+
+
 def _spread_cities(xml_text: str, ways: int) -> str:
     """The same document with each city split ``ways`` ways (``Rome``
     becomes ``Rome 0`` .. ``Rome <ways-1>``, person by person)."""
@@ -1437,7 +1442,6 @@ def _spread_cities(xml_text: str, ways: int) -> str:
                   xml_text)
 
 
-@pytest.mark.perfsmoke
 @pytest.mark.parametrize("name", ["partition", "point_lookup", "grouping"])
 def test_predicate_work_is_counted_not_timed(name):
     """The gates of the comparison lanes (E21) and of join detection

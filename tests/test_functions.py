@@ -109,6 +109,28 @@ class TestStrings:
         assert values("substring('12345', 2)") == ["2345"]
         assert values("substring('12345', 2, 3)") == ["234"]
 
+    # F&O's fn:substring examples: positions are fn:round'ed (ties
+    # toward positive infinity), and a NaN or -INF + INF bound keeps
+    # nothing
+    @pytest.mark.parametrize("query,expected", [
+        ('substring("motor car", 6)', " car"),
+        ('substring("metadata", 4, 3)', "ada"),
+        ('substring("12345", 1.5, 2.6)', "234"),
+        ('substring("12345", 0, 3)', "12"),
+        ('substring("12345", 5, -3)', ""),
+        ('substring("12345", -3, 5)', "1"),
+        ('substring("12345", 0 div 0E0, 3)', ""),
+        ('substring("12345", 1, 0 div 0E0)', ""),
+        ('substring((), 1, 3)', ""),
+        ('substring("12345", -42, 1 div 0E0)', "12345"),
+        ('substring("12345", -1 div 0E0, 1 div 0E0)', ""),
+        ('substring("12345", 2.5, 2)', "34"),
+        ('substring("12345", -2.5, 5)', "12"),
+        ('substring("12345", 1 div 0E0)', ""),
+    ])
+    def test_substring_spec_examples(self, values, query, expected):
+        assert values(query) == [expected]
+
     def test_substring_before_after(self, values):
         assert values("substring-before('a=b', '=')") == ["a"]
         assert values("substring-after('a=b', '=')") == ["b"]
@@ -177,6 +199,30 @@ class TestSequencesFns:
     def test_subsequence(self, values):
         assert values("subsequence((1, 2, 3, 4), 2)") == [2, 3, 4]
         assert values("subsequence((1, 2, 3, 4), 2, 2)") == [2, 3]
+
+    # F&O's fn:subsequence examples, and the same rounding and NaN/INF
+    # rules as fn:substring
+    @pytest.mark.parametrize("query,expected", [
+        ("subsequence($seq, 4)", ["item4", "item5"]),
+        ("subsequence($seq, 3, 2)", ["item3", "item4"]),
+        ("subsequence(1 to 5, 0.5, 2)", [1, 2]),
+        ("subsequence(1 to 5, 2.5, 1.5)", [3, 4]),
+        ("subsequence((1, 2, 3), 2, xs:double('INF'))", [2, 3]),
+        ("subsequence((1, 2, 3), xs:double('-INF'))", [1, 2, 3]),
+        ("subsequence((1, 2, 3), xs:double('-INF'), xs:double('INF'))", []),
+        ("subsequence((1, 2, 3), 0 div 0E0)", []),
+        ("subsequence((1, 2, 3), 1, 0 div 0E0)", []),
+        ("subsequence((1, 2, 3), 2, -1)", []),
+    ])
+    def test_subsequence_spec_examples(self, values, query, expected):
+        seq = ('let $seq := ("item1", "item2", "item3", "item4", "item5") '
+               "return ")
+        assert values(seq + query) == expected
+
+    def test_subsequence_pulls_nothing_past_its_window(self, run):
+        result = run("subsequence(trace(1 to 10, 'p'), 2, 3)")
+        assert result.values() == [2, 3, 4]
+        assert result.stats.get("trace:p") == 4
 
     def test_cardinality_checks(self, values, run):
         assert values("exactly-one((5))") == [5]

@@ -8,8 +8,11 @@ the literal is bound at execute.  What must hold:
   the bib, XMark, W3C XMP, error and e2e-template corpora and a
   property generator that rewrites literals — on both executors;
 - shape keys are sound: texts with equal keys lift to equal modules;
+- pre-parse keys are sound: a text served from another text's
+  pre-parse entry answers as a cache-less compile of it does;
 - every position the compiler reads keeps its literal;
-- texts of one shape compile once (counted, not timed).
+- texts of one shape compile once, and the ad-hoc ledger texts skip
+  the parse on every hit (counted, not timed).
 
 The unlifted side compiles through the engine's front half directly
 (``Engine._compile_module`` on a plain parse): a test seam, not an
@@ -29,7 +32,7 @@ from hypothesis import strategies as st
 
 import repro
 from repro import Engine, parse_document
-from repro.compiler.lift import lift_literals
+from repro.compiler.lift import lift_literals, scan_literals
 from repro.compiler.reference import ReferenceEngine
 from repro.workloads.synthetic import random_tree
 from repro.workloads.xmark_queries import QUERIES as XMARK_SUITE
@@ -147,7 +150,7 @@ def variants(text: str, n: int = 2) -> list[str]:
 
 def lifted_image(text: str):
     """What a lifted text compiles from: its module, rendered."""
-    module, _bindings, _shape = lift_literals(text)
+    module = lift_literals(text).module
     prolog = [(str(v.name), repr(v.type_decl), v.external,
                unparse(v.value) if v.value is not None else None)
               for v in module.prolog.variables]
@@ -229,7 +232,7 @@ class TestShapeKeys:
         by_shape: dict = {}
         for query in corpus:
             for text in variants(query, 3):
-                shape = lift_literals(text)[2]
+                shape = lift_literals(text).shape
                 if shape is not None:
                     by_shape.setdefault(shape, set()).add(text)
         shared = 0
@@ -251,20 +254,139 @@ class TestShapeKeys:
         texts = [with_literals(query, random.Random(s)) for s in seeds]
         by_shape: dict = {}
         for text in texts:
-            by_shape.setdefault(lift_literals(text)[2], []).append(text)
+            by_shape.setdefault(lift_literals(text).shape, []).append(text)
         for shape, group in by_shape.items():
             if shape is not None:
                 assert len({repr(lifted_image(t)) for t in group}) == 1, group
 
     def test_placeholder_keeps_type_and_first_character(self):
         def shape(text):
-            return lift_literals(text)[2]
+            return lift_literals(text).shape
 
         assert shape("$x + 1") == shape("$x + 22")
         assert shape("$x + 1") != shape("$x + 1.0")
         assert shape("$x + 1.0") != shape("$x + .5")
         assert shape("$x = 'a'") != shape('$x = "a"')
         assert shape("$x = 'a'") == shape("$x = 'bcd'")
+
+
+# ---------------------------------------------------------------------------
+# Pre-parse keys
+# ---------------------------------------------------------------------------
+
+#: literal tokens by placeholder: any two of one class give equal keys
+TOKENS = {
+    "integer": ["1", "22", "305"],
+    "decimal": ["1.", "2.50", "10.0"],
+    "decimal.": [".5", ".25"],
+    "double": ["1e5", "1.5E-2", "3e0"],
+    "double.": [".5e1", ".2E2"],
+    'string"': ['"a""b"', '"a"', '""', '"x y"'],
+    "string'": ["'it''s'", "'b'", "''"],
+}
+LITERAL = st.sampled_from([token for pool in TOKENS.values()
+                           for token in pool]
+                          + ['"&amp;"', "'&lt;x'", '"{x}"', "'a}'"])
+
+#: expression forms, each ``L`` a literal; quotes and digits in
+#: constructor content and comments, entity references, attribute
+#: value templates
+FORMS = [
+    "$x + L", "L * $x", "-L", "xs:string(L)", "(L, $x)[1] cast as xs:string",
+    "count(//a) > L", "//a[@n = L]/@n",
+    "//a[L]/@n", "//b[. = L]", "string(L)", "L cast as xs:string",
+    "xs:double(L) > $x", "L castable as xs:integer",
+    "if (count(//a) > L) then L else L",
+    "for $i in //a where $i/@n >= L return string($i/@n)",
+    "<c>{L}</c>", '<c n="{L}">{count(//a) + L}</c>',
+    "<c>it's {$x = L}</c>", '<c>"x" L {$x + L}</c>',
+    "<c a=\"it's\">{$x = L}</c>", "<c>&amp; {L}</c>",
+    "<c>&quot;{$x > L}</c>", "(: c :) $x + L", "$x + L (: it's :)",
+    "concat(L, L)", 'substring("abcdef", L)', "$x = L and L = $x",
+]
+
+#: the document the pre-parse property runs over, and ``$x``
+PROPERTY_DOC = parse_document('<r><a n="1"/><a n="2">b</a><b>a</b></r>')
+
+
+@st.composite
+def text_pairs(draw):
+    """A text and a same-key text: each literal token redrawn from its
+    placeholder class."""
+    forms = draw(st.lists(st.sampled_from(FORMS), min_size=1, max_size=3))
+    holes = ", ".join(forms).split("L")
+    text = holes[0] + "".join(draw(LITERAL) + rest for rest in holes[1:])
+    scan = scan_literals(text)
+    if scan is None:
+        return text, text
+    pieces, done = [], 0
+    for (start, end), placeholder in zip(scan.spans, scan.key[2::2]):
+        pieces += [text[done:start],
+                   draw(st.sampled_from(TOKENS[placeholder]))]
+        done = end
+    return text, "".join(pieces) + text[done:]
+
+
+def preparse_outcome(engine: Engine, text: str) -> tuple:
+    return outcome(engine, text, declared=("x",), variables={"x": 2},
+                   context_item=PROPERTY_DOC)
+
+
+class TestPreParseKeys:
+    @given(pair=text_pairs())
+    @settings(max_examples=200, deadline=None)
+    def test_property_key_soundness(self, pair):
+        text, other = pair
+        scan, other_scan = scan_literals(text), scan_literals(other)
+        if scan is not None and other_scan is not None:
+            assert scan.key == other_scan.key, (text, other)
+        engine = Engine()
+        preparse_outcome(engine, text)
+        assert preparse_outcome(engine, other) \
+            == preparse_outcome(Engine(compile_cache=None), other), \
+            (text, other)
+
+    @pytest.mark.parametrize("text,other,parses", [
+        ("$x + 1", "$x + 22", 0),
+        ("$x + 1.", "$x + 2.50", 0),
+        ("$x + .5", "$x + .25", 0),
+        ("$x + 1e5", "$x + 1.5E-2", 0),
+        ('$x = "a""b"', '$x = "c"', 0),
+        ('xs:string("c")', 'xs:string("a""b")', 0),
+        ("<c>it's {$x = 5}</c>", "<c>it's {$x = 7}</c>", 0),
+        ('<c n="{$x > 5}"/>', '<c n="{$x > 7}"/>', 0),
+        # a quoted run holding a brace is no token, the literal is
+        ("<c>it's {$x = 'a'}</c>", "<c>it's {$x = 'b'}</c>", 0),
+        # a quote in content pairs with the literal's: no token there
+        ("<c>it's</c>, $x = 'a'", "<c>it's</c>, $x = 'b'", 1),
+        ('$x = "&amp;"', '$x = "&lt;"', 1),         # not a token
+        ("(: c :) $x + 1", "(: c :) $x + 2", 1),    # the scan refuses
+        ("//a[1]/@n = 5", "//a[2]/@n = 5", 1),      # a fixed token
+        ("//a[1]/@n = 5", "//a[1]/@n = 6", 0),
+    ])
+    def test_which_texts_skip_the_parse(self, text, other, parses,
+                                        monkeypatch):
+        engine = Engine()
+        preparse_outcome(engine, text)
+        counted = []
+        parse_module = Parser.parse_module
+        monkeypatch.setattr(Parser, "parse_module", lambda self: (
+            counted.append(1) or parse_module(self)))
+        assert preparse_outcome(engine, other) \
+            == preparse_outcome(Engine(compile_cache=None), other)
+        assert len(counted) == parses + 1  # and one for the cache-less
+
+    def test_other_fixed_tokens_keep_both_plans(self):
+        # "[1]" and "[2]" share a pre-parse key: the second text gets a
+        # shape entry instead of evicting the first text's entry
+        engine = Engine()
+        for n in (1, 2, 1, 2):
+            engine.compile(f"//a[{n}]/@n = 5")
+        assert (engine.compile_cache.misses, engine.compile_cache.hits) \
+            == (2, 2)
+        engine.compile("//a[1]/@n = 6")
+        engine.compile("//a[2]/@n = 6")
+        assert engine.compile_cache.misses == 2
 
 
 # ---------------------------------------------------------------------------
@@ -285,7 +407,7 @@ class TestPositions:
         ("//a[. > 1 + 1]", ["1", "1"]),             # folds into a compare
     ])
     def test_lifted(self, text, values):
-        _module, bindings, _shape = lift_literals(text)
+        bindings = lift_literals(text).bindings
         assert [(str(name), str(value.value)) for name, value in bindings] \
             == [(f"#l{i}", v) for i, v in enumerate(values)]
 
@@ -305,7 +427,7 @@ class TestPositions:
         "let $a := 5 return $a + 3",                # folds after let-folding
     ])
     def test_never_lifted(self, text):
-        assert lift_literals(text)[1] == ()
+        assert lift_literals(text).bindings == ()
 
     def test_lifted_names_never_meet_fresh_names(self):
         # the normaliser binds $l's alias as $#l_1 around the body; named
@@ -356,12 +478,29 @@ class TestPlans:
         assert second is not first and second.plan is first.plan
         assert engine.compile("count(//a) + 1") is first   # exact text
         assert engine.compile("count(//a) + 2") is not second  # no entry
-        assert len(engine.compile_cache) == 2  # text + shape of the first
+        assert len(engine.compile_cache) == 2  # the first's text + key
         assert (engine.compile_cache.hits, engine.compile_cache.misses) \
             == (3, 1)
         doc = "<r><a/><a/></r>"
         assert first.execute(context_item=doc).values() == [3]
         assert second.execute(context_item=doc).values() == [4]
+
+    def test_views_share_the_cacheability_verdict(self, monkeypatch):
+        from repro.server import cache as server_cache
+
+        walks = []
+        deterministic = server_cache._deterministic
+        monkeypatch.setattr(server_cache, "_deterministic", lambda tree: (
+            walks.append(1) or deterministic(tree)))
+        engine = Engine()
+        verdicts = [server_cache.cacheable(engine.compile(f"<a/>, {n} + $x",
+                                                          variables=["x"]))
+                    for n in (1, 2, 3)]
+        verdicts += [server_cache.cacheable(engine.compile(f"{n} + $x",
+                                                           variables=["x"]))
+                     for n in (1, 2, 3)]
+        assert verdicts == [False] * 3 + [True] * 3
+        assert len(walks) == 2
 
     def test_to_xquery_puts_the_literals_back(self, bib_xml):
         engine = Engine()
@@ -420,11 +559,11 @@ class TestPlanner:
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.perfsmoke
 def test_adhoc_shapes_compile_once(xmark_small, monkeypatch):
     """The 13 ``adhoc_compile`` templates x 10 literals: 13 full
-    compiles.  The 9 ``registered_exec`` texts, executed 100x each
-    after registration: no parse at all."""
+    compiles, and each of the 13 x 9 shape hits a pre-parse hit with no
+    parse.  The 9 ``registered_exec`` texts, executed 100x each after
+    registration: no parse at all."""
     cat = repro.catalog()
     cat.add("auction", xmark_small)
     engine = Engine(catalog=cat)
@@ -438,14 +577,18 @@ def test_adhoc_shapes_compile_once(xmark_small, monkeypatch):
     table = e2e_queries.templates(n_people=12)
     rng = random.Random(7)
     uid = 0
+    parse_free = 0
     for name in e2e_workloads.AdhocCompile.TEMPLATES:
         for _ in range(10):
             uid += 1
             x = e2e_workloads._literal(table[name].sample(rng)["x"], uid)
             text = e2e_queries.adhoc_text(table[name], "$auction", {"x": x})
+            before = len(parses)
             engine.compile(text).execute().items()
+            parse_free += len(parses) == before
     assert len(compiles) == 13
     assert engine.compile_cache.hits == 13 * 9
+    assert parse_free == 13 * 9
 
     registered = [(table[name], e2e_queries.source_text(table[name],
                                                         "$auction"))

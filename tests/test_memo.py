@@ -134,6 +134,26 @@ class TestCompileCache:
         assert ctx.fingerprint() != after
 
 
+    def test_freed_context_address_never_hits(self):
+        # the fingerprint named its members by id(): a context built
+        # where a freed one lived took over the freed one's keys (an
+        # engine's own entries happen to pin the objects through the
+        # plan's static context; a key must not depend on that)
+        from repro.compiler.context import StaticContext
+
+        shared = LRUCache(8)
+        ctx = StaticContext()
+        address = id(ctx.types)
+        shared.put(("3",) + ctx.fingerprint(), "compiled against ctx")
+        del ctx
+        kept = []
+        for _ in range(200):
+            fresh = StaticContext()
+            if id(fresh.types) == address:
+                break
+            kept.append(fresh)  # held, so the next one lands elsewhere
+        assert shared.find(("3",) + fresh.fingerprint()) is None
+
 class TestResultCache:
     def test_same_inputs_hit(self, bib_xml):
         engine = Engine()
