@@ -88,7 +88,9 @@ def build_serve_parser() -> argparse.ArgumentParser:
     parser.add_argument("--shards", type=int, default=None, metavar="N",
                         help="scatter eligible collection queries across "
                              "N shards of the pre-forked pool (0 disables; "
-                             "default: one shard per worker process)")
+                             "default: one shard per worker process, at "
+                             "most one per CPU this process may run on, "
+                             "none on one CPU)")
     parser.add_argument("--max-workers", type=int, default=None, metavar="N",
                         help="concurrent queries admitted (in-process "
                              "mode; default 4)")

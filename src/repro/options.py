@@ -60,8 +60,11 @@ class ExecutionOptions:
     - ``shards`` — scatter-gather execution of multi-document
       collections across the pre-forked worker pool
       (:mod:`repro.service.sharding`): ``None`` (default) resolves to
-      ``$REPRO_TEST_SHARDS`` or auto (one shard per pool worker),
-      ``0`` disables scattering, ``N > 0`` forces N shards.  Like
+      ``$REPRO_TEST_SHARDS`` or auto — one shard per pool worker, but
+      no more than the CPUs in the server's affinity mask, and no
+      scatter at all below two (on one core the children would only
+      take turns) — ``0`` disables scattering, ``N > 0`` forces N
+      shards on any number of CPUs.  Like
       ``data_dir``, NOT part of :meth:`fingerprint` — how a
       collection's documents are partitioned across processes does not
       change what a query compiles to (the merge operator guarantees

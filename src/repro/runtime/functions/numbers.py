@@ -13,7 +13,12 @@ from decimal import (
 )
 
 from repro.errors import TypeError_
-from repro.runtime.functions.registry import atomized, numeric_arg, register
+from repro.runtime.functions.registry import (
+    atomized,
+    integral_double,
+    numeric_arg,
+    register,
+)
 from repro.xdm.atomize import string_value_of
 from repro.xdm.items import AtomicValue, double, integer
 from repro.xsd import types as T
@@ -45,7 +50,7 @@ def fn_ceiling(dctx, arg):
         return [AtomicValue(value.value.to_integral_value(ROUND_CEILING), value.type)]
     if isinstance(value.value, int):
         return [value]
-    return [AtomicValue(float(math.ceil(value.value)), value.type)]
+    return [AtomicValue(integral_double(value.value, math.ceil), value.type)]
 
 
 @register("floor", 1)
@@ -58,7 +63,8 @@ def fn_floor(dctx, arg):
         return [AtomicValue(value.value.to_integral_value(ROUND_FLOOR), value.type)]
     if isinstance(value.value, int):
         return [value]
-    return [AtomicValue(float(math.floor(value.value)), value.type)]
+    return [AtomicValue(integral_double(value.value, math.floor),
+                        value.type)]
 
 
 @register("round", 1)
@@ -74,7 +80,7 @@ def fn_round(dctx, arg):
         return [AtomicValue(value.value.quantize(Decimal(1), mode), value.type)]
     if isinstance(value.value, int):
         return [value]
-    return [AtomicValue(float(math.floor(value.value + 0.5)), value.type)]
+    return [AtomicValue(integral_double(value.value), value.type)]
 
 
 @register("round-half-to-even", 1)
@@ -87,7 +93,7 @@ def fn_round_half_even(dctx, arg):
         return [AtomicValue(value.value.quantize(Decimal(1), ROUND_HALF_EVEN), value.type)]
     if isinstance(value.value, int):
         return [value]
-    return [AtomicValue(float(round(value.value)), value.type)]
+    return [AtomicValue(integral_double(value.value, round), value.type)]
 
 
 @register("number", 0, 1, context_sensitive=True)

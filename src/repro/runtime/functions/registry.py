@@ -125,21 +125,35 @@ def numeric_arg(seq: Iterable[Any]) -> AtomicValue | None:
     return value
 
 
-def rounded_double(seq: Iterable[Any], empty: float) -> float:
-    """``fn:round`` of an ``xs:double`` argument — ties go toward
-    positive infinity, NaN and the infinities stay — or ``empty`` for
-    ``()``."""
+def _half_up(x: float) -> int:
+    down = math.floor(x)
+    return down + 1 if x - down >= 0.5 else down
+
+
+def integral_double(x: float,
+                    to_integral: Callable[[float], int] = _half_up) -> float:
+    """An ``xs:double`` or ``xs:float`` value rounded as F&O rounds
+    one: ``to_integral`` of a finite value (default ``fn:round``'s ties
+    toward positive infinity; ``math.floor``, ``math.ceil`` and
+    ``round`` give the other three), with a zero result keeping the
+    argument's sign; NaN and the infinities are returned as they are."""
+    if not math.isfinite(x):
+        return x
+    # a non-zero result has the argument's sign already
+    return math.copysign(float(to_integral(x)), x)
+
+
+def rounded_double(seq: Iterable[Any]) -> float:
+    """``fn:round`` of a required ``xs:double`` argument: ``()`` is a
+    type error (``err:XPTY0004``)."""
     value = numeric_arg(seq)
     if value is None:
-        return empty
+        raise TypeError_("an empty sequence is not an xs:double")
     try:
         x = float(value.value)
     except OverflowError:  # an integer or decimal past xs:double's range
         x = math.copysign(math.inf, value.value)
-    if not math.isfinite(x):
-        return x
-    down = math.floor(x)
-    return float(down + 1 if x - down >= 0.5 else down)
+    return integral_double(x)
 
 
 def position_window(start: float,

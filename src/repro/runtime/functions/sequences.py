@@ -119,8 +119,8 @@ def fn_subsequence(dctx, seq, start, *rest):
     """``fn:subsequence(item()*, xs:double[, xs:double]) as item()*`` —
     lazy: the items at the positions :func:`position_window` keeps,
     pulling none past the last of them."""
-    window = position_window(rounded_double(start, 1.0),
-                             rounded_double(rest[0], 0.0) if rest else None)
+    window = position_window(rounded_double(start),
+                             rounded_double(rest[0]) if rest else None)
     if window is None:
         return
     first, end = window

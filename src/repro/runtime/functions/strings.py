@@ -113,8 +113,8 @@ def fn_substring(dctx, source, start, *rest):
     """``fn:substring(xs:string?, xs:double[, xs:double]) as xs:string``
     — the characters at the positions :func:`position_window` keeps."""
     text = string_arg(source)
-    window = position_window(rounded_double(start, 0.0),
-                             rounded_double(rest[0], 0.0) if rest else None)
+    window = position_window(rounded_double(start),
+                             rounded_double(rest[0]) if rest else None)
     if window is None:
         return [string("")]
     first, end = window

@@ -90,7 +90,10 @@ class XQueryServer:
                 self.core.handle, workers=self.config.processes,
                 max_queue=self.config.options.max_queue)
             # collection-level scatter-gather across the pool children;
-            # ShardRouter.enabled gates on options.shards and pool size
+            # ShardRouter.enabled gates on options.shards, the pool size
+            # and the CPUs in this process's affinity mask: on one core
+            # might_scatter is False and collection queries go to one
+            # child like any other
             self.router = ShardRouter(self.core, self.pool)
         else:
             self.service = QueryService(options=self.config.options)

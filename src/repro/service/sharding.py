@@ -52,6 +52,7 @@ aggregate partials are rebuilt against this process's type singletons
 
 from __future__ import annotations
 
+import os
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -77,6 +78,16 @@ def _merge_stats(total: dict, part: dict) -> None:
             total[key] = value
 
 
+def usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the
+    platform has one, else the machine's count.  Pool children are
+    forked from this process and inherit the mask.  A CPU quota
+    (cgroup ``cpu.max``) is not read."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 class ShardRouter:
     """Parent-side scatter-gather for eligible collection queries.
 
@@ -85,6 +96,12 @@ class ShardRouter:
     ``None`` — *None always means "run the normal single-worker
     path"*, never an error.  Scattering is read-only (children attach
     to committed segments), so falling back mid-flight is always safe.
+
+    Auto (``options.shards is None``) scatters onto
+    ``min(pool.workers, usable_cpus())`` shards, and only when that is
+    at least 2: children that can only take turns on one core gain
+    nothing from a scatter and pay its dispatch and merge.  An explicit
+    ``shards=N`` forces N whatever the CPUs.
     """
 
     def __init__(self, core, pool: ForkWorkerPool,
@@ -92,6 +109,8 @@ class ShardRouter:
         self.core = core
         self.pool = pool
         self.options = options if options is not None else core.options
+        # read once: the mask does not change under a running pool
+        self.usable_cpus = usable_cpus()
         # enough threads that two concurrent scatters don't fully
         # serialize; per-worker pipes still bound actual parallelism
         self._threads = ThreadPoolExecutor(
@@ -112,12 +131,12 @@ class ShardRouter:
     @property
     def enabled(self) -> bool:
         return (self.pool is not None and self.pool.workers >= 2
-                and self.options.shards != 0)
+                and self.shard_count() >= 2)
 
     def shard_count(self) -> int:
         configured = self.options.shards
-        if not configured:  # None → auto: one shard per pool worker
-            return self.pool.workers
+        if configured is None:  # auto: one shard per worker that has a CPU
+            return min(self.pool.workers, self.usable_cpus)
         return configured
 
     def might_scatter(self, query_text: str, form: str = "json") -> bool:

@@ -113,15 +113,16 @@ class Node:
 class DocumentNode(Node):
     """A document node — the root of a parsed document."""
 
-    __slots__ = ("_children", "_base_uri", "order_cache")
+    __slots__ = ("_children", "_base_uri", "tree_order")
     kind = "document"
 
     def __init__(self, base_uri: str = ""):
         super().__init__(None)
         self._children: list[Node] = []
         self._base_uri = base_uri
-        #: node → document-order index, filled lazily by repro.xdm.order
-        self.order_cache: dict[int, int] | None = None
+        #: this tree's rank and node indexes, set lazily by
+        #: repro.xdm.order (a ``TreeOrder``)
+        self.tree_order = None
 
     @property
     def children(self) -> list[Node]:
@@ -147,7 +148,7 @@ class ElementNode(Node):
     """An element node, optionally type-annotated by validation."""
 
     __slots__ = ("name", "_attributes", "_children", "ns_decls",
-                 "_type", "_typed_value", "_nilled", "order_cache")
+                 "_type", "_typed_value", "_nilled", "tree_order")
     kind = "element"
 
     def __init__(self, name: QName, parent: Node | None = None):
@@ -162,7 +163,7 @@ class ElementNode(Node):
         self._typed_value: list[AtomicValue] | None = None
         self._nilled = False
         #: used when this element is the root of a constructed tree
-        self.order_cache: dict[int, int] | None = None
+        self.tree_order = None
 
     @property
     def node_name(self) -> QName | None:

@@ -1,25 +1,29 @@
 """Document order.
 
 "Nodes are ordered based on the topological order in the tree."  We
-assign each tree a sequence number the first time order is needed and
-cache a pre-order index per node inside the tree root — the *decoupled,
-lazy node-id generation* the paper's compiler section advocates: a
-query whose plan never compares order or identity never pays for this
-walk (experiment E4 measures exactly that saving).
+assign each tree a rank the first time order is needed and cache a
+pre-order index per node beside it, in the tree root's
+:class:`TreeOrder` — the *decoupled, lazy node-id generation* the
+paper's compiler section advocates: a query whose plan never compares
+order or identity never pays for this walk (experiment E4 measures
+exactly that saving).
 
 Order across different trees is the (stable, implementation-defined)
-order of tree creation.
+order in which the trees were first ranked.  The rank lives on the
+root (or, for a root without a ``tree_order`` slot, in a map that
+holds the root weakly), so it dies with the tree: a tree built later
+at a freed tree's address starts unranked.
 """
 
 from __future__ import annotations
 
 import itertools
+import weakref
 from typing import Iterable
 
 from repro.xdm.nodes import AttributeNode, DocumentNode, ElementNode, NamespaceNode, Node
 
 _tree_counter = itertools.count(1)
-_tree_ids: dict[int, int] = {}
 
 #: the rank space for pinned collection members: far below anything the
 #: first-touch counter can hand out, so a pinned tree always orders
@@ -27,16 +31,39 @@ _tree_ids: dict[int, int] = {}
 COLLECTION_RANK_BASE = -(1 << 40)
 
 
-def _tree_id(root: Node) -> int:
-    key = id(root)
-    if key not in _tree_ids:
-        _tree_ids[key] = next(_tree_counter)
-    return _tree_ids[key]
+class TreeOrder:
+    """A tree's place among trees (``rank``) and, once order inside it
+    was needed, each node's pre-order index keyed by ``id`` (``index``;
+    the tree keeps those nodes alive)."""
+
+    __slots__ = ("rank", "index")
+
+    def __init__(self, rank: int) -> None:
+        self.rank = rank
+        self.index: dict[int, int] | None = None
+
+
+#: the orders of roots without a ``tree_order`` slot: a parentless
+#: attribute, text, comment, PI or namespace node is a tree of its own
+_leaf_orders: "weakref.WeakKeyDictionary[Node, TreeOrder]" = \
+    weakref.WeakKeyDictionary()
+
+
+def _tree_order(root: Node) -> TreeOrder:
+    if isinstance(root, (DocumentNode, ElementNode)):
+        order = root.tree_order
+        if order is None:
+            order = root.tree_order = TreeOrder(next(_tree_counter))
+        return order
+    order = _leaf_orders.get(root)
+    if order is None:
+        order = _leaf_orders.setdefault(root, TreeOrder(next(_tree_counter)))
+    return order
 
 
 def pin_tree_rank(root: Node, rank: int) -> None:
-    """Force ``root``'s tree id to ``rank``, overriding any
-    first-touch id it may already carry.
+    """Force ``root``'s tree rank to ``rank``, overriding any
+    first-touch rank it may already carry.
 
     Cross-tree document order is first-touch order, which is normally
     an execution accident.  Surfaces that promise a *deterministic*
@@ -50,7 +77,7 @@ def pin_tree_rank(root: Node, rank: int) -> None:
     callers must only pin trees that never meet in one query (catalog
     collections are per-tenant, and a query sees one tenant).
     """
-    _tree_ids[id(root)] = rank
+    _tree_order(root).rank = rank
 
 
 def pin_tree_order(roots: Iterable[Node]) -> None:
@@ -59,47 +86,51 @@ def pin_tree_order(roots: Iterable[Node]) -> None:
         pin_tree_rank(root, COLLECTION_RANK_BASE + index)
 
 
-def _order_cache(root: Node) -> dict[int, int]:
-    """Pre-order index of every node in the tree, computed once.
+def forget_node_index(root: Node) -> None:
+    """Drop the pre-order index of ``root``'s tree (its nodes changed);
+    the tree keeps its rank."""
+    if isinstance(root, (DocumentNode, ElementNode)) \
+            and root.tree_order is not None:
+        root.tree_order.index = None
+
+
+def _preorder_index(root: Node) -> dict[int, int]:
+    """Pre-order index of every node in the tree.
 
     Attributes (and namespace nodes) sort after their owner element and
     before its children, per the XDM; giving them consecutive indexes
     in the walk achieves that.
     """
-    cache = getattr(root, "order_cache", None)
-    if cache is not None:
-        return cache
-    cache = {}
+    index = {}
     counter = itertools.count()
     stack: list[Node] = [root]
     while stack:
         node = stack.pop()
-        cache[id(node)] = next(counter)
+        index[id(node)] = next(counter)
         if isinstance(node, ElementNode):
             for attr in node.attributes:
-                cache[id(attr)] = next(counter)
+                index[id(attr)] = next(counter)
         stack.extend(reversed(node.children))
-    if isinstance(root, (DocumentNode, ElementNode)):
-        root.order_cache = cache
-    return cache
+    return index
 
 
 def doc_order_key(node: Node) -> tuple[int, int]:
-    """A totally ordered key: (tree id, pre-order index)."""
+    """A totally ordered key: (tree rank, pre-order index)."""
     if isinstance(node, (AttributeNode, NamespaceNode)) and node.parent is None:
         # parentless attribute: its own tiny tree
-        return (_tree_id(node), 0)
+        return (_tree_order(node).rank, 0)
     root = node.root()
-    cache = _order_cache(root)
-    index = cache.get(id(node))
+    order = _tree_order(root)
+    index = order.index
     if index is None:
-        # tree mutated after caching (should not happen for engine-built
-        # trees); rebuild the cache once
-        if isinstance(root, (DocumentNode, ElementNode)):
-            root.order_cache = None
-        cache = _order_cache(root)
-        index = cache[id(node)]
-    return (_tree_id(root), index)
+        index = order.index = _preorder_index(root)
+    position = index.get(id(node))
+    if position is None:
+        # tree mutated after indexing (should not happen for
+        # engine-built trees); index it again once
+        index = order.index = _preorder_index(root)
+        position = index[id(node)]
+    return (order.rank, position)
 
 
 def is_before(a: Node, b: Node) -> bool:

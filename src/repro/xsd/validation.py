@@ -33,6 +33,7 @@ from repro.xdm.nodes import (
     PINode,
     TextNode,
 )
+from repro.xdm.order import forget_node_index
 from repro.xsd import types as T
 from repro.xsd.casting import parse_lexical
 from repro.xsd.schema import (
@@ -69,9 +70,7 @@ def validate(node: Union[DocumentNode, ElementNode], schema: Schema | None = Non
         raise ValidationError(f"no declaration for root element {element.name}")
     _validate_element(element, decl.type, decl, schema)
     # annotation invalidates cached typed values / orders conservatively
-    root = node.root()
-    if isinstance(root, (DocumentNode, ElementNode)):
-        root.order_cache = None
+    forget_node_index(node.root())
     return node
 
 

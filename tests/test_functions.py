@@ -56,6 +56,41 @@ class TestNumeric:
         assert values("(round-half-to-even(2.5), round-half-to-even(3.5))") == \
             [Decimal(2), Decimal(4)]
 
+    # F&O on xs:double: NaN and the infinities come back as they are,
+    # a zero result keeps the argument's sign, and fn:round's tie test
+    # is exact (0.49999999999999994 is below the half)
+    @pytest.mark.parametrize("query,expected", [
+        ('round(xs:double("NaN"))', "NaN"),
+        ('floor(xs:double("NaN"))', "NaN"),
+        ('ceiling(xs:double("NaN"))', "NaN"),
+        ('round-half-to-even(xs:double("NaN"))', "NaN"),
+        ('round(xs:double("INF"))', "INF"),
+        ('floor(xs:double("INF"))', "INF"),
+        ('ceiling(xs:double("-INF"))', "-INF"),
+        ('round-half-to-even(xs:double("-INF"))', "-INF"),
+        ('floor(xs:float("-INF"))', "-INF"),
+        ("round(0.49999999999999994e0)", 0.0),
+        ("round(2.5e0)", 3.0),
+        ("round(-2.5e0)", -2.0),
+        ("round-half-to-even(2.5e0)", 2.0),
+        ("round-half-to-even(-1.5e0)", -2.0),
+        ("floor(-0.5e0)", -1.0),
+        ("ceiling(1.2e0)", 2.0),
+    ])
+    def test_double_rounding(self, values, query, expected):
+        (value,) = values(query)
+        if isinstance(expected, str):
+            assert str(value) == str(float(expected))
+        else:
+            assert value == expected
+
+    @pytest.mark.parametrize("query", [
+        "round(-0.3e0)", "round(-0.5e0)", "ceiling(-0.5e0)",
+        "floor(-0e0)", "round-half-to-even(-0.5e0)"])
+    def test_zero_results_keep_the_sign(self, values, query):
+        (value,) = values(query)
+        assert value == 0 and math.copysign(1.0, value) == -1.0
+
     def test_number_nan_on_garbage(self, values):
         assert math.isnan(values("number('abc')")[0])
 
@@ -130,6 +165,25 @@ class TestStrings:
     ])
     def test_substring_spec_examples(self, values, query, expected):
         assert values(query) == [expected]
+
+    @pytest.mark.parametrize("query", [
+        'substring("abc", ())',
+        'substring("abc", 1, ())',
+        "subsequence((1, 2, 3), ())",
+        "subsequence((1, 2, 3), 1, ())",
+    ])
+    @pytest.mark.parametrize("executor", ["Engine", "ReferenceEngine"])
+    def test_empty_position_is_a_type_error(self, query, executor):
+        """The positions are ``xs:double``, not ``xs:double?``."""
+        from repro import Engine
+        from repro.compiler.reference import ReferenceEngine
+        from repro.errors import TypeError_
+
+        engine = {"Engine": Engine,
+                  "ReferenceEngine": ReferenceEngine}[executor]()
+        with pytest.raises(TypeError_) as caught:
+            engine.compile(query).execute().items()
+        assert caught.value.code == "XPTY0004"
 
     def test_substring_before_after(self, values):
         assert values("substring-before('a=b', '=')") == ["a"]

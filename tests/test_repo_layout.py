@@ -7,13 +7,23 @@
   unnoticed.
 - ``benchmarks/`` holds one benchmark, the e2e ledger.
 - DESIGN.md's package-layout block names exactly the modules that exist.
+- Every ``repro`` name the e2e harness imports or reads still exists:
+  ``benchmarks/e2e`` runs against each commit as it is, so a rename
+  there would only surface when the benchmark runs.
+- The configured warning filters let Hypothesis report a failure.
 """
 
 from __future__ import annotations
 
 import ast
+import importlib
+import importlib.util
 import re
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
@@ -120,3 +130,48 @@ def test_design_package_layout_names_every_module():
     documented = _design_layout()
     assert sorted(documented - actual) == []  # named, but not there
     assert sorted(actual - documented) == []  # there, but not named
+
+
+def _harness_names() -> set[tuple[str, str]]:
+    """``(module, name)`` for every ``from repro... import name`` in the
+    e2e harness, at any depth, and every ``repro.<name>`` it reads."""
+    names = set()
+    for path in sorted((ROOT / "benchmarks" / "e2e").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and not node.level \
+                    and (node.module or "").split(".")[0] == "repro":
+                names.update((node.module, alias.name)
+                             for alias in node.names)
+            elif isinstance(node, ast.Attribute) \
+                    and isinstance(node.value, ast.Name) \
+                    and node.value.id == "repro":
+                names.add(("repro", node.attr))
+    return names
+
+
+def test_every_repro_name_the_e2e_harness_uses_exists():
+    names = _harness_names()
+    assert ("repro.service.sharding", "ShardRouter") in names
+    missing = []
+    for module, name in sorted(names):
+        try:
+            getattr(importlib.import_module(module), name)
+        except (ImportError, AttributeError) as exc:
+            missing.append(f"{module}.{name}: {exc}")
+    assert missing == []
+
+
+def test_configured_warning_filters_let_hypothesis_report(tmp_path):
+    """Hypothesis imports libcst to print a falsifying example; under
+    ``error::DeprecationWarning`` that import must not raise, or the
+    failure is reported as an internal error instead of the example."""
+    if importlib.util.find_spec("libcst") is None:
+        pytest.skip("libcst is not installed")
+    probe = tmp_path / "test_probe.py"
+    probe.write_text("import libcst  # noqa: F401\n\n\n"
+                     "def test_probe():\n    pass\n", encoding="utf-8")
+    done = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "-c", str(ROOT / "pyproject.toml"), "--rootdir", str(ROOT),
+         str(probe)], capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stdout + done.stderr

@@ -6,6 +6,11 @@ one scattering across 4 pre-forked workers, one pinned to the
 single-worker path (``shards=0``) — and requires identical items,
 serializations, and error codes, on disk and memory stores.
 
+Auto ``shards`` scatters only where the server may run on two or more
+CPUs, so every suite here that exists to exercise the scatter path
+forces its shard count: it scatters on a one-core runner too.
+``TestAutoShards`` pins the auto rule itself.
+
 Every server here runs the product (generated code), so the behaviour
 tests and the E19 perfsmoke gates measure what ships.
 """
@@ -13,9 +18,13 @@ tests and the E19 perfsmoke gates measure what ships.
 import json
 import http.client
 import math
+import os
 import pickle
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -27,6 +36,8 @@ from repro.compiler.analysis import collection_shard_plan
 from repro.server import ServerConfig, start_in_thread
 from repro.server.cache import ServerResultCache
 from repro.server.tenants import result_payload
+from repro.service import sharding
+from repro.service.sharding import ShardRouter
 from repro.service.workers import ForkWorkerPool
 from repro.xdm import wire
 from repro.xdm.items import AtomicValue
@@ -128,7 +139,7 @@ class TestDifferential:
     @pytest.mark.parametrize("store", ["disk", "memory"],
                              ids=["source-disk", "source-memory"])
     def test_sharded_matches_single(self, tmp_path, store):
-        sharded = _start(tmp_path, shards=None, store=store, tag=store)
+        sharded = _start(tmp_path, shards=4, store=store, tag=store)
         single = _start(tmp_path, shards=0, store=store, tag=store)
         try:
             cs, c0 = Client(sharded.port), Client(single.port)
@@ -158,7 +169,7 @@ class TestScatterBehavior:
     @pytest.fixture(scope="class")
     def servers(self, tmp_path_factory):
         tmp = tmp_path_factory.mktemp("scatter")
-        handle = _start(tmp, shards=None, tag="beh")
+        handle = _start(tmp, shards=2, tag="beh")
         client = Client(handle.port)
         _load(client)
         yield client
@@ -181,8 +192,7 @@ class TestScatterBehavior:
         assert status == 200
         stats = body["sharding"]
         assert stats["enabled"] is True
-        # shards=None resolves $REPRO_TEST_SHARDS, else one per worker
-        assert stats["shards"] in (2, 4)
+        assert stats["shards"] == 2
         assert set(stats) >= {"scattered", "fallback_single",
                               "merged_errors", "merge_ms_total"}
 
@@ -202,7 +212,7 @@ class TestScatterBehavior:
         to a child: the parent used to compile every uncached text just
         to learn it reads no collection (and the child compiled it
         again).  Collection texts still take the scatter path."""
-        handle = _start(tmp_path, shards=None, tag="lex")
+        handle = _start(tmp_path, shards=2, tag="lex")
         try:
             client = Client(handle.port)
             _load(client)
@@ -238,7 +248,7 @@ class TestScatterBehavior:
             handle.close()
 
     def test_single_document_does_not_scatter(self, tmp_path):
-        handle = _start(tmp_path, shards=None, tag="one")
+        handle = _start(tmp_path, shards=2, tag="one")
         try:
             client = Client(handle.port)
             status, body, _ = client.request(
@@ -253,6 +263,96 @@ class TestScatterBehavior:
             client.close()
         finally:
             handle.close()
+
+
+class _Pool:
+    def __init__(self, workers):
+        self.workers = workers
+
+
+#: the server a pinned child runs: auto shards, two pre-forked workers
+_PINNED_SERVER = """
+import os, sys
+os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+from repro.server import ServerConfig, start_in_thread
+handle = start_in_thread(ServerConfig(port=0, processes=2))
+print(handle.port, flush=True)
+sys.stdin.read()
+handle.close()
+"""
+
+
+class TestAutoShards:
+    """``shards=None`` scatters onto ``min(workers, usable CPUs)``
+    shards and only from two up; an explicit count is forced."""
+
+    @pytest.mark.parametrize("cpus,workers,shards,expected", [
+        (1, 4, None, 0),   # one core: the children can only take turns
+        (2, 4, None, 2),
+        (8, 4, None, 4),
+        (8, 1, None, 0),   # one worker: nothing to scatter across
+        (1, 4, 2, 2),      # forced: scatters on any number of CPUs
+        (8, 4, 0, 0),
+    ])
+    def test_resolution(self, monkeypatch, cpus, workers, shards, expected):
+        monkeypatch.delenv("REPRO_TEST_SHARDS", raising=False)
+        monkeypatch.setattr(sharding, "usable_cpus", lambda: cpus)
+        router = ShardRouter(None, _Pool(workers),
+                             ExecutionOptions(shards=shards))
+        try:
+            assert router.enabled is (expected >= 2)
+            assert router.stats()["shards"] == expected
+            assert router.might_scatter("count(collection()//n)") \
+                is (expected >= 2)
+        finally:
+            router.shutdown()
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity")
+                        or not hasattr(os, "fork"),
+                        reason="needs an affinity mask and os.fork")
+    def test_one_core_server_runs_collections_in_one_child(self, tmp_path):
+        """A ``--processes 2`` server pinned to one CPU never scatters,
+        and answers every collection case as the ``shards=0`` path."""
+        env = dict(os.environ)
+        env.pop("REPRO_TEST_SHARDS", None)
+        import repro
+        src = str(Path(repro.__file__).resolve().parent.parent)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, (src, env.get("PYTHONPATH"))))
+        proc = subprocess.Popen([sys.executable, "-c", _PINNED_SERVER],
+                                stdin=subprocess.PIPE,
+                                stdout=subprocess.PIPE, env=env, text=True)
+        single = _start(tmp_path, shards=0, store="memory", processes=2,
+                        tag="pinned")
+        try:
+            pinned, c0 = Client(int(proc.stdout.readline())), \
+                Client(single.port)
+            _load(pinned)
+            _load(c0)
+            for label, case in CASES:
+                body = dict(case, cache=False)
+                got = _comparable(*pinned.request(
+                    "POST", "/tenants/t/execute", body)[:2])
+                want = _comparable(*c0.request(
+                    "POST", "/tenants/t/execute", body)[:2])
+                assert got == want, f"{label}: {got} != {want}"
+            status, metrics, _ = pinned.request("GET", "/metrics")
+            assert status == 200
+            stats = metrics["sharding"]
+            assert stats["enabled"] is False and stats["shards"] == 0
+            # the router was never asked: no scatter, no parent compile
+            assert stats["scattered"] == stats["fallback_single"] == 0
+            pinned.close()
+            c0.close()
+        finally:
+            single.close()
+            proc.stdin.close()
+            try:
+                proc.wait(timeout=60)
+            except subprocess.TimeoutExpired:
+                proc.kill()
+                proc.wait()
+            proc.stdout.close()
 
 
 class TestShardMap:
@@ -496,7 +596,7 @@ class TestReplayExactlyOnce:
         """The server-level shape of the same bug: a worker killed
         while an ingest broadcast is pending replays the ingest on
         respawn; queries must see the document exactly once."""
-        handle = _start(tmp_path, shards=None, processes=2, tag="replay")
+        handle = _start(tmp_path, shards=2, processes=2, tag="replay")
         try:
             client = Client(handle.port)
             _load(client)
@@ -673,7 +773,7 @@ class TestPerfSmoke:
                 handle.close()
 
         single_s, single_reply = _time(0, 4)
-        sharded_s, sharded_reply = _time(None, 4)
+        sharded_s, sharded_reply = _time(4, 4)
         assert sharded_reply["items"] == single_reply["items"]
         assert sharded_s * 2 <= single_s, \
             f"sharded {sharded_s:.3f}s vs single {single_s:.3f}s"
@@ -711,6 +811,6 @@ class TestPerfSmoke:
                 handle.close()
 
         single_s = _time(0)
-        sharded_s = _time(None)
+        sharded_s = _time(4)
         assert sharded_s <= single_s * 1.5 + 0.05, \
             f"sharded {sharded_s:.3f}s vs single {single_s:.3f}s"

@@ -157,6 +157,88 @@ class TestDocumentOrder:
         # stable on re-query
         assert (doc_order_key(a) < doc_order_key(b)) == first
 
+    def test_a_tree_at_a_freed_members_address_gets_its_own_rank(self):
+        """A pinned collection rank dies with its tree.  A tree parsed
+        at a dropped member's address must not inherit that rank,
+        which the next pin gives to another member: the two would then
+        order by whichever operand came first.  The address reuse is
+        forced by retrying."""
+        import gc
+
+        import repro
+        from repro.xdm.order import pin_tree_order
+
+        def tree(tag):
+            return parse_document(f'<r><a n="{tag}1"/><a n="{tag}2"/></r>')
+
+        def reused():
+            a = tree("A")
+            pin_tree_order([a, b])
+            address = id(a)
+            del a
+            gc.collect()
+            for _ in range(50):
+                x = tree("X")
+                if id(x) == address:
+                    return x
+                missed.append(x)  # alive, so no later parse is at its address
+            return None
+
+        b = tree("B")
+        missed = []
+        for _attempt in range(40):
+            x = reused()
+            if x is not None:
+                break
+        else:
+            pytest.skip("no parsed tree landed at a freed address")
+        c = tree("C")
+        pin_tree_order([c, b])  # what the next collection execute does
+        query = "for $a in ({}) return string($a/@n)"
+        forward, swapped = (
+            repro.execute(query.format(union),
+                          variables={"c": c, "x": x}).values()
+            for union in ("$c//a | $x//a", "$x//a | $c//a"))
+        assert forward == swapped == ["C1", "C2", "X1", "X2"]
+
+    @given(st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_union_commutes_and_order_is_total(self, data):
+        """Over catalog members, parsed trees, constructed trees and
+        parentless nodes: ``A | B`` is ``B | A``, and of two distinct
+        nodes exactly one precedes the other."""
+        import repro
+        from repro import Engine
+
+        catalog = repro.catalog()
+        for name in ("d1", "d2"):
+            catalog.add(name, f'<r n="{name}"><a/><b><a/></b></r>')
+        pool = list(Engine(catalog=catalog).compile(
+            "collection()//node()").execute().items())
+        parsed = parse_document('<p q="1"><a/><!--c--><b/></p>')
+        for node in parsed.descendants_or_self():
+            pool.append(node)
+            pool.extend(node.attributes)
+        for root in repro.execute(
+                '(<k z="1"><m/><m/></k>, attribute y {2}, text {"t"}, '
+                'comment {"c"})').items():
+            pool.extend(root.descendants_or_self())
+            pool.extend(root.attributes)
+        picks = st.lists(st.sampled_from(pool), max_size=8)
+        a, b = data.draw(picks), data.draw(picks)
+        engine = Engine()
+        union = engine.compile("$a | $b", variables=("a", "b"))
+        ab = union.execute(variables={"a": a, "b": b}).items()
+        ba = union.execute(variables={"a": b, "b": a}).items()
+        assert [id(n) for n in ab] == [id(n) for n in ba]
+        pairs = engine.compile(
+            "for $p in $s, $q in $s return "
+            "if ($p is $q) then 0 else count(($p << $q, $p >> $q)[.])",
+            variables=("s",))
+        nodes = a + b
+        assert pairs.execute(variables={"s": nodes}).values() == \
+            [0 if p is q else 1 for p in nodes for q in nodes]
+
     @given(st.integers(min_value=2, max_value=30), st.data())
     @settings(max_examples=25, deadline=None)
     def test_order_matches_preorder_walk(self, n, data):
