@@ -400,50 +400,6 @@ class DocumentCatalog:
             changed.append(name)
         return sorted(changed)
 
-    # -- scatter-gather shard ownership -------------------------------------
-
-    def shard_map(self, shards: int, *, persist: bool = True) -> dict[str, int]:
-        """Deterministic size-balanced document → shard assignment.
-
-        A persisted assignment (disk catalogs store it in the manifest)
-        is reused verbatim while it still covers exactly this document
-        set at this shard count — shard ownership surviving restarts is
-        what keeps a document landing on the worker that already has
-        its segment materialized.  Otherwise the assignment is
-        recomputed by longest-processing-time bin packing: documents
-        sorted by descending weight (segment bytes on disk, total node
-        count in memory; name breaks ties) each go to the least-loaded
-        shard.  Deterministic by construction — every process computes
-        the identical map from the identical manifest.
-        """
-        if shards < 1:
-            raise ValueError("shards must be >= 1")
-        names = self.names()
-        if self._storage is not None:
-            stored = self._storage.shard_map()
-            if stored is not None and stored["shards"] == shards \
-                    and set(stored["assignment"]) == set(names) \
-                    and all(0 <= sid < shards
-                            for sid in stored["assignment"].values()):
-                return stored["assignment"]
-        weighted = []
-        for name in names:
-            doc = self._docs[name]
-            entry = getattr(doc, "_entry", None)
-            weight = entry.size if entry is not None \
-                else doc.stats.total_nodes
-            weighted.append((-weight, name))
-        loads = [0] * shards
-        assignment: dict[str, int] = {}
-        for neg_weight, name in sorted(weighted):
-            sid = min(range(shards), key=lambda s: (loads[s], s))
-            assignment[name] = sid
-            loads[sid] += -neg_weight
-        if persist and self._storage is not None:
-            self._storage.store_shard_map(shards, assignment,
-                                          self._durability)
-        return assignment
-
     # -- the server result cache's durable epoch ---------------------------
 
     @property

@@ -85,12 +85,6 @@ def build_serve_parser() -> argparse.ArgumentParser:
                         help="N > 0 pre-forks N persistent worker "
                              "processes; 0 (default) runs queries on an "
                              "in-process thread pool")
-    parser.add_argument("--shards", type=int, default=None, metavar="N",
-                        help="scatter eligible collection queries across "
-                             "N shards of the pre-forked pool (0 disables; "
-                             "default: one shard per worker process, at "
-                             "most one per CPU this process may run on, "
-                             "none on one CPU)")
     parser.add_argument("--max-workers", type=int, default=None, metavar="N",
                         help="concurrent queries admitted (in-process "
                              "mode; default 4)")
@@ -134,7 +128,7 @@ def serve_main(argv: list[str]) -> int:
     option_changes: dict = {}
     for flag, name in (("max_workers", "max_workers"),
                        ("timeout", "default_timeout"),
-                       ("data_dir", "data_dir"), ("shards", "shards")):
+                       ("data_dir", "data_dir")):
         value = getattr(args, flag)
         if value is not None:
             option_changes[name] = value

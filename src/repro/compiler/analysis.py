@@ -327,188 +327,6 @@ def reads_focus(expr: ast.Expr) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Collection shardability (the scatter-gather eligibility walk)
-# ---------------------------------------------------------------------------
-
-#: aggregates with a partial-aggregate + combine path in the merge
-#: operator (:mod:`repro.service.sharding`)
-SHARDABLE_AGGREGATES = ("count", "sum", "exists")
-
-#: functions whose appearance anywhere inside a *spine filter*
-#: predicate makes the predicate positional (sequence-relative), hence
-#: not per-document decomposable
-_POSITIONAL_FNS = ("position", "last")
-
-
-def _is_default_collection(expr: ast.Expr) -> bool:
-    return (isinstance(expr, ast.FunctionCall) and not expr.args
-            and expr.name.local == "collection"
-            and expr.name.uri in ("", _FN_NS))
-
-
-def _contains_collection(expr: ast.Expr) -> bool:
-    return any(_is_default_collection(e) for e in expr.walk())
-
-
-def collection_shard_plan(expr: ast.Expr):
-    """Is this query *scan-distributive* over the default collection?
-
-    Returns ``"scan"``, ``"count"``, ``"sum"``, or ``"exists"`` when
-    evaluating the query per catalog document and combining per-shard
-    results reproduces single-process execution byte-for-byte; ``None``
-    means the scatter-gather router must fall back to one worker.
-
-    The property proved is per-document independence: with the default
-    collection bound to each single document in turn,
-
-    - ``"scan"``: concatenating the per-document results in sorted-name
-      document order equals the global result (paths group their output
-      by tree, and a FLWOR without ``order by``/``group by``/positional
-      variables emits tuples in binding order);
-    - ``"count"``/``"sum"``: the global aggregate is the fold of the
-      per-document partials (in document order — sum's type promotion
-      walks left to right);
-    - ``"exists"``: the global answer is the first non-empty partial,
-      *in document order* — an error raised by an earlier document
-      still wins over a later document's ``true`` (first error in
-      document order), exactly like the single-process left-to-right
-      evaluation.
-
-    The walk is deliberately conservative: one ``collection()`` call,
-    on a recognized spine (paths with per-step predicates, DDO,
-    non-positional FLWOR/for bindings), every function a known
-    deterministic builtin or constructor-cast, no sequence-positional
-    filter over the spine, no ``order by``/``group by`` across the
-    collection binding.
-    """
-    calls = sum(1 for e in expr.walk() if _is_default_collection(e))
-    if calls != 1:
-        return None
-    # every function call must be a known deterministic builtin or an
-    # xs:/xdt: constructor cast — unknown or non-deterministic calls
-    # could observe which process they run in
-    for e in expr.walk():
-        if isinstance(e, ast.FunctionCall) and not _is_default_collection(e):
-            if e.name.uri in (_XS_NS, _XDT_NS):
-                continue
-            builtin = fnlib.lookup(e.name, len(e.args))
-            if builtin is None or not builtin.deterministic:
-                return None
-    root = expr
-    if isinstance(root, ast.FunctionCall) and len(root.args) == 1 \
-            and root.name.local in SHARDABLE_AGGREGATES \
-            and root.name.uri in ("", _FN_NS):
-        if _shard_spine(root.args[0]):
-            return root.name.local
-        return None
-    if _shard_spine(root):
-        return "scan"
-    return None
-
-
-def _shard_spine(expr: ast.Expr) -> bool:
-    """The collection call reached through per-document-safe operators."""
-    if _is_default_collection(expr):
-        return True
-    if isinstance(expr, ast.DDO):
-        return _shard_spine(expr.operand)
-    if isinstance(expr, ast.PathExpr):
-        return _shard_spine(expr.left) and _shard_step(expr.right)
-    if isinstance(expr, ast.Filter):
-        # a filter over the whole spine sees the cross-document
-        # sequence: only provably non-positional boolean predicates
-        # decompose per document
-        return _shard_spine(expr.base) \
-            and _boolean_predicate(expr.predicate) \
-            and not _contains_collection(expr.predicate)
-    if isinstance(expr, ast.ForExpr):
-        if not _contains_collection(expr.seq):
-            return False
-        return expr.pos_var is None and _shard_spine(expr.seq) \
-            and not _contains_collection(expr.body)
-    if isinstance(expr, ast.LetExpr):
-        # let $x := collection()... binds the whole cross-document
-        # sequence to one variable — give up (the body could index it)
-        if _contains_collection(expr.value):
-            return False
-        return _shard_spine(expr.body)
-    if isinstance(expr, ast.FLWOR):
-        if expr.order or expr.group:
-            return False
-        binder = None
-        for i, clause in enumerate(expr.clauses):
-            if _contains_collection(clause.expr):
-                binder = i
-                break
-        if binder is None:
-            return False
-        clause = expr.clauses[binder]
-        if not isinstance(clause, ast.ForClause) or clause.pos_var is not None:
-            return False
-        if not _shard_spine(clause.expr):
-            return False
-        for j, other in enumerate(expr.clauses):
-            if j == binder:
-                continue
-            if j < binder and not isinstance(other, ast.LetClause):
-                # a preceding for-clause would cross-join the
-                # collection against another sequence; per-document
-                # evaluation would reorder the tuple stream
-                return False
-            if _contains_collection(other.expr):
-                return False
-        if expr.where is not None and _contains_collection(expr.where):
-            return False
-        return not _contains_collection(expr.ret)
-    return False
-
-
-def _shard_step(expr: ast.Expr) -> bool:
-    """Right side of a spine path: a step, or a filter chain over one.
-
-    Per-step predicates (including positional ones — ``item[2]`` after
-    an axis step) evaluate against one context node at a time, so they
-    are per-document safe by construction; every axis stays inside the
-    context node's tree.
-    """
-    while isinstance(expr, ast.Filter):
-        if _contains_collection(expr.predicate):
-            return False
-        expr = expr.base
-    return isinstance(expr, ast.Step)
-
-
-def _boolean_predicate(expr: ast.Expr) -> bool:
-    """Provably boolean (never sequence-positional) filter predicate.
-
-    A numeric predicate value selects by position in the *filtered
-    sequence* — which spans documents on the spine — so anything that
-    could evaluate to a number (literals, arithmetic, variables,
-    value-returning functions) is rejected, as is any appearance of
-    ``position()``/``last()``.
-    """
-    for e in expr.walk():
-        if isinstance(e, ast.FunctionCall) and not e.args \
-                and e.name.local in _POSITIONAL_FNS \
-                and e.name.uri in ("", _FN_NS):
-            return False
-    if isinstance(expr, (ast.Comparison, ast.AndExpr, ast.OrExpr,
-                         ast.Quantified, ast.InstanceOf,
-                         ast.CastableExpr)):
-        return True
-    if isinstance(expr, ast.FunctionCall) and expr.name.uri in ("", _FN_NS) \
-            and expr.name.local in ("not", "exists", "empty", "boolean",
-                                    "contains", "starts-with", "ends-with",
-                                    "true", "false"):
-        return True
-    if isinstance(expr, (ast.Step, ast.PathExpr, ast.DDO)):
-        # node-sequence predicate: effective boolean value is
-        # existence, not position
-        return True
-    return False
-
-
-# ---------------------------------------------------------------------------
 # Document prefetch
 # ---------------------------------------------------------------------------
 

@@ -155,8 +155,7 @@ class CompiledQuery:
         #: catalog): sorted-name ``[(name, StoredDocument), ...]``,
         #: bound automatically at execute unless the caller registers
         #: uri ``""`` explicitly.  None when the query never touches
-        #: the default collection.  The scatter-gather router keys its
-        #: shard planning off this attribute.
+        #: the default collection.
         self.catalog_collection = catalog_collection
         #: the distinct string literals ``fn:doc`` is called on: with a
         #: ``document_loader`` attached, execute prefetches those not
@@ -250,8 +249,7 @@ class CompiledQuery:
                     for _name, stored in self.catalog_collection]
             # cross-document order is first-touch order: pin it to the
             # sorted-name binding order so `collection()` results are
-            # deterministic — and identical to the scatter-gather
-            # merge, which emits documents in exactly this order
+            # deterministic
             pin_tree_order(docs)
             dctx.register_collection("", docs)
         bindings: dict[QName, Any] = {}

@@ -57,18 +57,6 @@ class ExecutionOptions:
       ``None`` (default) keeps catalogs in memory.  Deliberately NOT
       part of :meth:`fingerprint` — where documents live on disk does
       not shape a compiled plan.
-    - ``shards`` — scatter-gather execution of multi-document
-      collections across the pre-forked worker pool
-      (:mod:`repro.service.sharding`): ``None`` (default) resolves to
-      ``$REPRO_TEST_SHARDS`` or auto — one shard per pool worker, but
-      no more than the CPUs in the server's affinity mask, and no
-      scatter at all below two (on one core the children would only
-      take turns) — ``0`` disables scattering, ``N > 0`` forces N
-      shards on any number of CPUs.  Like
-      ``data_dir``, NOT part of :meth:`fingerprint` — how a
-      collection's documents are partitioned across processes does not
-      change what a query compiles to (the merge operator guarantees
-      byte-identical results either way).
     """
 
     # -- engine: plan-shaping ---------------------------------------------
@@ -81,8 +69,6 @@ class ExecutionOptions:
     default_timeout: Optional[float] = None
     # -- storage -----------------------------------------------------------
     data_dir: Optional[str] = None
-    # -- scatter-gather ----------------------------------------------------
-    shards: Optional[int] = None
 
     def __post_init__(self) -> None:
         if self.compile_cache_size < 0:
@@ -100,20 +86,6 @@ class ExecutionOptions:
             # accept Path objects but store a str: to_dict() must stay
             # JSON-serializable (the server's tenant-config wire format)
             object.__setattr__(self, "data_dir", os.fspath(self.data_dir))
-        if self.shards is None:
-            # the CI matrix forces shard counts via REPRO_TEST_SHARDS so
-            # the scatter-gather path stays green on a dedicated leg
-            env = os.environ.get("REPRO_TEST_SHARDS")
-            if env:
-                try:
-                    object.__setattr__(self, "shards", int(env))
-                except ValueError:
-                    raise ValueError(
-                        f"REPRO_TEST_SHARDS must be an integer, "
-                        f"got {env!r}") from None
-        if self.shards is not None and self.shards < 0:
-            raise ValueError("shards must be None (auto), 0 (disabled), "
-                             "or a positive shard count")
 
     # -- derivation --------------------------------------------------------
 

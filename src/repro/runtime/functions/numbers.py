@@ -160,7 +160,8 @@ def _extreme(dctx, arg, op: str):
         return []
     best = values[0]
     for value in values[1:]:
-        if value_compare(op, value, best):
+        # NaN compares false both ways, yet F&O makes any NaN the answer
+        if value_compare(op, value, best) or value.value != value.value:
             best = value
     return [best]
 

@@ -176,13 +176,47 @@ def fn_matches(dctx, source, pattern, *rest):
     return [boolean(regex.search(string_arg(source)) is not None)]
 
 
+#: one token of a replacement string: an escaped ``\\`` or ``\$``, a
+#: ``$N`` reference, or a ``\`` or ``$`` that is neither (FORX0004)
+_REPLACEMENT_TOKEN = re.compile(r"\\([\\$])|\$(\d+)|([\\$])")
+
+
+def _replacement(text: str, groups: int):
+    """F&O 7.6.3's replacement string as a function of one match.
+
+    ``$0`` is the whole match and ``$N`` the Nth group (``""`` when it
+    matched nothing or ``N`` is past the groups but at most 9); past 9
+    and the groups, the last digit is a literal and the rest is read
+    again.
+    """
+    parts: list = []
+    pos = 0
+    for token in _REPLACEMENT_TOKEN.finditer(text):
+        escaped, digits, stray = token.groups()
+        if stray:
+            raise DynamicError(f"invalid replacement string {text!r}",
+                               code="FORX0004")
+        parts.append(text[pos:token.start()])
+        if escaped:
+            parts.append(escaped)
+        else:
+            literal = ""
+            while int(digits) > max(groups, 9):
+                digits, literal = digits[:-1], digits[-1] + literal
+            parts.append(int(digits) if int(digits) <= groups else "")
+            parts.append(literal)
+        pos = token.end()
+    parts.append(text[pos:])
+    return lambda match: "".join(
+        part if isinstance(part, str) else match.group(part) or ""
+        for part in parts)
+
+
 @register("replace", 3, 4)
 def fn_replace(dctx, source, pattern, replacement, *rest):
-    """``fn:replace(xs:string?, xs:string, xs:string[, flags]) as xs:string`` — $N group references supported."""
+    """``fn:replace(xs:string?, xs:string, xs:string[, flags]) as xs:string``"""
     regex = _compile_regex(string_arg(pattern), string_arg(rest[0]) if rest else "")
-    repl = string_arg(replacement).replace("\\$", "$")
-    # XPath uses $1 group references; Python uses \1
-    repl = re.sub(r"\$(\d)", r"\\\1", repl)
+    repl = _replacement(string_arg(replacement), regex.groups)
     return [string(regex.sub(repl, string_arg(source)))]
 
 

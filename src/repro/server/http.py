@@ -19,8 +19,8 @@ where ``handle`` runs:
   :meth:`~repro.service.ForkWorkerPool.call` (dispatched through a
   thread so the loop stays free; the pool adds the hard-timeout
   backstop).  Ingests and registrations broadcast to every child with
-  replay, so a respawned child rebuilds the same tenants, and eligible
-  collection queries may scatter across the children instead.
+  replay, so a respawned child rebuilds the same tenants.  A
+  ``collection()`` query runs in one child like any other.
 
 API (all responses JSON unless ``form=xml``)::
 
@@ -54,7 +54,6 @@ from repro.server.config import ServerConfig
 from repro.server.metrics import ServerMetrics
 from repro.server.tenants import ApiError, AppCore, FORMS, error_reply
 from repro.service import ForkWorkerPool, QueryService
-from repro.service.sharding import ShardRouter
 
 _REASONS = {200: "OK", 400: "Bad Request", 404: "Not Found",
             405: "Method Not Allowed", 413: "Payload Too Large",
@@ -84,17 +83,10 @@ class XQueryServer:
         self.metrics = ServerMetrics(self.config.metrics_window)
         self.pool: Optional[ForkWorkerPool] = None
         self.service: Optional[QueryService] = None
-        self.router: Optional[ShardRouter] = None
         if self.config.processes > 0:
             self.pool = ForkWorkerPool(
                 self.core.handle, workers=self.config.processes,
                 max_queue=self.config.options.max_queue)
-            # collection-level scatter-gather across the pool children;
-            # ShardRouter.enabled gates on options.shards, the pool size
-            # and the CPUs in this process's affinity mask: on one core
-            # might_scatter is False and collection queries go to one
-            # child like any other
-            self.router = ShardRouter(self.core, self.pool)
         else:
             self.service = QueryService(options=self.config.options)
         self._server: Optional[asyncio.AbstractServer] = None
@@ -119,8 +111,6 @@ class XQueryServer:
     def shutdown(self) -> None:
         if self._server is not None:
             self._server.close()
-        if self.router is not None:
-            self.router.shutdown()
         if self.pool is not None:
             self.pool.shutdown()
         if self.service is not None:
@@ -345,19 +335,7 @@ class XQueryServer:
             ("explain", tenant, text, variables, analyze, timeout), timeout)
         if reply["status"] != 200:
             return _error_response(reply, {})
-        payload = reply["payload"]
-        if analyze and self.router is not None:
-            # EXPLAIN ANALYZE reports how the scatter path would run
-            # this query: actually scatter it and surface the shard
-            # stats next to the engine's own counters
-            scatter = await asyncio.get_running_loop().run_in_executor(
-                None, lambda: self.router.try_execute(
-                    tenant, text, variables, None, "json", timeout,
-                    _hard_timeout(timeout)))
-            if scatter is not None and scatter.get("shard"):
-                payload.setdefault("engine_stats", {}).update(
-                    scatter["shard"])
-        return 200, payload, "application/json", {}
+        return 200, reply["payload"], "application/json", {}
 
     # -- execution ---------------------------------------------------------
 
@@ -380,23 +358,10 @@ class XQueryServer:
             if hit is not None:
                 self.metrics.count("cache_hits")
                 return {"status": 200, "payload": hit, "cached": True}
-        reply = None
-        if self.router is not None \
-                and self.router.might_scatter(query_text, request.form):
-            # scatter-gather for eligible collection queries; None
-            # always means "use the normal single-worker path"
-            reply = await asyncio.get_running_loop().run_in_executor(
-                None, lambda: self.router.try_execute(
-                    tenant, query_text, request.variables, declared,
-                    request.form, request.timeout,
-                    _hard_timeout(request.timeout)))
-            if reply is not None:
-                self.metrics.count("scattered")
-        if reply is None:
-            reply = await self._call(
-                ("execute", tenant, query_text, request.variables,
-                 declared, request.form, request.timeout, False),
-                request.timeout)
+        reply = await self._call(
+            ("execute", tenant, query_text, request.variables,
+             declared, request.form, request.timeout, False),
+            request.timeout)
         if key is not None and reply["status"] == 200 \
                 and reply.get("cacheable"):
             self.core.result_cache.put(key, reply["payload"])
@@ -437,8 +402,6 @@ class XQueryServer:
             # benchmarks/e2e/layers.py reads
             out["caches"]["parent_result_cache"] = result_cache
         out["caches"]["result_cache"] = result_cache
-        if self.router is not None:
-            out["sharding"] = self.router.stats()
         return out
 
 

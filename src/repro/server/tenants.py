@@ -329,80 +329,6 @@ class AppCore:
         except (ApiError, XQueryError) as exc:
             return error_reply(exc, started)
 
-    def execute_shard(self, tenant_name: str, query_text: str,
-                      variables: Optional[dict] = None,
-                      declared: Optional[tuple] = None,
-                      doc_names: tuple = (),
-                      timeout: Optional[float] = None) -> dict:
-        """Evaluate one scatter shard: the query once per owned document.
-
-        The parent-side :class:`~repro.service.sharding.ShardRouter`
-        sends each pool child the subset of the default collection it
-        owns; the child binds the default collection to one document at
-        a time and returns per-document item transports.  The reply is
-        ``{"status": 200, "docs": [...]}`` where each entry is
-        ``(name, "ok", items, stats)`` or ``(name, "error", status,
-        code, message)``.
-
-        The shard stops at its own first error.  ``doc_names`` arrives
-        in global sorted-name order restricted to this shard, so every
-        document missing from the reply follows the error in global
-        document order — the router's first-error-wins merge never
-        needs an entry that isn't there.
-        """
-        from repro.runtime.cancellation import CancellationToken
-        from repro.xdm.order import COLLECTION_RANK_BASE, pin_tree_rank
-
-        started = time.perf_counter()
-        try:
-            tenant = self.tenants.get(tenant_name)
-            if declared is None:
-                declared = tuple(variables or ())
-            compiled = tenant.engine.compile(query_text,
-                                             variables=tuple(declared))
-            bindings = convert_variables(variables)
-            token = CancellationToken.with_timeout(timeout) \
-                if timeout is not None else None
-            # every document's cross-tree rank is its index in the full
-            # sorted-name collection — identical in every child and in
-            # the parent, whichever document a process touches first
-            if compiled.catalog_collection is not None:
-                ranks = {n: i for i, (n, _s)
-                         in enumerate(compiled.catalog_collection)}
-            else:
-                ranks = {n: i for i, n
-                         in enumerate(tenant.catalog.names())}
-            docs: list[tuple] = []
-            for name in doc_names:
-                stored = tenant.catalog.get(name)
-                if stored is None or name not in ranks:
-                    # the parent's view of the catalog is ahead of this
-                    # child's — refuse the whole shard so the router
-                    # falls back instead of merging a partial collection
-                    raise ApiError(409, "conflict",
-                                   f"shard does not have document "
-                                   f"{name!r}")
-                document = stored.document()
-                pin_tree_rank(document,
-                              COLLECTION_RANK_BASE + ranks[name])
-                try:
-                    result = compiled.execute(
-                        variables=bindings,
-                        collections={"": [document]},
-                        cancellation=token)
-                    result.items()  # drain under the shared deadline
-                    docs.append((name, "ok", wire.encode(result),
-                                 dict(result.stats)))
-                except XQueryError as exc:
-                    failed = error_reply(exc)
-                    docs.append((name, "error", failed["status"],
-                                 failed["error"], failed["message"]))
-                    break
-            return {"status": 200, "docs": docs,
-                    "elapsed_ms": ms_since(started)}
-        except (ApiError, XQueryError) as exc:
-            return error_reply(exc, started)
-
     def explain_inline(self, tenant_name: str, query_text: str,
                        variables: Optional[dict] = None,
                        analyze: bool = True,
@@ -463,14 +389,6 @@ class AppCore:
                     tenant, text, variables=variables,
                     declared=tuple(declared) if declared is not None
                     else None, form=form, timeout=timeout)
-            if kind == "execute_shard":
-                (_, tenant, text, variables, declared, doc_names,
-                 timeout) = command
-                return self.execute_shard(
-                    tenant, text, variables=variables,
-                    declared=tuple(declared) if declared is not None
-                    else None, doc_names=tuple(doc_names),
-                    timeout=timeout)
             if kind == "explain":
                 _, tenant, text, variables, analyze, timeout = command
                 return self.explain_inline(tenant, text,

@@ -4,14 +4,10 @@
   retry, and load shedding;
 - :class:`ForkWorkerPool` — persistent pre-forked workers with warm
   per-process state, crash respawn, and a replay log (the server's
-  multi-process mode);
-- :class:`ShardRouter` — collection-level scatter-gather across the
-  pool children (eligible queries run one shard per worker and merge
-  in document order).
+  multi-process mode).
 """
 
 from repro.service.queryservice import QueryService, RetryingDocumentLoader
-from repro.service.sharding import ShardRouter, UncombinableShardResult
 from repro.service.workers import ForkWorkerPool, WorkerCrashed
 
 __all__ = [
@@ -19,6 +15,4 @@ __all__ = [
     "RetryingDocumentLoader",
     "ForkWorkerPool",
     "WorkerCrashed",
-    "ShardRouter",
-    "UncombinableShardResult",
 ]

@@ -30,7 +30,6 @@ Failure semantics:
 
 from __future__ import annotations
 
-import contextlib
 import os
 import pickle
 import select
@@ -115,11 +114,7 @@ class ForkWorkerPool:
       as :class:`WorkerCrashed` — handlers should catch domain errors
       and encode them in the reply;
     - ``call(command)`` dispatches to a free worker, blocking while all
-      are busy; admission is bounded by ``max_queue``.
-      ``call(command, worker=wid)`` targets a *specific* worker — the
-      scatter-gather router pins each shard to its owning child so
-      shard-local warm state (materialized segments, per-document
-      compile products) stays hot across requests;
+      are busy; admission is bounded by ``max_queue``;
     - ``broadcast(command, replay=True)`` sends to *every* worker (state
       mutation: ingests, registrations) and records the command so
       respawned workers replay it.  Broadcasts are serialized against
@@ -223,36 +218,33 @@ class ForkWorkerPool:
 
     # -- dispatch ----------------------------------------------------------
 
-    def _acquire(self, worker: Optional[int] = None) -> int:
-        """Take a worker slot: any free one, or a specific ``worker``."""
+    def _acquire(self) -> int:
+        """Take any free worker slot."""
         with self._avail:
-            if worker is None:
-                while not self._free:
-                    self._avail.wait()
-                wid = min(self._free)
-            else:
-                wid = worker
-                if wid not in self._workers:
-                    raise ValueError(f"no such worker: {wid}")
-                while wid not in self._free:
-                    self._avail.wait()
+            while not self._free:
+                self._avail.wait()
+            wid = min(self._free)
             self._free.discard(wid)
             return wid
+
+    def _acquire_worker(self, wid: int) -> None:
+        """Take worker ``wid``'s slot (a broadcast visits each in turn)."""
+        with self._avail:
+            while wid not in self._free:
+                self._avail.wait()
+            self._free.discard(wid)
 
     def _release(self, wid: int) -> None:
         with self._avail:
             self._free.add(wid)
             self._avail.notify_all()
 
-    @contextlib.contextmanager
-    def admission(self):
-        """Reserve one admission slot for a multi-call operation.
+    def call(self, command: Any, hard_timeout: Optional[float] = None) -> Any:
+        """Send ``command`` to a free worker and return its reply.
 
-        The scatter-gather router fans one logical request out into one
-        targeted :meth:`call` per shard; wrapping the scatter in
-        ``admission()`` and passing ``admitted=True`` to the calls
-        charges the request a single slot — the same admission cost as
-        the single-worker execution it replaces.
+        ``hard_timeout`` (seconds) is the non-cooperative backstop: a
+        worker that hasn't replied by then is killed and respawned, and
+        the call raises :class:`~repro.errors.QueryTimeout`.
         """
         if self._closed:
             raise RuntimeError("ForkWorkerPool is shut down")
@@ -265,29 +257,7 @@ class ForkWorkerPool:
             self._in_flight += 1
             self._counters["requests"] += 1
         try:
-            yield
-        finally:
-            with self._lock:
-                self._in_flight -= 1
-
-    def call(self, command: Any, hard_timeout: Optional[float] = None,
-             worker: Optional[int] = None, admitted: bool = False) -> Any:
-        """Send ``command`` to a worker and return its reply.
-
-        ``hard_timeout`` (seconds) is the non-cooperative backstop: a
-        worker that hasn't replied by then is killed and respawned, and
-        the call raises :class:`~repro.errors.QueryTimeout`.
-
-        ``worker`` targets a specific worker id (blocking until that
-        worker is free); the default picks any free worker.
-        ``admitted=True`` skips admission accounting — only for calls
-        already covered by an enclosing :meth:`admission` slot.
-        """
-        if self._closed:
-            raise RuntimeError("ForkWorkerPool is shut down")
-        slot = contextlib.nullcontext() if admitted else self.admission()
-        with slot:
-            wid = self._acquire(worker)
+            wid = self._acquire()
             try:
                 handle = self._workers[wid]
                 try:
@@ -324,6 +294,9 @@ class ForkWorkerPool:
                 # the slot goes back in every path — after a respawn,
                 # `wid` names the fresh replacement worker
                 self._release(wid)
+        finally:
+            with self._lock:
+                self._in_flight -= 1
 
     def broadcast(self, command: Any, replay: bool = False) -> list:
         """Send ``command`` to every worker; returns their replies.
@@ -350,7 +323,7 @@ class ForkWorkerPool:
                 self._replay_log.append(command)
             replies = []
             for wid in sorted(self._workers):
-                self._acquire(wid)
+                self._acquire_worker(wid)
                 try:
                     worker = self._workers[wid]
                     if idx is not None and worker.replayed > idx:

@@ -454,6 +454,11 @@ class ManifestEntry:
     size: int
 
 
+#: every key a manifest holds
+_MANIFEST_KEYS = ("format", "next_generation", "result_epoch", "documents",
+                  "collection_id")
+
+
 def _fresh_manifest() -> dict:
     return {"format": MANIFEST_FORMAT, "next_generation": 1,
             "result_epoch": 0, "documents": {},
@@ -506,6 +511,11 @@ class CatalogStorage:
         # in (every process opening it derives the same), and the next
         # commit persists it
         manifest.setdefault("collection_id", f"path:{self.path.resolve()}")
+        # a key this build does not read (7.0 also stored the retired
+        # scatter router's document placement) is dropped, so the next
+        # commit writes the manifest without it
+        manifest = {key: manifest[key] for key in _MANIFEST_KEYS
+                    if key in manifest}
         self._rollback(manifest)
         return manifest
 
@@ -579,22 +589,6 @@ class CatalogStorage:
         return SegmentReader(self.path / entry.file,
                              expected_size=entry.size)
 
-    def shard_map(self) -> Optional[dict]:
-        """The persisted shard assignment, or None.
-
-        Shape: ``{"shards": N, "assignment": {doc_name: shard_id}}`` —
-        written by the scatter-gather router (in the writer process)
-        so shard ownership survives restarts: a document keeps landing
-        on the worker that has its segment materialized warm.
-        """
-        with self._lock:
-            stored = self._manifest.get("shard_map")
-            if not stored:
-                return None
-            return {"shards": int(stored["shards"]),
-                    "assignment": {str(k): int(v)
-                                   for k, v in stored["assignment"].items()}}
-
     @property
     def collection_id(self) -> str:
         """This collection's identity, minted once and persisted in the
@@ -657,18 +651,6 @@ class CatalogStorage:
             self._commit_manifest(self._manifest, durability)
             (self.path / old["file"]).unlink(missing_ok=True)
             return True
-
-    def store_shard_map(self, shards: int, assignment: dict[str, int],
-                        durability: str = "sync") -> None:
-        """Persist the shard assignment through the manifest commit
-        path (single writer; readers pick it up via :meth:`reload`)."""
-        check_durability(durability)
-        with self._lock:
-            self._manifest["shard_map"] = {
-                "shards": int(shards),
-                "assignment": {str(k): int(v)
-                               for k, v in sorted(assignment.items())}}
-            self._commit_manifest(self._manifest, durability)
 
     def bump_result_epoch(self, durability: str = "sync") -> int:
         check_durability(durability)

@@ -61,29 +61,23 @@ def _tree_order(root: Node) -> TreeOrder:
     return order
 
 
-def pin_tree_rank(root: Node, rank: int) -> None:
-    """Force ``root``'s tree rank to ``rank``, overriding any
-    first-touch rank it may already carry.
+def pin_tree_order(roots: Iterable[Node]) -> None:
+    """Pin ``roots`` to collection ranks in iteration order, now,
+    overriding any first-touch rank they already carry.
 
     Cross-tree document order is first-touch order, which is normally
-    an execution accident.  Surfaces that promise a *deterministic*
-    cross-document order — the default collection binds a catalog's
-    documents in sorted-name order, and the scatter-gather merge
-    reproduces that order across processes — pin each member to
-    ``COLLECTION_RANK_BASE + sorted_name_index`` at binding time, so
-    no earlier query's touch pattern (a shard execution that touched
-    one document first, a fn:doc call) can reorder the collection.
-    Two trees pinned to the same rank compare equal at the tree level;
-    callers must only pin trees that never meet in one query (catalog
-    collections are per-tenant, and a query sees one tenant).
+    an execution accident.  The default collection promises a
+    *deterministic* cross-document order (a catalog's documents in
+    sorted-name order), so it pins each member to
+    ``COLLECTION_RANK_BASE + sorted_name_index`` at binding time: no
+    earlier query's touch pattern (a ``fn:doc`` call, a query over one
+    member) can reorder the collection.  Two trees pinned to the same
+    rank compare equal at the tree level; callers must only pin trees
+    that never meet in one query (catalog collections are per-tenant,
+    and a query sees one tenant).
     """
-    _tree_order(root).rank = rank
-
-
-def pin_tree_order(roots: Iterable[Node]) -> None:
-    """Pin ``roots`` to collection ranks in iteration order, now."""
     for index, root in enumerate(roots):
-        pin_tree_rank(root, COLLECTION_RANK_BASE + index)
+        _tree_order(root).rank = COLLECTION_RANK_BASE + index
 
 
 def forget_node_index(root: Node) -> None:

@@ -1,6 +1,6 @@
 """How an XDM item leaves a process: the one wire codec.
 
-Every boundary a result crosses — a scatter shard's pipe, the
+Every boundary a result crosses — a pool child's pipe, the
 ``form=json`` reply, the ``form=xml`` body, :meth:`Result.serialize
 <repro.engine.Result.serialize>` — encodes items the same way, decided
 once in :func:`entry`::
@@ -18,12 +18,10 @@ RFC 8259 parsers reject.
 Entries hold only str/int/float/bool/None, so they pickle without the
 type singletons the engine compares by identity (``is``) — a pickled
 :class:`AtomicValue` would come back with a foreign type object.
-:func:`decode_atomic` rebuilds against this process's singletons.
 """
 
 from __future__ import annotations
 
-from decimal import Decimal
 from math import isfinite
 from typing import Any, Iterable
 
@@ -31,7 +29,6 @@ from repro.xdm.build import node_events
 from repro.xdm.items import AtomicValue
 from repro.xdm.nodes import Node
 from repro.xmlio.serializer import serialize_events
-from repro.xsd import types as T
 
 
 def serialize_node(node: Node, indent: int = 0) -> str:
@@ -93,32 +90,3 @@ def payload(entries: Iterable[tuple], form: str) -> dict:
     items = json_items(entries)
     return {"form": "json", "items": items, "count": len(items)}
 
-
-def decode_atomic(e: tuple) -> AtomicValue:
-    """Rebuild a typed atomic from its transport tuple.
-
-    Only what an aggregate partial can carry — boolean and the numeric
-    tower — is rebuilt; any other entry raises :class:`ValueError`, so a
-    caller falls back rather than combining a wrong answer.
-    """
-    if not (isinstance(e, tuple) and len(e) == 4 and e[0] == "a"):
-        raise ValueError(f"expected an atomic entry, got {e!r}")
-    _, json_value, lexical, local = e
-    try:
-        type_ = T.xs_type(local)
-    except KeyError:
-        raise ValueError(f"unknown atomic type {local!r}") from None
-    primitive = type_.primitive
-    if primitive is T.XS_BOOLEAN:
-        return AtomicValue(lexical == "true", type_)
-    if type_.derives_from(T.XS_INTEGER):
-        return AtomicValue(int(lexical), type_)
-    if primitive is T.XS_DECIMAL:
-        return AtomicValue(Decimal(lexical), type_)
-    if primitive is T.XS_FLOAT or primitive is T.XS_DOUBLE:
-        # the JSON value keeps full precision and the sign of zero;
-        # non-finite values only have their lexical form
-        if json_value is None:
-            return AtomicValue(float(lexical.replace("INF", "inf")), type_)
-        return AtomicValue(float(json_value), type_)
-    raise ValueError(f"cannot rebuild an atomic of type {local}")

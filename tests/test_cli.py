@@ -110,7 +110,9 @@ class TestCli:
     @pytest.mark.parametrize("options,named", [
         ('{"batch_size": 8}', "batch_size"),
         # 3.0 deleted jobs with the parallel groups it sized
-        ('{"jobs": null}', "jobs")])
+        ('{"jobs": null}', "jobs"),
+        # 8.0 deleted scatter-gather and the shard count
+        ('{"shards": 2}', "shards")])
     def test_serve_config_with_removed_knob_is_a_config_error(
             self, tmp_path, capsys, options, named):
         config = tmp_path / "server.json"
@@ -119,6 +121,17 @@ class TestCli:
         assert code == 1
         assert err.startswith("config error:") and named in err
         assert "Traceback" not in err
+
+    def test_serve_flags_are_pinned(self):
+        # a removed flag is an argparse usage error (exit 2): the knobs
+        # 8.0 and earlier releases deleted have no flag left
+        from repro.cli import build_serve_parser
+
+        flags = {flag for action in build_serve_parser()._actions
+                 for flag in action.option_strings}
+        assert flags == {"-h", "--help", "--host", "--port", "--processes",
+                         "--max-workers", "--timeout", "--result-cache",
+                         "--data-dir", "--config"}
 
     def test_removed_jobs_flag_rejected(self, capsys):
         # 3.0: one sequential plan per query, on both commands

@@ -8,6 +8,15 @@ import pytest
 from repro.errors import DynamicError
 
 
+def _run(executor, query):
+    """``query``'s atomized values on the product or on the oracle."""
+    from repro import Engine
+    from repro.compiler.reference import ReferenceEngine
+
+    engine = {"Engine": Engine, "ReferenceEngine": ReferenceEngine}[executor]()
+    return engine.compile(query).execute().values()
+
+
 class TestBooleans:
     def test_true_false(self, values):
         assert values("(fn:true(), fn:false())") == [True, False]
@@ -90,6 +99,17 @@ class TestNumeric:
     def test_zero_results_keep_the_sign(self, values, query):
         (value,) = values(query)
         assert value == 0 and math.copysign(1.0, value) == -1.0
+
+    # F&O 15.4.3/15.4.4: a NaN anywhere in the sequence is the answer
+    @pytest.mark.parametrize("query", [
+        f"{fn}({args})" for fn in ("max", "min") for args in (
+            '(xs:double("NaN"), 1, 2)', '(1, xs:double("NaN"), 2)',
+            '(1, 2, xs:double("NaN"))', '(xs:float("NaN"), 3)',
+            '(3, xs:float("NaN"))')])
+    @pytest.mark.parametrize("executor", ["Engine", "ReferenceEngine"])
+    def test_nan_wins_min_and_max_in_any_position(self, query, executor):
+        (value,) = _run(executor, query)
+        assert math.isnan(value)
 
     def test_number_nan_on_garbage(self, values):
         assert math.isnan(values("number('abc')")[0])
@@ -211,6 +231,36 @@ class TestStrings:
     def test_replace(self, values):
         assert values("replace('a1b2', '\\d', 'x')") == ["axbx"]
         assert values("replace('john doe', '(\\w+) (\\w+)', '$2 $1')") == ["doe john"]
+
+    # F&O 7.6.3: $0 is the whole match, $N a group (empty when past
+    # the groups), \\$ and \\\\ are literals, any other $ or \\ is
+    # FORX0004
+    @pytest.mark.parametrize("query,expected", [
+        ('replace("abc", "b", "$0$0")', "abbc"),
+        ('replace("abracadabra", "a(.)", "a$1$1")', "abbraccaddabbra"),
+        ('replace("darted", "^(.*?)d(.*)$", "$1c$2")', "carted"),
+        ('replace("abracadabra", "bra", "*")', "a*cada*"),
+        ('replace("abracadabra", "a.*?a", "*")', "*c*bra"),
+        ('replace("abracadabra", "a", "")', "brcdbr"),
+        ('replace("AAAA", "A+?", "b")', "bbbb"),
+        ('replace("abc", "b", "$1")', "ac"),
+        ('replace("abc", "(b)", "$10")', "ab0c"),
+        ('replace("abc", "(b)|(x)", "[$2]")', "a[]c"),
+        (r'replace("abc", "b", "\$")', "a$c"),
+        (r'replace("abc", "b", "\$0")', "a$0c"),
+        (r'replace("abc", "b", "\\")', "a\\c"),
+    ])
+    @pytest.mark.parametrize("executor", ["Engine", "ReferenceEngine"])
+    def test_replace_spec_examples(self, query, expected, executor):
+        assert _run(executor, query) == [expected]
+
+    @pytest.mark.parametrize("replacement", ["$", "a$", "\\", "\\n"])
+    @pytest.mark.parametrize("executor", ["Engine", "ReferenceEngine"])
+    def test_replace_rejects_a_stray_dollar_or_backslash(self, replacement,
+                                                        executor):
+        with pytest.raises(DynamicError) as caught:
+            _run(executor, f'replace("abc", "b", "{replacement}")')
+        assert caught.value.code == "FORX0004"
 
     def test_tokenize(self, values):
         assert values("tokenize('a,b,,c', ',')") == ["a", "b", "", "c"]

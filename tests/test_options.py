@@ -119,7 +119,7 @@ class TestConstructionAndValidation:
         # 3.0 deleted intra-query parallel groups, their executors and
         # the knob; Python's own TypeError is the rejection
         fields = {f.name for f in dataclasses.fields(ExecutionOptions)}
-        assert len(fields) == 7 and "jobs" not in fields
+        assert len(fields) == 6 and "jobs" not in fields
         for build in (ExecutionOptions, ExecutionOptions().replace):
             with pytest.raises(TypeError, match="jobs"):
                 build(jobs=2)
@@ -127,6 +127,24 @@ class TestConstructionAndValidation:
             Engine(executor=None)
         with pytest.raises(ValueError, match="jobs"):
             ExecutionOptions.from_dict({"jobs": 1})
+
+    def test_removed_shards_knob_rejected(self):
+        # 8.0 deleted scatter-gather: a collection() query runs in one
+        # pool child, on any number of CPUs
+        from repro.server import ServerConfig
+
+        fields = {f.name for f in dataclasses.fields(ExecutionOptions)}
+        assert "shards" not in fields
+        for build in (ExecutionOptions, ExecutionOptions().replace):
+            with pytest.raises(TypeError, match="shards"):
+                build(shards=2)
+        with pytest.raises(ValueError, match="shards"):
+            ExecutionOptions.from_dict({"shards": 2})
+        with pytest.raises(ValueError, match="shards"):
+            ServerConfig.from_dict({"options": {"shards": 2}})
+        import repro.service
+
+        assert not hasattr(repro.service, "ShardRouter")
 
     @pytest.mark.parametrize("seconds", [0, -1.0, float("nan"),
                                          float("inf")])

@@ -9,7 +9,9 @@
 - DESIGN.md's package-layout block names exactly the modules that exist.
 - Every ``repro`` name the e2e harness imports or reads still exists:
   ``benchmarks/e2e`` runs against each commit as it is, so a rename
-  there would only surface when the benchmark runs.
+  there would only surface when the benchmark runs.  The
+  ``ShardRouter`` placeholder the harness's traced pass drives is
+  called as the harness calls it.
 - The configured warning filters let Hypothesis report a failure.
 """
 
@@ -35,10 +37,12 @@ PRODUCT_ROOTS = ("repro", "repro.__main__", "repro.cli", "repro.server",
 
 #: modules the product never imports: the closure oracle, the counter
 #: split the differentials use, the XSLT stand-in, the streaming
-#: broker and projection, and the workload generators
+#: broker and projection, the workload generators, and the placeholder
+#: for the retired scatter router that the e2e harness still imports
 OUTSIDE_THE_PRODUCT = {
     "repro.compiler.reference", "repro.observability.counters",
     "repro.baselines", "repro.baselines.tree_transformer",
+    "repro.service.sharding",
     "repro.stream", "repro.stream.automaton", "repro.stream.broker",
     "repro.stream.matcher", "repro.stream.projection",
     "repro.stream.xpath_subset",
@@ -159,6 +163,33 @@ def test_every_repro_name_the_e2e_harness_uses_exists():
         except (ImportError, AttributeError) as exc:
             missing.append(f"{module}.{name}: {exc}")
     assert missing == []
+
+
+@pytest.mark.skipif(not hasattr(__import__("os"), "fork"),
+                    reason="the worker pool needs os.fork")
+def test_shard_router_placeholder_takes_the_harness_calls(tmp_path):
+    """``layers.scatter_vs_single`` builds the router over a real core
+    and pool, asks it for every collection query, then shuts it down;
+    ``None`` sends it to the single-worker ``("execute", ...)`` call."""
+    from repro import ExecutionOptions
+    from repro.server.tenants import AppCore
+    from repro.service import ForkWorkerPool
+    from repro.service.sharding import ShardRouter
+
+    core = AppCore(ExecutionOptions(data_dir=str(tmp_path)))
+    for name in ("a", "b"):
+        core.ingest("t", name, "<r><n>1</n></r>")
+    text, declared, bindings = "count(collection()//n)", (), {}
+    with ForkWorkerPool(core.handle, workers=2) as pool:
+        router = ShardRouter(core, pool)
+        try:
+            assert router.try_execute("t", text, bindings, declared,
+                                      "json") is None
+            reply = pool.call(("execute", "t", text, bindings, declared,
+                               "json", None, False))
+        finally:
+            router.shutdown()
+    assert reply["status"] == 200 and reply["payload"]["items"] == [2]
 
 
 def test_configured_warning_filters_let_hypothesis_report(tmp_path):

@@ -7,16 +7,26 @@ re-ingest, tenant plan isolation over the shared compile cache, the
 error-code → status mapping, and the /metrics shape.
 """
 
+import contextlib
 import json
 import http.client
 import os
 import socket
+import subprocess
+import sys
 import threading
+import time
+from pathlib import Path
 
 import pytest
 
-from repro import ExecutionOptions
+import repro
+from repro import Engine, ExecutionOptions
+from repro.catalog import DocumentCatalog
+from repro.errors import XQueryError
 from repro.server import AppCore, ServerConfig, start_in_thread
+from repro.server.cache import ServerResultCache
+from repro.server.tenants import error_reply, result_payload
 
 BOOKS = ("<bib><book year='1967'><title>T1</title><price>55</price></book>"
          "<book year='1990'><title>T2</title><price>30</price></book></bib>")
@@ -322,17 +332,13 @@ _PREFORK = pytest.mark.skipif(not hasattr(os, "fork"),
                               reason="pre-forked mode needs os.fork")
 
 
-@pytest.mark.parametrize("processes,shards", [
-    (0, 0), pytest.param(2, 0, marks=_PREFORK),
-    pytest.param(2, 2, marks=_PREFORK)],
-    ids=["inprocess", "prefork", "shards2"])
-def test_non_finite_floats_reply_in_strict_json(processes, shards):
+@pytest.mark.parametrize("processes", [0, pytest.param(2, marks=_PREFORK)],
+                         ids=["inprocess", "prefork"])
+def test_non_finite_floats_reply_in_strict_json(processes):
     """A 200 must carry a JSON body: INF/-INF/NaN travel as their
-    lexical forms on the single-worker and the scatter path alike
-    (``Client`` parses strictly, so a bare ``Infinity`` fails here)."""
-    handle = start_in_thread(ServerConfig(
-        port=0, processes=processes,
-        options=ExecutionOptions(shards=shards)))
+    lexical forms (``Client`` parses strictly, so a bare ``Infinity``
+    fails here)."""
+    handle = start_in_thread(ServerConfig(port=0, processes=processes))
     client = Client(handle.port)
     try:
         for name, value in (("d0", "INF"), ("d1", "NaN"), ("d2", "1.5")):
@@ -356,9 +362,6 @@ def test_non_finite_floats_reply_in_strict_json(processes, shards):
             assert status == 200
             assert text == " ".join(
                 i if isinstance(i, str) else str(i) for i in items)
-        if shards:
-            status, metrics, _ = client.request("GET", "/metrics")
-            assert metrics["sharding"]["scattered"] >= 4
     finally:
         client.close()
         handle.close()
@@ -923,3 +926,312 @@ class TestPersistentServer:
         assert reply["payload"]["changed"] == ["books"]
         out = reader.execute_inline("t", "count($books//book)")
         assert out["payload"]["items"] == [1]
+
+
+class TestCanonicalBindingsMemo:
+    """The hot-path bindings encoding is memoized."""
+
+    def test_repeat_bindings_encode_once(self):
+        cache = ServerResultCache(capacity=8)
+        bindings = {"limit": 50, "name": "x"}
+        k1 = cache.key("t", "q", (), (), bindings, "json")
+        k2 = cache.key("t", "q", (), (), dict(reversed(bindings.items())),
+                       "json")
+        assert k1 == k2
+        assert cache.stats()["encodes"] == 1
+
+    def test_unhashable_bindings_still_key(self):
+        cache = ServerResultCache(capacity=8)
+        bindings = {"seq": [1, 2, 3]}
+        k1 = cache.key("t", "q", (), (), bindings, "json")
+        k2 = cache.key("t", "q", (), (), {"seq": [1, 2, 3]}, "json")
+        assert k1 == k2
+        assert cache.stats()["encodes"] == 2  # lists can't memo-key
+
+    def test_memo_is_bounded(self):
+        cache = ServerResultCache(capacity=8)
+        for i in range(cache._CANON_CAPACITY + 10):
+            cache.key("t", "q", (), (), {"i": i}, "json")
+        assert len(cache._canon) <= cache._CANON_CAPACITY
+
+
+@pytest.mark.perfsmoke
+def test_hit_path_allocates_no_new_encoding():
+    cache = ServerResultCache(capacity=32)
+    bindings = {"limit": 50}
+    cache.key("t", "q", (), (), bindings, "json")
+    before = cache.stats()["encodes"]
+    for _ in range(100):
+        cache.key("t", "q", (), (), {"limit": 50}, "json")
+    assert cache.stats()["encodes"] == before
+
+
+#: six small documents; d02 and d04 hold a <bad> whose content breaks
+#: xs:integer casts, so error paths meet the first error in document
+#: order (d02's "oops") with a later one (d04's "worse") behind it
+COLLECTION = {f"d{i:02d}": (f"<r><n>{i}</n><n>{i * 10}</n>"
+                            f"<f>{i}.5</f><s>x{i}</s></r>")
+              for i in range(6)}
+COLLECTION["d02"] = COLLECTION["d02"].replace("</r>", "<bad>oops</bad></r>")
+COLLECTION["d04"] = COLLECTION["d04"].replace("</r>", "<bad>worse</bad></r>")
+
+#: (label, execute body) over the default collection
+COLLECTION_CASES = [
+    ("scan_text", {"query": "collection()//n/text()"}),
+    ("scan_nodes", {"query": "collection()//n"}),
+    ("scan_filter", {"query": "collection()//n[. > 25]"}),
+    ("scan_flwor", {"query": "for $x in collection()//n "
+                             "where $x mod 2 = 0 return <e>{string($x)}</e>"}),
+    ("scan_xml_form", {"query": "collection()//n/text()", "form": "xml"}),
+    ("scan_mixed_xml", {"query": "collection()//n", "form": "xml"}),
+    ("count", {"query": "count(collection()//n)"}),
+    ("sum_int", {"query": "sum(collection()//n)"}),
+    ("sum_float", {"query": "sum(collection()//f)"}),
+    ("exists_true", {"query": "exists(collection()//n[. > 40])"}),
+    ("exists_false", {"query": "exists(collection()//n[. > 4000])"}),
+    # d00 answers true before d02's cast could fail
+    ("exists_stops_before_an_error",
+     {"query": "exists(for $r in collection()/r return "
+               "if ($r/bad) then xs:integer($r/bad) else $r/n)"}),
+    ("scan_non_finite", {"query": "for $n in collection()//n return "
+                                  "(1e0 div 0, xs:float('-INF'), "
+                                  "xs:double('NaN'))"}),
+    ("scan_non_finite_xml", {"query": "for $n in collection()//n "
+                                      "return -1e0 div 0", "form": "xml"}),
+    ("sum_non_finite", {"query": "sum(for $n in collection()//n "
+                                 "return 1e0 div 0)"}),
+    ("error_sum_strings", {"query": "sum(collection()//s)"}),
+    ("error_mid_collection",
+     {"query": "collection()//n[xs:integer(../bad) ge 0]"}),
+    ("error_first_doc_wins",
+     {"query": "for $b in collection()//bad return xs:integer($b)"}),
+    ("positional", {"query": "(collection()//n)[2]"}),
+    ("order_by", {"query": "for $x in collection()//n "
+                           "order by number($x) descending "
+                           "return string($x)"}),
+]
+
+
+def _server_answer(status, body):
+    if isinstance(body, str):
+        return (status, body)
+    if "error" in body:
+        return (status, body["error"]["code"], body["error"]["message"])
+    return (status, body["items"], body["count"])
+
+
+def _engine_answer(engine, case):
+    form = case.get("form", "json")
+    try:
+        result = engine.compile(case["query"]).execute()
+        payload = result_payload(result, form)
+    except XQueryError as exc:
+        reply = error_reply(exc)
+        return (reply["status"], reply["error"], reply["message"])
+    if form == "xml":
+        return (200, payload["body"])
+    return (200, payload["items"], payload["count"])
+
+
+@contextlib.contextmanager
+def _collection_servers(tmp_path, store):
+    """Yield ``(engine, handles, clients)``: a bare ``Engine``, a
+    pre-forked server (two children) and an in-process server, all
+    over the same ``COLLECTION`` in a disk or a memory store."""
+    if store == "disk":
+        catalog = DocumentCatalog(tmp_path / "t")
+        options = ExecutionOptions(data_dir=str(tmp_path))
+    else:
+        catalog = repro.catalog()
+        options = ExecutionOptions()
+    for name, xml in sorted(COLLECTION.items()):
+        catalog.add(name, xml)
+    handles = [start_in_thread(ServerConfig(port=0, processes=n,
+                                            options=options))
+               for n in (2, 0)]
+    clients = [Client(handle.port) for handle in handles]
+    try:
+        if store == "memory":
+            for client in clients:
+                _load_collection(client)
+        yield Engine(catalog=catalog), handles, clients
+    finally:
+        for client in clients:
+            client.close()
+        for handle in handles:
+            handle.close()
+
+
+def _load_collection(client):
+    for name, xml in sorted(COLLECTION.items()):
+        status, body, _ = client.request(
+            "PUT", f"/tenants/t/documents/{name}", xml)
+        assert status == 200, body
+
+
+#: a ``--processes 2`` server pinned to one CPU, run in a child
+#: interpreter; it prints its port and stops when stdin closes
+_PINNED_SERVER = """
+import os, sys
+os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+from repro.server import ServerConfig, start_in_thread
+handle = start_in_thread(ServerConfig(port=0, processes=2))
+print(handle.port, flush=True)
+sys.stdin.read()
+handle.close()
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"),
+                    reason="pre-forked mode needs os.fork")
+class TestCollectionDifferential:
+    """Every ``collection()`` query runs in one process: a pre-forked
+    server, an in-process server and a bare ``Engine`` over the same
+    catalog give the same bytes and the same error, down to its
+    message.  Two semantics are pinned by name: the first error in
+    document order wins, and ``exists`` stops at the first document
+    that answers it, before a later document's error."""
+
+    @pytest.mark.parametrize("store", ["disk", "memory"])
+    def test_servers_match_engine(self, tmp_path, store):
+        with _collection_servers(tmp_path, store) as (engine, _, clients):
+            answers = {}
+            for label, case in COLLECTION_CASES:
+                body = dict(case, cache=False)
+                got = [_server_answer(*client.request(
+                    "POST", "/tenants/t/execute", body)[:2])
+                    for client in clients]
+                want = _engine_answer(engine, case)
+                assert got == [want, want], label
+                answers[label] = want
+        assert answers["exists_stops_before_an_error"] == (200, [True], 1)
+        assert answers["error_first_doc_wins"][1] == "FORG0001"
+        assert "oops" in answers["error_first_doc_wins"][2]
+        assert "oops" in answers["error_mid_collection"][2]
+
+    def test_prefork_parent_compiles_no_query(self, tmp_path):
+        """A pre-forked parent hands every text, collection or not, to
+        a child without compiling it."""
+        with _collection_servers(tmp_path, "disk") as (_, handles, clients):
+            parent = handles[0].server.core.tenants.get("t").engine
+            compiled = []
+            real = parent.compile
+            parent.compile = lambda text, **kw: (compiled.append(text),
+                                                 real(text, **kw))[1]
+            for i in range(3):
+                status, body, _ = clients[0].request(
+                    "POST", "/tenants/t/execute",
+                    {"query": f"count($d00//n) + {i}"})
+                assert status == 200 and body["items"] == [2 + i]
+            for label, case in COLLECTION_CASES:
+                status, _, _ = clients[0].request(
+                    "POST", "/tenants/t/execute", dict(case, cache=False))
+                assert status in (200, 400, 422), label
+            assert compiled == []
+
+    def test_collection_reply_is_front_cacheable(self, tmp_path):
+        """A repeated ``collection()`` query is answered from the
+        front result cache on either kind of server."""
+        with _collection_servers(tmp_path, "disk") as (_, _, clients):
+            query = {"query": "count(collection()//n)"}
+            for client in clients:
+                status, first, headers = client.request(
+                    "POST", "/tenants/t/execute", query)
+                assert status == 200 and first["items"] == [12]
+                status, second, headers = client.request(
+                    "POST", "/tenants/t/execute", query)
+                assert status == 200
+                assert headers["X-Repro-Cache"] == "hit"
+                assert second["items"] == first["items"]
+
+    def test_metrics_have_no_sharding_block(self, tmp_path):
+        """``/metrics`` reports the server and its caches, and no
+        scatter router, whether or not the server pre-forks."""
+        with _collection_servers(tmp_path, "disk") as (_, _, clients):
+            for client in clients:
+                status, body, _ = client.request(
+                    "POST", "/tenants/t/execute",
+                    {"query": "count(collection()//n)"})
+                assert status == 200
+                status, metrics, _ = client.request("GET", "/metrics")
+                assert status == 200
+                assert {"server", "caches"} <= set(metrics)
+                assert "sharding" not in metrics
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
+                        reason="needs an affinity mask")
+    def test_one_core_server_runs_collections_in_one_child(self):
+        """A ``--processes 2`` server pinned to one CPU answers every
+        collection case as a bare ``Engine`` does."""
+        catalog = repro.catalog()
+        for name, xml in sorted(COLLECTION.items()):
+            catalog.add(name, xml)
+        engine = Engine(catalog=catalog)
+        env = dict(os.environ)
+        src = str(Path(repro.__file__).resolve().parent.parent)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, (src, env.get("PYTHONPATH"))))
+        proc = subprocess.Popen([sys.executable, "-c", _PINNED_SERVER],
+                                stdin=subprocess.PIPE,
+                                stdout=subprocess.PIPE, env=env, text=True)
+        try:
+            client = Client(int(proc.stdout.readline()))
+            try:
+                _load_collection(client)
+                for label, case in COLLECTION_CASES:
+                    got = _server_answer(*client.request(
+                        "POST", "/tenants/t/execute",
+                        dict(case, cache=False))[:2])
+                    assert got == _engine_answer(engine, case), label
+            finally:
+                client.close()
+        finally:
+            proc.stdin.close()
+            try:
+                proc.wait(timeout=30)
+            except subprocess.TimeoutExpired:
+                proc.kill()
+                proc.wait()
+
+
+class TestReplayExactlyOnce:
+    """A worker killed while an ingest broadcast is pending replays the
+    ingest on respawn; queries see the document exactly once."""
+
+    @pytest.mark.skipif(not hasattr(os, "fork"),
+                        reason="pre-forked mode needs os.fork")
+    def test_kill_during_ingest_then_query(self, tmp_path):
+        handle = start_in_thread(ServerConfig(
+            port=0, processes=2,
+            options=ExecutionOptions(data_dir=str(tmp_path))))
+        try:
+            client = Client(handle.port)
+            _load_collection(client)
+            slow = ("count(for $a in 1 to 300, $b in 1 to 300 "
+                    "return $a * $b)")
+            done = []
+
+            def _busy():
+                c = Client(handle.port)
+                done.append(c.request("POST", "/tenants/t/execute",
+                                      {"query": slow, "timeout": 0.05,
+                                       "cache": False})[0])
+                c.close()
+
+            threads = [threading.Thread(target=_busy) for _ in range(2)]
+            for t in threads:
+                t.start()
+            time.sleep(0.1)
+            status, body, _ = client.request(
+                "PUT", "/tenants/t/documents/late", "<r><n>99</n></r>")
+            assert status == 200
+            for t in threads:
+                t.join(timeout=60)
+            status, body, _ = client.request(
+                "POST", "/tenants/t/execute",
+                {"query": "count(collection()//n)", "cache": False})
+            assert status == 200
+            assert body["items"] == [len(COLLECTION) * 2 + 1]
+            client.close()
+        finally:
+            handle.close()

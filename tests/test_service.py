@@ -15,7 +15,7 @@ from repro.errors import (
     QueryTimeout,
     ServiceOverloaded,
 )
-from repro.service import QueryService, RetryingDocumentLoader
+from repro.service import ForkWorkerPool, QueryService, RetryingDocumentLoader
 from repro.workloads.synthetic import nested_sections
 
 
@@ -513,3 +513,72 @@ class TestRetryingLoader:
             with pytest.raises(Exception):
                 svc.execute("doc('missing')", document_loader=loader)
             assert calls["n"] == 1
+
+
+class TestReplayExactlyOnce:
+    """The hard-timeout SIGKILL respawn must not double-apply replayed
+    commands when a broadcast is already in flight."""
+
+    def test_respawn_during_broadcast_skips_delivery(self):
+        state = {"n": 0}
+
+        def handler(command):
+            if command[0] == "bump":
+                state["n"] += 1
+                return state["n"]
+            if command[0] == "get":
+                return state["n"]
+            if command[0] == "sleep":
+                time.sleep(command[1])
+                return "slept"
+            raise ValueError(command)
+
+        pool = ForkWorkerPool(handler, workers=1, max_queue=4)
+        pool.start()
+        try:
+            pool.broadcast(("bump",), replay=True)
+            errors = []
+
+            def _slow():
+                try:
+                    pool.call(("sleep", 30), hard_timeout=0.5)
+                except QueryTimeout:
+                    pass
+                except BaseException as exc:  # noqa: BLE001
+                    errors.append(exc)
+
+            thread = threading.Thread(target=_slow)
+            thread.start()
+            time.sleep(0.15)  # the sleep call owns the only worker
+            # this broadcast appends to the replay log, then waits for
+            # the worker.  The hard timeout fires first: the respawned
+            # child replays the log *including* this command, so the
+            # pending delivery must be skipped, not re-applied.
+            replies = pool.broadcast(("bump",), replay=True)
+            thread.join(timeout=30)
+            assert not errors
+            assert replies == [("__replayed__",)]
+            assert pool.stats()["replay_skips"] == 1
+            assert pool.call(("get",)) == 2  # bumped exactly twice
+        finally:
+            pool.shutdown()
+
+
+class TestPoolCall:
+    """A call that fails once its frame is out must not leave the
+    worker's reply in the pipe for the next call to read."""
+
+    def test_failed_wait_respawns_the_worker(self):
+        pool = ForkWorkerPool(lambda command: command, workers=1,
+                              max_queue=4)
+        pool.start()
+        try:
+            with pytest.raises(ValueError):  # select() rejects NaN
+                pool.call(("a",), hard_timeout=float("nan"))
+            assert pool.call(("b",)) == ("b",)
+            # past threading.TIMEOUT_MAX the backstop waits that long
+            assert pool.call(("c",), hard_timeout=1e300) == ("c",)
+            assert pool.stats()["respawns"] == 1
+            assert pool.stats()["in_flight"] == 0
+        finally:
+            pool.shutdown()

@@ -1,4 +1,7 @@
-"""XDM nodes, accessors, document order, atomization."""
+"""XDM nodes, accessors, document order, atomization, the wire codec."""
+
+import json
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -21,6 +24,7 @@ from repro.xdm.items import boolean, decimal, double, integer, string
 from repro.xdm.nodes import AttributeNode, CommentNode, ElementNode, TextNode
 from repro.xmlio import serialize_events
 from repro.xsd import types as T
+from repro.xsd.casting import parse_lexical
 
 
 @pytest.fixture()
@@ -317,3 +321,84 @@ class TestNodeEvents:
         attr = AttributeNode(QName("", "x"), "1")
         with pytest.raises(Exception):
             list(node_events(attr))
+
+
+_INTEGER_TYPES = sorted(
+    (t for t in T.builtin_types().values() if t.derives_from(T.XS_INTEGER)),
+    key=lambda t: t.name.local)
+
+#: atomics of every kind the codec tells apart: booleans, the numeric
+#: tower with signed zeros and non-finite values, strings, and types
+#: that travel only as their lexical form
+ATOMICS = st.one_of(
+    st.builds(AtomicValue, st.booleans(), st.just(T.XS_BOOLEAN)),
+    st.builds(AtomicValue, st.integers(1, 100),
+              st.sampled_from(_INTEGER_TYPES)),
+    st.builds(AtomicValue,
+              st.decimals(allow_nan=False, allow_infinity=False, places=3,
+                          min_value=-10**6, max_value=10**6),
+              st.just(T.XS_DECIMAL)),
+    st.builds(AtomicValue, st.floats(width=32), st.just(T.XS_FLOAT)),
+    st.builds(AtomicValue, st.floats(), st.just(T.XS_DOUBLE)),
+    st.builds(AtomicValue,
+              st.sampled_from([0.0, -0.0, float("inf"), float("-inf"),
+                               float("nan")]),
+              st.sampled_from([T.XS_FLOAT, T.XS_DOUBLE])),
+    st.builds(AtomicValue, st.text(max_size=8),
+              st.sampled_from([T.XS_STRING, T.XS_ANYURI, T.UNTYPED_ATOMIC])),
+    st.sampled_from([(T.XS_DATE, "2004-03-01"), (T.XS_QNAME, "xs:integer"),
+                     (T.XS_HEXBINARY, "0AFF"), (T.XS_DURATION, "P1D")])
+    .map(lambda pair: AtomicValue(parse_lexical(*pair), pair[0])),
+)
+
+_TEXT = st.sampled_from(["", "t", "x<&>y", " two words "])
+_ELEMENT = st.recursive(
+    st.builds("<e k=\"{}\">{}</e>".format,
+              st.sampled_from(["v", "a&amp;b"]),
+              _TEXT.map(lambda t: t.replace("&", "&amp;")
+                        .replace("<", "&lt;"))),
+    lambda children: st.builds(
+        "<p>{}<!--c-->{}</p>".format, children, children),
+    max_leaves=4)
+#: every standalone-serializable node of a generated document
+NODES = _ELEMENT.map(
+    lambda xml: list(parse_document(xml).descendants_or_self())) \
+    .flatmap(st.sampled_from)
+
+
+def _reject(token):
+    raise AssertionError(f"non-JSON constant {token!r} in a reply body")
+
+
+class TestWireCodec:
+    """``repro.xdm.wire``: the one encoding behind a pool child's pipe,
+    the JSON items, the XML body and ``Result.serialize``."""
+
+    @given(items=st.lists(st.one_of(ATOMICS, NODES), max_size=6))
+    @settings(max_examples=150, deadline=None)
+    def test_json_and_xml_forms_match_the_single_process_path(self, items):
+        from repro import Engine
+        from repro.server.tenants import result_payload
+        from repro.xdm import wire
+
+        entries = pickle.loads(pickle.dumps(wire.encode(items)))
+        result = Engine().compile("$x", variables=("x",)).execute(
+            variables={"x": items})
+        payload = result_payload(result, "json")
+        assert wire.json_items(entries) == payload["items"]
+        assert payload["count"] == len(items)
+        assert wire.xml_text(entries) == result.serialize()
+        assert result_payload(result, "xml")["body"] == result.serialize()
+        # strict JSON: no bare Infinity/NaN tokens (RFC 8259)
+        json.loads(json.dumps(payload["items"]), parse_constant=_reject)
+
+    def test_non_finite_floats_travel_as_lexicals(self):
+        from repro.xdm import wire
+
+        items = [AtomicValue(float("inf"), T.XS_DOUBLE),
+                 AtomicValue(float("-inf"), T.XS_FLOAT),
+                 AtomicValue(float("nan"), T.XS_DOUBLE),
+                 AtomicValue(0.5, T.XS_FLOAT)]
+        assert wire.json_items(wire.encode(items)) == \
+            ["INF", "-INF", "NaN", 0.5]
+        assert wire.xml_text(wire.encode(items)) == "INF -INF NaN 0.5"
