@@ -22,13 +22,14 @@ compiled by a catalog-carrying engine: ``$books`` above needs no
 explicit ``variables={"books": ...}``.
 
 **Disk mode (1.6).**  ``repro.catalog(path=...)`` opens or creates a
-*persistent* catalog: every ``add`` also commits the document — token
-array, labels, posting lists, statistics — to a segment file under
+*persistent* catalog: every ``add`` also commits the document — its
+tree as node columns, plus statistics — to a segment file under
 ``path`` (:mod:`repro.storage.persist`), and a fresh process reopening
 the same path sees every document without re-parsing any XML.
 Reopened documents are :class:`PersistedDocument` handles: statistics
-decode from disk for the planner immediately, trees and indexes
-materialize lazily (mmap-backed) on first bind.  ``add`` accepts
+decode from disk for the planner immediately, the tree materializes
+lazily (mmap-backed) on first bind, and labels and indexes are derived
+from it on first access.  ``add`` accepts
 ``durability="sync"`` (fsync'd commit, the default) or ``"none"``
 (atomic rename only).  Ingest generations come from the manifest's
 durable counter, so compile-cache and server result-cache fingerprints
@@ -139,11 +140,12 @@ class PersistedDocument(StoredDocument):
     Until something binds it, only the manifest entry is in memory;
     :attr:`stats` decodes the segment's statistics section without
     touching the tree (the planner runs pre-bind), and the first
-    :meth:`document` / index access rebuilds the tree from the token
-    section and rebinds the persisted labels and posting lists onto it
-    — never re-parsing XML.  The pinned tree registers in the owning
-    catalog's node map so compiled access paths resolve it at runtime,
-    exactly like a freshly ingested document.
+    :meth:`document` / index access rebuilds the tree from the node
+    columns — never re-parsing XML.  Each index is built from that tree
+    on its own first access, by the same :class:`ElementIndex` /
+    :class:`ValueIndex` an in-memory tree store runs.  The pinned tree
+    registers in the owning catalog's node map so compiled access paths
+    resolve it at runtime, exactly like a freshly ingested document.
     """
 
     __slots__ = ("_catalog", "_entry", "_lock")
@@ -174,13 +176,7 @@ class PersistedDocument(StoredDocument):
             for attempt in range(3):
                 try:
                     with storage.open_segment(self._entry) as reader:
-                        if self.indexed:
-                            doc, element_index, value_index = \
-                                reader.materialize_indexed()
-                            self._element_index = element_index
-                            self._value_index = value_index
-                        else:
-                            doc = reader.materialize_tree()
+                        doc = reader.materialize_tree()
                     break
                 except (OSError, StorageError):
                     # the writer re-ingested this name and unlinked our
@@ -215,14 +211,22 @@ class PersistedDocument(StoredDocument):
     def element_index(self) -> Optional[ElementIndex]:
         if not self.indexed:
             return None
-        self._materialize()
+        if self._element_index is None:
+            self._materialize()
+            with self._lock:
+                if self._element_index is None:
+                    self._element_index = ElementIndex(self._doc)
         return self._element_index
 
     @property
     def value_index(self) -> Optional[ValueIndex]:
         if not self.indexed:
             return None
-        self._materialize()
+        if self._value_index is None:
+            self._materialize()
+            with self._lock:
+                if self._value_index is None:
+                    self._value_index = ValueIndex(self._doc)
         return self._value_index
 
     @property
@@ -337,26 +341,15 @@ class DocumentCatalog:
     def _persist(self, stored: StoredDocument, durability: str):
         """Commit a freshly ingested document to the collection
         directory.  The hot in-memory handle keeps serving this
-        process; the segment serves every later open and attach."""
-        from repro.tokens.binary import write_binary
-        from repro.tokens.build import tokens_from_node
-
+        process; the segment serves every later open and attach.
+        Nothing here builds labels or indexes: the segment holds the
+        tree and its statistics, and a reader derives the rest."""
         store = stored.store
-        doc = stored._doc
-        if isinstance(store, TokenStore):
-            tokens_blob = store.blob  # already the RTS1 wire format
-        else:
-            if doc is None:
-                doc = store.document()
-            tokens_blob = write_binary(tokens_from_node(doc), pooled=True)
-        base_uri = getattr(store, "base_uri", "")
-        if not base_uri and doc is not None:
-            base_uri = doc.base_uri
+        doc = stored._doc if stored._doc is not None else store.document()
         return self._storage.persist_document(
-            stored.name, kind=store.kind, indexed=stored.indexed,
-            tokens_blob=tokens_blob, stats=stored.stats,
-            doc=stored._doc, element_index=stored.element_index,
-            value_index=stored.value_index, base_uri=base_uri,
+            stored.name, kind=store.kind, indexed=stored.indexed, doc=doc,
+            stats=stored.stats,
+            base_uri=getattr(store, "base_uri", "") or doc.base_uri,
             durability=durability)
 
     def remove(self, name: str, *,

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from operator import attrgetter
 from decimal import (
     ROUND_CEILING,
     ROUND_FLOOR,
@@ -152,17 +153,52 @@ def fn_avg(dctx, arg):
     return [arithmetic("div", total, integer(len(values)))]
 
 
+_TYPE_OF = attrgetter("type")
+
+
+def _least_common_numeric(types) -> T.AtomicType:
+    """The type every one of ``types`` (all numeric) promotes to: a
+    float or double in the mix wins; in the decimal tower, the nearest
+    type they all derive from (``xs:integer`` and ``xs:decimal`` meet
+    at ``xs:decimal``)."""
+    rank = max(t.numeric_rank for t in types)
+    if rank:
+        return T.XS_DOUBLE if rank == 2 else T.XS_FLOAT
+
+    def derives(t, ancestor) -> bool:
+        while t is not None and t is not ancestor:
+            t = t.base
+        return t is ancestor
+
+    common = next(iter(types))
+    while not all(derives(t, common) for t in types):
+        common = common.base
+    return common
+
+
 def _extreme(dctx, arg, op: str):
+    """F&O 15.4.3: mixed numeric items promote to their least common
+    type first; items ``gt`` cannot order raise err:FORG0006."""
     from repro.runtime.compare import value_compare
 
     values = _numeric_values(arg)
     if not values:
         return []
+    types = set(map(_TYPE_OF, values))
+    if len(types) > 1 and all(t.numeric_rank is not None for t in types):
+        common = _least_common_numeric(types)
+        values = [value if value.type is common else
+                  AtomicValue(cast_value(value.value, value.type, common),
+                              common)
+                  for value in values]
     best = values[0]
-    for value in values[1:]:
-        # NaN compares false both ways, yet F&O makes any NaN the answer
-        if value_compare(op, value, best) or value.value != value.value:
-            best = value
+    try:
+        for value in values[1:]:
+            # NaN compares false both ways, yet F&O makes any NaN the answer
+            if value_compare(op, value, best) or value.value != value.value:
+                best = value
+    except TypeError_ as exc:
+        raise TypeError_(str(exc), code="FORG0006") from None
     return [best]
 
 

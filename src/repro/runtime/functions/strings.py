@@ -169,6 +169,16 @@ def _compile_regex(pattern: str, flags_text: str) -> "re.Pattern[str]":
         raise DynamicError(f"invalid regular expression: {exc}", code="FORX0002") from None
 
 
+def _compile_nonempty(pattern: str, flags_text: str) -> "re.Pattern[str]":
+    """A ``fn:replace`` / ``fn:tokenize`` pattern, which must not match
+    the zero-length string (F&O 7.6.3, 7.6.4: err:FORX0003)."""
+    regex = _compile_regex(pattern, flags_text)
+    if regex.search("") is not None:
+        raise DynamicError(f"regular expression {pattern!r} matches the "
+                           f"zero-length string", code="FORX0003")
+    return regex
+
+
 @register("matches", 2, 3)
 def fn_matches(dctx, source, pattern, *rest):
     """``fn:matches(xs:string?, xs:string[, flags]) as xs:boolean``"""
@@ -215,7 +225,8 @@ def _replacement(text: str, groups: int):
 @register("replace", 3, 4)
 def fn_replace(dctx, source, pattern, replacement, *rest):
     """``fn:replace(xs:string?, xs:string, xs:string[, flags]) as xs:string``"""
-    regex = _compile_regex(string_arg(pattern), string_arg(rest[0]) if rest else "")
+    regex = _compile_nonempty(string_arg(pattern),
+                              string_arg(rest[0]) if rest else "")
     repl = _replacement(string_arg(replacement), regex.groups)
     return [string(regex.sub(repl, string_arg(source)))]
 
@@ -247,7 +258,8 @@ def fn_compare(dctx, left, right):
 @register("tokenize", 2, 3)
 def fn_tokenize(dctx, source, pattern, *rest):
     """``fn:tokenize(xs:string?, xs:string[, flags]) as xs:string*``"""
-    regex = _compile_regex(string_arg(pattern), string_arg(rest[0]) if rest else "")
+    regex = _compile_nonempty(string_arg(pattern),
+                              string_arg(rest[0]) if rest else "")
     text = string_arg(source)
     if not text:
         return []

@@ -63,26 +63,6 @@ class ElementIndex:
         for plist in postings.values():
             plist.sort(key=lambda p: p.label.pre)
 
-    @classmethod
-    def from_persisted(cls, doc: DocumentNode, nodes: list[Node],
-                       labels: dict[int, Label],
-                       ordinal_postings: dict) -> "ElementIndex":
-        """Rebuild an index from persisted arrays without any walk.
-
-        ``nodes`` is the deterministic enumeration of ``doc`` (see
-        :func:`repro.storage.persist.enumerate_nodes`), ``labels`` the
-        decoded label table keyed by node id, and ``ordinal_postings``
-        maps each name to its document-ordered node ordinals — already
-        sorted on disk, so no rebuild sort happens here.
-        """
-        index = cls.__new__(cls)
-        index.doc = doc
-        index.labels = labels
-        index._postings = {
-            name: [Posting(labels[id(nodes[o])], nodes[o]) for o in ords]
-            for name, ords in ordinal_postings.items()}
-        return index
-
     def postings(self, name: str) -> list[Posting]:
         """The document-ordered posting list for a tag (or ``@attr``) name."""
         return self._postings.get(name, [])
@@ -147,23 +127,8 @@ class ValueIndex:
                     key = ("@" + attr.name.local, normalize_value(attr.value))
                     self._by_value.setdefault(key, []).append(attr)
 
-    @classmethod
-    def from_persisted(cls, nodes: list[Node],
-                       ordinal_entries: dict) -> "ValueIndex":
-        """Rebuild from persisted ``(name, value) → node ordinals``
-        (values were normalized before persisting)."""
-        index = cls.__new__(cls)
-        index._by_value = {key: [nodes[o] for o in ords]
-                           for key, ords in ordinal_entries.items()}
-        return index
-
     def lookup(self, name: str, value: str) -> list[Node]:
         return self._by_value.get((name, normalize_value(value)), [])
 
     def keys(self) -> Iterator[tuple[str, str]]:
         return iter(self._by_value)
-
-    def entries(self) -> Iterator[tuple[tuple[str, str], list[Node]]]:
-        """Every ``((name, normalized value), nodes)`` pair — the
-        persistence layer serializes the index through this."""
-        return iter(self._by_value.items())

@@ -6,36 +6,46 @@ per collection::
     <path>/manifest.json          versioned catalog manifest
     <path>/<name>-<gen>.seg       one segment per document
 
-A **segment** ("RSG1") is the paper's token-array representation plus
-everything the planner and the index-backed access paths need, so a
-reopened catalog never re-parses XML:
+A **segment** ("RSG1") holds the document tree as columns plus the
+statistics the planner needs, so a reopened catalog never re-parses
+XML:
 
     magic "RSG1" | version u16 | section count u16
     section table: tag(4) | offset u64 | length u64 | crc32 u32
     section payloads ...
 
-Sections:
+Sections (version 2):
 
-- ``TOKS`` — the document as a pooled binary token stream, byte-for-
-  byte the :mod:`repro.tokens.binary` ("RTS1") format; trees are
-  rebuilt from it with :func:`~repro.tokens.build.tree_from_tokens`;
-- ``LABL`` — the (pre, post, level) region labels as three ``u32``
-  arrays, indexed by the deterministic pre-order node ordinal
-  (:func:`enumerate_nodes` — the exact order
-  :func:`~repro.storage.labels.label_document` assigns ``pre`` in);
-- ``EPST`` / ``VPST`` — element and value posting lists as node
-  ordinals (already document-ordered: no rebuild sort);
+- ``NODE`` — the tree as one pre-order run of records (element,
+  attribute, namespace declaration, text, comment, PI, end), stored as
+  columns: a kind byte per record, one ``u32`` argument column, a
+  ``u32``-triple QName table of string ids, and a NUL-joined UTF-8
+  string table.  :func:`encode_nodes` writes it in one walk of the
+  tree; :func:`decode_nodes` rebuilds the tree with ``array.frombytes``
+  and one build loop;
 - ``STAT`` — :class:`~repro.storage.stats.DocumentStats` as JSON,
   including the PR 7 edge-pair tables, decoded without touching the
   tree (the planner runs before any document materializes);
 - ``META`` — base URI and friends.
 
-Node references can't be persisted, so posting lists store *ordinals*:
-on load the tree is rebuilt from ``TOKS`` and both sides enumerate
-nodes in the same structural order, which rebinds every ordinal to a
-live node.  Loading is mmap-backed and per-section (CRC-checked), so
-opening a catalog reads only the manifest; statistics decode on first
-planner access and trees materialize on first bind.
+Region labels and element/value posting lists are not stored: they are
+pure functions of the tree, and the same :class:`~repro.storage.
+indexes.ElementIndex` and :class:`~repro.storage.indexes.ValueIndex`
+an in-memory :class:`~repro.storage.stores.TreeStore` runs derive them
+from the decoded tree on first access
+(:class:`~repro.catalog.PersistedDocument`).  A commit therefore builds
+no labels, postings or value entries, and a process that only plans
+(the pre-forked server's parent) never pays for them.
+
+Version 1 segments (8.0 and earlier) still open: their ``TOKS``
+section, a pooled :mod:`repro.tokens.binary` ("RTS1") stream, decodes
+through :func:`~repro.tokens.build.tree_from_tokens`, and their
+``LABL``/``EPST``/``VPST`` index sections are ignored.  Every commit
+writes version 2.
+
+Loading is mmap-backed and per-section (CRC-checked), so opening a
+catalog reads only the manifest; statistics decode on first planner
+access and trees materialize on first bind.
 
 **Crash safety.**  Every file write goes *temp → fsync → atomic
 rename → directory fsync* (``durability="sync"``; ``"none"`` skips the
@@ -75,27 +85,32 @@ from typing import Iterable, Optional
 from urllib.parse import quote
 
 from repro.errors import StorageError
-from repro.storage.indexes import ElementIndex, ValueIndex
-from repro.storage.labels import Label
+from repro.qname import QName
 from repro.storage.stats import DocumentStats
 from repro.storage.stores import BaseStore
 from repro.tokens.binary import read_binary
-from repro.tokens.build import tree_from_tokens
-from repro.xdm.nodes import DocumentNode, ElementNode, Node
+from repro.tokens.build import tokens_from_node, tree_from_tokens
+from repro.xdm.nodes import (
+    AttributeNode,
+    CommentNode,
+    DocumentNode,
+    ElementNode,
+    PINode,
+    TextNode,
+)
 
 _SEG_MAGIC = b"RSG1"
-_SEG_VERSION = 1
+_SEG_VERSION = 2
+#: 1 is the 8.0 token-stream segment, read through its ``TOKS`` section
+_READABLE_VERSIONS = (1, 2)
 _HEADER = struct.Struct("<4sHH")        # magic, version, section count
 _TABLE_ENTRY = struct.Struct("<4sQQI")  # tag, offset, length, crc32
-_U16 = struct.Struct("<H")
-_U32 = struct.Struct("<I")
 
-SEC_TOKENS = b"TOKS"
-SEC_LABELS = b"LABL"
+SEC_NODES = b"NODE"
 SEC_STATS = b"STAT"
-SEC_EPOST = b"EPST"
-SEC_VPOST = b"VPST"
 SEC_META = b"META"
+#: the version 1 token section (decode only)
+SEC_TOKENS = b"TOKS"
 
 MANIFEST_NAME = "manifest.json"
 MANIFEST_FORMAT = 1
@@ -105,6 +120,12 @@ DURABILITIES = ("none", "sync")
 
 # 'I' is 4 bytes on every CPython that matters; fall back defensively
 _U32_CODE = "I" if array("I").itemsize == 4 else "L"
+
+# NODE record kinds; the argument column holds, per record:
+# element → QName id; attribute → QName id, string id; namespace
+# declaration → prefix and URI string ids; text and comment → string
+# id; PI → target and content string ids; end → nothing
+_END, _ELEM, _TEXT, _ATTR, _NS, _COMMENT, _PI = range(7)
 
 
 def check_durability(durability: str) -> str:
@@ -133,106 +154,154 @@ def _unpack_u32s(buf, count: int) -> array:
     return arr
 
 
-# -- node enumeration ------------------------------------------------------
+# -- the NODE section ------------------------------------------------------
 
-def enumerate_nodes(doc: DocumentNode) -> list[Node]:
-    """Every node of ``doc`` in the structural order ``label_document``
-    assigns ``pre`` numbers in: node, then its attributes, then its
-    children (depth-first).
+def encode_nodes(doc: DocumentNode) -> bytes:
+    """The ``NODE`` section of ``doc``, built in one iterative pre-order
+    walk: ``u32`` counts (records, QNames, arguments, string bytes),
+    then the QName triples, the argument column, the kind bytes and
+    the string table."""
+    kinds = bytearray()
+    args = array(_U32_CODE)
+    strings: dict[str, int] = {}
+    qnames: dict[int, int] = {}  # id(QName) → QName id
+    triples = array(_U32_CODE)
+    kind, arg, sid = kinds.append, args.append, strings.setdefault
 
-    The order depends only on tree structure, which round-trips through
-    the token stream — so the writer's ordinal for a node and the
-    reader's ordinal after rebuilding the tree always agree.  This is
-    what lets posting lists persist as plain integers.
-    """
-    out: list[Node] = []
-    stack: list[Node] = [doc]
-    while stack:
-        node = stack.pop()
-        out.append(node)
-        if isinstance(node, ElementNode):
-            out.extend(node.attributes)
-        children = node.children
-        if children:
-            stack.extend(reversed(children))
-    return out
+    def qname(name: QName) -> int:
+        qid = qnames.get(id(name))
+        if qid is None:
+            qid = qnames[id(name)] = len(qnames)
+            triples.append(sid(name.uri, len(strings)))
+            triples.append(sid(name.local, len(strings)))
+            triples.append(sid(name.prefix, len(strings)))
+        return qid
+
+    # None marks an element's end, below its children on the stack: a
+    # document may nest deeper than the interpreter's recursion limit
+    pending: list = doc.children[::-1]
+    pop, push, extend = pending.pop, pending.append, pending.extend
+    while pending:
+        node = pop()
+        cls = type(node)
+        if node is None:
+            kind(_END)
+        elif cls is ElementNode:
+            kind(_ELEM)
+            arg(qname(node.name))
+            for prefix, uri in node.ns_decls:
+                kind(_NS)
+                arg(sid(prefix, len(strings)))
+                arg(sid(uri, len(strings)))
+            for attr in node._attributes:
+                kind(_ATTR)
+                arg(qname(attr.name))
+                arg(sid(attr.value, len(strings)))
+            push(None)
+            extend(node._children[::-1])
+        elif cls is TextNode:
+            kind(_TEXT)
+            arg(sid(node.content, len(strings)))
+        elif cls is CommentNode:
+            kind(_COMMENT)
+            arg(sid(node.content, len(strings)))
+        elif cls is PINode:
+            kind(_PI)
+            arg(sid(node.target, len(strings)))
+            arg(sid(node.content, len(strings)))
+        else:
+            raise StorageError(f"cannot persist a {node.kind} node")
+
+    table = "\0".join(strings)
+    if table.count("\0") != max(len(strings) - 1, 0):
+        raise StorageError("cannot persist a string holding U+0000 "
+                           "(XML 1.0 forbids it)")
+    try:
+        raw = table.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise StorageError(f"cannot persist a string that is not valid "
+                           f"Unicode ({exc.reason})") from None
+    return b"".join((_pack_u32s((len(kinds), len(qnames), len(args),
+                                 len(raw))),
+                     _pack_u32s(triples), _pack_u32s(args), kinds, raw))
+
+
+def decode_nodes(view, base_uri: str = "") -> DocumentNode:
+    """Rebuild the tree :func:`encode_nodes` wrote: the columns come in
+    with ``array.frombytes`` and one loop over the kind bytes builds
+    every node."""
+    try:
+        n_kinds, n_qnames, n_args, n_bytes = _unpack_u32s(view, 4)
+        pos = 16
+        triples = _unpack_u32s(view[pos:], 3 * n_qnames)
+        pos += 12 * n_qnames
+        args = _unpack_u32s(view[pos:], n_args)
+        pos += 4 * n_args
+        kinds = bytes(view[pos: pos + n_kinds])
+        pos += n_kinds
+        if len(kinds) != n_kinds or len(view) != pos + n_bytes:
+            raise StorageError("NODE section has the wrong length")
+        strings = bytes(view[pos:]).decode("utf-8").split("\0")
+        qnames = [QName(strings[triples[i]], strings[triples[i + 1]],
+                        strings[triples[i + 2]])
+                  for i in range(0, len(triples), 3)]
+
+        doc = DocumentNode(base_uri)
+        parent = doc
+        children = doc._children
+        stack: list = []
+        nxt = iter(args).__next__
+        for kind in kinds:
+            if kind == _ELEM:
+                node = ElementNode(qnames[nxt()], parent)
+                children.append(node)
+                stack.append(parent)
+                parent = node
+                children = node._children
+            elif kind == _END:
+                parent = stack.pop()
+                children = parent._children
+            elif kind == _TEXT:
+                children.append(TextNode(strings[nxt()], parent))
+            elif kind == _ATTR:
+                name = qnames[nxt()]
+                parent._attributes.append(
+                    AttributeNode(name, strings[nxt()], parent))
+            elif kind == _NS:
+                prefix = strings[nxt()]
+                parent.ns_decls += ((prefix, strings[nxt()]),)
+            elif kind == _COMMENT:
+                children.append(CommentNode(strings[nxt()], parent))
+            elif kind == _PI:
+                target = strings[nxt()]
+                children.append(PINode(target, strings[nxt()], parent))
+            else:
+                raise StorageError(f"unknown NODE record kind {kind}")
+        if stack:
+            raise StorageError("NODE section ends inside an element")
+    except (IndexError, StopIteration, AttributeError,
+            UnicodeDecodeError) as exc:
+        raise StorageError(f"malformed NODE section ({exc})") from None
+    return doc
 
 
 # -- segment encode --------------------------------------------------------
 
-def _encode_epost(element_index: ElementIndex,
-                  ordinals: dict[int, int]) -> bytes:
-    names = element_index.names()
-    out = bytearray(_U32.pack(len(names)))
-    for name in names:
-        raw = name.encode("utf-8")
-        out += _U16.pack(len(raw)) + raw
-        ords = [ordinals[id(p.node)] for p in element_index.postings(name)]
-        out += _U32.pack(len(ords)) + _pack_u32s(ords)
-    return bytes(out)
-
-
-def _encode_vpost(value_index: ValueIndex,
-                  ordinals: dict[int, int]) -> bytes:
-    items = sorted(value_index.entries(), key=lambda kv: kv[0])
-    out = bytearray(_U32.pack(len(items)))
-    for (name, value), nodes in items:
-        raw_name = name.encode("utf-8")
-        raw_value = value.encode("utf-8")
-        out += _U16.pack(len(raw_name)) + raw_name
-        out += _U32.pack(len(raw_value)) + raw_value
-        out += _U32.pack(len(nodes)) + _pack_u32s(ordinals[id(n)]
-                                                  for n in nodes)
-    return bytes(out)
-
-
-def build_segment(*, tokens_blob: bytes, stats: DocumentStats, indexed: bool,
-                  doc: Optional[DocumentNode],
-                  element_index: Optional[ElementIndex],
-                  value_index: Optional[ValueIndex],
+def build_segment(*, doc: DocumentNode, stats: DocumentStats,
                   meta: dict) -> bytes:
     """Assemble one segment file image (header + table + sections)."""
-    sections: list[tuple[bytes, bytes]] = [(SEC_TOKENS, bytes(tokens_blob))]
-    if indexed:
-        if doc is None or element_index is None or value_index is None:
-            raise StorageError(
-                "an indexed segment needs the materialized tree and both "
-                "indexes")
-        nodes = enumerate_nodes(doc)
-        labels = element_index.labels
-        if len(labels) != len(nodes):
-            raise StorageError(
-                f"label table covers {len(labels)} nodes but the tree "
-                f"enumerates {len(nodes)}")
-        ordinals = {id(n): i for i, n in enumerate(nodes)}
-        try:
-            labl = (_U32.pack(len(nodes))
-                    + _pack_u32s(labels[id(n)].pre for n in nodes)
-                    + _pack_u32s(labels[id(n)].post for n in nodes)
-                    + _pack_u32s(labels[id(n)].level for n in nodes))
-            sections.append((SEC_LABELS, labl))
-            sections.append((SEC_EPOST, _encode_epost(element_index,
-                                                      ordinals)))
-            sections.append((SEC_VPOST, _encode_vpost(value_index,
-                                                      ordinals)))
-        except KeyError as exc:
-            raise StorageError(
-                f"index references a node outside the enumerated tree "
-                f"({exc})") from exc
-    sections.append((SEC_STATS, json.dumps(
-        stats.to_dict(), separators=(",", ":")).encode("utf-8")))
-    sections.append((SEC_META, json.dumps(
-        meta, separators=(",", ":")).encode("utf-8")))
-
+    sections = [
+        (SEC_NODES, encode_nodes(doc)),
+        (SEC_STATS, json.dumps(stats.to_dict(),
+                               separators=(",", ":")).encode("utf-8")),
+        (SEC_META, json.dumps(meta, separators=(",", ":")).encode("utf-8"))]
     header = _HEADER.pack(_SEG_MAGIC, _SEG_VERSION, len(sections))
     offset = len(header) + _TABLE_ENTRY.size * len(sections)
     table = bytearray()
-    payload = bytearray()
     for tag, data in sections:
         table += _TABLE_ENTRY.pack(tag, offset, len(data), zlib.crc32(data))
-        payload += data
         offset += len(data)
-    return header + bytes(table) + bytes(payload)
+    return b"".join([header, table] + [data for _, data in sections])
 
 
 # -- segment decode --------------------------------------------------------
@@ -264,10 +333,11 @@ class SegmentReader:
         if magic != _SEG_MAGIC:
             self.close()
             raise StorageError(f"segment {path}: bad magic {magic!r}")
-        if version != _SEG_VERSION:
+        if version not in _READABLE_VERSIONS:
             self.close()
             raise StorageError(
                 f"segment {path}: unsupported version {version}")
+        self.version = version
         self._sections: dict[bytes, tuple[int, int, int]] = {}
         pos = _HEADER.size
         for _ in range(count):
@@ -308,71 +378,13 @@ class SegmentReader:
         return json.loads(bytes(self.section(SEC_META)).decode("utf-8"))
 
     def materialize_tree(self) -> DocumentNode:
-        """Rebuild the tree from the token section — never from XML."""
-        doc = tree_from_tokens(read_binary(self.section(SEC_TOKENS)))
+        """Rebuild the tree from the node columns — never from XML."""
         base_uri = self.meta().get("base_uri", "")
-        if base_uri:
-            doc._base_uri = base_uri
+        if self.version == 2:
+            return decode_nodes(self.section(SEC_NODES), base_uri)
+        doc = tree_from_tokens(read_binary(self.section(SEC_TOKENS)))
+        doc._base_uri = base_uri
         return doc
-
-    def materialize_indexed(self) \
-            -> tuple[DocumentNode, ElementIndex, ValueIndex]:
-        """Rebuild tree + labels + both indexes, rebinding ordinals."""
-        doc = self.materialize_tree()
-        nodes = enumerate_nodes(doc)
-        labl = self.section(SEC_LABELS)
-        (count,) = _U32.unpack_from(labl, 0)
-        if count != len(nodes):
-            raise StorageError(
-                f"segment {self._path}: label table covers {count} nodes "
-                f"but the rebuilt tree has {len(nodes)}")
-        body = labl[4:]
-        pre = _unpack_u32s(body, count)
-        post = _unpack_u32s(body[4 * count:], count)
-        level = _unpack_u32s(body[8 * count:], count)
-        labels: dict[int, Label] = {
-            id(node): Label(pre[i], post[i], level[i])
-            for i, node in enumerate(nodes)}
-        element_index = ElementIndex.from_persisted(
-            doc, nodes, labels, self._decode_epost())
-        value_index = ValueIndex.from_persisted(nodes, self._decode_vpost())
-        return doc, element_index, value_index
-
-    def _decode_epost(self) -> dict[str, array]:
-        view = self.section(SEC_EPOST)
-        (n_names,) = _U32.unpack_from(view, 0)
-        pos = 4
-        out: dict[str, array] = {}
-        for _ in range(n_names):
-            (name_len,) = _U16.unpack_from(view, pos)
-            pos += 2
-            name = bytes(view[pos: pos + name_len]).decode("utf-8")
-            pos += name_len
-            (n,) = _U32.unpack_from(view, pos)
-            pos += 4
-            out[name] = _unpack_u32s(view[pos:], n)
-            pos += 4 * n
-        return out
-
-    def _decode_vpost(self) -> dict[tuple[str, str], array]:
-        view = self.section(SEC_VPOST)
-        (n_keys,) = _U32.unpack_from(view, 0)
-        pos = 4
-        out: dict[tuple[str, str], array] = {}
-        for _ in range(n_keys):
-            (name_len,) = _U16.unpack_from(view, pos)
-            pos += 2
-            name = bytes(view[pos: pos + name_len]).decode("utf-8")
-            pos += name_len
-            (value_len,) = _U32.unpack_from(view, pos)
-            pos += 4
-            value = bytes(view[pos: pos + value_len]).decode("utf-8")
-            pos += value_len
-            (n,) = _U32.unpack_from(view, pos)
-            pos += 4
-            out[(name, value)] = _unpack_u32s(view[pos:], n)
-            pos += 4 * n
-        return out
 
     def close(self) -> None:
         self._view.release()
@@ -399,7 +411,7 @@ class DiskStore(BaseStore):
     ``kind`` mirrors the ingested store's kind, and so do the access
     semantics: a ``tree`` document pins one rebuilt tree, ``tokens``
     and ``text`` documents rebuild per :meth:`document` call.  Nothing
-    ever re-parses XML — every tree comes from the token section.
+    ever re-parses XML — every tree comes from the node columns.
     """
 
     def __init__(self, storage: "CatalogStorage", entry: "ManifestEntry"):
@@ -429,10 +441,8 @@ class DiskStore(BaseStore):
         return self._stats
 
     def tokens(self):
-        """Stream the persisted tokens (decoded eagerly: the segment is
-        closed before returning)."""
-        with self._storage.open_segment(self._entry) as reader:
-            return list(read_binary(reader.section(SEC_TOKENS)))
+        """Stream the document's tokens, walked from the decoded tree."""
+        return tokens_from_node(self.document())
 
     def resident_bytes(self) -> int:
         if self._doc is None:
@@ -607,10 +617,7 @@ class CatalogStorage:
     # -- writes ------------------------------------------------------------
 
     def persist_document(self, name: str, *, kind: str, indexed: bool,
-                         tokens_blob: bytes, stats: DocumentStats,
-                         doc: Optional[DocumentNode] = None,
-                         element_index: Optional[ElementIndex] = None,
-                         value_index: Optional[ValueIndex] = None,
+                         doc: DocumentNode, stats: DocumentStats,
                          base_uri: str = "",
                          durability: str = "sync") -> ManifestEntry:
         """Commit one document: segment first, then the manifest.
@@ -620,14 +627,12 @@ class CatalogStorage:
         this collection.
         """
         check_durability(durability)
+        blob = build_segment(
+            doc=doc, stats=stats,
+            meta={"name": name, "kind": kind, "base_uri": base_uri})
         with self._lock:
             generation = int(self._manifest.get("next_generation", 1))
             filename = f"{quote(name, safe='')}-{generation}.seg"
-            blob = build_segment(
-                tokens_blob=tokens_blob, stats=stats, indexed=indexed,
-                doc=doc, element_index=element_index,
-                value_index=value_index,
-                meta={"name": name, "kind": kind, "base_uri": base_uri})
             self._write_file(self.path / filename, blob, durability)
             old = self._manifest["documents"].get(name)
             self._manifest["documents"][name] = {

@@ -5,7 +5,7 @@ from decimal import Decimal
 
 import pytest
 
-from repro.errors import DynamicError
+from repro.errors import DynamicError, XQueryError
 
 
 def _run(executor, query):
@@ -110,6 +110,35 @@ class TestNumeric:
     def test_nan_wins_min_and_max_in_any_position(self, query, executor):
         (value,) = _run(executor, query)
         assert math.isnan(value)
+
+    # F&O 15.4.3/15.4.4: mixed numeric items promote to their least
+    # common type before they are compared, and the answer has that type
+    @pytest.mark.parametrize("query", [
+        "max((3, 2.5e0)) instance of xs:double",
+        "min((3, 2.5e0)) instance of xs:double",
+        "max((3, 2.5e0)) eq 3",
+        "max((3, 2.5)) instance of xs:decimal",
+        "not(max((3, 2.5)) instance of xs:integer)",
+        "min((1, xs:float(2))) instance of xs:float",
+        "max((xs:float(1), 2.5e0)) instance of xs:double",
+        "max((xs:int(3), xs:short(4))) instance of xs:int",
+        "not(max((xs:int(3), xs:short(4))) instance of xs:short)",
+        "max((<a>3</a>, 2)) instance of xs:double",
+        "max((5, 6)) instance of xs:integer"])
+    @pytest.mark.parametrize("executor", ["Engine", "ReferenceEngine"])
+    def test_min_max_promote_mixed_numerics(self, query, executor):
+        assert _run(executor, query) == [True]
+
+    @pytest.mark.parametrize("query", [
+        'max(("a", 1))', 'min((1, "a"))',
+        'max((xs:date("2004-01-01"), 1))',
+        'min((xs:QName("a"), xs:QName("b")))'])
+    @pytest.mark.parametrize("executor", ["Engine", "ReferenceEngine"])
+    def test_min_max_of_incomparable_items_is_forg0006(self, query,
+                                                       executor):
+        with pytest.raises(XQueryError) as caught:
+            _run(executor, query)
+        assert caught.value.code == "FORG0006"
 
     def test_number_nan_on_garbage(self, values):
         assert math.isnan(values("number('abc')")[0])
@@ -261,6 +290,22 @@ class TestStrings:
         with pytest.raises(DynamicError) as caught:
             _run(executor, f'replace("abc", "b", "{replacement}")')
         assert caught.value.code == "FORX0004"
+
+    # F&O 7.6.3/7.6.4: a pattern that matches the zero-length string
+    # is FORX0003 for fn:replace and fn:tokenize; fn:matches takes it
+    @pytest.mark.parametrize("query", [
+        'replace("abc", "x*", "-")', 'tokenize("abc", "x*")',
+        'replace("abc", "^", "-")', 'tokenize("a b", "\\s*")',
+        'replace("", "x?", "-")', 'tokenize("abc", "b|")'])
+    @pytest.mark.parametrize("executor", ["Engine", "ReferenceEngine"])
+    def test_zero_length_pattern_is_forx0003(self, query, executor):
+        with pytest.raises(DynamicError) as caught:
+            _run(executor, query)
+        assert caught.value.code == "FORX0003"
+
+    @pytest.mark.parametrize("executor", ["Engine", "ReferenceEngine"])
+    def test_matches_takes_a_zero_length_pattern(self, executor):
+        assert _run(executor, 'matches("abc", "x*")') == [True]
 
     def test_tokenize(self, values):
         assert values("tokenize('a,b,,c', ',')") == ["a", "b", "", "c"]

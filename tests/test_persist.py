@@ -2,8 +2,10 @@
 
 Covers the 1.6 durability guarantees end to end:
 
-- segment round-trips (tokens, labels, posting lists, statistics,
-  metadata) and corruption detection (CRC, magic, truncation);
+- segment round-trips (node columns, statistics, metadata), the
+  labels and indexes derived from a reopened tree, a Hypothesis
+  property over generated documents, an 8.0 data directory that must
+  keep opening, and corruption detection (CRC, magic, truncation);
 - the disk catalog: lazy reopen, durable generations, remove/refresh,
   vacuum, result-epoch persistence;
 - crash safety: commits interrupted at every seam (including a real
@@ -15,6 +17,7 @@ Covers the 1.6 durability guarantees end to end:
   results without re-parsing any XML (the parser is booby-trapped).
 """
 
+import itertools
 import json
 import os
 import signal
@@ -24,25 +27,30 @@ import threading
 import time
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import repro
 from repro import Engine
 from repro.catalog import DocumentCatalog, PersistedDocument
 from repro.compiler.reference import ReferenceEngine, forced_twig
 from repro.errors import StorageError, XQueryError
+from repro.qname import QName
+from repro.storage.indexes import ElementIndex, ValueIndex
+from repro.storage.labels import label_document
 from repro.storage.persist import (
     CatalogStorage,
+    SEC_META,
+    SEC_NODES,
     SEC_STATS,
-    SEC_TOKENS,
     SegmentReader,
     build_segment,
-    enumerate_nodes,
 )
 from repro.storage.stats import collect_stats
-from repro.tokens.binary import write_binary
-from repro.tokens.build import tokens_from_node
 from repro.workloads import generate_xmark
-from repro.xdm.build import parse_document
+from repro.xdm.build import node_events, parse_document
+from repro.xdm.nodes import DocumentNode, ElementNode, TextNode
+from repro.xmlio.serializer import serialize_events
 
 BOOKS = ("<bib><book year='1967'><title>T1</title><price>55</price></book>"
          "<book year='1990'><title>T2</title><price>30</price></book></bib>")
@@ -51,23 +59,87 @@ def _disk(tmp_path, sub="cat"):
     return DocumentCatalog(tmp_path / sub)
 
 
+#: a collection written by 8.0.0 (version 1 segments), and the sources
+#: its three documents were ingested from
+CATALOG_8_0 = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                           "data", "catalog-8.0")
+CATALOG_8_0_SOURCES = {
+    "books": ('<!-- a catalog written by 8.0.0 --><bib xmlns:x="urn:x">'
+              '<?sort by-year?><book year="1967" x:id="b1"><title>The '
+              'politics of experience</title><price>20</price></book>'
+              '<book year="1998" x:id="b2"><title>Data on the Web</title>'
+              '<author>Abiteboul</author><price>55</price><note> café — '
+              'über </note></book><x:aside>  </x:aside></bib>'),
+    "feed": ('<feed><m id="1">alpha</m><m id="2">beta</m>'
+             '<m id="3">gamma</m></feed>'),
+    "plain": "<r><n>1</n><n>2</n><n>3</n></r>",
+}
+
+
+# -- generated documents for the codec property ---------------------------
+
+_RT_SERIAL = itertools.count()
+_NAMES = st.sampled_from(["a", "b", "item", "x:a", "x:b", "y:c", "é"])
+_TEXT = st.text(alphabet=st.sampled_from(
+    list("ab <>&'\"") + [" ", "\t", "\n", "é", "ü", "—", "日", "😀"]),
+    min_size=1, max_size=6)
+_DEEP = sys.getrecursionlimit() + 50
+
+
+def _escape(text: str) -> str:
+    return (text.replace("&", "&amp;").replace("<", "&lt;")
+            .replace(">", "&gt;").replace('"', "&quot;"))
+
+
+@st.composite
+def _documents(draw):
+    """XML text mixing attributes, namespace declarations, comments,
+    PIs, whitespace-only and non-ASCII text; now and then one chain
+    nests deeper than the interpreter's recursion limit."""
+
+    def element(depth: int) -> str:
+        name = draw(_NAMES)
+        attrs = {draw(st.sampled_from(["id", "x:k", "n", "é"])):
+                 draw(_TEXT) for _ in range(draw(st.integers(0, 2)))}
+        decls = ""
+        if depth == 0:
+            decls = ' xmlns:x="urn:x" xmlns:y="urn:y"'
+        elif draw(st.booleans()) and draw(st.booleans()):
+            decls = ' xmlns:y="urn:y2"'
+        start = name + decls + "".join(
+            f' {k}="{_escape(v)}"' for k, v in attrs.items())
+        parts = []
+        for _ in range(draw(st.integers(0, 3 if depth < 4 else 0))):
+            choice = draw(st.sampled_from(
+                ["text", "space", "comment", "pi", "element"]))
+            if choice == "text":
+                parts.append(_escape(draw(_TEXT)))
+            elif choice == "space":
+                parts.append(draw(st.sampled_from([" ", "\n  ", "\t"])))
+            elif choice == "comment":
+                parts.append(f"<!--{draw(st.sampled_from(['', ' c ', 'é']))}-->")
+            elif choice == "pi":
+                parts.append(f"<?p{draw(st.sampled_from(['', ' d', ' é?']))}?>")
+            else:
+                parts.append(element(depth + 1))
+        return f"<{start}>{''.join(parts)}</{name}>"
+
+    body = element(0)
+    if draw(st.integers(0, 9)) == 0:
+        body = body.replace(">", ">" + "<d>" * _DEEP + "z" + "</d>" * _DEEP,
+                            1)
+    prolog = draw(st.sampled_from(["", "<!--pre-->", "<?top x?>"]))
+    return prolog + body
+
+
 # -- segments --------------------------------------------------------------
 
 class TestSegment:
-    def _build(self, xml=BOOKS, indexed=True):
+    def _build(self, xml=BOOKS):
         doc = parse_document(xml, "mem://books")
-        blob = write_binary(tokens_from_node(doc), pooled=True)
         stats = collect_stats(doc)
-        if indexed:
-            from repro.storage.indexes import ElementIndex, ValueIndex
-
-            eidx = ElementIndex(doc)
-            vidx = ValueIndex(doc)
-        else:
-            eidx = vidx = None
         return build_segment(
-            tokens_blob=blob, stats=stats, indexed=indexed, doc=doc,
-            element_index=eidx, value_index=vidx,
+            doc=doc, stats=stats,
             meta={"name": "books", "kind": "tree",
                   "base_uri": "mem://books"}), doc, stats
 
@@ -79,26 +151,28 @@ class TestSegment:
             rebuilt = reader.materialize_tree()
             assert reader.meta()["base_uri"] == "mem://books"
             assert rebuilt.base_uri == "mem://books"
-            assert len(enumerate_nodes(rebuilt)) == len(enumerate_nodes(doc))
+            assert len(label_document(rebuilt)) == len(label_document(doc))
+            assert _xml(rebuilt) == _xml(doc)
             assert reader.stats().to_dict() == stats.to_dict()
 
     def test_round_trip_indexes(self, tmp_path):
+        """The segment stores no index; the one derived from the
+        rebuilt tree equals the one built on the parsed tree."""
         image, doc, _ = self._build()
         path = tmp_path / "books-1.seg"
         path.write_bytes(image)
-        from repro.storage.indexes import ElementIndex
-
         live = ElementIndex(doc)
         with SegmentReader(path) as reader:
-            rebuilt, eidx, vidx = reader.materialize_indexed()
-            assert eidx.names() == live.names()
-            for name in live.names():
-                persisted = [p.label for p in eidx.postings(name)]
-                original = [p.label for p in live.postings(name)]
-                assert persisted == original
-            hits = vidx.lookup("price", "55")
-            assert len(hits) == 1
-            assert hits[0].string_value == "55"
+            rebuilt = reader.materialize_tree()
+        eidx, vidx = ElementIndex(rebuilt), ValueIndex(rebuilt)
+        assert eidx.names() == live.names()
+        for name in live.names():
+            persisted = [p.label for p in eidx.postings(name)]
+            original = [p.label for p in live.postings(name)]
+            assert persisted == original
+        hits = vidx.lookup("price", "55")
+        assert len(hits) == 1
+        assert hits[0].string_value == "55"
 
     def test_size_mismatch_detected(self, tmp_path):
         image, _, _ = self._build()
@@ -124,25 +198,163 @@ class TestSegment:
 
     def test_flipped_bit_fails_crc(self, tmp_path):
         image, _, _ = self._build()
-        corrupt = bytearray(image)
-        corrupt[-10] ^= 0xFF  # inside the last section's payload
-        path = tmp_path / "seg.seg"
-        path.write_bytes(bytes(corrupt))
-        with SegmentReader(path) as reader:
-            with pytest.raises(StorageError, match="CRC"):
-                # walk every section until the flipped bit is found
-                for tag in (SEC_TOKENS, SEC_STATS):
-                    reader.section(tag)
-                reader.meta()
-
-    def test_unindexed_segment_has_no_index_sections(self, tmp_path):
-        image, _, _ = self._build(indexed=False)
         path = tmp_path / "seg.seg"
         path.write_bytes(image)
         with SegmentReader(path) as reader:
-            assert reader.has(SEC_TOKENS)
-            assert not reader.has(b"EPST")
+            spans = dict(reader._sections)
+        assert set(spans) == {SEC_NODES, SEC_STATS, SEC_META}
+        # a flipped bit inside each section fails that section's CRC,
+        # and only that one
+        for tag, (offset, length, _crc) in spans.items():
+            corrupt = bytearray(image)
+            corrupt[offset + length // 2] ^= 0xFF
+            path.write_bytes(bytes(corrupt))
+            with SegmentReader(path) as reader:
+                with pytest.raises(StorageError, match="CRC"):
+                    reader.section(tag)
+                for other in set(spans) - {tag}:
+                    reader.section(other)
+
+    def test_unindexed_segment_has_no_index_sections(self, tmp_path):
+        """No segment stores labels or postings any more: an indexed
+        document's are derived from the tree on first access."""
+        image, _, _ = self._build()
+        path = tmp_path / "seg.seg"
+        path.write_bytes(image)
+        with SegmentReader(path) as reader:
+            assert reader.has(SEC_NODES)
+            for tag in (b"TOKS", b"LABL", b"EPST", b"VPST"):
+                assert not reader.has(tag)
             reader.materialize_tree()
+
+
+def _xml(node) -> str:
+    return serialize_events(node_events(node))
+
+
+class TestNodeColumns:
+    """The NODE section round-trips every tree the parser builds."""
+
+    @pytest.mark.parametrize("content,message", [
+        ("a\0b", "U\\+0000"), ("a\ud800", "not valid Unicode")])
+    def test_unstorable_content_is_refused(self, tmp_path, content,
+                                           message):
+        """A NUL (the string table's separator) or a lone surrogate can
+        reach a hand-built tree, never a parsed one."""
+        doc = DocumentNode()
+        root = ElementNode(QName("", "r"), doc)
+        doc.children.append(root)
+        root.children.append(TextNode(content, root))
+        cat = _disk(tmp_path)
+        with pytest.raises(StorageError, match=message):
+            cat.add("bad", doc)
+        assert "bad" not in _disk(tmp_path)
+
+    def test_an_empty_document_round_trips(self, tmp_path):
+        """No node, so no string: the string table is empty."""
+        _disk(tmp_path).add("empty", DocumentNode())
+        handle = _disk(tmp_path)["empty"]
+        assert handle.document().children == []
+        assert handle.element_index.names() == []
+
+    def test_no_labels_indexes_or_tokens_at_commit(self, tmp_path,
+                                                   monkeypatch):
+        """A disk add of a tree store builds no label, no index and no
+        token stream: the segment holds the tree and its statistics."""
+        import repro.storage.indexes as indexes
+        import repro.storage.labels as labels
+        import repro.tokens.binary as binary
+
+        calls = []
+
+        def counted(owner, attr):
+            real = getattr(owner, attr)
+
+            def wrapper(*args, **kwargs):
+                calls.append(attr)
+                return real(*args, **kwargs)
+            monkeypatch.setattr(owner, attr, wrapper)
+
+        counted(indexes, "label_document")
+        counted(labels, "label_document")
+        counted(indexes.ElementIndex, "__init__")
+        counted(indexes.ValueIndex, "__init__")
+        counted(binary, "write_binary")
+        cat = _disk(tmp_path)
+        cat.add("auction", generate_xmark(scale=0.05, seed=7),
+                durability="none")
+        assert calls == []
+        # the in-memory handle still serves queries, deriving its
+        # indexes on first use
+        assert Engine(catalog=cat).compile(
+            "count($auction//person)").execute().serialize() != ""
+
+    def test_an_8_0_data_dir_reopens_byte_identically(self, tmp_path):
+        """A collection 8.0.0 wrote (version 1 segments: a tree, a
+        tokens and a text document) answers as the same documents
+        ingested now, indexes included."""
+        import shutil
+
+        v1 = tmp_path / "v1"
+        shutil.copytree(CATALOG_8_0, v1)
+        old = DocumentCatalog(v1)
+        with SegmentReader(v1 / "books-1.seg") as reader:
+            assert reader.version == 1 and reader.has(b"TOKS")
+        mem = DocumentCatalog()
+        for name, xml in CATALOG_8_0_SOURCES.items():
+            handle = old[name]
+            mem.add(name, xml, store=handle.store.kind,
+                    index=handle.indexed)
+        queries = ["$books", "$feed", "$plain",
+                   "$books//book[price = '55']/title",
+                   "for $b in $books//book where xs:integer($b/@year) "
+                   "< 1980 return $b/title",
+                   "count($books//@*)", "$feed//m[@id = '2']",
+                   "string-join($books//text(), '|')",
+                   "$books//processing-instruction()", "$books/comment()",
+                   "xs:integer($plain//missing)"]
+
+        def answers(catalog):
+            engine = Engine(catalog=catalog)
+            out = []
+            for query in queries:
+                try:
+                    out.append(engine.compile(query).execute().serialize())
+                except XQueryError as exc:
+                    out.append(exc.code)
+            return out
+
+        assert answers(old) == answers(mem)
+        # the next commit writes version 2 beside the old segments
+        old.add("more", "<m/>")
+        with SegmentReader(v1 / "more-4.seg") as reader:
+            assert reader.version == 2
+        assert answers(DocumentCatalog(v1)) == answers(mem)
+
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture,
+                                     HealthCheck.too_slow])
+    @given(xml=_documents())
+    def test_disk_round_trip_matches_the_parsed_tree(self, tmp_path, xml):
+        parsed = parse_document(xml)
+        path = tmp_path / f"rt{next(_RT_SERIAL)}"
+        DocumentCatalog(path).add("d", xml, durability="none")
+        handle = DocumentCatalog(path)["d"]
+        rebuilt = handle.document()
+        assert _xml(rebuilt) == _xml(parsed)
+
+        live_labels = label_document(parsed)
+        live, eidx = ElementIndex(parsed), handle.element_index
+        assert eidx.names() == live.names()
+        assert len(eidx.labels) == len(live_labels)
+        for name in live.names():
+            assert [p.label for p in eidx.postings(name)] == \
+                [p.label for p in live.postings(name)]
+        live_values, vidx = ValueIndex(parsed), handle.value_index
+        assert sorted(vidx.keys()) == sorted(live_values.keys())
+        for key in live_values.keys():
+            assert [eidx.label_of(n) for n in vidx.lookup(*key)] == \
+                [live.label_of(n) for n in live_values.lookup(*key)]
 
 
 # -- the disk catalog ------------------------------------------------------
@@ -580,3 +792,35 @@ def test_perfsmoke_warm_open_beats_reingest(tmp_path):
     assert warm * 5 <= ingest, (
         f"warm open {warm * 1000:.1f} ms vs re-ingest "
         f"{ingest * 1000:.1f} ms — less than the 5x bar")
+
+
+@pytest.mark.perfsmoke
+def test_perfsmoke_first_answer_no_dearer_than_a_parse(tmp_path):
+    """A child's first touch: reopening a committed XMark document and
+    answering one access-path query (which decodes the tree and derives
+    both indexes) must cost no more than ingesting the XML in memory
+    and answering the same query.  Both sides run in interleaved
+    repetitions, and their medians are compared."""
+    import statistics
+
+    xml = generate_xmark(scale=0.3, seed=7)
+    query = "$auction//person[@id = 'person0']/name"
+    DocumentCatalog(tmp_path / "xmark").add("auction", xml,
+                                            durability="none")
+    reopen, ingest, answers = [], [], set()
+    for _ in range(5):
+        started = time.perf_counter()
+        cat = DocumentCatalog(tmp_path / "xmark")
+        answers.add(Engine(catalog=cat).compile(query).execute().serialize())
+        reopen.append(time.perf_counter() - started)
+
+        started = time.perf_counter()
+        cat = DocumentCatalog()
+        cat.add("auction", xml)
+        answers.add(Engine(catalog=cat).compile(query).execute().serialize())
+        ingest.append(time.perf_counter() - started)
+    assert len(answers) == 1
+    warm, cold = statistics.median(reopen), statistics.median(ingest)
+    assert warm <= cold, (
+        f"reopen + first answer {warm * 1000:.1f} ms vs in-memory add + "
+        f"first answer {cold * 1000:.1f} ms")
