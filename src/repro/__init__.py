@@ -39,7 +39,7 @@ from repro.options import ExecutionOptions
 from repro.runtime.cancellation import CancellationToken
 from repro.xdm.build import parse_document
 
-__version__ = "8.1.0"
+__version__ = "8.2.0"
 
 __all__ = [
     # the unified public API

@@ -10,12 +10,15 @@ stores).  The catalog unifies them::
     engine.compile("$books//book[price = '55']").execute()
 
 ``add`` ingests a source into one of the three storage modes
-(:mod:`repro.storage`), collects per-document statistics, and (by
-default) builds the element/value indexes the access-path planner
-(:mod:`repro.compiler.planner`) uses to replace tree navigation with
-posting-list scans and point lookups.  The returned
-:class:`StoredDocument` handle is accepted anywhere ``repro.xml(...)``
-is: ``variables=``, ``documents=``, and the context item.
+(:mod:`repro.storage`) and returns a :class:`StoredDocument` handle,
+the one owner of what is derived from the document: it pins the tree
+(indexed or tree-stored documents), keeps the per-document statistics,
+and (by default) builds the element/value indexes the access-path
+planner (:mod:`repro.compiler.planner`) uses to replace tree
+navigation with posting-list scans and point lookups.  A store only
+holds a form of the document.  The handle is accepted anywhere
+``repro.xml(...)`` is: ``variables=``, ``documents=``, and the context
+item.
 
 Catalog documents are bound automatically when executing queries
 compiled by a catalog-carrying engine: ``$books`` above needs no
@@ -26,10 +29,11 @@ explicit ``variables={"books": ...}``.
 tree as node columns, plus statistics — to a segment file under
 ``path`` (:mod:`repro.storage.persist`), and a fresh process reopening
 the same path sees every document without re-parsing any XML.
-Reopened documents are :class:`PersistedDocument` handles: statistics
+Reopened documents are :class:`PersistedDocument` handles, which
+differ only in where the tree and statistics come from: statistics
 decode from disk for the planner immediately, the tree materializes
-lazily (mmap-backed) on first bind, and labels and indexes are derived
-from it on first access.  ``add`` accepts
+lazily (mmap-backed) on first bind, and the indexes are derived from
+it on first access, as for an in-memory handle.  ``add`` accepts
 ``durability="sync"`` (fsync'd commit, the default) or ``"none"``
 (atomic rename only).  Ingest generations come from the manifest's
 durable counter, so compile-cache and server result-cache fingerprints
@@ -40,11 +44,12 @@ from __future__ import annotations
 
 import itertools
 import threading
+import weakref
 from pathlib import Path
 from typing import Any, Iterator, Optional
 
 from repro.storage.indexes import ElementIndex, ValueIndex
-from repro.storage.stats import DocumentStats
+from repro.storage.stats import DocumentStats, collect_stats
 from repro.storage.stores import BaseStore, TextStore, TokenStore, TreeStore
 from repro.xdm.nodes import DocumentNode, Node
 
@@ -66,59 +71,102 @@ _CATALOG_IDS = itertools.count(1)
 class StoredDocument:
     """A named, stored (and optionally indexed) document.
 
-    Indexed documents pin one materialized tree so that posting lists
-    and the bound document share node identity; unindexed documents
-    keep their store's native access semantics (a text store re-parses
-    per execution).
+    The handle is the one owner of what is derived from its document.
+    It pins one tree when the document is indexed or tree-stored, so
+    posting lists and the bound document share node identity, and an
+    indexed handle registers that tree in its catalog's node map; any
+    other handle keeps its store's access semantics (a text store
+    re-parses per execution).  It computes the statistics once, and builds each index
+    once, on first access, under its own lock.
     """
 
-    __slots__ = ("name", "store", "indexed", "generation", "_doc",
-                 "_element_index", "_value_index")
+    __slots__ = ("name", "store", "indexed", "generation", "_catalog",
+                 "_lock", "_doc", "_stats", "_element_index",
+                 "_value_index")
 
-    def __init__(self, name: str, store: BaseStore, indexed: bool):
+    #: pin at construction (an in-memory add) rather than on first use
+    _pin_eagerly = True
+
+    def __init__(self, name: str, store: BaseStore, indexed: bool,
+                 catalog: "DocumentCatalog",
+                 generation: Optional[int] = None):
         self.name = name
         self.store = store
         self.indexed = indexed
-        self.generation = next(_GENERATION)
+        self.generation = next(_GENERATION) if generation is None \
+            else generation
+        # weak: a handle must not keep its catalog (and every tree and
+        # index the catalog holds) alive past the catalog's last user
+        self._catalog = weakref.ref(catalog)
+        self._lock = threading.RLock()
         self._doc: Optional[DocumentNode] = None
+        self._stats: Optional[DocumentStats] = None
         self._element_index: Optional[ElementIndex] = None
         self._value_index: Optional[ValueIndex] = None
-        if indexed:
-            self._doc = store.document()
+        if self._pin_eagerly and self._pins():
+            self._pin()
+
+    def _pins(self) -> bool:
+        return self.indexed or self.store.kind == "tree"
+
+    def _pin(self) -> DocumentNode:
+        with self._lock:
+            doc = self._doc
+            if doc is None:
+                doc = self._tree()
+                catalog = self._catalog()
+                if catalog is not None and self.indexed:
+                    catalog._by_node[id(doc)] = self
+                self._doc = doc
+        return doc
+
+    def _tree(self) -> DocumentNode:
+        """A fresh tree of the stored document."""
+        return self.store.document()
+
+    def _load_stats(self) -> DocumentStats:
+        return collect_stats(self.document())
 
     def document(self) -> DocumentNode:
         """The document node this handle binds."""
-        if self._doc is not None:
-            return self._doc
-        return self.store.document()
+        doc = self._doc
+        if doc is not None:
+            return doc
+        return self._pin() if self._pins() else self._tree()
 
     @property
     def stats(self) -> DocumentStats:
-        return self.store.stats()
+        stats = self._stats
+        if stats is None:
+            with self._lock:
+                stats = self._stats
+                if stats is None:
+                    stats = self._stats = self._load_stats()
+        return stats
+
+    def _index(self, slot: str, cls):
+        with self._lock:
+            index = getattr(self, slot)
+            if index is None:
+                index = cls(self.document())
+                setattr(self, slot, index)
+        return index
 
     @property
     def element_index(self) -> Optional[ElementIndex]:
         """Element-name posting lists (None when not indexed)."""
-        if not self.indexed:
-            return None
-        if self._element_index is None:
-            if isinstance(self.store, TreeStore) and self.store.document() is self._doc:
-                self._element_index = self.store.element_index
-            else:
-                self._element_index = ElementIndex(self._doc)
-        return self._element_index
+        index = self._element_index
+        if index is None and self.indexed:
+            index = self._index("_element_index", ElementIndex)
+        return index
 
     @property
     def value_index(self) -> Optional[ValueIndex]:
         """(name, value) point-lookup index (None when not indexed)."""
-        if not self.indexed:
-            return None
-        if self._value_index is None:
-            if isinstance(self.store, TreeStore) and self.store.document() is self._doc:
-                self._value_index = self.store.value_index
-            else:
-                self._value_index = ValueIndex(self._doc)
-        return self._value_index
+        index = self._value_index
+        if index is None and self.indexed:
+            index = self._index("_value_index", ValueIndex)
+        return index
 
     def fingerprint(self) -> tuple:
         """Identity of this binding for the compile cache: a plan built
@@ -141,93 +189,48 @@ class PersistedDocument(StoredDocument):
     :attr:`stats` decodes the segment's statistics section without
     touching the tree (the planner runs pre-bind), and the first
     :meth:`document` / index access rebuilds the tree from the node
-    columns — never re-parsing XML.  Each index is built from that tree
-    on its own first access, by the same :class:`ElementIndex` /
-    :class:`ValueIndex` an in-memory tree store runs.  The pinned tree
-    registers in the owning catalog's node map so compiled access paths
-    resolve it at runtime, exactly like a freshly ingested document.
+    columns — never re-parsing XML.  All that differs from an in-memory
+    handle is where the tree and the statistics come from: the segment,
+    through a retry that adopts the fresh manifest entry when another
+    process replaced this one's segment.
     """
 
-    __slots__ = ("_catalog", "_entry", "_lock")
+    __slots__ = ()
+
+    _pin_eagerly = False
 
     def __init__(self, name: str, entry, catalog: "DocumentCatalog"):
         from repro.storage.persist import DiskStore
 
-        self.name = name
-        self.store = DiskStore(catalog._storage, entry)
-        self.indexed = entry.indexed
-        self.generation = entry.generation
-        self._doc = None
-        self._element_index = None
-        self._value_index = None
-        self._catalog = catalog
-        self._entry = entry
-        self._lock = threading.Lock()
+        super().__init__(name, DiskStore(catalog._storage, entry),
+                         entry.indexed, catalog, entry.generation)
 
-    def _materialize(self) -> None:
-        if self._doc is not None:
-            return
-        with self._lock:
-            if self._doc is not None:
-                return
-            from repro.storage.persist import StorageError
+    def _from_segment(self, read):
+        from repro.storage.persist import DiskStore, StorageError
 
-            storage = self._catalog._storage
-            for attempt in range(3):
-                try:
-                    with storage.open_segment(self._entry) as reader:
-                        doc = reader.materialize_tree()
-                    break
-                except (OSError, StorageError):
-                    # the writer re-ingested this name and unlinked our
-                    # segment after committing the new manifest: adopt
-                    # the fresh entry and retry (readers racing a
-                    # concurrent add() land here instead of failing)
-                    fresh = storage.reload().get(self.name)
-                    if fresh is None or \
-                            fresh.generation == self._entry.generation or \
-                            attempt == 2:
-                        raise
-                    self._entry = fresh
-                    self.indexed = fresh.indexed
-                    self.generation = fresh.generation
-                    from repro.storage.persist import DiskStore
+        storage = self.store._storage
+        for attempt in range(3):
+            try:
+                return read(self.store)
+            except (OSError, StorageError):
+                # the writer re-ingested this name and unlinked our
+                # segment after committing the new manifest: adopt the
+                # fresh entry and retry (readers racing a concurrent
+                # add() land here instead of failing)
+                fresh = storage.reload().get(self.name)
+                if fresh is None or fresh.generation == self.generation \
+                        or attempt == 2:
+                    raise
+                self.store = DiskStore(storage, fresh)
+                self.indexed = fresh.indexed
+                self.generation = fresh.generation
+                self._stats = None
 
-                    self.store = DiskStore(storage, fresh)
-            if self._entry.kind == "tree":
-                # mirror TreeStore: store.document() is the pinned tree
-                self.store._doc = doc
-            self._doc = doc
-            self._catalog._by_node[id(doc)] = self
+    def _tree(self) -> DocumentNode:
+        return self._from_segment(lambda store: store.document())
 
-    def document(self) -> DocumentNode:
-        if self.indexed or self._entry.kind == "tree":
-            self._materialize()
-            return self._doc
-        # tokens/text semantics: a fresh tree per access
-        return self.store.document()
-
-    @property
-    def element_index(self) -> Optional[ElementIndex]:
-        if not self.indexed:
-            return None
-        if self._element_index is None:
-            self._materialize()
-            with self._lock:
-                if self._element_index is None:
-                    self._element_index = ElementIndex(self._doc)
-        return self._element_index
-
-    @property
-    def value_index(self) -> Optional[ValueIndex]:
-        if not self.indexed:
-            return None
-        if self._value_index is None:
-            self._materialize()
-            with self._lock:
-                if self._value_index is None:
-                    self._value_index = ValueIndex(self._doc)
-        return self._value_index
+    def _load_stats(self) -> DocumentStats:
+        return self._from_segment(lambda store: store.stats())
 
     @property
     def loaded(self) -> bool:
@@ -258,8 +261,9 @@ class DocumentCatalog:
         self._durability = check_durability(durability)
         self._docs: dict[str, StoredDocument] = {}
         # id(document node) → handle, for the runtime index-eligibility
-        # check in compiled AccessPath operators (only indexed documents
-        # pin a tree, so the ids stay valid while the catalog lives)
+        # check in compiled AccessPath operators (only indexed handles
+        # register, and they pin the tree, so the ids stay valid while
+        # the catalog lives)
         self._by_node: dict[int, StoredDocument] = {}
         self._storage: Optional[CatalogStorage] = None
         self.path: Optional[Path] = None
@@ -319,46 +323,55 @@ class DocumentCatalog:
                     f"unknown store kind {store!r}; expected one of "
                     f"{sorted(_STORE_KINDS)}") from None
             backing = store_cls(xml_text=source)
+        stored = StoredDocument(name, backing, bool(index), self)
+        if self._storage is not None:
+            try:
+                stored.generation = self._persist(
+                    stored, durability or self._durability).generation
+            except BaseException:
+                self._forget(stored, heir=self._docs.get(name))
+                raise
         previous = self._docs.get(name)
         if previous is not None:
-            # re-ingest under an existing name: any cached statistics on
-            # the incoming store may describe stale contents (a TextStore
-            # whose .text was mutated re-parses on document(), so its
-            # cached stats would silently diverge from what queries see)
-            backing.invalidate_stats()
-        stored = StoredDocument(name, backing, bool(index))
-        if self._storage is not None:
-            entry = self._persist(stored,
-                                  durability or self._durability)
-            stored.generation = entry.generation
-        if previous is not None and previous._doc is not None:
-            self._by_node.pop(id(previous._doc), None)
+            self._forget(previous)
         self._docs[name] = stored
-        if stored._doc is not None:
-            self._by_node[id(stored._doc)] = stored
         return stored
 
     def _persist(self, stored: StoredDocument, durability: str):
         """Commit a freshly ingested document to the collection
         directory.  The hot in-memory handle keeps serving this
-        process; the segment serves every later open and attach.
-        Nothing here builds labels or indexes: the segment holds the
-        tree and its statistics, and a reader derives the rest."""
-        store = stored.store
-        doc = stored._doc if stored._doc is not None else store.document()
+        process; the segment serves every later open and attach.  The
+        segment holds the tree the handle pinned (or the one tree built
+        here) and that same tree's statistics, which the handle keeps;
+        a reader derives labels and indexes from the tree."""
+        doc = stored._doc if stored._doc is not None else stored._tree()
+        stored._stats = collect_stats(doc)
         return self._storage.persist_document(
-            stored.name, kind=store.kind, indexed=stored.indexed, doc=doc,
-            stats=stored.stats,
-            base_uri=getattr(store, "base_uri", "") or doc.base_uri,
+            stored.name, kind=stored.store.kind, indexed=stored.indexed,
+            doc=doc, stats=stored._stats,
+            base_uri=getattr(stored.store, "base_uri", "") or doc.base_uri,
             durability=durability)
+
+    def _forget(self, stored: StoredDocument,
+                heir: Optional[StoredDocument] = None) -> None:
+        """Drop ``stored``'s pinned tree from the node map, unless a
+        newer handle of the same tree took its place; ``heir`` takes it
+        back when it pins that same tree (a refused re-add)."""
+        doc = stored._doc
+        if doc is None or self._by_node.get(id(doc)) is not stored:
+            return
+        if heir is not None and heir._doc is doc:
+            self._by_node[id(doc)] = heir
+        else:
+            del self._by_node[id(doc)]
 
     def remove(self, name: str, *,
                durability: Optional[str] = None) -> bool:
         """Drop ``name`` from the catalog (and, in disk mode, commit
         the removal).  Returns False when the name was absent."""
         stored = self._docs.pop(name, None)
-        if stored is not None and stored._doc is not None:
-            self._by_node.pop(id(stored._doc), None)
+        if stored is not None:
+            self._forget(stored)
         if self._storage is not None:
             removed = self._storage.remove_document(
                 name, durability or self._durability)
@@ -382,14 +395,12 @@ class DocumentCatalog:
             current = self._docs.get(name)
             if current is not None and current.generation == entry.generation:
                 continue
-            if current is not None and current._doc is not None:
-                self._by_node.pop(id(current._doc), None)
+            if current is not None:
+                self._forget(current)
             self._docs[name] = PersistedDocument(name, entry, self)
             changed.append(name)
         for name in [n for n in self._docs if n not in entries]:
-            stale = self._docs.pop(name)
-            if stale._doc is not None:
-                self._by_node.pop(id(stale._doc), None)
+            self._forget(self._docs.pop(name))
             changed.append(name)
         return sorted(changed)
 

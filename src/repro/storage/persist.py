@@ -29,13 +29,12 @@ Sections (version 2):
 - ``META`` — base URI and friends.
 
 Region labels and element/value posting lists are not stored: they are
-pure functions of the tree, and the same :class:`~repro.storage.
-indexes.ElementIndex` and :class:`~repro.storage.indexes.ValueIndex`
-an in-memory :class:`~repro.storage.stores.TreeStore` runs derive them
-from the decoded tree on first access
-(:class:`~repro.catalog.PersistedDocument`).  A commit therefore builds
-no labels, postings or value entries, and a process that only plans
-(the pre-forked server's parent) never pays for them.
+pure functions of the tree, and the catalog handle
+(:class:`~repro.catalog.StoredDocument`, the one owner of everything
+derived from a document) builds them from the decoded tree on first
+access, as it does for an in-memory document.  A commit therefore
+builds no labels, postings or value entries, and a process that only
+plans (the pre-forked server's parent) never pays for them.
 
 Version 1 segments (8.0 and earlier) still open: their ``TOKS``
 section, a pooled :mod:`repro.tokens.binary` ("RTS1") stream, decodes
@@ -89,7 +88,7 @@ from repro.qname import QName
 from repro.storage.stats import DocumentStats
 from repro.storage.stores import BaseStore
 from repro.tokens.binary import read_binary
-from repro.tokens.build import tokens_from_node, tree_from_tokens
+from repro.tokens.build import tree_from_tokens
 from repro.xdm.nodes import (
     AttributeNode,
     CommentNode,
@@ -408,46 +407,29 @@ class SegmentReader:
 class DiskStore(BaseStore):
     """A :class:`BaseStore` whose backing is a persisted segment.
 
-    ``kind`` mirrors the ingested store's kind, and so do the access
-    semantics: a ``tree`` document pins one rebuilt tree, ``tokens``
-    and ``text`` documents rebuild per :meth:`document` call.  Nothing
-    ever re-parses XML — every tree comes from the node columns.
+    ``kind`` mirrors the ingested store's kind.  It holds no tree and
+    caches nothing: every :meth:`document` rebuilds the tree from the
+    node columns (never re-parsing XML), and every :meth:`stats` decodes
+    the ``STAT`` section.  The catalog handle decides what to keep.
     """
 
     def __init__(self, storage: "CatalogStorage", entry: "ManifestEntry"):
         self._storage = storage
         self._entry = entry
         self.kind = entry.kind
-        self._doc: Optional[DocumentNode] = None
-        self._stats: Optional[DocumentStats] = None
 
     def document(self) -> DocumentNode:
-        if self._entry.kind == "tree":
-            if self._doc is None:
-                self._doc = self._load_tree()
-            return self._doc
-        return self._load_tree()
-
-    def _load_tree(self) -> DocumentNode:
         with self._storage.open_segment(self._entry) as reader:
             return reader.materialize_tree()
 
     def stats(self) -> DocumentStats:
         """Decoded straight from the segment's ``STAT`` section — the
         planner costs access paths without materializing the tree."""
-        if self._stats is None:
-            with self._storage.open_segment(self._entry) as reader:
-                self._stats = reader.stats()
-        return self._stats
-
-    def tokens(self):
-        """Stream the document's tokens, walked from the decoded tree."""
-        return tokens_from_node(self.document())
+        with self._storage.open_segment(self._entry) as reader:
+            return reader.stats()
 
     def resident_bytes(self) -> int:
-        if self._doc is None:
-            return 0
-        return sum(1 for _ in self._doc.descendants_or_self()) * 200
+        return 0  # the segment stays on disk
 
 
 # -- the durable catalog directory ----------------------------------------

@@ -1,25 +1,26 @@
 """The three storage modes, behind one interface.
 
-Each store ingests XML text once and serves documents to the query
-engine; what differs is what lives between queries:
+Each store ingests XML text once and holds one form of the document;
+what differs is what lives between queries:
 
 - :class:`TextStore` keeps the text — every access re-parses (the
   tutorial: "need to re-parse (re-validate) all the time");
-- :class:`TreeStore` keeps the materialized tree (+ lazily built
-  indexes) — fast navigation, biggest resident footprint;
+- :class:`TreeStore` keeps the materialized tree — fast navigation,
+  biggest resident footprint;
 - :class:`TokenStore` keeps the pooled binary token form — compact,
   streams without parsing, rebuilds trees only on demand.
 
-Constructors are keyword-only (``TreeStore(xml_text=...)``).  Every
-store exposes a common :meth:`BaseStore.stats` with per-document
-statistics for the access-path planner.
+Constructors are keyword-only (``TreeStore(xml_text=...)``).  A store
+answers :meth:`BaseStore.document` and :meth:`BaseStore.stats` afresh on
+every call and caches nothing: the catalog handle
+(:class:`~repro.catalog.StoredDocument`) pins the tree, keeps the
+statistics and builds the element/value indexes.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Optional
+from typing import Iterator
 
-from repro.storage.indexes import ElementIndex, ValueIndex
 from repro.storage.stats import DocumentStats, collect_stats
 from repro.tokens.binary import read_binary, write_binary
 from repro.tokens.build import tokens_from_events, tree_from_tokens
@@ -41,20 +42,8 @@ class BaseStore:
         raise NotImplementedError
 
     def stats(self) -> DocumentStats:
-        """Per-document statistics, collected once and cached."""
-        cached = getattr(self, "_stats", None)
-        if cached is None:
-            cached = collect_stats(self.document())
-            self._stats = cached
-        return cached
-
-    def invalidate_stats(self) -> None:
-        """Drop the cached statistics so the next :meth:`stats` call
-        re-walks the document.  Catalogs call this when a store is
-        re-registered under an existing name — a mutated backing (e.g.
-        a :class:`TextStore` whose ``text`` was replaced) must never
-        serve stale cardinalities to the planner."""
-        self._stats = None
+        """Per-document statistics, collected from :meth:`document`."""
+        return collect_stats(self.document())
 
     kind: str = "base"
 
@@ -76,37 +65,21 @@ class TextStore(BaseStore):
 
 
 class TreeStore(BaseStore):
-    """Materialized tree plus lazily-built element/value indexes."""
+    """One materialized tree."""
 
     kind = "tree"
 
     def __init__(self, *, xml_text: str, base_uri: str = ""):
         self._doc = parse_document(xml_text, base_uri)
-        self._element_index: Optional[ElementIndex] = None
-        self._value_index: Optional[ValueIndex] = None
 
     @classmethod
     def from_document(cls, doc: DocumentNode) -> "TreeStore":
         store = cls.__new__(cls)
         store._doc = doc
-        store._element_index = None
-        store._value_index = None
         return store
 
     def document(self) -> DocumentNode:
         return self._doc
-
-    @property
-    def element_index(self) -> ElementIndex:
-        if self._element_index is None:
-            self._element_index = ElementIndex(self._doc)
-        return self._element_index
-
-    @property
-    def value_index(self) -> ValueIndex:
-        if self._value_index is None:
-            self._value_index = ValueIndex(self._doc)
-        return self._value_index
 
     def resident_bytes(self) -> int:
         # rough object-graph estimate: nodes dominate

@@ -1,11 +1,18 @@
 """The DocumentCatalog API: ingestion, handles, and engine binding."""
 
+import gc
+import threading
+import weakref
+
 import pytest
 
 import repro
+import repro.storage.persist
+import repro.storage.stores
 from repro.catalog import DocumentCatalog, StoredDocument
 from repro.engine import Engine
-from repro.storage import TextStore, TokenStore, TreeStore
+from repro.errors import ParseError
+from repro.storage import ElementIndex, TextStore, TokenStore, TreeStore
 from repro.xdm.build import parse_document
 
 XML = "<shop>" + "".join(
@@ -99,12 +106,16 @@ class TestStoredDocument:
         match = stored.value_index.lookup("price", "30")
         assert len(match) == 1 and id(match[0]) in pinned
 
-    def test_tree_store_indexes_reused(self):
+    def test_handle_builds_each_index_once(self):
         store = TreeStore(xml_text=XML)
         cat = repro.catalog()
         stored = cat.add("shop", store)
-        assert stored.element_index is store.element_index
-        assert stored.value_index is store.value_index
+        assert stored.element_index is stored.element_index
+        assert stored.value_index is stored.value_index
+        # a re-add of the same store is a new handle with its own indexes
+        again = cat.add("shop", store)
+        assert again.element_index is not stored.element_index
+        assert again.element_index.cardinality("item") == 8
 
     def test_stats_delegate_to_store(self):
         cat = repro.catalog()
@@ -113,18 +124,162 @@ class TestStoredDocument:
         assert stored.stats.is_leaf_only("price")
 
 
+class TestOneOwner:
+    """The handle owns everything derived from its document: it pins
+    the tree, keeps the statistics and builds the indexes, and an add
+    builds exactly one tree in every configuration."""
+
+    @pytest.mark.parametrize("disk", [False, True], ids=["memory", "disk"])
+    @pytest.mark.parametrize("index", [True, False])
+    @pytest.mark.parametrize("kind", ["tree", "tokens", "text"])
+    def test_one_tree_per_add(self, tmp_path, monkeypatch, kind, index,
+                              disk):
+        builds = []
+        for module in (repro.storage.stores, repro.storage.persist):
+            for name in ("parse_document", "tree_from_tokens"):
+                real = getattr(module, name, None)
+                if real is None:
+                    continue
+
+                def counted(*args, _real=real, _name=name, **kwargs):
+                    builds.append(_name)
+                    return _real(*args, **kwargs)
+                monkeypatch.setattr(module, name, counted)
+        cat = DocumentCatalog(tmp_path / "cat" if disk else None,
+                              durability="none")
+        stored = cat.add("shop", XML, store=kind, index=index)
+        assert stored.stats.count("item") == 8
+        if index:
+            assert stored.element_index.cardinality("item") == 8
+            assert len(stored.value_index.lookup("price", "30")) == 1
+        assert len(builds) == 1, builds
+
+    @pytest.mark.parametrize("disk", [False, True], ids=["memory", "disk"])
+    def test_a_handle_does_not_keep_its_catalog_alive(self, tmp_path,
+                                                      disk):
+        """Reference counting alone frees a dropped catalog, with the
+        trees' indexes it holds: a cycle through the handle would leave
+        them for the cyclic collector (and its pauses)."""
+        path = tmp_path / "cat" if disk else None
+        if disk:
+            DocumentCatalog(path, durability="none").add("shop", XML)
+        gc.disable()
+        try:
+            cat = DocumentCatalog(path)
+            stored = cat["shop"] if disk else cat.add("shop", XML)
+            assert stored.element_index.cardinality("item") == 8
+            dropped = weakref.ref(cat)
+            del cat
+            assert dropped() is None
+        finally:
+            gc.enable()
+
+    @pytest.mark.parametrize("kind", ["tree", "tokens", "text"])
+    def test_pin_rule(self, kind):
+        cat = DocumentCatalog()
+        for index in (True, False):
+            stored = cat.add("shop", XML, store=kind, index=index)
+            pinned = index or kind == "tree"
+            assert (stored.document() is stored.document()) is pinned
+            assert (cat.stored_for(stored.document()) is stored) is index
+
+    def test_an_unindexed_handle_does_not_shadow_an_indexed_one(self):
+        store = TreeStore(xml_text=XML)
+        cat = DocumentCatalog()
+        indexed = cat.add("a", store)
+        cat.add("b", store, index=False)
+        assert cat.stored_for(store.document()) is indexed
+
+    def test_concurrent_first_reads_build_the_index_once(self,
+                                                         monkeypatch):
+        cat = DocumentCatalog()
+        stored = cat.add("shop", XML)
+        builds, errors = [], []
+        first_in = threading.Event()
+        # set once the second reader is inside a build of its own or
+        # waits on the handle's lock for the first reader's
+        overlap = threading.Event()
+        real_init = ElementIndex.__init__
+
+        def counted(self, doc):
+            builds.append(threading.current_thread().name)
+            if len(builds) == 1:
+                first_in.set()
+                if not overlap.wait(30):
+                    errors.append("the second reader never arrived")
+            else:
+                overlap.set()
+            real_init(self, doc)
+        monkeypatch.setattr(ElementIndex, "__init__", counted)
+
+        class Contended:
+            """The handle's lock, reporting a reader that must wait."""
+
+            def __init__(self, lock):
+                self._lock = lock
+
+            def __enter__(self):
+                if not self._lock.acquire(blocking=False):
+                    overlap.set()
+                    self._lock.acquire()
+
+            def __exit__(self, *exc):
+                self._lock.release()
+        lock = getattr(stored, "_lock", None)
+        if lock is not None:  # a handle without one lets both build
+            stored._lock = Contended(lock)
+
+        seen = []
+
+        def read():
+            seen.append(stored.element_index)
+        first = threading.Thread(target=read, name="first")
+        second = threading.Thread(target=read, name="second")
+        first.start()
+        assert first_in.wait(30)
+        second.start()
+        first.join(30)
+        second.join(30)
+        assert not errors, errors
+        assert builds == ["first"]
+        assert len(seen) == 2 and seen[0] is seen[1]
+
+    @pytest.mark.parametrize("disk", [False, True], ids=["memory", "disk"])
+    @pytest.mark.parametrize("kind,index", [
+        ("tree", True), ("tree", False), ("tokens", True),
+        ("tokens", False), ("text", True), ("text", False)])
+    def test_malformed_xml_raises_where_it_always_has(self, tmp_path,
+                                                      kind, index, disk):
+        cat = DocumentCatalog(tmp_path / "cat" if disk else None,
+                              durability="none")
+        if kind == "text" and not index and not disk:
+            # an unindexed text store keeps only the text: it parses
+            # on first access, and raises there
+            stored = cat.add("bad", "<a><b></a>", store=kind, index=index)
+            with pytest.raises(ParseError):
+                stored.document()
+            with pytest.raises(ParseError):
+                stored.stats
+        else:
+            with pytest.raises(ParseError):
+                cat.add("bad", "<a><b></a>", store=kind, index=index)
+            assert "bad" not in cat
+
+
 class TestReingestStaleness:
     """Re-ingesting under an existing name must never leave the planner
     holding statistics (or cached plans) for the old contents."""
 
-    def test_reingest_invalidates_cached_store_stats(self):
+    def test_reingest_gives_fresh_handle_stats(self):
         store = TreeStore(xml_text=XML)
         cat = repro.catalog()
-        cat.add("shop", store)
-        first = store.stats()
-        assert store.stats() is first  # cached between calls
-        cat.add("shop", store)  # same object, re-registered
-        assert store.stats() is not first  # cache dropped on re-ingest
+        first = cat.add("shop", store)
+        assert first.stats is first.stats  # cached on the handle
+        second = cat.add("shop", store)  # same object, re-registered
+        assert second.stats is not first.stats  # a new handle re-derives
+        assert second.stats.count("item") == 8
+        # the store itself caches nothing
+        assert store.stats() is not store.stats()
 
     def test_mutated_text_store_reingest_sees_new_stats(self):
         store = TextStore(xml_text="<r><x/></r>")

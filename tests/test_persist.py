@@ -249,6 +249,23 @@ class TestNodeColumns:
         with pytest.raises(StorageError, match=message):
             cat.add("bad", doc)
         assert "bad" not in _disk(tmp_path)
+        # the refused handle's tree resolves to nothing
+        assert "bad" not in cat and cat.stored_for(doc) is None
+
+    def test_a_refused_readd_keeps_the_previous_handle(self, tmp_path):
+        """Re-adding the same tree, now unstorable, leaves the committed
+        handle bound to that tree's node-map entry."""
+        doc = DocumentNode()
+        root = ElementNode(QName("", "r"), doc)
+        doc.children.append(root)
+        text = TextNode("ok", root)
+        root.children.append(text)
+        cat = _disk(tmp_path)
+        first = cat.add("t", doc)
+        text.content = "a\0b"
+        with pytest.raises(StorageError):
+            cat.add("t", doc)
+        assert cat["t"] is first and cat.stored_for(doc) is first
 
     def test_an_empty_document_round_trips(self, tmp_path):
         """No node, so no string: the string table is empty."""
@@ -554,6 +571,9 @@ class TestRefreshRace:
                         stored = reader.get(name)
                         if stored is None:
                             continue  # removed between names() and get()
+                        # the planner reads statistics before any
+                        # bind: a replaced segment must not fail them
+                        assert stored.stats is not None
                         doc = stored.document()
                         # a torn read would produce a malformed tree or
                         # raise mid-materialize; touching the root and
@@ -576,6 +596,24 @@ class TestRefreshRace:
         # the reader converges on the writer's final state
         reader.refresh()
         assert set(reader.names()) == set(writer.names())
+
+    @pytest.mark.parametrize("store,index", [
+        ("tree", True), ("tree", False), ("text", False)])
+    def test_untouched_stale_handle_adopts_the_fresh_entry(self, tmp_path,
+                                                           store, index):
+        """A handle whose segment another process replaced before
+        anything touched it reads the fresh entry, statistics first
+        (a pre-forked child compiling before its ``refresh``)."""
+        writer = _disk(tmp_path)
+        writer.add("books", BOOKS, store=store, index=index)
+        reader = _disk(tmp_path)
+        handle = reader["books"]
+        writer.add("books", "<bib><book/></bib>", store=store, index=index)
+        assert handle.stats.element_counts.get("book") == 1
+        assert handle.generation == writer["books"].generation
+        out = Engine(catalog=reader).compile(
+            "count($books//book)").execute().serialize()
+        assert out == "1"
 
 
 # -- crash safety ----------------------------------------------------------
@@ -800,7 +838,13 @@ def test_perfsmoke_first_answer_no_dearer_than_a_parse(tmp_path):
     answering one access-path query (which decodes the tree and derives
     both indexes) must cost no more than ingesting the XML in memory
     and answering the same query.  Both sides run in interleaved
-    repetitions, and their medians are compared."""
+    repetitions, and their medians are compared.  Each repetition
+    starts from a full collection: otherwise a pause collecting the
+    garbage of earlier repetitions and tests (tens of milliseconds on
+    a whole-suite heap) lands in whichever repetition crosses the
+    collector's threshold, and where it lands shifts with the number
+    of tests collected."""
+    import gc
     import statistics
 
     xml = generate_xmark(scale=0.3, seed=7)
@@ -809,11 +853,13 @@ def test_perfsmoke_first_answer_no_dearer_than_a_parse(tmp_path):
                                             durability="none")
     reopen, ingest, answers = [], [], set()
     for _ in range(5):
+        gc.collect()
         started = time.perf_counter()
         cat = DocumentCatalog(tmp_path / "xmark")
         answers.add(Engine(catalog=cat).compile(query).execute().serialize())
         reopen.append(time.perf_counter() - started)
 
+        gc.collect()
         started = time.perf_counter()
         cat = DocumentCatalog()
         cat.add("auction", xml)

@@ -148,10 +148,13 @@ class TestStores:
         store = TreeStore(xml_text=self.XML)
         assert store.document() is store.document()
 
-    def test_tree_store_indexes(self):
-        store = TreeStore(xml_text=self.XML)
-        assert store.element_index.cardinality("item") == 50
-        assert len(store.value_index.lookup("qty", "7")) == 1
+    @pytest.mark.parametrize("store_cls", [TextStore, TreeStore, TokenStore])
+    def test_catalog_handle_indexes(self, store_cls):
+        from repro.catalog import DocumentCatalog
+
+        stored = DocumentCatalog().add("inv", store_cls(xml_text=self.XML))
+        assert stored.element_index.cardinality("item") == 50
+        assert len(stored.value_index.lookup("qty", "7")) == 1
 
     def test_token_store_is_compact(self):
         text = TextStore(xml_text=self.XML)
