@@ -104,7 +104,7 @@ class StoredDocument:
         self._element_index: Optional[ElementIndex] = None
         self._value_index: Optional[ValueIndex] = None
         if self._pin_eagerly and self._pins():
-            self._pin()
+            self._doc = self._tree()  # add() registers it once committed
 
     def _pins(self) -> bool:
         return self.indexed or self.store.kind == "tree"
@@ -113,12 +113,15 @@ class StoredDocument:
         with self._lock:
             doc = self._doc
             if doc is None:
-                doc = self._tree()
-                catalog = self._catalog()
-                if catalog is not None and self.indexed:
-                    catalog._by_node[id(doc)] = self
-                self._doc = doc
+                doc = self._doc = self._tree()
+                self._register()
         return doc
+
+    def _register(self) -> None:
+        """Enter an indexed handle's pinned tree in the node map."""
+        catalog = self._catalog()
+        if catalog is not None and self.indexed:
+            catalog._by_node[id(self._doc)] = self
 
     def _tree(self) -> DocumentNode:
         """A fresh tree of the stored document."""
@@ -208,29 +211,44 @@ class PersistedDocument(StoredDocument):
     def _from_segment(self, read):
         from repro.storage.persist import DiskStore, StorageError
 
-        storage = self.store._storage
         for attempt in range(3):
+            store = self.store
             try:
-                return read(self.store)
+                return read(store)
             except (OSError, StorageError):
                 # the writer re-ingested this name and unlinked our
-                # segment after committing the new manifest: adopt the
-                # fresh entry and retry (readers racing a concurrent
-                # add() land here instead of failing)
-                fresh = storage.reload().get(self.name)
-                if fresh is None or fresh.generation == self.generation \
-                        or attempt == 2:
+                # segment after committing the new manifest: while no
+                # tree is pinned, adopt the fresh entry and retry
+                # (readers racing a concurrent add() land here instead
+                # of failing).  A pinned handle keeps its generation;
+                # refresh() replaces it.
+                if attempt == 2:
                     raise
-                self.store = DiskStore(storage, fresh)
-                self.indexed = fresh.indexed
-                self.generation = fresh.generation
-                self._stats = None
+                with self._lock:
+                    if self.store is not store:
+                        continue  # another reader adopted it already
+                    fresh = store._storage.reload().get(self.name)
+                    if self._doc is not None or fresh is None \
+                            or fresh.generation == self.generation:
+                        raise
+                    self.store = DiskStore(store._storage, fresh)
+                    self.indexed = fresh.indexed
+                    self.generation = fresh.generation
+                    self._stats = None
 
     def _tree(self) -> DocumentNode:
         return self._from_segment(lambda store: store.document())
 
     def _load_stats(self) -> DocumentStats:
-        return self._from_segment(lambda store: store.stats())
+        from repro.storage.persist import StorageError
+
+        try:
+            return self._from_segment(lambda store: store.stats())
+        except (OSError, StorageError):
+            if self._doc is None:
+                raise
+            # the segment is gone but the tree it held is pinned
+            return collect_stats(self._doc)
 
     @property
     def loaded(self) -> bool:
@@ -325,15 +343,13 @@ class DocumentCatalog:
             backing = store_cls(xml_text=source)
         stored = StoredDocument(name, backing, bool(index), self)
         if self._storage is not None:
-            try:
-                stored.generation = self._persist(
-                    stored, durability or self._durability).generation
-            except BaseException:
-                self._forget(stored, heir=self._docs.get(name))
-                raise
+            stored.generation = self._persist(
+                stored, durability or self._durability).generation
         previous = self._docs.get(name)
         if previous is not None:
             self._forget(previous)
+        if stored._doc is not None:
+            stored._register()
         self._docs[name] = stored
         return stored
 
@@ -352,17 +368,11 @@ class DocumentCatalog:
             base_uri=getattr(stored.store, "base_uri", "") or doc.base_uri,
             durability=durability)
 
-    def _forget(self, stored: StoredDocument,
-                heir: Optional[StoredDocument] = None) -> None:
+    def _forget(self, stored: StoredDocument) -> None:
         """Drop ``stored``'s pinned tree from the node map, unless a
-        newer handle of the same tree took its place; ``heir`` takes it
-        back when it pins that same tree (a refused re-add)."""
+        newer handle of the same tree took its place."""
         doc = stored._doc
-        if doc is None or self._by_node.get(id(doc)) is not stored:
-            return
-        if heir is not None and heir._doc is doc:
-            self._by_node[id(doc)] = heir
-        else:
+        if doc is not None and self._by_node.get(id(doc)) is stored:
             del self._by_node[id(doc)]
 
     def remove(self, name: str, *,

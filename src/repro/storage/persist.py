@@ -428,9 +428,6 @@ class DiskStore(BaseStore):
         with self._storage.open_segment(self._entry) as reader:
             return reader.stats()
 
-    def resident_bytes(self) -> int:
-        return 0  # the segment stays on disk
-
 
 # -- the durable catalog directory ----------------------------------------
 

@@ -615,6 +615,75 @@ class TestRefreshRace:
             "count($books//book)").execute().serialize()
         assert out == "1"
 
+    @pytest.mark.parametrize("store,index", [
+        ("tree", True), ("tree", False), ("tokens", True)])
+    def test_pinned_stale_handle_keeps_its_tree_until_refresh(
+            self, tmp_path, store, index):
+        """A handle that pinned its tree before another process
+        replaced the segment keeps that tree, its statistics and its
+        generation, so ``refresh`` sees the change and swaps it out."""
+        writer = _disk(tmp_path)
+        writer.add("books", BOOKS, store=store, index=index)
+        reader = _disk(tmp_path)
+        handle = reader["books"]
+        handle.document()
+        generation = handle.generation
+        writer.add("books", "<bib><book/></bib>", store=store, index=index)
+        engine = Engine(catalog=reader)
+        assert handle.stats.element_counts.get("book") == 2
+        assert (handle.generation, handle.indexed) == (generation, index)
+        assert engine.compile(
+            "count($books//book)").execute().serialize() == "2"
+        assert reader.refresh() == ["books"]
+        assert engine.compile(
+            "count($books//book)").execute().serialize() == "1"
+
+    def test_concurrent_readers_adopt_the_fresh_entry_once(
+            self, tmp_path, monkeypatch):
+        """Two readers whose first read of a replaced segment fails at
+        the same moment: one adopts the fresh entry, the other retries
+        on it without reloading the manifest again."""
+        from repro.storage.persist import CatalogStorage, DiskStore
+
+        writer = _disk(tmp_path)
+        writer.add("books", BOOKS, store="text", index=False)
+        reader = _disk(tmp_path)
+        handle = reader["books"]
+        stale = handle.store
+        writer.add("books", "<bib><book/></bib>", store="text", index=False)
+        both_read = threading.Barrier(2, timeout=10)
+        document, reload = DiskStore.document, CatalogStorage.reload
+        reloads = []
+
+        def _document(store):
+            if store is stale:
+                both_read.wait()
+            return document(store)
+
+        def _reload(storage):
+            reloads.append(1)
+            return reload(storage)
+
+        monkeypatch.setattr(DiskStore, "document", _document)
+        monkeypatch.setattr(CatalogStorage, "reload", _reload)
+        trees, failures = [], []
+
+        def _read():
+            try:
+                trees.append(handle.document())
+            except Exception as exc:  # noqa: BLE001
+                failures.append(exc)
+
+        threads = [threading.Thread(target=_read) for _ in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+        assert not failures, failures[0]
+        assert [len(list(t.descendants_or_self())) for t in trees] == [3, 3]
+        assert handle.generation == writer["books"].generation
+        assert len(reloads) == 1
+
 
 # -- crash safety ----------------------------------------------------------
 
@@ -838,13 +907,7 @@ def test_perfsmoke_first_answer_no_dearer_than_a_parse(tmp_path):
     answering one access-path query (which decodes the tree and derives
     both indexes) must cost no more than ingesting the XML in memory
     and answering the same query.  Both sides run in interleaved
-    repetitions, and their medians are compared.  Each repetition
-    starts from a full collection: otherwise a pause collecting the
-    garbage of earlier repetitions and tests (tens of milliseconds on
-    a whole-suite heap) lands in whichever repetition crosses the
-    collector's threshold, and where it lands shifts with the number
-    of tests collected."""
-    import gc
+    repetitions, and their medians are compared."""
     import statistics
 
     xml = generate_xmark(scale=0.3, seed=7)
@@ -853,13 +916,11 @@ def test_perfsmoke_first_answer_no_dearer_than_a_parse(tmp_path):
                                             durability="none")
     reopen, ingest, answers = [], [], set()
     for _ in range(5):
-        gc.collect()
         started = time.perf_counter()
         cat = DocumentCatalog(tmp_path / "xmark")
         answers.add(Engine(catalog=cat).compile(query).execute().serialize())
         reopen.append(time.perf_counter() - started)
 
-        gc.collect()
         started = time.perf_counter()
         cat = DocumentCatalog()
         cat.add("auction", xml)
